@@ -20,7 +20,6 @@ import (
 	"weaver/internal/nodeprog"
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
-	"weaver/internal/progcache"
 	"weaver/internal/shard"
 	"weaver/internal/transport"
 	"weaver/internal/wire"
@@ -529,54 +528,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 			}
 		})
 	})
-}
-
-// BenchmarkAblationProgCache measures the §4.6 node-program cache: repeated
-// identical traversals with memoization versus without (the paper runs all
-// benchmarks with caching disabled; this quantifies what it leaves out).
-func BenchmarkAblationProgCache(b *testing.B) {
-	c := benchCluster(b, 1, 2)
-	cl := c.Client()
-	const n = 64
-	if _, err := cl.RunTx(func(tx *weaver.Tx) error {
-		for i := 0; i < n; i++ {
-			tx.CreateVertex(weaver.VertexID(fmt.Sprintf("p%d", i)))
-		}
-		for i := 0; i < n-1; i++ {
-			tx.CreateEdge(weaver.VertexID(fmt.Sprintf("p%d", i)), weaver.VertexID(fmt.Sprintf("p%d", i+1)))
-		}
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	cache := progcache.New(128)
-	deps := make([]weaver.VertexID, n)
-	for i := range deps {
-		deps[i] = weaver.VertexID(fmt.Sprintf("p%d", i))
-	}
-	key := progcache.Key{Program: "traverse", Params: "all", Vertex: "p0"}
-	var uncached, cached time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, ok := cache.Get(key); !ok {
-			res, _, err := cl.RunProgram("traverse", nodeprog.Encode(nodeprog.TraverseParams{}), "p0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cache.Put(key, res, deps)
-			uncached += time.Since(t0)
-		} else {
-			cached += time.Since(t0)
-		}
-	}
-	st := cache.Stats()
-	if st.Hits > 0 {
-		b.ReportMetric(float64(cached.Nanoseconds())/float64(st.Hits), "cached_ns/op")
-	}
-	if st.Misses > 0 {
-		b.ReportMetric(float64(uncached.Nanoseconds())/float64(st.Misses), "uncached_ns/op")
-	}
 }
 
 // BenchmarkAblationOracleReplication compares the direct timeline oracle

@@ -282,12 +282,9 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	}
 
 	// Fan out per-shard segment builders on the worker pool: encoding the
-	// records (gob) dominates load cost, so it runs in parallel; each
+	// records dominates load cost, so it runs in parallel; each
 	// finished segment installs straight into the backing store.
-	segEntries := c.cfg.SnapshotSegmentEntries
-	if segEntries <= 0 {
-		segEntries = 4096
-	}
+	const segEntries = snapshot.DefaultSegmentEntries
 	workers := c.cfg.BulkLoadWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

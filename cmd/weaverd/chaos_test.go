@@ -96,7 +96,6 @@ func TestChaosKillRestartZeroAckedWriteLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process chaos harness")
 	}
-	wire.RegisterGob()
 	wal := filepath.Join(t.TempDir(), "wal")
 
 	storeAddr := freePort(t)

@@ -65,7 +65,7 @@ import (
 
 func main() {
 	var (
-		role       = flag.String("role", "", "store | gatekeeper | shard | demo")
+		role       = flag.String("role", "", "store | gatekeeper | shard | manager | standby | demo")
 		id         = flag.Int("id", 0, "server index within its role")
 		listen     = flag.String("listen", ":0", "listen address")
 		storeAddr  = flag.String("store", "localhost:7000", "store node host:port")
@@ -88,7 +88,6 @@ func main() {
 		stopTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "max time for graceful shutdown before exiting nonzero")
 	)
 	flag.Parse()
-	wire.RegisterGob()
 
 	metrics := obs.New(obs.Config{TraceSample: *traceSample})
 
@@ -161,6 +160,28 @@ func main() {
 	dir := partition.NewHash(*shards)
 	reg := nodeprog.NewRegistry()
 
+	// newGatekeeper assembles gatekeeper idx on n for the gatekeeper,
+	// standby and demo roles: its KV and oracle clients (served by the
+	// store node) and the server itself on ep, joining at epoch. The
+	// caller starts and stops it; the returned func closes the clients.
+	// o and progTimeout are the only settings the roles differ in.
+	newGatekeeper := func(n *transport.TCPNode, idx int, ep transport.Endpoint, epoch uint64, o *obs.Registry, progTimeout time.Duration) (*gatekeeper.Gatekeeper, func()) {
+		kv := remote.NewKVClient(n.Endpoint(transport.Addr(fmt.Sprintf("gkkv/%d", idx))), "kv", 10*time.Second)
+		orc := remote.NewOracleClient(n.Endpoint(transport.Addr(fmt.Sprintf("gkorc/%d", idx))), "oracle", 10*time.Second)
+		gk := gatekeeper.New(gatekeeper.Config{
+			ID:              idx,
+			NumGatekeepers:  *gks,
+			NumShards:       *shards,
+			Epoch:           epoch,
+			AnnouncePeriod:  *tau,
+			NopPeriod:       *nop,
+			HeartbeatPeriod: memberBeat,
+			ProgTimeout:     progTimeout,
+			Obs:             o,
+		}, ep, kv, orc, dir)
+		return gk, func() { orc.Close(); kv.Close() }
+	}
+
 	switch *role {
 	case "store":
 		var st *kvstore.Store
@@ -216,22 +237,10 @@ func main() {
 		shutdownOnSignal(node, metricsSrv, *stopTimeout, sh.Stop)
 
 	case "gatekeeper":
-		kv := remote.NewKVClient(node.Endpoint(transport.Addr(fmt.Sprintf("gkkv/%d", *id))), "kv", 10*time.Second)
-		defer kv.Close()
-		orc := remote.NewOracleClient(node.Endpoint(transport.Addr(fmt.Sprintf("gkorc/%d", *id))), "oracle", 10*time.Second)
-		defer orc.Close()
 		ep := node.Endpoint(transport.GatekeeperAddr(*id))
 		epoch := bootEpoch(ep, transport.GatekeeperAddr(*id), mgrList, 5*time.Second)
-		gk := gatekeeper.New(gatekeeper.Config{
-			ID:              *id,
-			NumGatekeepers:  *gks,
-			NumShards:       *shards,
-			Epoch:           epoch,
-			AnnouncePeriod:  *tau,
-			NopPeriod:       *nop,
-			HeartbeatPeriod: memberBeat,
-			Obs:             metrics,
-		}, ep, kv, orc, dir)
+		gk, closeClients := newGatekeeper(node, *id, ep, epoch, metrics, 0)
+		defer closeClients()
 		gk.Start()
 		log.Printf("gatekeeper %d ready (τ=%v nop=%v epoch=%d)", *id, *tau, *nop, epoch)
 		shutdownOnSignal(node, metricsSrv, *stopTimeout, gk.Stop)
@@ -319,18 +328,8 @@ func main() {
 				log.Fatalf("standby: bind %s: %v", gkList[gkIdx], err)
 			}
 			setRoutes(gnode)
-			kv := remote.NewKVClient(gnode.Endpoint(transport.Addr(fmt.Sprintf("gkkv/%d", gkIdx))), "kv", 10*time.Second)
-			orc := remote.NewOracleClient(gnode.Endpoint(transport.Addr(fmt.Sprintf("gkorc/%d", gkIdx))), "oracle", 10*time.Second)
-			gk := gatekeeper.New(gatekeeper.Config{
-				ID:              gkIdx,
-				NumGatekeepers:  *gks,
-				NumShards:       *shards,
-				Epoch:           epoch,
-				AnnouncePeriod:  *tau,
-				NopPeriod:       *nop,
-				HeartbeatPeriod: memberBeat,
-				Obs:             metrics,
-			}, gnode.Endpoint(transport.GatekeeperAddr(gkIdx)), kv, orc, dir)
+			// The adopted gatekeeper's clients live until the process exits.
+			gk, _ := newGatekeeper(gnode, gkIdx, gnode.Endpoint(transport.GatekeeperAddr(gkIdx)), epoch, metrics, 0)
 			gk.Start()
 			tkMu.Lock()
 			tkGK, tkNode = gk, gnode
@@ -356,26 +355,14 @@ func main() {
 		// place of that gatekeeper, on that gatekeeper's listen address,
 		// so shard-side routing reaches it. Clients embed the gatekeeper
 		// API in-process, exactly like the weaver.Cluster library mode.
-		kv := remote.NewKVClient(node.Endpoint(transport.Addr(fmt.Sprintf("gkkv/%d", *id))), "kv", 10*time.Second)
-		defer kv.Close()
-		orc := remote.NewOracleClient(node.Endpoint(transport.Addr(fmt.Sprintf("gkorc/%d", *id))), "oracle", 10*time.Second)
-		defer orc.Close()
 		// With a manager configured, the demo gatekeeper is a tracked
 		// member like any other: join at the cluster's epoch and keep
 		// heartbeating, or the detector declares it dead mid-demo and
 		// barriers the shards away from it.
 		ep := node.Endpoint(transport.GatekeeperAddr(*id))
 		epoch := bootEpoch(ep, transport.GatekeeperAddr(*id), mgrList, 5*time.Second)
-		gk := gatekeeper.New(gatekeeper.Config{
-			ID:              *id,
-			NumGatekeepers:  *gks,
-			NumShards:       *shards,
-			Epoch:           epoch,
-			AnnouncePeriod:  *tau,
-			NopPeriod:       *nop,
-			HeartbeatPeriod: memberBeat,
-			ProgTimeout:     15 * time.Second,
-		}, ep, kv, orc, dir)
+		gk, closeClients := newGatekeeper(node, *id, ep, epoch, nil, 15*time.Second)
+		defer closeClients()
 		gk.Start()
 		defer gk.Stop()
 		runDemo(gk, *indexKeys != "")

@@ -437,6 +437,13 @@ func TestIndexStressLookupMatchesScan(t *testing.T) {
 					}
 					return nil
 				})
+				// Every op above is consistent with the GetVertex the same
+				// transaction read-validates, so ErrInvalid can only mean
+				// the commit checked newer state than it validated.
+				if errors.Is(err, weaver.ErrInvalid) {
+					fail(fmt.Errorf("writer %d: read-validated RunTx surfaced ErrInvalid (must be a conflict): %v", w, err))
+					return
+				}
 				if err != nil {
 					fail(fmt.Errorf("writer %d: %v", w, err))
 					return

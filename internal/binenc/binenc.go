@@ -1,18 +1,19 @@
-// Package binenc holds the length-prefixed binary encoding helpers shared
-// by Weaver's hand-rolled codecs (vertex records in internal/graph, index
-// posting bundles in internal/index). The hot-path rationale lives with
-// the record codec (graph/codec.go): ~6x faster than gob for these
-// shapes, mostly because gob re-transmits a type descriptor with every
-// standalone blob.
+// Package binenc holds the length-prefixed binary encoding primitives
+// behind every codec in the tree: wire frames (internal/wire), vertex
+// records (internal/graph), index posting bundles (internal/index), WAL
+// records (internal/kvstore), the snapshot manifest (internal/snapshot),
+// oracle state transfer (internal/oracle) and the epoch log
+// (internal/cluster). It is the program's one encoding; only node-program
+// params/results (internal/nodeprog) still use gob.
 //
-// Decoding is defensive — both codecs face fuzzed and (in a distributed
+// Decoding is defensive — codecs face fuzzed and (in a distributed
 // deployment) network-supplied bytes: the Decoder's first framing error
 // sticks and zero values flow from then on, string reads are bounded by
 // the remaining buffer, and Count bounds element-count allocation hints
 // by the bytes that could possibly back them, so a corrupt length byte
 // can never trigger a huge up-front allocation. Keeping these guards in
-// ONE place means a hardening fix found by either codec's fuzzer reaches
-// both.
+// ONE place means a hardening fix found by any codec's fuzzer reaches
+// all of them.
 package binenc
 
 import (

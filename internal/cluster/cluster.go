@@ -25,14 +25,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"weaver/internal/binenc"
 	"weaver/internal/paxos"
 	"weaver/internal/transport"
 	"weaver/internal/wire"
@@ -121,32 +120,19 @@ type EpochBump struct {
 // encodeBump serializes a bump for the Paxos log; values cross process
 // boundaries as opaque bytes.
 func encodeBump(b EpochBump) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		panic(fmt.Sprintf("cluster: encode bump: %v", err)) // two fixed fields; cannot fail
-	}
-	return buf.Bytes()
+	return binenc.AppendStr(binenc.AppendUvarint(nil, b.Epoch), string(b.Failed))
 }
 
 // decodeBump parses a log entry. Gap sentinels and foreign entries report
 // ok=false.
 func decodeBump(v any) (EpochBump, bool) {
-	if paxos.IsGap(v) {
-		return EpochBump{}, false
-	}
 	b, ok := v.([]byte)
-	if !ok {
-		// In-process legacy path: the entry may be the struct itself.
-		if eb, ok := v.(EpochBump); ok {
-			return eb, true
-		}
+	if !ok || paxos.IsGap(v) {
 		return EpochBump{}, false
 	}
-	var eb EpochBump
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&eb); err != nil {
-		return EpochBump{}, false
-	}
-	return eb, true
+	d := binenc.Decoder{Buf: b}
+	eb := EpochBump{Epoch: d.Uvarint(), Failed: transport.Addr(d.Str())}
+	return eb, d.Err == nil && len(d.Buf) == 0
 }
 
 // Manager is the cluster manager.

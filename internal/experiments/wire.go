@@ -1,15 +1,14 @@
 // Wire-path experiment: the cost of message serialization on the
 // gatekeeper↔shard fabric. The paper's protocol puts a message exchange on
 // every transaction commit and every node-program hop (§4.2), so codec
-// cost is a direct tax on cluster throughput. This experiment records the
-// before (gob, the seed's wire format) and after (hand-rolled binary
-// frames) numbers: per-message micro-benchmarks and a saturated-cluster
-// comparison with the frame codec forced onto every fabric send.
+// cost is a direct tax on cluster throughput. This experiment records
+// per-message micro-benchmarks of the binary frame codec and a
+// saturated-cluster comparison with the codec forced onto every fabric
+// send. (BENCH_6.json keeps the one-time comparison against gob, the
+// seed's wire format, which no longer exists in the tree.)
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -27,8 +26,7 @@ import (
 // WireMicroRow is one micro-benchmark measurement.
 type WireMicroRow struct {
 	Message     string  `json:"message"`
-	Path        string  `json:"path"`  // encode | decode
-	Codec       string  `json:"codec"` // frame | gob
+	Path        string  `json:"path"` // encode | decode
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -67,9 +65,9 @@ type WireResult struct {
 }
 
 func (r WireResult) String() string {
-	mt := bench.NewTable("message", "path", "codec", "ns/op", "B/op", "allocs/op", "wire bytes")
+	mt := bench.NewTable("message", "path", "ns/op", "B/op", "allocs/op", "wire bytes")
 	for _, m := range r.Micro {
-		mt.Row(m.Message, m.Path, m.Codec, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.WireBytes)
+		mt.Row(m.Message, m.Path, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.WireBytes)
 	}
 	ct := bench.NewTable("fabric mode", "ops/s", "p50 µs", "p99 µs")
 	for _, c := range r.Cluster {
@@ -144,7 +142,7 @@ func wireSampleHops() wire.ProgHops {
 		}}
 }
 
-// wireMicro measures one (message, codec) pair on both paths using the
+// wireMicro measures one message on both paths using the
 // stdlib benchmark driver so ns/op and allocs/op come from the same
 // machinery as `go test -bench`.
 func wireMicro(name string, msg any) []WireMicroRow {
@@ -152,19 +150,12 @@ func wireMicro(name string, msg any) []WireMicroRow {
 	if err != nil {
 		panic(err) // sample messages always encode
 	}
-	var gb bytes.Buffer
-	p := msg
-	if err := gob.NewEncoder(&gb).Encode(&p); err != nil {
-		panic(err)
-	}
-	gobBytes := gb.Bytes()
-
-	row := func(path, codec string, wireLen int, r testing.BenchmarkResult) WireMicroRow {
-		return WireMicroRow{Message: name, Path: path, Codec: codec, WireBytes: wireLen,
+	row := func(path string, r testing.BenchmarkResult) WireMicroRow {
+		return WireMicroRow{Message: name, Path: path, WireBytes: len(encFrame),
 			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 	}
 	return []WireMicroRow{
-		row("encode", "frame", len(encFrame), testing.Benchmark(func(b *testing.B) {
+		row("encode", testing.Benchmark(func(b *testing.B) {
 			buf := make([]byte, 0, 4096)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -174,30 +165,10 @@ func wireMicro(name string, msg any) []WireMicroRow {
 				}
 			}
 		})),
-		row("encode", "gob", len(gobBytes), testing.Benchmark(func(b *testing.B) {
-			var bb bytes.Buffer
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bb.Reset()
-				payload := msg
-				if err := gob.NewEncoder(&bb).Encode(&payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})),
-		row("decode", "frame", len(encFrame), testing.Benchmark(func(b *testing.B) {
+		row("decode", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := transport.DecodePayload(encFrame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})),
-		row("decode", "gob", len(gobBytes), testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var v any
-				if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,8 +229,7 @@ func wireCluster(o Options, frames, disableMetrics bool) (WireClusterRow, []Wire
 // saturated-cluster sanity check that framing every fabric message does
 // not cost cluster throughput.
 func Wire(o Options) (WireResult, error) {
-	wire.RegisterGob() // the gob baseline needs registered types
-	res := WireResult{Title: "Wire path (§4.2): hand-rolled binary frames vs gob (seed wire format)"}
+	res := WireResult{Title: "Wire path (§4.2): binary frame codec cost, direct vs framed fabric"}
 	res.Micro = append(res.Micro, wireMicro("TxForward/4ops", wireSampleTx())...)
 	res.Micro = append(res.Micro, wireMicro("ProgHops/2hops", wireSampleHops())...)
 	for _, frames := range []bool{false, true} {

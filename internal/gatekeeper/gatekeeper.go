@@ -58,7 +58,7 @@ type ReadCheck struct {
 // VertexKey is the backing-store key of a vertex record.
 func VertexKey(v graph.VertexID) string { return "v/" + string(v) }
 
-// EncodeRecord gob-encodes a vertex record for the backing store.
+// EncodeRecord encodes a vertex record for the backing store.
 func EncodeRecord(rec *graph.VertexRecord) []byte { return graph.EncodeRecord(rec) }
 
 // DecodeRecord decodes a vertex record.
@@ -117,10 +117,6 @@ type Config struct {
 	// Empty disables both: no marker upkeep, every lookup broadcasts —
 	// exactly the pre-planner behavior.
 	IndexedKeys []string
-	// DisablePlanning keeps marker maintenance but routes every index
-	// lookup through the broadcast fallback (planner escape hatch; EXPLAIN
-	// reports the fallback reason).
-	DisablePlanning bool
 	// Obs is the metrics/tracing registry. Nil disables observability
 	// (every handle no-ops).
 	Obs *obs.Registry
@@ -202,6 +198,11 @@ type Gatekeeper struct {
 	orc oracle.Client
 	dir partition.Directory
 	m   obsMetrics
+
+	// testHookValidated, when non-nil, runs inside tryCommit between
+	// ReadCheck validation and the record loads: the window a concurrent
+	// writer used to turn a conflict into ErrInvalid.
+	testHookValidated func()
 
 	// planner turns index queries into pruned scatter plans; indexed is
 	// the IndexedKeys set; markerHave is the positive-only presence-marker

@@ -86,6 +86,36 @@ func TestCommitValidatesReads(t *testing.T) {
 	}
 }
 
+// TestWriterInValidateLoadWindowConflicts closes the validate→load()
+// window deterministically: writer A's ReadChecks pass, writer B deletes
+// the vertex and commits before A loads the record, and A must fail with
+// ErrConflict (retry on fresh reads) — never ErrInvalid, which would blame
+// the caller for state it never read.
+func TestWriterInValidateLoadWindowConflicts(t *testing.T) {
+	r := newRig(t, 1, 1)
+	if _, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	_, ver, _, _ := r.gk.ReadVertex("v")
+
+	var errB error
+	r.gk.testHookValidated = func() {
+		r.gk.testHookValidated = nil // B's own commit passes straight through
+		_, errB = r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpDeleteVertex, Vertex: "v"}})
+	}
+	_, errA := r.gk.CommitTx([]ReadCheck{{Key: VertexKey("v"), Version: ver}},
+		[]graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}})
+	if errB != nil {
+		t.Fatalf("writer B (in the window) must commit: %v", errB)
+	}
+	if !errors.Is(errA, ErrConflict) || errors.Is(errA, ErrInvalid) {
+		t.Fatalf("writer A: got %v, want ErrConflict", errA)
+	}
+	if rec, _, ok, _ := r.gk.ReadVertex("v"); ok && !rec.Deleted {
+		t.Fatalf("B's delete lost: %+v", rec)
+	}
+}
+
 func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
 	r := newRig(t, 2, 1)
 	// Seed a vertex whose LastTS is a *concurrent* gk1 timestamp.

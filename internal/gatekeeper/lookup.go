@@ -161,8 +161,6 @@ func (g *Gatekeeper) LookupOpts(readTS core.Timestamp, opts LookupOptions) ([]gr
 	switch {
 	case opts.ForceBroadcast:
 		pl = g.planner.Broadcast(q, "forced broadcast")
-	case g.cfg.DisablePlanning:
-		pl = g.planner.Broadcast(q, "planning disabled")
 	case len(g.indexed) == 0:
 		pl = g.planner.Broadcast(q, "no indexed keys configured")
 	case opts.Range || len(eqs) == 0:

@@ -234,6 +234,15 @@ func (g *Gatekeeper) fillReservation(rsv reservation) {
 	}
 }
 
+// storeErr maps a backing-store conflict to ErrConflict (retry with fresh
+// reads); any other store error passes through.
+func storeErr(err error) error {
+	if errors.Is(err, kvstore.ErrConflict) {
+		return fmt.Errorf("%w: backing store conflict", ErrConflict)
+	}
+	return err
+}
+
 // tryCommit executes one attempt at timestamp ts, returning the per-shard
 // write-sets to forward on success. retry=true means the failure is
 // timestamp-ordering related and a fresh timestamp may succeed.
@@ -248,11 +257,14 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 	for _, rc := range reads {
 		_, ver, _, err := tx.GetVersioned(rc.Key)
 		if err != nil {
-			return CommitResult{}, nil, false, err
+			return CommitResult{}, nil, false, storeErr(err)
 		}
 		if ver != rc.Version {
 			return CommitResult{}, nil, false, fmt.Errorf("%w: read of %q outdated", ErrConflict, rc.Key)
 		}
+	}
+	if g.testHookValidated != nil {
+		g.testHookValidated()
 	}
 
 	// Load, validate and mutate the touched vertex records.
@@ -267,9 +279,12 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 		if t, ok := recs[v]; ok {
 			return t, nil
 		}
+		// A record that changed since the validation above fails this
+		// re-read with a conflict (kvstore.Tx reads are repeatable), so the
+		// semantic checks below only ever run on the validated state.
 		data, _, found, err := tx.GetVersioned(VertexKey(v))
 		if err != nil {
-			return nil, err
+			return nil, storeErr(err)
 		}
 		t := &touched{}
 		if found {
@@ -329,8 +344,7 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 				return CommitResult{}, nil, false, fmt.Errorf("%w: create_edge %q: duplicate", ErrInvalid, op.Edge)
 			}
 			if t.rec.Edges == nil {
-				// Bulk-loaded records carry nil maps when empty (gob
-				// omits zero values on decode).
+				// Records decode with nil maps when empty.
 				t.rec.Edges = make(map[graph.EdgeID]graph.EdgeRecord, 1)
 			}
 			t.rec.Edges[op.Edge] = graph.EdgeRecord{To: op.To, Props: map[string]string{}}
@@ -346,8 +360,8 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 			if !live {
 				return CommitResult{}, nil, false, fmt.Errorf("%w: set_prop on %q: vertex not live", ErrInvalid, op.Vertex)
 			}
-			// Prop maps decode as nil when they were empty on disk (gob
-			// omits zero values), so materialize before writing.
+			// Prop maps decode as nil when they were empty on disk, so
+			// materialize before writing.
 			if t.rec.Props == nil {
 				t.rec.Props = make(map[string]string, 1)
 			}
@@ -437,10 +451,7 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 	}
 
 	if err := tx.Commit(); err != nil {
-		if errors.Is(err, kvstore.ErrConflict) {
-			return CommitResult{}, nil, false, fmt.Errorf("%w: backing store conflict", ErrConflict)
-		}
-		return CommitResult{}, nil, false, err
+		return CommitResult{}, nil, false, storeErr(err)
 	}
 
 	// Group the write-set by home shard for the caller to forward.

@@ -1,9 +1,8 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"weaver/internal/binenc"
@@ -12,18 +11,19 @@ import (
 // Vertex records are the unit the backing store, WAL, snapshots, demand
 // pager and recovery all move around, and the gatekeeper re-encodes every
 // record a transaction touches — so the codec is hot. Records use a
-// hand-rolled length-prefixed binary format: ~6x faster than gob for this
-// shape, mostly because gob re-transmits a type descriptor with every
-// standalone blob. The shared primitives (and their defensive decoding
-// guards) live in internal/binenc. Blobs written by older versions (bare
-// gob) are still decoded via a fallback, keyed off the magic byte: 0xD7
-// can never start a gob stream (gob's first byte is a small length or one
-// of 0xF8-0xFF).
+// hand-rolled length-prefixed binary format behind a magic and a version
+// byte; the shared primitives (and their defensive decoding guards) live
+// in internal/binenc. It is the only record format: a blob without the
+// magic is ErrNotRecord.
 
 const (
 	recMagic   = 0xD7
 	recVersion = 1
 )
+
+// ErrNotRecord reports a blob that does not start with the vertex-record
+// magic: not something EncodeRecord wrote.
+var ErrNotRecord = errors.New("graph: not a vertex record")
 
 // EncodeRecord serializes a vertex record for the backing store.
 func EncodeRecord(rec *VertexRecord) []byte {
@@ -45,12 +45,10 @@ func EncodeRecord(rec *VertexRecord) []byte {
 	return buf
 }
 
-// DecodeRecord decodes a vertex record produced by EncodeRecord, falling
-// back to the legacy gob encoding for blobs written before the binary
-// format.
+// DecodeRecord decodes a vertex record produced by EncodeRecord.
 func DecodeRecord(data []byte) (*VertexRecord, error) {
 	if len(data) < 2 || data[0] != recMagic {
-		return decodeGobRecord(data)
+		return nil, ErrNotRecord
 	}
 	if data[1] != recVersion {
 		return nil, fmt.Errorf("graph: record codec version %d unsupported", data[1])
@@ -78,12 +76,4 @@ func DecodeRecord(data []byte) (*VertexRecord, error) {
 		return nil, fmt.Errorf("graph: decode record: %w", d.Err)
 	}
 	return rec, nil
-}
-
-func decodeGobRecord(data []byte) (*VertexRecord, error) {
-	var rec VertexRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
 }

@@ -1,8 +1,7 @@
 package graph
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -50,20 +49,13 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordCodecGobFallback: blobs written by the pre-binary codec (bare
-// gob) must still decode — WAL migration replays them as opaque values.
-func TestRecordCodecGobFallback(t *testing.T) {
-	rec := testRecord()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRecord(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != rec.ID || got.Shard != rec.Shard || len(got.Edges) != len(rec.Edges) {
-		t.Fatalf("gob fallback decoded %+v", got)
+// TestRecordCodecRejectsForeignBlob: there is one record format; anything
+// without its magic is a typed error, never a guess at another encoding.
+func TestRecordCodecRejectsForeignBlob(t *testing.T) {
+	for _, blob := range [][]byte{nil, {recMagic}, []byte("not a record"), {0x00, recVersion, 1, 'v'}} {
+		if _, err := DecodeRecord(blob); !errors.Is(err, ErrNotRecord) {
+			t.Fatalf("DecodeRecord(%q) = %v, want ErrNotRecord", blob, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package kvstore
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,25 +10,6 @@ import (
 
 	"weaver/internal/snapshot"
 )
-
-// writeLegacyWAL produces a pre-framing log: a bare gob stream of Records,
-// exactly what the seed WAL format wrote.
-func writeLegacyWAL(t *testing.T, path string, recs []Record) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(f)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func reopen(t *testing.T, path string) *Store {
 	t.Helper()
@@ -332,27 +313,19 @@ func TestTornWALTailTruncated(t *testing.T) {
 	wantKV(t, s3, "b", "2")
 }
 
-// TestLegacyWALMigration: a pre-framing bare-gob log opens, replays, and
-// continues in the framed format.
-func TestLegacyWALMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.wal")
-	writeLegacyWAL(t, path, []Record{
-		{Writes: map[string][]byte{"a": []byte("1")}},
-		{Writes: map[string][]byte{"b": []byte("2")}, Deletes: []string{"a"}},
-	})
-
-	s := reopen(t, path)
-	if rec := s.Recovery(); rec.TailRecords != 2 {
-		t.Fatalf("recovery %+v: want 2 migrated tail records", rec)
+// TestForeignFileIsNotAWAL: a file that holds data but lacks the WAL magic
+// is a typed error on open — never appended to, never reinterpreted — and
+// it is left byte-for-byte as it was.
+func TestForeignFileIsNotAWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "foreign.wal")
+	foreign := []byte("some other program's bytes")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("legacy delete lost in migration")
+	if _, err := NewDurable(path); !errors.Is(err, ErrNotWAL) {
+		t.Fatalf("NewDurable over a foreign file: %v, want ErrNotWAL", err)
 	}
-	wantKV(t, s, "b", "2")
-	s.Put("c", []byte("3"))
-	s.Close()
-
-	s2 := reopen(t, path)
-	wantKV(t, s2, "b", "2")
-	wantKV(t, s2, "c", "3")
+	if got, _ := os.ReadFile(path); string(got) != string(foreign) {
+		t.Fatalf("rejected file was modified: %q", got)
+	}
 }

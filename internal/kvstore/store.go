@@ -31,8 +31,9 @@ import (
 	"weaver/internal/snapshot"
 )
 
-// ErrConflict is returned by Tx.Commit when validation fails because a key
-// in the read set was modified by a concurrently committed transaction.
+// ErrConflict is returned by Tx.Commit (and by a repeated Tx read, see
+// Tx.GetVersioned) when a key in the read set was modified by a
+// concurrently committed transaction.
 var ErrConflict = errors.New("kvstore: transaction conflict")
 
 // ErrTxDone is returned when a finished transaction is reused.
@@ -81,7 +82,6 @@ type Store struct {
 	walBase  string // Config path; snapshot and era file names derive from it
 	snapSeq  uint64 // sequence of the snapshot the current WAL era follows
 
-	segEntries  int
 	recovery    RecoveryStats
 	eraReplayed uint64 // WAL records replayed at open for the current era
 
@@ -135,19 +135,6 @@ func New() *Store {
 	return s
 }
 
-// DurableOptions tunes a durable store.
-type DurableOptions struct {
-	// SegmentEntries caps entries per snapshot segment (0 = 4096).
-	SegmentEntries int
-}
-
-// NewDurable returns a store that logs committed transactions to a WAL
-// rooted at path, first restoring the newest valid checkpoint snapshot
-// (if any) and replaying the WAL tail on top. See NewDurableOptions.
-func NewDurable(path string) (*Store, error) {
-	return NewDurableOptions(path, DurableOptions{})
-}
-
 // eraWALPath names the log file of the WAL era following snapshot seq.
 // Era 0 — before any checkpoint — is the bare path itself, which keeps
 // pre-checkpoint deployments and tests working unchanged.
@@ -158,7 +145,9 @@ func eraWALPath(base string, seq uint64) string {
 	return fmt.Sprintf("%s.wal-%d", base, seq)
 }
 
-// NewDurableOptions opens (or creates) the durable store rooted at path.
+// NewDurable opens (or creates) the durable store rooted at path: it logs
+// committed transactions to a WAL there, first restoring the newest valid
+// checkpoint snapshot (if any) and replaying the WAL tail on top.
 //
 // Recovery order (§4.3, extended with checkpoints): find the newest
 // snapshot whose manifest and segment checksums verify — a torn snapshot
@@ -166,10 +155,9 @@ func eraWALPath(base string, seq uint64) string {
 // one, whose WAL was deliberately not truncated until the newer snapshot
 // was fully durable — load it, then replay only that snapshot's WAL era.
 // The work done is reported by Recovery.
-func NewDurableOptions(path string, opts DurableOptions) (*Store, error) {
+func NewDurable(path string) (*Store, error) {
 	s := New()
 	s.walBase = path
-	s.segEntries = opts.SegmentEntries
 
 	for _, seq := range snapshot.Seqs(path) {
 		n, err := s.loadSnapshot(seq)
@@ -278,7 +266,7 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	defer s.commitMu.Unlock()
 
 	seq := s.snapSeq + 1
-	man, err := snapshot.Write(s.walBase, seq, s.segEntries, map[string]string{"origin": "checkpoint"},
+	man, err := snapshot.Write(s.walBase, seq, snapshot.DefaultSegmentEntries, map[string]string{"origin": "checkpoint"},
 		func(yield func(snapshot.Entry) error) error {
 			for i := range s.buckets {
 				b := &s.buckets[i]
@@ -523,38 +511,20 @@ type Tx struct {
 	done   bool
 }
 
-// Get reads key within the transaction: buffered writes are visible
-// (read-your-writes); otherwise the committed value is returned and the
-// observed version recorded for commit-time validation. The first observed
-// version wins, so a key that changes between two reads of the same
-// transaction fails validation.
+// Get is GetVersioned without the version.
 func (t *Tx) Get(key string) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, ErrTxDone
-	}
-	if _, del := t.dels[key]; del {
-		return nil, false, nil
-	}
-	if v, ok := t.writes[key]; ok {
-		return v, true, nil
-	}
-	t.s.gets.Add(1)
-	b := t.s.bucketOf(key)
-	b.mu.RLock()
-	e := b.items[key]
-	b.mu.RUnlock()
-	if _, seen := t.reads[key]; !seen {
-		t.reads[key] = e.version
-	}
-	if e.dead || e.version == 0 {
-		return nil, false, nil
-	}
-	return e.value, true, nil
+	v, _, ok, err := t.GetVersioned(key)
+	return v, ok, err
 }
 
-// GetVersioned is Get plus the committed version observed (0 when the key
-// has never existed; buffered tx-local writes report version 0 with the
-// buffered value). The read is recorded for validation like Get.
+// GetVersioned reads key within the transaction: buffered writes are
+// visible (read-your-writes, reported as version 0); otherwise the
+// committed value and its version are returned (version 0 when the key
+// has never existed) and the version is recorded for commit-time
+// validation. Reads are repeatable: re-reading a key whose committed
+// version has moved since this transaction first read it returns
+// ErrConflict — the transaction could never commit, and a caller that
+// validated the first read must not go on to act on a newer value.
 func (t *Tx) GetVersioned(key string) (value []byte, version uint64, ok bool, err error) {
 	if t.done {
 		return nil, 0, false, ErrTxDone
@@ -570,8 +540,10 @@ func (t *Tx) GetVersioned(key string) (value []byte, version uint64, ok bool, er
 	b.mu.RLock()
 	e := b.items[key]
 	b.mu.RUnlock()
-	if _, seen := t.reads[key]; !seen {
+	if first, seen := t.reads[key]; !seen {
 		t.reads[key] = e.version
+	} else if first != e.version {
+		return nil, 0, false, ErrConflict
 	}
 	if e.dead || e.version == 0 {
 		return nil, e.version, false, nil

@@ -302,3 +302,40 @@ func TestStatsCounts(t *testing.T) {
 		t.Fatalf("unexpected stats %+v", st)
 	}
 }
+
+// TestTxReadsAreRepeatable: once a transaction has read a key, a second
+// read after a concurrent commit moved the key's version is a conflict —
+// through Get and GetVersioned alike, for changed, deleted and newly
+// created keys — while an unchanged key re-reads freely.
+func TestTxReadsAreRepeatable(t *testing.T) {
+	s := New()
+	s.Put("changed", []byte("1"))
+	s.Put("deleted", []byte("1"))
+	s.Put("stable", []byte("1"))
+
+	tx := s.Begin()
+	defer tx.Abort()
+	for _, k := range []string{"changed", "deleted", "stable", "created"} {
+		if _, _, err := tx.Get(k); err != nil {
+			t.Fatalf("first read of %q: %v", k, err)
+		}
+	}
+	s.Put("changed", []byte("2"))
+	s.Delete("deleted")
+	s.Put("created", []byte("1"))
+
+	for _, k := range []string{"changed", "deleted", "created"} {
+		if _, _, err := tx.Get(k); !errors.Is(err, ErrConflict) {
+			t.Fatalf("Get(%q) after concurrent commit: %v, want ErrConflict", k, err)
+		}
+		if _, _, _, err := tx.GetVersioned(k); !errors.Is(err, ErrConflict) {
+			t.Fatalf("GetVersioned(%q) after concurrent commit: %v, want ErrConflict", k, err)
+		}
+	}
+	if v, ok, err := tx.Get("stable"); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("unchanged key must re-read: %q %v %v", v, ok, err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit after a moved read: %v, want ErrConflict", err)
+	}
+}

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"weaver/internal/binenc"
 	"weaver/internal/obs"
 )
 
@@ -22,9 +22,12 @@ type Record struct {
 	Deletes []string
 }
 
-// walMagic heads framed log files. Files written before the framed format
-// (a bare gob stream) are detected by its absence and migrated on open.
+// walMagic heads every log file; a non-empty file without it is ErrNotWAL.
 var walMagic = [8]byte{'W', 'V', 'W', 'A', 'L', '0', '0', '1'}
+
+// ErrNotWAL reports a file that holds data but does not start with the WAL
+// magic: opening it for append would bury foreign bytes under log records.
+var ErrNotWAL = errors.New("kvstore: not a write-ahead log")
 
 // crcTable selects hardware-accelerated CRC-32C for record checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -34,9 +37,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // a restarted store replays the log — or, after a checkpoint, only the log
 // tail — to recover all committed state.
 //
-// Records are length-prefixed, individually checksummed gob blobs, so a
-// torn tail write after a crash is detected precisely and replay recovers
-// everything up to it.
+// Records are length-prefixed, individually checksummed binenc blobs, so
+// a torn tail write after a crash is detected precisely and replay
+// recovers everything up to it.
 //
 // Append uses group commit: concurrent appenders encode under a short
 // lock, then one of them performs a single fsync covering every record
@@ -71,14 +74,10 @@ func (w *WAL) Instrument(fsync, group *obs.Histogram) {
 	w.syncMu.Unlock()
 }
 
-// OpenWAL opens (or creates) the log at path for appending. A legacy
-// (pre-framing) log is migrated in place: its records are re-written in
-// the framed format through an atomic replace before the file is opened
-// for appending.
+// OpenWAL opens (or creates) the log at path for appending. A file that
+// already holds a header's worth of bytes must start with the WAL magic
+// (ErrNotWAL otherwise).
 func OpenWAL(path string) (*WAL, error) {
-	if err := migrateLegacyWAL(path); err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -108,6 +107,12 @@ func OpenWAL(path string) (*WAL, error) {
 			f.Close()
 			return nil, err
 		}
+		return w, nil
+	}
+	var magic [8]byte
+	if _, err := f.ReadAt(magic[:], 0); err != nil || magic != walMagic {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s", ErrNotWAL, path)
 	}
 	return w, nil
 }
@@ -139,7 +144,7 @@ func (w *WAL) Replay(fn func(Record)) (int, error) {
 		return 0, err
 	}
 	if magic != walMagic {
-		return 0, fmt.Errorf("kvstore: %s is not a framed WAL", w.path)
+		return 0, fmt.Errorf("%w: %s", ErrNotWAL, w.path)
 	}
 	n := 0
 	validEnd := int64(len(walMagic)) // end offset of the last intact record
@@ -191,9 +196,7 @@ func (w *WAL) Replay(fn func(Record)) (int, error) {
 }
 
 // encodeWALRecord serializes one record with length-prefixed fields — the
-// commit hot path writes one per transaction, so it avoids gob's
-// per-stream type-descriptor overhead (the same reason graph records use a
-// hand-rolled codec).
+// commit hot path writes one per transaction.
 func encodeWALRecord(rec Record) []byte {
 	size := 16
 	for k, v := range rec.Writes {
@@ -203,17 +206,14 @@ func encodeWALRecord(rec Record) []byte {
 		size += 5 + len(k)
 	}
 	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Writes)))
+	buf = binenc.AppendUvarint(buf, uint64(len(rec.Writes)))
 	for k, v := range rec.Writes {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, uint64(len(v)))
-		buf = append(buf, v...)
+		buf = binenc.AppendStr(buf, k)
+		buf = binenc.AppendBytes(buf, v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Deletes)))
+	buf = binenc.AppendUvarint(buf, uint64(len(rec.Deletes)))
 	for _, k := range rec.Deletes {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
+		buf = binenc.AppendStr(buf, k)
 	}
 	return buf
 }
@@ -222,64 +222,21 @@ func encodeWALRecord(rec Record) []byte {
 // passed its checksum, so framing errors indicate a codec bug, not disk
 // damage — they are still surfaced rather than trusted.
 func decodeWALRecord(payload []byte, rec *Record) error {
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return 0, errors.New("truncated varint")
+	d := binenc.Decoder{Buf: payload}
+	if n := d.Count(2); n > 0 && d.Err == nil { // write ≥2 bytes: two length prefixes
+		rec.Writes = make(map[string][]byte, n)
+		for i := uint64(0); i < n && d.Err == nil; i++ {
+			k := d.Str()
+			rec.Writes[k] = d.Bytes()
 		}
-		payload = payload[n:]
-		return v, nil
 	}
-	take := func(n uint64) ([]byte, error) {
-		if uint64(len(payload)) < n {
-			return nil, errors.New("truncated field")
-		}
-		b := payload[:n]
-		payload = payload[n:]
-		return b, nil
+	for n := d.Count(1); n > 0 && d.Err == nil; n-- {
+		rec.Deletes = append(rec.Deletes, d.Str())
 	}
-	nw, err := next()
-	if err != nil {
-		return err
+	if d.Err == nil && len(d.Buf) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(d.Buf))
 	}
-	if nw > 0 {
-		rec.Writes = make(map[string][]byte, nw)
-	}
-	for i := uint64(0); i < nw; i++ {
-		kl, err := next()
-		if err != nil {
-			return err
-		}
-		k, err := take(kl)
-		if err != nil {
-			return err
-		}
-		vl, err := next()
-		if err != nil {
-			return err
-		}
-		v, err := take(vl)
-		if err != nil {
-			return err
-		}
-		rec.Writes[string(k)] = append([]byte(nil), v...)
-	}
-	nd, err := next()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nd; i++ {
-		kl, err := next()
-		if err != nil {
-			return err
-		}
-		k, err := take(kl)
-		if err != nil {
-			return err
-		}
-		rec.Deletes = append(rec.Deletes, string(k))
-	}
-	return nil
+	return d.Err
 }
 
 // frame encodes rec as header (length, checksum) plus payload.
@@ -369,73 +326,4 @@ func (w *WAL) Close() error {
 		return err
 	}
 	return w.f.Close()
-}
-
-// migrateLegacyWAL rewrites a pre-framing (bare gob stream) log into the
-// framed format via an atomic replace. Framed and empty files pass
-// through untouched.
-func migrateLegacyWAL(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	var magic [8]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	if rerr != nil || magic == walMagic {
-		f.Close()
-		return nil // empty, sub-header-sized, or already framed
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-
-	// Decode the legacy gob stream, tolerating a torn tail exactly like
-	// the pre-framing replay path did.
-	var recs []Record
-	dec := gob.NewDecoder(bufio.NewReader(f))
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break
-			}
-			f.Close()
-			return fmt.Errorf("kvstore: migrate legacy WAL %s: %v", path, err)
-		}
-		recs = append(recs, rec)
-	}
-	f.Close()
-
-	tmp := path + ".migrate"
-	nw, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(nw, 1<<16)
-	_, err = bw.Write(walMagic[:])
-	for i := 0; err == nil && i < len(recs); i++ {
-		hdr, payload := frame(recs[i])
-		if _, err = bw.Write(hdr[:]); err != nil {
-			break
-		}
-		_, err = bw.Write(payload)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = nw.Sync()
-	}
-	if cerr := nw.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

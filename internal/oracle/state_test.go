@@ -86,3 +86,54 @@ func TestReplicatedOracleHeals(t *testing.T) {
 		t.Fatalf("healed tail answer for post-failure decision: %v, %v", got, err)
 	}
 }
+
+// TestStateEncodingIsCanonicalAndChecked: two DAGs that reached the same
+// state by different routes (map iteration order, insertion order) encode
+// to identical bytes, and every truncation or single-bit flip of that
+// encoding is rejected without disturbing the receiving DAG.
+func TestStateEncodingIsCanonicalAndChecked(t *testing.T) {
+	evs := []Event{
+		EventOf(tsAt(0, 2, 1)), EventOf(tsAt(1, 1, 2)),
+		EventOf(tsAt(0, 3, 1)), EventOf(tsAt(1, 1, 3)),
+	}
+	build := func(order []int) *DAG {
+		d := NewDAG()
+		for _, i := range order {
+			d.CreateEvent(evs[i])
+		}
+		d.QueryOrder(evs[0], evs[1], core.Before)
+		d.QueryOrder(evs[2], evs[3], core.Before)
+		return d
+	}
+	s1, err := build([]int{0, 1, 2, 3}).EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewDAG()
+	if err := restored.DecodeState(s1); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := restored.EncodeState()
+	if string(s1) != string(s2) {
+		t.Fatal("a restored DAG does not re-encode to the bytes it was restored from")
+	}
+	if s3, _ := build([]int{3, 2, 1, 0}).EncodeState(); string(s1) != string(s3) {
+		t.Fatal("the same DAG built in another insertion order encodes differently")
+	}
+
+	for n := 0; n < len(s1); n++ {
+		if err := restored.DecodeState(s1[:n]); err == nil {
+			t.Fatalf("state truncated to %d/%d bytes accepted", n, len(s1))
+		}
+	}
+	for i := range s1 {
+		mut := append([]byte{}, s1...)
+		mut[i] ^= 0x10
+		if err := restored.DecodeState(mut); err == nil {
+			t.Fatalf("bit flip at offset %d accepted", i)
+		}
+	}
+	if after, _ := restored.EncodeState(); string(after) != string(s1) {
+		t.Fatal("a rejected DecodeState modified the DAG")
+	}
+}

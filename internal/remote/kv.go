@@ -95,27 +95,21 @@ func (s *KVServer) handle(req wire.KVReq) wire.KVResp {
 		}
 		var gerr error
 		resp.Value, resp.Version, resp.OK, gerr = tx.GetVersioned(req.Key)
-		if gerr != nil {
-			resp.Err = gerr.Error()
-		}
+		resp.Err = errString(gerr)
 	case wire.KVTxPut:
 		tx, err := s.tx(req.TxID)
 		if err != nil {
 			resp.Err = err.Error()
 			break
 		}
-		if err := tx.Put(req.Key, req.Value); err != nil {
-			resp.Err = err.Error()
-		}
+		resp.Err = errString(tx.Put(req.Key, req.Value))
 	case wire.KVTxDelete:
 		tx, err := s.tx(req.TxID)
 		if err != nil {
 			resp.Err = err.Error()
 			break
 		}
-		if err := tx.Delete(req.Key); err != nil {
-			resp.Err = err.Error()
-		}
+		resp.Err = errString(tx.Delete(req.Key))
 	case wire.KVTxCommit:
 		tx, err := s.tx(req.TxID)
 		if err != nil {
@@ -123,13 +117,7 @@ func (s *KVServer) handle(req wire.KVReq) wire.KVResp {
 			break
 		}
 		s.dropTx(req.TxID)
-		if err := tx.Commit(); err != nil {
-			if errors.Is(err, kvstore.ErrConflict) {
-				resp.Err = "conflict"
-			} else {
-				resp.Err = err.Error()
-			}
-		}
+		resp.Err = errString(tx.Commit())
 	case wire.KVTxAbort:
 		if tx, err := s.tx(req.TxID); err == nil {
 			s.dropTx(req.TxID)
@@ -144,6 +132,32 @@ func (s *KVServer) handle(req wire.KVReq) wire.KVResp {
 		resp.Err = fmt.Sprintf("remote: unknown kv op %d", req.Op)
 	}
 	return resp
+}
+
+// errConflict is kvstore.ErrConflict on the wire: a repeated read or a
+// commit that lost a race must still satisfy errors.Is on the client.
+const errConflict = "conflict"
+
+// errString renders a store error for KVResp.Err ("" = success).
+func errString(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, kvstore.ErrConflict):
+		return errConflict
+	}
+	return err.Error()
+}
+
+// respErr is the client-side inverse of errString.
+func respErr(s string) error {
+	switch s {
+	case "":
+		return nil
+	case errConflict:
+		return kvstore.ErrConflict
+	}
+	return errors.New(s)
 }
 
 func (s *KVServer) dropTx(id uint64) {
@@ -233,8 +247,8 @@ func (t *remoteTx) GetVersioned(key string) ([]byte, uint64, bool, error) {
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if resp.Err != "" {
-		return nil, 0, false, errors.New(resp.Err)
+	if err := respErr(resp.Err); err != nil {
+		return nil, 0, false, err
 	}
 	return resp.Value, resp.Version, resp.OK, nil
 }
@@ -247,10 +261,7 @@ func (t *remoteTx) Put(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+	return respErr(resp.Err)
 }
 
 func (t *remoteTx) Delete(key string) error {
@@ -261,10 +272,7 @@ func (t *remoteTx) Delete(key string) error {
 	if err != nil {
 		return err
 	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+	return respErr(resp.Err)
 }
 
 func (t *remoteTx) Commit() error {
@@ -275,14 +283,7 @@ func (t *remoteTx) Commit() error {
 	if err != nil {
 		return err
 	}
-	switch resp.Err {
-	case "":
-		return nil
-	case "conflict":
-		return kvstore.ErrConflict
-	default:
-		return errors.New(resp.Err)
-	}
+	return respErr(resp.Err)
 }
 
 func (t *remoteTx) Abort() {

@@ -15,10 +15,7 @@ import (
 	"weaver/internal/partition"
 	"weaver/internal/shard"
 	"weaver/internal/transport"
-	"weaver/internal/wire"
 )
-
-func init() { wire.RegisterGob() }
 
 func TestKVRemoteRoundTrip(t *testing.T) {
 	fabric := transport.NewFabric()
@@ -52,6 +49,9 @@ func TestKVRemoteRoundTrip(t *testing.T) {
 	tx2.Put("a", []byte("2"))
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if _, _, _, err := tx1.GetVersioned("a"); !errors.Is(err, kvstore.ErrConflict) {
+		t.Fatalf("remote repeated read of a moved key must map to ErrConflict: %v", err)
 	}
 	tx1.Put("b", []byte("x"))
 	if err := tx1.Commit(); !errors.Is(err, kvstore.ErrConflict) {

@@ -79,20 +79,10 @@ type Config struct {
 	// transaction execution (batch.go). 0 or 1 applies serially on the
 	// event loop, exactly as the original single-goroutine design.
 	Workers int
-	// MaxBatch caps how many mutually non-conflicting transactions one
-	// parallel batch may contain, bounding the latency of the batch
-	// barrier. 0 = 256. Ignored when Workers <= 1.
-	MaxBatch int
 	// Indexes declares the secondary property indexes this shard
 	// maintains over its partition (internal/index); must be identical
 	// across all shards of a cluster. Empty = no indexes.
 	Indexes []index.Spec
-	// StatsPeriod bounds how often this shard publishes per-key index
-	// cardinality statistics (wire.IndexStats) to the gatekeepers for
-	// query-plan cost estimates. 0 = 250ms; negative disables publication
-	// (estimates degrade, pruning soundness is unaffected — it rests on
-	// the marker catalog, not statistics).
-	StatsPeriod time.Duration
 	// Obs is the metrics/tracing registry. Nil disables observability
 	// (every handle no-ops).
 	Obs *obs.Registry
@@ -217,6 +207,18 @@ type Shard struct {
 	indexLookups   atomic.Uint64
 }
 
+const (
+	// maxBatch caps how many mutually non-conflicting transactions one
+	// parallel apply batch may contain, bounding the latency of the batch
+	// barrier.
+	maxBatch = 256
+	// statsPeriod bounds how often a shard publishes per-key index
+	// cardinality statistics (wire.IndexStats) to the gatekeepers for
+	// query-plan cost estimates. Estimates only: pruning soundness rests
+	// on the marker catalog, not statistics.
+	statsPeriod = 250 * time.Millisecond
+)
+
 // New wires a shard server. Call Start to launch its event loop.
 func New(cfg Config, ep transport.Endpoint, orc oracle.Client, reg *nodeprog.Registry, dir partition.Directory) *Shard {
 	if cfg.MaxCascade <= 0 {
@@ -224,9 +226,6 @@ func New(cfg Config, ep transport.Endpoint, orc oracle.Client, reg *nodeprog.Reg
 	}
 	if cfg.ManagerAddr == "" {
 		cfg.ManagerAddr = "climgr"
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
 	}
 	s := &Shard{
 		cfg:        cfg,
@@ -564,21 +563,17 @@ func (s *Shard) run() {
 }
 
 // maybePublishStats broadcasts this shard's index cardinality statistics
-// to every gatekeeper, rate-limited to one publication per StatsPeriod.
+// to every gatekeeper, rate-limited to one publication per statsPeriod.
 // It runs on the event loop after each pump — the gatekeepers' NOP streams
 // keep the loop waking, so no dedicated timer is needed — and the first
 // call publishes immediately so planners have estimates soon after
 // startup, recovery, or bulk ingest.
 func (s *Shard) maybePublishStats() {
-	if s.cfg.StatsPeriod < 0 || len(s.cfg.Indexes) == 0 {
+	if len(s.cfg.Indexes) == 0 {
 		return
 	}
-	period := s.cfg.StatsPeriod
-	if period == 0 {
-		period = 250 * time.Millisecond
-	}
 	now := time.Now()
-	if !s.statsAt.IsZero() && now.Sub(s.statsAt) < period {
+	if !s.statsAt.IsZero() && now.Sub(s.statsAt) < statsPeriod {
 		return
 	}
 	s.statsAt = now
@@ -740,7 +735,7 @@ func (s *Shard) ingest(ts core.Timestamp, seq uint64, ops []graph.Op, at time.Ti
 func (s *Shard) pump() {
 	limit := 1
 	if s.pool != nil {
-		limit = s.cfg.MaxBatch
+		limit = maxBatch
 	}
 	var acks ackSet
 	for {

@@ -3,13 +3,14 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"weaver/internal/binenc"
 )
 
 // SegmentInfo names one data segment of a snapshot.
@@ -36,7 +37,9 @@ type Manifest struct {
 	Meta map[string]string
 }
 
-var manMagic = [8]byte{'W', 'V', 'M', 'A', 'N', '0', '0', '1'}
+// manMagic heads every manifest. 002 is the binenc body; a 001 (gob-bodied)
+// file fails the magic check and reads as ErrCorrupt.
+var manMagic = [8]byte{'W', 'V', 'M', 'A', 'N', '0', '0', '2'}
 
 // ManifestPath returns the manifest file path of snapshot seq over base.
 func ManifestPath(base string, seq uint64) string {
@@ -55,18 +58,20 @@ func segmentPath(base, name string) string {
 
 // WriteManifest publishes m atomically at ManifestPath(base, m.Seq).
 func WriteManifest(base string, m Manifest) error {
-	var body bytes.Buffer
-	body.Write(manMagic[:])
-	if err := gob.NewEncoder(&body).Encode(m); err != nil {
-		return err
+	body := append([]byte(nil), manMagic[:]...)
+	body = binenc.AppendUvarint(body, m.Seq)
+	body = binenc.AppendUvarint(body, uint64(len(m.Segments)))
+	for _, seg := range m.Segments {
+		body = binenc.AppendStr(body, seg.Name)
+		body = binenc.AppendUvarint(body, seg.Entries)
 	}
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.Checksum(body.Bytes(), crcTable))
-	body.Write(tail[:])
+	body = binenc.AppendUvarint(body, m.Entries)
+	body = binenc.AppendStrMap(body, m.Meta)
+	body = binary.BigEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
 
 	final := ManifestPath(base, m.Seq)
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, body.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, body, 0o644); err != nil {
 		return err
 	}
 	if err := syncFile(tmp); err != nil {
@@ -94,15 +99,28 @@ func LoadManifest(base string, seq uint64) (Manifest, error) {
 	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(tail) {
 		return Manifest{}, fmt.Errorf("%w: manifest checksum mismatch", ErrCorrupt)
 	}
-	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(body[8:])).Decode(&m); err != nil {
-		return Manifest{}, fmt.Errorf("%w: manifest decode: %v", ErrCorrupt, err)
+	d := binenc.Decoder{Buf: body[8:]}
+	m := Manifest{Seq: d.Uvarint()}
+	if n := d.Count(2); n > 0 && d.Err == nil { // segment ≥2 bytes: name prefix + entries
+		m.Segments = make([]SegmentInfo, 0, n)
+		for i := uint64(0); i < n && d.Err == nil; i++ {
+			m.Segments = append(m.Segments, SegmentInfo{Name: d.Str(), Entries: d.Uvarint()})
+		}
+	}
+	m.Entries = d.Uvarint()
+	m.Meta = d.StrMap()
+	if d.Err != nil || len(d.Buf) != 0 {
+		return Manifest{}, fmt.Errorf("%w: manifest decode: %v, %d trailing bytes", ErrCorrupt, d.Err, len(d.Buf))
 	}
 	if m.Seq != seq {
 		return Manifest{}, fmt.Errorf("%w: manifest seq %d at path for %d", ErrCorrupt, m.Seq, seq)
 	}
 	return m, nil
 }
+
+// DefaultSegmentEntries is the segment size checkpoints and bulk-load
+// segment builders use.
+const DefaultSegmentEntries = 4096
 
 // Write streams entries from iter into segments of at most segEntries each
 // and publishes the manifest — the complete, atomic "write one snapshot"
@@ -111,7 +129,7 @@ func LoadManifest(base string, seq uint64) (Manifest, error) {
 // new one fully valid. meta is attached to the manifest verbatim.
 func Write(base string, seq uint64, segEntries int, meta map[string]string, iter func(yield func(Entry) error) error) (Manifest, error) {
 	if segEntries <= 0 {
-		segEntries = 4096
+		segEntries = DefaultSegmentEntries
 	}
 	m := Manifest{Seq: seq, Meta: meta}
 

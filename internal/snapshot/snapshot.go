@@ -25,7 +25,7 @@
 //	entry*: flags u8, version u64, keyLen u32, valLen u32, key, val
 //	footer: 0xFF marker, count u64, crc32 u32 (of all preceding bytes)
 //
-// The manifest (same framing idea: magic, gob body, crc32 trailer) names
+// The manifest (same framing idea: magic, binenc body, crc32 trailer) names
 // every segment and its entry count. A snapshot is valid if and only if
 // its manifest decodes cleanly and every listed segment's footer checksum
 // matches — so a torn write anywhere (crash mid-checkpoint) invalidates

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -147,21 +148,39 @@ func TestLoadDetectsTornSegment(t *testing.T) {
 
 func TestLoadDetectsBadManifest(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "store.wal")
-	writeTestSnapshot(t, base, 1, 50)
+	want := writeTestSnapshot(t, base, 1, 50)
+	got, err := LoadManifest(base, 1)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest round trip: %+v, %v; want %+v", got, err, want)
+	}
 
 	mp := ManifestPath(base, 1)
 	raw, _ := os.ReadFile(mp)
-	raw[len(raw)/2] ^= 0x01
-	os.WriteFile(mp, raw, 0o644)
-	if _, err := Load(base, 1, func(Entry) error { return nil }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("manifest corruption not detected: %v", err)
+	reject := func(what string, data []byte) {
+		t.Helper()
+		os.WriteFile(mp, data, 0o644)
+		if _, err := LoadManifest(base, 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s not detected: %v", what, err)
+		}
 	}
+	// Every single-bit flip and every truncation (a torn tmp file renamed
+	// into place anyway) is corruption, never a misparse.
+	for i := range raw {
+		mut := append([]byte{}, raw...)
+		mut[i] ^= 0x01
+		reject(fmt.Sprintf("bit flip at offset %d", i), mut)
+	}
+	for n := 0; n < len(raw); n++ {
+		reject(fmt.Sprintf("truncation to %d bytes", n), raw[:n])
+	}
+	reject("garbage manifest", []byte("not a manifest"))
+	// A manifest from before the binenc body carries the previous magic.
+	old := append([]byte("WVMAN001"), raw[8:]...)
+	reject("previous-format magic", old)
 
-	// Garbage manifest (crash while the tmp file was half-written and a
-	// stray rename happened anyway).
-	os.WriteFile(mp, []byte("not a manifest"), 0o644)
-	if _, err := LoadManifest(base, 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("garbage manifest not detected: %v", err)
+	os.WriteFile(mp, raw, 0o644)
+	if _, err := Load(base, 1, func(Entry) error { return nil }); err != nil {
+		t.Fatalf("restored manifest: %v", err)
 	}
 }
 

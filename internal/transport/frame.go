@@ -9,13 +9,10 @@
 //	        tagged payload: 1 tag byte + codec body
 //	crc     u32 big-endian CRC-32C over body
 //
-// Tag 0 is the gob fallback owned by this package: the payload is a gob
-// stream of the interface value, so any gob-registered type still crosses
-// the wire even without a hand-rolled codec (rare messages: epoch changes,
-// future additions). Tags ≥ 1 belong to the registered FrameCodec —
-// internal/wire registers hand-rolled codecs for every high-traffic Weaver
-// message, several-fold cheaper than gob's per-message type descriptors
-// and reflection.
+// The tag and body belong to the registered FrameCodec — internal/wire
+// registers one hand-rolled codec per Weaver message. A payload type the
+// codec does not own is an encode error: nothing is emitted and the
+// connection stays usable.
 //
 // Encoding appends into pooled buffers (sync.Pool) so a steady-state send
 // allocates nothing; each connection's read loop reuses one frame buffer.
@@ -25,9 +22,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -43,10 +38,6 @@ import (
 // cannot trigger a giant up-front allocation.
 const MaxFrame = 64 << 20
 
-// TagGob is the frame payload tag reserved for the gob fallback. A
-// registered FrameCodec must emit tags strictly greater than TagGob.
-const TagGob byte = 0
-
 // ErrFrameCorrupt reports a frame that failed structural validation: bad
 // length, CRC mismatch, or an undecodable payload. Connections drop on it
 // (the stream cannot be resynchronized).
@@ -55,10 +46,9 @@ var ErrFrameCorrupt = errors.New("transport: corrupt wire frame")
 var frameCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // FrameCodec encodes and decodes tagged payload bodies. Append writes
-// tag + body for payloads it owns and reports ok=false for types it does
-// not hand-roll (the frame layer then falls back to gob under TagGob).
-// Decode is handed the full tag + body slice it produced. Implementations
-// must never emit TagGob and must deep-copy decoded data out of the input
+// tag + body for payloads it owns and reports ok=false (buf unchanged) for
+// any other type. Decode is handed the full tag + body slice Append
+// produced. Implementations must deep-copy decoded data out of the input
 // buffer (readers reuse it).
 type FrameCodec interface {
 	Append(buf []byte, payload any) ([]byte, bool)
@@ -70,8 +60,8 @@ var frameCodec FrameCodec
 
 // RegisterFrameCodec installs the payload codec used by every node in this
 // process. internal/wire registers Weaver's message codec from an init, so
-// importing that package is enough; the zero state (no codec) gob-encodes
-// everything. Later registrations replace earlier ones.
+// importing that package is enough; with no codec nothing can be framed.
+// Later registrations replace earlier ones.
 func RegisterFrameCodec(c FrameCodec) {
 	frameCodecMu.Lock()
 	frameCodec = c
@@ -95,35 +85,21 @@ func getFrameBuf() *[]byte  { return frameBufPool.Get().(*[]byte) }
 func putFrameBuf(b *[]byte) { *b = (*b)[:0]; frameBufPool.Put(b) }
 
 // AppendPayload appends the tagged payload encoding (tag byte + body) for
-// payload: the registered codec's hand-rolled form when it owns the type,
-// otherwise a TagGob-prefixed gob stream. On error buf is returned
-// unchanged.
+// payload. A type the registered codec does not own is an error; buf is
+// then returned unchanged.
 func AppendPayload(buf []byte, payload any) ([]byte, error) {
 	if c := loadFrameCodec(); c != nil {
 		if out, ok := c.Append(buf, payload); ok {
 			return out, nil
 		}
 	}
-	start := len(buf)
-	buf = append(buf, TagGob)
-	var bb bytes.Buffer
-	if err := gob.NewEncoder(&bb).Encode(&payload); err != nil {
-		return buf[:start], fmt.Errorf("transport: gob fallback encode %T: %w", payload, err)
-	}
-	return append(buf, bb.Bytes()...), nil
+	return buf, fmt.Errorf("transport: no frame codec for %T", payload)
 }
 
 // DecodePayload decodes a tagged payload produced by AppendPayload.
 func DecodePayload(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty payload", ErrFrameCorrupt)
-	}
-	if data[0] == TagGob {
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&v); err != nil {
-			return nil, fmt.Errorf("%w: gob fallback: %v", ErrFrameCorrupt, err)
-		}
-		return v, nil
 	}
 	c := loadFrameCodec()
 	if c == nil {
@@ -138,8 +114,7 @@ func DecodePayload(data []byte) (any, error) {
 
 // AppendFrame appends one complete wire frame for (from, to, payload). On
 // error buf is returned unchanged and nothing was emitted — encode errors
-// never leave a partial frame behind (unlike a failed streaming-gob
-// Encode, which poisons the whole connection).
+// never leave a partial frame behind.
 func AppendFrame(buf []byte, from, to Addr, payload any) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length, patched below

@@ -12,8 +12,8 @@ import (
 // FuzzFrameReader feeds arbitrary byte streams to the connection frame
 // reader: it must never panic, never allocate beyond MaxFrame for a
 // corrupt length field, and stop at the first corrupt or truncated frame.
-// Seeds include valid frame sequences (gob payloads — this package-level
-// fuzzer runs without wire's codec registered) and mutations derived from
+// Seeds include valid frame sequences (framed with this package's test
+// codec, codec_test.go) and mutations derived from
 // the repo-standard seed (WEAVER_TEST_SEED replays them).
 func FuzzFrameReader(f *testing.F) {
 	frame := func(from, to Addr, payload any) []byte {

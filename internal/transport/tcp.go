@@ -10,10 +10,9 @@ import (
 // TCPNode is the multi-process fabric: one node per OS process, hosting
 // any number of local endpoints and routing remote sends over persistent
 // TCP connections carrying binary wire frames (frame.go): length-prefixed,
-// CRC-32C-checked, with hand-rolled payload codecs for the high-traffic
-// messages (registered by internal/wire) and a gob fallback for the rest —
-// gob-fallback payload types must be registered with encoding/gob
-// (wire.RegisterGob does this for Weaver's messages).
+// CRC-32C-checked, payloads encoded by the registered FrameCodec
+// (internal/wire's, one hand-rolled codec per message). Sending a type the
+// codec does not own fails that Send and leaves the connection intact.
 //
 // Routing is static: a table from logical address prefix to "host:port".
 // Routes resolve most-specific first: an exact address match, then the

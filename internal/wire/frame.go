@@ -10,20 +10,19 @@ import (
 	"weaver/internal/transport"
 )
 
-// Hand-rolled payload codecs for every high-traffic wire message, plugged
-// into the transport's binary frame layer (transport/frame.go) from init.
-// Weaver's refinable-timestamp protocol makes each commit and program hop
-// a gatekeeper↔shard message, so serialization sits directly on the
-// critical path: gob pays a reflective walk plus per-message type
-// descriptors there, while these codecs append varints and
-// length-prefixed strings into a caller-supplied (pooled) buffer and
-// decode with internal/binenc's defensive, allocation-bounded cursor.
-// Messages without a codec here (epoch reconfiguration, future types)
-// ride the transport's gob fallback under transport.TagGob — correctness
-// never depends on a type being listed, only speed.
+// Hand-rolled payload codecs for every wire message, plugged into the
+// transport's binary frame layer (transport/frame.go) from init. Weaver's
+// refinable-timestamp protocol makes each commit and program hop a
+// gatekeeper↔shard message, so serialization sits directly on the
+// critical path: these codecs append varints and length-prefixed strings
+// into a caller-supplied (pooled) buffer and decode with internal/binenc's
+// defensive, allocation-bounded cursor. There is no second encoding: a
+// message type without a case here cannot cross a connection (Append
+// reports ok=false and the transport refuses to frame it), which
+// TestEveryMessageHasFrameTag turns into a test failure.
 //
 // Tag values are part of the wire format: never reuse or renumber them,
-// only append. transport.TagGob (0) is reserved.
+// only append. Tag 0 is retired and decodes as corruption.
 const (
 	tagTxForward byte = iota + 1
 	tagNop
@@ -43,6 +42,12 @@ const (
 	tagOracleResp
 	tagHeartbeat
 	tagIndexStats
+	tagEpochChange
+	tagEpochAck
+	tagEpochQuery
+	tagEpochInfo
+	tagPaxosReq
+	tagPaxosResp
 )
 
 // frameCodec implements transport.FrameCodec over the message set above.
@@ -50,8 +55,8 @@ type frameCodec struct{}
 
 func init() { transport.RegisterFrameCodec(frameCodec{}) }
 
-// Append encodes payloads this package hand-rolls; ok=false hands
-// everything else to the transport's gob fallback.
+// Append encodes this package's messages; ok=false means payload is not
+// one of them.
 func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 	switch m := payload.(type) {
 	case TxForward:
@@ -129,10 +134,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = append(buf, tagIndexResult)
 		buf = binenc.AppendID(buf, m.QID)
 		buf = binenc.AppendVarint(buf, int64(m.Shard))
-		buf = binenc.AppendUvarint(buf, uint64(len(m.Vertices)))
-		for _, v := range m.Vertices {
-			buf = binenc.AppendStr(buf, string(v))
-		}
+		buf = appendStrs(buf, m.Vertices)
 		buf = binenc.AppendStr(buf, m.Err)
 		buf = binenc.AppendVarint(buf, int64(m.ErrCode))
 		if m.Matched > 0 || m.Scanned > 0 {
@@ -151,10 +153,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 			buf = binenc.AppendStr(buf, k.Key)
 			buf = binenc.AppendUvarint(buf, k.Distinct)
 			buf = binenc.AppendUvarint(buf, k.Postings)
-			buf = binenc.AppendUvarint(buf, uint64(len(k.Bounds)))
-			for _, b := range k.Bounds {
-				buf = binenc.AppendStr(buf, b)
-			}
+			buf = appendStrs(buf, k.Bounds)
 		}
 	case GCReport:
 		buf = append(buf, tagGCReport)
@@ -181,10 +180,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = binenc.AppendBool(buf, m.OK)
 		buf = binenc.AppendUvarint(buf, m.TxID)
 		buf = binenc.AppendStr(buf, m.Err)
-		buf = binenc.AppendUvarint(buf, uint64(len(m.Keys)))
-		for _, k := range m.Keys {
-			buf = binenc.AppendStr(buf, k)
-		}
+		buf = appendStrs(buf, m.Keys)
 		buf = binenc.AppendUvarint(buf, uint64(len(m.Vals)))
 		for _, v := range m.Vals {
 			buf = binenc.AppendBytes(buf, v)
@@ -202,16 +198,49 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = binenc.AppendUvarint(buf, m.ID)
 		buf = binenc.AppendVarint(buf, int64(m.Order))
 		buf = binenc.AppendStr(buf, m.Err)
-		for _, v := range [...]uint64{
-			m.Stats.Queries, m.Stats.Assigns, m.Stats.Established,
-			m.Stats.CacheHits, m.Stats.VClockHits, m.Stats.Transitive,
-			m.Stats.Events, m.Stats.GCCollected, m.Stats.CycleRefused,
-		} {
-			buf = binenc.AppendUvarint(buf, v)
-		}
+		buf = m.Stats.Append(buf)
 	case Heartbeat:
 		buf = append(buf, tagHeartbeat)
 		buf = binenc.AppendStr(buf, string(m.From))
+	case EpochChange:
+		buf = append(buf, tagEpochChange)
+		buf = binenc.AppendUvarint(buf, m.Epoch)
+		buf = append(buf, m.Phase)
+		buf = binenc.AppendStr(buf, string(m.From))
+	case EpochAck:
+		buf = append(buf, tagEpochAck)
+		buf = binenc.AppendUvarint(buf, m.Epoch)
+		buf = binenc.AppendStr(buf, string(m.From))
+		buf = append(buf, m.Phase)
+	case EpochQuery:
+		buf = append(buf, tagEpochQuery)
+		buf = binenc.AppendUvarint(buf, m.ID)
+		buf = binenc.AppendStr(buf, string(m.From))
+		buf = binenc.AppendBool(buf, m.Boot)
+	case EpochInfo:
+		buf = append(buf, tagEpochInfo)
+		buf = binenc.AppendUvarint(buf, m.ID)
+		buf = binenc.AppendUvarint(buf, m.Epoch)
+		buf = appendStrs(buf, m.Failed)
+	case PaxosReq:
+		buf = append(buf, tagPaxosReq)
+		buf = binenc.AppendUvarint(buf, m.ID)
+		buf = append(buf, byte(m.Op))
+		buf = binenc.AppendUvarint(buf, m.Slot)
+		buf = binenc.AppendUvarint(buf, m.N)
+		buf = binenc.AppendVarint(buf, int64(m.Prop))
+		buf = binenc.AppendBytes(buf, m.Value)
+		buf = binenc.AppendBool(buf, m.HasValue)
+	case PaxosResp:
+		buf = append(buf, tagPaxosResp)
+		buf = binenc.AppendUvarint(buf, m.ID)
+		buf = binenc.AppendBool(buf, m.OK)
+		buf = binenc.AppendUvarint(buf, m.AccN)
+		buf = binenc.AppendVarint(buf, int64(m.AccProp))
+		buf = binenc.AppendBytes(buf, m.Value)
+		buf = binenc.AppendBool(buf, m.HasValue)
+		buf = binenc.AppendUvarint(buf, m.Max)
+		buf = binenc.AppendStr(buf, m.Err)
 	default:
 		return buf, false
 	}
@@ -284,13 +313,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		}
 		v = m
 	case tagIndexResult:
-		m := IndexResult{QID: d.ID(), Shard: int(d.Varint())}
-		if n := d.Count(1); n > 0 && d.Err == nil {
-			m.Vertices = make([]graph.VertexID, 0, n)
-			for i := uint64(0); i < n && d.Err == nil; i++ {
-				m.Vertices = append(m.Vertices, graph.VertexID(d.Str()))
-			}
-		}
+		m := IndexResult{QID: d.ID(), Shard: int(d.Varint()), Vertices: decodeStrs[graph.VertexID](d)}
 		m.Err = d.Str()
 		m.ErrCode = int(d.Varint())
 		m.Trace = decodeTrace(d)
@@ -304,14 +327,10 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		if n := d.Count(4); n > 0 && d.Err == nil { // key ≥4 bytes: 3 prefixes + bounds count
 			m.Keys = make([]KeyCard, 0, n)
 			for i := uint64(0); i < n && d.Err == nil; i++ {
-				k := KeyCard{Key: d.Str(), Distinct: d.Uvarint(), Postings: d.Uvarint()}
-				if b := d.Count(1); b > 0 && d.Err == nil {
-					k.Bounds = make([]string, 0, b)
-					for j := uint64(0); j < b && d.Err == nil; j++ {
-						k.Bounds = append(k.Bounds, d.Str())
-					}
-				}
-				m.Keys = append(m.Keys, k)
+				m.Keys = append(m.Keys, KeyCard{
+					Key: d.Str(), Distinct: d.Uvarint(), Postings: d.Uvarint(),
+					Bounds: decodeStrs[string](d),
+				})
 			}
 		}
 		v = m
@@ -328,12 +347,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		m := KVResp{
 			ID: d.Uvarint(), Value: d.Bytes(), Version: d.Uvarint(),
 			OK: d.Bool(), TxID: d.Uvarint(), Err: d.Str(),
-		}
-		if n := d.Count(1); n > 0 && d.Err == nil {
-			m.Keys = make([]string, 0, n)
-			for i := uint64(0); i < n && d.Err == nil; i++ {
-				m.Keys = append(m.Keys, d.Str())
-			}
+			Keys: decodeStrs[string](d),
 		}
 		if n := d.Count(1); n > 0 && d.Err == nil {
 			m.Vals = make([][]byte, 0, n)
@@ -349,17 +363,31 @@ func (frameCodec) Decode(data []byte) (any, error) {
 			Prefer: core.Order(d.Varint()), WM: d.TS(),
 		}
 	case tagOracleResp:
-		m := OracleResp{ID: d.Uvarint(), Order: core.Order(d.Varint()), Err: d.Str()}
-		for _, p := range [...]*uint64{
-			&m.Stats.Queries, &m.Stats.Assigns, &m.Stats.Established,
-			&m.Stats.CacheHits, &m.Stats.VClockHits, &m.Stats.Transitive,
-			&m.Stats.Events, &m.Stats.GCCollected, &m.Stats.CycleRefused,
-		} {
-			*p = d.Uvarint()
+		v = OracleResp{
+			ID: d.Uvarint(), Order: core.Order(d.Varint()), Err: d.Str(),
+			Stats: oracle.DecodeStats(d),
 		}
-		v = m
 	case tagHeartbeat:
 		v = Heartbeat{From: transport.Addr(d.Str())}
+	case tagEpochChange:
+		v = EpochChange{Epoch: d.Uvarint(), Phase: d.Byte(), From: transport.Addr(d.Str())}
+	case tagEpochAck:
+		v = EpochAck{Epoch: d.Uvarint(), From: transport.Addr(d.Str()), Phase: d.Byte()}
+	case tagEpochQuery:
+		v = EpochQuery{ID: d.Uvarint(), From: transport.Addr(d.Str()), Boot: d.Bool()}
+	case tagEpochInfo:
+		v = EpochInfo{ID: d.Uvarint(), Epoch: d.Uvarint(), Failed: decodeStrs[transport.Addr](d)}
+	case tagPaxosReq:
+		v = PaxosReq{
+			ID: d.Uvarint(), Op: PaxosOp(d.Byte()), Slot: d.Uvarint(),
+			N: d.Uvarint(), Prop: int32(d.Varint()),
+			Value: d.Bytes(), HasValue: d.Bool(),
+		}
+	case tagPaxosResp:
+		v = PaxosResp{
+			ID: d.Uvarint(), OK: d.Bool(), AccN: d.Uvarint(), AccProp: int32(d.Varint()),
+			Value: d.Bytes(), HasValue: d.Bool(), Max: d.Uvarint(), Err: d.Str(),
+		}
 	default:
 		return nil, fmt.Errorf("wire: unknown frame tag %d", tag)
 	}
@@ -483,6 +511,28 @@ func decodeHops(d *binenc.Decoder) []Hop {
 		})
 	}
 	return hops
+}
+
+// appendStrs encodes a count-prefixed list of strings (or string-kinded
+// IDs and addresses).
+func appendStrs[T ~string](buf []byte, vs []T) []byte {
+	buf = binenc.AppendUvarint(buf, uint64(len(vs)))
+	for _, v := range vs {
+		buf = binenc.AppendStr(buf, string(v))
+	}
+	return buf
+}
+
+func decodeStrs[T ~string](d *binenc.Decoder) []T {
+	n := d.Count(1)
+	if n == 0 || d.Err != nil {
+		return nil
+	}
+	vs := make([]T, 0, n)
+	for i := uint64(0); i < n && d.Err == nil; i++ {
+		vs = append(vs, T(d.Str()))
+	}
+	return vs
 }
 
 func appendU64s(buf []byte, vs []uint64) []byte {

@@ -1,17 +1,16 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"weaver/internal/transport"
 )
 
-// Benchmarks comparing the hand-rolled frame codec against the gob
-// encoding it replaced on the hot gatekeeper↔shard path. Run with
-// -benchmem; the alloc gate (alloc_gate_test.go) enforces the encode-side
-// numbers in CI, these benchmarks document the magnitude.
+// Benchmarks of the frame codec on the hot gatekeeper↔shard path. Run
+// with -benchmem; the alloc gate (alloc_gate_test.go) enforces the
+// encode-side numbers in CI, these benchmarks document the magnitude
+// (BENCH_6.json records the comparison against the gob encoding it
+// replaced).
 
 func benchFrameEncode(b *testing.B, msg any) {
 	var c frameCodec
@@ -39,48 +38,11 @@ func benchFrameDecode(b *testing.B, msg any) {
 	}
 }
 
-// benchGobEncode mirrors the old wire path: one gob encoder per message
-// (connections cannot share encoder state across reconnects, and the old
-// streaming encoder poisoned the connection on any encode error).
-func benchGobEncode(b *testing.B, msg any) {
-	RegisterGob()
-	var bb bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bb.Reset()
-		payload := msg
-		if err := gob.NewEncoder(&bb).Encode(&payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchGobDecode(b *testing.B, msg any) {
-	RegisterGob()
-	var bb bytes.Buffer
-	payload := msg
-	if err := gob.NewEncoder(&bb).Encode(&payload); err != nil {
-		b.Fatal(err)
-	}
-	data := bb.Bytes()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFrameEncodeTxForward(b *testing.B) { benchFrameEncode(b, gateTxForward()) }
-func BenchmarkGobEncodeTxForward(b *testing.B)   { benchGobEncode(b, gateTxForward()) }
 func BenchmarkFrameDecodeTxForward(b *testing.B) { benchFrameDecode(b, gateTxForward()) }
-func BenchmarkGobDecodeTxForward(b *testing.B)   { benchGobDecode(b, gateTxForward()) }
 
 func BenchmarkFrameEncodeProgHops(b *testing.B) { benchFrameEncode(b, gateProgHops()) }
-func BenchmarkGobEncodeProgHops(b *testing.B)   { benchGobEncode(b, gateProgHops()) }
 func BenchmarkFrameDecodeProgHops(b *testing.B) { benchFrameDecode(b, gateProgHops()) }
-func BenchmarkGobDecodeProgHops(b *testing.B)   { benchGobDecode(b, gateProgHops()) }
 
 // BenchmarkFrameRoundTrip measures the complete wire path as a connection
 // sees it: envelope, tag, payload, CRC — encode into a reused buffer plus

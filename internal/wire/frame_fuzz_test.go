@@ -32,6 +32,11 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{tagTxForward})
+	for tag := tagEpochChange; tag <= tagPaxosResp; tag++ {
+		f.Add([]byte{tag})                                // empty body
+		f.Add([]byte{tag, 1, 0xFF, 0xFF, 0xFF, 0xFF, 10}) // oversized count / length
+	}
+	f.Add([]byte{0, 1, 2}) // retired tag 0
 	f.Add([]byte{tagProgHops, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := frameCodec{}.Decode(append([]byte{}, data...))

@@ -1,7 +1,12 @@
 package wire
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weaver/internal/core"
@@ -14,8 +19,9 @@ func ts(epoch uint64, owner int, clock ...uint64) core.Timestamp {
 	return core.Timestamp{Epoch: epoch, Owner: owner, Clock: clock}
 }
 
-// sampleMessages covers every hand-rolled message type with populated and
-// zero-ish field mixes.
+// sampleMessages is the table of every message type in this package, each
+// with populated and zero-ish field mixes. TestEveryMessageHasFrameTag
+// fails when a type declared in the package is missing from it.
 func sampleMessages() []any {
 	qid := ts(1, 0, 5, 3).ID()
 	return []any{
@@ -84,6 +90,17 @@ func sampleMessages() []any {
 		OracleResp{ID: 1, Order: core.After, Err: "",
 			Stats: oracle.Stats{Queries: 4, Events: 2, CycleRefused: 1}},
 		Heartbeat{From: "shard/3"},
+		EpochChange{Epoch: 7, Phase: EpochPhasePause, From: "climgr"},
+		EpochChange{Epoch: 8},
+		EpochAck{Epoch: 7, From: "shard/1", Phase: EpochPhasePause},
+		EpochQuery{ID: 3, From: "gk/1", Boot: true},
+		EpochQuery{},
+		EpochInfo{ID: 3, Epoch: 9, Failed: []transport.Addr{"gk/0", "shard/2"}},
+		EpochInfo{ID: 4, Epoch: 9},
+		PaxosReq{ID: 5, Op: PaxosAccept, Slot: 2, N: 11, Prop: -1, Value: []byte("bump"), HasValue: true},
+		PaxosReq{ID: 6, Op: PaxosMaxSeen},
+		PaxosResp{ID: 5, OK: true, AccN: 10, AccProp: 2, Value: []byte("bump"), HasValue: true, Max: 4},
+		PaxosResp{ID: 6, Err: "no quorum"},
 	}
 }
 
@@ -152,28 +169,45 @@ func TestFrameCodecViaTransport(t *testing.T) {
 	}
 }
 
-// TestGobFallbackFrame checks that a message without a hand-rolled codec
-// (epoch reconfiguration) still crosses the frame layer via gob.
-func TestGobFallbackFrame(t *testing.T) {
-	RegisterGob()
-	for _, msg := range []any{
-		EpochChange{Epoch: 7},
-		EpochAck{Epoch: 7, From: "shard/1"},
-	} {
-		buf, err := transport.AppendFrame(nil, "climgr", "shard/1", msg)
-		if err != nil {
-			t.Fatalf("%T: %v", msg, err)
+// TestEveryMessageHasFrameTag is the no-second-encoding gate: every
+// exported struct type declared in this package is either a message in
+// sampleMessages (which TestFrameCodecViaTransport round-trips through
+// transport.AppendFrame/DecodeFrame, so it has a tag) or one of the few
+// types that only ever travel nested inside a message. Declaring a new
+// message without giving it a codec fails here, not in a TCP deployment.
+func TestEveryMessageHasFrameTag(t *testing.T) {
+	nested := map[string]bool{"Hop": true, "Where": true, "KeyCard": true}
+	sampled := map[string]bool{}
+	for _, msg := range sampleMessages() {
+		sampled[reflect.TypeOf(msg).Name()] = true
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, f := range pkgs["wire"].Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				if _, isStruct := ts.Type.(*ast.StructType); !isStruct || !ts.Name.IsExported() {
+					continue
+				}
+				declared++
+				if name := ts.Name.Name; !sampled[name] && !nested[name] {
+					t.Errorf("wire.%s is not in sampleMessages: give it a frame tag and a sample", name)
+				}
+			}
 		}
-		if buf[4+1+len("climgr")+1+len("shard/1")] != transport.TagGob {
-			t.Fatalf("%T must use the gob fallback tag", msg)
-		}
-		_, _, got, err := transport.DecodeFrame(buf[4:])
-		if err != nil {
-			t.Fatalf("%T: decode: %v", msg, err)
-		}
-		if !reflect.DeepEqual(msg, got) {
-			t.Fatalf("%T: %#v != %#v", msg, msg, got)
-		}
+	}
+	if declared < len(sampled) {
+		t.Fatalf("parsed %d struct types, fewer than the %d sampled — parser found the wrong package", declared, len(sampled))
 	}
 }
 

@@ -1,12 +1,8 @@
 package wire
 
 import (
-	"encoding/gob"
-
 	"weaver/internal/core"
-	"weaver/internal/graph"
 	"weaver/internal/oracle"
-	"weaver/internal/transport"
 )
 
 // Request/response messages for the services that live in their own
@@ -95,7 +91,7 @@ const (
 )
 
 // PaxosReq is one acceptor request. Values cross the wire as opaque bytes
-// (the cluster manager gob-encodes its log entries before proposing).
+// (the cluster manager encodes its log entries before proposing).
 type PaxosReq struct {
 	ID   uint64
 	Op   PaxosOp
@@ -122,40 +118,4 @@ type PaxosResp struct {
 	// MaxSeen result.
 	Max uint64
 	Err string
-}
-
-// RegisterGob registers every message that may cross a TCP connection.
-// Call once per process before using transport.TCPNode. High-traffic
-// messages normally cross as hand-rolled binary frames (frame.go) and
-// never touch gob, but the fallback frame type (transport.TagGob) needs
-// these registrations for the remaining ones — epoch reconfiguration —
-// and for any message a future node sends before growing a codec.
-func RegisterGob() {
-	gob.Register(TxForward{})
-	gob.Register(TxApplied{})
-	gob.Register(Nop{})
-	gob.Register(Announce{})
-	gob.Register(ProgStart{})
-	gob.Register(ProgHops{})
-	gob.Register(ProgDelta{})
-	gob.Register(ProgFinish{})
-	gob.Register(IndexLookup{})
-	gob.Register(IndexResult{})
-	gob.Register(IndexStats{})
-	gob.Register(GCReport{})
-	gob.Register(ShardGCReport{})
-	gob.Register(EpochChange{})
-	gob.Register(EpochAck{})
-	gob.Register(EpochQuery{})
-	gob.Register(EpochInfo{})
-	gob.Register(PaxosReq{})
-	gob.Register(PaxosResp{})
-	gob.Register(Heartbeat{})
-	gob.Register(KVReq{})
-	gob.Register(KVResp{})
-	gob.Register(OracleReq{})
-	gob.Register(OracleResp{})
-	gob.Register(graph.Op{})
-	gob.Register(core.Timestamp{})
-	gob.Register(transport.Addr(""))
 }

@@ -1,9 +1,8 @@
 // Package wire defines the messages exchanged between Weaver servers over
 // the transport fabric. Payloads are plain structs: the in-process fabric
 // passes them by value; over TCP (and with weaver.Config.WireFrames) they
-// cross as binary frames with hand-rolled codecs for every high-traffic
-// message (frame.go, registered with the transport from an init here) and
-// a gob fallback for the rest (RegisterGob).
+// cross as binary frames, one hand-rolled codec per message type
+// (frame.go, registered with the transport from an init here).
 package wire
 
 import (
@@ -292,7 +291,7 @@ type ShardGCReport struct {
 // Epoch-barrier phases carried by EpochChange.Phase. The manager pauses
 // gatekeepers first (stopping new commits), then orders every server into
 // the new epoch; Phase distinguishes the two over the wire. The zero value
-// is Enter, so pre-PR senders that never set Phase keep their meaning.
+// is Enter.
 const (
 	// EpochPhaseEnter orders the receiver to advance into Epoch (and, for
 	// gatekeepers, to resume paused traffic).
@@ -304,8 +303,7 @@ const (
 
 // EpochChange orders a server into a new epoch during reconfiguration
 // (§4.3). The cluster manager imposes a barrier: servers ack, and the new
-// epoch's traffic starts only after all acks. Phase and From are
-// append-only trailing fields (gob fallback): Phase selects the barrier
+// epoch's traffic starts only after all acks. Phase selects the barrier
 // half, From is the manager address acks should go to.
 type EpochChange struct {
 	Epoch uint64

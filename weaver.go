@@ -56,7 +56,7 @@
 // per-transaction commit path: the edge list streams through the LDG
 // partitioner for locality-aware placement (when Config.Directory is a
 // *partition.Mapped), per-shard segment builders encode vertex records on
-// a worker pool (Config.BulkLoadWorkers, Config.SnapshotSegmentEntries),
+// a worker pool (Config.BulkLoadWorkers),
 // and the segments install directly into the backing store and the shard
 // graphs, exactly as recovery would. One fresh timestamp stamps the whole
 // load and every gatekeeper clock observes it, so all later transactions
@@ -138,7 +138,6 @@ import (
 	"weaver/internal/partition"
 	"weaver/internal/shard"
 	"weaver/internal/transport"
-	"weaver/internal/wire"
 )
 
 // Re-exported identifier types; applications use these to name graph
@@ -210,9 +209,6 @@ type Config struct {
 	// snapshot plus the WAL tail — see Cluster.Checkpoint. Snapshot and
 	// WAL-era files are created next to this path.
 	WALPath string
-	// SnapshotSegmentEntries caps entries per on-disk snapshot segment
-	// (checkpoints and bulk-load segment builders). 0 = 4096.
-	SnapshotSegmentEntries int
 	// BulkLoadWorkers sizes Cluster.BulkLoad's segment-builder pool.
 	// 0 = GOMAXPROCS.
 	BulkLoadWorkers int
@@ -247,9 +243,6 @@ type Config struct {
 	// concurrently, conflicting ones keep their timestamp order. 0 or 1
 	// applies serially on the shard event loop (the paper's design).
 	ShardWorkers int
-	// ShardMaxBatch caps one parallel apply batch (0 = 256), bounding
-	// batch-barrier latency. Ignored unless ShardWorkers > 1.
-	ShardMaxBatch int
 	// MaxApplyLag bounds, per gatekeeper, how many committed write-sets
 	// may be awaiting shard application before further commits are
 	// throttled (admission control). Sustained commit bursts can outrun
@@ -296,20 +289,6 @@ type Config struct {
 	// selector. Index postings are garbage-collected, migrated, paged,
 	// bulk-loaded and recovered alongside the graph versions they mirror.
 	Indexes []IndexSpec
-	// DisableQueryPlanning routes every index lookup through the legacy
-	// broadcast path: all shards are contacted for every query, and the
-	// presence-marker catalog (internal/plan) is maintained but unused for
-	// pruning. Client.Explain reports the fallback. The default (planning
-	// on) prunes equality-lookup scatter to the shards that can hold
-	// matches.
-	DisableQueryPlanning bool
-	// PlanStatsPeriod bounds how often each shard publishes per-key index
-	// cardinality statistics to the gatekeepers for query-plan row
-	// estimates (EXPLAIN's "estimated rows" and the estimate-error
-	// metric). 0 = 250ms; negative disables publication — estimates
-	// degrade to "unknown", shard pruning is unaffected (soundness rests
-	// on the marker catalog, never on statistics).
-	PlanStatsPeriod time.Duration
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -394,16 +373,11 @@ func Open(cfg Config) (*Cluster, error) {
 		c.fabric.WithDelay(cfg.NetDelayMin, cfg.NetDelayMax)
 	}
 	if cfg.WireFrames {
-		// Rare messages (epoch reconfiguration) cross under the gob
-		// fallback frame type and need their types registered.
-		wire.RegisterGob()
 		c.fabric.WithWireFrames()
 		c.fabric.WithWireMetrics(wireMetrics(c.obs))
 	}
 	if cfg.WALPath != "" {
-		durable, err := kvstore.NewDurableOptions(cfg.WALPath, kvstore.DurableOptions{
-			SegmentEntries: cfg.SnapshotSegmentEntries,
-		})
+		durable, err := kvstore.NewDurable(cfg.WALPath)
 		if err != nil {
 			return nil, fmt.Errorf("weaver: open backing store: %w", err)
 		}
@@ -547,9 +521,7 @@ func (c *Cluster) newShard(i int, epoch uint64) *shard.Shard {
 		HeartbeatPeriod: heartbeat,
 		MaxVertices:     c.cfg.MaxShardVertices,
 		Workers:         c.cfg.ShardWorkers,
-		MaxBatch:        c.cfg.ShardMaxBatch,
 		Indexes:         c.cfg.Indexes,
-		StatsPeriod:     c.cfg.PlanStatsPeriod,
 		Obs:             c.obs,
 	}, ep, c.orc, c.reg, c.dir)
 	if c.cfg.MaxShardVertices > 0 {
@@ -582,7 +554,6 @@ func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
 		MaxApplyLag:      c.cfg.MaxApplyLag,
 		HeartbeatPeriod:  heartbeat,
 		IndexedKeys:      indexed,
-		DisablePlanning:  c.cfg.DisableQueryPlanning,
 		Obs:              c.obs,
 	}, ep, c.kv, c.orc, c.dir)
 }
