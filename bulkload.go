@@ -344,13 +344,12 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	}
 	shardWG.Wait()
 
-	// Marker catalog and statistics for the query planner: every indexed
-	// property value the load placed enters the (key, value, shard)
-	// catalog, and each shard's fresh cardinality stats install into every
-	// gatekeeper — all behind the fence, so no post-load query can plan
-	// against a catalog that would prune a freshly loaded shard. Markers go
-	// through the transactional store (not BulkPut), so the automatic
-	// checkpoint below covers them on a durable cluster.
+	// Marker catalog for the query planner: every indexed property value
+	// the load placed enters the (key, value, shard) catalog behind the
+	// fence, so no post-load query can plan against a catalog that would
+	// prune a freshly loaded shard. Markers go through the transactional
+	// store (not BulkPut), so the automatic checkpoint below covers them on
+	// a durable cluster.
 	if len(c.cfg.Indexes) > 0 {
 		markers := make(map[string]struct{})
 		for i := range order {
@@ -371,12 +370,6 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 			}
 			if err := gks[0].PublishMarkers(keys); err != nil {
 				return stats, fmt.Errorf("weaver: bulk load markers: %w", err)
-			}
-		}
-		for _, sh := range shards {
-			st := sh.IndexStats()
-			for _, gk := range gks {
-				gk.InstallIndexStats(st)
 			}
 		}
 	}

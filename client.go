@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"time"
 
-	"weaver/internal/core"
 	"weaver/internal/gatekeeper"
 	"weaver/internal/graph"
 	"weaver/internal/nodeprog"
+	"weaver/internal/wire"
 )
 
 // Client issues transactions and node programs through one gatekeeper,
@@ -127,7 +127,7 @@ func (cl *Client) RunProgramAt(ts Timestamp, name string, params []byte, start .
 // further reads at the same snapshot with At. Fails with ErrNoIndex when
 // key is not indexed.
 func (cl *Client) Lookup(key, value string) ([]VertexID, Timestamp, error) {
-	return cl.gk().Lookup(core.Timestamp{}, key, value)
+	return cl.LookupWhere(0, wire.Eq(key, value)...)
 }
 
 // LookupRange is Lookup over the value interval [lo, hi] (lexicographic,
@@ -135,7 +135,7 @@ func (cl *Client) Lookup(key, value string) ([]VertexID, Timestamp, error) {
 // "from the smallest value"; an empty hi means "to the largest". Results
 // are sorted by vertex ID.
 func (cl *Client) LookupRange(key, lo, hi string) ([]VertexID, Timestamp, error) {
-	return cl.gk().LookupRange(core.Timestamp{}, key, lo, hi)
+	return cl.LookupWhere(0, wire.Between(key, lo, hi)...)
 }
 
 // RunProgramWhere launches a registered node program starting at every

@@ -563,7 +563,7 @@ func runDemo(gk *gatekeeper.Gatekeeper, withIndex bool) {
 	if withIndex {
 		// Scatter-gather secondary-index lookup through the TCP stack
 		// (shards must run with the same -index list).
-		ids, _, err := gk.Lookup(core.Timestamp{}, "kind", "demo")
+		ids, _, err := gk.Lookup(core.Timestamp{}, gatekeeper.LookupOptions{Wheres: wire.Eq("kind", "demo")})
 		if err != nil {
 			log.Fatalf("demo index lookup: %v", err)
 		}

@@ -138,7 +138,7 @@ func TestPlanShape(t *testing.T) {
 	if res.ShardsContactedMean >= float64(res.Shards) {
 		t.Fatalf("planner contacted %.1f of %d shards — no pruning", res.ShardsContactedMean, res.Shards)
 	}
-	if res.PlannedP50 <= 0 || res.BroadcastP50 <= 0 || res.LegacyP50 <= 0 {
+	if res.PlannedP50 <= 0 || res.BroadcastP50 <= 0 {
 		t.Fatalf("missing latencies: %+v", res)
 	}
 	if res.String() == "" {

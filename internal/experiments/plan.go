@@ -1,14 +1,12 @@
 package experiments
 
 // Query-planner experiment: selective multi-predicate lookups on a bulk-
-// loaded propertied graph, answered three ways — through the cost-based
-// planner (marker pruning + predicate/limit pushdown), through the same
-// pushdown path with pruning disabled (forced broadcast), and through the
-// pre-planner client idiom (broadcast one equality lookup, then fetch each
-// candidate and filter application-side). All three run under concurrent
-// load so the broadcast strategies pay for the shards they needlessly
-// occupy. An Explain pass reports how many shards the planner actually
-// touched versus the cluster size.
+// loaded propertied graph, answered two ways — through the planner (marker
+// pruning + predicate/limit pushdown) and through the same pushdown path
+// with pruning disabled (forced broadcast). Both run under concurrent load
+// so the broadcast strategy pays for the shards it needlessly occupies. An
+// Explain pass reports how many shards the planner actually touched versus
+// the cluster size.
 
 import (
 	"fmt"
@@ -29,18 +27,15 @@ type PlanResult struct {
 
 	PlannedP50, PlannedP99     time.Duration
 	BroadcastP50, BroadcastP99 time.Duration
-	LegacyP50, LegacyP99       time.Duration
 
 	// ShardsContactedMean is the mean planned fan-out measured by Explain;
 	// broadcast always contacts Shards.
 	ShardsContactedMean float64
-	// EstRowsMean/ActualRowsMean report the estimator against reality.
-	EstRowsMean, ActualRowsMean float64
+	// ActualRowsMean is the mean pre-limit match count Explain reports.
+	ActualRowsMean float64
 
 	// SpeedupVsBroadcast is broadcast p50 over planned p50.
 	SpeedupVsBroadcast float64
-	// SpeedupVsLegacy is legacy p50 over planned p50.
-	SpeedupVsLegacy float64
 }
 
 // Plan runs the experiment at the configured scale.
@@ -150,10 +145,7 @@ func Plan(o Options) (*PlanResult, error) {
 		return true
 	}
 
-	// The three strategies under comparison. Legacy is the pre-planner
-	// client idiom — broadcast the equality lookup, then fetch every
-	// candidate and filter the remaining predicate application-side: no
-	// pruning, no pushdown, one extra round trip per candidate.
+	// The two strategies under comparison.
 	strategies := []struct {
 		name string
 		lat  *bench.Latencies
@@ -167,31 +159,10 @@ func Plan(o Options) (*PlanResult, error) {
 			ids, _, err := cl.BroadcastWhere(limit, q.wheres...)
 			return ids, err
 		}},
-		{"legacy", &bench.Latencies{}, func(cl *weaver.Client, q query) ([]weaver.VertexID, error) {
-			cand, _, err := cl.BroadcastWhere(0, q.wheres[0])
-			if err != nil {
-				return nil, err
-			}
-			var out []weaver.VertexID
-			for _, id := range cand {
-				d, ok, err := cl.GetVertex(id)
-				if err != nil {
-					return nil, err
-				}
-				if ok && d.Props["city"] >= q.cityLo {
-					out = append(out, id)
-				}
-			}
-			sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-			if len(out) > limit {
-				out = out[:limit]
-			}
-			return out, nil
-		}},
 	}
 
-	// Warmup (unmeasured): touch every strategy once so page-ins, marker
-	// caches, and stats publication settle before measurement begins.
+	// Warmup (unmeasured): touch every strategy once so page-ins and marker
+	// caches settle before measurement begins.
 	{
 		wcl := c.Client()
 		for g := 0; g < rareKinds; g++ {
@@ -296,13 +267,13 @@ func Plan(o Options) (*PlanResult, error) {
 	if err := stopWriters(); err != nil {
 		return nil, fmt.Errorf("plan experiment writer: %w", err)
 	}
-	planned, broadcast, legacy := strategies[0].lat, strategies[1].lat, strategies[2].lat
+	planned, broadcast := strategies[0].lat, strategies[1].lat
 
-	// Explain pass: measure the planner's fan-out and estimate quality.
+	// Explain pass: measure the planner's fan-out.
 	cl := c.Client()
 	rng := rand.New(rand.NewSource(o.Seed))
 	explains := 16
-	var contacted, est, actual float64
+	var contacted, actual float64
 	for i := 0; i < explains; i++ {
 		q := queries[rng.Intn(len(queries))]
 		ids, ex, err := cl.ExplainWhere(limit, q.wheres...)
@@ -319,19 +290,15 @@ func Plan(o Options) (*PlanResult, error) {
 			return nil, fmt.Errorf("explain %s: no pruning (%d of %d shards)", q.kindV, len(ex.Shards), shards)
 		}
 		contacted += float64(len(ex.Shards))
-		est += float64(ex.EstRows)
 		actual += float64(ex.ActualRows)
 	}
 	r.ShardsContactedMean = contacted / float64(explains)
-	r.EstRowsMean = est / float64(explains)
 	r.ActualRowsMean = actual / float64(explains)
 
 	r.PlannedP50, r.PlannedP99 = planned.Percentile(50), planned.Percentile(99)
 	r.BroadcastP50, r.BroadcastP99 = broadcast.Percentile(50), broadcast.Percentile(99)
-	r.LegacyP50, r.LegacyP99 = legacy.Percentile(50), legacy.Percentile(99)
 	if r.PlannedP50 > 0 {
 		r.SpeedupVsBroadcast = float64(r.BroadcastP50) / float64(r.PlannedP50)
-		r.SpeedupVsLegacy = float64(r.LegacyP50) / float64(r.PlannedP50)
 	}
 	return r, nil
 }
@@ -344,12 +311,10 @@ func (r *PlanResult) String() string {
 	}
 	row("planned (prune+pushdown)", r.PlannedP50, r.PlannedP99)
 	row("broadcast pushdown", r.BroadcastP50, r.BroadcastP99)
-	row("legacy client-side", r.LegacyP50, r.LegacyP99)
 	return fmt.Sprintf(
 		"Query planning: %d vertices, %d shards, %d rare kinds × %d matches\n%s"+
-			"planner contacted %.1f of %d shards (est %.1f rows, actual %.1f); "+
-			"p50 speedup %.1fx vs broadcast, %.1fx vs legacy",
+			"planner contacted %.1f of %d shards (%.1f rows matched); "+
+			"p50 speedup %.1fx vs broadcast",
 		r.Vertices, r.Shards, r.RareKinds, r.RareMatches, t.String(),
-		r.ShardsContactedMean, r.Shards, r.EstRowsMean, r.ActualRowsMean,
-		r.SpeedupVsBroadcast, r.SpeedupVsLegacy)
+		r.ShardsContactedMean, r.Shards, r.ActualRowsMean, r.SpeedupVsBroadcast)
 }

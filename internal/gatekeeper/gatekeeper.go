@@ -95,16 +95,6 @@ type Config struct {
 	ProgTimeout time.Duration
 	// MaxCommitRetries bounds internal timestamp-order retries. 0 = 16.
 	MaxCommitRetries int
-	// MaxApplyLag bounds how many forwarded write-sets may be awaiting
-	// shard application before new commits are throttled (admission
-	// control). The commit path (parallel OCC on the backing store) can
-	// sustainably outrun the apply path; without a bound the backlog —
-	// and with it shard queue memory, the oracle's dependency DAG, and
-	// the wait of anything that needs the apply frontier (node programs,
-	// Quiesce, migration drains) — grows without limit. The DAG's size
-	// feeds back into ordering-query cost, so a modest bound keeps the
-	// whole pipeline fast. 0 = 256; negative disables throttling.
-	MaxApplyLag int
 	// HeartbeatPeriod, when positive, sends liveness beats to the
 	// cluster manager (§4.3).
 	HeartbeatPeriod time.Duration
@@ -137,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCommitRetries <= 0 {
 		c.MaxCommitRetries = 16
-	}
-	if c.MaxApplyLag == 0 {
-		c.MaxApplyLag = 256
 	}
 	return c
 }
@@ -212,9 +199,13 @@ type Gatekeeper struct {
 	markerMu   sync.RWMutex
 	markerHave map[string]struct{}
 
-	mu          sync.Mutex
-	clock       *core.VectorClock
-	seq         *transport.Sequencer
+	mu    sync.Mutex
+	clock *core.VectorClock
+	seq   *transport.Sequencer
+	// awaiting holds the shards that have not yet answered this
+	// gatekeeper's hello; sendNops holds the NOP stream back until it is
+	// empty.
+	awaiting    map[transport.Addr]struct{}
 	progs       map[core.ID]*progPending
 	lookups     map[core.ID]*lookupPending
 	gcSeen      map[int]core.Timestamp
@@ -271,6 +262,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		m:          newObsMetrics(cfg.Obs),
 		clock:      core.NewVectorClock(cfg.ID, cfg.NumGatekeepers, cfg.Epoch),
 		seq:        transport.NewSequencer(),
+		awaiting:   make(map[transport.Addr]struct{}, cfg.NumShards),
 		progs:      make(map[core.ID]*progPending),
 		lookups:    make(map[core.ID]*lookupPending),
 		pins:       make(map[core.ID]*pinnedSnapshot),
@@ -280,6 +272,9 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 	}
 	for _, k := range cfg.IndexedKeys {
 		g.indexed[k] = struct{}{}
+	}
+	for s := 0; s < cfg.NumShards; s++ {
+		g.awaiting[transport.ShardAddr(s)] = struct{}{}
 	}
 	g.planner = plan.New(cfg.NumShards, g)
 	return g
@@ -367,7 +362,7 @@ func (g *Gatekeeper) Stats() Stats {
 func (g *Gatekeeper) ID() int { return g.cfg.ID }
 
 // ApplyLag returns the number of forwarded write-sets not yet acknowledged
-// as applied — the live admission-control signal behind MaxApplyLag
+// as applied — the live admission-control signal behind maxApplyLag
 // (exported so the cluster can surface it as a gauge).
 func (g *Gatekeeper) ApplyLag() int64 { return max(g.applyPending.Load(), 0) }
 
@@ -575,8 +570,11 @@ func (g *Gatekeeper) handle(msg transport.Message) {
 		g.handleProgDelta(m, msg.From)
 	case wire.IndexResult:
 		g.handleIndexResult(m)
-	case wire.IndexStats:
-		g.InstallIndexStats(m)
+	case wire.Heartbeat:
+		// A shard's answer to sendNops' hello.
+		g.mu.Lock()
+		delete(g.awaiting, m.From)
+		g.mu.Unlock()
 	case wire.GCReport:
 		// Gatekeeper 0 aggregates watermarks and prunes the oracle's
 		// event dependency graph (§4.5).
@@ -640,8 +638,27 @@ func (g *Gatekeeper) announce() {
 // The epoch-barrier hazard (an old-epoch NOP with a stale sequence
 // number landing after the shard reset its resequencer) is handled at
 // the shard: ingest drops any item whose epoch is behind the shard's.
+//
+// The stream does not start until every shard has answered a hello: a NOP
+// sent to a shard that is not serving yet (processes of one deployment
+// start in any order — its endpoint may not exist, or its boot-time epoch
+// query may be reading the mailbox) is lost, and its sequence number with
+// it — a permanent gap the shard's resequencer waits behind forever. Until
+// then each tick greets the silent shards with a heartbeat, which carries
+// no sequence number and which a serving shard echoes (handle).
 func (g *Gatekeeper) sendNops() {
 	g.mu.Lock()
+	if len(g.awaiting) > 0 {
+		silent := make([]transport.Addr, 0, len(g.awaiting))
+		for a := range g.awaiting {
+			silent = append(silent, a)
+		}
+		g.mu.Unlock()
+		for _, a := range silent {
+			g.ep.Send(a, wire.Heartbeat{From: g.ep.Addr()})
+		}
+		return
+	}
 	ts := g.clock.Tick()
 	sends := make([]struct {
 		addr transport.Addr

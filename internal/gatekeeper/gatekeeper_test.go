@@ -9,8 +9,10 @@ import (
 	"weaver/internal/core"
 	"weaver/internal/graph"
 	"weaver/internal/kvstore"
+	"weaver/internal/nodeprog"
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
+	"weaver/internal/shard"
 	"weaver/internal/transport"
 	"weaver/internal/wire"
 )
@@ -36,6 +38,7 @@ func newRig(t *testing.T, gks, shards int) *rig {
 		AnnouncePeriod: 200 * time.Microsecond,
 		NopPeriod:      100 * time.Microsecond,
 	}, f.Endpoint(transport.GatekeeperAddr(0)), kvstore.AsBacking(kv), orc, partition.NewHash(shards))
+	clear(gk.awaiting) // bare mailboxes never answer the hello; start the NOP stream regardless
 	gk.Start()
 	t.Cleanup(gk.Stop)
 	return &rig{gk: gk, kv: kv, orc: orc, f: f}
@@ -198,6 +201,7 @@ func TestGCAggregationTriggersOracleGC(t *testing.T) {
 		ID: 0, NumGatekeepers: 2, NumShards: 1,
 		GCPeriod: time.Millisecond,
 	}, f.Endpoint(transport.GatekeeperAddr(0)), kvstore.AsBacking(kv), orc, partition.NewHash(1))
+	clear(gk.awaiting) // as in newRig: the NOP loop's clock ticks drive gk0's own GC report
 	gk.Start()
 	t.Cleanup(gk.Stop)
 
@@ -362,5 +366,53 @@ func TestApplyAccountingIsEpochScoped(t *testing.T) {
 	drv.Send(transport.GatekeeperAddr(0), wire.TxApplied{TS: res2.TS, Shard: 0})
 	if err := r.gk.Quiesce(3 * time.Second); err != nil {
 		t.Fatalf("quiesce after current-epoch ack: %v", err)
+	}
+}
+
+// TestNopStreamWaitsForShard starts a gatekeeper before its shard is
+// serving — the order processes of one deployment may come up in — and
+// drives NOP ticks at it, first with no endpoint at all and then with an
+// endpoint nobody is serving yet (a booting shard whose mailbox something
+// else is draining). None of them may consume a stream sequence number:
+// once the shard serves, its resequencer must see the stream from 1, or it
+// waits behind the gap forever and the node program below times out.
+func TestNopStreamWaitsForShard(t *testing.T) {
+	f := transport.NewFabric()
+	orc := oracle.NewService()
+	dir := partition.NewHash(1)
+	gk := New(Config{
+		ID: 0, NumGatekeepers: 1, NumShards: 1,
+		AnnouncePeriod: 200 * time.Microsecond,
+		NopPeriod:      100 * time.Microsecond,
+		ProgTimeout:    5 * time.Second,
+	}, f.Endpoint(transport.GatekeeperAddr(0)), kvstore.AsBacking(kvstore.New()), orc, dir)
+	gk.Start()
+	t.Cleanup(gk.Stop)
+	for i := 0; i < 10; i++ {
+		gk.sendNops()
+	}
+	shardEp := f.Endpoint(transport.ShardAddr(0))
+	for i := 0; i < 10; i++ {
+		gk.sendNops()
+		for {
+			if _, ok := shardEp.Next(); !ok { // the boot-time reader discards
+				break
+			}
+		}
+	}
+	if n := gk.Stats().Nops; n != 0 {
+		t.Fatalf("%d NOPs sent before the shard serves", n)
+	}
+
+	sh := shard.New(shard.Config{ID: 0, NumGatekeepers: 1}, shardEp, orc, nodeprog.NewRegistry(), dir)
+	sh.Start()
+	t.Cleanup(sh.Stop)
+
+	if _, err := gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := gk.RunProgram("get_node", nil, []graph.VertexID{"v"})
+	if err != nil || len(res) != 1 {
+		t.Fatalf("node program after late shard start: %d results, %v", len(res), err)
 	}
 }

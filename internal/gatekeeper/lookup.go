@@ -30,19 +30,11 @@ type lookupPending struct {
 	done      chan struct{}
 }
 
-// LookupOptions parameterizes one index query through LookupOpts. Exactly
-// one of the three forms applies: Key/Value equality (Lookup), Key/Lo/Hi
-// with Range set (LookupRange), or a Wheres conjunction (LookupWhere).
+// LookupOptions parameterizes one index query.
 type LookupOptions struct {
-	// Key/Value is the legacy single-equality form.
-	Key, Value string
-	// Lo/Hi with Range is the legacy value-interval form (inclusive,
-	// lexicographic; empty = unbounded side).
-	Lo, Hi string
-	Range  bool
-	// Wheres, when non-empty, is a predicate conjunction pushed down to
-	// the shards on the wire (Key/Value/Lo/Hi/Range are then ignored);
-	// every predicate key must be indexed.
+	// Wheres is the predicate conjunction (wire.Eq and wire.Between build
+	// the equality and inclusive-range forms); every predicate key must be
+	// indexed. It is pushed down to the shards on the wire.
 	Wheres []wire.Where
 	// Limit caps the result at the first Limit matches by ascending
 	// vertex ID (0 = unlimited); pushed down with Wheres so shards
@@ -55,51 +47,27 @@ type LookupOptions struct {
 	Explain *plan.Explanation
 }
 
-// Lookup evaluates a secondary-index equality query cluster-wide at
-// readTS: every contacted shard answers for its partition once it has
-// applied everything at or before readTS, and the merged result is exactly
-// the set of vertices whose indexed property equaled value in the snapshot
-// at readTS — historically consistent when readTS is a pinned or retained
-// past timestamp (§4.5). A ZERO readTS means "at a fresh snapshot": the
-// lookup reads at a timestamp minted here, strictly after every
-// transaction committed through this gatekeeper and held against GC while
-// the query runs — the strictly serializable current-lookup mode. The
-// effective read timestamp is returned either way. Results are sorted by
-// vertex ID. Returns an error wrapping ErrStaleSnapshot when readTS has
-// fallen behind the GC watermark, or ErrNoIndex when key is not indexed.
+// Lookup evaluates a secondary-index query cluster-wide at readTS: every
+// contacted shard answers for its partition once it has applied everything
+// at or before readTS, and the merged result is exactly the set of vertices
+// satisfying EVERY predicate of opts.Wheres in the snapshot at readTS —
+// historically consistent when readTS is a pinned or retained past
+// timestamp (§4.5). A ZERO readTS means "at a fresh snapshot": the lookup
+// reads at a timestamp minted here, strictly after every transaction
+// committed through this gatekeeper and held against GC while the query
+// runs — the strictly serializable current-lookup mode. The effective read
+// timestamp is returned either way. Results are sorted by vertex ID and
+// truncated to the first opts.Limit matches when it is positive. Returns an
+// error wrapping ErrStaleSnapshot when readTS has fallen behind the GC
+// watermark, or ErrNoIndex when a predicate key is not indexed.
 //
 // Which shards are contacted is decided by the query planner: shards
-// without a presence marker for (key, value) provably hold no match at
-// any snapshot and are pruned (see package plan for the soundness
+// lacking a presence marker for any equality predicate provably hold no
+// match at any snapshot and are pruned (see package plan for the soundness
 // argument, including why a query proven empty by the catalog may answer
-// without consulting a single shard — even past the GC watermark).
-func (g *Gatekeeper) Lookup(readTS core.Timestamp, key, value string) ([]graph.VertexID, core.Timestamp, error) {
-	return g.LookupOpts(readTS, LookupOptions{Key: key, Value: value})
-}
-
-// LookupRange is Lookup over the value interval [lo, hi] (lexicographic,
-// inclusive; empty lo/hi = unbounded), served by the index's sorted value
-// layer. Range queries carry no equality predicate, so they always
-// broadcast.
-func (g *Gatekeeper) LookupRange(readTS core.Timestamp, key, lo, hi string) ([]graph.VertexID, core.Timestamp, error) {
-	return g.LookupOpts(readTS, LookupOptions{Key: key, Lo: lo, Hi: hi, Range: true})
-}
-
-// LookupWhere is Lookup for a predicate conjunction: the result is the set
-// of vertices satisfying EVERY predicate at readTS, sorted ascending,
-// truncated to the first limit matches when limit > 0. Predicates are
-// pushed down to the shards (each shard intersects locally and truncates
-// before replying) and the contacted shard set is the marker-catalog
-// intersection of the equality predicates.
-func (g *Gatekeeper) LookupWhere(readTS core.Timestamp, wheres []wire.Where, limit int) ([]graph.VertexID, core.Timestamp, error) {
-	if len(wheres) == 0 {
-		return nil, readTS, fmt.Errorf("%w: empty predicate conjunction", ErrProgFailed)
-	}
-	return g.LookupOpts(readTS, LookupOptions{Wheres: wheres, Limit: limit})
-}
-
-// LookupOpts coordinates one planned scatter-gather index query; the
-// Lookup/LookupRange/LookupWhere wrappers are the public forms. Execution:
+// without consulting a single shard — even past the GC watermark); a
+// conjunction without an equality predicate contacts every shard.
+// Execution:
 //
 //  1. mint the query timestamp and pin the read snapshot (one critical
 //     section — see registerProg for why GC reporting makes this atomic);
@@ -115,14 +83,11 @@ func (g *Gatekeeper) LookupWhere(readTS core.Timestamp, wheres []wire.Where, lim
 // Deduplication is load-bearing beyond the multi-round case: during a
 // vertex migration fence a posting can transiently exist on two shards, so
 // two shards of ONE round may both report the same vertex.
-func (g *Gatekeeper) LookupOpts(readTS core.Timestamp, opts LookupOptions) ([]graph.VertexID, core.Timestamp, error) {
-	tL := time.Now()
-	q := plan.Query{Wheres: opts.Wheres, Range: opts.Range, Limit: opts.Limit}
-	if len(q.Wheres) == 0 && !opts.Range {
-		// The legacy equality form is one OpEq predicate to the planner
-		// (the wire request keeps the legacy Key/Value fields).
-		q.Wheres = []wire.Where{{Key: opts.Key, Op: wire.OpEq, Value: opts.Value}}
+func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.VertexID, core.Timestamp, error) {
+	if len(opts.Wheres) == 0 {
+		return nil, readTS, fmt.Errorf("%w: empty predicate conjunction", ErrProgFailed)
 	}
+	tL := time.Now()
 
 	// The pause lock gates issuance only, never the completion wait
 	// (exactly as runProgram): lookups REGISTERED before a migration pause
@@ -156,20 +121,18 @@ func (g *Gatekeeper) LookupOpts(readTS core.Timestamp, opts LookupOptions) ([]gr
 	// transaction whose marker the catalog does NOT show minted after this
 	// query and is caught by the post-merge re-check if a shard saw it.
 	tPlan := time.Now()
-	eqs := plan.Equalities(q.Wheres)
+	eqs := plan.Equalities(opts.Wheres)
 	var pl plan.Plan
 	switch {
 	case opts.ForceBroadcast:
-		pl = g.planner.Broadcast(q, "forced broadcast")
+		pl = g.planner.Broadcast("forced broadcast")
 	case len(g.indexed) == 0:
-		pl = g.planner.Broadcast(q, "no indexed keys configured")
-	case opts.Range || len(eqs) == 0:
-		pl = g.planner.Broadcast(q, "no equality predicate")
-	case !g.allIndexed(q.Wheres):
+		pl = g.planner.Broadcast("no indexed keys configured")
+	case !g.allIndexed(opts.Wheres):
 		// Let the shards answer authoritatively with ErrCodeNoIndex.
-		pl = g.planner.Broadcast(q, "unindexed predicate key")
+		pl = g.planner.Broadcast("unindexed predicate key")
 	default:
-		pl = g.planner.Build(q)
+		pl = g.planner.Build(plan.Query{Wheres: opts.Wheres})
 	}
 	g.m.plansBuilt.Inc()
 	if pl.Broadcast {
@@ -181,15 +144,10 @@ func (g *Gatekeeper) LookupOpts(readTS core.Timestamp, opts LookupOptions) ([]gr
 
 	req := wire.IndexLookup{
 		ReadTS: readTS,
-		Key:    opts.Key, Value: opts.Value,
-		Lo: opts.Lo, Hi: opts.Hi, Range: opts.Range,
-		Reply: g.ep.Addr(),
-		Trace: tr.ID(),
-	}
-	if len(opts.Wheres) > 0 {
-		req.Wheres = opts.Wheres
-		req.Limit = opts.Limit
-		g.m.planPushdown.Inc()
+		Wheres: opts.Wheres,
+		Limit:  opts.Limit,
+		Reply:  g.ep.Addr(),
+		Trace:  tr.ID(),
 	}
 
 	contacted := make(map[int]struct{}, g.cfg.NumShards)
@@ -262,54 +220,38 @@ func (g *Gatekeeper) LookupOpts(readTS core.Timestamp, opts LookupOptions) ([]gr
 	tMerge := time.Now()
 	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
 	verts = dedupVertices(verts)
-	matched := len(verts)
-	if len(opts.Wheres) > 0 {
-		// Shards truncated locally, so the gatekeeper-side count can
-		// undercount; their pre-limit Matched totals are the honest
-		// actual-rows figure (double-counting only a mid-migration
-		// transient).
-		matched = 0
-		for _, c := range contacts {
-			matched += c.Matched
-		}
-	}
 	if opts.Limit > 0 && len(verts) > opts.Limit {
 		verts = verts[:opts.Limit]
 	}
 
 	g.m.planContacted.Add(uint64(len(contacted)))
 	g.m.planPruned.Add(uint64(g.cfg.NumShards - len(contacted)))
-	if pl.EstRows >= 0 {
-		g.m.planEstErr.Observe(uint64(absInt(pl.EstRows - matched)))
-	}
 	if ex := opts.Explain; ex != nil {
-		shards := make([]int, 0, len(contacted))
-		for s := range contacted {
-			shards = append(shards, s)
+		// One reply per contacted shard. Shards truncate locally, so the
+		// merged length can undercount; their pre-limit Matched totals are
+		// the honest actual-rows figure (double-counting only a
+		// mid-migration transient).
+		sort.Slice(contacts, func(i, j int) bool { return contacts[i].Shard < contacts[j].Shard })
+		shards := make([]int, len(contacts))
+		matched := 0
+		for i, c := range contacts {
+			shards[i] = c.Shard
+			matched += c.Matched
 		}
 		*ex = plan.Explanation{
-			Wheres:         q.Wheres,
+			Wheres:         opts.Wheres,
 			Limit:          opts.Limit,
 			Broadcast:      pl.Broadcast,
 			FallbackReason: pl.FallbackReason,
-			Shards:         plan.SortShards(shards),
+			Shards:         shards,
 			Pruned:         g.cfg.NumShards - len(contacted),
 			Rounds:         followups,
-			EstRows:        pl.EstRows,
 			ActualRows:     matched,
 			PlanTime:       tScatter.Sub(tPlan),
 			ScatterTime:    tMerge.Sub(tScatter),
 			MergeTime:      time.Since(tMerge),
+			PerShard:       contacts,
 		}
-		for _, c := range contacts {
-			if est, ok := pl.PerShard[c.Shard]; ok {
-				c.EstRows = est
-			} else {
-				c.EstRows = -1
-			}
-			ex.PerShard = append(ex.PerShard, c)
-		}
-		sort.Slice(ex.PerShard, func(i, j int) bool { return ex.PerShard[i].Shard < ex.PerShard[j].Shard })
 	}
 	return verts, readTS, nil
 }
@@ -392,13 +334,6 @@ func dedupVertices(vs []graph.VertexID) []graph.VertexID {
 	return out
 }
 
-func absInt(n int) int {
-	if n < 0 {
-		return -n
-	}
-	return n
-}
-
 // handleIndexResult folds one shard's reply into the pending lookup.
 func (g *Gatekeeper) handleIndexResult(m wire.IndexResult) {
 	g.mu.Lock()
@@ -464,7 +399,7 @@ func (g *Gatekeeper) RunProgramWhere(key, value, prog string, params []byte) ([]
 	g.pinLocked(ts)
 	g.mu.Unlock()
 	defer g.Unpin(ts)
-	start, _, err := g.Lookup(ts, key, value)
+	start, _, err := g.Lookup(ts, LookupOptions{Wheres: wire.Eq(key, value)})
 	if err != nil || len(start) == 0 {
 		return nil, ts, err
 	}

@@ -79,7 +79,7 @@ func TestLookupScatterSendsConcurrently(t *testing.T) {
 	t.Cleanup(gk.Stop)
 
 	start := time.Now()
-	if _, _, err := gk.Lookup(core.Timestamp{}, "k", "v"); err != nil {
+	if _, _, err := gk.Lookup(core.Timestamp{}, LookupOptions{Wheres: wire.Eq("k", "v")}); err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
 	elapsed := time.Since(start)

@@ -40,18 +40,14 @@ type obsMetrics struct {
 
 	// Query-planner surfaces (internal/plan): how often plans are built
 	// and fall back to broadcast, how many shards each query touches vs.
-	// skips, how the cost model tracks reality, and the marker/statistics
-	// upkeep behind it all.
-	planBuild     *obs.Histogram // weaver_plan_build_seconds (marker catalog + estimate)
-	planEstErr    *obs.Histogram // weaver_plan_est_error_rows (|estimated - actual|)
+	// skips, and the marker upkeep behind it all.
+	planBuild     *obs.Histogram // weaver_plan_build_seconds (marker catalog reads)
 	plansBuilt    *obs.Counter   // weaver_plan_built_total
 	planFallback  *obs.Counter   // weaver_plan_fallback_total (broadcast plans)
 	planContacted *obs.Counter   // weaver_plan_shards_contacted_total
 	planPruned    *obs.Counter   // weaver_plan_shards_pruned_total
-	planPushdown  *obs.Counter   // weaver_plan_pushdown_hits_total (Wheres/Limit on the wire)
 	planRechecks  *obs.Counter   // weaver_plan_recheck_rounds_total (post-merge follow-ups)
 	markerWrites  *obs.Counter   // weaver_plan_marker_writes_total
-	statsInstall  *obs.Counter   // weaver_plan_stats_installs_total
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
@@ -69,14 +65,11 @@ func newObsMetrics(r *obs.Registry) obsMetrics {
 		reactive:   r.Counter("weaver_oracle_reactive_refines_total"),
 
 		planBuild:     r.LatencyHistogram("weaver_plan_build_seconds"),
-		planEstErr:    r.SizeHistogram("weaver_plan_est_error_rows"),
 		plansBuilt:    r.Counter("weaver_plan_built_total"),
 		planFallback:  r.Counter("weaver_plan_fallback_total"),
 		planContacted: r.Counter("weaver_plan_shards_contacted_total"),
 		planPruned:    r.Counter("weaver_plan_shards_pruned_total"),
-		planPushdown:  r.Counter("weaver_plan_pushdown_hits_total"),
 		planRechecks:  r.Counter("weaver_plan_recheck_rounds_total"),
 		markerWrites:  r.Counter("weaver_plan_marker_writes_total"),
-		statsInstall:  r.Counter("weaver_plan_stats_installs_total"),
 	}
 }

@@ -5,14 +5,12 @@ import (
 
 	"weaver/internal/graph"
 	"weaver/internal/plan"
-	"weaver/internal/wire"
 )
 
 // The gatekeeper's half of the query planner (internal/plan): it maintains
 // the value-presence marker catalog in the backing store — the monotone
-// (key, value, shard) records that make shard pruning sound — and installs
-// the per-shard cardinality statistics the shards publish for cost
-// estimates. See the package plan doc comment for the soundness argument.
+// (key, value, shard) records that make shard pruning sound. See the
+// package plan doc comment for the soundness argument.
 
 // markerValue is the body of a presence marker; only existence matters.
 var markerValue = []byte{1}
@@ -108,14 +106,4 @@ func (g *Gatekeeper) putMarkers(keys []string) error {
 		tx.Put(k, markerValue)
 	}
 	return tx.Commit()
-}
-
-// InstallIndexStats installs one shard's cardinality statistics into the
-// query planner — the synchronous half of statistics refresh, used by the
-// cluster under the migration fence so cost estimates never lag a
-// completed batch. Steady-state refresh arrives as periodic
-// wire.IndexStats publications through handle.
-func (g *Gatekeeper) InstallIndexStats(st wire.IndexStats) {
-	g.planner.Install(st)
-	g.m.statsInstall.Inc()
 }

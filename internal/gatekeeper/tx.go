@@ -65,7 +65,7 @@ func (g *Gatekeeper) CommitTx(reads []ReadCheck, ops []graph.Op) (CommitResult, 
 	t0 := time.Now()
 	// Admission control BEFORE taking the pause lock (a throttled commit
 	// must not block a migration batch's Pause): if the shards are more
-	// than MaxApplyLag write-sets behind, wait for them to catch up.
+	// than maxApplyLag write-sets behind, wait for them to catch up.
 	g.waitApplyLag()
 	g.pause.RLock()
 	defer g.pause.RUnlock()
@@ -140,21 +140,27 @@ func (g *Gatekeeper) CommitTx(reads []ReadCheck, ops []graph.Op) (CommitResult, 
 // shard is the cluster manager's problem, not the committer's).
 const applyLagTimeout = 2 * time.Second
 
-// waitApplyLag blocks while more than MaxApplyLag forwarded write-sets
+// maxApplyLag bounds how many forwarded write-sets may be awaiting shard
+// application before new commits are throttled (admission control). The
+// commit path (parallel OCC on the backing store) can sustainably outrun
+// the apply path; without a bound the backlog — and with it shard queue
+// memory, the oracle's dependency DAG, and the wait of anything that needs
+// the apply frontier (node programs, Quiesce, migration drains) — grows
+// without limit. The DAG's size feeds back into ordering-query cost, so a
+// modest bound keeps the whole pipeline fast.
+const maxApplyLag = 256
+
+// waitApplyLag blocks while more than maxApplyLag forwarded write-sets
 // await shard application. Applies proceed independently of commits, so
 // waiting here cannot deadlock; NOPs and announces keep flowing from
 // their own loops.
 func (g *Gatekeeper) waitApplyLag() {
-	max := int64(g.cfg.MaxApplyLag)
-	if max <= 0 {
-		return
-	}
-	if g.applyPending.Load() <= max {
+	if g.applyPending.Load() <= maxApplyLag {
 		return
 	}
 	deadline := time.Now().Add(applyLagTimeout)
 	wait := 50 * time.Microsecond
-	for g.applyPending.Load() > max {
+	for g.applyPending.Load() > maxApplyLag {
 		select {
 		case <-g.stop:
 			return

@@ -19,16 +19,19 @@
 //     tracks incarnation lifetimes and tags every posting with its
 //     incarnation ordinal;
 //   - value visibility: within the visible incarnation, the LAST (in
-//     apply order) posting whose Created is visible wins, and counts only
-//     if not visibly closed (graph's visibleProps map-overwrite walk).
+//     apply order) posting whose Created is visible and whose close is not
+//     wins (graph's visibleProps map-overwrite walk, which skips visibly
+//     closed versions and lets the last survivor overwrite the rest).
 //
 // The distinction matters under multi-gatekeeper concurrency: a reader's
 // predicate can find a version's close invisible (closer vector-after the
-// reader) while a later version is visible (concurrent, write-before-read
+// reader) while later versions are visible (concurrent, write-before-read
 // rule, §4.1) — naive per-posting interval tests would then report two
-// values for one vertex. Last-visible-wins resolves the inversion the
-// same deterministic way the graph store does, so an index lookup always
-// equals a brute-force scan of the versioned store at the same timestamp.
+// values for one vertex, and stopping at the newest visibly-created posting
+// would report none when that posting is visibly closed. Last-survivor-wins
+// resolves the inversion the same deterministic way the graph store does,
+// so an index lookup always equals a brute-force scan of the versioned
+// store at the same timestamp.
 //
 // Maintenance rides the shard apply path: ApplyTx consumes the same
 // operation stream the graph store applies, under the same
@@ -349,9 +352,10 @@ func visibleOrd(ls []Lifetime, before graph.Before) (uint64, bool) {
 }
 
 // visibleValue evaluates v's property value under before: the LAST posting
-// (apply order) of the visible incarnation whose Created is visible wins,
-// and counts only if not visibly closed — exactly the graph's
-// visibleProps materialization. Callers hold ix.mu (read) and kx.mu.
+// (apply order) of the visible incarnation whose Created is visible and
+// whose close is not — exactly the graph's visibleProps materialization,
+// which skips visibly closed versions and keeps walking. Callers hold
+// ix.mu (read) and kx.mu.
 func (ix *Index) visibleValue(kx *keyIndex, v graph.VertexID, before graph.Before) (string, bool) {
 	ord, ok := visibleOrd(ix.lives[v], before)
 	if !ok {
@@ -364,95 +368,109 @@ func (ix *Index) visibleValue(kx *keyIndex, v graph.VertexID, before graph.Befor
 			continue
 		}
 		if !p.Deleted.Zero() && before(p.Deleted) {
-			return "", false // visibly superseded or deleted
+			continue // visibly superseded or deleted; an earlier version may survive
 		}
 		return p.Value, true
 	}
 	return "", false
 }
 
+// Interval is a lexicographic value interval on one indexed key. An empty
+// Lo or Hi is an unbounded side; LoStrict/HiStrict exclude the bound
+// itself.
+type Interval struct {
+	Lo, Hi             string
+	LoStrict, HiStrict bool
+}
+
+// Contains reports whether val lies in the interval.
+func (iv Interval) Contains(val string) bool {
+	if iv.Lo != "" && (val < iv.Lo || iv.LoStrict && val == iv.Lo) {
+		return false
+	}
+	if iv.Hi != "" && (val > iv.Hi || iv.HiStrict && val == iv.Hi) {
+		return false
+	}
+	return true
+}
+
+// lockKey resolves key and takes the locks a lookup needs (released by
+// unlockKey); nil means the key is not indexed and nothing is held.
+func (ix *Index) lockKey(key string) *keyIndex {
+	if ix == nil {
+		return nil
+	}
+	kx := ix.keys[key]
+	if kx != nil {
+		ix.mu.RLock()
+		kx.mu.Lock()
+	}
+	return kx
+}
+
+func (ix *Index) unlockKey(kx *keyIndex) {
+	kx.mu.Unlock()
+	ix.mu.RUnlock()
+}
+
+// appendMatches appends the candidates of one value whose visible value is
+// that value. A vertex has one visible value, so walking several values
+// never reports it twice. Callers hold ix.mu (read) and kx.mu.
+func (ix *Index) appendMatches(out []graph.VertexID, kx *keyIndex, value string, before graph.Before) []graph.VertexID {
+	for v := range kx.candidates[value] {
+		if got, ok := ix.visibleValue(kx, v, before); ok && got == value {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // Lookup returns the vertices whose indexed property key equals value
 // under the visibility predicate, and whether the key is indexed at all.
 // Each vertex appears at most once; result order is unspecified.
 func (ix *Index) Lookup(key, value string, before graph.Before) ([]graph.VertexID, bool) {
-	if ix == nil {
-		return nil, false
-	}
-	kx := ix.keys[key]
+	kx := ix.lockKey(key)
 	if kx == nil {
 		return nil, false
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	kx.mu.Lock()
-	defer kx.mu.Unlock()
+	defer ix.unlockKey(kx)
+	return ix.appendMatches(nil, kx, value, before), true
+}
+
+// Scan returns the vertices whose indexed property value lies in iv under
+// the visibility predicate — one bounded walk of the sorted value layer,
+// an equality lookup per value inside the bounds. Each vertex appears at
+// most once; order is unspecified.
+func (ix *Index) Scan(key string, iv Interval, before graph.Before) ([]graph.VertexID, bool) {
+	kx := ix.lockKey(key)
+	if kx == nil {
+		return nil, false
+	}
+	defer ix.unlockKey(kx)
 	var out []graph.VertexID
-	for v := range kx.candidates[value] {
-		if got, ok := ix.visibleValue(kx, v, before); ok && got == value {
-			out = append(out, v)
+	for _, val := range kx.sorted[sort.SearchStrings(kx.sorted, iv.Lo):] {
+		if iv.Hi != "" && val > iv.Hi {
+			break
+		}
+		if iv.Contains(val) {
+			out = ix.appendMatches(out, kx, val, before)
 		}
 	}
 	return out, true
 }
 
 // VisibleValue reports v's visible value for the indexed key under the
-// visibility predicate — the per-vertex probe backing shard-side predicate
-// verification over an already-narrow candidate set, sparing the full
-// posting-list scan a LookupRange would cost. The second return is false
-// when the key is not indexed or v has no visible value for it.
+// visibility predicate — the per-vertex probe that verifies a conjunction's
+// remaining predicates over an already-narrow candidate set. The second
+// return is false when the key is not indexed or v has no visible value
+// for it.
 func (ix *Index) VisibleValue(key string, v graph.VertexID, before graph.Before) (string, bool) {
-	if ix == nil {
-		return "", false
-	}
-	kx := ix.keys[key]
+	kx := ix.lockKey(key)
 	if kx == nil {
 		return "", false
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	kx.mu.Lock()
-	defer kx.mu.Unlock()
+	defer ix.unlockKey(kx)
 	return ix.visibleValue(kx, v, before)
-}
-
-// LookupRange returns the vertices whose indexed property value lies in
-// [lo, hi] (lexicographic, inclusive) under the visibility predicate. An
-// empty lo means "from the smallest value"; an empty hi means "to the
-// largest". Each vertex appears at most once; order is unspecified.
-func (ix *Index) LookupRange(key, lo, hi string, before graph.Before) ([]graph.VertexID, bool) {
-	if ix == nil {
-		return nil, false
-	}
-	kx := ix.keys[key]
-	if kx == nil {
-		return nil, false
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	kx.mu.Lock()
-	defer kx.mu.Unlock()
-	start := 0
-	if lo != "" {
-		start = sort.SearchStrings(kx.sorted, lo)
-	}
-	var out []graph.VertexID
-	seen := make(map[graph.VertexID]struct{})
-	for _, val := range kx.sorted[start:] {
-		if hi != "" && val > hi {
-			break
-		}
-		for v := range kx.candidates[val] {
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			got, ok := ix.visibleValue(kx, v, before)
-			if ok && got >= lo && (hi == "" || got <= hi) {
-				out = append(out, v)
-			}
-		}
-	}
-	return out, true
 }
 
 // InsertRecord reconciles the index with a vertex record installed

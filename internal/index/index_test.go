@@ -98,14 +98,15 @@ func TestDeleteVertexEndsIncarnation(t *testing.T) {
 	wantIDs(t, lookup(t, ix, "kind", "user", 6)) // not re-set after recreation
 }
 
-// TestLastVisibleWinsUnderOrderInversion pins the multi-gatekeeper
-// anomaly the chain design exists for: a version's close can be INVISIBLE
-// (closer vector-after the reader) while a later version is VISIBLE
-// (concurrent, write-before-read). The graph materializes such reads with
-// a last-visible-wins walk; the index must answer identically — one
-// value, never two.
-func TestLastVisibleWinsUnderOrderInversion(t *testing.T) {
-	ix := New([]Spec{{Key: "c"}})
+// TestVisibleValueMatchesGraphViewUnderOrderInversion pins the
+// multi-gatekeeper anomaly the chain design exists for, against the
+// reference: graph.View. A version's close can be INVISIBLE (closer
+// vector-after the reader) while later versions are VISIBLE (concurrent,
+// write-before-read). The graph materializes such reads by skipping visibly
+// closed versions and letting the last survivor win; the index must answer
+// identically — one value, never two, and never none while the graph still
+// shows one.
+func TestVisibleValueMatchesGraphViewUnderOrderInversion(t *testing.T) {
 	// Two gatekeepers. Reader r = gk1's tick <0,5>.
 	r := core.Timestamp{Owner: 1, Clock: []uint64{0, 5}}
 	before := func(w core.Timestamp) bool {
@@ -118,52 +119,86 @@ func TestLastVisibleWinsUnderOrderInversion(t *testing.T) {
 		return true // concurrent: write-before-read
 	}
 	t1 := core.Timestamp{Owner: 1, Clock: []uint64{0, 1}} // before r
-	t2 := core.Timestamp{Owner: 1, Clock: []uint64{1, 9}} // vector-AFTER r
+	t2 := core.Timestamp{Owner: 1, Clock: []uint64{1, 9}} // same gatekeeper, vector-AFTER r
 	t3 := core.Timestamp{Owner: 0, Clock: []uint64{2, 2}} // CONCURRENT with r
-	ix.ApplyTx([]graph.Op{createOp("v"), setOp("v", "c", "x1")}, t1)
-	ix.Apply(setOp("v", "c", "x0"), t2) // refined after t1
-	ix.Apply(setOp("v", "c", "x1"), t3) // refined after t2 (oracle), concurrent with r
-
-	// Naive per-interval visibility would report v under x1 TWICE (the
-	// t1 posting's close at t2 is invisible, and the t3 posting is
-	// visible) and under x0 zero times with a three-value variant.
-	// Last-visible-wins: the t3 posting is the last visibly-created one.
-	ids, _ := ix.Lookup("c", "x1", before)
-	if len(ids) != 1 || ids[0] != "v" {
-		t.Fatalf("lookup x1 = %v, want exactly [v]", ids)
+	t4 := core.Timestamp{Owner: 0, Clock: []uint64{3, 2}} // CONCURRENT with r
+	type step struct {
+		op graph.Op
+		ts core.Timestamp
 	}
-	ids, _ = ix.Lookup("c", "x0", before)
-	if len(ids) != 0 {
-		t.Fatalf("lookup x0 = %v, want empty", ids)
-	}
-	// Range scans must dedupe identically.
-	ids, _ = ix.LookupRange("c", "", "", before)
-	if len(ids) != 1 || ids[0] != "v" {
-		t.Fatalf("range = %v, want exactly [v]", ids)
+	delProp := graph.Op{Kind: graph.OpDelVertexProp, Vertex: "v", Key: "c"}
+	for _, tc := range []struct {
+		name  string
+		steps []step // in refined (apply) order, after create+set x1 at t1
+		want  string
+	}{
+		// Naive per-interval visibility would report v under x1 TWICE: the
+		// t1 posting's close at t2 is invisible and the t3 posting is visible.
+		{"later visible set wins", []step{{setOp("v", "c", "x0"), t2}, {setOp("v", "c", "x1"), t3}}, "x1"},
+		// The newest visibly-created posting (t3) is visibly closed (t4), but
+		// the t1 posting's close (t2) is invisible: the graph still shows x1.
+		{"visibly closed newest falls back", []step{{setOp("v", "c", "x0"), t2}, {setOp("v", "c", "x2"), t3}, {delProp, t4}}, "x1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.NewStore()
+			ix := New([]Spec{{Key: "c"}})
+			steps := append([]step{{createOp("v"), t1}, {setOp("v", "c", "x1"), t1}}, tc.steps...)
+			for _, st := range steps {
+				if err := g.Apply(st.op, st.ts); err != nil {
+					t.Fatalf("graph apply %+v: %v", st.op, err)
+				}
+				ix.Apply(st.op, st.ts)
+			}
+			vv, ok := g.At(before).Vertex("v")
+			if !ok || vv.Props["c"] != tc.want {
+				t.Fatalf("graph view: props %v (visible %v), want c=%s", vv, ok, tc.want)
+			}
+			if got, ok := ix.VisibleValue("c", "v", before); !ok || got != tc.want {
+				t.Fatalf("index VisibleValue = %q, %v; graph view says %q", got, ok, tc.want)
+			}
+			for _, val := range []string{"x0", "x1", "x2"} {
+				ids, _ := ix.Lookup("c", val, before)
+				if want := val == tc.want; (len(ids) == 1) != want || len(ids) > 1 {
+					t.Fatalf("Lookup(%s) = %v, want match=%v exactly once", val, ids, want)
+				}
+			}
+			if ids, _ := ix.Scan("c", Interval{}, before); len(ids) != 1 || ids[0] != "v" {
+				t.Fatalf("Scan = %v, want exactly [v]", ids)
+			}
+		})
 	}
 }
 
-func TestLookupRange(t *testing.T) {
+func TestScan(t *testing.T) {
 	ix := New([]Spec{{Key: "n"}})
 	for i, v := range []string{"05", "01", "03", "04", "02"} {
 		vid := graph.VertexID("v" + v)
 		ix.ApplyTx([]graph.Op{createOp(vid), setOp(vid, "n", v)}, ts(uint64(i+1)))
 	}
-	rng := func(lo, hi string) []graph.VertexID {
-		ids, ok := ix.LookupRange("n", lo, hi, at(10))
+	scan := func(iv Interval) []graph.VertexID {
+		ids, ok := ix.Scan("n", iv, at(10))
 		if !ok {
-			t.Fatal("range: key not indexed")
+			t.Fatal("scan: key not indexed")
 		}
 		return ids
 	}
 	// Grouped by ascending value — the sorted layer's order.
-	wantIDs(t, rng("02", "04"), "v02", "v03", "v04")
-	wantIDs(t, rng("", "01"), "v01")
-	wantIDs(t, rng("04", ""), "v04", "v05")
-	wantIDs(t, rng("", ""), "v01", "v02", "v03", "v04", "v05")
-	wantIDs(t, rng("06", ""))
+	wantIDs(t, scan(Interval{Lo: "02", Hi: "04"}), "v02", "v03", "v04")
+	wantIDs(t, scan(Interval{Hi: "01"}), "v01")
+	wantIDs(t, scan(Interval{Lo: "04"}), "v04", "v05")
+	wantIDs(t, scan(Interval{}), "v01", "v02", "v03", "v04", "v05")
+	wantIDs(t, scan(Interval{Lo: "06"}))
 	// Half-open probes between values.
-	wantIDs(t, rng("015", "035"), "v02", "v03")
+	wantIDs(t, scan(Interval{Lo: "015", Hi: "035"}), "v02", "v03")
+	// Strict bounds exclude the bound itself; a bound between values is
+	// unaffected by strictness.
+	wantIDs(t, scan(Interval{Lo: "02", LoStrict: true, Hi: "04", HiStrict: true}), "v03")
+	wantIDs(t, scan(Interval{Lo: "015", LoStrict: true, Hi: "035", HiStrict: true}), "v02", "v03")
+	wantIDs(t, scan(Interval{Lo: "03", LoStrict: true, Hi: "03"}))
+	wantIDs(t, scan(Interval{Lo: "04", Hi: "02"}))
+	if _, ok := ix.Scan("nope", Interval{}, at(10)); ok {
+		t.Fatal("Scan on unindexed key reported ok")
+	}
 }
 
 func TestCollectBeforeTrimsHistoryAndSortedLayer(t *testing.T) {
@@ -185,7 +220,7 @@ func TestCollectBeforeTrimsHistoryAndSortedLayer(t *testing.T) {
 	}
 	// Value "a" and "c" candidate sets are gone; the sorted layer must
 	// not hand range scans dangling values.
-	ids, _ := ix.LookupRange("city", "", "", at(20))
+	ids, _ := ix.Scan("city", Interval{}, at(20))
 	wantIDs(t, ids, "v1")
 	// Live postings survive any watermark.
 	wantIDs(t, lookup(t, ix, "city", "b", 20), "v1")

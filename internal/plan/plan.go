@@ -1,10 +1,11 @@
-// Package plan turns cross-shard index queries into explicit execution
-// plans: which shards to contact, what to push down, and what the result
-// size should be — replacing the gatekeeper's blanket broadcast with
-// cost-based scatter (the locality-aware query planning the
-// graph-database taxonomy calls the gap between prototype and production
-// stores; Weaver's own evaluation shows cross-shard coordination
-// dominating read latency, §6).
+// Package plan decides which shards a cross-shard index query contacts:
+// marker-catalog pruning plus pushdown. Every query is a predicate
+// conjunction that the contacted shards evaluate locally (predicates and
+// limit are pushed down on the wire); the planner's only output is the
+// shard set — the shards whose marker catalog admits a match for every
+// equality predicate, or all of them when the conjunction has none.
+// Weaver's own evaluation shows cross-shard coordination dominating read
+// latency (§6), so not contacting a shard is the saving that matters.
 //
 // # Soundness: the value-presence marker catalog
 //
@@ -32,20 +33,10 @@
 // observed either fully or not at all. Because markers only accrete,
 // staleness is one-sided: a marker for a value no vertex carries anymore
 // costs one empty-handed shard visit, never a missed match.
-//
-// # Statistics: estimation only
-//
-// Per-shard, per-key cardinality statistics (distinct counts plus a small
-// equi-depth histogram, published by shards and refreshed synchronously
-// under the migration fence) drive the row estimates surfaced through
-// EXPLAIN and the estimated-vs-actual error metric. They never influence
-// which shards may be skipped.
 package plan
 
 import (
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"weaver/internal/wire"
@@ -72,41 +63,27 @@ type MarkerReader interface {
 
 // Query is one index query as the planner sees it.
 type Query struct {
-	// Wheres is the predicate conjunction (a legacy single-equality
-	// lookup arrives as one OpEq predicate).
+	// Wheres is the predicate conjunction.
 	Wheres []wire.Where
-	// Range marks the legacy Lo/Hi range form, which carries no equality
-	// predicate and therefore broadcasts.
-	Range bool
-	// Limit is the global result cap (0 = unlimited); recorded in the
-	// plan for EXPLAIN.
-	Limit int
 }
 
-// Plan is the executable outcome: the shard set to contact and the cost
-// estimate behind it.
+// Plan is the executable outcome: the shard set to contact.
 type Plan struct {
 	// Shards to contact, ascending. On the broadcast fallback this is
 	// every shard.
 	Shards []int
-	// Broadcast marks the legacy fallback path; FallbackReason says why
-	// ("planning disabled", "no equality predicate", ...).
+	// Broadcast marks the contact-everyone fallback; FallbackReason says
+	// why ("no equality predicate", "forced broadcast", ...).
 	Broadcast      bool
 	FallbackReason string
-	// EstRows is the estimated result size before limiting, -1 when no
-	// statistics cover the query. PerShard holds the per-shard component
-	// (same -1 convention).
-	EstRows  int
-	PerShard map[int]int
 }
 
 // ShardContact is one shard's row in an Explanation.
 type ShardContact struct {
 	Shard   int
-	EstRows int // -1 = no statistics
 	Rows    int // vertices returned (after shard-side limit)
-	Matched int // shard-local matches before limit (pushed-down queries)
-	Scanned int // candidate postings examined (pushed-down queries)
+	Matched int // shard-local matches before limit
+	Scanned int // candidate postings and probes examined
 }
 
 // Explanation is the EXPLAIN surface: filled in by the gatekeeper while
@@ -122,56 +99,35 @@ type Explanation struct {
 	Shards []int
 	Pruned int
 	Rounds int
-	// EstRows (-1 = no statistics) vs ActualRows, the cost-model error
-	// surface.
-	EstRows    int
+	// ActualRows is the cluster-wide match count before limiting.
 	ActualRows int
-	// Per-stage timings from the obs clock: plan build (marker catalog +
-	// statistics), scatter (issue + gather), merge (sort/dedupe/limit).
+	// Per-stage timings from the obs clock: plan build (marker catalog
+	// reads), scatter (issue + gather), merge (sort/dedupe/limit).
 	PlanTime    time.Duration
 	ScatterTime time.Duration
 	MergeTime   time.Duration
 	PerShard    []ShardContact
 }
 
-// Planner holds one gatekeeper's planning state: the marker catalog
-// reader and the per-shard statistics table. Safe for concurrent use.
+// Planner holds one gatekeeper's planning state: the shard count and the
+// marker catalog reader. Safe for concurrent use.
 type Planner struct {
 	shards  int
 	markers MarkerReader
-
-	mu    sync.RWMutex
-	stats []map[string]wire.KeyCard // per shard: key → cardinality
 }
 
 // New builds a planner over the given shard count and marker catalog.
 func New(shards int, markers MarkerReader) *Planner {
-	return &Planner{shards: shards, markers: markers, stats: make([]map[string]wire.KeyCard, shards)}
-}
-
-// Install replaces one shard's statistics (from a periodic wire.IndexStats
-// publication or the synchronous migration-fence refresh).
-func (p *Planner) Install(st wire.IndexStats) {
-	if p == nil || st.Shard < 0 || st.Shard >= p.shards {
-		return
-	}
-	m := make(map[string]wire.KeyCard, len(st.Keys))
-	for _, k := range st.Keys {
-		m[k.Key] = k
-	}
-	p.mu.Lock()
-	p.stats[st.Shard] = m
-	p.mu.Unlock()
+	return &Planner{shards: shards, markers: markers}
 }
 
 // Broadcast returns the fallback plan contacting every shard, with the
 // reason recorded for EXPLAIN and the fallback counter.
-func (p *Planner) Broadcast(q Query, reason string) Plan {
+func (p *Planner) Broadcast(reason string) Plan {
 	pl := Plan{Broadcast: true, FallbackReason: reason, Shards: make([]int, p.shards)}
 	for i := range pl.Shards {
 		pl.Shards[i] = i
 	}
-	p.estimate(q, &pl)
 	return pl
 }
 
@@ -181,13 +137,11 @@ func (p *Planner) Broadcast(q Query, reason string) Plan {
 // empty — the query's result is then provably empty (subject to the
 // caller's marker re-check).
 func (p *Planner) Build(q Query) Plan {
-	eqs := equalities(q.Wheres)
-	if q.Range || len(eqs) == 0 {
-		return p.Broadcast(q, "no equality predicate")
+	eqs := Equalities(q.Wheres)
+	if len(eqs) == 0 {
+		return p.Broadcast("no equality predicate")
 	}
-	pl := Plan{Shards: p.MatchShards(eqs, nil)}
-	p.estimate(q, &pl)
-	return pl
+	return Plan{Shards: p.MatchShards(eqs, nil)}
 }
 
 // MatchShards returns the shards on which EVERY equality predicate has a
@@ -217,7 +171,7 @@ func (p *Planner) MatchShards(eqs []wire.Where, skip map[int]struct{}) []int {
 }
 
 // Equalities extracts the equality predicates of a conjunction.
-func equalities(ws []wire.Where) []wire.Where {
+func Equalities(ws []wire.Where) []wire.Where {
 	var out []wire.Where
 	for _, w := range ws {
 		if w.Op == wire.OpEq {
@@ -225,111 +179,4 @@ func equalities(ws []wire.Where) []wire.Where {
 		}
 	}
 	return out
-}
-
-// Equalities is the exported form used by the gatekeeper's re-check.
-func Equalities(ws []wire.Where) []wire.Where { return equalities(ws) }
-
-// estimate fills the plan's row estimates from the statistics table: per
-// shard, the most selective predicate's estimate (a conjunction returns
-// at most its narrowest predicate's rows); -1 when no statistics cover a
-// contacted shard.
-func (p *Planner) estimate(q Query, pl *Plan) {
-	pl.PerShard = make(map[int]int, len(pl.Shards))
-	pl.EstRows = 0
-	known := true
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, s := range pl.Shards {
-		est := p.estimateShard(s, q)
-		pl.PerShard[s] = est
-		if est < 0 {
-			known = false
-			continue
-		}
-		pl.EstRows += est
-	}
-	if !known {
-		pl.EstRows = -1
-	}
-}
-
-// estimateShard estimates one shard's pre-limit match count, or -1. The
-// legacy range form estimates from the histogram of q's first predicate
-// key when present. Callers hold p.mu.
-func (p *Planner) estimateShard(s int, q Query) int {
-	stats := p.stats[s]
-	if stats == nil || len(q.Wheres) == 0 {
-		return -1
-	}
-	best := -1
-	for _, w := range q.Wheres {
-		card, ok := stats[w.Key]
-		if !ok {
-			continue
-		}
-		est := estimateWhere(card, w)
-		if best < 0 || est < best {
-			best = est
-		}
-	}
-	return best
-}
-
-// estimateWhere estimates one predicate's match count on one shard from
-// its cardinality summary: uniform value spread for equality, equi-depth
-// bucket overlap for inequalities.
-func estimateWhere(card wire.KeyCard, w wire.Where) int {
-	if card.Postings == 0 {
-		return 0
-	}
-	switch w.Op {
-	case wire.OpEq:
-		if card.Distinct == 0 {
-			return 0
-		}
-		return int((card.Postings + card.Distinct - 1) / card.Distinct)
-	default:
-		if len(card.Bounds) == 0 {
-			return int(card.Postings)
-		}
-		depth := int(card.Postings) / len(card.Bounds)
-		if depth == 0 {
-			depth = 1
-		}
-		// Buckets are (prev, bound] intervals; count those a one-sided
-		// predicate can overlap. Empty values inherit the unbounded-side
-		// convention, matching shard evaluation.
-		overlap := 0
-		for i, b := range card.Bounds {
-			lo := ""
-			if i > 0 {
-				lo = card.Bounds[i-1]
-			}
-			switch w.Op {
-			case wire.OpGe, wire.OpGt:
-				if w.Value == "" || b >= w.Value {
-					overlap++
-				}
-			case wire.OpLe, wire.OpLt:
-				if w.Value == "" || lo <= w.Value {
-					overlap++
-				}
-			default:
-				overlap++
-			}
-		}
-		est := overlap * depth
-		if est > int(card.Postings) {
-			est = int(card.Postings)
-		}
-		return est
-	}
-}
-
-// SortShards sorts a shard list ascending in place and returns it (the
-// deterministic order plans and explanations report).
-func SortShards(shards []int) []int {
-	sort.Ints(shards)
-	return shards
 }

@@ -79,7 +79,7 @@ func TestBuildBroadcastsWithoutEquality(t *testing.T) {
 	p := New(3, m)
 
 	for _, q := range []Query{
-		{Range: true},
+		{Wheres: wire.Between("kind", "a", "b")},
 		{Wheres: []wire.Where{{Key: "kind", Op: wire.OpGe, Value: "a"}}},
 	} {
 		pl := p.Build(q)
@@ -111,80 +111,9 @@ func TestMatchShardsSkipsContacted(t *testing.T) {
 	}
 }
 
-func TestEstimateEqualityUsesDistinct(t *testing.T) {
-	m := fakeMarkers{}
-	m.set("kind", "block", 0)
-	p := New(2, m)
-	p.Install(wire.IndexStats{Shard: 0, Keys: []wire.KeyCard{
-		{Key: "kind", Distinct: 4, Postings: 100},
-	}})
-
-	pl := p.Build(Query{Wheres: []wire.Where{eq("kind", "block")}})
-	if pl.EstRows != 25 {
-		t.Fatalf("EstRows = %d, want 25 (100 postings / 4 distinct)", pl.EstRows)
-	}
-	if pl.PerShard[0] != 25 {
-		t.Fatalf("PerShard[0] = %d, want 25", pl.PerShard[0])
-	}
-}
-
-func TestEstimateUnknownWithoutStats(t *testing.T) {
-	m := fakeMarkers{}
-	m.set("kind", "block", 0)
-	m.set("kind", "block", 1)
-	p := New(2, m)
-	p.Install(wire.IndexStats{Shard: 0, Keys: []wire.KeyCard{
-		{Key: "kind", Distinct: 2, Postings: 10},
-	}})
-	// Shard 1 never published: the total is unknown, the known shard keeps
-	// its component.
-	pl := p.Build(Query{Wheres: []wire.Where{eq("kind", "block")}})
-	if pl.EstRows != -1 {
-		t.Fatalf("EstRows = %d, want -1 with a stats-less shard contacted", pl.EstRows)
-	}
-	if pl.PerShard[0] != 5 || pl.PerShard[1] != -1 {
-		t.Fatalf("PerShard = %v, want {0:5 1:-1}", pl.PerShard)
-	}
-}
-
-func TestEstimateConjunctionTakesNarrowest(t *testing.T) {
-	m := fakeMarkers{}
-	m.set("kind", "block", 0)
-	m.set("city", "nyc", 0)
-	p := New(1, m)
-	p.Install(wire.IndexStats{Shard: 0, Keys: []wire.KeyCard{
-		{Key: "kind", Distinct: 2, Postings: 100},  // est 50
-		{Key: "city", Distinct: 50, Postings: 100}, // est 2
-	}})
-	pl := p.Build(Query{Wheres: []wire.Where{eq("kind", "block"), eq("city", "nyc")}})
-	if pl.EstRows != 2 {
-		t.Fatalf("EstRows = %d, want 2 (narrowest predicate)", pl.EstRows)
-	}
-}
-
-func TestEstimateInequalityHistogramOverlap(t *testing.T) {
-	card := wire.KeyCard{Key: "v", Distinct: 8, Postings: 80,
-		Bounds: []string{"b", "d", "f", "h"}} // depth 20 per bucket
-	// v >= "g" overlaps only the last bucket ("f","h"].
-	got := estimateWhere(card, wire.Where{Key: "v", Op: wire.OpGe, Value: "g"})
-	if got != 20 {
-		t.Fatalf("OpGe overlap estimate = %d, want 20", got)
-	}
-	// v <= "c" overlaps buckets 1 and 2 (lo "" and lo "b").
-	got = estimateWhere(card, wire.Where{Key: "v", Op: wire.OpLe, Value: "c"})
-	if got != 40 {
-		t.Fatalf("OpLe overlap estimate = %d, want 40", got)
-	}
-	// Unbounded side covers everything, capped at Postings.
-	got = estimateWhere(card, wire.Where{Key: "v", Op: wire.OpGe, Value: ""})
-	if got != 80 {
-		t.Fatalf("unbounded estimate = %d, want 80", got)
-	}
-}
-
 func TestBroadcastRecordsReason(t *testing.T) {
 	p := New(2, fakeMarkers{})
-	pl := p.Broadcast(Query{}, "planning disabled")
+	pl := p.Broadcast("planning disabled")
 	if !pl.Broadcast || pl.FallbackReason != "planning disabled" {
 		t.Fatalf("Broadcast plan = %+v", pl)
 	}

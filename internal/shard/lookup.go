@@ -49,22 +49,7 @@ func (s *Shard) answerLookup(m wire.IndexLookup) {
 		})
 		return
 	}
-	before := s.visible(m.ReadTS)
-	var (
-		ids              []graph.VertexID
-		indexed          bool
-		matched, scanned int
-	)
-	switch {
-	case len(m.Wheres) > 0:
-		// Pushed-down predicate conjunction: Key/Value/Lo/Hi/Range are
-		// ignored by contract (wire.IndexLookup).
-		ids, matched, scanned, indexed = s.evalWheres(m.Wheres, m.Limit, before)
-	case m.Range:
-		ids, indexed = s.idx.LookupRange(m.Key, m.Lo, m.Hi, before)
-	default:
-		ids, indexed = s.idx.Lookup(m.Key, m.Value, before)
-	}
+	ids, matched, scanned, indexed := s.evalWheres(m.Wheres, m.Limit, s.visible(m.ReadTS))
 	if !indexed {
 		s.ep.Send(m.Reply, wire.IndexResult{
 			QID:     m.QID,
@@ -75,107 +60,64 @@ func (s *Shard) answerLookup(m wire.IndexLookup) {
 		})
 		return
 	}
-	res := wire.IndexResult{QID: m.QID, Shard: s.cfg.ID, Vertices: ids, Trace: m.Trace}
-	if len(m.Wheres) > 0 {
-		// Matched/Scanned ride the wire only for pushed-down queries, so
-		// plain lookups keep their pre-extension frame bytes.
-		res.Matched, res.Scanned = matched, scanned
-	}
-	s.ep.Send(m.Reply, res)
+	s.ep.Send(m.Reply, wire.IndexResult{
+		QID: m.QID, Shard: s.cfg.ID, Vertices: ids,
+		Matched: matched, Scanned: scanned, Trace: m.Trace,
+	})
 }
 
-// evalWheres evaluates a pushed-down predicate conjunction against the
-// secondary indexes at one visibility snapshot, sorted ascending and
-// truncated to limit — the deterministic shard-side half of the
-// gatekeeper's global merge (the global result is the first N of the
-// union, so each shard's first N suffice). matched is this shard's
-// pre-limit match count and scanned the candidate postings (or probes) the
-// evaluation touched — the planner's actual-cost feedback.
+// evalWheres evaluates a predicate conjunction against the secondary
+// indexes at one visibility snapshot, sorted ascending and truncated to
+// limit — the deterministic shard-side half of the gatekeeper's global
+// merge (the global result is the first N of the union, so each shard's
+// first N suffice). matched is this shard's pre-limit match count and
+// scanned the candidate postings and probes the evaluation touched.
+// indexed is false when the conjunction is empty, names an unindexed key or
+// carries an unknown operator.
 //
-// Evaluation order is selectivity-driven: equality predicates seed the
-// candidate set straight from their posting lists (typically a handful of
-// vertices), and every remaining predicate is then verified per candidate
-// with a point probe (index.VisibleValue) — an inequality in a conjunction
-// that also has an equality never pays for materializing its full range.
-// Only an inequality-only conjunction falls back to range scans and set
-// intersection.
-//
-// Inequality strictness: the index's range layer is inclusive, so on the
-// range-scan path OpGt and OpLt evaluate the inclusive one-sided range and
-// subtract the boundary value's own matches — exact because vertex
-// properties are single-valued. An empty Value on an inequality means the
-// unbounded side, matching LookupRange's convention; whereHolds mirrors
-// both rules for the probe path.
+// One predicate seeds the candidate set: the first equality, straight from
+// its posting list (typically a handful of vertices), or failing that the
+// first key's inequalities, folded into one interval (foldBounds) and
+// served by one bounded range scan. Everything else is then verified per
+// candidate with a point probe (index.VisibleValue), so only the seed ever
+// pays for materializing its matches.
 func (s *Shard) evalWheres(ws []wire.Where, limit int, before graph.Before) (ids []graph.VertexID, matched, scanned int, indexed bool) {
+	if len(ws) == 0 {
+		return nil, 0, 0, false
+	}
+	var eqs []wire.Where
 	for _, w := range ws {
 		if !s.idx.HasKey(w.Key) || w.Op > wire.OpLt {
 			return nil, 0, 0, false
 		}
-	}
-	var eqs, rest []wire.Where
-	for _, w := range ws {
 		if w.Op == wire.OpEq {
 			eqs = append(eqs, w)
-		} else {
-			rest = append(rest, w)
 		}
 	}
-	if len(eqs) == 0 {
-		// No equality to seed from: materialize each range and intersect.
-		eqs, rest = ws, nil
+	ranges := foldBounds(ws)
+	if len(eqs) > 0 {
+		ids, _ = s.idx.Lookup(eqs[0].Key, eqs[0].Value, before)
+		eqs = eqs[1:]
+	} else {
+		ids, _ = s.idx.Scan(ranges[0].key, ranges[0].iv, before)
+		ranges = ranges[1:]
 	}
-	var cur map[graph.VertexID]struct{}
-	for i, w := range eqs {
-		var vs []graph.VertexID
-		var ok bool
-		switch w.Op {
-		case wire.OpEq:
-			vs, ok = s.idx.Lookup(w.Key, w.Value, before)
-		case wire.OpGe:
-			vs, ok = s.idx.LookupRange(w.Key, w.Value, "", before)
-		case wire.OpLe:
-			vs, ok = s.idx.LookupRange(w.Key, "", w.Value, before)
-		case wire.OpGt:
-			vs, ok = s.rangeStrict(w.Key, w.Value, "", before)
-		case wire.OpLt:
-			vs, ok = s.rangeStrict(w.Key, "", w.Value, before)
-		}
-		if !ok {
-			return nil, 0, 0, false
-		}
-		scanned += len(vs)
-		if i == 0 {
-			cur = make(map[graph.VertexID]struct{}, len(vs))
-			for _, v := range vs {
-				cur[v] = struct{}{}
-			}
-		} else {
-			next := make(map[graph.VertexID]struct{}, min(len(cur), len(vs)))
-			for _, v := range vs {
-				if _, in := cur[v]; in {
-					next[v] = struct{}{}
-				}
-			}
-			cur = next
-		}
-		if len(cur) == 0 {
-			break // conjunction already empty; later predicates were key-checked above
-		}
-	}
-	for _, w := range rest {
-		if len(cur) == 0 {
-			break
-		}
-		scanned += len(cur)
-		for v := range cur {
-			if val, ok := s.idx.VisibleValue(w.Key, v, before); !ok || !whereHolds(w.Op, val, w.Value) {
-				delete(cur, v)
+	scanned = len(ids)
+	verify := func(key string, holds func(val string) bool) {
+		scanned += len(ids)
+		kept := ids[:0]
+		for _, v := range ids {
+			if val, ok := s.idx.VisibleValue(key, v, before); ok && holds(val) {
+				kept = append(kept, v)
 			}
 		}
+		ids = kept
 	}
-	ids = make([]graph.VertexID, 0, len(cur))
-	for v := range cur {
-		ids = append(ids, v)
+	for _, w := range eqs {
+		verify(w.Key, func(val string) bool { return val == w.Value })
+	}
+	for _, r := range ranges {
+		verify(r.key, r.iv.Contains)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	matched = len(ids)
@@ -185,53 +127,46 @@ func (s *Shard) evalWheres(ws []wire.Where, limit int, before graph.Before) (ids
 	return ids, matched, scanned, true
 }
 
-// whereHolds reports whether a visible value satisfies one predicate — the
-// probe-path twin of the range evaluation in evalWheres, including the
-// empty-bound-means-unbounded convention.
-func whereHolds(op byte, val, bound string) bool {
-	switch op {
-	case wire.OpEq:
-		return val == bound
-	case wire.OpGe:
-		return val >= bound // any value >= "", so the unbounded side is free
-	case wire.OpLe:
-		return bound == "" || val <= bound
-	case wire.OpGt:
-		return bound == "" || val > bound
-	case wire.OpLt:
-		return bound == "" || val < bound
-	}
-	return false
+// keyInterval is the intersection of one key's inequality predicates.
+type keyInterval struct {
+	key string
+	iv  index.Interval
 }
 
-// rangeStrict is LookupRange with a strict bound on the non-empty side.
-func (s *Shard) rangeStrict(key, lo, hi string, before graph.Before) ([]graph.VertexID, bool) {
-	ids, ok := s.idx.LookupRange(key, lo, hi, before)
-	if !ok {
-		return nil, false
-	}
-	bound := lo
-	if bound == "" {
-		bound = hi
-	}
-	if bound == "" {
-		return ids, true // both sides unbounded: strictness is moot
-	}
-	ex, _ := s.idx.Lookup(key, bound, before)
-	if len(ex) == 0 {
-		return ids, true
-	}
-	drop := make(map[graph.VertexID]struct{}, len(ex))
-	for _, v := range ex {
-		drop[v] = struct{}{}
-	}
-	out := ids[:0]
-	for _, v := range ids {
-		if _, d := drop[v]; !d {
-			out = append(out, v)
+// foldBounds intersects a conjunction's inequality predicates per key, in
+// first-seen key order: each side keeps its tightest bound, a strict bound
+// beating an inclusive one at the same value. An empty Value is the
+// unbounded side and narrows nothing (the key still gets its interval: "has
+// any value"). Contradictory bounds need no special case — index.Interval
+// contains nothing when Lo > Hi.
+func foldBounds(ws []wire.Where) []keyInterval {
+	var keys []keyInterval
+	for _, w := range ws {
+		if w.Op == wire.OpEq {
+			continue
+		}
+		i := 0
+		for i < len(keys) && keys[i].key != w.Key {
+			i++
+		}
+		if i == len(keys) {
+			keys = append(keys, keyInterval{key: w.Key})
+		}
+		iv := &keys[i].iv
+		strict := w.Op == wire.OpGt || w.Op == wire.OpLt
+		switch {
+		case w.Value == "":
+		case w.Op == wire.OpGe || w.Op == wire.OpGt:
+			if iv.Lo == "" || w.Value > iv.Lo || w.Value == iv.Lo && strict {
+				iv.Lo, iv.LoStrict = w.Value, strict
+			}
+		default:
+			if iv.Hi == "" || w.Value < iv.Hi || w.Value == iv.Hi && strict {
+				iv.Hi, iv.HiStrict = w.Value, strict
+			}
 		}
 	}
-	return out, true
+	return keys
 }
 
 // DetachIndex removes and returns the encoded posting history of the

@@ -8,19 +8,17 @@ import "weaver/internal/obs"
 // (gatekeeper send instant → shard receipt, measured against the trace
 // mark), shard_queue (receipt → apply start), and shard_apply.
 type obsMetrics struct {
-	tracer       *obs.Tracer
-	queueWait    *obs.Histogram // weaver_shard_queue_wait_seconds
-	applyDur     *obs.Histogram // weaver_shard_apply_seconds
-	batchTx      *obs.Histogram // weaver_shard_batch_txns (per-batch size)
-	statsPublish *obs.Counter   // weaver_index_stats_published_total
+	tracer    *obs.Tracer
+	queueWait *obs.Histogram // weaver_shard_queue_wait_seconds
+	applyDur  *obs.Histogram // weaver_shard_apply_seconds
+	batchTx   *obs.Histogram // weaver_shard_batch_txns (per-batch size)
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
 	return obsMetrics{
-		tracer:       r.Tracer(),
-		queueWait:    r.LatencyHistogram("weaver_shard_queue_wait_seconds"),
-		applyDur:     r.LatencyHistogram("weaver_shard_apply_seconds"),
-		batchTx:      r.SizeHistogram("weaver_shard_batch_txns"),
-		statsPublish: r.Counter("weaver_index_stats_published_total"),
+		tracer:    r.Tracer(),
+		queueWait: r.LatencyHistogram("weaver_shard_queue_wait_seconds"),
+		applyDur:  r.LatencyHistogram("weaver_shard_apply_seconds"),
+		batchTx:   r.SizeHistogram("weaver_shard_batch_txns"),
 	}
 }

@@ -33,7 +33,6 @@ package shard
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -177,11 +176,8 @@ type Shard struct {
 	pager      Pager
 	pool       *workerPool
 	heat       *heatMap
-	// statsAt is the last index-statistics publication instant
-	// (event-loop owned; see maybePublishStats).
-	statsAt  time.Time
-	pagedIn  atomic.Uint64
-	pagedOut atomic.Uint64
+	pagedIn    atomic.Uint64
+	pagedOut   atomic.Uint64
 
 	hopSeq atomic.Uint64
 
@@ -212,11 +208,6 @@ const (
 	// parallel apply batch may contain, bounding the latency of the batch
 	// barrier.
 	maxBatch = 256
-	// statsPeriod bounds how often a shard publishes per-key index
-	// cardinality statistics (wire.IndexStats) to the gatekeepers for
-	// query-plan cost estimates. Estimates only: pruning soundness rests
-	// on the marker catalog, not statistics.
-	statsPeriod = 250 * time.Millisecond
 )
 
 // New wires a shard server. Call Start to launch its event loop.
@@ -557,50 +548,8 @@ func (s *Shard) run() {
 		case <-s.ep.Recv():
 			s.drain()
 			s.pump()
-			s.maybePublishStats()
 		}
 	}
-}
-
-// maybePublishStats broadcasts this shard's index cardinality statistics
-// to every gatekeeper, rate-limited to one publication per statsPeriod.
-// It runs on the event loop after each pump — the gatekeepers' NOP streams
-// keep the loop waking, so no dedicated timer is needed — and the first
-// call publishes immediately so planners have estimates soon after
-// startup, recovery, or bulk ingest.
-func (s *Shard) maybePublishStats() {
-	if len(s.cfg.Indexes) == 0 {
-		return
-	}
-	now := time.Now()
-	if !s.statsAt.IsZero() && now.Sub(s.statsAt) < statsPeriod {
-		return
-	}
-	s.statsAt = now
-	st := s.IndexStats()
-	for i := 0; i < s.cfg.NumGatekeepers; i++ {
-		s.ep.Send(transport.GatekeeperAddr(i), st)
-	}
-	s.m.statsPublish.Inc()
-}
-
-// IndexStats snapshots this shard's per-key index cardinality statistics
-// in wire form, keys sorted for determinism. Safe to call off the event
-// loop (the index takes its own locks): the cluster pulls it synchronously
-// under the migration fence so planner estimates never lag a completed
-// batch.
-func (s *Shard) IndexStats() wire.IndexStats {
-	st := wire.IndexStats{Shard: s.cfg.ID}
-	for _, k := range s.idx.Stats() {
-		st.Keys = append(st.Keys, wire.KeyCard{
-			Key:      k.Key,
-			Distinct: uint64(k.Distinct),
-			Postings: uint64(k.Postings),
-			Bounds:   k.Bounds,
-		})
-	}
-	sort.Slice(st.Keys, func(i, j int) bool { return st.Keys[i].Key < st.Keys[j].Key })
-	return st
 }
 
 // drain ingests every message currently in the mailbox.
@@ -647,6 +596,10 @@ func (s *Shard) handle(msg transport.Message) {
 		}
 	case wire.IndexLookup:
 		s.lookups = append(s.lookups, m)
+	case wire.Heartbeat:
+		// A gatekeeper's hello: it holds its NOP stream back until this
+		// shard, now serving, answers.
+		s.ep.Send(m.From, wire.Heartbeat{From: s.ep.Addr()})
 	case wire.GCReport:
 		if !s.cfg.Retain {
 			s.gcReports[m.GK] = m.TS

@@ -22,7 +22,7 @@ import (
 // TestEveryMessageHasFrameTag turns into a test failure.
 //
 // Tag values are part of the wire format: never reuse or renumber them,
-// only append. Tag 0 is retired and decodes as corruption.
+// only append. Retired tags (0 and the blanks below) decode as corruption.
 const (
 	tagTxForward byte = iota + 1
 	tagNop
@@ -32,8 +32,8 @@ const (
 	tagProgHops
 	tagProgDelta
 	tagProgFinish
-	tagIndexLookup
-	tagIndexResult
+	_ // 9: retired index-lookup layout
+	_ // 10: retired index-result layout
 	tagGCReport
 	tagShardGCReport
 	tagKVReq
@@ -41,13 +41,15 @@ const (
 	tagOracleReq
 	tagOracleResp
 	tagHeartbeat
-	tagIndexStats
+	_ // 18: retired per-shard index statistics message
 	tagEpochChange
 	tagEpochAck
 	tagEpochQuery
 	tagEpochInfo
 	tagPaxosReq
 	tagPaxosResp
+	tagIndexLookup
+	tagIndexResult
 )
 
 // frameCodec implements transport.FrameCodec over the message set above.
@@ -114,22 +116,10 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = append(buf, tagIndexLookup)
 		buf = binenc.AppendID(buf, m.QID)
 		buf = binenc.AppendTS(buf, m.ReadTS)
-		buf = binenc.AppendStr(buf, m.Key)
-		buf = binenc.AppendStr(buf, m.Value)
-		buf = binenc.AppendStr(buf, m.Lo)
-		buf = binenc.AppendStr(buf, m.Hi)
-		buf = binenc.AppendBool(buf, m.Range)
+		buf = appendWheres(buf, m.Wheres)
+		buf = binenc.AppendUvarint(buf, uint64(m.Limit))
 		buf = binenc.AppendStr(buf, string(m.Reply))
-		// Planner extension fields ride after the trace, which must then
-		// be encoded unconditionally (see appendTrace); without them the
-		// frame stays byte-identical to the PR-7 format.
-		if len(m.Wheres) > 0 || m.Limit > 0 {
-			buf = binenc.AppendUvarint(buf, m.Trace)
-			buf = appendWheres(buf, m.Wheres)
-			buf = binenc.AppendUvarint(buf, uint64(m.Limit))
-		} else {
-			buf = appendTrace(buf, m.Trace)
-		}
+		buf = binenc.AppendUvarint(buf, m.Trace)
 	case IndexResult:
 		buf = append(buf, tagIndexResult)
 		buf = binenc.AppendID(buf, m.QID)
@@ -137,24 +127,9 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = appendStrs(buf, m.Vertices)
 		buf = binenc.AppendStr(buf, m.Err)
 		buf = binenc.AppendVarint(buf, int64(m.ErrCode))
-		if m.Matched > 0 || m.Scanned > 0 {
-			buf = binenc.AppendUvarint(buf, m.Trace)
-			buf = binenc.AppendUvarint(buf, uint64(m.Matched))
-			buf = binenc.AppendUvarint(buf, uint64(m.Scanned))
-		} else {
-			buf = appendTrace(buf, m.Trace)
-		}
-	case IndexStats:
-		buf = append(buf, tagIndexStats)
-		buf = binenc.AppendVarint(buf, int64(m.Shard))
-		buf = binenc.AppendUvarint(buf, uint64(len(m.Keys)))
-		for i := range m.Keys {
-			k := &m.Keys[i]
-			buf = binenc.AppendStr(buf, k.Key)
-			buf = binenc.AppendUvarint(buf, k.Distinct)
-			buf = binenc.AppendUvarint(buf, k.Postings)
-			buf = appendStrs(buf, k.Bounds)
-		}
+		buf = binenc.AppendUvarint(buf, uint64(m.Matched))
+		buf = binenc.AppendUvarint(buf, uint64(m.Scanned))
+		buf = binenc.AppendUvarint(buf, m.Trace)
 	case GCReport:
 		buf = append(buf, tagGCReport)
 		buf = binenc.AppendVarint(buf, int64(m.GK))
@@ -298,42 +273,16 @@ func (frameCodec) Decode(data []byte) (any, error) {
 	case tagProgFinish:
 		v = ProgFinish{QID: d.ID()}
 	case tagIndexLookup:
-		m := IndexLookup{
-			QID: d.ID(), ReadTS: d.TS(), Key: d.Str(), Value: d.Str(),
-			Lo: d.Str(), Hi: d.Str(), Range: d.Bool(),
-			Reply: transport.Addr(d.Str()),
+		v = IndexLookup{
+			QID: d.ID(), ReadTS: d.TS(), Wheres: decodeWheres(d), Limit: int(d.Uvarint()),
+			Reply: transport.Addr(d.Str()), Trace: d.Uvarint(),
 		}
-		// Trailing layout disambiguates by remaining bytes: empty = no
-		// trace and no extension (old frames), trace only (PR-7 frames),
-		// or trace + planner extension (Wheres, Limit).
-		m.Trace = decodeTrace(d)
-		if len(d.Buf) > 0 && d.Err == nil {
-			m.Wheres = decodeWheres(d)
-			m.Limit = int(d.Uvarint())
-		}
-		v = m
 	case tagIndexResult:
-		m := IndexResult{QID: d.ID(), Shard: int(d.Varint()), Vertices: decodeStrs[graph.VertexID](d)}
-		m.Err = d.Str()
-		m.ErrCode = int(d.Varint())
-		m.Trace = decodeTrace(d)
-		if len(d.Buf) > 0 && d.Err == nil {
-			m.Matched = int(d.Uvarint())
-			m.Scanned = int(d.Uvarint())
+		v = IndexResult{
+			QID: d.ID(), Shard: int(d.Varint()), Vertices: decodeStrs[graph.VertexID](d),
+			Err: d.Str(), ErrCode: int(d.Varint()),
+			Matched: int(d.Uvarint()), Scanned: int(d.Uvarint()), Trace: d.Uvarint(),
 		}
-		v = m
-	case tagIndexStats:
-		m := IndexStats{Shard: int(d.Varint())}
-		if n := d.Count(4); n > 0 && d.Err == nil { // key ≥4 bytes: 3 prefixes + bounds count
-			m.Keys = make([]KeyCard, 0, n)
-			for i := uint64(0); i < n && d.Err == nil; i++ {
-				m.Keys = append(m.Keys, KeyCard{
-					Key: d.Str(), Distinct: d.Uvarint(), Postings: d.Uvarint(),
-					Bounds: decodeStrs[string](d),
-				})
-			}
-		}
-		v = m
 	case tagGCReport:
 		v = GCReport{GK: int(d.Varint()), TS: d.TS(), OracleTS: d.TS()}
 	case tagShardGCReport:
@@ -405,7 +354,8 @@ func (frameCodec) Decode(data []byte) (any, error) {
 // byte-identical to the pre-trace wire format. Any message gaining a
 // trace field must put it after every other field (and new trailing
 // fields must go after it, encoded unconditionally once a trace can
-// precede them).
+// precede them). IndexLookup and IndexResult carry their trace as an
+// ordinary field instead.
 func appendTrace(buf []byte, trace uint64) []byte {
 	if trace == 0 {
 		return buf

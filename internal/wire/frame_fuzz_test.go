@@ -32,11 +32,13 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{tagTxForward})
-	for tag := tagEpochChange; tag <= tagPaxosResp; tag++ {
+	for tag := tagEpochChange; tag <= tagIndexResult; tag++ {
 		f.Add([]byte{tag})                                // empty body
 		f.Add([]byte{tag, 1, 0xFF, 0xFF, 0xFF, 0xFF, 10}) // oversized count / length
 	}
-	f.Add([]byte{0, 1, 2}) // retired tag 0
+	for _, tag := range []byte{0, 9, 10, 18} { // retired tags
+		f.Add([]byte{tag, 1, 2})
+	}
 	f.Add([]byte{tagProgHops, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := frameCodec{}.Decode(append([]byte{}, data...))
@@ -102,15 +104,9 @@ func randomMessage(r *rand.Rand) any {
 			SpawnedIDs: []uint64{r.Uint64(), r.Uint64()}, Results: [][]byte{[]byte(rs(30))},
 			Err: rs(10), ErrCode: r.Intn(3), Trace: rtrace()}
 	case 3:
-		m := IndexLookup{QID: rts().ID(), ReadTS: rts(), Key: rs(6), Value: rs(10),
-			Lo: rs(4), Hi: rs(4), Range: r.Intn(2) == 0, Reply: "gk/1", Trace: rtrace()}
-		// Half the lookups carry the planner extension so the trailing
-		// trace/Wheres/Limit layout is fuzzed in both states.
-		if r.Intn(2) == 0 {
-			for i := 0; i < 1+r.Intn(3); i++ {
-				m.Wheres = append(m.Wheres, Where{Key: rs(6), Op: byte(r.Intn(5)), Value: rs(8)})
-			}
-			m.Limit = r.Intn(20)
+		m := IndexLookup{QID: rts().ID(), ReadTS: rts(), Limit: r.Intn(20), Reply: "gk/1", Trace: rtrace()}
+		for i := 0; i < 1+r.Intn(3); i++ {
+			m.Wheres = append(m.Wheres, Where{Key: rs(6), Op: byte(r.Intn(5)), Value: rs(8)})
 		}
 		return m
 	default:

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -57,25 +58,20 @@ func sampleMessages() []any {
 		ProgDelta{QID: qid},
 		ProgDelta{QID: qid, ConsumedIDs: []uint64{4}, Trace: 1 << 63},
 		ProgFinish{QID: qid},
-		IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Key: "city", Value: "ithaca", Reply: "gk/2"},
-		IndexLookup{QID: qid, Key: "age", Lo: "10", Hi: "42", Range: true, Reply: "gk/0"},
-		IndexLookup{QID: qid, Key: "city", Value: "ithaca", Reply: "gk/2", Trace: 99},
+		IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Wheres: Eq("city", "ithaca"), Reply: "gk/2"},
+		IndexLookup{QID: qid, Wheres: Between("age", "10", "42"), Reply: "gk/0"},
+		IndexLookup{QID: qid, Wheres: Between("age", "", ""), Reply: "gk/2", Trace: 99},
 		IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Reply: "gk/2", Wheres: []Where{
 			{Key: "city", Op: OpEq, Value: "ithaca"},
 			{Key: "age", Op: OpGe, Value: "21"},
 		}, Limit: 10},
-		IndexLookup{QID: qid, Reply: "gk/0", Trace: 7, Wheres: []Where{{Key: "k", Op: OpLt, Value: "z"}}},
-		IndexLookup{QID: qid, Reply: "gk/1", Limit: 3}, // limit without predicates
+		IndexLookup{QID: qid, Reply: "gk/0", Trace: 1<<64 - 1, Wheres: []Where{{Key: "k", Op: OpLt, Value: "z"}}},
+		IndexLookup{QID: qid, Reply: "gk/1", Limit: 3}, // no predicates: the shard rejects it, the codec carries it
 		IndexResult{QID: qid, Shard: 2, Vertices: []graph.VertexID{"v1", "v2"}},
 		IndexResult{QID: qid, Shard: 1, Err: "no index", ErrCode: ErrCodeNoIndex},
-		IndexResult{QID: qid, Shard: 0, Vertices: []graph.VertexID{"v3"}, Trace: 99},
+		IndexResult{QID: qid, Shard: 0, Vertices: []graph.VertexID{"v3"}, Trace: 1<<64 - 1},
 		IndexResult{QID: qid, Shard: 3, Vertices: []graph.VertexID{"v1"}, Matched: 9, Scanned: 41, Trace: 8},
 		IndexResult{QID: qid, Shard: 5, Matched: 2, Scanned: 2},
-		IndexStats{Shard: 3, Keys: []KeyCard{
-			{Key: "city", Distinct: 64, Postings: 4096, Bounds: []string{"c015", "c031", "c063"}},
-			{Key: "age", Distinct: 1, Postings: 12},
-		}},
-		IndexStats{Shard: 0},
 		GCReport{GK: 2, TS: ts(1, 2, 8, 8, 8), OracleTS: ts(1, 2, 9, 9, 9)},
 		GCReport{GK: 0},
 		ShardGCReport{Shard: 4, TS: ts(2, 0, 1, 1)},
@@ -176,7 +172,7 @@ func TestFrameCodecViaTransport(t *testing.T) {
 // types that only ever travel nested inside a message. Declaring a new
 // message without giving it a codec fails here, not in a TCP deployment.
 func TestEveryMessageHasFrameTag(t *testing.T) {
-	nested := map[string]bool{"Hop": true, "Where": true, "KeyCard": true}
+	nested := map[string]bool{"Hop": true, "Where": true}
 	sampled := map[string]bool{}
 	for _, msg := range sampleMessages() {
 		sampled[reflect.TypeOf(msg).Name()] = true
@@ -211,8 +207,9 @@ func TestEveryMessageHasFrameTag(t *testing.T) {
 	}
 }
 
-// traceable builds every message shape carrying a Trace field, with the
-// given trace value, alongside the same message with Trace zeroed.
+// traceable builds every message shape carrying the optional trailing
+// Trace field, with the given trace value. (IndexLookup and IndexResult
+// encode their trace unconditionally; sampleMessages covers them.)
 func traceable(trace uint64) []any {
 	qid := ts(1, 0, 5, 3).ID()
 	return []any{
@@ -224,9 +221,6 @@ func traceable(trace uint64) []any {
 		ProgHops{QID: qid, TS: ts(1, 0, 5, 3), Coordinator: "gk/1",
 			Hops: []Hop{{ID: 7, Vertex: "v", Program: "p", Origin: 0}}, Trace: trace},
 		ProgDelta{QID: qid, ConsumedIDs: []uint64{1}, Results: [][]byte{[]byte("r")}, Trace: trace},
-		IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Key: "city", Value: "ithaca",
-			Reply: "gk/2", Trace: trace},
-		IndexResult{QID: qid, Shard: 2, Vertices: []graph.VertexID{"v1"}, Trace: trace},
 	}
 }
 
@@ -289,49 +283,18 @@ func TestTraceFieldOldFrameCompat(t *testing.T) {
 	}
 }
 
-// TestIndexPlannerExtensionCompat pins the append-only evolution of the
-// planner fields (Wheres/Limit on IndexLookup, Matched/Scanned on
-// IndexResult): an extended frame is the traced frame plus trailing
-// bytes, an unextended frame keeps the PR-7 encoding exactly, and a
-// pre-extension frame decodes with the new fields zero.
-func TestIndexPlannerExtensionCompat(t *testing.T) {
-	var c frameCodec
-	qid := ts(1, 0, 5, 3).ID()
-
-	look := IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Key: "city", Value: "x", Reply: "gk/0", Trace: 9}
-	oldBuf, _ := c.Append(nil, look)
-	ext := look
-	ext.Wheres = []Where{{Key: "city", Op: OpEq, Value: "x"}}
-	ext.Limit = 3
-	newBuf, _ := c.Append(nil, ext)
-	if len(newBuf) <= len(oldBuf) || string(newBuf[:len(oldBuf)]) != string(oldBuf) {
-		t.Fatal("IndexLookup planner extension is not append-only after the trace")
+// TestRetiredTagsAreCorrupt pins the never-reuse rule: tag 0 and the three
+// tags of the superseded index-query messages (the conditional
+// IndexLookup/IndexResult layouts and IndexStats) decode as corruption, and
+// the live index messages sit under the appended tags.
+func TestRetiredTagsAreCorrupt(t *testing.T) {
+	for _, tag := range []byte{0, 9, 10, 18} {
+		if _, err := transport.DecodePayload([]byte{tag, 1, 2}); !errors.Is(err, transport.ErrFrameCorrupt) {
+			t.Fatalf("retired tag %d: got %v, want ErrFrameCorrupt", tag, err)
+		}
 	}
-	got, err := c.Decode(oldBuf)
-	if err != nil {
-		t.Fatalf("pre-extension IndexLookup frame: %v", err)
-	}
-	if m := got.(IndexLookup); m.Wheres != nil || m.Limit != 0 {
-		t.Fatalf("pre-extension frame decoded with planner fields set: %#v", m)
-	}
-
-	res := IndexResult{QID: qid, Shard: 2, Vertices: []graph.VertexID{"v1"}, Trace: 5}
-	oldBuf, _ = c.Append(nil, res)
-	rext := res
-	rext.Matched, rext.Scanned = 7, 31
-	newBuf, _ = c.Append(nil, rext)
-	if len(newBuf) <= len(oldBuf) || string(newBuf[:len(oldBuf)]) != string(oldBuf) {
-		t.Fatal("IndexResult planner extension is not append-only after the trace")
-	}
-	if got, err := c.Decode(oldBuf); err != nil {
-		t.Fatalf("pre-extension IndexResult frame: %v", err)
-	} else if m := got.(IndexResult); m.Matched != 0 || m.Scanned != 0 {
-		t.Fatalf("pre-extension frame decoded with planner fields set: %#v", m)
-	}
-
-	// Trailing bytes after the extension are still corruption.
-	if _, err := c.Decode(append(newBuf, 0x01)); err == nil {
-		t.Fatal("trailing bytes after the planner extension must fail decode")
+	if tagIndexLookup != 25 || tagIndexResult != 26 {
+		t.Fatalf("index tags = %d, %d; want the appended 25, 26", tagIndexLookup, tagIndexResult)
 	}
 }
 

@@ -129,11 +129,12 @@ const (
 	ErrCodeNoIndex = 2
 )
 
-// Where is one predicate of a multi-predicate index query: the planner
-// (internal/plan) builds conjunctions of these and pushes them down to the
-// shards, which intersect the per-predicate match sets locally before
-// replying. Op is one of the Op* comparison constants; every comparison is
-// lexicographic over the property's string value, matching LookupRange.
+// Where is one predicate of an index query. Every index read is a
+// conjunction of these: the planner (internal/plan) picks the shard set
+// from its equality predicates and the shards evaluate the whole
+// conjunction locally before replying. Op is one of the Op* comparison
+// constants; every comparison is lexicographic over the property's string
+// value.
 type Where struct {
 	Key   string
 	Op    byte
@@ -141,9 +142,8 @@ type Where struct {
 }
 
 // Comparison operators for Where.Op. OpGe/OpLe are inclusive, OpGt/OpLt
-// strict. An empty Value under an inequality operator behaves as an
-// unbounded side (the LookupRange convention), not as a comparison against
-// the empty string.
+// strict. An empty Value under an inequality operator is an unbounded
+// side, not a comparison against the empty string.
 const (
 	OpEq byte = iota // property == Value
 	OpGe             // property >= Value
@@ -151,6 +151,29 @@ const (
 	OpGt             // property >  Value
 	OpLt             // property <  Value
 )
+
+// Eq is the conjunction of an equality lookup: key == value.
+func Eq(key, value string) []Where {
+	return []Where{{Key: key, Op: OpEq, Value: value}}
+}
+
+// Between is the conjunction of an inclusive range lookup over [lo, hi]:
+// an empty side is unbounded and contributes no predicate, and with both
+// sides empty the single predicate key >= "" selects every vertex carrying
+// the key.
+func Between(key, lo, hi string) []Where {
+	var ws []Where
+	if lo != "" {
+		ws = append(ws, Where{Key: key, Op: OpGe, Value: lo})
+	}
+	if hi != "" {
+		ws = append(ws, Where{Key: key, Op: OpLe, Value: hi})
+	}
+	if ws == nil {
+		ws = []Where{{Key: key, Op: OpGe}}
+	}
+	return ws
+}
 
 // IndexLookup asks one shard to evaluate a secondary-index query at a
 // snapshot: the scatter half of a cluster-wide index lookup. The
@@ -164,73 +187,34 @@ const (
 type IndexLookup struct {
 	QID    core.ID
 	ReadTS core.Timestamp
-	// Key is the indexed property key. Equality lookups carry Value;
-	// range scans set Range and carry [Lo, Hi] (inclusive; empty Lo/Hi =
-	// unbounded).
-	Key    string
-	Value  string
-	Lo, Hi string
-	Range  bool
-	Reply  transport.Addr
-	// Trace is the obs trace ID (0 = untraced); append-only trailing
-	// wire field, see TxForward.Trace.
-	Trace uint64
-	// Wheres is the planner's pushed-down predicate conjunction: when
-	// non-empty the shard ignores Key/Value/Lo/Hi/Range and returns
-	// vertices matching EVERY predicate at ReadTS. Limit > 0 additionally
-	// truncates the shard's reply to its first Limit matches in ascending
-	// vertex order (the global result is the first N of the merged sorted
-	// union, so per-shard prefixes suffice). Both are append-only trailing
-	// wire fields AFTER Trace: frames carrying them encode Trace
-	// unconditionally, frames without them keep the PR-7 format, and old
-	// frames decode with Wheres == nil, Limit == 0.
+	// Wheres is the predicate conjunction: the shard returns the vertices
+	// matching EVERY predicate at ReadTS.
 	Wheres []Where
-	Limit  int
+	// Limit > 0 truncates the shard's reply to its first Limit matches in
+	// ascending vertex order (the global result is the first N of the
+	// merged sorted union, so per-shard prefixes suffice).
+	Limit int
+	Reply transport.Addr
+	// Trace is the obs trace ID (0 = untraced).
+	Trace uint64
 }
 
 // IndexResult is one shard's half of a scatter-gather index lookup: the
-// vertices homed on that shard whose indexed property matched at the read
-// timestamp, or a typed error.
+// vertices homed on that shard that matched at the read timestamp, or a
+// typed error.
 type IndexResult struct {
 	QID      core.ID
 	Shard    int
 	Vertices []graph.VertexID
 	Err      string
 	ErrCode  int
-	// Trace echoes the lookup's obs trace ID (0 = untraced);
-	// append-only trailing wire field, see TxForward.Trace.
-	Trace uint64
 	// Matched is the shard-local match count BEFORE limit truncation and
-	// Scanned the number of per-predicate candidate postings examined —
-	// the planner's actual-vs-estimated feedback, populated only for
-	// pushed-down queries (Wheres/Limit set). Append-only trailing wire
-	// fields after Trace, same discipline as IndexLookup.Wheres.
+	// Scanned the number of candidate postings and probes the evaluation
+	// touched — EXPLAIN's actual-cost columns.
 	Matched int
 	Scanned int
-}
-
-// IndexStats carries one shard's per-key index cardinality statistics to
-// the gatekeepers' planners: distinct-value counts, total postings, and a
-// small equi-depth value histogram per indexed key. Shards publish it
-// periodically from the event loop and synchronously under the migration
-// fence (so planners never estimate from a shard the postings just left).
-// Statistics steer only cost ESTIMATES — shard pruning soundness comes
-// from the value-presence marker catalog in the backing store
-// (internal/plan) — so a stale or lost stats message can never change
-// query results.
-type IndexStats struct {
-	Shard int
-	Keys  []KeyCard
-}
-
-// KeyCard is the cardinality summary of one indexed key on one shard.
-// Bounds are the upper bounds of an equi-depth histogram over the key's
-// candidate values (ascending; ~Postings/len(Bounds) postings per bucket).
-type KeyCard struct {
-	Key      string
-	Distinct uint64
-	Postings uint64
-	Bounds   []string
+	// Trace echoes the lookup's obs trace ID (0 = untraced).
+	Trace uint64
 }
 
 // ProgDelta reports execution progress from a shard to the coordinator:

@@ -356,25 +356,6 @@ func (c *Cluster) MigrateBatch(moves []Move) (int, error) {
 			idxErrs = append(idxErrs, fmt.Errorf("weaver: migrate markers: %w", err))
 		}
 	}
-	// Synchronous statistics refresh for the shards whose partitions just
-	// changed, so planner cost estimates never lag a completed batch behind
-	// the periodic publication cycle.
-	if len(c.cfg.Indexes) > 0 {
-		touched := make(map[int]struct{}, 2*len(byLane))
-		for ln := range byLane {
-			touched[ln.src], touched[ln.dst] = struct{}{}, struct{}{}
-		}
-		for target := range perTarget {
-			touched[target] = struct{}{}
-		}
-		for s := range touched {
-			st := shards[s].IndexStats()
-			for _, gk := range gks {
-				gk.InstallIndexStats(st)
-			}
-		}
-	}
-
 	c.recordMoves(len(stage), skipped)
 	return len(stage), errors.Join(idxErrs...)
 }

@@ -1,7 +1,8 @@
-// Query-planner suite: cost-based shard pruning, predicate/limit pushdown,
-// EXPLAIN, and the planner-equivalence property — planned execution must be
-// byte-identical to a forced broadcast at the same snapshot, for any graph,
-// predicate conjunction, and migration history.
+// Query-planner suite: marker-catalog shard pruning, predicate/limit
+// pushdown, EXPLAIN, and the planner-equivalence property — planned
+// execution must be byte-identical to a forced broadcast and to a
+// brute-force scan at the same snapshot, for any graph, predicate
+// conjunction, and migration history.
 package weaver_test
 
 import (
@@ -29,13 +30,16 @@ func planConfig(shards int) weaver.Config {
 
 // TestPlannerEquivalenceRandomized is the planner's soundness property
 // test: random graphs, random predicate conjunctions (all five operators,
+// range pairs with inclusive, strict, unbounded and contradictory bounds,
 // random limits), and random migration batches — at every step the planned
 // execution (marker-catalog pruning, pushdown, early truncation) must
-// return exactly what a forced broadcast returns at the SAME snapshot,
-// both at the fresh timestamp the planned query minted and at a pinned
-// historical timestamp. A background writer keeps commits racing the
-// queries so the marker re-check path is exercised. Replay failures with
-// WEAVER_TEST_SEED.
+// return exactly what a forced broadcast returns at the SAME snapshot, and
+// both must equal a brute-force GetNode scan filtered by the test's own
+// reading of the predicates; an inclusive range pair must also equal
+// LookupRange. All of it both at the fresh timestamp the planned query
+// minted and at a pinned historical timestamp. A background writer keeps
+// commits racing the queries so the marker re-check path is exercised.
+// Replay failures with WEAVER_TEST_SEED.
 func TestPlannerEquivalenceRandomized(t *testing.T) {
 	seed := workload.TestSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -97,22 +101,108 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 	defer wwg.Wait()
 	defer close(stop)
 
-	// randomWheres builds 1-2 predicates over the two indexed keys with
-	// random operators; values sometimes name nothing (empty-plan path).
+	// randomWheres builds a conjunction over the two indexed keys: either
+	// 1-2 free predicates with random operators, or a range pair on one key
+	// whose bounds may be strict, unbounded (empty) or contradictory
+	// (lo > hi). Values sometimes name nothing (empty-plan path). inclusive
+	// reports a Ge/Le pair, the form LookupRange(key, lo, hi) must equal.
 	ops := []byte{weaver.OpEq, weaver.OpGe, weaver.OpLe, weaver.OpGt, weaver.OpLt}
-	randomWheres := func() []weaver.Where {
-		n := 1 + rng.Intn(2)
-		ws := make([]weaver.Where, 0, n)
-		for i := 0; i < n; i++ {
-			var key, val string
-			if rng.Intn(2) == 0 {
-				key, val = "city", city(rng.Intn(nVals+1)) // nVals = absent value
-			} else {
-				key, val = "kind", kind(rng.Intn(nKinds+1))
+	randomValue := func() (key, val string) {
+		if rng.Intn(2) == 0 {
+			return "city", city(rng.Intn(nVals + 1)) // nVals = absent value
+		}
+		return "kind", kind(rng.Intn(nKinds + 1))
+	}
+	randomWheres := func() (ws []weaver.Where, inclusive bool) {
+		if rng.Intn(2) == 0 {
+			key, lo := randomValue()
+			hi := lo[:1] + fmt.Sprint(rng.Intn(nVals+1))
+			if rng.Intn(4) == 0 {
+				lo = ""
 			}
+			if rng.Intn(4) == 0 {
+				hi = ""
+			}
+			loOp, hiOp := weaver.OpGe, weaver.OpLe
+			if rng.Intn(3) == 0 {
+				loOp = weaver.OpGt
+			}
+			if rng.Intn(3) == 0 {
+				hiOp = weaver.OpLt
+			}
+			return []weaver.Where{{Key: key, Op: loOp, Value: lo}, {Key: key, Op: hiOp, Value: hi}},
+				loOp == weaver.OpGe && hiOp == weaver.OpLe
+		}
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			key, val := randomValue()
 			ws = append(ws, weaver.Where{Key: key, Op: ops[rng.Intn(len(ops))], Value: val})
 		}
-		return ws
+		return ws, false
+	}
+	// holds is the test's own reading of one predicate against a vertex's
+	// property (an empty inequality bound is the unbounded side).
+	holds := func(w weaver.Where, val string, has bool) bool {
+		switch {
+		case !has:
+			return false
+		case w.Op == weaver.OpEq:
+			return val == w.Value
+		case w.Value == "":
+			return true
+		case w.Op == weaver.OpGe:
+			return val >= w.Value
+		case w.Op == weaver.OpLe:
+			return val <= w.Value
+		case w.Op == weaver.OpGt:
+			return val > w.Value
+		default:
+			return val < w.Value
+		}
+	}
+	// verify checks a planned result at rc's timestamp against the forced
+	// broadcast, the brute-force scan and (for inclusive pairs) LookupRange.
+	verify := func(rc *weaver.ReadClient, planned []weaver.VertexID, wheres []weaver.Where, inclusive bool, limit int) error {
+		oracle, err := rc.BroadcastWhere(limit, wheres...)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(sortedIDs(planned), sortedIDs(oracle)) {
+			return fmt.Errorf("planned %v != broadcast %v", planned, oracle)
+		}
+		var scan []weaver.VertexID // vid order is ascending ID order
+		for i := 0; i < nV; i++ {
+			d, alive, err := rc.GetNode(vid(i))
+			if err != nil {
+				return err
+			}
+			if !alive {
+				continue
+			}
+			match := true
+			for _, w := range wheres {
+				val, has := d.Props[w.Key]
+				match = match && holds(w, val, has)
+			}
+			if match {
+				scan = append(scan, vid(i))
+			}
+		}
+		if inclusive {
+			ranged, err := rc.LookupRange(wheres[0].Key, wheres[0].Value, wheres[1].Value)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(sortedIDs(ranged), sortedIDs(scan)) {
+				return fmt.Errorf("LookupRange %v != scan %v", ranged, scan)
+			}
+		}
+		if limit > 0 && len(scan) > limit {
+			scan = scan[:limit]
+		}
+		if !reflect.DeepEqual(sortedIDs(planned), sortedIDs(scan)) {
+			return fmt.Errorf("planned %v != scan %v", planned, scan)
+		}
+		return nil
 	}
 
 	cl := c.Client()
@@ -156,30 +246,25 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 			}
 		}
 
-		wheres := randomWheres()
+		wheres, inclusive := randomWheres()
 		limit := rng.Intn(4) // 0 = unlimited
 
-		// Fresh: planned mints the snapshot, the broadcast oracle re-reads
-		// at that exact timestamp.
+		// Fresh: planned mints the snapshot, the references re-read at that
+		// exact timestamp.
 		planned, ts, err := cl.LookupWhere(limit, wheres...)
 		if err != nil {
 			t.Fatalf("round %d planned %v: %v", round, wheres, err)
 		}
-		oracle, err := cl.At(ts).BroadcastWhere(limit, wheres...)
-		if err != nil {
+		if err := verify(cl.At(ts), planned, wheres, inclusive, limit); err != nil {
 			if errors.Is(err, weaver.ErrStaleSnapshot) {
 				staleSkips++
 				continue
 			}
-			t.Fatalf("round %d broadcast %v: %v", round, wheres, err)
-		}
-		if !reflect.DeepEqual(sortedIDs(planned), sortedIDs(oracle)) {
-			t.Fatalf("round %d: planned %v != broadcast %v for %v limit %d at %v (seed %d)",
-				round, planned, oracle, wheres, limit, ts, seed)
+			t.Fatalf("round %d: %v limit %d at %v: %v (seed %d)", round, wheres, limit, ts, err, seed)
 		}
 		checked++
 
-		// Pinned historical: both strategies at one pinned timestamp.
+		// Pinned historical: everything at one pinned timestamp.
 		snap, err := c.SnapshotTS()
 		if err != nil {
 			t.Fatalf("round %d pin: %v", round, err)
@@ -187,17 +272,11 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 		rc := cl.At(snap.TS())
 		hPlanned, err := rc.LookupWhere(limit, wheres...)
 		if err == nil {
-			var hOracle []weaver.VertexID
-			hOracle, err = rc.BroadcastWhere(limit, wheres...)
-			if err == nil && !reflect.DeepEqual(sortedIDs(hPlanned), sortedIDs(hOracle)) {
-				snap.Close()
-				t.Fatalf("round %d pinned: planned %v != broadcast %v for %v limit %d (seed %d)",
-					round, hPlanned, hOracle, wheres, limit, seed)
-			}
+			err = verify(rc, hPlanned, wheres, inclusive, limit)
 		}
 		snap.Close()
 		if err != nil {
-			t.Fatalf("round %d pinned lookup %v: %v", round, wheres, err)
+			t.Fatalf("round %d pinned: %v limit %d: %v (seed %d)", round, wheres, limit, err, seed)
 		}
 		checked++
 	}
@@ -209,8 +288,7 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 
 // TestExplainReportsPruning is the EXPLAIN acceptance test: a selective
 // equality query must contact strictly fewer shards than the cluster
-// holds, report which, and reconcile estimated against actual rows once
-// statistics arrive.
+// holds, report which, and count the actual rows.
 func TestExplainReportsPruning(t *testing.T) {
 	const shards = 4
 	c, err := weaver.Open(planConfig(shards))
@@ -297,27 +375,9 @@ func TestExplainReportsPruning(t *testing.T) {
 		t.Fatalf("inequality-only explain: %+v", ex)
 	}
 
-	// Statistics publish within a few StatsPeriods; estimates then appear
-	// in EXPLAIN (commits keep the shard event loops turning).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, ex, err = cl.Explain("city", "common")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.EstRows >= 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("statistics never reached the planner: %+v", ex)
-		}
-		if _, err := cl.RunTx(func(tx *weaver.Tx) error {
-			tx.SetProperty(evid(0), "city", "common")
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	_, ex, err = cl.Explain("city", "common")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if ex.ActualRows != 18 { // 20 minus evid(5) and evid(12), which flipped to rare
 		t.Fatalf("common ActualRows = %d, want 18", ex.ActualRows)

@@ -1,11 +1,11 @@
 package weaver
 
-// Cost-based query API (internal/plan). Every index query — Lookup,
-// LookupRange, LookupWhere — is executed as an explicit plan: the
-// gatekeeper consults its marker catalog and per-shard statistics to pick
-// the minimal shard set, pushes predicate conjunctions and limits down to
-// the shards, scatters concurrently, and merges. Explain and ExplainWhere
-// expose the plan that a query would run with, plus its measured reality.
+// Index query API (internal/plan). Every index query — Lookup,
+// LookupRange, LookupWhere — is one predicate conjunction executed as an
+// explicit plan: the gatekeeper consults its marker catalog to pick the
+// minimal shard set, pushes the conjunction and limit down to the shards,
+// scatters concurrently, and merges. Explain and ExplainWhere expose the
+// plan a query ran with, plus its measured reality.
 
 import (
 	"weaver/internal/core"
@@ -20,7 +20,7 @@ import (
 type Where = wire.Where
 
 // Predicate comparison operators for Where.Op. Values are ordered
-// lexicographically, matching LookupRange.
+// lexicographically.
 const (
 	OpEq = wire.OpEq // Key == Value
 	OpGe = wire.OpGe // Key >= Value (empty Value = unbounded below)
@@ -30,9 +30,8 @@ const (
 )
 
 // Explanation reports how a query was planned and what actually happened:
-// the chosen shard set, what was pruned, estimated versus actual row
-// counts, and per-stage timings. Produced by Client.Explain and
-// Client.ExplainWhere.
+// the chosen shard set, what was pruned, actual row counts, and per-stage
+// timings. Produced by Client.Explain and Client.ExplainWhere.
 type Explanation = plan.Explanation
 
 // LookupWhere returns the vertices satisfying every predicate in wheres
@@ -45,7 +44,7 @@ type Explanation = plan.Explanation
 // shards whose marker catalog admits a match, not the full cluster.
 // Fails with ErrNoIndex when any predicate key is not indexed.
 func (cl *Client) LookupWhere(limit int, wheres ...Where) ([]VertexID, Timestamp, error) {
-	return cl.gk().LookupWhere(core.Timestamp{}, wheres, limit)
+	return cl.gk().Lookup(core.Timestamp{}, gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
 }
 
 // BroadcastWhere is LookupWhere with shard pruning bypassed: every shard
@@ -53,28 +52,24 @@ func (cl *Client) LookupWhere(limit int, wheres ...Where) ([]VertexID, Timestamp
 // result-identical to this by construction — tests use it as the
 // planner-equivalence oracle and benchmarks as the latency baseline.
 func (cl *Client) BroadcastWhere(limit int, wheres ...Where) ([]VertexID, Timestamp, error) {
-	return cl.gk().LookupOpts(core.Timestamp{}, gatekeeper.LookupOptions{
+	return cl.gk().Lookup(core.Timestamp{}, gatekeeper.LookupOptions{
 		Wheres: wheres, Limit: limit, ForceBroadcast: true,
 	})
 }
 
 // Explain runs Lookup(key, value) and reports the plan it executed:
-// which shards were contacted, which were pruned, estimated versus
-// actual rows, and per-stage timings. The query really runs — actual
-// numbers are measured, not simulated.
+// which shards were contacted, which were pruned, actual rows, and
+// per-stage timings. The query really runs — actual numbers are measured,
+// not simulated.
 func (cl *Client) Explain(key, value string) ([]VertexID, Explanation, error) {
-	var ex Explanation
-	ids, _, err := cl.gk().LookupOpts(core.Timestamp{}, gatekeeper.LookupOptions{
-		Key: key, Value: value, Explain: &ex,
-	})
-	return ids, ex, err
+	return cl.ExplainWhere(0, wire.Eq(key, value)...)
 }
 
 // ExplainWhere is Explain for a predicate conjunction with an optional
 // limit — the diagnostic twin of LookupWhere.
 func (cl *Client) ExplainWhere(limit int, wheres ...Where) ([]VertexID, Explanation, error) {
 	var ex Explanation
-	ids, _, err := cl.gk().LookupOpts(core.Timestamp{}, gatekeeper.LookupOptions{
+	ids, _, err := cl.gk().Lookup(core.Timestamp{}, gatekeeper.LookupOptions{
 		Wheres: wheres, Limit: limit, Explain: &ex,
 	})
 	return ids, ex, err
@@ -83,21 +78,19 @@ func (cl *Client) ExplainWhere(limit int, wheres ...Where) ([]VertexID, Explanat
 // LookupWhere is the historical counterpart of Client.LookupWhere: the
 // conjunction is evaluated against the graph as of the pinned timestamp.
 func (r *ReadClient) LookupWhere(limit int, wheres ...Where) ([]VertexID, error) {
-	if r.ts.Zero() {
-		return nil, errZeroReadTS
-	}
-	ids, _, err := r.cl.gk().LookupWhere(r.ts, wheres, limit)
-	return ids, err
+	return r.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
 }
 
 // BroadcastWhere is the historical counterpart of Client.BroadcastWhere —
 // the pruning-bypassed oracle at a pinned timestamp.
 func (r *ReadClient) BroadcastWhere(limit int, wheres ...Where) ([]VertexID, error) {
+	return r.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, ForceBroadcast: true})
+}
+
+func (r *ReadClient) lookup(opts gatekeeper.LookupOptions) ([]VertexID, error) {
 	if r.ts.Zero() {
 		return nil, errZeroReadTS
 	}
-	ids, _, err := r.cl.gk().LookupOpts(r.ts, gatekeeper.LookupOptions{
-		Wheres: wheres, Limit: limit, ForceBroadcast: true,
-	})
+	ids, _, err := r.cl.gk().Lookup(r.ts, opts)
 	return ids, err
 }

@@ -27,6 +27,7 @@ import (
 
 	"weaver/internal/gatekeeper"
 	"weaver/internal/nodeprog"
+	"weaver/internal/wire"
 )
 
 // ErrStaleSnapshot is returned by historical reads whose timestamp has
@@ -169,21 +170,13 @@ var errZeroReadTS = errors.New("weaver: historical read at zero timestamp")
 // held against GC by pins and Config.HistoryRetention; behind the
 // watermark the query fails with ErrStaleSnapshot, never wrong data.
 func (r *ReadClient) Lookup(key, value string) ([]VertexID, error) {
-	if r.ts.Zero() {
-		return nil, errZeroReadTS
-	}
-	ids, _, err := r.cl.gk().Lookup(r.ts, key, value)
-	return ids, err
+	return r.LookupWhere(0, wire.Eq(key, value)...)
 }
 
 // LookupRange is Lookup over the value interval [lo, hi] (lexicographic,
 // inclusive; empty lo/hi = unbounded) as of the pinned timestamp.
 func (r *ReadClient) LookupRange(key, lo, hi string) ([]VertexID, error) {
-	if r.ts.Zero() {
-		return nil, errZeroReadTS
-	}
-	ids, _, err := r.cl.gk().LookupRange(r.ts, key, lo, hi)
-	return ids, err
+	return r.LookupWhere(0, wire.Between(key, lo, hi)...)
 }
 
 // RunProgramWhere launches a node program starting at every vertex whose

@@ -243,16 +243,6 @@ type Config struct {
 	// concurrently, conflicting ones keep their timestamp order. 0 or 1
 	// applies serially on the shard event loop (the paper's design).
 	ShardWorkers int
-	// MaxApplyLag bounds, per gatekeeper, how many committed write-sets
-	// may be awaiting shard application before further commits are
-	// throttled (admission control). Sustained commit bursts can outrun
-	// the apply path; without a bound the backlog — shard queue memory,
-	// the timeline oracle's dependency graph, and the latency of
-	// anything that waits for the apply frontier (node programs,
-	// Quiesce, migration) — grows without limit, and ordering-query cost
-	// grows with the backlog, slowing the whole pipeline down. 0 = 256;
-	// negative disables throttling.
-	MaxApplyLag int
 	// RebalanceInterval, when positive, runs the background heat-driven
 	// rebalancer (§4.6): every interval the hottest vertices across all
 	// shards are re-placed with the LDG streaming partitioner against
@@ -551,7 +541,6 @@ func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
 		GCPeriod:         c.cfg.GCPeriod,
 		HistoryRetention: c.cfg.HistoryRetention,
 		ProgTimeout:      c.cfg.ProgTimeout,
-		MaxApplyLag:      c.cfg.MaxApplyLag,
 		HeartbeatPeriod:  heartbeat,
 		IndexedKeys:      indexed,
 		Obs:              c.obs,
