@@ -104,17 +104,11 @@ func recordToData(rec *graph.VertexRecord) *VertexData {
 }
 
 // RunProgram launches a registered node program at the start vertices and
-// returns the raw values its visits returned (§2.3). Decode them with
+// returns the raw values its visits returned (§2.3) and the fresh snapshot
+// timestamp it read at (At runs it at a past one, §4.5). Decode them with
 // nodeprog.Decode or use the typed convenience wrappers below.
 func (cl *Client) RunProgram(name string, params []byte, start ...VertexID) ([][]byte, Timestamp, error) {
-	return cl.gk().RunProgram(name, params, start)
-}
-
-// RunProgramAt launches a node program reading the graph as of ts — a
-// historical query (§4.5). The cluster must run with Config.Retain (or the
-// snapshot must be newer than the GC watermark).
-func (cl *Client) RunProgramAt(ts Timestamp, name string, params []byte, start ...VertexID) ([][]byte, error) {
-	return cl.gk().RunProgramAt(ts, name, params, start)
+	return cl.fresh().run(name, params, start...)
 }
 
 // Lookup returns every vertex whose indexed property key equals value, as
@@ -145,7 +139,7 @@ func (cl *Client) LookupRange(key, lo, hi string) ([]VertexID, Timestamp, error)
 // start set and everything the program sees are a single consistent cut.
 // An empty match set returns (nil, ts, nil) without launching anything.
 func (cl *Client) RunProgramWhere(name string, params []byte, key, value string) ([][]byte, Timestamp, error) {
-	return cl.gk().RunProgramWhere(key, value, name, params)
+	return cl.fresh().runWhere(name, params, key, value)
 }
 
 // Now returns the client's gatekeeper clock value without advancing it.
@@ -155,49 +149,30 @@ func (cl *Client) RunProgramWhere(name string, params []byte, key, value string)
 func (cl *Client) Now() Timestamp { return cl.gk().Now() }
 
 // Snapshot returns a fresh timestamp strictly after every transaction this
-// gatekeeper has committed, for use with RunProgramAt: a consistent
-// point-in-time handle over the multi-version graph (§4.5). Visibility at a
-// snapshot is "strictly happened-before": a version written at exactly the
-// snapshot timestamp is excluded.
+// gatekeeper has committed, for use with At: a consistent point-in-time
+// handle over the multi-version graph (§4.5). Visibility at a snapshot is
+// "strictly happened-before": a version written at exactly the snapshot
+// timestamp is excluded.
 func (cl *Client) Snapshot() Timestamp { return cl.gk().Snapshot() }
 
 // GetNode runs the get_node node program: a snapshot read of one vertex
 // through the full ordering machinery (unlike GetVertex, which reads the
 // backing store directly).
 func (cl *Client) GetNode(id VertexID) (*nodeprog.NodeData, bool, error) {
-	res, _, err := cl.RunProgram("get_node", nil, id)
-	if err != nil || len(res) == 0 {
-		return nil, false, err
-	}
-	var d nodeprog.NodeData
-	if err := nodeprog.Decode(res[0], &d); err != nil {
-		return nil, false, err
-	}
-	return &d, true, nil
+	d, ok, _, err := cl.fresh().getNode(id)
+	return d, ok, err
 }
 
 // GetEdges runs the get_edges program, returning the vertex's live
 // out-neighbors.
 func (cl *Client) GetEdges(id VertexID) ([]VertexID, error) {
-	res, _, err := cl.RunProgram("get_edges", nil, id)
-	if err != nil || len(res) == 0 {
-		return nil, err
-	}
-	var d nodeprog.NodeData
-	if err := nodeprog.Decode(res[0], &d); err != nil {
-		return nil, err
-	}
-	return d.EdgesTo, nil
+	tos, _, err := cl.fresh().getEdges(id)
+	return tos, err
 }
 
 // CountEdges runs the count_edges program.
 func (cl *Client) CountEdges(id VertexID) (int, error) {
-	res, _, err := cl.RunProgram("count_edges", nil, id)
-	if err != nil || len(res) == 0 {
-		return 0, err
-	}
-	var n int
-	err = nodeprog.Decode(res[0], &n)
+	n, _, err := cl.fresh().countEdges(id)
 	return n, err
 }
 
@@ -205,20 +180,7 @@ func (cl *Client) CountEdges(id VertexID) (int, error) {
 // propKey[=propValue] (empty key = all edges), to maxDepth (0 = unbounded).
 // Returns the visited vertex IDs and the snapshot timestamp.
 func (cl *Client) Traverse(start VertexID, propKey, propValue string, maxDepth int) ([]VertexID, Timestamp, error) {
-	params := nodeprog.Encode(nodeprog.TraverseParams{PropKey: propKey, PropValue: propValue, MaxDepth: maxDepth})
-	res, ts, err := cl.RunProgram("traverse", params, start)
-	if err != nil {
-		return nil, ts, err
-	}
-	out := make([]VertexID, 0, len(res))
-	for _, r := range res {
-		var v VertexID
-		if err := nodeprog.Decode(r, &v); err != nil {
-			return nil, ts, err
-		}
-		out = append(out, v)
-	}
-	return out, ts, nil
+	return cl.fresh().traverse(start, propKey, propValue, maxDepth)
 }
 
 // Reachable runs a BFS reachability query from start to target (§6.3).
@@ -288,15 +250,7 @@ func (cl *Client) ConnectedComponent(start VertexID) ([]VertexID, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]VertexID, 0, len(res))
-	for _, r := range res {
-		var v VertexID
-		if err := nodeprog.Decode(r, &v); err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return decodeVertexList(res)
 }
 
 // PropagateLabel floods a label from start along out-edges (§6.3's label

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"weaver/internal/cluster"
+	"weaver/internal/core"
 	"weaver/internal/gatekeeper"
 	"weaver/internal/graph"
 	"weaver/internal/nodeprog"
@@ -300,7 +301,7 @@ func TestChaosKillRestartZeroAckedWriteLoss(t *testing.T) {
 	}
 
 	readNode := func(id graph.VertexID) (map[string]string, bool, error) {
-		res, _, err := gk.RunProgram("get_node", nil, []graph.VertexID{id})
+		res, _, err := gk.RunProgram(core.Timestamp{}, "get_node", nil, []graph.VertexID{id})
 		if err != nil || len(res) == 0 {
 			return nil, false, err
 		}

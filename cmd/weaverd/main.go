@@ -57,6 +57,7 @@ import (
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
 	"weaver/internal/paxos"
+	"weaver/internal/plan"
 	"weaver/internal/remote"
 	"weaver/internal/shard"
 	"weaver/internal/transport"
@@ -81,7 +82,7 @@ func main() {
 		wal        = flag.String("wal", "", "WAL path for a durable store (role=store)")
 		oracleReps = flag.Int("oracle-replicas", 1, "chain replication factor for the oracle (role=store)")
 		workers    = flag.Int("workers", 0, "apply worker-pool size for conflict-aware parallel execution (role=shard; 0 or 1 = serial)")
-		indexKeys  = flag.String("index", "", "comma-separated vertex property keys to index (give the SAME list to every shard; role=demo also smokes a Lookup)")
+		indexKeys  = flag.String("index", "", "comma-separated vertex property keys to index (give the SAME list to every shard and gatekeeper; role=demo also smokes a Lookup)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve the live metrics surface on this host:port (/metrics Prometheus text, /debug/traces slow-op JSON, /debug/pprof)")
 		traceSample = flag.Int("trace-sample", 0, "trace one in N transactions end-to-end (0 = default 64; 1 = every transaction)")
@@ -177,6 +178,7 @@ func main() {
 			NopPeriod:       *nop,
 			HeartbeatPeriod: memberBeat,
 			ProgTimeout:     progTimeout,
+			IndexedKeys:     splitList(*indexKeys),
 			Obs:             o,
 		}, ep, kv, orc, dir)
 		return gk, func() { orc.Close(); kv.Close() }
@@ -545,7 +547,7 @@ func runDemo(gk *gatekeeper.Gatekeeper, withIndex bool) {
 	}
 	log.Printf("demo committed at %v", res.TS)
 	params := nodeprog.Encode(nodeprog.TraverseParams{})
-	out, _, err := gk.RunProgram("traverse", params, []graph.VertexID{"demo/a"})
+	out, _, err := gk.RunProgram(core.Timestamp{}, "traverse", params, []graph.VertexID{"demo/a"})
 	if err != nil {
 		log.Fatalf("demo traversal: %v", err)
 	}
@@ -562,13 +564,15 @@ func runDemo(gk *gatekeeper.Gatekeeper, withIndex bool) {
 	}
 	if withIndex {
 		// Scatter-gather secondary-index lookup through the TCP stack
-		// (shards must run with the same -index list).
-		ids, _, err := gk.Lookup(core.Timestamp{}, gatekeeper.LookupOptions{Wheres: wire.Eq("kind", "demo")})
+		// (shards must run with the same -index list), planned from the
+		// presence markers the commit above published — not broadcast.
+		var ex plan.Explanation
+		ids, _, err := gk.Lookup(core.Timestamp{}, gatekeeper.LookupOptions{Wheres: wire.Eq("kind", "demo"), Explain: &ex})
 		if err != nil {
 			log.Fatalf("demo index lookup: %v", err)
 		}
-		log.Printf("demo index lookup kind=demo: %v", ids)
-		if len(ids) != 3 {
+		log.Printf("demo index lookup kind=demo: %v (shards %v, broadcast=%v %s)", ids, ex.Shards, ex.Broadcast, ex.FallbackReason)
+		if len(ids) != 3 || ex.Broadcast {
 			log.Fatal("demo FAILED (index lookup)")
 		}
 	}

@@ -134,3 +134,47 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("no shutdown breadcrumb; logs:\n%s", logs.String())
 	}
 }
+
+// TestDemoPlansIndexLookup runs the demo role against a store and two
+// shards, all given -index: the demo's gatekeeper must publish presence
+// markers on commit and plan its equality lookup from them. The demo exits
+// nonzero when the lookup fell back to broadcast (what happened while
+// weaverd handed the -index keys to the shards only).
+func TestDemoPlansIndexLookup(t *testing.T) {
+	storeAddr, gkAddr := freePort(t), freePort(t)
+	shardAddrs := []string{freePort(t), freePort(t)}
+	topo := []string{"-store", storeAddr, "-gatekeepers", "1", "-shards", "2",
+		"-shard-addrs", strings.Join(shardAddrs, ","), "-gk-addrs", gkAddr, "-index", "kind"}
+	start := func(name string, args ...string) *proc {
+		p := &proc{name: name, args: append(args, topo...), logs: &syncBuf{}}
+		p.start(t)
+		return p
+	}
+	servers := []*proc{
+		start("store", "-role", "store", "-listen", storeAddr),
+		start("shard0", "-role", "shard", "-id", "0", "-listen", shardAddrs[0]),
+		start("shard1", "-role", "shard", "-id", "1", "-listen", shardAddrs[1]),
+	}
+	t.Cleanup(func() {
+		for _, p := range servers {
+			p.cmd.Process.Kill()
+			p.cmd.Wait()
+		}
+	})
+	for _, p := range servers {
+		p.waitLog(t, "ready", 10*time.Second)
+	}
+	demo := start("demo", "-role", "demo", "-id", "0", "-listen", gkAddr)
+	done := make(chan error, 1)
+	go func() { done <- demo.cmd.Wait() }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(60 * time.Second):
+		demo.cmd.Process.Kill()
+		err = fmt.Errorf("demo timed out: %v", <-done)
+	}
+	if log := demo.logs.String(); err != nil || !strings.Contains(log, "broadcast=false") {
+		t.Fatalf("demo: %v; log:\n%s", err, log)
+	}
+}

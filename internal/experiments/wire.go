@@ -213,7 +213,7 @@ func wireCluster(o Options, frames, disableMetrics bool) (WireClusterRow, []Wire
 			})
 			return err
 		}
-		_, err := cl.CountEdges(v) // node program: framed ProgStart/ProgDelta
+		_, err := cl.CountEdges(v) // node program: framed ProgHops/ProgDelta
 		return err
 	})
 	if errs > 0 {

@@ -14,8 +14,10 @@
 //   - forwards committed write-sets to the involved shards over FIFO
 //     (sequence-numbered) channels, and emits periodic NOPs so every shard
 //     queue stays non-empty (§4.2);
-//   - coordinates node programs: tracks outstanding hops, gathers results,
-//     and triggers program-state garbage collection on completion (§4.5).
+//   - coordinates reads — node programs and index lookups, each at a fresh
+//     or a caller-chosen historical timestamp (prog.go, lookup.go): tracks
+//     outstanding hops and scatter rounds, gathers results, and triggers
+//     program-state garbage collection on completion (§4.5).
 package gatekeeper
 
 import (
@@ -167,16 +169,6 @@ type retainSample struct {
 	ts core.Timestamp
 }
 
-type progPending struct {
-	ts      core.Timestamp
-	pending map[uint64]struct{} // spawned hops not yet consumed
-	early   map[uint64]struct{} // consumptions seen before their spawn
-	results [][]byte
-	err     error
-	done    chan struct{}
-	shards  map[int]struct{} // shards that received work (for ProgFinish)
-}
-
 // Gatekeeper is one timeline-coordinator front-end server.
 type Gatekeeper struct {
 	cfg Config
@@ -205,9 +197,10 @@ type Gatekeeper struct {
 	// awaiting holds the shards that have not yet answered this
 	// gatekeeper's hello; sendNops holds the NOP stream back until it is
 	// empty.
-	awaiting    map[transport.Addr]struct{}
-	progs       map[core.ID]*progPending
-	lookups     map[core.ID]*lookupPending
+	awaiting map[transport.Addr]struct{}
+	// reads holds every read in flight — node programs and index-lookup
+	// rounds — keyed by the read's own fresh timestamp (prog.go).
+	reads       map[core.ID]*pendingRead
 	gcSeen      map[int]core.Timestamp
 	gcShardSeen map[int]core.Timestamp
 	// pins holds snapshot timestamps (refcounted by identity) that GC
@@ -233,20 +226,18 @@ type Gatekeeper struct {
 
 	hopSeq atomic.Uint64
 
-	txCommitted     atomic.Uint64
-	txConflicts     atomic.Uint64
-	txInvalid       atomic.Uint64
-	txRetries       atomic.Uint64
-	txApplied       atomic.Uint64
-	applyPending    atomic.Int64
-	pauses          atomic.Uint64
-	announces       atomic.Uint64
-	nops            atomic.Uint64
-	progsStarted    atomic.Uint64
-	progsFinished   atomic.Uint64
-	lookupsStarted  atomic.Uint64
-	lookupsFinished atomic.Uint64
-	oracleAssigns   atomic.Uint64
+	txCommitted   atomic.Uint64
+	txConflicts   atomic.Uint64
+	txInvalid     atomic.Uint64
+	txRetries     atomic.Uint64
+	txApplied     atomic.Uint64
+	applyPending  atomic.Int64
+	pauses        atomic.Uint64
+	announces     atomic.Uint64
+	nops          atomic.Uint64
+	readsStarted  [2]atomic.Uint64 // indexed by readKind
+	readsFinished [2]atomic.Uint64
+	oracleAssigns atomic.Uint64
 }
 
 // New wires a gatekeeper to its endpoint, backing store, oracle, and
@@ -263,8 +254,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		clock:      core.NewVectorClock(cfg.ID, cfg.NumGatekeepers, cfg.Epoch),
 		seq:        transport.NewSequencer(),
 		awaiting:   make(map[transport.Addr]struct{}, cfg.NumShards),
-		progs:      make(map[core.ID]*progPending),
-		lookups:    make(map[core.ID]*lookupPending),
+		reads:      make(map[core.ID]*pendingRead),
 		pins:       make(map[core.ID]*pinnedSnapshot),
 		indexed:    make(map[string]struct{}, len(cfg.IndexedKeys)),
 		markerHave: make(map[string]struct{}),
@@ -320,21 +310,16 @@ func (g *Gatekeeper) Resume() { g.pause.Unlock() }
 // zero in the new epoch and FIFO sequence numbering resets (§4.3).
 func (g *Gatekeeper) EnterEpoch(epoch uint64) { g.AdvanceEpoch(epoch) }
 
-// Stop terminates the background loops and fails outstanding programs.
+// Stop terminates the background loops and fails outstanding reads.
 func (g *Gatekeeper) Stop() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
 	g.mu.Lock()
-	for _, p := range g.progs {
+	for _, p := range g.reads {
 		p.err = ErrStopped
 		close(p.done)
 	}
-	g.progs = make(map[core.ID]*progPending)
-	for _, p := range g.lookups {
-		p.err = ErrStopped
-		close(p.done)
-	}
-	g.lookups = make(map[core.ID]*lookupPending)
+	clear(g.reads)
 	g.mu.Unlock()
 }
 
@@ -350,10 +335,10 @@ func (g *Gatekeeper) Stats() Stats {
 		Pauses:          g.pauses.Load(),
 		Announces:       g.announces.Load(),
 		Nops:            g.nops.Load(),
-		ProgsStarted:    g.progsStarted.Load(),
-		ProgsFinished:   g.progsFinished.Load(),
-		LookupsStarted:  g.lookupsStarted.Load(),
-		LookupsFinished: g.lookupsFinished.Load(),
+		ProgsStarted:    g.readsStarted[progRead].Load(),
+		ProgsFinished:   g.readsFinished[progRead].Load(),
+		LookupsStarted:  g.readsStarted[lookupRead].Load(),
+		LookupsFinished: g.readsFinished[lookupRead].Load(),
 		OracleAssigns:   g.oracleAssigns.Load(),
 	}
 }
@@ -409,7 +394,7 @@ func (g *Gatekeeper) Quiesce(timeout time.Duration) error {
 func (g *Gatekeeper) OutstandingPrograms() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.progs) + len(g.lookups)
+	return len(g.reads)
 }
 
 // ObserveTimestamp merges ts into this gatekeeper's vector clock, exactly
@@ -444,24 +429,12 @@ func (g *Gatekeeper) Snapshot() core.Timestamp {
 // versions visible at the pin stay readable cluster-wide — shards prune at
 // the pointwise minimum over all gatekeepers' reports, and this
 // gatekeeper's report is in that minimum — until Unpin releases it.
-func (g *Gatekeeper) PinSnapshot() core.Timestamp {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ts := g.clock.Tick()
-	g.pinLocked(ts)
-	return ts
-}
+func (g *Gatekeeper) PinSnapshot() core.Timestamp { return g.pinRead(core.Timestamp{}) }
 
-// Pin pins an existing timestamp against GC. Pins are refcounted by
-// timestamp identity; every Pin needs a matching Unpin. Pinning a
-// timestamp already behind the cluster watermark does not resurrect
-// collected versions — reads at it may still fail with ErrStaleSnapshot.
-func (g *Gatekeeper) Pin(ts core.Timestamp) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.pinLocked(ts)
-}
-
+// pinLocked takes one reference on ts. Pins are refcounted by timestamp
+// identity; pinning a timestamp already behind the cluster watermark does
+// not resurrect collected versions — reads at it may still fail with
+// ErrStaleSnapshot.
 func (g *Gatekeeper) pinLocked(ts core.Timestamp) {
 	id := ts.ID()
 	if p := g.pins[id]; p != nil {
@@ -687,10 +660,7 @@ func (g *Gatekeeper) sendGCReport() {
 	// keeps the oracle small (and its queries fast) under long-lived
 	// snapshots.
 	wmOracle := cur
-	for _, p := range g.progs {
-		wmOracle = core.PointwiseMin(wmOracle, p.ts)
-	}
-	for _, p := range g.lookups {
+	for _, p := range g.reads {
 		wmOracle = core.PointwiseMin(wmOracle, p.ts)
 	}
 	wm := cur
@@ -719,12 +689,10 @@ func (g *Gatekeeper) sendGCReport() {
 		wm = g.retain[aged].ts
 		g.retain = g.retain[aged:]
 	}
-	for _, p := range g.progs {
-		wm = core.PointwiseMin(wm, p.ts)
-	}
-	for _, p := range g.lookups {
-		wm = core.PointwiseMin(wm, p.ts)
-	}
+	// The version watermark holds below every read in flight too; wmOracle
+	// is already the minimum over them (and over the live clock, which the
+	// retained sample never exceeds).
+	wm = core.PointwiseMin(wm, wmOracle)
 	for _, p := range g.pins {
 		wm = core.PointwiseMin(wm, p.ts)
 	}
@@ -763,15 +731,11 @@ func (g *Gatekeeper) handleGCReport(m wire.GCReport) {
 	if g.cfg.ID != 0 {
 		return
 	}
-	wm := m.OracleTS
-	if wm.Zero() {
-		wm = m.TS // reports from senders predating the split watermark
-	}
 	g.mu.Lock()
 	if g.gcSeen == nil {
 		g.gcSeen = make(map[int]core.Timestamp)
 	}
-	g.gcSeen[m.GK] = wm
+	g.gcSeen[m.GK] = m.OracleTS
 	g.maybeOracleGCLocked()
 }
 

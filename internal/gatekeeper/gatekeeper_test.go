@@ -411,7 +411,7 @@ func TestNopStreamWaitsForShard(t *testing.T) {
 	if _, err := gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := gk.RunProgram("get_node", nil, []graph.VertexID{"v"})
+	res, _, err := gk.RunProgram(core.Timestamp{}, "get_node", nil, []graph.VertexID{"v"})
 	if err != nil || len(res) != 1 {
 		t.Fatalf("node program after late shard start: %d results, %v", len(res), err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"weaver/internal/core"
 	"weaver/internal/graph"
-	"weaver/internal/obs"
 	"weaver/internal/plan"
 	"weaver/internal/transport"
 	"weaver/internal/wire"
@@ -18,17 +17,6 @@ import (
 // ErrNoIndex is returned by index lookups naming a property key no
 // secondary index is configured for (weaver.Config.Indexes).
 var ErrNoIndex = errors.New("gatekeeper: no secondary index on property key")
-
-// lookupPending tracks one scatter round of an index query: which shards
-// have not answered yet and the gathered result set.
-type lookupPending struct {
-	ts        core.Timestamp // the round's own fresh timestamp (identity, GC-holding)
-	remaining map[int]struct{}
-	vertices  []graph.VertexID
-	contacts  []plan.ShardContact // per-shard reply accounting for EXPLAIN
-	err       error
-	done      chan struct{}
-}
 
 // LookupOptions parameterizes one index query.
 type LookupOptions struct {
@@ -69,12 +57,14 @@ type LookupOptions struct {
 // conjunction without an equality predicate contacts every shard.
 // Execution:
 //
-//  1. mint the query timestamp and pin the read snapshot (one critical
-//     section — see registerProg for why GC reporting makes this atomic);
+//  1. resolve and pin the read timestamp (pinRead: one critical section,
+//     so GC reporting cannot slip between a fresh mint and its pin);
 //  2. build the plan: read the marker catalog (AFTER the mint — the
 //     happens-before edge of package plan) and intersect equality
 //     predicates into the contacted shard set, or fall back to broadcast;
-//  3. scatter concurrently to the planned shards and gather;
+//  3. scatter concurrently to the planned shards and gather — each round
+//     is one pendingRead, registered, finished and awaited exactly like a
+//     node program (prog.go);
 //  4. re-check the marker catalog and follow up on any shard whose marker
 //     appeared while the round was in flight (same read timestamp — the
 //     pin guarantees it is still answerable), until no new shard matches;
@@ -89,31 +79,14 @@ func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.
 	}
 	tL := time.Now()
 
-	// The pause lock gates issuance only, never the completion wait
-	// (exactly as runProgram): lookups REGISTERED before a migration pause
-	// complete behind it — the drain counts them — while lookups parked at
-	// the gate stay unregistered and launch after Resume with a
-	// post-migration timestamp.
-	g.pause.RLock()
-	select {
-	case <-g.stop:
-		g.pause.RUnlock()
-		return nil, readTS, ErrStopped
-	default:
+	// The pause gate is held from the mint through planning to the first
+	// round's sends (lookupRound releases it). The pin, not a registered
+	// pendingRead, protects the snapshot: it must survive ACROSS scatter
+	// rounds, while each round registers its own.
+	if err := g.admit(); err != nil {
+		return nil, readTS, err
 	}
-	// Minting the query timestamp and pinning the read snapshot happen in
-	// ONE critical section so GC watermark reports — which hold below
-	// every pin — can never slip in between and advance past the fresh
-	// timestamp (see registerProg). The pin, rather than a registered
-	// pending record, is what protects the snapshot here: it must survive
-	// ACROSS scatter rounds, while each round registers its own pending.
-	g.mu.Lock()
-	qts := g.clock.Tick()
-	if readTS.Zero() {
-		readTS = qts
-	}
-	g.pinLocked(readTS)
-	g.mu.Unlock()
+	readTS = g.pinRead(readTS)
 	defer g.Unpin(readTS)
 
 	tr := g.m.tracer.Start()
@@ -156,13 +129,13 @@ func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.
 		contacts  []plan.ShardContact
 		shardsNow = pl.Shards
 		followups = 0
-		holding   = true // pause read lock held
 		lerr      error
 	)
-	for {
-		if len(shardsNow) > 0 {
-			rv, rc, err := g.lookupRound(req, shardsNow, tr) // releases the pause lock
-			holding = false
+	for { // the pause read lock is held at the top of every iteration
+		if len(shardsNow) == 0 {
+			g.pause.RUnlock()
+		} else {
+			rv, rc, err := g.lookupRound(req, shardsNow) // releases the pause lock
 			if err != nil {
 				lerr = err
 				break
@@ -172,9 +145,6 @@ func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.
 			for _, s := range shardsNow {
 				contacted[s] = struct{}{}
 			}
-		} else if holding {
-			g.pause.RUnlock()
-			holding = false
 		}
 		if pl.Broadcast {
 			break // every shard contacted; nothing to re-check
@@ -193,21 +163,9 @@ func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.
 		followups++
 		g.m.planRechecks.Inc()
 		shardsNow = extra
-		g.pause.RLock()
-		holding = true
-		select {
-		case <-g.stop:
-			g.pause.RUnlock()
-			holding = false
-			lerr = ErrStopped
-		default:
-		}
-		if lerr != nil {
+		if lerr = g.admit(); lerr != nil {
 			break
 		}
-	}
-	if holding {
-		g.pause.RUnlock()
 	}
 
 	g.m.lookupDur.Since(tL)
@@ -264,25 +222,13 @@ func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.
 // the slowest single send, not the sum — sequential sends would hold the
 // pause gate (and any migration batch queued behind it) for the full sum
 // under a slow or backpressured transport.
-func (g *Gatekeeper) lookupRound(req wire.IndexLookup, shards []int, tr *obs.Trace) ([]graph.VertexID, []plan.ShardContact, error) {
-	// Fresh tick + pending registration in one critical section
-	// (registerProg invariant); the round's timestamp is its identity for
-	// reply routing and holds the GC watermark while in flight.
-	g.mu.Lock()
-	qts := g.clock.Tick()
-	qid := qts.ID()
-	p := &lookupPending{
-		ts:        qts,
-		remaining: make(map[int]struct{}, len(shards)),
-		done:      make(chan struct{}),
-	}
+func (g *Gatekeeper) lookupRound(req wire.IndexLookup, shards []int) ([]graph.VertexID, []plan.ShardContact, error) {
+	p := &pendingRead{kind: lookupRead, remaining: make(map[int]struct{}, len(shards))}
 	for _, s := range shards {
 		p.remaining[s] = struct{}{}
 	}
-	g.lookups[qid] = p
-	g.mu.Unlock()
-	g.lookupsStarted.Add(1)
-	req.QID = qid
+	g.register(p)
+	req.QID = p.ts.ID()
 
 	var wg sync.WaitGroup
 	for _, s := range shards {
@@ -290,24 +236,15 @@ func (g *Gatekeeper) lookupRound(req wire.IndexLookup, shards []int, tr *obs.Tra
 		go func(s int) {
 			defer wg.Done()
 			if err := g.ep.Send(transport.ShardAddr(s), req); err != nil {
-				g.finishLookup(qid, p, fmt.Errorf("%w: shard %d unreachable: %v", ErrProgFailed, s, err))
+				g.finish(p, fmt.Errorf("%w: shard %d unreachable: %v", ErrProgFailed, s, err))
 			}
 		}(s)
 	}
 	wg.Wait()
 	g.pause.RUnlock()
 
-	select {
-	case <-p.done:
-	case <-time.After(g.cfg.ProgTimeout):
-		g.finishLookup(qid, p, ErrProgTimeout)
-		<-p.done
-	case <-g.stop:
-		g.finishLookup(qid, p, ErrStopped)
-		<-p.done
-	}
-	if p.err != nil {
-		return nil, nil, p.err
+	if err := g.await(p); err != nil {
+		return nil, nil, err
 	}
 	return p.vertices, p.contacts, nil
 }
@@ -334,24 +271,17 @@ func dedupVertices(vs []graph.VertexID) []graph.VertexID {
 	return out
 }
 
-// handleIndexResult folds one shard's reply into the pending lookup.
+// handleIndexResult folds one shard's reply into the pending lookup round.
 func (g *Gatekeeper) handleIndexResult(m wire.IndexResult) {
 	g.mu.Lock()
-	p, ok := g.lookups[m.QID]
-	if !ok {
+	p, ok := g.reads[m.QID]
+	if !ok || p.kind != lookupRead {
 		g.mu.Unlock()
 		return // late reply for a finished/timed-out lookup
 	}
 	if m.Err != "" || m.ErrCode != wire.ErrCodeNone {
 		g.mu.Unlock()
-		base := ErrProgFailed
-		switch m.ErrCode {
-		case wire.ErrCodeStaleSnapshot:
-			base = ErrStaleSnapshot
-		case wire.ErrCodeNoIndex:
-			base = ErrNoIndex
-		}
-		g.finishLookup(m.QID, p, fmt.Errorf("%w: %s", base, m.Err))
+		g.finish(p, replyErr(m.ErrCode, m.Err))
 		return
 	}
 	if _, waiting := p.remaining[m.Shard]; !waiting {
@@ -366,43 +296,6 @@ func (g *Gatekeeper) handleIndexResult(m wire.IndexResult) {
 	finished := len(p.remaining) == 0
 	g.mu.Unlock()
 	if finished {
-		g.finishLookup(m.QID, p, nil)
+		g.finish(p, nil)
 	}
-}
-
-// finishLookup completes a lookup round exactly once.
-func (g *Gatekeeper) finishLookup(qid core.ID, p *lookupPending, err error) {
-	g.mu.Lock()
-	if _, live := g.lookups[qid]; !live {
-		g.mu.Unlock()
-		return
-	}
-	delete(g.lookups, qid)
-	p.err = err
-	g.mu.Unlock()
-	g.lookupsFinished.Add(1)
-	close(p.done)
-}
-
-// RunProgramWhere launches a node program whose start set is an index
-// selector instead of a hand-carried vertex list: one fresh snapshot
-// timestamp is minted, the cluster-wide index lookup for key=value runs at
-// it, and the program then reads the graph at the SAME timestamp — so the
-// start set and everything the program sees are one consistent snapshot
-// (no writer can sneak a vertex in or out between the two phases). The
-// timestamp is pinned for the duration, so the two-phase read can never
-// age past the GC watermark between its phases. An empty match set returns
-// (nil, ts, nil) without launching the program.
-func (g *Gatekeeper) RunProgramWhere(key, value, prog string, params []byte) ([][]byte, core.Timestamp, error) {
-	g.mu.Lock()
-	ts := g.clock.Tick()
-	g.pinLocked(ts)
-	g.mu.Unlock()
-	defer g.Unpin(ts)
-	start, _, err := g.Lookup(ts, LookupOptions{Wheres: wire.Eq(key, value)})
-	if err != nil || len(start) == 0 {
-		return nil, ts, err
-	}
-	res, err := g.RunProgramAt(ts, prog, params, start)
-	return res, ts, err
 }

@@ -7,6 +7,7 @@ import (
 
 	"weaver/internal/core"
 	"weaver/internal/graph"
+	"weaver/internal/plan"
 	"weaver/internal/transport"
 	"weaver/internal/wire"
 )
@@ -25,150 +26,214 @@ var ErrProgFailed = errors.New("gatekeeper: node program failed")
 // reads at pinned snapshots (PinSnapshot), never hit this.
 var ErrStaleSnapshot = errors.New("gatekeeper: snapshot timestamp behind GC watermark")
 
-// RunProgram launches the named node program at the start vertices and
-// blocks until it terminates everywhere, returning the values the program
-// returned across all visits (§2.3 gather). The program is stamped with a
-// fresh refinable timestamp and reads the graph snapshot at that timestamp
-// (§4.1).
-func (g *Gatekeeper) RunProgram(prog string, params []byte, start []graph.VertexID) ([][]byte, core.Timestamp, error) {
-	return g.runProgram(core.Timestamp{}, prog, params, start)
+// The read path. A read is what to evaluate — a node program (this file) or
+// a predicate conjunction (lookup.go) — plus the timestamp to evaluate it
+// at, zero meaning "mint a fresh one": a current read and a historical
+// query (§4.5) are the same call. Every read in flight is one pendingRead in
+// Gatekeeper.reads — register, finish (exactly once), await — and while
+// there it counts toward OutstandingPrograms and holds the GC watermark.
+
+// readKind says which payload a pendingRead carries.
+type readKind int
+
+const (
+	progRead   readKind = iota // a node program: hop accounting
+	lookupRead                 // one scatter round of an index lookup
+)
+
+// pendingRead is one read in flight. ts and done are set by register; the
+// payload fields of its kind are set by the caller before registering.
+type pendingRead struct {
+	kind readKind
+	// ts is the read's own fresh timestamp — its identity (QID) and its hold
+	// on the GC watermark — not the timestamp it reads AT, so any number of
+	// reads can share one historical snapshot.
+	ts   core.Timestamp
+	err  error
+	done chan struct{}
+
+	// progRead: termination detection and gather.
+	pending map[uint64]struct{} // spawned hops not yet consumed
+	early   map[uint64]struct{} // consumptions seen before their spawn
+	results [][]byte
+	shards  map[int]struct{} // shards that received work (for ProgFinish)
+
+	// lookupRead: the round's shard set and gather.
+	remaining map[int]struct{} // shards that have not answered yet
+	vertices  []graph.VertexID
+	contacts  []plan.ShardContact // per-shard reply accounting for EXPLAIN
 }
 
-// registerProg mints a query timestamp and registers its pending record in
-// ONE critical section. The two must be atomic with respect to GC
-// reporting: sendGCReport holds the watermark below every registered
-// query, so a report slipping between a tick and a later registration
-// could advance the cluster watermark past the fresh timestamp and make
-// shards reject the brand-new query as a stale snapshot. Callers must
-// hold the pause read lock: a query registered while blocked on the pause
-// gate would deadlock the migration drain that waits for registered
-// queries to finish.
-func (g *Gatekeeper) registerProg() (core.Timestamp, *progPending) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ts := g.clock.Tick()
-	p := &progPending{
-		ts:      ts,
-		pending: make(map[uint64]struct{}),
-		early:   make(map[uint64]struct{}),
-		done:    make(chan struct{}),
-		shards:  make(map[int]struct{}),
-	}
-	g.progs[ts.ID()] = p
-	g.progsStarted.Add(1)
-	return ts, p
-}
-
-// RunProgramAt launches a node program reading the graph as of a caller-
-// supplied timestamp — the historical query mode enabled by the
-// multi-version graph (§4.5). The timestamp must have been obtained from
-// this cluster (e.g. a previous commit's timestamp, or Snapshot). The
-// query itself is stamped with a fresh timestamp — its identity for
-// termination detection — so any number of queries, concurrent or
-// repeated, can read at the same pinned snapshot. Returns an error
-// wrapping ErrStaleSnapshot when readTS is behind the GC watermark.
-func (g *Gatekeeper) RunProgramAt(readTS core.Timestamp, prog string, params []byte, start []graph.VertexID) ([][]byte, error) {
-	if readTS.Zero() {
-		return nil, fmt.Errorf("%w: zero read timestamp", ErrProgFailed)
-	}
-	res, _, err := g.runProgram(readTS, prog, params, start)
-	return res, err
-}
-
-// runProgram coordinates one node program. A fresh timestamp is minted as
-// the query's identity (termination tracking, GC-holding); readTS is the
-// snapshot the program reads at — zero means "read at the query's own
-// fresh timestamp" (ordinary programs). Returns the query timestamp.
-func (g *Gatekeeper) runProgram(readTS core.Timestamp, prog string, params []byte, start []graph.VertexID) ([][]byte, core.Timestamp, error) {
-	// The pause lock gates issuance only — never the completion wait, or
-	// a program stranded on a crashed shard would stall the epoch barrier
-	// that recovers that very shard (§4.3). It is taken BEFORE the query
-	// registers (see registerProg), so a program parked at the gate during
-	// a migration pause is invisible to the drain and launches afterwards
-	// with a fresh post-migration timestamp.
+// admit takes the pause read lock for issuing an operation, unless the
+// gatekeeper has stopped. For a read the lock gates issuance only — never
+// the completion wait, or a read stranded on a crashed shard would stall
+// the epoch barrier that recovers that very shard (§4.3) — and is taken
+// BEFORE the read registers, so a read parked at the gate during a
+// migration pause is invisible to the drain and launches afterwards with a
+// post-migration timestamp.
+func (g *Gatekeeper) admit() error {
 	g.pause.RLock()
 	select {
 	case <-g.stop:
 		g.pause.RUnlock()
-		return nil, core.Timestamp{}, ErrStopped
+		return ErrStopped
 	default:
+		return nil
 	}
-	ts, p := g.registerProg()
-	qid := ts.ID()
+}
+
+// register mints p's timestamp and inserts it into the pending-read map in
+// ONE critical section. The two must be atomic with respect to GC
+// reporting: sendGCReport holds the watermark below every registered read,
+// so a report slipping between a tick and a later registration could
+// advance the cluster watermark past the fresh timestamp and make shards
+// reject the brand-new read as a stale snapshot. Callers must hold the
+// pause read lock (admit): a read registered while blocked on the pause
+// gate would deadlock the migration drain that waits for registered reads
+// to finish.
+func (g *Gatekeeper) register(p *pendingRead) {
+	p.done = make(chan struct{})
+	g.mu.Lock()
+	p.ts = g.clock.Tick()
+	g.reads[p.ts.ID()] = p
+	g.mu.Unlock()
+	g.readsStarted[p.kind].Add(1)
+}
+
+// finish completes a read exactly once: records the error, wakes the
+// waiter, and tells every shard a program involved to garbage collect its
+// per-vertex state (§4.5).
+func (g *Gatekeeper) finish(p *pendingRead, err error) {
+	qid := p.ts.ID()
+	g.mu.Lock()
+	if _, live := g.reads[qid]; !live {
+		g.mu.Unlock()
+		return
+	}
+	delete(g.reads, qid)
+	p.err = err
+	g.mu.Unlock()
+	g.readsFinished[p.kind].Add(1)
+	for s := range p.shards { // stable: p is no longer reachable for deltas
+		g.ep.Send(transport.ShardAddr(s), wire.ProgFinish{QID: qid})
+	}
+	close(p.done)
+}
+
+// await blocks until p finishes, failing it on ProgTimeout or Stop, and
+// returns its error.
+func (g *Gatekeeper) await(p *pendingRead) error {
+	select {
+	case <-p.done:
+	case <-time.After(g.cfg.ProgTimeout):
+		g.finish(p, ErrProgTimeout)
+	case <-g.stop:
+		g.finish(p, ErrStopped)
+	}
+	<-p.done
+	return p.err
+}
+
+// pinRead resolves a read timestamp — zero mints a fresh one, strictly
+// after every transaction committed through this gatekeeper — and pins it,
+// in one critical section for the same reason as register. The pin keeps a
+// snapshot answerable ACROSS the phases of a multi-phase read (lookup
+// rounds, RunProgramWhere), each of which registers its own pendingRead.
+// Every pinRead needs a matching Unpin.
+func (g *Gatekeeper) pinRead(readTS core.Timestamp) core.Timestamp {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if readTS.Zero() {
+		readTS = g.clock.Tick()
+	}
+	g.pinLocked(readTS)
+	return readTS
+}
+
+// RunProgram launches the named node program at the start vertices and
+// blocks until it terminates everywhere, returning the values the program
+// returned across all visits (§2.3 gather) and the timestamp it read at.
+// The program reads the graph snapshot at readTS (§4.1), which must have
+// been obtained from this cluster (a previous commit's timestamp, Snapshot,
+// PinSnapshot); a ZERO readTS reads at a fresh timestamp minted here — the
+// strictly serializable current read. Returns an error wrapping
+// ErrStaleSnapshot when readTS is behind the GC watermark.
+func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byte, start []graph.VertexID) ([][]byte, core.Timestamp, error) {
+	if err := g.admit(); err != nil {
+		return nil, readTS, err
+	}
 	// One trace per coordinated program: the gatekeeper holds the only
 	// completion token (hop fan-out is dynamic, so shards do not Done the
 	// trace — they just echo the ID on ProgHops/ProgDelta, keeping
 	// cross-shard hops attributable).
 	tr := g.m.tracer.Start()
-	tRun := time.Now()
-	defer func() {
-		tr.SpanSince("prog_run", tRun)
-		g.m.tracer.Done(tr)
-	}()
+	defer g.m.tracer.Done(tr)
+	defer tr.SpanSince("prog_run", time.Now())
+
+	// The initial hops are built before the read registers: resolving home
+	// shards touches the backing store, and placement cannot change under
+	// the pause read lock.
+	p := &pendingRead{
+		kind:    progRead,
+		pending: make(map[uint64]struct{}, len(start)),
+		early:   make(map[uint64]struct{}),
+		shards:  make(map[int]struct{}),
+	}
+	byShard := make(map[int][]wire.Hop)
+	for _, v := range start {
+		id := g.hopSeq.Add(1) | coordinatorHopBit
+		s := g.lookupShard(v)
+		p.pending[id] = struct{}{}
+		p.shards[s] = struct{}{}
+		byShard[s] = append(byShard[s], wire.Hop{ID: id, Vertex: v, Program: prog, Params: params, Origin: -1})
+	}
+	g.register(p)
 	if readTS.Zero() {
-		readTS = ts
+		readTS = p.ts
 	}
 	if len(start) == 0 {
-		g.pause.RUnlock()
-		g.finishProg(qid, p, nil)
-		<-p.done
-		return nil, ts, p.err
+		g.finish(p, nil) // nothing to visit
 	}
-
-	// Hop building touches the backing store (home-shard resolution), so
-	// it runs outside g.mu; the pending record is already registered and
-	// holding the GC watermark, and no delta can arrive before the sends
-	// below, so filling its maps under a fresh lock hold is safe.
-	byShard := make(map[int][]wire.Hop)
-	g.mu.Lock()
-	hopIDs := make([]uint64, len(start))
-	for i := range start {
-		hopIDs[i] = g.hopSeq.Add(1) | coordinatorHopBit
-		p.pending[hopIDs[i]] = struct{}{}
-	}
-	g.mu.Unlock()
-	for i, v := range start {
-		s := g.lookupShard(v)
-		byShard[s] = append(byShard[s], wire.Hop{ID: hopIDs[i], Vertex: v, Program: prog, Params: params, Origin: -1})
-	}
-	g.mu.Lock()
-	for s := range byShard {
-		p.shards[s] = struct{}{}
-	}
-	g.mu.Unlock()
-
 	for s, hops := range byShard {
 		g.m.hopFanout.Observe(uint64(len(hops)))
-		err := g.ep.Send(transport.ShardAddr(s), wire.ProgStart{
-			QID:         qid,
-			TS:          ts,
+		err := g.ep.Send(transport.ShardAddr(s), wire.ProgHops{
+			QID:         p.ts.ID(),
+			TS:          p.ts,
 			ReadTS:      readTS,
-			Prog:        prog,
-			Params:      params,
-			Hops:        hops,
 			Coordinator: g.ep.Addr(),
+			Hops:        hops,
 			Trace:       tr.ID(),
 		})
 		if err != nil {
-			g.finishProg(qid, p, fmt.Errorf("%w: shard %d unreachable: %v", ErrProgFailed, s, err))
+			g.finish(p, fmt.Errorf("%w: shard %d unreachable: %v", ErrProgFailed, s, err))
 			break
 		}
 	}
 	g.pause.RUnlock()
 
-	select {
-	case <-p.done:
-	case <-time.After(g.cfg.ProgTimeout):
-		g.finishProg(qid, p, ErrProgTimeout)
-		<-p.done
-	case <-g.stop:
-		g.finishProg(qid, p, ErrStopped)
-		<-p.done
+	if err := g.await(p); err != nil {
+		return nil, readTS, err
 	}
-	if p.err != nil {
-		return nil, ts, p.err
+	return p.results, readTS, nil
+}
+
+// RunProgramWhere launches a node program whose start set is an index
+// selector instead of a hand-carried vertex list: the cluster-wide index
+// lookup for key=value runs at readTS (zero = a fresh timestamp minted
+// here), and the program then reads the graph at the SAME timestamp — so
+// the start set and everything the program sees are one consistent
+// snapshot (no writer can sneak a vertex in or out between the two phases).
+// The timestamp is pinned for the duration, so the two-phase read can never
+// age past the GC watermark between its phases. An empty match set returns
+// (nil, ts, nil) without launching the program.
+func (g *Gatekeeper) RunProgramWhere(readTS core.Timestamp, key, value, prog string, params []byte) ([][]byte, core.Timestamp, error) {
+	ts := g.pinRead(readTS)
+	defer g.Unpin(ts)
+	start, _, err := g.Lookup(ts, LookupOptions{Wheres: wire.Eq(key, value)})
+	if err != nil || len(start) == 0 {
+		return nil, ts, err
 	}
-	return p.results, ts, nil
+	return g.RunProgram(ts, prog, params, start)
 }
 
 // lookupShard resolves a vertex's home shard, preferring the authoritative
@@ -186,8 +251,8 @@ func (g *Gatekeeper) lookupShard(v graph.VertexID) int {
 // reaching zero terminates the query (§2.3).
 func (g *Gatekeeper) handleProgDelta(m wire.ProgDelta, from transport.Addr) {
 	g.mu.Lock()
-	p, ok := g.progs[m.QID]
-	if !ok {
+	p, ok := g.reads[m.QID]
+	if !ok || p.kind != progRead {
 		g.mu.Unlock()
 		return // late delta for a finished/timed-out query
 	}
@@ -196,11 +261,7 @@ func (g *Gatekeeper) handleProgDelta(m wire.ProgDelta, from transport.Addr) {
 	}
 	if m.Err != "" || m.ErrCode != wire.ErrCodeNone {
 		g.mu.Unlock()
-		base := ErrProgFailed
-		if m.ErrCode == wire.ErrCodeStaleSnapshot {
-			base = ErrStaleSnapshot
-		}
-		g.finishProg(m.QID, p, fmt.Errorf("%w: %s", base, m.Err))
+		g.finish(p, replyErr(m.ErrCode, m.Err))
 		return
 	}
 	p.results = append(p.results, m.Results...)
@@ -224,31 +285,21 @@ func (g *Gatekeeper) handleProgDelta(m wire.ProgDelta, from transport.Addr) {
 	finished := len(p.pending) == 0 && len(p.early) == 0
 	g.mu.Unlock()
 	if finished {
-		g.finishProg(m.QID, p, nil)
+		g.finish(p, nil)
 	}
 }
 
-// finishProg completes a query exactly once: records the error, wakes the
-// waiter, and tells every involved shard to garbage collect the query's
-// per-vertex state (§4.5).
-func (g *Gatekeeper) finishProg(qid core.ID, p *progPending, err error) {
-	g.mu.Lock()
-	if _, live := g.progs[qid]; !live {
-		g.mu.Unlock()
-		return
+// replyErr turns a shard's error reply into the typed error its code names
+// (error strings alone cannot round-trip errors.Is).
+func replyErr(code int, msg string) error {
+	base := ErrProgFailed
+	switch code {
+	case wire.ErrCodeStaleSnapshot:
+		base = ErrStaleSnapshot
+	case wire.ErrCodeNoIndex:
+		base = ErrNoIndex
 	}
-	delete(g.progs, qid)
-	p.err = err
-	shards := make([]int, 0, len(p.shards))
-	for s := range p.shards {
-		shards = append(shards, s)
-	}
-	g.mu.Unlock()
-	g.progsFinished.Add(1)
-	for _, s := range shards {
-		g.ep.Send(transport.ShardAddr(s), wire.ProgFinish{QID: qid})
-	}
-	close(p.done)
+	return fmt.Errorf("%w: %s", base, msg)
 }
 
 // shardIndex parses a shard address back to its index.

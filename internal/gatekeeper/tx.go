@@ -67,13 +67,10 @@ func (g *Gatekeeper) CommitTx(reads []ReadCheck, ops []graph.Op) (CommitResult, 
 	// must not block a migration batch's Pause): if the shards are more
 	// than maxApplyLag write-sets behind, wait for them to catch up.
 	g.waitApplyLag()
-	g.pause.RLock()
-	defer g.pause.RUnlock()
-	select {
-	case <-g.stop:
-		return CommitResult{}, ErrStopped
-	default:
+	if err := g.admit(); err != nil {
+		return CommitResult{}, err
 	}
+	defer g.pause.RUnlock()
 	tAdmit := time.Now()
 	g.m.queueWait.Dur(tAdmit.Sub(t0))
 	// Publish index presence markers BEFORE any timestamp is minted for

@@ -179,7 +179,7 @@ func TestTCPDeployment(t *testing.T) {
 
 	// Node program across both TCP shards.
 	params := nodeprog.Encode(nodeprog.TraverseParams{})
-	out, _, err := gk.RunProgram("traverse", params, []graph.VertexID{"a"})
+	out, _, err := gk.RunProgram(core.Timestamp{}, "traverse", params, []graph.VertexID{"a"})
 	if err != nil {
 		t.Fatalf("program over TCP: %v", err)
 	}

@@ -9,61 +9,25 @@ import (
 	"weaver/internal/wire"
 )
 
-// Secondary-index queries (internal/index). A lookup is a read at a
-// snapshot, so it obeys exactly the node-program rules: the shard delays
-// evaluation until every transaction at or before the read timestamp has
-// applied (§4.1 readiness), refuses timestamps behind the GC watermark
-// with a typed error (§4.5 — never wrong data), and builds its visibility
-// predicate from the same write-before-read refinement programs use.
-// Lookups run on the event loop between apply batches, so they never
-// observe a half-applied transaction.
+// Secondary-index queries (internal/index). A lookup is a read like any
+// other: it queues behind the gate in prog.go and builds its visibility
+// predicate from the same write-before-read refinement programs use. This
+// file is what a READY lookup evaluates.
 
-// runReadyLookups answers every pending index lookup whose read timestamp
-// the shard has fully passed.
-func (s *Shard) runReadyLookups() {
-	if len(s.lookups) == 0 {
-		return
-	}
-	remaining := s.lookups[:0]
-	for _, m := range s.lookups {
-		if !s.progReady(m.ReadTS) {
-			remaining = append(remaining, m)
-			continue
-		}
-		s.answerLookup(m)
-	}
-	s.lookups = remaining
-}
-
-// answerLookup evaluates one ready lookup and replies to its coordinator.
-func (s *Shard) answerLookup(m wire.IndexLookup) {
+// answerLookup replies to a ready lookup: the refusal stale (non-empty when
+// its read timestamp is behind the GC watermark), or its evaluation.
+func (s *Shard) answerLookup(m *wire.IndexLookup, stale string) {
 	s.indexLookups.Add(1)
-	if s.snapshotStale(m.ReadTS) {
-		s.ep.Send(m.Reply, wire.IndexResult{
-			QID:     m.QID,
-			Shard:   s.cfg.ID,
-			ErrCode: wire.ErrCodeStaleSnapshot,
-			Err: fmt.Sprintf("shard %d: lookup timestamp %v behind GC watermark %v",
-				s.cfg.ID, m.ReadTS, s.gcWM),
-			Trace: m.Trace,
-		})
-		return
+	res := wire.IndexResult{QID: m.QID, Shard: s.cfg.ID, Trace: m.Trace}
+	if stale != "" {
+		res.ErrCode, res.Err = wire.ErrCodeStaleSnapshot, stale
+	} else if ids, matched, scanned, indexed := s.evalWheres(m.Wheres, m.Limit, s.visible(m.ReadTS)); indexed {
+		res.Vertices, res.Matched, res.Scanned = ids, matched, scanned
+	} else {
+		res.ErrCode = wire.ErrCodeNoIndex
+		res.Err = fmt.Sprintf("shard %d: no index on queried property key(s)", s.cfg.ID)
 	}
-	ids, matched, scanned, indexed := s.evalWheres(m.Wheres, m.Limit, s.visible(m.ReadTS))
-	if !indexed {
-		s.ep.Send(m.Reply, wire.IndexResult{
-			QID:     m.QID,
-			Shard:   s.cfg.ID,
-			ErrCode: wire.ErrCodeNoIndex,
-			Err:     fmt.Sprintf("shard %d: no index on queried property key(s)", s.cfg.ID),
-			Trace:   m.Trace,
-		})
-		return
-	}
-	s.ep.Send(m.Reply, wire.IndexResult{
-		QID: m.QID, Shard: s.cfg.ID, Vertices: ids,
-		Matched: matched, Scanned: scanned, Trace: m.Trace,
-	})
+	s.ep.Send(m.Reply, res)
 }
 
 // evalWheres evaluates a predicate conjunction against the secondary

@@ -11,53 +11,72 @@ import (
 	"weaver/internal/wire"
 )
 
-// runReadyProgs executes every pending node-program batch whose timestamp
-// the shard has fully passed (§4.1: "Weaver delays execution of a node
-// program at a shard until after execution of all preceding and concurrent
-// transactions").
-func (s *Shard) runReadyProgs() {
-	if len(s.pending) == 0 {
-		return
-	}
-	remaining := s.pending[:0]
-	for _, b := range s.pending {
-		if _, gone := s.finished[b.qid]; gone {
-			continue // late hops for a closed query
+// The read path. A read — a batch of node-program hops or an index lookup —
+// is (what, read timestamp); current and historical reads differ only in
+// the timestamp their coordinator chose. Every read queues in one FIFO
+// (Shard.reads) and passes one gate (runReadyReads): it waits until the
+// shard has applied everything at or before its read timestamp (§4.1), is
+// refused with a typed error if that timestamp is behind the GC watermark
+// (§4.5), and otherwise evaluates under the visibility predicate built from
+// it. Reads run on the event loop between apply batches, so they never
+// observe a half-applied transaction.
+
+// pendingRead is one read waiting at the gate; exactly one of hops and
+// lookup is set.
+type pendingRead struct {
+	readTS core.Timestamp
+	hops   *wire.ProgHops
+	lookup *wire.IndexLookup
+}
+
+// runReadyReads runs every pending read whose read timestamp the shard has
+// fully passed (§4.1: "Weaver delays execution of a node program at a shard
+// until after execution of all preceding and concurrent transactions"). A
+// historical read only needs everything at or before its snapshot applied,
+// so it never waits behind traffic newer than what it reads.
+func (s *Shard) runReadyReads() {
+	remaining := s.reads[:0]
+	for _, r := range s.reads {
+		if r.hops != nil {
+			if _, gone := s.finished[r.hops.QID]; gone {
+				continue // late hops for a closed query
+			}
 		}
-		// Readiness is judged at the READ timestamp: a historical query
-		// only needs everything at or before its snapshot applied, so it
-		// never waits behind traffic newer than what it reads.
-		if !s.progReady(b.readTS) {
-			remaining = append(remaining, b)
+		if !s.progReady(r.readTS) {
+			remaining = append(remaining, r)
 			continue
 		}
-		if s.snapshotStale(b.readTS) {
-			// The snapshot fell behind the GC watermark: versions it
-			// would need may be collected. Refuse with a typed code —
-			// never wrong data. Checked batch-by-batch on the event
-			// loop, which also runs GC, so a batch that passes reads
-			// strictly pre-collection state.
-			s.ep.Send(b.coordinator, wire.ProgDelta{
-				QID:     b.qid,
-				ErrCode: wire.ErrCodeStaleSnapshot,
-				Err: fmt.Sprintf("shard %d: read timestamp %v behind GC watermark %v",
-					s.cfg.ID, b.readTS, s.gcWM),
+		// The snapshot fell behind the GC watermark: versions it would need
+		// may be collected. Refuse with a typed code — never wrong data.
+		// Checked read-by-read on the event loop, which also runs GC, so a
+		// read that passes sees strictly pre-collection state.
+		var stale string
+		if s.snapshotStale(r.readTS) {
+			stale = fmt.Sprintf("shard %d: read timestamp %v behind GC watermark %v",
+				s.cfg.ID, r.readTS, s.gcWM)
+		}
+		switch {
+		case r.lookup != nil:
+			s.answerLookup(r.lookup, stale)
+		case stale != "":
+			s.ep.Send(r.hops.Coordinator, wire.ProgDelta{
+				QID: r.hops.QID, ErrCode: wire.ErrCodeStaleSnapshot, Err: stale,
 			})
-			delete(s.progState, b.qid)
-			continue
+			delete(s.progState, r.hops.QID)
+		default:
+			s.runBatch(r.hops)
 		}
-		s.runBatch(b)
 	}
-	s.pending = remaining
+	s.reads = remaining
 }
 
 // snapshotStale reports whether a read at ts can no longer be answered
 // exactly: the GC watermark has passed it, so versions whose lifetime
 // ended between ts and the watermark — exactly the ones ts should still
 // see — may be collected. Reads at or after the watermark are always
-// exact; ordinary (fresh-timestamp) programs can never be stale because
-// their coordinator holds its gatekeeper's watermark report below them
-// while they run.
+// exact; a read at a fresh timestamp can never be stale because its
+// coordinator holds its gatekeeper's watermark report below it while it
+// runs.
 func (s *Shard) snapshotStale(ts core.Timestamp) bool {
 	if s.gcWM.Zero() {
 		return false // no collection has happened; all history resident
@@ -121,19 +140,19 @@ func (s *Shard) visible(progTS core.Timestamp) graph.Before {
 
 // runBatch executes a batch of hops and their local cascade, forwards
 // remote hops, and reports the delta to the coordinator.
-func (s *Shard) runBatch(b *hopBatch) {
+func (s *Shard) runBatch(b *wire.ProgHops) {
 	s.progBatches.Add(1)
-	view := s.g.At(s.visible(b.readTS))
+	view := s.g.At(s.visible(b.ReadTS))
 
-	states := s.progState[b.qid]
+	states := s.progState[b.QID]
 	if states == nil {
 		states = make(map[graph.VertexID][]byte)
-		s.progState[b.qid] = states
+		s.progState[b.QID] = states
 	}
 
-	work := append([]wire.Hop(nil), b.hops...)
-	consumed := make([]uint64, 0, len(b.hops))
-	for _, h := range b.hops {
+	work := append([]wire.Hop(nil), b.Hops...)
+	consumed := make([]uint64, 0, len(b.Hops))
+	for _, h := range b.Hops {
 		consumed = append(consumed, h.ID)
 	}
 	var results [][]byte
@@ -153,12 +172,12 @@ func (s *Shard) runBatch(b *hopBatch) {
 	}
 	fail := func(err error) {
 		flushHeat()
-		s.ep.Send(b.coordinator, wire.ProgDelta{QID: b.qid, Err: err.Error()})
-		delete(s.progState, b.qid)
+		s.ep.Send(b.Coordinator, wire.ProgDelta{QID: b.QID, Err: err.Error()})
+		delete(s.progState, b.QID)
 	}
 	for len(work) > 0 {
 		if visits >= s.cfg.MaxCascade {
-			fail(fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.qid, s.cfg.MaxCascade))
+			fail(fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.QID, s.cfg.MaxCascade))
 			return
 		}
 		hop := work[len(work)-1]
@@ -184,8 +203,8 @@ func (s *Shard) runBatch(b *hopBatch) {
 			}
 		}
 		ctx := &nodeprog.Context{
-			Query:    b.qid,
-			TS:       b.readTS,
+			Query:    b.QID,
+			TS:       b.ReadTS,
 			VertexID: hop.Vertex,
 			Vertex:   vv,
 			State:    states[hop.Vertex],
@@ -227,21 +246,21 @@ func (s *Shard) runBatch(b *hopBatch) {
 			spawnedIDs = append(spawnedIDs, h.ID)
 		}
 		s.ep.Send(transport.ShardAddr(tgt), wire.ProgHops{
-			QID:         b.qid,
-			TS:          b.ts,
-			ReadTS:      b.readTS,
-			Coordinator: b.coordinator,
+			QID:         b.QID,
+			TS:          b.TS,
+			ReadTS:      b.ReadTS,
+			Coordinator: b.Coordinator,
 			Hops:        hops,
-			Trace:       b.trace,
+			Trace:       b.Trace,
 		})
 	}
-	if err := s.ep.Send(b.coordinator, wire.ProgDelta{
-		QID:         b.qid,
+	if err := s.ep.Send(b.Coordinator, wire.ProgDelta{
+		QID:         b.QID,
 		ConsumedIDs: consumed,
 		SpawnedIDs:  spawnedIDs,
 		Results:     results,
-		Trace:       b.trace,
+		Trace:       b.Trace,
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "weaver shard %d: delta to %s: %v\n", s.cfg.ID, b.coordinator, err)
+		fmt.Fprintf(os.Stderr, "weaver shard %d: delta to %s: %v\n", s.cfg.ID, b.Coordinator, err)
 	}
 }

@@ -21,12 +21,12 @@
 // acknowledged to its gatekeeper with a TxApplied message, enabling
 // cluster-wide apply fences (gatekeeper Quiesce).
 //
-// Node programs (§4.1) wait until every frontier and every queued
-// transaction is strictly after the program's timestamp — i.e. until all
-// preceding and concurrent transactions have executed — then read the
-// multi-version graph at the program's timestamp, refining the visibility
-// of any version concurrent with it through the oracle (write-before-read
-// preference, §4.1). Hops cascade locally and forward to peer shards;
+// Reads — node-program hops and index lookups alike (§4.1, prog.go) — wait
+// until every frontier and every queued transaction is strictly after the
+// read timestamp, i.e. until all preceding and concurrent transactions have
+// executed, then read the multi-version graph at that timestamp, resolving
+// the visibility of any version concurrent with it by the write-before-read
+// preference (§4.1). Hops cascade locally and forward to peer shards;
 // progress deltas flow to the coordinating gatekeeper.
 package shard
 
@@ -56,9 +56,6 @@ type Config struct {
 	NumGatekeepers int
 	// Epoch is the starting epoch.
 	Epoch uint64
-	// Retain disables version garbage collection, keeping the full
-	// multi-version history for historical queries (§4.5).
-	Retain bool
 	// MaxCascade bounds one batch's local visit cascade (safety valve
 	// against non-terminating programs). 0 = 1<<22.
 	MaxCascade int
@@ -125,15 +122,6 @@ type queued struct {
 	trace uint64
 }
 
-type hopBatch struct {
-	qid         core.ID
-	ts          core.Timestamp
-	readTS      core.Timestamp // snapshot the program reads at (== ts unless historical)
-	coordinator transport.Addr
-	hops        []wire.Hop
-	trace       uint64 // propagated trace ID, echoed on hops and deltas
-}
-
 // Shard is one shard server. All mutable state is owned by the Run loop
 // goroutine; external readers use the atomic counters only.
 type Shard struct {
@@ -149,8 +137,7 @@ type Shard struct {
 	reseq      []*transport.Resequencer[queued]
 	queues     [][]queued
 	frontier   []core.Timestamp
-	pending    []*hopBatch
-	lookups    []wire.IndexLookup
+	reads      []pendingRead // FIFO of reads waiting at the gate (prog.go)
 	progState  map[core.ID]map[graph.VertexID][]byte
 	finished   map[core.ID]struct{}
 	finishedQ  []core.ID // FIFO for bounding the finished set
@@ -311,7 +298,7 @@ func (s *Shard) Recover(kv kvstore.Backing) int {
 // records: each becomes visible wholesale at its last-update stamp, so a
 // historical read below that stamp would silently see truncated history —
 // missing versions, missing vertices. Raising gcWM makes such reads fail
-// with the typed stale-snapshot error instead (prog.go/lookup.go gate on
+// with the typed stale-snapshot error instead (runReadyReads gates on
 // it). Reads in later epochs are unaffected: the horizon's old epoch is
 // pointwise-below every new-epoch timestamp.
 func (s *Shard) raiseRecoveryHorizon(recs []*graph.VertexRecord) {
@@ -577,10 +564,8 @@ func (s *Shard) handle(msg transport.Message) {
 	case wire.Nop:
 		s.nopsSeen.Add(1)
 		s.ingest(m.TS, m.Seq, nil, time.Time{}, 0)
-	case wire.ProgStart:
-		s.pending = append(s.pending, &hopBatch{qid: m.QID, ts: m.TS, readTS: readOrTS(m.ReadTS, m.TS), coordinator: m.Coordinator, hops: m.Hops, trace: m.Trace})
 	case wire.ProgHops:
-		s.pending = append(s.pending, &hopBatch{qid: m.QID, ts: m.TS, readTS: readOrTS(m.ReadTS, m.TS), coordinator: m.Coordinator, hops: m.Hops, trace: m.Trace})
+		s.reads = append(s.reads, pendingRead{readTS: m.ReadTS, hops: &m})
 	case wire.ProgFinish:
 		delete(s.progState, m.QID)
 		if _, seen := s.finished[m.QID]; !seen {
@@ -595,16 +580,14 @@ func (s *Shard) handle(msg transport.Message) {
 			}
 		}
 	case wire.IndexLookup:
-		s.lookups = append(s.lookups, m)
+		s.reads = append(s.reads, pendingRead{readTS: m.ReadTS, lookup: &m})
 	case wire.Heartbeat:
 		// A gatekeeper's hello: it holds its NOP stream back until this
 		// shard, now serving, answers.
 		s.ep.Send(m.From, wire.Heartbeat{From: s.ep.Addr()})
 	case wire.GCReport:
-		if !s.cfg.Retain {
-			s.gcReports[m.GK] = m.TS
-			s.maybeGC()
-		}
+		s.gcReports[m.GK] = m.TS
+		s.maybeGC()
 	case wire.EpochChange:
 		// Remote-manager barrier (§4.3). We are already on the event
 		// loop and the mailbox was drained before this message, so the
@@ -645,15 +628,6 @@ func (s *Shard) appliedBound() core.Timestamp {
 	return bound
 }
 
-// readOrTS resolves a message's read timestamp: zero means "read at the
-// query's own timestamp" (senders predating the ReadTS field).
-func readOrTS(readTS, ts core.Timestamp) core.Timestamp {
-	if readTS.Zero() {
-		return ts
-	}
-	return readTS
-}
-
 // ingest pushes one in-order stream item through the resequencer; NOPs
 // advance the frontier, transactions enqueue.
 func (s *Shard) ingest(ts core.Timestamp, seq uint64, ops []graph.Op, at time.Time, trace uint64) {
@@ -684,7 +658,7 @@ func (s *Shard) ingest(ts core.Timestamp, seq uint64, ops []graph.Op, at time.Ti
 
 // pump drains all executable work: conflict-free batches of transactions
 // (timestamp order across conflicting pairs, parallel within a batch —
-// see batch.go), then any node-program batches that have become ready.
+// see batch.go), then any reads that have become ready.
 func (s *Shard) pump() {
 	limit := 1
 	if s.pool != nil {
@@ -700,8 +674,7 @@ func (s *Shard) pump() {
 		acks.add(batch)
 	}
 	acks.flush(s)
-	s.runReadyProgs()
-	s.runReadyLookups()
+	s.runReadyReads()
 }
 
 // executable reports whether the transaction at ts (head of queue hgk) is

@@ -144,8 +144,8 @@ func TestShardRunsProgramAfterReadiness(t *testing.T) {
 	r := newRig(t, 1)
 	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"})
 	progTS := r.clock.Tick()
-	r.drv.Send(transport.ShardAddr(0), wire.ProgStart{
-		QID: progTS.ID(), TS: progTS, Prog: "get_node",
+	r.drv.Send(transport.ShardAddr(0), wire.ProgHops{
+		QID: progTS.ID(), TS: progTS, ReadTS: progTS,
 		Hops:        []wire.Hop{{ID: 1, Vertex: "v", Program: "get_node"}},
 		Coordinator: r.drv.Addr(),
 	})
@@ -184,8 +184,8 @@ func TestShardDropsHopsForFinishedQueries(t *testing.T) {
 	qid := progTS.ID()
 	r.drv.Send(transport.ShardAddr(0), wire.ProgFinish{QID: qid})
 	time.Sleep(time.Millisecond)
-	r.drv.Send(transport.ShardAddr(0), wire.ProgStart{
-		QID: qid, TS: progTS, Prog: "get_node",
+	r.drv.Send(transport.ShardAddr(0), wire.ProgHops{
+		QID: qid, TS: progTS, ReadTS: progTS,
 		Hops:        []wire.Hop{{ID: 1, Vertex: "v", Program: "get_node"}},
 		Coordinator: r.drv.Addr(),
 	})
@@ -208,22 +208,6 @@ func TestShardGCCollectsOldVersions(t *testing.T) {
 	st := r.waitStats(func(s Stats) bool { return s.GCCollected >= 1 })
 	if st.GCCollected != 1 {
 		t.Fatalf("collected %d, want 1", st.GCCollected)
-	}
-}
-
-func TestShardRetainSkipsGC(t *testing.T) {
-	f := transport.NewFabric()
-	sh := New(Config{ID: 0, NumGatekeepers: 1, Retain: true},
-		f.Endpoint(transport.ShardAddr(0)), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
-	sh.Start()
-	t.Cleanup(sh.Stop)
-	drv := f.Endpoint(transport.GatekeeperAddr(0))
-	clock := core.NewVectorClock(0, 1, 0)
-	drv.Send(transport.ShardAddr(0), wire.TxForward{TS: clock.Tick(), Seq: 1, Ops: []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"}}})
-	drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: clock.Tick()})
-	time.Sleep(5 * time.Millisecond)
-	if st := sh.Stats(); st.GCCollected != 0 {
-		t.Fatalf("retain mode collected %d", st.GCCollected)
 	}
 }
 

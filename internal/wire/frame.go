@@ -28,7 +28,7 @@ const (
 	tagNop
 	tagTxApplied
 	tagAnnounce
-	tagProgStart
+	_ // 5: retired program-start message (initial hops travel as ProgHops)
 	tagProgHops
 	tagProgDelta
 	tagProgFinish
@@ -79,16 +79,6 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 	case Announce:
 		buf = append(buf, tagAnnounce)
 		buf = binenc.AppendTS(buf, m.TS)
-	case ProgStart:
-		buf = append(buf, tagProgStart)
-		buf = binenc.AppendID(buf, m.QID)
-		buf = binenc.AppendTS(buf, m.TS)
-		buf = binenc.AppendTS(buf, m.ReadTS)
-		buf = binenc.AppendStr(buf, m.Prog)
-		buf = binenc.AppendBytes(buf, m.Params)
-		buf = appendHops(buf, m.Hops)
-		buf = binenc.AppendStr(buf, string(m.Coordinator))
-		buf = appendTrace(buf, m.Trace)
 	case ProgHops:
 		buf = append(buf, tagProgHops)
 		buf = binenc.AppendID(buf, m.QID)
@@ -243,14 +233,6 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		v = TxApplied{TS: d.TS(), Shard: int(d.Varint()), Count: int(d.Varint())}
 	case tagAnnounce:
 		v = Announce{TS: d.TS()}
-	case tagProgStart:
-		m := ProgStart{
-			QID: d.ID(), TS: d.TS(), ReadTS: d.TS(),
-			Prog: d.Str(), Params: d.Bytes(), Hops: decodeHops(d),
-			Coordinator: transport.Addr(d.Str()),
-		}
-		m.Trace = decodeTrace(d)
-		v = m
 	case tagProgHops:
 		m := ProgHops{
 			QID: d.ID(), TS: d.TS(), ReadTS: d.TS(),

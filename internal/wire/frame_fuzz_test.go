@@ -36,7 +36,7 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add([]byte{tag})                                // empty body
 		f.Add([]byte{tag, 1, 0xFF, 0xFF, 0xFF, 0xFF, 10}) // oversized count / length
 	}
-	for _, tag := range []byte{0, 9, 10, 18} { // retired tags
+	for _, tag := range []byte{0, 5, 9, 10, 18} { // retired tags
 		f.Add([]byte{tag, 1, 2})
 	}
 	f.Add([]byte{tagProgHops, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})

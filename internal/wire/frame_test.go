@@ -39,17 +39,15 @@ func sampleMessages() []any {
 		TxApplied{TS: ts(1, 1, 4, 4), Shard: 3, Count: 17},
 		TxApplied{TS: ts(1, 0, 1), Shard: 0, Count: -1},
 		Announce{TS: ts(5, 2, 9, 9, 9)},
-		ProgStart{
+		ProgHops{
 			QID: qid, TS: ts(1, 0, 5, 3), ReadTS: ts(1, 0, 2, 1),
-			Prog: "bfs", Params: []byte{1, 2, 3},
 			Hops: []Hop{
 				{ID: 1, Vertex: "a", Program: "bfs", Params: []byte("x"), Origin: -1},
 				{ID: 2, Vertex: "b", Program: "bfs", Origin: 3},
 			},
 			Coordinator: transport.Addr("gk/0"),
 		},
-		ProgStart{QID: core.ID{}, Prog: ""},
-		ProgStart{QID: qid, TS: ts(1, 0, 5, 3), Prog: "bfs", Coordinator: "gk/0", Trace: 7},
+		ProgHops{},
 		ProgHops{QID: qid, TS: ts(1, 0, 5, 3), Coordinator: "gk/1",
 			Hops: []Hop{{ID: 7, Vertex: "v", Program: "p", Origin: 0}}},
 		ProgHops{QID: qid, TS: ts(1, 0, 5, 3), Coordinator: "gk/1", Trace: 1},
@@ -215,9 +213,6 @@ func traceable(trace uint64) []any {
 	return []any{
 		TxForward{TS: ts(2, 1, 7, 9), Seq: 42, Trace: trace,
 			Ops: []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "user/1"}}},
-		ProgStart{QID: qid, TS: ts(1, 0, 5, 3), Prog: "bfs", Params: []byte{1},
-			Hops:        []Hop{{ID: 1, Vertex: "a", Program: "bfs", Origin: -1}},
-			Coordinator: "gk/0", Trace: trace},
 		ProgHops{QID: qid, TS: ts(1, 0, 5, 3), Coordinator: "gk/1",
 			Hops: []Hop{{ID: 7, Vertex: "v", Program: "p", Origin: 0}}, Trace: trace},
 		ProgDelta{QID: qid, ConsumedIDs: []uint64{1}, Results: [][]byte{[]byte("r")}, Trace: trace},
@@ -283,12 +278,13 @@ func TestTraceFieldOldFrameCompat(t *testing.T) {
 	}
 }
 
-// TestRetiredTagsAreCorrupt pins the never-reuse rule: tag 0 and the three
-// tags of the superseded index-query messages (the conditional
-// IndexLookup/IndexResult layouts and IndexStats) decode as corruption, and
-// the live index messages sit under the appended tags.
+// TestRetiredTagsAreCorrupt pins the never-reuse rule: tag 0, the retired
+// program-start message (5) and the three tags of the superseded index-query
+// messages (the conditional IndexLookup/IndexResult layouts and IndexStats)
+// decode as corruption, and the live index messages sit under the appended
+// tags.
 func TestRetiredTagsAreCorrupt(t *testing.T) {
-	for _, tag := range []byte{0, 9, 10, 18} {
+	for _, tag := range []byte{0, 5, 9, 10, 18} {
 		if _, err := transport.DecodePayload([]byte{tag, 1, 2}); !errors.Is(err, transport.ErrFrameCorrupt) {
 			t.Fatalf("retired tag %d: got %v, want ErrFrameCorrupt", tag, err)
 		}

@@ -3,6 +3,10 @@
 // passes them by value; over TCP (and with weaver.Config.WireFrames) they
 // cross as binary frames, one hand-rolled codec per message type
 // (frame.go, registered with the transport from an init here).
+//
+// A read crosses the wire as what to evaluate plus the ReadTS to evaluate
+// it at (ProgHops, IndexLookup); the coordinator always sets ReadTS, so
+// shards treat current and historical reads identically.
 package wire
 
 import (
@@ -54,33 +58,18 @@ type Announce struct {
 	TS core.Timestamp
 }
 
-// ProgStart launches a node program's initial hops on one shard. The
-// gatekeeper that stamped the program acts as coordinator for termination
-// detection and result collection.
+// ProgHops carries node-program hops to one shard: the initial hops from
+// the coordinating gatekeeper (which stamped the program, detects
+// termination and gathers results) and the hops shards scatter to each
+// other (§2.3). Each Hop names its own program and parameters.
 //
-// TS is the query's own fresh timestamp — its identity (QID) and its
-// position in the shard ordering protocol. ReadTS is the timestamp the
-// program READS at: equal to TS for ordinary programs, or a pinned past
-// timestamp for historical (time-travel) queries (§4.5). Shards build the
-// snapshot visibility predicate from ReadTS and reject it with
-// ErrCodeStaleSnapshot when it has fallen behind the GC watermark. A zero
-// ReadTS means "read at TS" (back-compat for senders predating the field).
-type ProgStart struct {
-	QID         core.ID
-	TS          core.Timestamp
-	ReadTS      core.Timestamp
-	Prog        string
-	Params      []byte
-	Hops        []Hop
-	Coordinator transport.Addr
-	// Trace is the obs trace ID (0 = untraced); append-only trailing
-	// wire field, see TxForward.Trace.
-	Trace uint64
-}
-
-// ProgHops carries propagation hops from one shard to another: the scatter
-// phase of the node program model (§2.3). ReadTS propagates the query's
-// read timestamp (see ProgStart) so every shard reads the same snapshot.
+// TS is the query's own fresh timestamp — its identity (QID) and its hold
+// on the GC watermark. ReadTS is the timestamp the program READS at, always
+// set by the coordinator and carried unchanged on every hop: equal to TS
+// for a fresh read, or a past timestamp for a historical query (§4.5).
+// Shards delay the batch until they have applied everything at or before
+// ReadTS, build the snapshot visibility predicate from it, and reject it
+// with ErrCodeStaleSnapshot when it has fallen behind the GC watermark.
 type ProgHops struct {
 	QID         core.ID
 	TS          core.Timestamp

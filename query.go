@@ -8,7 +8,6 @@ package weaver
 // plan a query ran with, plus its measured reality.
 
 import (
-	"weaver/internal/core"
 	"weaver/internal/gatekeeper"
 	"weaver/internal/plan"
 	"weaver/internal/wire"
@@ -44,7 +43,7 @@ type Explanation = plan.Explanation
 // shards whose marker catalog admits a match, not the full cluster.
 // Fails with ErrNoIndex when any predicate key is not indexed.
 func (cl *Client) LookupWhere(limit int, wheres ...Where) ([]VertexID, Timestamp, error) {
-	return cl.gk().Lookup(core.Timestamp{}, gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
+	return cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
 }
 
 // BroadcastWhere is LookupWhere with shard pruning bypassed: every shard
@@ -52,9 +51,7 @@ func (cl *Client) LookupWhere(limit int, wheres ...Where) ([]VertexID, Timestamp
 // result-identical to this by construction — tests use it as the
 // planner-equivalence oracle and benchmarks as the latency baseline.
 func (cl *Client) BroadcastWhere(limit int, wheres ...Where) ([]VertexID, Timestamp, error) {
-	return cl.gk().Lookup(core.Timestamp{}, gatekeeper.LookupOptions{
-		Wheres: wheres, Limit: limit, ForceBroadcast: true,
-	})
+	return cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, ForceBroadcast: true})
 }
 
 // Explain runs Lookup(key, value) and reports the plan it executed:
@@ -69,28 +66,20 @@ func (cl *Client) Explain(key, value string) ([]VertexID, Explanation, error) {
 // limit — the diagnostic twin of LookupWhere.
 func (cl *Client) ExplainWhere(limit int, wheres ...Where) ([]VertexID, Explanation, error) {
 	var ex Explanation
-	ids, _, err := cl.gk().Lookup(core.Timestamp{}, gatekeeper.LookupOptions{
-		Wheres: wheres, Limit: limit, Explain: &ex,
-	})
+	ids, _, err := cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, Explain: &ex})
 	return ids, ex, err
 }
 
-// LookupWhere is the historical counterpart of Client.LookupWhere: the
-// conjunction is evaluated against the graph as of the pinned timestamp.
+// LookupWhere is Client.LookupWhere evaluated against the graph as of the
+// fixed timestamp.
 func (r *ReadClient) LookupWhere(limit int, wheres ...Where) ([]VertexID, error) {
-	return r.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
+	ids, _, err := r.rd.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
+	return ids, err
 }
 
-// BroadcastWhere is the historical counterpart of Client.BroadcastWhere —
-// the pruning-bypassed oracle at a pinned timestamp.
+// BroadcastWhere is Client.BroadcastWhere — the pruning-bypassed oracle —
+// at the fixed timestamp.
 func (r *ReadClient) BroadcastWhere(limit int, wheres ...Where) ([]VertexID, error) {
-	return r.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, ForceBroadcast: true})
-}
-
-func (r *ReadClient) lookup(opts gatekeeper.LookupOptions) ([]VertexID, error) {
-	if r.ts.Zero() {
-		return nil, errZeroReadTS
-	}
-	ids, _, err := r.cl.gk().Lookup(r.ts, opts)
+	ids, _, err := r.rd.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, ForceBroadcast: true})
 	return ids, err
 }

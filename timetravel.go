@@ -10,7 +10,7 @@ package weaver
 //     answerable indefinitely, regardless of Config.HistoryRetention.
 //   - Client.At wraps any timestamp from this cluster (a commit's TS, a
 //     Client.Snapshot, a pinned snapshot) in a ReadClient whose queries
-//     all execute at that timestamp.
+//     all execute at that timestamp (the one read path, read.go).
 //   - Config.HistoryRetention keeps versions readable for a wall-clock
 //     window even without a pin; reads behind the watermark fail with
 //     ErrStaleSnapshot, never wrong data.
@@ -94,12 +94,13 @@ func (s *Snapshot) Close() error {
 }
 
 // ReadClient runs read-only queries against the graph state as of one
-// fixed timestamp. Obtain one from Client.At. Like Client, a ReadClient is
-// not safe for concurrent use; create one per goroutine (they are cheap —
-// the snapshot timestamp itself can be shared freely).
+// fixed timestamp: every method is the read of the same name on Client,
+// evaluated at that timestamp instead of a fresh one (read.go); at the zero
+// timestamp every read fails. Obtain one from Client.At. Not safe for
+// concurrent use; create one per goroutine (they are cheap — the snapshot
+// timestamp itself can be shared freely).
 type ReadClient struct {
-	cl *Client
-	ts Timestamp
+	rd reader
 }
 
 // At returns a client whose reads and node programs all execute against
@@ -109,115 +110,65 @@ type ReadClient struct {
 // behind the GC watermark (impossible while pinned, guaranteed not to
 // happen within Config.HistoryRetention of minting).
 func (cl *Client) At(ts Timestamp) *ReadClient {
-	return &ReadClient{cl: cl, ts: ts}
+	return &ReadClient{rd: reader{cl: cl, ts: ts, fixed: true}}
 }
 
 // TS returns the timestamp this client reads at.
-func (r *ReadClient) TS() Timestamp { return r.ts }
+func (r *ReadClient) TS() Timestamp { return r.rd.ts }
 
 // RunProgram launches a registered node program reading the graph as of
-// the pinned timestamp (§4.5); the historical counterpart of
-// Client.RunProgram.
+// the fixed timestamp (§4.5).
 func (r *ReadClient) RunProgram(name string, params []byte, start ...VertexID) ([][]byte, error) {
-	return r.cl.gk().RunProgramAt(r.ts, name, params, start)
+	res, _, err := r.rd.run(name, params, start...)
+	return res, err
 }
 
-// GetNode reads one vertex as of the pinned timestamp through the full
+// GetNode reads one vertex as of the fixed timestamp through the full
 // ordering machinery.
 func (r *ReadClient) GetNode(id VertexID) (*nodeprog.NodeData, bool, error) {
-	res, err := r.RunProgram("get_node", nil, id)
-	if err != nil || len(res) == 0 {
-		return nil, false, err
-	}
-	return decodeNodeData(res[0])
+	d, ok, _, err := r.rd.getNode(id)
+	return d, ok, err
 }
 
-// GetEdges returns the vertex's out-neighbors as of the pinned timestamp.
+// GetEdges returns the vertex's out-neighbors as of the fixed timestamp.
 func (r *ReadClient) GetEdges(id VertexID) ([]VertexID, error) {
-	res, err := r.RunProgram("get_edges", nil, id)
-	if err != nil || len(res) == 0 {
-		return nil, err
-	}
-	d, ok, err := decodeNodeData(res[0])
-	if err != nil || !ok {
-		return nil, err
-	}
-	return d.EdgesTo, nil
+	tos, _, err := r.rd.getEdges(id)
+	return tos, err
 }
 
-// CountEdges returns the vertex's live out-degree as of the pinned
+// CountEdges returns the vertex's live out-degree as of the fixed
 // timestamp.
 func (r *ReadClient) CountEdges(id VertexID) (int, error) {
-	res, err := r.RunProgram("count_edges", nil, id)
-	if err != nil || len(res) == 0 {
-		return 0, err
-	}
-	var n int
-	err = nodeprog.Decode(res[0], &n)
+	n, _, err := r.rd.countEdges(id)
 	return n, err
 }
 
-// errZeroReadTS rejects historical reads at the zero timestamp: to the
-// gatekeeper a zero read timestamp means "mint a fresh snapshot", so
-// passing an uninitialized timestamp through would silently return
-// CURRENT data to a caller who asked for the past.
-var errZeroReadTS = errors.New("weaver: historical read at zero timestamp")
-
 // Lookup returns every vertex whose indexed property key equaled value as
-// of the pinned timestamp — the historical counterpart of Client.Lookup.
-// The result is exactly what Lookup would have returned at that moment:
-// postings are versioned like graph objects, survive migration, and are
-// held against GC by pins and Config.HistoryRetention; behind the
-// watermark the query fails with ErrStaleSnapshot, never wrong data.
+// of the fixed timestamp. The result is exactly what Client.Lookup would
+// have returned at that moment: postings are versioned like graph objects,
+// survive migration, and are held against GC by pins and
+// Config.HistoryRetention; behind the watermark the query fails with
+// ErrStaleSnapshot, never wrong data.
 func (r *ReadClient) Lookup(key, value string) ([]VertexID, error) {
 	return r.LookupWhere(0, wire.Eq(key, value)...)
 }
 
 // LookupRange is Lookup over the value interval [lo, hi] (lexicographic,
-// inclusive; empty lo/hi = unbounded) as of the pinned timestamp.
+// inclusive; empty lo/hi = unbounded) as of the fixed timestamp.
 func (r *ReadClient) LookupRange(key, lo, hi string) ([]VertexID, error) {
 	return r.LookupWhere(0, wire.Between(key, lo, hi)...)
 }
 
 // RunProgramWhere launches a node program starting at every vertex whose
-// indexed property key equaled value as of the pinned timestamp; the
-// lookup and the program read the same snapshot.
+// indexed property key equaled value as of the fixed timestamp; the lookup
+// and the program read the same snapshot.
 func (r *ReadClient) RunProgramWhere(name string, params []byte, key, value string) ([][]byte, error) {
-	start, err := r.Lookup(key, value)
-	if err != nil || len(start) == 0 {
-		return nil, err
-	}
-	return r.RunProgram(name, params, start...)
+	res, _, err := r.rd.runWhere(name, params, key, value)
+	return res, err
 }
 
-// Traverse runs the Fig 3 BFS over the graph as of the pinned timestamp.
+// Traverse runs the Fig 3 BFS over the graph as of the fixed timestamp.
 func (r *ReadClient) Traverse(start VertexID, propKey, propValue string, maxDepth int) ([]VertexID, error) {
-	params := nodeprog.Encode(nodeprog.TraverseParams{PropKey: propKey, PropValue: propValue, MaxDepth: maxDepth})
-	res, err := r.RunProgram("traverse", params, start)
-	if err != nil {
-		return nil, err
-	}
-	return decodeVertexList(res)
-}
-
-// decodeNodeData decodes one get_node/get_edges result.
-func decodeNodeData(raw []byte) (*nodeprog.NodeData, bool, error) {
-	var d nodeprog.NodeData
-	if err := nodeprog.Decode(raw, &d); err != nil {
-		return nil, false, err
-	}
-	return &d, true, nil
-}
-
-// decodeVertexList decodes per-visit VertexID results.
-func decodeVertexList(res [][]byte) ([]VertexID, error) {
-	out := make([]VertexID, 0, len(res))
-	for _, r := range res {
-		var v VertexID
-		if err := nodeprog.Decode(r, &v); err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	out, _, err := r.rd.traverse(start, propKey, propValue, maxDepth)
+	return out, err
 }

@@ -186,20 +186,18 @@ type Config struct {
 	// NopPeriod is how often gatekeepers send NOPs to shards, bounding
 	// node-program delay (§4.2). Default 500µs.
 	NopPeriod time.Duration
-	// GCPeriod is the version garbage-collection cadence (§4.5).
-	// Ignored when Retain is set. Default: disabled.
+	// GCPeriod is the version garbage-collection cadence (§4.5). Default:
+	// disabled — the full multi-version history is kept, so historical
+	// queries (Client.At) answer at any past timestamp.
 	GCPeriod time.Duration
-	// Retain keeps the full multi-version history, enabling historical
-	// queries at any past timestamp (§4.5; see Client.At).
-	Retain bool
 	// HistoryRetention keeps superseded versions readable for this
 	// wall-clock window before garbage collection may reclaim them: a
 	// historical read (Client.At) at any timestamp minted within the
 	// window is guaranteed to succeed, and a read behind the GC
 	// watermark fails with ErrStaleSnapshot instead of returning wrong
 	// data. Pinned snapshots (Cluster.SnapshotTS) hold the watermark
-	// regardless of this window. Only meaningful with GCPeriod > 0;
-	// ignored under Retain (everything is kept forever).
+	// regardless of this window. Only meaningful with GCPeriod > 0
+	// (without it everything is kept forever).
 	HistoryRetention time.Duration
 	// ProgTimeout bounds node program execution. Default 30s.
 	ProgTimeout time.Duration
@@ -287,9 +285,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Retain {
-		c.GCPeriod = 0
 	}
 	seen := make(map[string]bool, len(c.Indexes))
 	for _, sp := range c.Indexes {
@@ -507,7 +502,6 @@ func (c *Cluster) newShard(i int, epoch uint64) *shard.Shard {
 		ID:              i,
 		NumGatekeepers:  c.cfg.Gatekeepers,
 		Epoch:           epoch,
-		Retain:          c.cfg.Retain,
 		HeartbeatPeriod: heartbeat,
 		MaxVertices:     c.cfg.MaxShardVertices,
 		Workers:         c.cfg.ShardWorkers,

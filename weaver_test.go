@@ -395,7 +395,7 @@ func TestAtomicMultiVertexVisibility(t *testing.T) {
 
 func TestHistoricalQuery(t *testing.T) {
 	cfg := testConfig(1, 2)
-	cfg.Retain = true
+	cfg.GCPeriod = 0
 	c := openTest(t, cfg)
 	cl := c.Client()
 	info1, err := cl.RunTx(func(tx *Tx) error {
@@ -420,7 +420,7 @@ func TestHistoricalQuery(t *testing.T) {
 		t.Fatalf("current read: %+v err=%v", d, err)
 	}
 	// Historical read at snap sees rev 1.
-	res, err := cl.RunProgramAt(snap, "get_node", nil, "doc")
+	res, err := cl.At(snap).RunProgram("get_node", nil, "doc")
 	if err != nil || len(res) == 0 {
 		t.Fatalf("historical read failed: %v", err)
 	}
