@@ -1,9 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§6), one Benchmark per exhibit, plus micro-benchmarks of the core
-// operations. Figure benchmarks execute a scaled-down experiment per
-// iteration (they self-measure; the interesting output is the custom
-// metrics, e.g. weaver_tx/s vs titan_tx/s). cmd/weaver-bench runs the same
-// experiments at larger scales with table output.
+// Micro-benchmarks of the core operations, for measuring while you work.
+// The numbers a PR is judged on are rows of `go run ./benchmark`; the
+// paper's figures (§6) are printed by cmd/weaver-bench.
 package weaver_test
 
 import (
@@ -25,174 +22,6 @@ import (
 	"weaver/internal/wire"
 	"weaver/internal/workload"
 )
-
-func benchOptions() experiments.Options {
-	o := experiments.Default()
-	o.SocialV, o.SocialM = 2000, 6
-	o.Blocks = 120
-	o.RandV, o.RandE = 1200, 4000
-	o.Clients = 12
-	o.Duration = 300 * time.Millisecond
-	o.Queries = 20
-	return o
-}
-
-// BenchmarkTable01TAOMix measures sampling the Table 1 operation mix (the
-// workload generator feeding Figs 9-10).
-func BenchmarkTable01TAOMix(b *testing.B) {
-	mix := workload.TAOMix()
-	r := newRand(1)
-	reads := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		switch mix.Sample(r) {
-		case workload.OpGetEdges, workload.OpCountEdges, workload.OpGetNode:
-			reads++
-		}
-	}
-	if b.N > 0 {
-		b.ReportMetric(float64(reads)/float64(b.N)*100, "read%")
-	}
-}
-
-// BenchmarkFig07BlockQueryLatency compares CoinGraph block queries against
-// the relational Blockchain.info baseline (Fig 7).
-func BenchmarkFig07BlockQueryLatency(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(float64(last.CoinGraph.Microseconds()), "coingraph_us")
-		b.ReportMetric(float64(last.BCInfo.Microseconds()), "bcinfo_us")
-		b.ReportMetric(float64(last.BCInfo)/float64(last.CoinGraph), "speedup_x")
-	}
-}
-
-// BenchmarkFig08BlockThroughput measures CoinGraph block-render throughput
-// across block-height windows (Fig 8).
-func BenchmarkFig08BlockThroughput(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].QueriesSec, "early_q/s")
-		b.ReportMetric(res.Rows[len(res.Rows)-1].QueriesSec, "late_q/s")
-		b.ReportMetric(res.Rows[len(res.Rows)-1].NodesSec, "nodes/s")
-	}
-}
-
-// BenchmarkFig09aTAOThroughput compares Weaver and the Titan baseline on
-// the TAO mix (Fig 9a).
-func BenchmarkFig09aTAOThroughput(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9a(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Throughput, "weaver_tx/s")
-		b.ReportMetric(res.Rows[1].Throughput, "titan_tx/s")
-		b.ReportMetric(res.Rows[0].Throughput/res.Rows[1].Throughput, "speedup_x")
-	}
-}
-
-// BenchmarkFig09b75ReadThroughput compares the systems on the 75%-read mix
-// (Fig 9b).
-func BenchmarkFig09b75ReadThroughput(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9b(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Throughput, "weaver_tx/s")
-		b.ReportMetric(res.Rows[1].Throughput, "titan_tx/s")
-	}
-}
-
-// BenchmarkFig10LatencyCDF collects the latency distributions behind Fig 10
-// and reports medians.
-func BenchmarkFig10LatencyCDF(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Series["Weaver: 99.8% reads"].Percentile(50).Microseconds()), "weaver_p50_us")
-		b.ReportMetric(float64(res.Series["Titan: 99.8% reads"].Percentile(50).Microseconds()), "titan_p50_us")
-	}
-}
-
-// BenchmarkFig11TraversalLatency compares BFS latency on Weaver vs the
-// GraphLab engines (Fig 11).
-func BenchmarkFig11TraversalLatency(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Weaver.Mean().Microseconds()), "weaver_us")
-		b.ReportMetric(float64(res.Async.Mean().Microseconds()), "gl_async_us")
-		b.ReportMetric(float64(res.Sync.Mean().Microseconds()), "gl_sync_us")
-	}
-}
-
-// BenchmarkFig12GatekeeperScaling sweeps gatekeepers 1..4 on get_node
-// throughput (Fig 12; cmd/weaver-bench sweeps to 6).
-func BenchmarkFig12GatekeeperScaling(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(o, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			b.ReportMetric(row.Throughput, fmt.Sprintf("gk%d_tx/s", row.Gatekeepers))
-		}
-	}
-}
-
-// BenchmarkFig13ShardScaling sweeps shards 1..4 on clustering-coefficient
-// throughput (Fig 13; cmd/weaver-bench sweeps to 9).
-func BenchmarkFig13ShardScaling(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(o, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			b.ReportMetric(row.Throughput, fmt.Sprintf("sh%d_tx/s", row.Shards))
-		}
-	}
-}
-
-// BenchmarkFig14CoordinationOverhead sweeps the announce period τ and
-// reports both coordination channels per operation (Fig 14).
-func BenchmarkFig14CoordinationOverhead(b *testing.B) {
-	o := benchOptions()
-	taus := []time.Duration{100 * time.Microsecond, 2 * time.Millisecond, 50 * time.Millisecond}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig14(o, taus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-		b.ReportMetric(first.AnnouncesPerOp, "smalltau_announce/op")
-		b.ReportMetric(last.AnnouncesPerOp, "bigtau_announce/op")
-		b.ReportMetric(first.OraclePerOp, "smalltau_oracle/op")
-		b.ReportMetric(last.OraclePerOp, "bigtau_oracle/op")
-	}
-}
-
-// --- Micro-benchmarks of core operations ---
 
 func benchCluster(b *testing.B, gks, shards int) *weaver.Cluster {
 	b.Helper()
@@ -567,50 +396,5 @@ func BenchmarkAblationOracleReplication(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRebalance measures §4.6 online heat-driven repartitioning end to
-// end (experiments.Rebalance): dense communities start deliberately
-// scattered across all shards, traversal traffic generates heat, and
-// RebalanceOnce cycles batch-migrate the hot vertices toward their
-// neighbors. Reported: cross-shard edge fraction and traversal latency
-// before vs after convergence, and the largest stop-the-world pause paid.
-// BenchmarkHistoricalRead measures node-program reads at a pinned past
-// snapshot against current-timestamp reads over the same vertices, with
-// version history accumulated between the snapshot and now, and reports
-// the write-throughput cost of running historical auditors concurrently
-// (the §4.5 time-travel experiment; weaver-bench -experiment timetravel).
-func BenchmarkHistoricalRead(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TimeTravel(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.WriteOnlyTPS, "write_tx/s")
-		b.ReportMetric(res.WriteMixedTPS, "write_mixed_tx/s")
-		b.ReportMetric(res.HistReadsPerSec, "hist_reads/s")
-		b.ReportMetric(float64(res.HistMean.Microseconds()), "hist_read_us")
-		b.ReportMetric(float64(res.CurMean.Microseconds()), "cur_read_us")
-	}
-}
-
-func BenchmarkRebalance(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Rebalance(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CutBeforePct, "cut_before_%")
-		b.ReportMetric(res.CutAfterPct, "cut_after_%")
-		b.ReportMetric(float64(res.Moved), "moved")
-		b.ReportMetric(float64(res.TravBefore.Microseconds()), "trav_before_us")
-		b.ReportMetric(float64(res.TravAfter.Microseconds()), "trav_after_us")
-		if res.TravAfter > 0 {
-			b.ReportMetric(float64(res.TravBefore)/float64(res.TravAfter), "trav_speedup_x")
-		}
-		b.ReportMetric(float64(res.PauseMax.Microseconds()), "pause_max_us")
 	}
 }

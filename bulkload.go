@@ -285,10 +285,6 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	// records dominates load cost, so it runs in parallel; each
 	// finished segment installs straight into the backing store.
 	const segEntries = snapshot.DefaultSegmentEntries
-	workers := c.cfg.BulkLoadWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	perShard := make([][]*graph.VertexRecord, c.cfg.Shards)
 	for i, rec := range recs {
 		perShard[shardOf[i]] = append(perShard[shardOf[i]], rec)
@@ -296,7 +292,7 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	jobs := make(chan segJob)
 	results := make(chan segResult)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1,25 +1,21 @@
-// Command weaver-bench regenerates the paper's evaluation (§6): every
-// figure and table, at configurable scale, with paper-style terminal
-// output. Run all experiments or a single one:
+// Command weaver-bench prints the paper's evaluation — §6 only: table 1,
+// figures 7–14 and the §4.6 partitioner ablation, at configurable scale,
+// as paper-style terminal tables. Numbers about this system's own speed
+// come from `go run ./benchmark`.
 //
 //	weaver-bench                          # everything, default scale
 //	weaver-bench -experiment fig9a        # one experiment
 //	weaver-bench -scale 4 -duration 2s    # larger workloads, longer runs
 //
-// Experiments: fig7 fig8 fig9a fig9b fig10 fig11 fig12 fig13 fig14
-// ablation-partition ablation-tau rebalance timetravel index wire
-// metrics-overhead
-//
-// -json-out FILE additionally writes the structured results of the
-// selected experiments as a JSON object keyed by experiment name (used by
-// CI to record wire-codec before/after numbers, e.g. BENCH_6.json).
+// An unknown -experiment name exits 2 and lists the valid ones.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"weaver/internal/bench"
@@ -31,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "experiment to run (all, fig7..fig14, ablation-partition, ablation-tau, wire, metrics-overhead, ...)")
+		exp      = flag.String("experiment", "all", "experiment to run; an unknown name exits 2 listing the valid ones")
 		scale    = flag.Float64("scale", 1.0, "workload scale multiplier")
 		duration = flag.Duration("duration", 800*time.Millisecond, "measurement window per throughput point")
 		clients  = flag.Int("clients", 24, "concurrent clients")
@@ -41,7 +37,6 @@ func main() {
 		maxShard = flag.Int("max-shards", 8, "shard sweep bound (fig13)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		wan      = flag.Duration("bcinfo-wan", 0, "simulated Blockchain.info WAN delay (paper notes ~13ms)")
-		jsonOut  = flag.String("json-out", "", "write structured results of the selected experiments to this JSON file")
 	)
 	flag.Parse()
 
@@ -58,72 +53,61 @@ func main() {
 	o.Seed = *seed
 	o.BCInfoWAN = *wan
 
-	jsonResults := map[string]any{}
-	run := func(name string, fn func() (fmt.Stringer, error)) {
-		if *exp != "all" && *exp != name {
-			return
+	// The one table of experiments: it is what runs, in this order, and
+	// what an unknown name is checked against.
+	table := []struct {
+		name string
+		fn   func() (fmt.Stringer, error)
+	}{
+		{"table1", func() (fmt.Stringer, error) { return table1(), nil }},
+		{"fig7", func() (fmt.Stringer, error) { return experiments.Fig7(o) }},
+		{"fig8", func() (fmt.Stringer, error) { return experiments.Fig8(o) }},
+		{"fig9a", func() (fmt.Stringer, error) { return experiments.Fig9a(o) }},
+		{"fig9b", func() (fmt.Stringer, error) { return experiments.Fig9b(o) }},
+		{"fig10", func() (fmt.Stringer, error) { return experiments.Fig10(o) }},
+		{"fig11", func() (fmt.Stringer, error) { return experiments.Fig11(o) }},
+		{"fig12", func() (fmt.Stringer, error) { return experiments.Fig12(o, *maxGK) }},
+		{"fig13", func() (fmt.Stringer, error) { return experiments.Fig13(o, *maxShard) }},
+		{"fig14", func() (fmt.Stringer, error) {
+			return experiments.Fig14(o, []time.Duration{
+				10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond,
+				10 * time.Millisecond, 100 * time.Millisecond, time.Second,
+			})
+		}},
+		{"ablation-partition", func() (fmt.Stringer, error) { return ablationPartition(o) }},
+	}
+
+	ran := false
+	for _, e := range table {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		fmt.Printf("── %s ──\n", name)
+		ran = true
+		fmt.Printf("── %s ──\n", e.name)
 		t0 := time.Now()
-		res, err := fn()
+		res, err := e.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println(res)
-		fmt.Printf("(%s in %v)\n\n", name, time.Since(t0).Round(time.Millisecond))
-		jsonResults[name] = res
+		fmt.Printf("(%s in %v)\n\n", e.name, time.Since(t0).Round(time.Millisecond))
 	}
-
-	run("table1", func() (fmt.Stringer, error) { return table1(), nil })
-	run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(o) })
-	run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(o) })
-	run("fig9a", func() (fmt.Stringer, error) { return experiments.Fig9a(o) })
-	run("fig9b", func() (fmt.Stringer, error) { return experiments.Fig9b(o) })
-	run("fig10", func() (fmt.Stringer, error) { return experiments.Fig10(o) })
-	run("fig11", func() (fmt.Stringer, error) { return experiments.Fig11(o) })
-	run("fig12", func() (fmt.Stringer, error) { return experiments.Fig12(o, *maxGK) })
-	run("fig13", func() (fmt.Stringer, error) { return experiments.Fig13(o, *maxShard) })
-	run("fig14", func() (fmt.Stringer, error) {
-		taus := []time.Duration{
-			10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond,
-			10 * time.Millisecond, 100 * time.Millisecond, time.Second,
+	if !ran {
+		names := []string{"all"}
+		for _, e := range table {
+			names = append(names, e.name)
 		}
-		return experiments.Fig14(o, taus)
-	})
-	run("ablation-partition", func() (fmt.Stringer, error) { return ablationPartition(o) })
-	run("rebalance", func() (fmt.Stringer, error) { return rebalanceScenario(o) })
-	run("timetravel", func() (fmt.Stringer, error) { return experiments.TimeTravel(o) })
-	run("index", func() (fmt.Stringer, error) { return experiments.Index(o) })
-	run("plan", func() (fmt.Stringer, error) { return experiments.Plan(o) })
-	run("wire", func() (fmt.Stringer, error) { return experiments.Wire(o) })
-	run("metrics-overhead", func() (fmt.Stringer, error) { return experiments.MetricsOverhead(o) })
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(jsonResults, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json-out: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *exp, strings.Join(names, " "))
+		os.Exit(2)
 	}
-}
-
-// rebalanceScenario runs the §4.6 online repartitioning experiment
-// (experiments.Rebalance) at the harness scale.
-func rebalanceScenario(o experiments.Options) (fmt.Stringer, error) {
-	return experiments.Rebalance(o)
 }
 
 // table1 prints the TAO workload definition (Table 1) as measured from the
 // generator.
 func table1() fmt.Stringer {
 	mix := workload.TAOMix()
-	r := newRand(42)
+	r := rand.New(rand.NewSource(42))
 	const n = 1_000_000
 	counts := map[workload.OpKind]int{}
 	for i := 0; i < n; i++ {

@@ -39,7 +39,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "synthetic graph seed")
 		gks       = flag.Int("gatekeepers", 2, "gatekeeper count")
 		shards    = flag.Int("shards", 4, "shard count")
-		workers   = flag.Int("workers", 0, "segment-builder workers (0 = GOMAXPROCS)")
 		wal       = flag.String("wal", "", "WAL path: makes the store durable and checkpoints after the load")
 		noLDG     = flag.Bool("no-ldg", false, "disable LDG placement (hash partitioning)")
 		verify    = flag.Bool("verify", true, "run a smoke traversal after loading")
@@ -55,10 +54,9 @@ func main() {
 	}
 
 	cfg := weaver.Config{
-		Gatekeepers:     *gks,
-		Shards:          *shards,
-		WALPath:         *wal,
-		BulkLoadWorkers: *workers,
+		Gatekeepers: *gks,
+		Shards:      *shards,
+		WALPath:     *wal,
 	}
 	if !*noLDG {
 		cfg.Directory = weaver.NewMappedDirectory(*shards)

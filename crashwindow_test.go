@@ -7,6 +7,7 @@ package weaver
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -134,6 +135,69 @@ func TestPinnedSnapshotAcrossCrashRecoveryNeverWrongData(t *testing.T) {
 	d, ok, rerr = cl.GetNode("pinned")
 	if rerr != nil || !ok || d.Props["k"] != "v2" {
 		t.Fatalf("current read after recovery: %+v ok=%v err=%v", d, ok, rerr)
+	}
+}
+
+// The same guarantee across a clean restart: a durable reopen rebuilds
+// every shard from the backing store's latest records, so a timestamp
+// minted before Close can no longer be answered exactly. Pre-fix, Open
+// installed the recovered records without raising the recovery horizon and
+// a read at such a timestamp came back ok=false, err=nil for a vertex that
+// existed — for an overwritten vertex, and equally for one whose latest
+// record is a tombstone (the horizon covers tombstones too).
+func TestHistoricalReadAcrossDurableReopenNeverWrongData(t *testing.T) {
+	cfg := testConfig(1, 2)
+	cfg.WALPath = filepath.Join(t.TempDir(), "weaver.wal")
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := c.Client()
+	commit := func(fn func(tx *Tx)) {
+		t.Helper()
+		if _, err := cl.RunTx(func(tx *Tx) error { fn(tx); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(func(tx *Tx) {
+		tx.CreateVertex("kept")
+		tx.SetProperty("kept", "k", "v1")
+		tx.CreateVertex("gone")
+		tx.SetProperty("gone", "k", "v1")
+	})
+	beforeOverwrite := cl.Snapshot()
+	commit(func(tx *Tx) { tx.SetProperty("kept", "k", "v2") })
+	beforeDelete := cl.Snapshot()
+	commit(func(tx *Tx) { tx.DeleteVertex("gone") })
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cl2 := openTest(t, cfg).Client()
+	for _, rd := range []struct {
+		at Timestamp
+		v  VertexID
+	}{{beforeOverwrite, "kept"}, {beforeDelete, "gone"}} {
+		d, ok, rerr := cl2.At(rd.at).GetNode(rd.v)
+		switch {
+		case rerr != nil:
+			if !errors.Is(rerr, ErrStaleSnapshot) {
+				t.Fatalf("read of %s at a pre-restart timestamp failed with %v, want ErrStaleSnapshot", rd.v, rerr)
+			}
+		case !ok:
+			t.Fatalf("read of %s at a pre-restart timestamp silently lost the vertex (wrong data): existed at that timestamp", rd.v)
+		case d.Props["k"] != "v1":
+			t.Fatalf("read of %s at a pre-restart timestamp returned %q, want \"v1\"", rd.v, d.Props["k"])
+		}
+	}
+
+	// Fresh reads are unaffected: the new epoch is above the horizon.
+	d, ok, rerr := cl2.GetNode("kept")
+	if rerr != nil || !ok || d.Props["k"] != "v2" {
+		t.Fatalf("fresh read of kept after reopen: %+v ok=%v err=%v", d, ok, rerr)
+	}
+	if _, ok, rerr := cl2.GetNode("gone"); rerr != nil || ok {
+		t.Fatalf("fresh read of the deleted vertex after reopen: ok=%v err=%v", ok, rerr)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package bench provides the measurement utilities shared by the benchmark
-// harness (bench_test.go, cmd/weaver-bench): latency recorders with
+// Package bench provides the measurement utilities shared by the paper's
+// §6 harness (internal/experiments, cmd/weaver-bench): latency recorders with
 // percentile/CDF extraction, concurrent-client throughput drivers, and
 // fixed-width table rendering for paper-style output.
 package bench

@@ -1,15 +1,18 @@
-// Package experiments implements the paper's evaluation (§6): one function
-// per table/figure, shared by the micro-benchmarks in bench_test.go and
-// the full harness in cmd/weaver-bench. Each function builds the systems
-// it compares, loads the workload, runs the measurement, and returns
-// structured rows; String methods render paper-style tables.
+// Package experiments implements the paper's evaluation (§6) only: one
+// function per figure (7–14), with the Titan/GraphLab/Blockchain.info
+// baselines they compare against. cmd/weaver-bench is their one front-end
+// and the TestFig*Shape suite keeps them alive in tier-1; numbers about
+// this system's own speed are rows of `go run ./benchmark`, not
+// experiments here. Each function builds the systems it compares, loads
+// the workload, runs the measurement, and returns structured rows; String
+// methods render paper-style tables.
 //
-// Scales are configurable: Default() keeps every experiment in seconds for
-// `go test -bench`, while cmd/weaver-bench raises them toward the paper's
-// setup. Absolute numbers differ from the paper (their testbed was a
-// 44-machine cluster; ours is one process), but each experiment preserves
-// the paper's comparison structure: who wins, by what rough factor, and
-// which way the curves bend.
+// Scales are configurable: Default() keeps every experiment in seconds,
+// while cmd/weaver-bench raises them toward the paper's setup. Absolute
+// numbers differ from the paper (their testbed was a 44-machine cluster;
+// ours is one process), but each experiment preserves the paper's
+// comparison structure: who wins, by what rough factor, and which way the
+// curves bend.
 package experiments
 
 import (

@@ -129,19 +129,3 @@ func TestFig14Shape(t *testing.T) {
 	}
 	_ = res.String()
 }
-
-func TestPlanShape(t *testing.T) {
-	res, err := Plan(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShardsContactedMean >= float64(res.Shards) {
-		t.Fatalf("planner contacted %.1f of %d shards — no pruning", res.ShardsContactedMean, res.Shards)
-	}
-	if res.PlannedP50 <= 0 || res.BroadcastP50 <= 0 {
-		t.Fatalf("missing latencies: %+v", res)
-	}
-	if res.String() == "" {
-		t.Fatal("empty render")
-	}
-}

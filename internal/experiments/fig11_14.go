@@ -274,10 +274,3 @@ func Fig14(o Options, taus []time.Duration) (Fig14Result, error) {
 	}
 	return res, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -411,3 +411,34 @@ func BenchmarkHistogramObserveDisabled(b *testing.B) {
 		h.Observe(uint64(i) % 5_000_000)
 	}
 }
+
+// TestObsHotPathAllocatesNothing is the permanent-instrumentation gate:
+// every call an instrumentation site makes per operation — on live
+// handles, on an unsampled trace, and on the nil handles of a nil
+// registry — must not allocate. It replaces the timer-based on/off
+// throughput comparison; the ledger's trace_overhead_share row reports
+// what the sampled path costs.
+func TestObsHotPathAllocatesNothing(t *testing.T) {
+	hotPath := func(reg *Registry) func() {
+		c, g, h, tr := reg.Counter("c"), reg.Gauge("g"), reg.LatencyHistogram("h"), reg.Tracer()
+		t0 := time.Now()
+		return func() {
+			c.Add(1)
+			g.Add(1)
+			h.Observe(1500)
+			h.Since(t0)
+			h.Dur(time.Millisecond)
+			tt := tr.Start()
+			tt.Span("stage", t0, t0)
+			tr.Done(tt)
+		}
+	}
+	for name, reg := range map[string]*Registry{
+		"live, unsampled": New(Config{TraceSample: 1 << 30}),
+		"nil registry":    nil,
+	} {
+		if allocs := testing.AllocsPerRun(1000, hotPath(reg)); allocs != 0 {
+			t.Errorf("%s: %v allocs per operation, want 0", name, allocs)
+		}
+	}
+}

@@ -275,23 +275,47 @@ func (s *Shard) Stats() Stats {
 // Start).
 func (s *Shard) SetPager(p Pager) { s.pager = p }
 
-// Recover reloads this shard's partition from the backing store (§4.3):
-// every live vertex record homed here becomes visible at its last-update
-// timestamp. Must be called before Start, behind the cluster manager's
-// epoch barrier.
+// Recover pulls from the backing store every record homed here whose last
+// committed write the in-memory graph does not already cover, and installs
+// them through InstallRecovered. At boot (§4.3: before Start, behind the
+// cluster manager's epoch barrier) the graph is empty, so that is the
+// whole partition; at a later epoch barrier it is exactly the write-sets a
+// gatekeeper committed and was killed before forwarding.
 func (s *Shard) Recover(kv kvstore.Backing) int {
 	var recs []*graph.VertexRecord
 	kv.ScanPrefix("v/", func(_ string, data []byte) {
 		rec, err := graph.DecodeRecord(data)
-		if err != nil || rec.Deleted || rec.Shard != s.cfg.ID {
+		if err != nil || rec.Shard != s.cfg.ID {
+			return
+		}
+		if last := s.g.LastWrite(rec.ID); !last.Zero() && rec.LastTS.Compare(last) != core.After {
 			return
 		}
 		recs = append(recs, rec)
 	})
-	s.g.LoadAll(recs)
-	s.indexRecords(recs)
+	return s.InstallRecovered(recs)
+}
+
+// InstallRecovered is the one way records pulled from the backing store
+// enter the graph: recs are this shard's records, tombstones included,
+// already selected by the caller (Recover's scan, or weaver.Open's single
+// scan bucketed per shard). A stored record carries only the vertex's
+// latest state, so alongside loading and indexing the live ones the
+// recovery horizon is raised over all of them — a deleted vertex existed
+// below its tombstone's stamp — and every caller gets the "refused, never
+// truncated" guarantee for reads at older timestamps. Returns the number
+// of live records installed.
+func (s *Shard) InstallRecovered(recs []*graph.VertexRecord) int {
+	live := recs[:0:0]
+	for _, rec := range recs {
+		if !rec.Deleted {
+			live = append(live, rec)
+		}
+	}
+	s.g.LoadAll(live)
+	s.indexRecords(live)
 	s.raiseRecoveryHorizon(recs)
-	return len(recs)
+	return len(live)
 }
 
 // raiseRecoveryHorizon lifts the GC watermark to cover the reloaded
@@ -317,50 +341,24 @@ func (s *Shard) raiseRecoveryHorizon(recs []*graph.VertexRecord) {
 }
 
 // SetRecoverSource hands the shard a backing-store handle for epoch-time
-// re-recovery (call before Start). With it set, every epoch barrier
-// re-scans the store for records homed here whose last committed write is
-// missing from the in-memory graph — the fate of a write-set whose owning
-// gatekeeper was killed between backing-store commit and forward. Without
-// a source the shard trusts the forward path alone (the in-process
-// cluster, where a crashed gatekeeper's restart factory re-runs recovery
-// explicitly).
+// re-recovery (call before Start). With it set, every epoch barrier runs
+// Recover again on the event loop, pulling in records homed here whose
+// last committed write is missing from the in-memory graph — the fate of
+// a write-set whose owning gatekeeper was killed between backing-store
+// commit and forward. Without a source the shard trusts the forward path
+// alone (the in-process cluster, where a crashed gatekeeper's restart
+// factory re-runs recovery explicitly).
 func (s *Shard) SetRecoverSource(kv kvstore.Backing) { s.recoverSrc = kv }
-
-// reRecoverFromStore reloads committed-but-never-forwarded writes at an
-// epoch barrier. Runs on the event loop.
-func (s *Shard) reRecoverFromStore() {
-	if s.recoverSrc == nil {
-		return
-	}
-	var missing []*graph.VertexRecord
-	s.recoverSrc.ScanPrefix("v/", func(_ string, data []byte) {
-		rec, err := graph.DecodeRecord(data)
-		if err != nil || rec.Deleted || rec.Shard != s.cfg.ID {
-			return
-		}
-		last := s.g.LastWrite(rec.ID)
-		// A resident vertex whose in-memory history already covers the
-		// store's stamp needs nothing; everything else was committed by a
-		// gatekeeper that never delivered the forward.
-		if !last.Zero() && rec.LastTS.Compare(last) != core.After {
-			return
-		}
-		missing = append(missing, rec)
-	})
-	if len(missing) == 0 {
-		return
-	}
-	s.g.LoadAll(missing)
-	s.indexRecords(missing)
-	s.raiseRecoveryHorizon(missing)
-}
 
 // Install loads bulk-ingested vertex records into the in-memory graph,
 // skipping records homed on other shards, and returns the count installed.
 // It is the shard-side consumer of snapshot segments (Cluster.BulkLoad):
 // the caller must guarantee no conflicting transaction is applying —
-// gatekeepers paused and applies quiesced — because records land exactly
-// as in recovery, visible wholesale at their stamped timestamp.
+// gatekeepers paused and applies quiesced — because records land
+// visible wholesale at their stamped timestamp. Only for records that
+// carry their whole history (bulk ingest stamps new vertices; the
+// migration fallback re-homes what the source just handed over); records
+// read back from the store go through InstallRecovered.
 func (s *Shard) Install(recs []*graph.VertexRecord) int {
 	mine := recs[:0:0]
 	for _, rec := range recs {
@@ -451,7 +449,9 @@ func (s *Shard) enterEpochNow(epoch uint64) {
 	// Over TCP a killed gatekeeper may have committed write-sets to the
 	// backing store without forwarding them anywhere; pull them in now,
 	// while the cluster is quiesced behind the barrier.
-	s.reRecoverFromStore()
+	if s.recoverSrc != nil {
+		s.Recover(s.recoverSrc)
+	}
 	s.epoch = epoch
 	s.pump()
 }

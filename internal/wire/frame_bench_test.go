@@ -9,8 +9,8 @@ import (
 // Benchmarks of the frame codec on the hot gatekeeper↔shard path. Run
 // with -benchmem; the alloc gate (alloc_gate_test.go) enforces the
 // encode-side numbers in CI, these benchmarks document the magnitude
-// (BENCH_6.json records the comparison against the gob encoding it
-// replaced).
+// (the ledger's wire.encode_ns.* / wire.decode_ns.* rows are the numbers
+// a change is judged on).
 
 func benchFrameEncode(b *testing.B, msg any) {
 	var c frameCodec

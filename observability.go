@@ -11,16 +11,14 @@ import (
 // forward, wire transfer, shard queue and apply, WAL group commit — and
 // surfaces three ways: the typed Metrics snapshot here, the weaverd
 // -metrics-addr HTTP endpoint (Prometheus text + slow-op JSON + pprof),
-// and weaver-bench's per-stage histograms in its results JSON.
+// and the per-stage rows of the benchmark ledger (`go run ./benchmark`).
 //
-// Instrumentation is on by default and designed to stay on: counters and
-// histogram buckets are single atomic adds, trace spans are sampled
-// (Config.TraceSample), and Config.DisableMetrics collapses every site
-// to a nil-handle no-op for measuring the overhead itself.
+// Instrumentation is always on: counters and histogram buckets are single
+// atomic adds that allocate nothing (obs.TestObsHotPathAllocatesNothing),
+// and trace spans are sampled (Config.TraceSample).
 
 // Metrics returns a point-in-time snapshot of every registered counter,
-// gauge, and histogram. Returns the zero Snapshot when metrics are
-// disabled (Config.DisableMetrics).
+// gauge, and histogram.
 func (c *Cluster) Metrics() obs.Snapshot {
 	return c.obs.Snapshot()
 }
@@ -29,15 +27,14 @@ func (c *Cluster) Metrics() obs.Snapshot {
 // each with its per-stage spans (gk_queue, gk_mint, gk_execute,
 // oracle_refine, gk_store_commit, gk_forward, wire_transfer,
 // shard_queue, shard_apply). Only sampled transactions appear
-// (Config.TraceSample). Nil when metrics are disabled.
+// (Config.TraceSample).
 func (c *Cluster) SlowOps(n int) []obs.TraceSnapshot {
 	return c.obs.Tracer().SlowOps(n)
 }
 
 // Observability exposes the cluster's metrics registry — the handle the
 // weaverd HTTP endpoint serves, also useful for registering
-// application-level gauges. Nil when metrics are disabled; a nil
-// registry is safe to use (every method no-ops).
+// application-level gauges.
 func (c *Cluster) Observability() *obs.Registry { return c.obs }
 
 // wireMetrics builds the frame-traffic counters the transport layer

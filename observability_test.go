@@ -144,36 +144,6 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled checks the nil-registry path end to end: a cluster
-// opened with DisableMetrics runs the same workload and every
-// observability accessor degrades gracefully.
-func TestMetricsDisabled(t *testing.T) {
-	cfg := testConfig(1, 2)
-	cfg.DisableMetrics = true
-	cfg.WireFrames = true
-	c := openTest(t, cfg)
-	cl := c.Client()
-	if _, err := cl.RunTx(func(tx *Tx) error {
-		tx.CreateVertex("alice")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Metrics()
-	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
-		t.Fatalf("disabled cluster still reports metrics: %+v", snap)
-	}
-	if ops := c.SlowOps(8); ops != nil {
-		t.Fatalf("disabled cluster returned slow ops: %+v", ops)
-	}
-	if c.Observability() != nil {
-		t.Fatal("disabled cluster returned a registry")
-	}
-}
-
 // TestStatsConcurrentReaders is the stats-audit regression: Stats(),
 // Metrics(), SlowOps(), and the Prometheus renderer run concurrently
 // with a committing workload. Run under -race (the tier-1 suite does);

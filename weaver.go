@@ -56,13 +56,12 @@
 // per-transaction commit path: the edge list streams through the LDG
 // partitioner for locality-aware placement (when Config.Directory is a
 // *partition.Mapped), per-shard segment builders encode vertex records on
-// a worker pool (Config.BulkLoadWorkers),
-// and the segments install directly into the backing store and the shard
-// graphs, exactly as recovery would. One fresh timestamp stamps the whole
-// load and every gatekeeper clock observes it, so all later transactions
-// order after the load. On a durable cluster BulkLoad ends with an
-// automatic Checkpoint — crash-safe ingest without a WAL record per
-// commit.
+// a GOMAXPROCS-sized worker pool, and the segments install directly into
+// the backing store and the shard graphs. One fresh timestamp stamps the
+// whole load and every gatekeeper clock observes it, so all later
+// transactions order after the load. On a durable cluster BulkLoad ends
+// with an automatic Checkpoint — crash-safe ingest without a WAL record
+// per commit.
 //
 // # Online repartitioning
 //
@@ -207,15 +206,9 @@ type Config struct {
 	// snapshot plus the WAL tail — see Cluster.Checkpoint. Snapshot and
 	// WAL-era files are created next to this path.
 	WALPath string
-	// BulkLoadWorkers sizes Cluster.BulkLoad's segment-builder pool.
-	// 0 = GOMAXPROCS.
-	BulkLoadWorkers int
 	// Directory overrides vertex placement (default: hash partitioning;
 	// see internal/partition for the LDG streaming partitioner, §4.6).
 	Directory partition.Directory
-	// NetDelayMin/NetDelayMax inject uniform random latency into every
-	// message, simulating a network (tests and experiments).
-	NetDelayMin, NetDelayMax time.Duration
 	// WireFrames round-trips every fabric message through the binary
 	// wire frame codec (internal/transport frame layer): each send pays
 	// exactly the encode/decode a TCP deployment would, and receivers
@@ -253,13 +246,6 @@ type Config struct {
 	// (e.g. 0.1 lets each shard hold 10% above the balanced share).
 	// 0 = 0.1.
 	RebalanceSlack float64
-	// DisableMetrics turns the observability surface off entirely: no
-	// registry, no histograms, no tracing — every instrumentation site
-	// degrades to nil-handle no-ops. The default (metrics on) is cheap
-	// enough to leave on permanently; this knob exists to measure that
-	// claim (the metrics-overhead benchmark gate) and for callers who
-	// want the last percent.
-	DisableMetrics bool
 	// TraceSample samples one in N committed transactions for
 	// end-to-end span tracing (gatekeeper queue → timestamp mint →
 	// oracle refinement → wire transfer → shard apply). 0 = 64;
@@ -347,16 +333,10 @@ func Open(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg}
-	if !cfg.DisableMetrics {
-		c.obs = obs.New(obs.Config{TraceSample: cfg.TraceSample})
-	}
+	c := &Cluster{cfg: cfg, obs: obs.New(obs.Config{TraceSample: cfg.TraceSample})}
 	c.clientTxDur = c.obs.LatencyHistogram("weaver_client_tx_seconds")
 	c.clientTxRetries = c.obs.Counter("weaver_client_tx_retries_total")
 	c.fabric = transport.NewFabric()
-	if cfg.NetDelayMax > 0 {
-		c.fabric.WithDelay(cfg.NetDelayMin, cfg.NetDelayMax)
-	}
 	if cfg.WireFrames {
 		c.fabric.WithWireFrames()
 		c.fabric.WithWireMetrics(wireMetrics(c.obs))
@@ -420,18 +400,19 @@ func Open(cfg Config) (*Cluster, error) {
 	// assignments, RebalanceLDG moves — the backing store doubles as the
 	// authoritative vertex→shard directory, §3.2, and hop routing must
 	// agree with where each vertex recovers), and buckets records per
-	// shard for batched install — instead of every shard re-scanning and
-	// re-decoding the full keyspace for its own partition.
+	// shard for Shard.InstallRecovered — instead of every shard re-scanning
+	// and re-decoding the full keyspace for its own partition. Tombstones
+	// are bucketed too: they load nothing but raise the recovery horizon.
 	var perShard [][]*graph.VertexRecord
 	if cfg.WALPath != "" {
 		perShard = make([][]*graph.VertexRecord, cfg.Shards)
 		md, _ := c.dir.(*partition.Mapped)
 		c.kv.ScanPrefix(vertexKeyPrefix, func(_ string, data []byte) {
 			rec, err := graph.DecodeRecord(data)
-			if err != nil || rec.Deleted {
+			if err != nil {
 				return
 			}
-			if md != nil {
+			if md != nil && !rec.Deleted {
 				md.Assign(rec.ID, rec.Shard)
 			}
 			if rec.Shard >= 0 && rec.Shard < cfg.Shards {
@@ -442,7 +423,7 @@ func Open(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := c.newShard(i, c.baseEpoch)
 		if perShard != nil {
-			sh.Install(perShard[i])
+			sh.InstallRecovered(perShard[i])
 		}
 		c.shards = append(c.shards, sh)
 	}
