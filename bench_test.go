@@ -199,7 +199,7 @@ func BenchmarkShardApply(b *testing.B) {
 						id := graph.VertexID(fmt.Sprintf("p%d", v))
 						rec := graph.NewVertexRecord(id, 0)
 						rec.LastTS = baseTS
-						pager.records["v/"+string(id)] = graph.EncodeRecord(rec)
+						pager.records[graph.VertexKey(id)] = graph.EncodeRecord(rec)
 					}
 					sh.SetPager(pager)
 				}

@@ -1,7 +1,6 @@
 package weaver
 
-// Bulk ingest and checkpointing: the two consumers of the segmented
-// snapshot subsystem (internal/snapshot).
+// Bulk ingest and checkpointing.
 //
 // BulkLoad populates an (empty region of an) online cluster at
 // sequential-write speed, bypassing the per-transaction commit path
@@ -19,7 +18,6 @@ package weaver
 // replays snapshot + WAL tail instead of the full commit history.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -35,9 +33,6 @@ import (
 	"weaver/internal/shard"
 	"weaver/internal/snapshot"
 )
-
-// vertexKeyPrefix is the backing-store key prefix of vertex records.
-const vertexKeyPrefix = "v/"
 
 // NewMappedDirectory returns an assignable vertex-placement directory over
 // n shards, falling back to hash partitioning for unassigned vertices. Set
@@ -74,7 +69,10 @@ type BulkLoadStats struct {
 	// partition-quality metric (lower is better; LDG placement beats
 	// hash on clustered graphs).
 	EdgeCut int
-	// Segments and SegmentBytes describe the encoded snapshot segments.
+	// Segments counts the record batches the parallel builders encoded
+	// and installed (snapshot.DefaultSegmentEntries records each, per
+	// shard); SegmentBytes is their store footprint, key plus encoded
+	// record bytes.
 	Segments     int
 	SegmentBytes int64
 	// LDG reports whether streaming LDG placement was used (requires an
@@ -85,20 +83,6 @@ type BulkLoadStats struct {
 	Checkpoint *kvstore.CheckpointStats
 	// Elapsed is the wall-clock duration of the whole load.
 	Elapsed time.Duration
-}
-
-// segJob is one segment's worth of records bound for one shard.
-type segJob struct {
-	shard int
-	recs  []*graph.VertexRecord
-}
-
-// segResult is an encoded segment ready to install.
-type segResult struct {
-	shard int
-	kvs   []kvstore.KV
-	bytes int64
-	err   error
 }
 
 // BulkLoad installs a graph wholesale, bypassing the transactional commit
@@ -219,7 +203,7 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	// drained, no concurrent transaction can slip a vertex in between the
 	// check and the install.
 	for _, v := range order {
-		if _, _, exists := c.kv.GetVersioned(vertexKeyPrefix + string(v)); exists {
+		if _, _, exists := c.kv.GetVersioned(graph.VertexKey(v)); exists {
 			return stats, fmt.Errorf("%w: bulk load target vertex %q already exists", ErrInvalid, v)
 		}
 	}
@@ -289,15 +273,19 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	for i, rec := range recs {
 		perShard[shardOf[i]] = append(perShard[shardOf[i]], rec)
 	}
-	jobs := make(chan segJob)
-	results := make(chan segResult)
+	jobs := make(chan []*graph.VertexRecord)
+	results := make(chan []kvstore.KV)
 	var wg sync.WaitGroup
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range jobs {
-				results <- buildSegment(job)
+			for batch := range jobs {
+				kvs := make([]kvstore.KV, len(batch))
+				for i, rec := range batch {
+					kvs[i] = kvstore.KV{Key: graph.VertexKey(rec.ID), Value: graph.EncodeRecord(rec)}
+				}
+				results <- kvs
 			}
 		}()
 	}
@@ -305,27 +293,19 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 		for s := range perShard {
 			for lo := 0; lo < len(perShard[s]); lo += segEntries {
 				hi := min(lo+segEntries, len(perShard[s]))
-				jobs <- segJob{shard: s, recs: perShard[s][lo:hi]}
+				jobs <- perShard[s][lo:hi]
 			}
 		}
 		close(jobs)
 		wg.Wait()
 		close(results)
 	}()
-	var firstErr error
-	for res := range results {
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
-		}
-		bulk.BulkPut(res.kvs)
+	for kvs := range results {
+		bulk.BulkPut(kvs)
 		stats.Segments++
-		stats.SegmentBytes += res.bytes
-	}
-	if firstErr != nil {
-		return stats, fmt.Errorf("weaver: bulk load segment build: %w", firstErr)
+		for _, kv := range kvs {
+			stats.SegmentBytes += int64(len(kv.Key) + len(kv.Value))
+		}
 	}
 
 	// Install each shard's partition into its in-memory graph — the
@@ -393,30 +373,6 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	}
 	stats.Elapsed = time.Since(start)
 	return stats, nil
-}
-
-// buildSegment encodes one batch of records through the snapshot segment
-// writer, returning the store-ready key-value pairs. The segment framing
-// is exercised end to end even for this in-memory path, so the bytes that
-// would land on disk in a checkpoint are the bytes measured here.
-func buildSegment(job segJob) segResult {
-	var buf bytes.Buffer
-	sw, err := snapshot.NewWriter(&buf)
-	if err != nil {
-		return segResult{shard: job.shard, err: err}
-	}
-	kvs := make([]kvstore.KV, 0, len(job.recs))
-	for _, rec := range job.recs {
-		data := graph.EncodeRecord(rec)
-		if err := sw.Write(snapshot.Entry{Key: vertexKeyPrefix + string(rec.ID), Value: data, Version: 1}); err != nil {
-			return segResult{shard: job.shard, err: err}
-		}
-		kvs = append(kvs, kvstore.KV{Key: vertexKeyPrefix + string(rec.ID), Value: data})
-	}
-	if err := sw.Close(); err != nil {
-		return segResult{shard: job.shard, err: err}
-	}
-	return segResult{shard: job.shard, kvs: kvs, bytes: int64(buf.Len())}
 }
 
 // drainPrograms waits for node programs issued before the pause to finish,

@@ -368,3 +368,75 @@ func TestCloseConcurrent(t *testing.T) {
 		t.Fatalf("Close after Close: %v", err)
 	}
 }
+
+// A bulk load holds every gatekeeper's pause lock while it waits in Quiesce
+// for applies to be acknowledged. An epoch barrier that arrives meanwhile
+// must not take that lock on the gatekeeper's receive loop: the loop is
+// what drains the acks, and what delivers the barrier's Enter. Here the
+// load's fence can only clear THROUGH the barrier — the one outstanding
+// apply was forwarded to a crashed shard, and only the new epoch writes it
+// off — so a gatekeeper blocked on its own loop fails the load with a
+// quiesce timeout.
+func TestRecoverNowRacingBulkLoadCompletes(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.HeartbeatTimeout = time.Hour // manager on, detector effectively off
+	c := openTest(t, cfg)
+	const dead, live = 1, 0
+	var orphan VertexID
+	var load []VertexID
+	for i := 0; orphan == "" || len(load) < 8; i++ {
+		v := VertexID(fmt.Sprintf("v%d", i))
+		switch {
+		case c.Directory().Lookup(v) == live:
+			load = append(load, v)
+		case orphan == "":
+			orphan = v
+		}
+	}
+
+	c.CrashShard(dead)
+	cl, _ := c.ClientAt(0)
+	if _, err := cl.RunTx(func(tx *Tx) error {
+		tx.CreateVertex(orphan)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := c.BulkLoad(load, nil)
+		loaded <- err
+	}()
+	// Wait for the load's fence to be up on every gatekeeper.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		fenced := 0
+		for _, gk := range c.Stats().Gatekeepers {
+			if gk.Pauses > 0 {
+				fenced++
+			}
+		}
+		if fenced == cfg.Gatekeepers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("bulk load never paused the gatekeepers")
+		}
+	}
+	if err := c.RecoverNow(ShardAddr(dead)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-loaded:
+		if err != nil {
+			t.Fatalf("bulk load racing a recovery: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("bulk load still fenced after the recovery completed")
+	}
+	for _, v := range append(load, orphan) {
+		if _, ok, err := cl.GetNode(v); err != nil || !ok {
+			t.Fatalf("vertex %s after load + recovery: ok=%v err=%v", v, ok, err)
+		}
+	}
+}

@@ -322,7 +322,7 @@ func (t *Tx) GetVertex(id VertexID) (*VertexData, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	t.reads = append(t.reads, gatekeeper.ReadCheck{Key: gatekeeper.VertexKey(id), Version: ver})
+	t.reads = append(t.reads, gatekeeper.ReadCheck{Key: graph.VertexKey(id), Version: ver})
 	if !ok {
 		return nil, false, nil
 	}

@@ -97,11 +97,7 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	defer node.Close()
-	node.Instrument(transport.WireMetrics{
-		EncodedBytes: metrics.Counter("weaver_wire_encoded_bytes_total"),
-		DecodedBytes: metrics.Counter("weaver_wire_decoded_bytes_total"),
-		Frames:       metrics.Counter("weaver_wire_frames_total"),
-	})
+	node.Instrument(transport.NewWireMetrics(metrics))
 	log.Printf("weaverd role=%s id=%d listening on %s", *role, *id, node.ListenAddr())
 
 	var metricsSrv *http.Server
@@ -154,8 +150,8 @@ func main() {
 	// memberBeat is the liveness beat period for gatekeepers and shards
 	// when failure detection is on.
 	memberBeat := time.Duration(0)
-	if *hbTimeout > 0 && len(mgrList) > 0 {
-		memberBeat = *hbTimeout / 4
+	if len(mgrList) > 0 {
+		memberBeat = cluster.BeatPeriod(*hbTimeout)
 	}
 
 	dir := partition.NewHash(*shards)
@@ -229,7 +225,10 @@ func main() {
 		// handle (a SIGKILLed gatekeeper may have committed write-sets it
 		// never forwarded).
 		sh.SetRecoverSource(kv)
-		n := sh.Recover(kv)
+		n, err := recoverAtBoot(sh, kv)
+		if err != nil {
+			log.Fatalf("shard %d: the store at %s never answered the boot scan: %v", *id, *storeAddr, err)
+		}
 		sh.Start()
 		mode := "serial apply"
 		if *workers > 1 {
@@ -281,11 +280,12 @@ func main() {
 				ProposerID:       *id,
 				BarrierTimeout:   5 * time.Second,
 			}, node.Endpoint(cluster.Addr))
+			// Members are other processes: no restart callback.
 			for i := 0; i < *gks; i++ {
-				mgr.RegisterRemote(transport.GatekeeperAddr(i), true)
+				mgr.Register(transport.GatekeeperAddr(i), true, nil)
 			}
 			for i := 0; i < *shards; i++ {
-				mgr.RegisterRemote(transport.ShardAddr(i), false)
+				mgr.Register(transport.ShardAddr(i), false, nil)
 			}
 			mgr.WatchEpochs(func(epoch uint64, failed transport.Addr) {
 				log.Printf("epoch %d entered (reconfigured around %s)", epoch, failed)
@@ -372,6 +372,19 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "weaverd: -role must be store, gatekeeper, shard, manager, standby, or demo")
 		os.Exit(2)
+	}
+}
+
+// recoverAtBoot loads the shard's partition from the store, retrying while
+// the store does not answer: processes of one deployment start in any
+// order, and a shard must never serve an empty partition because it came
+// up first. Gives up once the store has stayed silent for the whole window.
+func recoverAtBoot(sh *shard.Shard, kv kvstore.Backing) (n int, err error) {
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(500 * time.Millisecond) {
+		if n, err = sh.Recover(kv); err == nil || time.Now().After(deadline) {
+			return n, err
+		}
+		log.Printf("boot scan failed, retrying: %v", err)
 	}
 }
 

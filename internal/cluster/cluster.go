@@ -6,22 +6,25 @@
 //     [37, 55], so manager replicas agree on the epoch history; a
 //     restarting manager recovers the decided history from the acceptor
 //     quorum and resumes above it, never from a locally-seeded default;
-//  2. a barrier moves all servers to the new epoch in unison — gatekeepers
-//     pause timestamp issuance and ack, shards drain in-flight traffic and
-//     reset their FIFO streams and ack, then gatekeepers restart their
-//     vector clocks at zero in the new epoch (old-epoch timestamps order
-//     strictly before all new-epoch ones);
-//  3. the failed server is restarted: a reborn shard reloads its partition
-//     from the backing store; a reborn gatekeeper starts with a fresh
-//     clock in the new epoch. Members in other processes (RegisterRemote)
-//     receive the barrier as wire.EpochChange messages and ack back; a
-//     dead remote member is simply marked failed — its standby observes
-//     the failure through EpochQuery and takes over.
+//  2. a barrier moves all servers to the new epoch in unison, as
+//     wire.EpochChange messages each member acks with wire.EpochAck:
+//     gatekeepers pause timestamp issuance; shards drain in-flight
+//     traffic, execute what is queued and reset their FIFO streams; the
+//     failed server is restarted (step 3); then gatekeepers restart their
+//     vector clocks at zero in the new epoch and resume (old-epoch
+//     timestamps order strictly before all new-epoch ones);
+//  3. the failed server is restarted inside the pause, so nothing
+//     new-epoch is sent to an address nobody serves yet. A member
+//     registered with a restart callback (the embedded cluster) is reborn
+//     in place: a shard reloads its partition from the backing store, a
+//     gatekeeper starts with a fresh clock. A member in another process is
+//     marked failed; its standby sees that through EpochQuery and takes
+//     over, and its first heartbeat runs a rejoin barrier.
 //
-// The barrier's in-flight drain relies on the in-process fabric delivering
-// sends into destination mailboxes synchronously; remote members instead
-// ack explicitly, with a bounded wait so a dead server cannot wedge
-// reconfiguration.
+// The manager never calls a member: it sends to its address — a mailbox
+// in this process or a TCP route — and waits for the acks of each phase
+// with a bound (Config.BarrierTimeout), so a member that dies mid-barrier
+// cannot wedge reconfiguration.
 package cluster
 
 import (
@@ -37,30 +40,15 @@ import (
 	"weaver/internal/wire"
 )
 
-// Server is the control surface the manager needs from every member.
-type Server interface {
-	// Pause blocks new operations (gatekeepers stop issuing timestamps);
-	// no-op for shards.
-	Pause()
-	// Resume reverses Pause.
-	Resume()
-	// EnterEpoch moves the server into the new epoch: gatekeepers reset
-	// clock and sequence numbers, shards drain and reset FIFO streams.
-	EnterEpoch(epoch uint64)
-}
-
 // member is one tracked server.
 type member struct {
-	addr     transport.Addr
-	server   Server
-	restart  func(epoch uint64) Server
+	addr transport.Addr
+	// restart rebirths the member in this process once it is declared
+	// dead; nil (another process) means mark failed, a standby takes over.
+	restart  func(epoch uint64)
 	lastBeat time.Time
 	isGK     bool
-	// remote members live in another process: the barrier reaches them
-	// as wire messages, and death means "mark failed, let a standby take
-	// over" rather than an in-process restart.
-	remote bool
-	failed bool
+	failed   bool
 	// everBeat records that this member has heartbeated at least once:
 	// a Boot-flagged EpochQuery from such a member is a restart (maybe
 	// one the detector never saw), not a first boot.
@@ -71,17 +59,13 @@ type member struct {
 type Config struct {
 	// HeartbeatTimeout declares a server dead after this silence.
 	HeartbeatTimeout time.Duration
-	// CheckPeriod is the detector cadence.
-	CheckPeriod time.Duration
-	// Replicas is the size of the manager's Paxos group (default 3).
-	Replicas int
 	// StartEpoch seeds the epoch counter (a cluster reopened from a
 	// durable backing store resumes above all pre-restart epochs). The
 	// decided epoch log always wins over StartEpoch when it is higher.
 	StartEpoch uint64
 	// Acceptors optionally supplies the Paxos acceptor set — typically
 	// remote.AcceptorClient handles reaching the other manager replicas'
-	// processes. Nil means Replicas fresh in-process acceptors.
+	// processes. Nil means three fresh in-process acceptors.
 	Acceptors []paxos.AcceptorAPI
 	// ProposerID distinguishes this manager's ballots from concurrent
 	// proposers on the same acceptor set (default 0).
@@ -90,20 +74,14 @@ type Config struct {
 	// shares one lock between recovery and shard migration so an epoch
 	// barrier can never interleave with a migration fence.
 	ReconfigLock sync.Locker
-	// BarrierTimeout bounds the wait for each remote ack phase (default
-	// 2s); a member that fails mid-barrier cannot wedge reconfiguration.
+	// BarrierTimeout bounds the wait for each phase's acks (default 2s);
+	// a member that fails mid-barrier cannot wedge reconfiguration.
 	BarrierTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 150 * time.Millisecond
-	}
-	if c.CheckPeriod <= 0 {
-		c.CheckPeriod = c.HeartbeatTimeout / 3
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 3
 	}
 	if c.BarrierTimeout <= 0 {
 		c.BarrierTimeout = 2 * time.Second
@@ -162,18 +140,26 @@ type Manager struct {
 	done       chan struct{}
 }
 
-// Addr is the manager's well-known address.
+// Addr is the manager's well-known address (heartbeats in, barrier out).
 const Addr = transport.Addr("climgr")
 
+// BeatPeriod is how often a member heartbeats under the given
+// failure-detection timeout: four beats per window, so one lost or late
+// beat never looks like a death. Zero (no beats) without a timeout.
+func BeatPeriod(timeout time.Duration) time.Duration { return max(timeout, 0) / 4 }
+
+// replicas is the manager's default Paxos group size (Config.Acceptors).
+const replicas = 3
+
 // New builds a manager listening on ep. Its configuration log is a
-// Paxos-replicated state machine with cfg.Replicas acceptors (in-process
-// by default; cfg.Acceptors spreads them across manager processes). The
-// epoch resumes from the decided log history when one exists.
+// Paxos-replicated state machine (three in-process acceptors by default;
+// cfg.Acceptors spreads them across manager processes). The epoch resumes
+// from the decided log history when one exists.
 func New(cfg Config, ep transport.Endpoint) *Manager {
 	cfg = cfg.withDefaults()
 	accs := cfg.Acceptors
 	if len(accs) == 0 {
-		accs = make([]paxos.AcceptorAPI, cfg.Replicas)
+		accs = make([]paxos.AcceptorAPI, replicas)
 		for i := range accs {
 			accs[i] = paxos.NewAcceptor()
 		}
@@ -227,22 +213,15 @@ func (m *Manager) maxDecidedEpoch() uint64 {
 	return max
 }
 
-// Register adds a server: its live control handle and a restart factory
-// invoked after the epoch barrier when the server is declared dead.
-func (m *Manager) Register(addr transport.Addr, isGK bool, srv Server, restart func(epoch uint64) Server) {
+// Register adds a member: it proves liveness via wire.Heartbeat and takes
+// part in the epoch barrier via wire.EpochChange/EpochAck. restart, when
+// non-nil, runs inside the barrier to rebirth a dead member at the new
+// epoch; with nil (a member in another process) death marks it failed —
+// visible through EpochQuery — so a standby can take over its role.
+func (m *Manager) Register(addr transport.Addr, isGK bool, restart func(epoch uint64)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.members[addr] = &member{addr: addr, server: srv, restart: restart, lastBeat: time.Now(), isGK: isGK}
-}
-
-// RegisterRemote adds a member living in another process: it participates
-// in the epoch barrier via wire.EpochChange/EpochAck, proves liveness via
-// wire.Heartbeat, and on death is marked failed (visible through
-// EpochQuery) so a standby can take over its role.
-func (m *Manager) RegisterRemote(addr transport.Addr, isGK bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.members[addr] = &member{addr: addr, lastBeat: time.Now(), isGK: isGK, remote: true}
+	m.members[addr] = &member{addr: addr, restart: restart, lastBeat: time.Now(), isGK: isGK}
 }
 
 // WatchEpochs registers fn to run after every completed reconfiguration
@@ -293,7 +272,8 @@ func (m *Manager) Stop() {
 
 func (m *Manager) run() {
 	defer close(m.done)
-	tick := time.NewTicker(m.cfg.CheckPeriod)
+	// The detector looks three times per timeout window.
+	tick := time.NewTicker(m.cfg.HeartbeatTimeout / 3)
 	defer tick.Stop()
 	for {
 		select {
@@ -322,7 +302,7 @@ func (m *Manager) handle(msg transport.Message) {
 			mem.lastBeat = time.Now()
 			mem.everBeat = true
 			if mem.failed {
-				// A heartbeat from a failed remote means the process is
+				// A heartbeat from a failed member means the process is
 				// back (or a standby adopted its address): clear the mark
 				// and realign the cluster behind a rejoin barrier. The
 				// barrier is what makes the rejoin safe: the survivors'
@@ -334,13 +314,8 @@ func (m *Manager) handle(msg transport.Message) {
 			}
 		}
 		m.mu.Unlock()
-		if rejoined != "" && m.recovering.CompareAndSwap(false, true) {
-			go func(addr transport.Addr) {
-				defer m.recovering.Store(false)
-				if err := m.Rejoin(addr); err != nil {
-					log.Printf("cluster: rejoin %s: %v", addr, err)
-				}
-			}(rejoined)
+		if rejoined != "" {
+			m.goReconfigure(rejoined, false)
 		}
 	case wire.EpochAck:
 		select {
@@ -374,13 +349,8 @@ func (m *Manager) handle(msg transport.Message) {
 			to = msg.From
 		}
 		m.ep.Send(to, info)
-		if rebooted != "" && m.recovering.CompareAndSwap(false, true) {
-			go func(addr transport.Addr) {
-				defer m.recovering.Store(false)
-				if err := m.Rejoin(addr); err != nil {
-					log.Printf("cluster: rejoin %s after boot query: %v", addr, err)
-				}
-			}(rebooted)
+		if rebooted != "" {
+			m.goReconfigure(rebooted, false)
 		}
 	}
 }
@@ -402,35 +372,40 @@ func (m *Manager) checkOnce() {
 		}
 	}
 	m.mu.Unlock()
-	if dead != nil && m.recovering.CompareAndSwap(false, true) {
-		// Off-loop: the barrier needs the run loop free to deliver acks.
-		go func(addr transport.Addr) {
-			defer m.recovering.Store(false)
-			if err := m.Recover(addr); err != nil {
-				log.Printf("cluster: recover %s: %v", addr, err)
-			}
-		}(dead.addr)
+	if dead != nil {
+		m.goReconfigure(dead.addr, true)
 	}
+}
+
+// goReconfigure reconfigures around addr off the run loop (the barrier
+// needs the loop free to deliver acks) unless one is already in flight.
+func (m *Manager) goReconfigure(addr transport.Addr, asDead bool) {
+	if !m.recovering.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer m.recovering.Store(false)
+		if err := m.reconfigure(addr, asDead); err != nil {
+			log.Printf("cluster: reconfigure around %s (dead=%v): %v", addr, asDead, err)
+		}
+	}()
 }
 
 // Recover runs the full reconfiguration for the (presumed dead) server at
 // addr: Paxos-logged epoch bump, cluster-wide barrier, restart (or, for a
-// remote member, a failure mark its standby observes). Safe to call
-// manually (tests) or from the detector.
+// member in another process, a failure mark its standby observes). Safe to
+// call manually (tests) or from the detector.
 func (m *Manager) Recover(addr transport.Addr) error {
 	return m.reconfigure(addr, true)
 }
 
-// Rejoin runs an epoch barrier welcoming a previously failed remote
-// member back: unlike Recover, the member participates in the barrier
-// (it is alive again) and is not re-marked failed. The fresh epoch
-// resets every FIFO stream, so the rejoined server and the survivors
-// agree on sequence numbering, and shards pull any committed-but-
-// unforwarded writes from the backing store behind the barrier.
-func (m *Manager) Rejoin(addr transport.Addr) error {
-	return m.reconfigure(addr, false)
-}
-
+// reconfigure moves the cluster to a new epoch around addr. asDead is a
+// recovery. Otherwise it is a rejoin, welcoming a previously failed member
+// back: the member participates in the barrier (it is alive again) and is
+// not re-marked failed; the fresh epoch resets every FIFO stream, so the
+// rejoined server and the survivors agree on sequence numbering, and
+// shards pull any committed-but-unforwarded writes from the backing store
+// behind the barrier.
 func (m *Manager) reconfigure(addr transport.Addr, asDead bool) error {
 	if m.cfg.ReconfigLock != nil {
 		m.cfg.ReconfigLock.Lock()
@@ -476,43 +451,31 @@ func (m *Manager) reconfigure(addr transport.Addr, asDead bool) error {
 	}
 
 	// 2. Barrier. Gatekeepers pause issuance first, so no new old-epoch
-	// traffic enters the system; shards then drain and reset; finally
-	// everyone enters the new epoch and gatekeepers resume. Remote
-	// members get wire messages and must ack (bounded wait).
-	m.barrierPhase(gks, newEpoch, wire.EpochPhasePause, func(s Server) { s.Pause() })
-	m.barrierPhase(others, newEpoch, wire.EpochPhaseEnter, func(s Server) { s.EnterEpoch(newEpoch) })
-	m.barrierPhase(gks, newEpoch, wire.EpochPhaseEnter, func(s Server) { s.EnterEpoch(newEpoch) })
+	// traffic enters the system; shards then drain and reset.
+	m.barrierPhase(gks, newEpoch, wire.EpochPhasePause)
+	m.barrierPhase(others, newEpoch, wire.EpochPhaseEnter)
 
-	// 3. Restart the failed server in the new epoch. Remote members have
-	// no in-process factory: they stay marked failed until a standby (or
-	// the restarted process itself) heartbeats again, which triggers a
-	// rejoin barrier instead of a restart.
-	var reborn Server
-	if asDead && dead.restart != nil {
-		reborn = dead.restart(newEpoch)
+	// 3. Restart the failed server, still inside the pause: when the
+	// gatekeepers resume, its address is served again. Without a restart
+	// callback it stays marked failed until a standby (or the restarted
+	// process itself) heartbeats, which triggers a rejoin barrier.
+	reborn := asDead && dead.restart != nil
+	if reborn {
+		dead.restart(newEpoch)
 	}
+
+	// Gatekeepers enter the new epoch and resume on it.
+	m.barrierPhase(gks, newEpoch, wire.EpochPhaseEnter)
 
 	m.mu.Lock()
 	m.epoch = newEpoch
-	switch {
-	case reborn != nil:
-		dead.server = reborn
-		dead.lastBeat = time.Now()
-		dead.failed = false
-	case asDead:
-		dead.failed = true
-	default:
-		// Rejoin: the member is alive and just passed the barrier.
+	dead.failed = asDead && !reborn
+	if !dead.failed {
+		// Reborn, or rejoined: alive and just past the barrier.
 		dead.lastBeat = time.Now()
 	}
 	m.recoveries++
 	m.mu.Unlock()
-
-	for _, g := range gks {
-		if g.server != nil {
-			g.server.Resume()
-		}
-	}
 
 	m.watchMu.Lock()
 	watchers := append([]func(uint64, transport.Addr){}, m.watchers...)
@@ -523,21 +486,13 @@ func (m *Manager) reconfigure(addr transport.Addr, asDead bool) error {
 	return nil
 }
 
-// barrierPhase applies one barrier step to every member in the slice:
-// in-process members through their Server handle, remote members through
-// an EpochChange message followed by a bounded wait for their acks.
-func (m *Manager) barrierPhase(members []*member, epoch uint64, phase uint8, local func(Server)) {
-	want := make(map[transport.Addr]bool)
+// barrierPhase sends one barrier step to every member in the slice and
+// waits, bounded, for their acks.
+func (m *Manager) barrierPhase(members []*member, epoch uint64, phase uint8) {
+	want := make(map[transport.Addr]bool, len(members))
 	for _, mem := range members {
-		if mem.remote {
-			m.ep.Send(mem.addr, wire.EpochChange{Epoch: epoch, Phase: phase, From: Addr})
-			want[mem.addr] = true
-		} else if mem.server != nil {
-			local(mem.server)
-		}
-	}
-	if len(want) == 0 {
-		return
+		m.ep.Send(mem.addr, wire.EpochChange{Epoch: epoch, Phase: phase, From: Addr})
+		want[mem.addr] = true
 	}
 	deadline := time.NewTimer(m.cfg.BarrierTimeout)
 	defer deadline.Stop()

@@ -25,8 +25,7 @@ func TestManagerResumesEpochFromDecidedHistory(t *testing.T) {
 	accs := sharedAcceptors(3)
 	f := transport.NewFabric()
 	m1 := New(Config{HeartbeatTimeout: time.Hour, Acceptors: accs, ProposerID: 0}, f.Endpoint(Addr))
-	srv := &fakeServer{}
-	m1.Register("shard/0", false, srv, func(uint64) Server { return srv })
+	m1.Register("shard/0", false, func(uint64) {})
 	for i := 0; i < 3; i++ {
 		if err := m1.Recover("shard/0"); err != nil {
 			t.Fatal(err)
@@ -43,8 +42,7 @@ func TestManagerResumesEpochFromDecidedHistory(t *testing.T) {
 		t.Fatalf("restarted manager epoch = %d, want 3 (decided history must win over StartEpoch)", m2.Epoch())
 	}
 	// And its next reconfiguration lands above the history.
-	srv2 := &fakeServer{}
-	m2.Register("shard/0", false, srv2, func(uint64) Server { return srv2 })
+	m2.Register("shard/0", false, func(uint64) {})
 	if err := m2.Recover("shard/0"); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +85,7 @@ func TestRemoteAcceptorQuorum(t *testing.T) {
 		accs[i] = remote.NewAcceptorClient(f.Endpoint(transport.Addr("pxc/"+string(rune('0'+i)))), addr, time.Second)
 	}
 	m := New(Config{HeartbeatTimeout: time.Hour, Acceptors: accs}, f.Endpoint(Addr))
-	fs := &fakeServer{}
-	m.Register("shard/0", false, fs, func(uint64) Server { return fs })
+	m.Register("shard/0", false, func(uint64) {})
 	if err := m.Recover("shard/0"); err != nil {
 		t.Fatal(err)
 	}
@@ -108,44 +105,6 @@ func TestRemoteAcceptorQuorum(t *testing.T) {
 	}
 }
 
-// remoteMember simulates a member process: it acks epoch changes and
-// records what it saw.
-type remoteMember struct {
-	ep     transport.Endpoint
-	addr   transport.Addr
-	stop   chan struct{}
-	phases chan wire.EpochChange
-}
-
-func startRemoteMember(f *transport.Fabric, addr transport.Addr) *remoteMember {
-	r := &remoteMember{
-		ep:     f.Endpoint(addr),
-		addr:   addr,
-		stop:   make(chan struct{}),
-		phases: make(chan wire.EpochChange, 16),
-	}
-	go func() {
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-r.ep.Recv():
-				for {
-					msg, ok := r.ep.Next()
-					if !ok {
-						break
-					}
-					if ec, ok := msg.Payload.(wire.EpochChange); ok {
-						r.phases <- ec
-						r.ep.Send(ec.From, wire.EpochAck{Epoch: ec.Epoch, From: r.addr, Phase: ec.Phase})
-					}
-				}
-			}
-		}
-	}()
-	return r
-}
-
 // TestRemoteBarrierCollectsAcks: remote members receive pause/enter in
 // order and the barrier completes only through their acks.
 func TestRemoteBarrierCollectsAcks(t *testing.T) {
@@ -154,15 +113,13 @@ func TestRemoteBarrierCollectsAcks(t *testing.T) {
 	m.Start()
 	defer m.Stop()
 
-	gk := startRemoteMember(f, "gk/9")
+	gk := startRemoteMember(f, "gk/9", nil)
 	defer close(gk.stop)
-	sh := startRemoteMember(f, "shard/9")
+	sh := startRemoteMember(f, "shard/9", nil)
 	defer close(sh.stop)
-	m.RegisterRemote("gk/9", true)
-	m.RegisterRemote("shard/9", false)
-
-	local := &fakeServer{}
-	m.Register("shard/0", false, local, func(uint64) Server { return local })
+	m.Register("gk/9", true, nil)
+	m.Register("shard/9", false, nil)
+	m.Register("shard/0", false, func(uint64) {})
 
 	if err := m.Recover("shard/0"); err != nil {
 		t.Fatal(err)
@@ -191,7 +148,7 @@ func TestRejoinBarrierRealignsStreams(t *testing.T) {
 	m := New(Config{HeartbeatTimeout: time.Hour, BarrierTimeout: 2 * time.Second}, f.Endpoint(Addr))
 	m.Start()
 	defer m.Stop()
-	m.RegisterRemote("shard/5", false)
+	m.Register("shard/5", false, nil)
 	if err := m.Recover("shard/5"); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +158,7 @@ func TestRejoinBarrierRealignsStreams(t *testing.T) {
 
 	// The process restarts and heartbeats; it must be welcomed back
 	// behind a barrier it takes part in.
-	sh := startRemoteMember(f, "shard/5")
+	sh := startRemoteMember(f, "shard/5", nil)
 	defer close(sh.stop)
 	sh.ep.Send(Addr, wire.Heartbeat{From: "shard/5"})
 
@@ -232,9 +189,9 @@ func TestBootQueryTriggersRejoinInsideDetectionWindow(t *testing.T) {
 	m := New(Config{HeartbeatTimeout: time.Hour, BarrierTimeout: 2 * time.Second}, f.Endpoint(Addr))
 	m.Start()
 	defer m.Stop()
-	m.RegisterRemote("shard/3", false)
+	m.Register("shard/3", false, nil)
 
-	sh := startRemoteMember(f, "shard/3")
+	sh := startRemoteMember(f, "shard/3", nil)
 	defer close(sh.stop)
 	// First boot: never heartbeated, so the boot query must NOT churn
 	// the epoch.
@@ -275,7 +232,7 @@ func TestRemoteFailureMarksAndEpochQuery(t *testing.T) {
 	m := New(Config{HeartbeatTimeout: time.Hour, BarrierTimeout: 100 * time.Millisecond}, f.Endpoint(Addr))
 	m.Start()
 	defer m.Stop()
-	m.RegisterRemote("gk/7", true)
+	m.Register("gk/7", true, nil)
 	if err := m.Recover("gk/7"); err != nil {
 		t.Fatal(err)
 	}

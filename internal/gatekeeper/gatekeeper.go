@@ -27,8 +27,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"weaver/internal/cluster"
 	"weaver/internal/core"
-	"weaver/internal/graph"
 	"weaver/internal/kvstore"
 	"weaver/internal/obs"
 	"weaver/internal/oracle"
@@ -56,15 +56,6 @@ type ReadCheck struct {
 	Key     string
 	Version uint64
 }
-
-// VertexKey is the backing-store key of a vertex record.
-func VertexKey(v graph.VertexID) string { return "v/" + string(v) }
-
-// EncodeRecord encodes a vertex record for the backing store.
-func EncodeRecord(rec *graph.VertexRecord) []byte { return graph.EncodeRecord(rec) }
-
-// DecodeRecord decodes a vertex record.
-func DecodeRecord(data []byte) (*graph.VertexRecord, error) { return graph.DecodeRecord(data) }
 
 // Config parameterizes a gatekeeper.
 type Config struct {
@@ -95,13 +86,9 @@ type Config struct {
 	HistoryRetention time.Duration
 	// ProgTimeout bounds node-program completion waits. 0 = 30s.
 	ProgTimeout time.Duration
-	// MaxCommitRetries bounds internal timestamp-order retries. 0 = 16.
-	MaxCommitRetries int
 	// HeartbeatPeriod, when positive, sends liveness beats to the
 	// cluster manager (§4.3).
 	HeartbeatPeriod time.Duration
-	// ManagerAddr receives heartbeats (default "climgr").
-	ManagerAddr transport.Addr
 	// IndexedKeys declares the property keys carrying secondary indexes
 	// (weaver.Config.Indexes, identical across the cluster). The commit
 	// path publishes value-presence markers for them (internal/plan) and
@@ -115,9 +102,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ManagerAddr == "" {
-		c.ManagerAddr = "climgr"
-	}
 	if c.AnnouncePeriod <= 0 {
 		c.AnnouncePeriod = time.Millisecond
 	}
@@ -126,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProgTimeout <= 0 {
 		c.ProgTimeout = 30 * time.Second
-	}
-	if c.MaxCommitRetries <= 0 {
-		c.MaxCommitRetries = 16
 	}
 	return c
 }
@@ -151,6 +132,9 @@ type Stats struct {
 	LookupsFinished uint64
 	OracleAssigns   uint64
 }
+
+// maxCommitRetries bounds CommitTx's internal timestamp-order retries.
+const maxCommitRetries = 16
 
 // coordinatorHopBit marks hop IDs minted by a gatekeeper coordinator, so
 // they never collide with shard-minted IDs (which carry the shard index in
@@ -211,14 +195,17 @@ type Gatekeeper struct {
 	// clock) pairs appended on each GC tick, reported once old enough.
 	retain []retainSample
 
-	// pause gates operation intake across epoch barriers (§4.3): the
-	// cluster manager write-locks it while reconfiguring.
+	// pause gates operation intake: the epoch barrier (§4.3), bulk loads,
+	// migration batches and checkpoints write-lock it.
 	pause sync.RWMutex
-	// wirePaused remembers that the pause in force was ordered over the
-	// wire (EpochChange Phase=Pause from a remote manager), so the
-	// matching Enter knows to Resume — and an Enter without our own
-	// prior Pause never unlocks a lock it does not hold.
-	wirePaused atomic.Bool
+	// The epoch barrier's claim on pause, from the manager's latest
+	// EpochPhasePause (barrierFor) to its Enter: barrierTaking while
+	// takeBarrierPause waits for the lock, barrierHeld once it has it —
+	// an Enter never unlocks a pause the barrier did not take.
+	barrierMu     sync.Mutex
+	barrierFor    wire.EpochChange
+	barrierTaking bool
+	barrierHeld   bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -290,12 +277,12 @@ func (g *Gatekeeper) Start() {
 
 // heartbeat signals liveness to the cluster manager.
 func (g *Gatekeeper) heartbeat() {
-	g.ep.Send(g.cfg.ManagerAddr, wire.Heartbeat{From: g.ep.Addr()})
+	g.ep.Send(cluster.Addr, wire.Heartbeat{From: g.ep.Addr()})
 }
 
-// Pause blocks new transactions and node programs until Resume; the
-// cluster manager brackets epoch barriers with Pause/Resume (§4.3), and
-// bulk loads and vertex-migration batches use the same gate. The pause
+// Pause blocks new transactions and node programs until Resume: bulk
+// loads, vertex-migration batches and checkpoints fence with it, and the
+// epoch barrier takes the same gate (handleEpochChange, §4.3). The pause
 // counter in Stats lets tests assert how many stop-the-world windows an
 // operation cost (MigrateBatch promises exactly one for a whole batch).
 func (g *Gatekeeper) Pause() {
@@ -305,10 +292,6 @@ func (g *Gatekeeper) Pause() {
 
 // Resume reverses Pause.
 func (g *Gatekeeper) Resume() { g.pause.Unlock() }
-
-// EnterEpoch implements the cluster manager barrier: the clock restarts at
-// zero in the new epoch and FIFO sequence numbering resets (§4.3).
-func (g *Gatekeeper) EnterEpoch(epoch uint64) { g.AdvanceEpoch(epoch) }
 
 // Stop terminates the background loops and fails outstanding reads.
 func (g *Gatekeeper) Stop() {
@@ -321,6 +304,14 @@ func (g *Gatekeeper) Stop() {
 	}
 	clear(g.reads)
 	g.mu.Unlock()
+	// No Enter can arrive any more: hand back a barrier-held pause, so
+	// callers parked at the gate get ErrStopped instead of waiting forever.
+	g.barrierMu.Lock()
+	if g.barrierHeld {
+		g.barrierHeld = false
+		g.Resume()
+	}
+	g.barrierMu.Unlock()
 }
 
 // Stats returns a snapshot of activity counters.
@@ -555,32 +546,62 @@ func (g *Gatekeeper) handle(msg transport.Message) {
 	case wire.ShardGCReport:
 		g.handleShardGCReport(m)
 	case wire.EpochChange:
-		// The wire half of the §4.3 barrier, for gatekeepers whose
-		// manager lives in another process. Pause stops new commits and
-		// acks; Enter flips the epoch, resumes, and acks. The recvLoop
-		// keeps running between the two phases, so acks and the eventual
-		// Enter still flow while paused.
-		g.handleEpochChange(m, msg.From)
+		g.handleEpochChange(m)
 	}
 }
 
-func (g *Gatekeeper) handleEpochChange(m wire.EpochChange, from transport.Addr) {
-	replyTo := m.From
-	if replyTo == "" {
-		replyTo = from
-	}
+// handleEpochChange is the gatekeeper's half of the §4.3 barrier. Pause
+// stops new commits and acks once it has; Enter flips the epoch, resumes,
+// and acks. The pause lock is taken OFF the receive loop: a bulk load or
+// migration batch may be holding it while it waits in Quiesce for the
+// TxApplied acks only this loop can drain, and the Enter that ends the
+// barrier arrives here too.
+func (g *Gatekeeper) handleEpochChange(m wire.EpochChange) {
+	g.barrierMu.Lock()
+	defer g.barrierMu.Unlock()
 	switch m.Phase {
 	case wire.EpochPhasePause:
-		if g.wirePaused.CompareAndSwap(false, true) {
-			g.Pause()
+		g.barrierFor = m
+		switch {
+		case g.barrierHeld:
+			// A new barrier after one that never reached its Enter:
+			// already paused for it.
+			g.ackEpochChange(m)
+		case !g.barrierTaking:
+			g.barrierTaking = true
+			g.wg.Add(1)
+			go g.takeBarrierPause()
 		}
 	case wire.EpochPhaseEnter:
 		g.AdvanceEpoch(m.Epoch)
-		if g.wirePaused.CompareAndSwap(true, false) {
+		if g.barrierHeld {
+			g.barrierHeld = false
 			g.Resume()
 		}
+		g.ackEpochChange(m)
 	}
-	g.ep.Send(replyTo, wire.EpochAck{Epoch: m.Epoch, From: g.ep.Addr(), Phase: m.Phase})
+}
+
+// takeBarrierPause takes the pause lock for the barrier and acks the
+// Pause it now serves — unless the manager stopped waiting and that
+// barrier's Enter got here first: then the lock goes straight back. At
+// most one runs at a time, waiting only behind fences that end.
+func (g *Gatekeeper) takeBarrierPause() {
+	defer g.wg.Done()
+	g.Pause()
+	g.barrierMu.Lock()
+	defer g.barrierMu.Unlock()
+	g.barrierTaking = false
+	if g.Now().Epoch >= g.barrierFor.Epoch {
+		g.Resume()
+		return
+	}
+	g.barrierHeld = true
+	g.ackEpochChange(g.barrierFor)
+}
+
+func (g *Gatekeeper) ackEpochChange(m wire.EpochChange) {
+	g.ep.Send(m.From, wire.EpochAck{Epoch: m.Epoch, From: g.ep.Addr(), Phase: m.Phase})
 }
 
 // announce broadcasts the clock to all other gatekeepers (§3.3).

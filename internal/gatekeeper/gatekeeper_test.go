@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"weaver/internal/cluster"
 	"weaver/internal/core"
 	"weaver/internal/graph"
 	"weaver/internal/kvstore"
@@ -82,7 +83,7 @@ func TestCommitValidatesReads(t *testing.T) {
 	if _, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.gk.CommitTx([]ReadCheck{{Key: VertexKey("v"), Version: ver}},
+	_, err := r.gk.CommitTx([]ReadCheck{{Key: graph.VertexKey("v"), Version: ver}},
 		[]graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "2"}})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("stale read must conflict: %v", err)
@@ -106,7 +107,7 @@ func TestWriterInValidateLoadWindowConflicts(t *testing.T) {
 		r.gk.testHookValidated = nil // B's own commit passes straight through
 		_, errB = r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpDeleteVertex, Vertex: "v"}})
 	}
-	_, errA := r.gk.CommitTx([]ReadCheck{{Key: VertexKey("v"), Version: ver}},
+	_, errA := r.gk.CommitTx([]ReadCheck{{Key: graph.VertexKey("v"), Version: ver}},
 		[]graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}})
 	if errB != nil {
 		t.Fatalf("writer B (in the window) must commit: %v", errB)
@@ -126,7 +127,7 @@ func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
 	otherTS := other.Tick()
 	rec := graph.NewVertexRecord("v", 0)
 	rec.LastTS = otherTS
-	r.kv.Put(VertexKey("v"), EncodeRecord(rec))
+	r.kv.Put(graph.VertexKey("v"), graph.EncodeRecord(rec))
 
 	res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}})
 	if err != nil {
@@ -247,13 +248,103 @@ func TestPauseBlocksCommits(t *testing.T) {
 	}
 }
 
+// The barrier's pause is taken off the receive loop: while a fence (bulk
+// load, migration batch) holds the pause lock and waits for TxApplied acks,
+// the loop must keep draining them, the barrier's Pause is acked only once
+// the lock is really held, and an Enter that overtakes it never unlocks
+// the fence's pause.
+func TestBarrierPauseWaitsBehindFenceOffLoop(t *testing.T) {
+	r := newRig(t, 1, 1)
+	mgr := r.f.Endpoint(cluster.Addr)
+	phase := func(epoch uint64, p uint8) {
+		mgr.Send(transport.GatekeeperAddr(0), wire.EpochChange{Epoch: epoch, Phase: p, From: cluster.Addr})
+	}
+	acked := func(epoch uint64, p uint8, within time.Duration) bool {
+		deadline := time.After(within)
+		for {
+			for msg, ok := mgr.Next(); ok; msg, ok = mgr.Next() {
+				if a, ok := msg.Payload.(wire.EpochAck); ok && a.Epoch == epoch && a.Phase == p {
+					return true
+				}
+			}
+			select {
+			case <-mgr.Recv():
+			case <-deadline:
+				return false
+			}
+		}
+	}
+	res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r.gk.Pause() // the fence
+	phase(1, wire.EpochPhasePause)
+	if acked(1, wire.EpochPhasePause, 20*time.Millisecond) {
+		t.Fatal("Pause acked while a fence still held the lock")
+	}
+	// The fence's Quiesce depends on the loop still running.
+	shard := r.f.Endpoint("shard/9")
+	shard.Send(transport.GatekeeperAddr(0), wire.TxApplied{TS: res.TS, Count: 1})
+	if err := r.gk.Quiesce(2 * time.Second); err != nil {
+		t.Fatalf("receive loop blocked behind the barrier's pause: %v", err)
+	}
+	// The manager gives up on the pause: its Enter must leave the fence's
+	// lock alone.
+	phase(1, wire.EpochPhaseEnter)
+	if !acked(1, wire.EpochPhaseEnter, 2*time.Second) {
+		t.Fatal("Enter never acked")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "w"}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Enter unlocked a pause the barrier never took (commit err=%v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.gk.Resume()
+	if err := <-done; err != nil {
+		t.Fatalf("commit after the fence: %v", err)
+	}
+
+	// A full barrier with nothing in the way: Pause is acked once held,
+	// commits stay out until Enter, and resume in the new epoch.
+	phase(2, wire.EpochPhasePause)
+	if !acked(2, wire.EpochPhasePause, 2*time.Second) {
+		t.Fatal("Pause never acked")
+	}
+	go func() {
+		res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "x"}})
+		if err == nil && res.TS.Epoch != 2 {
+			err = fmt.Errorf("commit stamped %v, want epoch 2", res.TS)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("commit went through the barrier's pause (err=%v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	phase(2, wire.EpochPhaseEnter)
+	if !acked(2, wire.EpochPhaseEnter, 2*time.Second) {
+		t.Fatal("Enter never acked")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEnterEpochRestartsClock(t *testing.T) {
 	r := newRig(t, 1, 1)
 	res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.gk.EnterEpoch(3)
+	r.gk.AdvanceEpoch(3)
 	res2, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "b"}})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +432,7 @@ func TestApplyAccountingIsEpochScoped(t *testing.T) {
 		t.Fatalf("want 1 pending, got %+v", st)
 	}
 	// Barrier: the outstanding old-epoch apply no longer counts.
-	r.gk.EnterEpoch(5)
+	r.gk.AdvanceEpoch(5)
 	if st := r.gk.Stats(); st.ApplyPending != 0 {
 		t.Fatalf("epoch bump did not reset pending: %+v", st)
 	}

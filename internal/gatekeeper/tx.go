@@ -25,11 +25,11 @@ const TempEdgePrefix = "~"
 // Missing or deleted vertices return ok=false; the version is meaningful
 // either way and must still be validated at commit.
 func (g *Gatekeeper) ReadVertex(v graph.VertexID) (rec *graph.VertexRecord, version uint64, ok bool, err error) {
-	data, version, found := g.kv.GetVersioned(VertexKey(v))
+	data, version, found := g.kv.GetVersioned(graph.VertexKey(v))
 	if !found {
 		return nil, version, false, nil
 	}
-	rec, err = DecodeRecord(data)
+	rec, err = graph.DecodeRecord(data)
 	if err != nil {
 		return nil, version, false, err
 	}
@@ -95,7 +95,7 @@ func (g *Gatekeeper) CommitTx(reads []ReadCheck, ops []graph.Op) (CommitResult, 
 	// timestamp order. Aborted attempts fill their reserved slots with
 	// NOPs so the streams never stall (§4.2).
 	var lastErr error
-	for attempt := 0; attempt < g.cfg.MaxCommitRetries; attempt++ {
+	for attempt := 0; attempt < maxCommitRetries; attempt++ {
 		if attempt > 0 {
 			g.txRetries.Add(1)
 		}
@@ -128,7 +128,7 @@ func (g *Gatekeeper) CommitTx(reads []ReadCheck, ops []graph.Op) (CommitResult, 
 	g.txConflicts.Add(1)
 	g.m.tracer.Abort(tr)
 	return CommitResult{}, fmt.Errorf("%w: timestamp ordering failed after %d retries: %v",
-		ErrConflict, g.cfg.MaxCommitRetries, lastErr)
+		ErrConflict, maxCommitRetries, lastErr)
 }
 
 // applyLagTimeout bounds how long admission control will hold a commit
@@ -285,13 +285,13 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 		// A record that changed since the validation above fails this
 		// re-read with a conflict (kvstore.Tx reads are repeatable), so the
 		// semantic checks below only ever run on the validated state.
-		data, _, found, err := tx.GetVersioned(VertexKey(v))
+		data, _, found, err := tx.GetVersioned(graph.VertexKey(v))
 		if err != nil {
 			return nil, storeErr(err)
 		}
 		t := &touched{}
 		if found {
-			rec, err := DecodeRecord(data)
+			rec, err := graph.DecodeRecord(data)
 			if err != nil {
 				return nil, err
 			}
@@ -450,7 +450,7 @@ func (g *Gatekeeper) tryCommit(ts core.Timestamp, reads []ReadCheck, ops []graph
 		} else {
 			t.rec.Deleted = false
 		}
-		tx.Put(VertexKey(v), EncodeRecord(t.rec))
+		tx.Put(graph.VertexKey(v), graph.EncodeRecord(t.rec))
 	}
 
 	if err := tx.Commit(); err != nil {

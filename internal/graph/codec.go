@@ -21,6 +21,13 @@ const (
 	recVersion = 1
 )
 
+// VertexKeyPrefix is the backing-store key prefix of vertex records; a
+// prefix scan over it enumerates every vertex (recovery, §4.3).
+const VertexKeyPrefix = "v/"
+
+// VertexKey is the backing-store key of v's record.
+func VertexKey(v VertexID) string { return VertexKeyPrefix + string(v) }
+
 // ErrNotRecord reports a blob that does not start with the vertex-record
 // magic: not something EncodeRecord wrote.
 var ErrNotRecord = errors.New("graph: not a vertex record")

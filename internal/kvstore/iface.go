@@ -9,8 +9,9 @@ type Backing interface {
 	GetVersioned(key string) (value []byte, version uint64, ok bool)
 	// Begin opens an optimistic multi-key transaction.
 	Begin() Txn
-	// ScanPrefix streams all live keys with the prefix (recovery, §4.3).
-	ScanPrefix(prefix string, fn func(key string, value []byte))
+	// ScanPrefix streams all live keys with the prefix (recovery, §4.3);
+	// on error the keys fn saw, if any, are not the whole answer.
+	ScanPrefix(prefix string, fn func(key string, value []byte)) error
 	// Close releases resources.
 	Close() error
 	// Stats reports store activity.

@@ -478,8 +478,8 @@ func (s *Store) Stats() Stats {
 // holds one bucket read-lock at a time; it is consistent only when
 // concurrent writers are quiesced (Weaver calls it during recovery, behind
 // the cluster manager's epoch barrier, §4.3). fn must not call back into
-// the store.
-func (s *Store) ScanPrefix(prefix string, fn func(key string, value []byte)) {
+// the store. The in-memory scan cannot fail; the error is Backing's.
+func (s *Store) ScanPrefix(prefix string, fn func(key string, value []byte)) error {
 	for i := range s.buckets {
 		b := &s.buckets[i]
 		b.mu.RLock()
@@ -490,6 +490,7 @@ func (s *Store) ScanPrefix(prefix string, fn func(key string, value []byte)) {
 		}
 		b.mu.RUnlock()
 	}
+	return nil
 }
 
 // Begin starts a transaction.

@@ -11,8 +11,8 @@
 //
 // Over TCP each process has its own Tracer, so a shard-side Lookup
 // misses and the trace degrades to the gatekeeper-side spans: partial
-// but still useful. In-process (the embedded Cluster, including
-// Config.WireFrames mode) the tracer is shared and traces are complete.
+// but still useful. In-process (the embedded Cluster — its fabric frames
+// every message too, but the tracer is shared) traces are complete.
 package obs
 
 import (

@@ -203,15 +203,20 @@ func (k *KVClient) GetVersioned(key string) ([]byte, uint64, bool) {
 	return resp.Value, resp.Version, resp.OK
 }
 
-// ScanPrefix implements kvstore.Backing.
-func (k *KVClient) ScanPrefix(prefix string, fn func(key string, value []byte)) {
+// ScanPrefix implements kvstore.Backing. A scan the server never answered
+// is an error, never an empty result.
+func (k *KVClient) ScanPrefix(prefix string, fn func(key string, value []byte)) error {
 	resp, err := k.call(wire.KVReq{Op: wire.KVScan, Prefix: prefix})
+	if err == nil {
+		err = respErr(resp.Err)
+	}
 	if err != nil {
-		return
+		return fmt.Errorf("remote: scan %q: %w", prefix, err)
 	}
 	for i, key := range resp.Keys {
 		fn(key, resp.Vals[i])
 	}
+	return nil
 }
 
 // Close implements kvstore.Backing.

@@ -60,9 +60,37 @@ func TestKVRemoteRoundTrip(t *testing.T) {
 
 	// Scan.
 	keys := 0
-	cl.ScanPrefix("a", func(k string, v []byte) { keys++ })
-	if keys != 1 {
-		t.Fatalf("scan found %d keys", keys)
+	if err := cl.ScanPrefix("a", func(k string, v []byte) { keys++ }); err != nil || keys != 1 {
+		t.Fatalf("scan found %d keys, err %v", keys, err)
+	}
+}
+
+// A scan nobody answered is an error, never an empty result: a shard that
+// boots before its store must not recover "zero vertices" and serve. Both
+// ways a store can be absent — no route to it at all, and an address that
+// accepts the request but never replies — surface through ScanPrefix and
+// through Shard.Recover.
+func TestScanWithoutStoreIsAnError(t *testing.T) {
+	fabric := transport.NewFabric()
+	fabric.Endpoint("kv/silent") // a mailbox nobody serves
+	for _, tc := range []struct {
+		store transport.Addr
+		want  error
+	}{
+		{"kv/absent", transport.ErrUnknown},
+		{"kv/silent", ErrTimeout},
+	} {
+		cl := NewKVClient(fabric.Endpoint("kvc/0"), tc.store, 20*time.Millisecond)
+		err := cl.ScanPrefix(graph.VertexKeyPrefix, func(string, []byte) { t.Error("scan delivered a key from nowhere") })
+		if !errors.Is(err, tc.want) {
+			t.Errorf("ScanPrefix against %s: got %v, want %v", tc.store, err, tc.want)
+		}
+		sh := shard.New(shard.Config{ID: 0, NumGatekeepers: 1}, fabric.Endpoint(transport.ShardAddr(0)),
+			oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+		if n, err := sh.Recover(cl); !errors.Is(err, tc.want) {
+			t.Errorf("Recover against %s: recovered %d vertices with error %v, want %v", tc.store, n, err, tc.want)
+		}
+		cl.Close()
 	}
 }
 

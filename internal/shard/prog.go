@@ -176,8 +176,8 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		delete(s.progState, b.QID)
 	}
 	for len(work) > 0 {
-		if visits >= s.cfg.MaxCascade {
-			fail(fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.QID, s.cfg.MaxCascade))
+		if visits >= maxCascade {
+			fail(fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.QID, maxCascade))
 			return
 		}
 		hop := work[len(work)-1]

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"weaver/internal/cluster"
 	"weaver/internal/core"
 	"weaver/internal/graph"
 	"weaver/internal/index"
@@ -56,14 +57,9 @@ type Config struct {
 	NumGatekeepers int
 	// Epoch is the starting epoch.
 	Epoch uint64
-	// MaxCascade bounds one batch's local visit cascade (safety valve
-	// against non-terminating programs). 0 = 1<<22.
-	MaxCascade int
 	// HeartbeatPeriod, when positive, sends liveness beats to the
 	// cluster manager (§4.3).
 	HeartbeatPeriod time.Duration
-	// ManagerAddr receives heartbeats (default "climgr").
-	ManagerAddr transport.Addr
 	// MaxVertices, with a Pager, caps resident vertex histories: once the
 	// GC watermark advances, cold vertices (all writes below the
 	// watermark) are paged out, and node programs page missing vertices
@@ -103,6 +99,7 @@ type Stats struct {
 	ProgBatches    uint64
 	OrderQueries   uint64 // oracle consultations for head ordering
 	ReadRefines    uint64 // concurrent-pair visibility decisions (write-before-read rule)
+	RecoverErrors  uint64 // epoch-barrier re-recoveries that could not read the backing store
 	CacheHits      uint64 // ordering answers served from the local cache
 	GCCollected    uint64
 	VersionsLive   uint64
@@ -168,8 +165,6 @@ type Shard struct {
 
 	hopSeq atomic.Uint64
 
-	ctrl chan func()
-
 	stop     chan struct{}
 	stopOnce func()
 	done     chan struct{}
@@ -185,6 +180,7 @@ type Shard struct {
 	progBatches    atomic.Uint64
 	orderQueries   atomic.Uint64
 	readRefines    atomic.Uint64
+	recoverErrors  atomic.Uint64
 	cacheHits      atomic.Uint64
 	gcCollected    atomic.Uint64
 	indexLookups   atomic.Uint64
@@ -195,16 +191,13 @@ const (
 	// parallel apply batch may contain, bounding the latency of the batch
 	// barrier.
 	maxBatch = 256
+	// maxCascade bounds one batch's local visit cascade (safety valve
+	// against non-terminating programs).
+	maxCascade = 1 << 22
 )
 
 // New wires a shard server. Call Start to launch its event loop.
 func New(cfg Config, ep transport.Endpoint, orc oracle.Client, reg *nodeprog.Registry, dir partition.Directory) *Shard {
-	if cfg.MaxCascade <= 0 {
-		cfg.MaxCascade = 1 << 22
-	}
-	if cfg.ManagerAddr == "" {
-		cfg.ManagerAddr = "climgr"
-	}
 	s := &Shard{
 		cfg:        cfg,
 		ep:         ep,
@@ -222,7 +215,6 @@ func New(cfg Config, ep transport.Endpoint, orc oracle.Client, reg *nodeprog.Reg
 		orderCache: make(map[[2]core.ID]core.Order),
 		gcReports:  make(map[int]core.Timestamp),
 		heat:       newHeatMap(),
-		ctrl:       make(chan func()),
 		epoch:      cfg.Epoch,
 	}
 	for i := range s.reseq {
@@ -261,6 +253,7 @@ func (s *Shard) Stats() Stats {
 		ProgBatches:    s.progBatches.Load(),
 		OrderQueries:   s.orderQueries.Load(),
 		ReadRefines:    s.readRefines.Load(),
+		RecoverErrors:  s.recoverErrors.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		GCCollected:    s.gcCollected.Load(),
 		VersionsLive:   uint64(s.g.NumVertices()),
@@ -280,10 +273,11 @@ func (s *Shard) SetPager(p Pager) { s.pager = p }
 // them through InstallRecovered. At boot (§4.3: before Start, behind the
 // cluster manager's epoch barrier) the graph is empty, so that is the
 // whole partition; at a later epoch barrier it is exactly the write-sets a
-// gatekeeper committed and was killed before forwarding.
-func (s *Shard) Recover(kv kvstore.Backing) int {
+// gatekeeper committed and was killed before forwarding. A store that
+// cannot be read is an error: "no answer" never passes for "no records".
+func (s *Shard) Recover(kv kvstore.Backing) (int, error) {
 	var recs []*graph.VertexRecord
-	kv.ScanPrefix("v/", func(_ string, data []byte) {
+	err := kv.ScanPrefix(graph.VertexKeyPrefix, func(_ string, data []byte) {
 		rec, err := graph.DecodeRecord(data)
 		if err != nil || rec.Shard != s.cfg.ID {
 			return
@@ -293,23 +287,37 @@ func (s *Shard) Recover(kv kvstore.Backing) int {
 		}
 		recs = append(recs, rec)
 	})
-	return s.InstallRecovered(recs)
+	if err != nil {
+		return 0, fmt.Errorf("shard %d: recover: %w", s.cfg.ID, err)
+	}
+	return s.InstallRecovered(recs), nil
 }
 
 // InstallRecovered is the one way records pulled from the backing store
 // enter the graph: recs are this shard's records, tombstones included,
 // already selected by the caller (Recover's scan, or weaver.Open's single
-// scan bucketed per shard). A stored record carries only the vertex's
-// latest state, so alongside loading and indexing the live ones the
-// recovery horizon is raised over all of them — a deleted vertex existed
-// below its tombstone's stamp — and every caller gets the "refused, never
-// truncated" guarantee for reads at older timestamps. Returns the number
-// of live records installed.
+// scan bucketed per shard). Live records are loaded and indexed; a
+// tombstone newer than everything the graph holds for its vertex is a
+// committed delete that was never forwarded, applied at its own stamp the
+// way the forward would have been. A stored record carries only the
+// vertex's latest state, so the recovery horizon is raised over all of
+// them — a deleted vertex existed below its tombstone's stamp — and every
+// caller gets the "refused, never truncated" guarantee for reads at older
+// timestamps. Returns the number of live records installed.
 func (s *Shard) InstallRecovered(recs []*graph.VertexRecord) int {
 	live := recs[:0:0]
 	for _, rec := range recs {
 		if !rec.Deleted {
 			live = append(live, rec)
+			continue
+		}
+		if last := s.g.LastWrite(rec.ID); !last.Zero() && rec.LastTS.Compare(last) == core.After {
+			op := graph.Op{Kind: graph.OpDeleteVertex, Vertex: rec.ID}
+			if err := s.g.Apply(op, rec.LastTS); err != nil {
+				s.reportApplyErr(op, rec.LastTS, err)
+				continue
+			}
+			s.idx.Apply(op, rec.LastTS)
 		}
 	}
 	s.g.LoadAll(live)
@@ -398,41 +406,20 @@ func (s *Shard) Start() {
 				case <-s.stop:
 					return
 				case <-t.C:
-					s.ep.Send(s.cfg.ManagerAddr, wire.Heartbeat{From: s.ep.Addr()})
+					s.ep.Send(cluster.Addr, wire.Heartbeat{From: s.ep.Addr()})
 				}
 			}
 		}()
 	}
 }
 
-// Pause implements the cluster manager's Server interface; shards have no
-// issuance to pause.
-func (s *Shard) Pause() {}
-
-// Resume implements the cluster manager's Server interface.
-func (s *Shard) Resume() {}
-
-// EnterEpoch implements the §4.3 barrier on the event loop: drain all
-// in-flight traffic (gatekeepers are paused, so the mailbox is complete),
-// execute everything still queued, flush and reset the per-gatekeeper
-// FIFO streams, and expect new-epoch numbering from 1. Blocks until the
-// loop has applied it.
-func (s *Shard) EnterEpoch(epoch uint64) {
-	done := make(chan struct{})
-	select {
-	case s.ctrl <- func() {
-		s.enterEpochNow(epoch)
-		close(done)
-	}:
-		<-done
-	case <-s.stop:
-	}
-}
-
-// enterEpochNow is the event-loop half of EnterEpoch. It is also invoked
-// inline when the barrier arrives as a wire.EpochChange (handle runs ON
-// the event loop, so routing through the ctrl channel would deadlock).
-func (s *Shard) enterEpochNow(epoch uint64) {
+// enterEpoch is the shard's half of the §4.3 barrier, run on the event
+// loop when the manager's wire.EpochChange arrives: gatekeepers are
+// paused and everything they forwarded sits ahead of that message in the
+// mailbox, so every in-flight old-epoch item has been ingested. Execute
+// everything still queued, flush and reset the per-gatekeeper FIFO
+// streams, and expect new-epoch numbering from 1.
+func (s *Shard) enterEpoch(epoch uint64) {
 	for gk := range s.reseq {
 		// Anything still buffered arrived out of order; apply it
 		// in sequence order before resetting (gaps cannot occur
@@ -450,7 +437,10 @@ func (s *Shard) enterEpochNow(epoch uint64) {
 	// backing store without forwarding them anywhere; pull them in now,
 	// while the cluster is quiesced behind the barrier.
 	if s.recoverSrc != nil {
-		s.Recover(s.recoverSrc)
+		if _, err := s.Recover(s.recoverSrc); err != nil {
+			s.recoverErrors.Add(1)
+			fmt.Fprintf(os.Stderr, "weaver shard %d: entering epoch %d without the committed-but-unforwarded sweep: %v\n", s.cfg.ID, epoch, err)
+		}
 	}
 	s.epoch = epoch
 	s.pump()
@@ -527,26 +517,12 @@ func (s *Shard) run() {
 		select {
 		case <-s.stop:
 			return
-		case fn := <-s.ctrl:
-			// Drain the mailbox before control actions so the epoch
-			// barrier sees every in-flight message.
-			s.drain()
-			fn()
 		case <-s.ep.Recv():
-			s.drain()
+			for msg, ok := s.ep.Next(); ok; msg, ok = s.ep.Next() {
+				s.handle(msg)
+			}
 			s.pump()
 		}
-	}
-}
-
-// drain ingests every message currently in the mailbox.
-func (s *Shard) drain() {
-	for {
-		msg, ok := s.ep.Next()
-		if !ok {
-			return
-		}
-		s.handle(msg)
 	}
 }
 
@@ -589,17 +565,12 @@ func (s *Shard) handle(msg transport.Message) {
 		s.gcReports[m.GK] = m.TS
 		s.maybeGC()
 	case wire.EpochChange:
-		// Remote-manager barrier (§4.3). We are already on the event
-		// loop and the mailbox was drained before this message, so the
-		// inline epoch entry sees every in-flight old-epoch message.
-		replyTo := m.From
-		if replyTo == "" {
-			replyTo = msg.From
-		}
+		// The manager's barrier (§4.3). Shards have no issuance to pause,
+		// so that phase is only acked.
 		if m.Phase == wire.EpochPhaseEnter {
-			s.enterEpochNow(m.Epoch)
+			s.enterEpoch(m.Epoch)
 		}
-		s.ep.Send(replyTo, wire.EpochAck{Epoch: m.Epoch, From: s.ep.Addr(), Phase: m.Phase})
+		s.ep.Send(m.From, wire.EpochAck{Epoch: m.Epoch, From: s.ep.Addr(), Phase: m.Phase})
 	}
 }
 
@@ -813,7 +784,7 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 // in-memory graph (§6.1). Returns false when the record is absent, deleted,
 // or homed elsewhere.
 func (s *Shard) pageIn(v graph.VertexID) bool {
-	data, _, found := s.pager.GetVersioned("v/" + string(v))
+	data, _, found := s.pager.GetVersioned(graph.VertexKey(v))
 	if !found {
 		return false
 	}

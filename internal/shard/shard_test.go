@@ -7,6 +7,7 @@ import (
 
 	"weaver/internal/core"
 	"weaver/internal/graph"
+	"weaver/internal/index"
 	"weaver/internal/nodeprog"
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
@@ -53,6 +54,26 @@ func (r *rig) sendNop() core.Timestamp {
 	ts := r.clock.Tick()
 	r.drv.Send(transport.ShardAddr(0), wire.Nop{TS: ts, Seq: r.seq.Next(transport.ShardAddr(0))})
 	return ts
+}
+
+// enterEpoch moves the shard at shard/0 into epoch the way the cluster
+// manager does — a wire.EpochChange from ep — and returns once it is acked.
+func enterEpoch(t *testing.T, ep transport.Endpoint, epoch uint64) {
+	t.Helper()
+	ep.Send(transport.ShardAddr(0), wire.EpochChange{Epoch: epoch, Phase: wire.EpochPhaseEnter, From: ep.Addr()})
+	deadline := time.After(5 * time.Second)
+	for {
+		for msg, ok := ep.Next(); ok; msg, ok = ep.Next() {
+			if ack, ok := msg.Payload.(wire.EpochAck); ok && ack.Epoch == epoch {
+				return
+			}
+		}
+		select {
+		case <-ep.Recv():
+		case <-deadline:
+			t.Fatalf("shard never acked epoch %d", epoch)
+		}
+	}
 }
 
 func (r *rig) waitStats(cond func(Stats) bool) Stats {
@@ -215,7 +236,7 @@ func TestShardEnterEpochResetsStreams(t *testing.T) {
 	r := newRig(t, 1)
 	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "a"})
 	r.waitStats(func(s Stats) bool { return s.TxExecuted >= 1 })
-	r.sh.EnterEpoch(1)
+	enterEpoch(t, r.drv, 1)
 	// New epoch: sequence numbering restarts at 1.
 	r.clock.AdvanceEpoch(1)
 	r.seq.Reset()
@@ -249,12 +270,75 @@ func TestShardEnterEpochExecutesStalledQueue(t *testing.T) {
 	if st := sh.Stats(); st.TxExecuted != 0 {
 		t.Fatalf("tx executed without ordering evidence: %+v", st)
 	}
-	sh.EnterEpoch(1)
+	enterEpoch(t, gk0, 1)
 	if st := sh.Stats(); st.TxExecuted != 1 || st.ApplyErrors != 0 {
 		t.Fatalf("barrier left the queue stalled: %+v", st)
 	}
 	if !sh.Graph().Has("stalled") {
 		t.Fatal("queued transaction not applied at the barrier")
+	}
+}
+
+// A delete that committed to the backing store but was never forwarded
+// (its gatekeeper died in between) reaches the shard only as a tombstone
+// record at recovery. The vertex it deletes must stop being visible to
+// fresh reads and lookups — pre-fix the tombstone only raised the horizon
+// and the vertex lived on as a ghost — while reads below the tombstone
+// stay refused, never answered from the truncated history.
+func TestInstallRecoveredAppliesUnforwardedTombstone(t *testing.T) {
+	f := transport.NewFabric()
+	sh := New(Config{ID: 0, NumGatekeepers: 1, Indexes: []index.Spec{{Key: "k"}}},
+		f.Endpoint(transport.ShardAddr(0)), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+	drv := f.Endpoint(transport.GatekeeperAddr(0))
+	clock := core.NewVectorClock(0, 1, 0)
+	created, below, deleted := clock.Tick(), clock.Tick(), clock.Tick()
+	sh.InstallRecovered([]*graph.VertexRecord{{ID: "ghost", Props: map[string]string{"k": "v"}, LastTS: created}})
+	if !sh.Graph().Has("ghost") {
+		t.Fatal("live record not installed")
+	}
+	sh.InstallRecovered([]*graph.VertexRecord{{ID: "ghost", Deleted: true, LastTS: deleted}})
+	sh.Start()
+	t.Cleanup(sh.Stop)
+
+	fresh, lookup := clock.Tick(), clock.Tick()
+	hops := func(ts core.Timestamp) wire.ProgHops {
+		return wire.ProgHops{QID: ts.ID(), TS: ts, ReadTS: ts, Coordinator: drv.Addr(),
+			Hops: []wire.Hop{{ID: 1, Vertex: "ghost", Program: "get_node"}}}
+	}
+	drv.Send(transport.ShardAddr(0), hops(fresh))
+	drv.Send(transport.ShardAddr(0), wire.IndexLookup{QID: lookup.ID(), ReadTS: lookup, Wheres: wire.Eq("k", "v"), Reply: drv.Addr()})
+	drv.Send(transport.ShardAddr(0), hops(below))
+	drv.Send(transport.ShardAddr(0), wire.Nop{TS: clock.Tick(), Seq: 1}) // frontier passes every read
+
+	pending := 3
+	deadline := time.After(5 * time.Second)
+	for pending > 0 {
+		select {
+		case <-drv.Recv():
+		case <-deadline:
+			t.Fatalf("%d reads unanswered; stats %+v", pending, sh.Stats())
+		}
+		for m, ok := drv.Next(); ok; m, ok = drv.Next() {
+			switch d := m.Payload.(type) {
+			case wire.ProgDelta:
+				pending--
+				switch d.QID {
+				case fresh.ID():
+					if d.Err != "" || len(d.Results) != 0 {
+						t.Errorf("fresh get_node still sees the deleted vertex: %+v", d)
+					}
+				case below.ID():
+					if d.ErrCode != wire.ErrCodeStaleSnapshot {
+						t.Errorf("read below the tombstone answered instead of refused: %+v", d)
+					}
+				}
+			case wire.IndexResult:
+				pending--
+				if d.Err != "" || len(d.Vertices) != 0 {
+					t.Errorf("index lookup still returns the deleted vertex: %+v", d)
+				}
+			}
+		}
 	}
 }
 

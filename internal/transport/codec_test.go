@@ -43,8 +43,9 @@ func (testCodec) Decode(data []byte) (any, error) {
 }
 
 // TestUnownedPayloadIsEncodeError pins the single-encoding contract: a
-// type the codec does not own emits nothing, and unknown tags — the
-// retired tag 0 included — decode as corruption.
+// type the codec does not own emits nothing — on the in-process fabric it
+// is a Send error and nothing is delivered, exactly as over TCP — and
+// unknown tags, the retired tag 0 included, decode as corruption.
 func TestUnownedPayloadIsEncodeError(t *testing.T) {
 	prefix := []byte("keep")
 	buf, err := AppendFrame(prefix, "a", "b", struct{ X int }{1})
@@ -53,6 +54,14 @@ func TestUnownedPayloadIsEncodeError(t *testing.T) {
 	}
 	if string(buf) != "keep" {
 		t.Fatalf("failed encode emitted bytes: %q", buf)
+	}
+	f := NewFabric()
+	a, b := f.Endpoint("a"), f.Endpoint("b")
+	if err := a.Send("b", struct{ X int }{1}); err == nil {
+		t.Fatal("the in-process fabric delivered a payload no codec owns")
+	}
+	if _, ok := b.Next(); ok {
+		t.Fatal("a failed Send left a message in the mailbox")
 	}
 	for _, tag := range []byte{0, 3} {
 		if _, err := DecodePayload([]byte{tag, 1, 2}); !errors.Is(err, ErrFrameCorrupt) {

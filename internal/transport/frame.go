@@ -1,7 +1,7 @@
 // Binary wire framing for the transport layer.
 //
-// Every message crossing a TCP connection (and, with Fabric.WithWireFrames,
-// the in-process fabric) is one self-delimiting frame:
+// Every message on either fabric — a TCP connection or the in-process
+// Fabric's Send — is one self-delimiting frame:
 //
 //	length  u32 big-endian — bytes after this field (body + crc)
 //	body:   from  (uvarint-length string)
@@ -11,8 +11,8 @@
 //
 // The tag and body belong to the registered FrameCodec — internal/wire
 // registers one hand-rolled codec per Weaver message. A payload type the
-// codec does not own is an encode error: nothing is emitted and the
-// connection stays usable.
+// codec does not own is an encode error: nothing is emitted, Send fails,
+// and the connection stays usable.
 //
 // Encoding appends into pooled buffers (sync.Pool) so a steady-state send
 // allocates nothing; each connection's read loop reuses one frame buffer.

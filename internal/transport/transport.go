@@ -2,9 +2,12 @@
 // gatekeepers, shard servers, the timeline oracle, and the cluster manager.
 //
 // The primary implementation is an in-process Fabric with one unbounded
-// mailbox per address, optionally injecting latency and reordering to
-// simulate a real network (used heavily by tests). A TCP fabric with
-// identical semantics lives in tcp.go for multi-process deployments.
+// mailbox per address. Every Send encodes its payload as one wire frame
+// (frame.go) and delivers the decoded deep copy, so an embedded cluster
+// pays the codec and gets the copy semantics of a TCP deployment; latency
+// and reordering can be injected on top (the transport tests' seams). A
+// TCP fabric with identical semantics lives in tcp.go for multi-process
+// deployments.
 //
 // Delivery guarantees are deliberately weak — at-most-once, unordered when
 // reordering is enabled — because Weaver's protocol supplies its own FIFO
@@ -22,9 +25,9 @@ import (
 	"weaver/internal/obs"
 )
 
-// WireMetrics counts traffic through the binary frame path. The fields
-// are obs counter handles (nil-safe, so the zero value disables the
-// accounting with no branches at the call sites).
+// WireMetrics counts frame traffic on either fabric. The fields are obs
+// counter handles (nil-safe, so the zero value disables the accounting
+// with no branches at the call sites).
 type WireMetrics struct {
 	// EncodedBytes / DecodedBytes count complete frame bytes (length
 	// prefix included) on the encode and decode side respectively.
@@ -32,6 +35,16 @@ type WireMetrics struct {
 	DecodedBytes *obs.Counter
 	// Frames counts frames encoded.
 	Frames *obs.Counter
+}
+
+// NewWireMetrics resolves the weaver_wire_* counters in r, for either
+// fabric. A nil registry yields nil handles, which disable the accounting.
+func NewWireMetrics(r *obs.Registry) WireMetrics {
+	return WireMetrics{
+		EncodedBytes: r.Counter("weaver_wire_encoded_bytes_total"),
+		DecodedBytes: r.Counter("weaver_wire_decoded_bytes_total"),
+		Frames:       r.Counter("weaver_wire_frames_total"),
+	}
 }
 
 // Addr identifies a server mailbox, e.g. "gk/0", "shard/2", "client/7".
@@ -59,8 +72,9 @@ var ErrUnknown = errors.New("transport: unknown address")
 type Endpoint interface {
 	// Addr returns this endpoint's address.
 	Addr() Addr
-	// Send delivers payload to the mailbox at to. It never blocks on the
-	// receiver (mailboxes are unbounded).
+	// Send frames payload and delivers the decoded copy to the mailbox at
+	// to. It never blocks on the receiver (mailboxes are unbounded); a
+	// payload type the registered FrameCodec does not own is an error.
 	Send(to Addr, payload any) error
 	// Recv returns a channel signalling message availability; drain with
 	// Next.
@@ -122,8 +136,8 @@ func (m *mailbox) close() {
 	m.mu.Unlock()
 }
 
-// Fabric is the in-process network: a registry of mailboxes plus optional
-// failure-mode injection.
+// Fabric is the in-process network: a registry of mailboxes, framed
+// delivery between them, and optional failure-mode injection.
 type Fabric struct {
 	mu    sync.RWMutex
 	boxes map[Addr]*mailbox
@@ -134,10 +148,7 @@ type Fabric struct {
 	rng       *rand.Rand
 	rngMu     sync.Mutex
 
-	// wireFrames round-trips every payload through the binary frame
-	// codec (see WithWireFrames).
-	wireFrames bool
-	// metrics counts frame traffic when wireFrames is on.
+	// metrics counts frame traffic (WithWireMetrics).
 	metrics WireMetrics
 }
 
@@ -185,19 +196,7 @@ func (f *Fabric) WithReorder(p float64, detour time.Duration) *Fabric {
 	return f
 }
 
-// WithWireFrames makes every Send encode its payload through the binary
-// wire frame codec (frame.go) into a pooled buffer and deliver the decoded
-// copy — exactly the bytes and allocations a TCP deployment would pay, and
-// the same deep-copy delivery semantics, on the in-process fabric. Tests
-// and benchmarks use it to exercise and measure the wire path end-to-end
-// without sockets. Returns the fabric for chaining.
-func (f *Fabric) WithWireFrames() *Fabric {
-	f.wireFrames = true
-	return f
-}
-
-// WithWireMetrics installs frame-traffic counters on the wire-frame
-// path (no effect unless WithWireFrames is on). Returns the fabric for
+// WithWireMetrics installs frame-traffic counters. Returns the fabric for
 // chaining.
 func (f *Fabric) WithWireMetrics(m WireMetrics) *Fabric {
 	f.mu.Lock()
@@ -238,33 +237,30 @@ func (e *endpoint) Send(to Addr, payload any) error {
 	e.f.mu.RLock()
 	box, ok := e.f.boxes[to]
 	delayFn := e.f.delayFn
-	wireFrames := e.f.wireFrames
 	metrics := e.f.metrics
 	e.f.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknown, to)
 	}
-	if wireFrames {
-		// Full wire fidelity: encode the complete frame (addresses, tag,
-		// CRC) into a pooled buffer and deliver the decoded copy.
-		bp := getFrameBuf()
-		buf, err := AppendFrame(*bp, e.addr, to, payload)
-		if err != nil {
-			putFrameBuf(bp)
-			return err
-		}
-		metrics.Frames.Add(1)
-		metrics.EncodedBytes.Add(uint64(len(buf)))
-		_, _, decoded, err := DecodeFrame(buf[4:])
-		*bp = buf
+	// Encode the complete frame (addresses, tag, CRC) into a pooled buffer
+	// and deliver the decoded copy: the receiver never shares memory with
+	// the sender, exactly as over TCP.
+	bp := getFrameBuf()
+	buf, err := AppendFrame(*bp, e.addr, to, payload)
+	if err != nil {
 		putFrameBuf(bp)
-		if err != nil {
-			return err
-		}
-		metrics.DecodedBytes.Add(uint64(len(buf)))
-		payload = decoded
+		return err
 	}
-	msg := Message{From: e.addr, Payload: payload}
+	metrics.Frames.Add(1)
+	metrics.EncodedBytes.Add(uint64(len(buf)))
+	_, _, decoded, err := DecodeFrame(buf[4:])
+	*bp = buf
+	putFrameBuf(bp)
+	if err != nil {
+		return err
+	}
+	metrics.DecodedBytes.Add(uint64(len(buf)))
+	msg := Message{From: e.addr, Payload: decoded}
 	if delayFn != nil {
 		if d := delayFn(); d > 0 {
 			time.AfterFunc(d, func() { box.push(msg) })

@@ -97,13 +97,11 @@ func TestReorderInjectionAndResequencer(t *testing.T) {
 	a := f.Endpoint("a")
 	b := f.Endpoint("b")
 	const n = 200
-	type payload struct {
-		Seq uint64
-		Val int
-	}
+	// One int per message (the test codec frames ints): sequence number in
+	// the high half, value in the low half.
 	seq := NewSequencer()
 	for i := 0; i < n; i++ {
-		a.Send("b", payload{Seq: seq.Next("b"), Val: i})
+		a.Send("b", int(seq.Next("b"))<<32|i)
 	}
 	msgs := drain(b, n, 5*time.Second)
 	if len(msgs) != n {
@@ -111,7 +109,7 @@ func TestReorderInjectionAndResequencer(t *testing.T) {
 	}
 	outOfOrder := false
 	for i, m := range msgs {
-		if int(m.Payload.(payload).Seq) != i+1 {
+		if m.Payload.(int)>>32 != i+1 {
 			outOfOrder = true
 			break
 		}
@@ -123,8 +121,8 @@ func TestReorderInjectionAndResequencer(t *testing.T) {
 	r := NewResequencer[int]()
 	var restored []int
 	for _, m := range msgs {
-		p := m.Payload.(payload)
-		r.Push(p.Seq, p.Val)
+		p := m.Payload.(int)
+		r.Push(uint64(p>>32), p&(1<<32-1))
 		for {
 			v, ok := r.Pop()
 			if !ok {

@@ -1,8 +1,8 @@
 // Package wire defines the messages exchanged between Weaver servers over
-// the transport fabric. Payloads are plain structs: the in-process fabric
-// passes them by value; over TCP (and with weaver.Config.WireFrames) they
-// cross as binary frames, one hand-rolled codec per message type
-// (frame.go, registered with the transport from an init here).
+// the transport fabric. Payloads are plain structs; on either fabric — the
+// in-process one or TCP — they cross as binary frames, one hand-rolled
+// codec per message type (frame.go, registered with the transport from an
+// init here), and the receiver gets a decoded copy.
 //
 // A read crosses the wire as what to evaluate plus the ReadTS to evaluate
 // it at (ProgHops, IndexLookup); the coordinator always sets ReadTS, so

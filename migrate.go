@@ -146,7 +146,7 @@ func (c *Cluster) Migrate(v VertexID, target int) error {
 	}
 	// Advisory pre-check so single-vertex callers get the old, precise
 	// error semantics; the batch re-validates behind the fence.
-	data, _, found := c.kv.GetVersioned(gatekeeper.VertexKey(v))
+	data, _, found := c.kv.GetVersioned(graph.VertexKey(v))
 	if !found {
 		return fmt.Errorf("weaver: migrate %q: no such vertex", v)
 	}
@@ -255,7 +255,7 @@ func (c *Cluster) MigrateBatch(moves []Move) (int, error) {
 	tx := c.kv.Begin()
 	defer tx.Abort()
 	for _, m := range moves {
-		data, _, found, err := tx.GetVersioned(gatekeeper.VertexKey(m.Vertex))
+		data, _, found, err := tx.GetVersioned(graph.VertexKey(m.Vertex))
 		if err != nil {
 			return 0, fmt.Errorf("weaver: migrate %q: %w", m.Vertex, err)
 		}
@@ -273,7 +273,7 @@ func (c *Cluster) MigrateBatch(moves []Move) (int, error) {
 		}
 		source := rec.Shard
 		rec.Shard = m.Target
-		if err := tx.Put(gatekeeper.VertexKey(m.Vertex), graph.EncodeRecord(rec)); err != nil {
+		if err := tx.Put(graph.VertexKey(m.Vertex), graph.EncodeRecord(rec)); err != nil {
 			return 0, fmt.Errorf("weaver: migrate %q: %w", m.Vertex, err)
 		}
 		stage = append(stage, staged{rec: rec, source: source})
@@ -441,7 +441,7 @@ func (c *Cluster) adjacencyFor(set map[VertexID]struct{}, fullScan bool) (adj ma
 		}
 	}
 	if fullScan {
-		c.kv.ScanPrefix(vertexKeyPrefix, func(key string, data []byte) {
+		err := c.kv.ScanPrefix(graph.VertexKeyPrefix, func(key string, data []byte) {
 			rec, derr := graph.DecodeRecord(data)
 			if derr != nil {
 				errs = append(errs, fmt.Errorf("weaver: rebalance: decode %q: %w", key, derr))
@@ -451,15 +451,18 @@ func (c *Cluster) adjacencyFor(set map[VertexID]struct{}, fullScan bool) (adj ma
 				ingest(rec)
 			}
 		})
+		if err != nil {
+			errs = append(errs, fmt.Errorf("weaver: rebalance: %w", err))
+		}
 	} else {
 		for v := range set {
-			data, _, found := c.kv.GetVersioned(gatekeeper.VertexKey(v))
+			data, _, found := c.kv.GetVersioned(graph.VertexKey(v))
 			if !found {
 				continue
 			}
 			rec, derr := graph.DecodeRecord(data)
 			if derr != nil {
-				errs = append(errs, fmt.Errorf("weaver: rebalance: decode %q: %w", gatekeeper.VertexKey(v), derr))
+				errs = append(errs, fmt.Errorf("weaver: rebalance: decode %q: %w", graph.VertexKey(v), derr))
 				continue
 			}
 			if !rec.Deleted {

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"weaver/internal/gatekeeper"
+	"weaver/internal/graph"
 	"weaver/internal/kvstore"
 	"weaver/internal/partition"
 )
@@ -245,7 +245,7 @@ func TestRebalanceLDGSurfacesReadErrors(t *testing.T) {
 	}
 	// Plant a corrupt record in the vertex keyspace.
 	tx := c.kv.Begin()
-	if err := tx.Put(gatekeeper.VertexKey("corrupt"), []byte{0x01, 0x02, 0x03}); err != nil {
+	if err := tx.Put(graph.VertexKey("corrupt"), []byte{0x01, 0x02, 0x03}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -1,9 +1,6 @@
 package weaver
 
-import (
-	"weaver/internal/obs"
-	"weaver/internal/transport"
-)
+import "weaver/internal/obs"
 
 // Observability: the cluster-level metrics surface. Every stage of the
 // refinable-timestamp pipeline is instrumented (internal/obs) — commit
@@ -36,14 +33,3 @@ func (c *Cluster) SlowOps(n int) []obs.TraceSnapshot {
 // weaverd HTTP endpoint serves, also useful for registering
 // application-level gauges.
 func (c *Cluster) Observability() *obs.Registry { return c.obs }
-
-// wireMetrics builds the frame-traffic counters the transport layer
-// increments on the wire-frame hot path. Nil registry yields nil
-// handles, which the transport treats as disabled.
-func wireMetrics(r *obs.Registry) transport.WireMetrics {
-	return transport.WireMetrics{
-		EncodedBytes: r.Counter("weaver_wire_encoded_bytes_total"),
-		DecodedBytes: r.Counter("weaver_wire_decoded_bytes_total"),
-		Frames:       r.Counter("weaver_wire_frames_total"),
-	}
-}

@@ -11,13 +11,12 @@ import (
 )
 
 // TestTraceSpansCoverPipeline is the observability acceptance test: a
-// committed transaction under wire frames produces one trace whose spans
+// committed transaction produces one trace whose spans
 // cover every pipeline stage — gatekeeper queue, oracle refinement, wire
 // transfer, shard apply — and the disjoint stage durations sum to no
 // more than the end-to-end latency measured around the commit.
 func TestTraceSpansCoverPipeline(t *testing.T) {
 	cfg := testConfig(2, 2)
-	cfg.WireFrames = true
 	cfg.TraceSample = 1
 	c := openTest(t, cfg)
 	cl := c.Client()
@@ -87,11 +86,10 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 }
 
 // TestMetricsSnapshotPopulated checks the typed Metrics surface: after a
-// workload with wire frames and a durable store, the stage histograms,
+// workload on a durable store, the stage histograms,
 // wire counters, and WAL histograms all have observations.
 func TestMetricsSnapshotPopulated(t *testing.T) {
 	cfg := testConfig(2, 2)
-	cfg.WireFrames = true
 	cfg.WALPath = filepath.Join(t.TempDir(), "wal")
 	c := openTest(t, cfg)
 	cl := c.Client()
@@ -136,7 +134,7 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 		"weaver_wire_frames_total",
 	} {
 		if snap.Counters[ctr] == 0 {
-			t.Errorf("counter %s is zero under WireFrames", ctr)
+			t.Errorf("counter %s is zero after a framed workload", ctr)
 		}
 	}
 	if _, ok := snap.Gauges["weaver_gk_apply_lag"]; !ok {
@@ -150,7 +148,6 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 // any non-atomic counter read while workers run fails here.
 func TestStatsConcurrentReaders(t *testing.T) {
 	cfg := testConfig(2, 2)
-	cfg.WireFrames = true
 	cfg.TraceSample = 1
 	cfg.Indexes = []IndexSpec{{Key: "name"}}
 	c := openTest(t, cfg)

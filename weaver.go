@@ -121,6 +121,7 @@ package weaver
 import (
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,16 +210,10 @@ type Config struct {
 	// Directory overrides vertex placement (default: hash partitioning;
 	// see internal/partition for the LDG streaming partitioner, §4.6).
 	Directory partition.Directory
-	// WireFrames round-trips every fabric message through the binary
-	// wire frame codec (internal/transport frame layer): each send pays
-	// exactly the encode/decode a TCP deployment would, and receivers
-	// get deep copies rather than shared references — full wire
-	// fidelity in-process. Tests and benchmarks use it to exercise and
-	// measure the serialization hot path.
-	WireFrames bool
 	// HeartbeatTimeout, when positive, runs the cluster manager (§4.3):
 	// servers send heartbeats and are automatically recovered after this
-	// much silence. Zero disables fault tolerance machinery.
+	// much silence, behind the same EpochChange/EpochAck barrier a weaverd
+	// deployment runs. Zero disables fault tolerance machinery.
 	HeartbeatTimeout time.Duration
 	// OracleReplicas chain-replicates the timeline oracle across this
 	// many replicas (§3.4); 0 or 1 runs it unreplicated.
@@ -285,7 +280,9 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Cluster is a fully assembled in-process Weaver deployment.
+// Cluster is a fully assembled in-process Weaver deployment. Its servers
+// talk only through the fabric, which frames every message and delivers a
+// decoded copy: a multi-process deployment's semantics minus the sockets.
 type Cluster struct {
 	cfg       Config
 	fabric    *transport.Fabric
@@ -336,11 +333,7 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, obs: obs.New(obs.Config{TraceSample: cfg.TraceSample})}
 	c.clientTxDur = c.obs.LatencyHistogram("weaver_client_tx_seconds")
 	c.clientTxRetries = c.obs.Counter("weaver_client_tx_retries_total")
-	c.fabric = transport.NewFabric()
-	if cfg.WireFrames {
-		c.fabric.WithWireFrames()
-		c.fabric.WithWireMetrics(wireMetrics(c.obs))
-	}
+	c.fabric = transport.NewFabric().WithWireMetrics(transport.NewWireMetrics(c.obs))
 	if cfg.WALPath != "" {
 		durable, err := kvstore.NewDurable(cfg.WALPath)
 		if err != nil {
@@ -371,10 +364,6 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	heartbeat := time.Duration(0)
-	if cfg.HeartbeatTimeout > 0 {
-		heartbeat = cfg.HeartbeatTimeout / 4
-	}
 	if cfg.WALPath != "" {
 		// Epoch continuity across restarts (§4.3): every timestamp of
 		// the reopened cluster must order after every pre-restart one,
@@ -407,7 +396,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.WALPath != "" {
 		perShard = make([][]*graph.VertexRecord, cfg.Shards)
 		md, _ := c.dir.(*partition.Mapped)
-		c.kv.ScanPrefix(vertexKeyPrefix, func(_ string, data []byte) {
+		err := c.kv.ScanPrefix(graph.VertexKeyPrefix, func(_ string, data []byte) {
 			rec, err := graph.DecodeRecord(data)
 			if err != nil {
 				return
@@ -419,6 +408,10 @@ func Open(cfg Config) (*Cluster, error) {
 				perShard[rec.Shard] = append(perShard[rec.Shard], rec)
 			}
 		})
+		if err != nil {
+			c.kv.Close()
+			return nil, fmt.Errorf("weaver: recover shards: %w", err)
+		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := c.newShard(i, c.baseEpoch)
@@ -446,22 +439,23 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 		return lag
 	})
-	if heartbeat > 0 {
+	if cfg.HeartbeatTimeout > 0 {
 		c.mgr = cluster.New(cluster.Config{
 			HeartbeatTimeout: cfg.HeartbeatTimeout,
 			StartEpoch:       c.baseEpoch,
 			ReconfigLock:     &c.reconfigMu,
 		}, c.fabric.Endpoint(cluster.Addr))
 		for i := range c.shards {
-			i := i
-			c.mgr.Register(transport.ShardAddr(i), false, c.shards[i], func(epoch uint64) cluster.Server {
-				return c.restartShard(i, epoch)
+			c.mgr.Register(transport.ShardAddr(i), false, func(epoch uint64) {
+				if err := c.restartShard(i, epoch); err != nil {
+					// Still silent: the detector recovers it again.
+					log.Printf("weaver: restart shard %d at epoch %d: %v", i, epoch, err)
+				}
 			})
 		}
 		for i := range c.gks {
-			i := i
-			c.mgr.Register(transport.GatekeeperAddr(i), true, c.gks[i], func(epoch uint64) cluster.Server {
-				return c.restartGatekeeper(i, epoch)
+			c.mgr.Register(transport.GatekeeperAddr(i), true, func(epoch uint64) {
+				c.restartGatekeeper(i, epoch)
 			})
 		}
 		c.mgr.Start()
@@ -474,16 +468,12 @@ func Open(cfg Config) (*Cluster, error) {
 
 // newShard constructs (without starting) the shard server at index i.
 func (c *Cluster) newShard(i int, epoch uint64) *shard.Shard {
-	heartbeat := time.Duration(0)
-	if c.cfg.HeartbeatTimeout > 0 {
-		heartbeat = c.cfg.HeartbeatTimeout / 4
-	}
 	ep := c.fabric.Endpoint(transport.ShardAddr(i))
 	sh := shard.New(shard.Config{
 		ID:              i,
 		NumGatekeepers:  c.cfg.Gatekeepers,
 		Epoch:           epoch,
-		HeartbeatPeriod: heartbeat,
+		HeartbeatPeriod: cluster.BeatPeriod(c.cfg.HeartbeatTimeout),
 		MaxVertices:     c.cfg.MaxShardVertices,
 		Workers:         c.cfg.ShardWorkers,
 		Indexes:         c.cfg.Indexes,
@@ -497,10 +487,6 @@ func (c *Cluster) newShard(i int, epoch uint64) *shard.Shard {
 
 // newGatekeeper constructs (without starting) the gatekeeper at index i.
 func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
-	heartbeat := time.Duration(0)
-	if c.cfg.HeartbeatTimeout > 0 {
-		heartbeat = c.cfg.HeartbeatTimeout / 4
-	}
 	ep := c.fabric.Endpoint(transport.GatekeeperAddr(i))
 	indexed := make([]string, 0, len(c.cfg.Indexes))
 	for _, sp := range c.cfg.Indexes {
@@ -516,7 +502,7 @@ func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
 		GCPeriod:         c.cfg.GCPeriod,
 		HistoryRetention: c.cfg.HistoryRetention,
 		ProgTimeout:      c.cfg.ProgTimeout,
-		HeartbeatPeriod:  heartbeat,
+		HeartbeatPeriod:  cluster.BeatPeriod(c.cfg.HeartbeatTimeout),
 		IndexedKeys:      indexed,
 		Obs:              c.obs,
 	}, ep, c.kv, c.orc, c.dir)
@@ -524,25 +510,27 @@ func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
 
 // restartShard replaces a dead shard: a fresh instance recovers its
 // partition from the backing store (§4.3) and rejoins on the same address.
-func (c *Cluster) restartShard(i int, epoch uint64) *shard.Shard {
+// A store that cannot be read leaves the dead instance in place.
+func (c *Cluster) restartShard(i int, epoch uint64) error {
 	sh := c.newShard(i, epoch)
-	sh.Recover(c.kv)
+	if _, err := sh.Recover(c.kv); err != nil {
+		return err
+	}
 	sh.Start()
 	c.serversMu.Lock()
 	c.shards[i] = sh
 	c.serversMu.Unlock()
-	return sh
+	return nil
 }
 
 // restartGatekeeper replaces a dead gatekeeper: its clock restarts at zero
 // in the new epoch, keeping all new timestamps after all old ones (§4.3).
-func (c *Cluster) restartGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
+func (c *Cluster) restartGatekeeper(i int, epoch uint64) {
 	gk := c.newGatekeeper(i, epoch)
 	gk.Start()
 	c.serversMu.Lock()
 	c.gks[i] = gk
 	c.serversMu.Unlock()
-	return gk
 }
 
 // CrashShard stops shard i ungracefully (failure injection). With the

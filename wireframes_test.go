@@ -6,14 +6,12 @@ import (
 	"testing"
 )
 
-// TestWireFramesEndToEnd runs a full mixed workload with Config.WireFrames
-// on: every gatekeeper↔shard message round-trips through the binary frame
-// codec (encode, CRC, decode) exactly as it would over TCP. Commits, node
-// programs, multi-hop traversals, and index lookups must all behave
-// identically to the in-process fast path.
+// TestWireFramesEndToEnd runs a full mixed workload over the in-process
+// fabric, where every gatekeeper↔shard message round-trips through the
+// binary frame codec (encode, CRC, decode) exactly as it would over TCP:
+// commits, node programs, multi-hop traversals, and index lookups.
 func TestWireFramesEndToEnd(t *testing.T) {
 	cfg := testConfig(2, 3)
-	cfg.WireFrames = true
 	cfg.Indexes = []IndexSpec{{Key: "city"}}
 	c := openTest(t, cfg)
 	cl := c.Client()
@@ -109,51 +107,4 @@ func TestWireFramesEndToEnd(t *testing.T) {
 			t.Fatalf("writer %d props lost over frames: %+v", w, v)
 		}
 	}
-}
-
-// TestWireFramesMatchesPlainFabric runs the same deterministic workload
-// with and without WireFrames and requires identical query results — the
-// frame codec must be semantically invisible.
-func TestWireFramesMatchesPlainFabric(t *testing.T) {
-	run := func(frames bool) ([]VertexID, int) {
-		cfg := testConfig(2, 2)
-		cfg.WireFrames = frames
-		c := openTest(t, cfg)
-		cl := c.Client()
-		if _, err := cl.RunTx(func(tx *Tx) error {
-			for _, v := range []VertexID{"a", "b", "c", "d"} {
-				tx.CreateVertex(v)
-			}
-			tx.CreateEdge("a", "b")
-			tx.CreateEdge("b", "c")
-			tx.CreateEdge("a", "d")
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		ids, _, err := cl.Traverse("a", "", "", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deg, err := cl.CountEdges("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sortedVertexIDs(ids), deg
-	}
-	plainIDs, plainDeg := run(false)
-	frameIDs, frameDeg := run(true)
-	if fmt.Sprint(plainIDs) != fmt.Sprint(frameIDs) || plainDeg != frameDeg {
-		t.Fatalf("framed fabric diverged: %v/%d vs %v/%d", frameIDs, frameDeg, plainIDs, plainDeg)
-	}
-}
-
-func sortedVertexIDs(ids []VertexID) []VertexID {
-	out := append([]VertexID{}, ids...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
