@@ -14,6 +14,7 @@ import (
 	"weaver/internal/core"
 	"weaver/internal/experiments"
 	"weaver/internal/graph"
+	"weaver/internal/kvstore"
 	"weaver/internal/nodeprog"
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
@@ -121,8 +122,9 @@ func BenchmarkTraverseChain(b *testing.B) {
 // in from a backing store across the network (the paper reads from
 // HyperDex Warp): every read stalls the caller for a fixed latency.
 type latencyPager struct {
-	records map[string][]byte
-	delay   time.Duration
+	kvstore.Backing // the shard's store handle; paging reads only GetVersioned
+	records         map[string][]byte
+	delay           time.Duration
 }
 
 func (p *latencyPager) GetVersioned(key string) ([]byte, uint64, bool) {
@@ -182,13 +184,13 @@ func BenchmarkShardApply(b *testing.B) {
 				// timed region is send → ingest → select → apply → done.
 				b.StopTimer()
 				f := transport.NewFabric()
-				sh := shard.New(shard.Config{ID: 0, NumGatekeepers: 1, Workers: sc.workers},
-					f.Endpoint(addr), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
 				drv := f.Endpoint(transport.GatekeeperAddr(0)) // absorbs TxApplied acks
 				clock := core.NewVectorClock(0, 1, 0)
 				seq := transport.NewSequencer()
 				baseTS := clock.Tick()
 
+				cfg := shard.Config{ID: 0, NumGatekeepers: 1, Workers: sc.workers}
+				var kv kvstore.Backing
 				if sc.paged {
 					// The "p" vertices live only in the backing store;
 					// each transaction's op on one of them faults it in
@@ -201,8 +203,9 @@ func BenchmarkShardApply(b *testing.B) {
 						rec.LastTS = baseTS
 						pager.records[graph.VertexKey(id)] = graph.EncodeRecord(rec)
 					}
-					sh.SetPager(pager)
+					kv, cfg.MaxVertices = pager, vertices+txCount+1 // paging on, nothing evicted
 				}
+				sh := shard.New(cfg, f.Endpoint(addr), kv, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
 				sh.Start()
 				waitExecuted := func(n uint64) {
 					for sh.Stats().TxExecuted < n {

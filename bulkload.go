@@ -178,220 +178,183 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	}
 	// Freeze the cluster: no new transactions or node programs while the
 	// segments install, and everything in flight drains first.
-	c.serversMu.RLock()
-	gks := append([]*gatekeeper.Gatekeeper(nil), c.gks...)
-	shards := append([]*shard.Shard(nil), c.shards...)
-	c.serversMu.RUnlock()
-	for _, gk := range gks {
-		gk.Pause()
-	}
-	defer func() {
-		for _, gk := range gks {
-			gk.Resume()
-		}
-	}()
-	const drainTimeout = 30 * time.Second
-	for _, gk := range gks {
-		if err := gk.Quiesce(drainTimeout); err != nil {
-			return stats, fmt.Errorf("weaver: bulk load quiesce: %w", err)
-		}
-	}
-	if err := drainPrograms(gks, drainTimeout); err != nil {
-		return stats, err
-	}
-	// Existence check behind the fence: with commits paused and applies
-	// drained, no concurrent transaction can slip a vertex in between the
-	// check and the install.
-	for _, v := range order {
-		if _, _, exists := c.kv.GetVersioned(graph.VertexKey(v)); exists {
-			return stats, fmt.Errorf("%w: bulk load target vertex %q already exists", ErrInvalid, v)
-		}
-	}
-
-	// One timestamp stamps the whole load.
-	ts := gks[0].Snapshot()
-
-	// Placement: streaming LDG when the directory is assignable,
-	// otherwise whatever the directory already says (hash by default).
-	shardOf := make([]int, len(order))
-	if md, ok := c.dir.(*partition.Mapped); ok {
-		ldg := partition.NewLDG(c.cfg.Shards, len(order), 0.1)
-		scratch := make([]VertexID, 0, 64)
-		for i, v := range order {
-			scratch = scratch[:0]
-			for _, n := range nbrs[i] {
-				scratch = append(scratch, order[n])
-			}
-			shardOf[i] = ldg.Place(v, scratch)
-		}
-		for i, v := range order {
-			md.Assign(v, shardOf[i])
-		}
-		stats.LDG = true
-	} else {
-		for i, v := range order {
-			shardOf[i] = c.dir.Lookup(v)
-		}
-	}
-	for _, s := range shardOf {
-		stats.PerShard[s]++
-	}
-
-	// Build records: each vertex with all its out-edges (§3.2's partition
-	// unit), edge IDs minted from the load timestamp. Maps stay nil when
-	// empty and are presized otherwise — at millions of edges the
-	// allocation rate here is the load's hot spot.
-	recs := make([]*graph.VertexRecord, len(order))
-	for i, v := range order {
-		recs[i] = &graph.VertexRecord{ID: v, Shard: shardOf[i], LastTS: ts}
-		if outDeg[i] > 0 {
-			recs[i].Edges = make(map[graph.EdgeID]graph.EdgeRecord, outDeg[i])
-		}
-		if p := props[i]; len(p) > 0 {
-			// Copied: records outlive the call (shard graphs and the
-			// demand pager read them), and callers keep their maps.
-			recs[i].Props = make(map[string]string, len(p))
-			for k, val := range p {
-				recs[i].Props[k] = val
+	err := c.fenced(func(gks []*gatekeeper.Gatekeeper, shards []*shard.Shard) error {
+		// Existence check behind the fence: with commits paused and applies
+		// drained, no concurrent transaction can slip a vertex in between the
+		// check and the install.
+		for _, v := range order {
+			if _, _, exists := c.kv.GetVersioned(graph.VertexKey(v)); exists {
+				return fmt.Errorf("%w: bulk load target vertex %q already exists", ErrInvalid, v)
 			}
 		}
-	}
-	eidPrefix := graph.EdgeIDPrefix(ts.ID())
-	for ei, e := range edgeIdx {
-		eid := graph.EdgeID(eidPrefix + strconv.Itoa(ei))
-		recs[e[0]].Edges[eid] = graph.EdgeRecord{To: order[e[1]]}
-		if shardOf[e[0]] != shardOf[e[1]] {
-			stats.EdgeCut++
-		}
-	}
 
-	// Fan out per-shard segment builders on the worker pool: encoding the
-	// records dominates load cost, so it runs in parallel; each
-	// finished segment installs straight into the backing store.
-	const segEntries = snapshot.DefaultSegmentEntries
-	perShard := make([][]*graph.VertexRecord, c.cfg.Shards)
-	for i, rec := range recs {
-		perShard[shardOf[i]] = append(perShard[shardOf[i]], rec)
-	}
-	jobs := make(chan []*graph.VertexRecord)
-	results := make(chan []kvstore.KV)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
+		// One timestamp stamps the whole load.
+		ts := gks[0].Snapshot()
+
+		// Placement: streaming LDG when the directory is assignable,
+		// otherwise whatever the directory already says (hash by default).
+		shardOf := make([]int, len(order))
+		if md, ok := c.dir.(*partition.Mapped); ok {
+			ldg := partition.NewLDG(c.cfg.Shards, len(order), 0.1)
+			scratch := make([]VertexID, 0, 64)
+			for i, v := range order {
+				scratch = scratch[:0]
+				for _, n := range nbrs[i] {
+					scratch = append(scratch, order[n])
+				}
+				shardOf[i] = ldg.Place(v, scratch)
+			}
+			for i, v := range order {
+				md.Assign(v, shardOf[i])
+			}
+			stats.LDG = true
+		} else {
+			for i, v := range order {
+				shardOf[i] = c.dir.Lookup(v)
+			}
+		}
+		for _, s := range shardOf {
+			stats.PerShard[s]++
+		}
+
+		// Build records: each vertex with all its out-edges (§3.2's partition
+		// unit), edge IDs minted from the load timestamp. Maps stay nil when
+		// empty and are presized otherwise — at millions of edges the
+		// allocation rate here is the load's hot spot.
+		recs := make([]*graph.VertexRecord, len(order))
+		for i, v := range order {
+			recs[i] = &graph.VertexRecord{ID: v, Shard: shardOf[i], LastTS: ts}
+			if outDeg[i] > 0 {
+				recs[i].Edges = make(map[graph.EdgeID]graph.EdgeRecord, outDeg[i])
+			}
+			if p := props[i]; len(p) > 0 {
+				// Copied: records outlive the call (shard graphs and the
+				// demand pager read them), and callers keep their maps.
+				recs[i].Props = make(map[string]string, len(p))
+				for k, val := range p {
+					recs[i].Props[k] = val
+				}
+			}
+		}
+		eidPrefix := graph.EdgeIDPrefix(ts.ID())
+		for ei, e := range edgeIdx {
+			eid := graph.EdgeID(eidPrefix + strconv.Itoa(ei))
+			recs[e[0]].Edges[eid] = graph.EdgeRecord{To: order[e[1]]}
+			if shardOf[e[0]] != shardOf[e[1]] {
+				stats.EdgeCut++
+			}
+		}
+
+		// Fan out per-shard segment builders on the worker pool: encoding the
+		// records dominates load cost, so it runs in parallel; each
+		// finished segment installs straight into the backing store.
+		const segEntries = snapshot.DefaultSegmentEntries
+		perShard := make([][]*graph.VertexRecord, c.cfg.Shards)
+		for i, rec := range recs {
+			perShard[shardOf[i]] = append(perShard[shardOf[i]], rec)
+		}
+		jobs := make(chan []*graph.VertexRecord)
+		results := make(chan []kvstore.KV)
+		var wg sync.WaitGroup
+		for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for batch := range jobs {
+					kvs := make([]kvstore.KV, len(batch))
+					for i, rec := range batch {
+						kvs[i] = kvstore.KV{Key: graph.VertexKey(rec.ID), Value: graph.EncodeRecord(rec)}
+					}
+					results <- kvs
+				}
+			}()
+		}
 		go func() {
-			defer wg.Done()
-			for batch := range jobs {
-				kvs := make([]kvstore.KV, len(batch))
-				for i, rec := range batch {
-					kvs[i] = kvstore.KV{Key: graph.VertexKey(rec.ID), Value: graph.EncodeRecord(rec)}
+			for s := range perShard {
+				for lo := 0; lo < len(perShard[s]); lo += segEntries {
+					hi := min(lo+segEntries, len(perShard[s]))
+					jobs <- perShard[s][lo:hi]
 				}
-				results <- kvs
 			}
+			close(jobs)
+			wg.Wait()
+			close(results)
 		}()
-	}
-	go func() {
-		for s := range perShard {
-			for lo := 0; lo < len(perShard[s]); lo += segEntries {
-				hi := min(lo+segEntries, len(perShard[s]))
-				jobs <- perShard[s][lo:hi]
+		for kvs := range results {
+			bulk.BulkPut(kvs)
+			stats.Segments++
+			for _, kv := range kvs {
+				stats.SegmentBytes += int64(len(kv.Key) + len(kv.Value))
 			}
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-	for kvs := range results {
-		bulk.BulkPut(kvs)
-		stats.Segments++
-		for _, kv := range kvs {
-			stats.SegmentBytes += int64(len(kv.Key) + len(kv.Value))
+
+		// Install each shard's partition into its in-memory graph — the
+		// recovery path (§4.3), batched.
+		var shardWG sync.WaitGroup
+		for _, sh := range shards {
+			shardWG.Add(1)
+			go func(sh *shard.Shard) {
+				defer shardWG.Done()
+				sh.Install(perShard[sh.ID()])
+			}(sh)
 		}
-	}
+		shardWG.Wait()
 
-	// Install each shard's partition into its in-memory graph — the
-	// recovery path (§4.3), batched.
-	var shardWG sync.WaitGroup
-	for _, sh := range shards {
-		shardWG.Add(1)
-		go func(sh *shard.Shard) {
-			defer shardWG.Done()
-			sh.Install(perShard[sh.ID()])
-		}(sh)
-	}
-	shardWG.Wait()
-
-	// Marker catalog for the query planner: every indexed property value
-	// the load placed enters the (key, value, shard) catalog behind the
-	// fence, so no post-load query can plan against a catalog that would
-	// prune a freshly loaded shard. Markers go through the transactional
-	// store (not BulkPut), so the automatic checkpoint below covers them on
-	// a durable cluster.
-	if len(c.cfg.Indexes) > 0 {
-		markers := make(map[string]struct{})
-		for i := range order {
-			p := props[i]
-			if len(p) == 0 {
-				continue
+		// Marker catalog for the query planner: every indexed property value
+		// the load placed enters the (key, value, shard) catalog behind the
+		// fence, so no post-load query can plan against a catalog that would
+		// prune a freshly loaded shard. Markers go through the transactional
+		// store (not BulkPut), so the automatic checkpoint below covers them on
+		// a durable cluster.
+		if len(c.cfg.Indexes) > 0 {
+			markers := make(map[string]struct{})
+			for i := range order {
+				p := props[i]
+				if len(p) == 0 {
+					continue
+				}
+				for _, spec := range c.cfg.Indexes {
+					if v, ok := p[spec.Key]; ok {
+						markers[plan.MarkerKey(spec.Key, v, shardOf[i])] = struct{}{}
+					}
+				}
 			}
-			for _, spec := range c.cfg.Indexes {
-				if v, ok := p[spec.Key]; ok {
-					markers[plan.MarkerKey(spec.Key, v, shardOf[i])] = struct{}{}
+			if len(markers) > 0 {
+				keys := make([]string, 0, len(markers))
+				for k := range markers {
+					keys = append(keys, k)
+				}
+				if err := gks[0].PublishMarkers(keys); err != nil {
+					return fmt.Errorf("weaver: bulk load markers: %w", err)
 				}
 			}
 		}
-		if len(markers) > 0 {
-			keys := make([]string, 0, len(markers))
-			for k := range markers {
-				keys = append(keys, k)
-			}
-			if err := gks[0].PublishMarkers(keys); err != nil {
-				return stats, fmt.Errorf("weaver: bulk load markers: %w", err)
-			}
-		}
-	}
 
-	// Frontier install: every gatekeeper's clock observes the load
-	// timestamp, so every post-load timestamp in the cluster is
-	// vector-clock-after it.
-	for _, gk := range gks {
-		gk.ObserveTimestamp(ts)
-	}
-
-	stats.Vertices = len(order)
-	stats.Edges = len(edges)
-
-	// Durable cluster: one checkpoint makes the whole ingest crash-safe
-	// (BulkPut deliberately skipped the per-record WAL path).
-	if c.cfg.WALPath != "" {
-		if ck, ok := c.kv.(kvstore.Checkpointer); ok {
-			st, err := ck.Checkpoint()
-			if err != nil {
-				return stats, fmt.Errorf("weaver: bulk load checkpoint: %w", err)
-			}
-			stats.Checkpoint = &st
-		}
-	}
-	stats.Elapsed = time.Since(start)
-	return stats, nil
-}
-
-// drainPrograms waits for node programs issued before the pause to finish,
-// so the install never changes the graph under a running traversal.
-func drainPrograms(gks []*gatekeeper.Gatekeeper, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		busy := 0
+		// Frontier install: every gatekeeper's clock observes the load
+		// timestamp, so every post-load timestamp in the cluster is
+		// vector-clock-after it.
 		for _, gk := range gks {
-			busy += gk.OutstandingPrograms()
+			gk.ObserveTimestamp(ts)
 		}
-		if busy == 0 {
-			return nil
+
+		stats.Vertices = len(order)
+		stats.Edges = len(edges)
+
+		// Durable cluster: one checkpoint makes the whole ingest crash-safe
+		// (BulkPut deliberately skipped the per-record WAL path).
+		if c.cfg.WALPath != "" {
+			if ck, ok := c.kv.(kvstore.Checkpointer); ok {
+				st, err := ck.Checkpoint()
+				if err != nil {
+					return fmt.Errorf("weaver: bulk load checkpoint: %w", err)
+				}
+				stats.Checkpoint = &st
+			}
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("weaver: bulk load: %d node programs still running", busy)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+		return nil
+	})
+	stats.Elapsed = time.Since(start)
+	return stats, err
 }
 
 // Checkpoint writes a snapshot of the backing store and truncates the
@@ -408,17 +371,8 @@ func (c *Cluster) Checkpoint() (kvstore.CheckpointStats, error) {
 	if !ok {
 		return kvstore.CheckpointStats{}, errors.New("weaver: backing store does not support checkpointing")
 	}
-	c.serversMu.RLock()
-	gks := append([]*gatekeeper.Gatekeeper(nil), c.gks...)
-	c.serversMu.RUnlock()
-	for _, gk := range gks {
-		gk.Pause()
-	}
-	defer func() {
-		for _, gk := range gks {
-			gk.Resume()
-		}
-	}()
+	_, resume := c.pauseIntake()
+	defer resume()
 	return ck.Checkpoint()
 }
 

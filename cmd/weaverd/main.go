@@ -11,13 +11,21 @@
 //	             declared failed, takes over its identity and address
 //	demo       — a client driving a smoke workload through gatekeeper 0
 //
-// Every process takes the same topology flags so the routing tables agree:
+// Every process takes the same topology and settings flags so the routing
+// tables and the servers agree:
 //
 //	weaverd -role store      -listen :7000
 //	weaverd -role shard      -id 0 -listen :7101 -store localhost:7000 -gatekeepers 1 -shards 2 -shard-addrs localhost:7101,localhost:7102
 //	weaverd -role shard      -id 1 -listen :7102 -store localhost:7000 -gatekeepers 1 -shards 2 -shard-addrs localhost:7101,localhost:7102
 //	weaverd -role gatekeeper -id 0 -listen :7201 -store localhost:7000 -gatekeepers 1 -shards 2 -shard-addrs localhost:7101,localhost:7102 -gk-addrs localhost:7201
 //	weaverd -role demo       -listen :7201     ...same topology flags...
+//
+// The settings flags bind into the deploy.Spec weaver.Config converts to,
+// and each role is built by the internal/deploy constructors weaver.Open
+// uses — here on a TCP node with remote store clients. -gc and -retention
+// are Config.GCPeriod and Config.HistoryRetention: without -gc nothing is
+// ever collected and the oracle's DAG is never pruned. MaxShardVertices
+// and ProgTimeout have no flag: they are embedded-only.
 //
 // Fault-tolerant deployments add `-manager-addrs` (3 entries; index 0
 // leads) and `-heartbeat` to every process: members heartbeat the lead,
@@ -40,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -48,13 +55,12 @@ import (
 
 	"weaver/internal/cluster"
 	"weaver/internal/core"
+	"weaver/internal/deploy"
 	"weaver/internal/gatekeeper"
 	"weaver/internal/graph"
 	"weaver/internal/index"
-	"weaver/internal/kvstore"
 	"weaver/internal/nodeprog"
 	"weaver/internal/obs"
-	"weaver/internal/oracle"
 	"weaver/internal/partition"
 	"weaver/internal/paxos"
 	"weaver/internal/plan"
@@ -64,486 +70,387 @@ import (
 	"weaver/internal/wire"
 )
 
+// process is what the roles of one weaverd process share.
+type process struct {
+	spec        deploy.Spec
+	topo        topology
+	id          int
+	node        *transport.TCPNode
+	metrics     *obs.Registry
+	metricsSrv  *http.Server
+	stopTimeout time.Duration
+}
+
 func main() {
-	var (
-		role       = flag.String("role", "", "store | gatekeeper | shard | manager | standby | demo")
-		id         = flag.Int("id", 0, "server index within its role")
-		listen     = flag.String("listen", ":0", "listen address")
-		storeAddr  = flag.String("store", "localhost:7000", "store node host:port")
-		gks        = flag.Int("gatekeepers", 1, "gatekeeper count")
-		shards     = flag.Int("shards", 1, "shard count")
-		shardAddrs = flag.String("shard-addrs", "", "comma-separated shard node host:port list")
-		gkAddrs    = flag.String("gk-addrs", "", "comma-separated gatekeeper node host:port list")
-		mgrAddrs   = flag.String("manager-addrs", "", "comma-separated manager replica host:port list (index 0 leads; 3 for fault tolerance)")
-		sbAddrs    = flag.String("standby-addrs", "", "comma-separated standby node host:port list")
-		hbTimeout  = flag.Duration("heartbeat", 0, "failure-detection heartbeat timeout (0 = no failure detection); members beat at a quarter of it")
-		tau        = flag.Duration("tau", time.Millisecond, "vector clock announce period τ")
-		nop        = flag.Duration("nop", 500*time.Microsecond, "NOP period")
-		wal        = flag.String("wal", "", "WAL path for a durable store (role=store)")
-		oracleReps = flag.Int("oracle-replicas", 1, "chain replication factor for the oracle (role=store)")
-		workers    = flag.Int("workers", 0, "apply worker-pool size for conflict-aware parallel execution (role=shard; 0 or 1 = serial)")
-		indexKeys  = flag.String("index", "", "comma-separated vertex property keys to index (give the SAME list to every shard and gatekeeper; role=demo also smokes a Lookup)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve the live metrics surface on this host:port (/metrics Prometheus text, /debug/traces slow-op JSON, /debug/pprof)")
-		traceSample = flag.Int("trace-sample", 0, "trace one in N transactions end-to-end (0 = default 64; 1 = every transaction)")
-		stopTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "max time for graceful shutdown before exiting nonzero")
-	)
+	var p process
+	listFlag := func(dst *[]string, name, usage string) {
+		flag.Func(name, usage, func(v string) error { *dst = splitList(v); return nil })
+	}
+	role := flag.String("role", "", "store | gatekeeper | shard | manager | standby | demo")
+	flag.IntVar(&p.id, "id", 0, "server index within its role")
+	listen := flag.String("listen", ":0", "listen address")
+	flag.StringVar(&p.topo.store, "store", "localhost:7000", "store node host:port")
+	listFlag(&p.topo.shards, "shard-addrs", "comma-separated shard node host:port list")
+	listFlag(&p.topo.gatekeepers, "gk-addrs", "comma-separated gatekeeper node host:port list")
+	listFlag(&p.topo.managers, "manager-addrs", "comma-separated manager replica host:port list (index 0 leads; 3 for fault tolerance)")
+	listFlag(&p.topo.standbys, "standby-addrs", "comma-separated standby node host:port list")
+	flag.IntVar(&p.spec.Gatekeepers, "gatekeepers", 1, "gatekeeper count")
+	flag.IntVar(&p.spec.Shards, "shards", 1, "shard count")
+	flag.DurationVar(&p.spec.HeartbeatTimeout, "heartbeat", 0, "failure-detection heartbeat timeout (0 = no failure detection); members beat at a quarter of it")
+	flag.DurationVar(&p.spec.AnnouncePeriod, "tau", time.Millisecond, "vector clock announce period τ")
+	flag.DurationVar(&p.spec.NopPeriod, "nop", 500*time.Microsecond, "NOP period")
+	flag.DurationVar(&p.spec.GCPeriod, "gc", 0, "version and oracle garbage-collection period (0 = keep everything forever; give the SAME value to every gatekeeper)")
+	flag.DurationVar(&p.spec.HistoryRetention, "retention", 0, "keep superseded versions readable this long before -gc may collect them")
+	flag.StringVar(&p.spec.WALPath, "wal", "", "WAL path for a durable store (role=store)")
+	flag.IntVar(&p.spec.OracleReplicas, "oracle-replicas", 1, "chain replication factor for the oracle (role=store)")
+	flag.IntVar(&p.spec.ShardWorkers, "workers", 0, "apply worker-pool size for conflict-aware parallel execution (role=shard; 0 or 1 = serial)")
+	flag.Func("index", "comma-separated vertex property keys to index (give the SAME list to every shard and gatekeeper; role=demo also smokes a Lookup)", func(v string) error {
+		for _, k := range splitList(v) {
+			p.spec.Indexes = append(p.spec.Indexes, index.Spec{Key: k})
+		}
+		return nil
+	})
+	metricsAddr := flag.String("metrics-addr", "", "serve the live metrics surface on this host:port (/metrics Prometheus text, /debug/traces slow-op JSON, /debug/pprof)")
+	traceSample := flag.Int("trace-sample", 0, "trace one in N transactions end-to-end (0 = default 64; 1 = every transaction)")
+	flag.DurationVar(&p.stopTimeout, "shutdown-timeout", 10*time.Second, "max time for graceful shutdown before exiting nonzero")
 	flag.Parse()
+	if len(p.topo.managers) == 0 {
+		p.spec.HeartbeatTimeout = 0 // nobody to beat to
+	}
 
-	metrics := obs.New(obs.Config{TraceSample: *traceSample})
-
-	node, err := transport.NewTCPNode(*listen, nil)
-	if err != nil {
+	p.metrics = obs.New(obs.Config{TraceSample: *traceSample})
+	var err error
+	if p.node, err = transport.NewTCPNode(*listen, nil); err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	defer node.Close()
-	node.Instrument(transport.NewWireMetrics(metrics))
-	log.Printf("weaverd role=%s id=%d listening on %s", *role, *id, node.ListenAddr())
+	defer p.node.Close()
+	p.node.Instrument(transport.NewWireMetrics(p.metrics))
+	p.topo.route(p.node)
+	log.Printf("weaverd role=%s id=%d listening on %s", *role, p.id, p.node.ListenAddr())
 
-	var metricsSrv *http.Server
 	if *metricsAddr != "" {
-		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: obs.Handler(metrics)}
+		p.metricsSrv = &http.Server{Addr: *metricsAddr, Handler: obs.Handler(p.metrics)}
 		go func() {
 			log.Printf("metrics on http://%s/metrics", *metricsAddr)
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := p.metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Fatalf("metrics server: %v", err)
 			}
 		}()
 	}
 
-	// Routing: the store node hosts kv+oracle; shard/gatekeeper/manager
-	// nodes are enumerated; client/server response addresses route by
-	// prefix. Kept as a closure so a standby can reapply the identical
-	// table to the node it binds at takeover.
-	mgrList := splitList(*mgrAddrs)
-	setRoutes := func(n *transport.TCPNode) {
-		n.SetRoute("kv", *storeAddr)
-		n.SetRoute("oracle", *storeAddr)
-		for i, a := range splitList(*shardAddrs) {
-			n.SetRoute(fmt.Sprintf("shard/%d", i), a)
-			n.SetRoute(fmt.Sprintf("shorc/%d", i), a)
-			n.SetRoute(fmt.Sprintf("shkv/%d", i), a)
-		}
-		for i, a := range splitList(*gkAddrs) {
-			n.SetRoute(fmt.Sprintf("gk/%d", i), a)
-			n.SetRoute(fmt.Sprintf("gkkv/%d", i), a)
-			n.SetRoute(fmt.Sprintf("gkorc/%d", i), a)
-			n.SetRoute(fmt.Sprintf("democ/%d", i), a)
-		}
-		for i, a := range mgrList {
-			n.SetRoute(fmt.Sprintf("pxa/%d", i), a)
-		}
-		if len(mgrList) > 0 {
-			// The lead replica hosts the manager endpoint and the Paxos
-			// client reply endpoints.
-			n.SetRoute(string(cluster.Addr), mgrList[0])
-			for i := range mgrList {
-				n.SetRoute(fmt.Sprintf("pxc/%d", i), mgrList[0])
-			}
-		}
-		for i, a := range splitList(*sbAddrs) {
-			n.SetRoute(fmt.Sprintf("standby/%d", i), a)
-		}
+	roles := map[string]func(){
+		"store": p.runStore, "shard": p.runShard, "gatekeeper": p.runGatekeeper,
+		"manager": p.runManager, "standby": p.runStandby, "demo": p.runDemo,
 	}
-	setRoutes(node)
-
-	// memberBeat is the liveness beat period for gatekeepers and shards
-	// when failure detection is on.
-	memberBeat := time.Duration(0)
-	if len(mgrList) > 0 {
-		memberBeat = cluster.BeatPeriod(*hbTimeout)
-	}
-
-	dir := partition.NewHash(*shards)
-	reg := nodeprog.NewRegistry()
-
-	// newGatekeeper assembles gatekeeper idx on n for the gatekeeper,
-	// standby and demo roles: its KV and oracle clients (served by the
-	// store node) and the server itself on ep, joining at epoch. The
-	// caller starts and stops it; the returned func closes the clients.
-	// o and progTimeout are the only settings the roles differ in.
-	newGatekeeper := func(n *transport.TCPNode, idx int, ep transport.Endpoint, epoch uint64, o *obs.Registry, progTimeout time.Duration) (*gatekeeper.Gatekeeper, func()) {
-		kv := remote.NewKVClient(n.Endpoint(transport.Addr(fmt.Sprintf("gkkv/%d", idx))), "kv", 10*time.Second)
-		orc := remote.NewOracleClient(n.Endpoint(transport.Addr(fmt.Sprintf("gkorc/%d", idx))), "oracle", 10*time.Second)
-		gk := gatekeeper.New(gatekeeper.Config{
-			ID:              idx,
-			NumGatekeepers:  *gks,
-			NumShards:       *shards,
-			Epoch:           epoch,
-			AnnouncePeriod:  *tau,
-			NopPeriod:       *nop,
-			HeartbeatPeriod: memberBeat,
-			ProgTimeout:     progTimeout,
-			IndexedKeys:     splitList(*indexKeys),
-			Obs:             o,
-		}, ep, kv, orc, dir)
-		return gk, func() { orc.Close(); kv.Close() }
-	}
-
-	switch *role {
-	case "store":
-		var st *kvstore.Store
-		if *wal != "" {
-			st, err = kvstore.NewDurable(*wal)
-			if err != nil {
-				log.Fatalf("open store: %v", err)
-			}
-			st.InstrumentWAL(
-				metrics.LatencyHistogram("weaver_wal_fsync_seconds"),
-				metrics.SizeHistogram("weaver_wal_group_commit_txns"),
-			)
-		} else {
-			st = kvstore.New()
-		}
-		kvSrv := remote.NewKVServer(node.Endpoint("kv"), st)
-		kvSrv.Start()
-		var orc oracle.Client
-		if *oracleReps > 1 {
-			orc = oracle.NewReplicated(*oracleReps)
-		} else {
-			orc = oracle.NewService()
-		}
-		orcSrv := remote.NewOracleServer(node.Endpoint("oracle"), orc)
-		orcSrv.Start()
-		log.Printf("store ready (wal=%q oracle-replicas=%d)", *wal, *oracleReps)
-		shutdownOnSignal(node, metricsSrv, *stopTimeout, func() {
-			orcSrv.Stop()
-			kvSrv.Stop()
-		})
-
-	case "shard":
-		orc := remote.NewOracleClient(node.Endpoint(transport.Addr(fmt.Sprintf("shorc/%d", *id))), "oracle", 10*time.Second)
-		defer orc.Close()
-		kv := remote.NewKVClient(node.Endpoint(transport.Addr(fmt.Sprintf("shkv/%d", *id))), "kv", 10*time.Second)
-		defer kv.Close()
-		ep := node.Endpoint(transport.ShardAddr(*id))
-		epoch := bootEpoch(ep, transport.ShardAddr(*id), mgrList, 5*time.Second)
-		sh := shard.New(shard.Config{ID: *id, NumGatekeepers: *gks, Epoch: epoch, Workers: *workers,
-			HeartbeatPeriod: memberBeat, Indexes: indexSpecs(*indexKeys), Obs: metrics},
-			ep, orc, reg, dir)
-		// The barrier's committed-but-unforwarded sweep needs a store
-		// handle (a SIGKILLed gatekeeper may have committed write-sets it
-		// never forwarded).
-		sh.SetRecoverSource(kv)
-		n, err := recoverAtBoot(sh, kv)
-		if err != nil {
-			log.Fatalf("shard %d: the store at %s never answered the boot scan: %v", *id, *storeAddr, err)
-		}
-		sh.Start()
-		mode := "serial apply"
-		if *workers > 1 {
-			mode = fmt.Sprintf("%d apply workers", *workers)
-		}
-		log.Printf("shard %d ready (%d vertices recovered, %s, epoch %d)", *id, n, mode, epoch)
-		shutdownOnSignal(node, metricsSrv, *stopTimeout, sh.Stop)
-
-	case "gatekeeper":
-		ep := node.Endpoint(transport.GatekeeperAddr(*id))
-		epoch := bootEpoch(ep, transport.GatekeeperAddr(*id), mgrList, 5*time.Second)
-		gk, closeClients := newGatekeeper(node, *id, ep, epoch, metrics, 0)
-		defer closeClients()
-		gk.Start()
-		log.Printf("gatekeeper %d ready (τ=%v nop=%v epoch=%d)", *id, *tau, *nop, epoch)
-		shutdownOnSignal(node, metricsSrv, *stopTimeout, gk.Stop)
-
-	case "manager":
-		if *id < 0 || *id >= len(mgrList) {
-			log.Fatalf("manager role requires -manager-addrs with an entry for -id %d", *id)
-		}
-		// Every replica hosts one acceptor of the epoch log.
-		acc := paxos.NewAcceptor()
-		accSrv := remote.NewAcceptorServer(node.Endpoint(transport.Addr(fmt.Sprintf("pxa/%d", *id))), acc)
-		accSrv.Start()
-		var mgr *cluster.Manager
-		if *id == 0 {
-			// The lead replica detects failures and drives epoch
-			// barriers. Its own acceptor is reached in-process; the
-			// others over TCP. On restart, cluster.New resumes the epoch
-			// from whatever the surviving quorum decided.
-			accs := make([]paxos.AcceptorAPI, len(mgrList))
-			for i := range mgrList {
-				if i == *id {
-					accs[i] = acc
-				} else {
-					accs[i] = remote.NewAcceptorClient(
-						node.Endpoint(transport.Addr(fmt.Sprintf("pxc/%d", i))),
-						transport.Addr(fmt.Sprintf("pxa/%d", i)), time.Second)
-				}
-			}
-			hb := *hbTimeout
-			if hb <= 0 {
-				hb = 500 * time.Millisecond
-			}
-			mgr = cluster.New(cluster.Config{
-				HeartbeatTimeout: hb,
-				Acceptors:        accs,
-				ProposerID:       *id,
-				BarrierTimeout:   5 * time.Second,
-			}, node.Endpoint(cluster.Addr))
-			// Members are other processes: no restart callback.
-			for i := 0; i < *gks; i++ {
-				mgr.Register(transport.GatekeeperAddr(i), true, nil)
-			}
-			for i := 0; i < *shards; i++ {
-				mgr.Register(transport.ShardAddr(i), false, nil)
-			}
-			mgr.WatchEpochs(func(epoch uint64, failed transport.Addr) {
-				log.Printf("epoch %d entered (reconfigured around %s)", epoch, failed)
-			})
-			mgr.Start()
-			log.Printf("manager %d ready (leading: epoch %d, heartbeat timeout %v, %d acceptors)",
-				*id, mgr.Epoch(), hb, len(accs))
-		} else {
-			log.Printf("manager %d ready (acceptor replica)", *id)
-		}
-		shutdownOnSignal(node, metricsSrv, *stopTimeout, func() {
-			if mgr != nil {
-				mgr.Stop()
-			}
-			accSrv.Stop()
-		})
-
-	case "standby":
-		// Watch the lead manager's epoch state; when a gatekeeper is
-		// declared failed, adopt its identity: bind its advertised
-		// address and serve as that gatekeeper in the current epoch. The
-		// first heartbeat under the adopted name triggers the manager's
-		// rejoin barrier, which realigns every FIFO stream.
-		gkList := splitList(*gkAddrs)
-		if len(mgrList) == 0 || len(gkList) == 0 {
-			log.Fatalf("standby role requires -manager-addrs and -gk-addrs")
-		}
-		self := transport.Addr(fmt.Sprintf("standby/%d", *id))
-		ep := node.Endpoint(self)
-		stopWatch := make(chan struct{})
-		var tkMu sync.Mutex
-		var tkGK *gatekeeper.Gatekeeper
-		var tkNode *transport.TCPNode
-		go func() {
-			gkIdx, epoch, ok := watchForFailedGK(ep, self, stopWatch)
-			if !ok {
-				return
-			}
-			log.Printf("standby %d: gatekeeper %d failed at epoch %d, taking over", *id, gkIdx, epoch)
-			gnode, err := bindRetry(gkList[gkIdx], 15*time.Second)
-			if err != nil {
-				log.Fatalf("standby: bind %s: %v", gkList[gkIdx], err)
-			}
-			setRoutes(gnode)
-			// The adopted gatekeeper's clients live until the process exits.
-			gk, _ := newGatekeeper(gnode, gkIdx, gnode.Endpoint(transport.GatekeeperAddr(gkIdx)), epoch, metrics, 0)
-			gk.Start()
-			tkMu.Lock()
-			tkGK, tkNode = gk, gnode
-			tkMu.Unlock()
-			log.Printf("standby %d: serving as gatekeeper %d", *id, gkIdx)
-		}()
-		log.Printf("standby %d ready (watching %d gatekeepers)", *id, len(gkList))
-		shutdownOnSignal(node, metricsSrv, *stopTimeout, func() {
-			close(stopWatch)
-			tkMu.Lock()
-			gk, gnode := tkGK, tkNode
-			tkMu.Unlock()
-			if gk != nil {
-				gk.Stop()
-			}
-			if gnode != nil {
-				gnode.Close()
-			}
-		})
-
-	case "demo":
-		// The demo process IS gatekeeper `id` (default 0): run it in
-		// place of that gatekeeper, on that gatekeeper's listen address,
-		// so shard-side routing reaches it. Clients embed the gatekeeper
-		// API in-process, exactly like the weaver.Cluster library mode.
-		// With a manager configured, the demo gatekeeper is a tracked
-		// member like any other: join at the cluster's epoch and keep
-		// heartbeating, or the detector declares it dead mid-demo and
-		// barriers the shards away from it.
-		ep := node.Endpoint(transport.GatekeeperAddr(*id))
-		epoch := bootEpoch(ep, transport.GatekeeperAddr(*id), mgrList, 5*time.Second)
-		gk, closeClients := newGatekeeper(node, *id, ep, epoch, nil, 15*time.Second)
-		defer closeClients()
-		gk.Start()
-		defer gk.Stop()
-		runDemo(gk, *indexKeys != "")
-
-	default:
+	run, ok := roles[*role]
+	if !ok {
 		fmt.Fprintln(os.Stderr, "weaverd: -role must be store, gatekeeper, shard, manager, standby, or demo")
 		os.Exit(2)
 	}
+	run()
+}
+
+// topology is where each server of the deployment listens.
+type topology struct {
+	store                                   string
+	shards, gatekeepers, managers, standbys []string
+}
+
+// route installs the deployment's routing table on n: the store node hosts
+// kv+oracle; shard, gatekeeper and manager nodes are enumerated; the
+// per-server client reply addresses route to their server's node. A standby
+// reapplies the identical table to the node it binds at takeover.
+func (t topology) route(n *transport.TCPNode) {
+	n.SetRoute("kv", t.store)
+	n.SetRoute("oracle", t.store)
+	for i, a := range t.shards {
+		n.SetRoute(fmt.Sprintf("shard/%d", i), a)
+		n.SetRoute(fmt.Sprintf("shorc/%d", i), a)
+		n.SetRoute(fmt.Sprintf("shkv/%d", i), a)
+	}
+	for i, a := range t.gatekeepers {
+		n.SetRoute(fmt.Sprintf("gk/%d", i), a)
+		n.SetRoute(fmt.Sprintf("gkkv/%d", i), a)
+		n.SetRoute(fmt.Sprintf("gkorc/%d", i), a)
+		n.SetRoute(fmt.Sprintf("democ/%d", i), a)
+	}
+	for i, a := range t.managers {
+		n.SetRoute(fmt.Sprintf("pxa/%d", i), a)
+		// The lead replica hosts the manager endpoint and the Paxos
+		// client reply endpoints.
+		n.SetRoute(fmt.Sprintf("pxc/%d", i), t.managers[0])
+		n.SetRoute(string(cluster.Addr), t.managers[0])
+	}
+	for i, a := range t.standbys {
+		n.SetRoute(fmt.Sprintf("standby/%d", i), a)
+	}
+}
+
+// storeClients opens server idx's clients to the store node's kv and oracle
+// services on n (role is the reply-address prefix, "sh" or "gk"); the
+// returned func closes them.
+func storeClients(n *transport.TCPNode, role string, idx int) (*remote.KVClient, *remote.OracleClient, func()) {
+	kv := remote.NewKVClient(n.Endpoint(transport.Addr(fmt.Sprintf("%skv/%d", role, idx))), "kv", 10*time.Second)
+	orc := remote.NewOracleClient(n.Endpoint(transport.Addr(fmt.Sprintf("%sorc/%d", role, idx))), "oracle", 10*time.Second)
+	return kv, orc, func() { orc.Close(); kv.Close() }
+}
+
+func (p *process) runStore() {
+	st, orc, err := p.spec.NewStore(p.metrics)
+	if err != nil {
+		log.Fatalf("open store: %v", err)
+	}
+	kvSrv := remote.NewKVServer(p.node.Endpoint("kv"), st)
+	kvSrv.Start()
+	orcSrv := remote.NewOracleServer(p.node.Endpoint("oracle"), orc)
+	orcSrv.Start()
+	log.Printf("store ready (wal=%q oracle-replicas=%d)", p.spec.WALPath, p.spec.OracleReplicas)
+	p.serve(func() {
+		orcSrv.Stop()
+		kvSrv.Stop()
+	})
+}
+
+func (p *process) runShard() {
+	kv, orc, closeClients := storeClients(p.node, "sh", p.id)
+	defer closeClients()
+	ep := p.node.Endpoint(transport.ShardAddr(p.id))
+	epoch := p.bootEpoch(ep)
+	sh := p.spec.NewShard(p.id, epoch, ep, kv, orc, nodeprog.NewRegistry(), partition.NewHash(p.spec.Shards), p.metrics)
+	n, err := recoverAtBoot(sh)
+	if err != nil {
+		log.Fatalf("shard %d: the store at %s never answered the boot scan: %v", p.id, p.topo.store, err)
+	}
+	sh.Start()
+	log.Printf("shard %d ready (%d vertices recovered, %d apply workers, epoch %d)", p.id, n, max(p.spec.ShardWorkers, 1), epoch)
+	p.serve(sh.Stop)
+}
+
+// startGatekeeper builds and starts gatekeeper idx on n for the gatekeeper,
+// standby and demo roles, joining at the epoch the lead manager reports.
+// The caller stops it; the returned func closes its store clients.
+func (p *process) startGatekeeper(n *transport.TCPNode, idx int, o *obs.Registry) (*gatekeeper.Gatekeeper, func()) {
+	kv, orc, closeClients := storeClients(n, "gk", idx)
+	ep := n.Endpoint(transport.GatekeeperAddr(idx))
+	epoch := p.bootEpoch(ep)
+	gk := p.spec.NewGatekeeper(idx, epoch, ep, kv, orc, partition.NewHash(p.spec.Shards), o)
+	gk.Start()
+	log.Printf("gatekeeper %d ready (τ=%v nop=%v gc=%v epoch=%d)", idx, p.spec.AnnouncePeriod, p.spec.NopPeriod, p.spec.GCPeriod, epoch)
+	return gk, closeClients
+}
+
+func (p *process) runGatekeeper() {
+	gk, closeClients := p.startGatekeeper(p.node, p.id, p.metrics)
+	defer closeClients()
+	p.serve(gk.Stop)
+}
+
+func (p *process) runManager() {
+	mgrs := p.topo.managers
+	if p.id < 0 || p.id >= len(mgrs) {
+		log.Fatalf("manager role requires -manager-addrs with an entry for -id %d", p.id)
+	}
+	// Every replica hosts one acceptor of the epoch log.
+	acc := paxos.NewAcceptor()
+	accSrv := remote.NewAcceptorServer(p.node.Endpoint(transport.Addr(fmt.Sprintf("pxa/%d", p.id))), acc)
+	accSrv.Start()
+	if p.id != 0 {
+		log.Printf("manager %d ready (acceptor replica)", p.id)
+		p.serve(accSrv.Stop)
+		return
+	}
+	// The lead replica detects failures and drives epoch barriers. Its own
+	// acceptor is reached in-process; the others over TCP. On restart,
+	// cluster.New resumes the epoch from whatever the surviving quorum
+	// decided. Members are other processes: no restart callback.
+	accs := []paxos.AcceptorAPI{acc}
+	for i := 1; i < len(mgrs); i++ {
+		accs = append(accs, remote.NewAcceptorClient(
+			p.node.Endpoint(transport.Addr(fmt.Sprintf("pxc/%d", i))),
+			transport.Addr(fmt.Sprintf("pxa/%d", i)), time.Second))
+	}
+	mgr := p.spec.NewManager(p.id, 0, p.node.Endpoint(cluster.Addr), accs, nil, nil)
+	mgr.WatchEpochs(func(epoch uint64, failed transport.Addr) {
+		log.Printf("epoch %d entered (reconfigured around %s)", epoch, failed)
+	})
+	mgr.Start()
+	log.Printf("manager %d ready (leading: epoch %d, heartbeat timeout %v, %d acceptors)",
+		p.id, mgr.Epoch(), p.spec.HeartbeatTimeout, len(accs))
+	p.serve(func() {
+		mgr.Stop()
+		accSrv.Stop()
+	})
+}
+
+// runStandby watches the lead manager's epoch state; when a gatekeeper is
+// declared failed, it adopts its identity: binds its advertised address
+// and serves as that gatekeeper in the current epoch. The first heartbeat
+// under the adopted name triggers the manager's rejoin barrier, which
+// realigns every FIFO stream.
+func (p *process) runStandby() {
+	if len(p.topo.managers) == 0 || len(p.topo.gatekeepers) == 0 {
+		log.Fatalf("standby role requires -manager-addrs and -gk-addrs")
+	}
+	self := transport.Addr(fmt.Sprintf("standby/%d", p.id))
+	ctx, stopWatch := context.WithCancel(context.Background())
+	var mu sync.Mutex
+	var adopted *gatekeeper.Gatekeeper
+	var adoptedNode *transport.TCPNode
+	go func() {
+		var gkIdx int
+		info, ok := pollEpoch(ctx, p.node.Endpoint(self), self, false, func(info wire.EpochInfo) bool {
+			for _, f := range info.Failed {
+				if _, err := fmt.Sscanf(string(f), "gk/%d", &gkIdx); err == nil && gkIdx >= 0 && gkIdx < len(p.topo.gatekeepers) {
+					return true
+				}
+			}
+			return false
+		})
+		if !ok {
+			return
+		}
+		log.Printf("standby %d: gatekeeper %d failed at epoch %d, taking over", p.id, gkIdx, info.Epoch)
+		gnode, err := bindRetry(p.topo.gatekeepers[gkIdx], 15*time.Second)
+		if err != nil {
+			log.Fatalf("standby: bind %s: %v", p.topo.gatekeepers[gkIdx], err)
+		}
+		p.topo.route(gnode)
+		// The adopted gatekeeper's clients live until the process exits.
+		gk, _ := p.startGatekeeper(gnode, gkIdx, p.metrics)
+		mu.Lock()
+		adopted, adoptedNode = gk, gnode
+		mu.Unlock()
+		log.Printf("standby %d: serving as gatekeeper %d", p.id, gkIdx)
+	}()
+	log.Printf("standby %d ready (watching %d gatekeepers)", p.id, len(p.topo.gatekeepers))
+	p.serve(func() {
+		stopWatch()
+		mu.Lock()
+		defer mu.Unlock()
+		if adopted != nil {
+			adopted.Stop()
+			adoptedNode.Close()
+		}
+	})
 }
 
 // recoverAtBoot loads the shard's partition from the store, retrying while
 // the store does not answer: processes of one deployment start in any
 // order, and a shard must never serve an empty partition because it came
 // up first. Gives up once the store has stayed silent for the whole window.
-func recoverAtBoot(sh *shard.Shard, kv kvstore.Backing) (n int, err error) {
+func recoverAtBoot(sh *shard.Shard) (n int, err error) {
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(500 * time.Millisecond) {
-		if n, err = sh.Recover(kv); err == nil || time.Now().After(deadline) {
+		if n, err = sh.Recover(); err == nil || time.Now().After(deadline) {
 			return n, err
 		}
 		log.Printf("boot scan failed, retrying: %v", err)
 	}
 }
 
+// pollEpoch sends the lead manager an EpochQuery from ep every 250 ms and
+// returns the first reply accept takes, or false once ctx is done. Other
+// traffic arriving this early is discarded: the server is not serving yet,
+// and the rejoin barrier resets every stream once it heartbeats anyway.
+//
+// boot marks the queries as a member (re)start: if the manager has seen
+// the address alive before, the process died and came back — maybe inside
+// the failure detector's window — and the manager runs a rejoin barrier.
+// Reply and barrier share one FIFO connection, so the EpochInfo lands
+// first and the barrier waits in the mailbox until the server serves.
+func pollEpoch(ctx context.Context, ep transport.Endpoint, self transport.Addr, boot bool, accept func(wire.EpochInfo) bool) (wire.EpochInfo, bool) {
+	first := uint64(time.Now().UnixNano())
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	for qid := first + 1; ; qid++ {
+		ep.Send(cluster.Addr, wire.EpochQuery{ID: qid, From: self, Boot: boot})
+		for waiting := true; waiting; {
+			select {
+			case <-ctx.Done():
+				return wire.EpochInfo{}, false
+			case <-tick.C:
+				waiting = false
+			case <-ep.Recv():
+				for msg, ok := ep.Next(); ok; msg, ok = ep.Next() {
+					if info, ok := msg.Payload.(wire.EpochInfo); ok && info.ID > first && accept(info) {
+						return info, true
+					}
+				}
+			}
+		}
+	}
+}
+
 // bootEpoch asks the lead manager which epoch the cluster is in, so a
 // restarted server never stamps or ingests under a stale epoch. Returns 0
-// (fresh cluster) when no manager is configured or none answers within
-// the timeout. Non-EpochInfo traffic arriving this early is discarded:
-// the server is not serving yet, and the manager's rejoin barrier resets
-// every stream the moment this process heartbeats anyway.
-func bootEpoch(ep transport.Endpoint, self transport.Addr, mgrList []string, timeout time.Duration) uint64 {
-	if len(mgrList) == 0 {
+// (fresh cluster) when no manager is configured or none answers in time.
+func (p *process) bootEpoch(ep transport.Endpoint) uint64 {
+	if len(p.topo.managers) == 0 {
 		return 0
 	}
-	qid := uint64(time.Now().UnixNano())
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		qid++
-		// Boot marks this as a member (re)start: if the manager has seen
-		// this address alive before, the process died and came back —
-		// possibly faster than the failure detector's window — and the
-		// manager runs a rejoin barrier to realign the FIFO streams.
-		// The reply and any barrier message share one FIFO connection,
-		// so the EpochInfo always lands first and the barrier waits in
-		// the mailbox until the server starts serving.
-		ep.Send(cluster.Addr, wire.EpochQuery{ID: qid, From: self, Boot: true})
-		retry := time.After(300 * time.Millisecond)
-		for {
-			select {
-			case <-ep.Recv():
-				for {
-					msg, ok := ep.Next()
-					if !ok {
-						break
-					}
-					if info, ok := msg.Payload.(wire.EpochInfo); ok && info.ID == qid {
-						return info.Epoch
-					}
-				}
-				continue
-			case <-retry:
-			}
-			break
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	info, ok := pollEpoch(ctx, ep, ep.Addr(), true, func(wire.EpochInfo) bool { return true })
+	if !ok {
+		log.Printf("no epoch reply from manager %s; starting at epoch 0", p.topo.managers[0])
 	}
-	log.Printf("no epoch reply from manager %s within %v; starting at epoch 0", mgrList[0], timeout)
-	return 0
-}
-
-// watchForFailedGK polls the lead manager's EpochQuery service until a
-// gatekeeper appears in the failed set, and returns its index and the
-// epoch the failure was barriered into.
-func watchForFailedGK(ep transport.Endpoint, self transport.Addr, stop chan struct{}) (gkIdx int, epoch uint64, ok bool) {
-	qid := uint64(time.Now().UnixNano())
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return 0, 0, false
-		case <-tick.C:
-			qid++
-			ep.Send(cluster.Addr, wire.EpochQuery{ID: qid, From: self})
-		case <-ep.Recv():
-			for {
-				msg, mok := ep.Next()
-				if !mok {
-					break
-				}
-				info, iok := msg.Payload.(wire.EpochInfo)
-				if !iok {
-					continue
-				}
-				for _, f := range info.Failed {
-					if i, pok := parseGKAddr(f); pok {
-						return i, info.Epoch, true
-					}
-				}
-			}
-		}
-	}
-}
-
-// parseGKAddr extracts the index from a gk/<i> address.
-func parseGKAddr(a transport.Addr) (int, bool) {
-	s := string(a)
-	if !strings.HasPrefix(s, "gk/") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(s[len("gk/"):])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
+	return info.Epoch
 }
 
 // bindRetry listens on addr, retrying while the OS releases the dead
 // process's port.
-func bindRetry(addr string, timeout time.Duration) (*transport.TCPNode, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		n, err := transport.NewTCPNode(addr, nil)
-		if err == nil {
-			return n, nil
+func bindRetry(addr string, timeout time.Duration) (n *transport.TCPNode, err error) {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(250 * time.Millisecond) {
+		if n, err = transport.NewTCPNode(addr, nil); err == nil || time.Now().After(deadline) {
+			return n, err
 		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(250 * time.Millisecond)
 	}
 }
 
 func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' })
 }
 
-// indexSpecs parses the -index flag into shard index specs.
-func indexSpecs(keys string) []index.Spec {
-	var specs []index.Spec
-	for _, k := range splitList(keys) {
-		specs = append(specs, index.Spec{Key: k})
-	}
-	return specs
-}
-
-// shutdownOnSignal blocks until SIGINT or SIGTERM, then shuts the server
-// down gracefully in dependency order: stop accepting new work (the
-// listener and the metrics endpoint), then run the role-specific stop
-// (which drains in-flight work). If the whole sequence does not finish
-// within timeout, the process exits nonzero — a hung drain must not look
-// like a clean exit to a supervisor.
-func shutdownOnSignal(node *transport.TCPNode, metricsSrv *http.Server, timeout time.Duration, stop func()) {
+// serve blocks until SIGINT or SIGTERM, then shuts the server down
+// gracefully in dependency order: stop accepting new work (the listener
+// and the metrics endpoint), then run the role-specific stop (which drains
+// in-flight work). If the whole sequence does not finish within
+// -shutdown-timeout, the process exits nonzero — a hung drain must not
+// look like a clean exit to a supervisor.
+func (p *process) serve(stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-ch
 	log.Printf("received %v, shutting down", sig)
 	done := make(chan struct{})
 	go func() {
-		if metricsSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			_ = metricsSrv.Shutdown(ctx)
+		if p.metricsSrv != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), p.stopTimeout)
+			_ = p.metricsSrv.Shutdown(ctx)
 			cancel()
 		}
-		node.Close()
+		p.node.Close()
 		stop()
 		close(done)
 	}()
 	select {
 	case <-done:
 		log.Println("shutdown complete")
-	case <-time.After(timeout):
+	case <-time.After(p.stopTimeout):
 		log.Println("shutdown timed out")
 		os.Exit(1)
 	}
 }
 
-func runDemo(gk *gatekeeper.Gatekeeper, withIndex bool) {
+// runDemo IS gatekeeper `id` (default 0): run it in place of that
+// gatekeeper, on that gatekeeper's listen address, so shard-side routing
+// reaches it. With a manager configured it is a tracked member like any
+// other: it joins at the cluster's epoch and keeps heartbeating, or the
+// detector would declare it dead mid-demo.
+func (p *process) runDemo() {
+	p.spec.ProgTimeout = 15 * time.Second
+	gk, closeClients := p.startGatekeeper(p.node, p.id, nil)
+	defer closeClients()
+	defer gk.Stop()
 	ops := []graph.Op{
 		{Kind: graph.OpCreateVertex, Vertex: "demo/a"},
 		{Kind: graph.OpCreateVertex, Vertex: "demo/b"},
@@ -575,7 +482,7 @@ func runDemo(gk *gatekeeper.Gatekeeper, withIndex bool) {
 	if len(visited) != 3 {
 		log.Fatal("demo FAILED")
 	}
-	if withIndex {
+	if len(p.spec.Indexes) > 0 {
 		// Scatter-gather secondary-index lookup through the TCP stack
 		// (shards must run with the same -index list), planned from the
 		// presence markers the commit above published — not broadcast.

@@ -74,6 +74,69 @@ func TestMigrateBatchSerializesWithRecovery(t *testing.T) {
 	}
 }
 
+// A recovery racing an in-flight BulkLoad used to corrupt the load the same
+// way: the load snapshotted c.shards before pausing and never took the
+// reconfiguration lock, so the recovery of a shard it loads INTO could swap
+// the instance between that snapshot and the install. The records landed in
+// the dead instance's graph — and, the reborn shard having scanned the store
+// before the segments were written, nowhere a reader routes to. Bulk loads
+// now run inside the same fence as migration batches.
+func TestBulkLoadSerializesWithRecovery(t *testing.T) {
+	cfg := testConfig(1, 2)
+	cfg.HeartbeatTimeout = time.Hour // manager on, detector effectively off
+	c := openTest(t, cfg)
+	const target = 1
+	var load []VertexID
+	for i, onTarget := 0, 0; onTarget < 4; i++ {
+		v := VertexID(fmt.Sprintf("b%d", i))
+		load = append(load, v)
+		if c.Directory().Lookup(v) == target {
+			onTarget++
+		}
+	}
+
+	recoverDone := make(chan error, 1)
+	fenced := false
+	c.testHookMigrateSnapshotted = func() {
+		// The racy window: the load holds its server snapshot. Kill a
+		// shard it is about to install into and ask for recovery; it must
+		// NOT complete while the load is in flight.
+		fenced = true
+		c.CrashShard(target)
+		go func() { recoverDone <- c.RecoverNow(ShardAddr(target)) }()
+		select {
+		case err := <-recoverDone:
+			t.Errorf("recovery completed inside the bulk-load window (err=%v)", err)
+		case <-time.After(200 * time.Millisecond):
+			// Blocked on the reconfig lock, as it must be.
+		}
+	}
+	if _, err := c.BulkLoad(load, nil); err != nil {
+		t.Fatalf("bulk load: %v", err)
+	}
+	c.testHookMigrateSnapshotted = nil
+	if !fenced {
+		t.Fatal("the bulk load never entered the shared stop-the-world fence")
+	}
+
+	// The deferred recovery now runs; the reborn shard reloads the segments
+	// the load wrote to the backing store.
+	select {
+	case err := <-recoverDone:
+		if err != nil {
+			t.Fatalf("recovery after the load: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("recovery never completed after the load released the lock")
+	}
+	cl := c.Client()
+	for _, v := range load {
+		if _, ok, err := cl.GetNode(v); err != nil || !ok {
+			t.Fatalf("bulk-loaded vertex %s after recovery: ok=%v err=%v", v, ok, err)
+		}
+	}
+}
+
 // A pinned snapshot must survive a crash-recovery of the shard holding
 // its versions — or fail with the typed ErrStaleSnapshot — never return
 // wrong data. Pre-fix, recovery reloaded each vertex wholesale at its

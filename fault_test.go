@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"weaver/internal/graph"
+	"weaver/internal/plan"
 	"weaver/internal/workload"
 )
 
@@ -172,5 +174,51 @@ func TestCrashedGatekeeperRejectsClients(t *testing.T) {
 	}
 	if _, _, err := cl0.RunProgram("get_node", nil, "v"); err == nil {
 		t.Fatal("stopped gatekeeper must reject programs")
+	}
+}
+
+// A gatekeeper killed between its backing-store commit and the forward
+// leaves a committed write-set no shard ever received. The epoch barrier
+// that recovers the gatekeeper has every shard sweep the store for exactly
+// that — in an embedded cluster as in a weaverd deployment. (It used to run
+// over TCP only: an embedded shard had no store handle for the sweep, and
+// the gatekeeper's restart callback never re-ran recovery.)
+func TestEmbeddedBarrierSweepsUnforwardedCommit(t *testing.T) {
+	cfg := faultConfig()
+	cfg.HeartbeatTimeout = time.Hour // manager on, detector effectively off
+	cfg.Indexes = []IndexSpec{{Key: "kind"}}
+	c := openTest(t, cfg)
+
+	// What gatekeeper 0's commit leaves in the store (tryCommit): the
+	// record at the timestamp it minted, and — published before the mint —
+	// the index marker for the value it sets.
+	const orphan = VertexID("orphan")
+	home := c.Directory().Lookup(orphan)
+	rec := graph.NewVertexRecord(orphan, home)
+	rec.Props["kind"] = "ghost"
+	rec.LastTS = c.gkAt(0).Snapshot()
+	tx := c.kv.Begin()
+	tx.Put(graph.VertexKey(orphan), graph.EncodeRecord(rec))
+	tx.Put(plan.MarkerKey("kind", "ghost", home), []byte{1})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// ... and the gatekeeper dies before forwarding.
+	c.CrashGatekeeper(0)
+	if err := c.RecoverNow(GatekeeperAddr(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	cl, _ := c.ClientAt(1)
+	d, ok, err := cl.GetNode(orphan)
+	if err != nil || !ok || d.Props["kind"] != "ghost" {
+		t.Fatalf("committed-but-unforwarded vertex after the barrier: %+v ok=%v err=%v", d, ok, err)
+	}
+	ids, _, err := cl.Lookup("kind", "ghost")
+	if err != nil || len(ids) != 1 || ids[0] != orphan {
+		t.Fatalf("index lookup for the swept vertex: %v err=%v", ids, err)
+	}
+	if errs := c.shardAt(home).Stats().RecoverErrors; errs != 0 {
+		t.Fatalf("barrier sweep failed %d times", errs)
 	}
 }

@@ -495,7 +495,7 @@ func TestNopStreamWaitsForShard(t *testing.T) {
 		t.Fatalf("%d NOPs sent before the shard serves", n)
 	}
 
-	sh := shard.New(shard.Config{ID: 0, NumGatekeepers: 1}, shardEp, orc, nodeprog.NewRegistry(), dir)
+	sh := shard.New(shard.Config{ID: 0, NumGatekeepers: 1}, shardEp, nil, orc, nodeprog.NewRegistry(), dir)
 	sh.Start()
 	t.Cleanup(sh.Stop)
 

@@ -86,8 +86,6 @@ func responseID(payload any) (uint64, any) {
 		return r.ID, r
 	case wire.PaxosResp:
 		return r.ID, r
-	case wire.EpochInfo:
-		return r.ID, r
 	default:
 		return 0, payload
 	}

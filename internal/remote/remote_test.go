@@ -86,8 +86,8 @@ func TestScanWithoutStoreIsAnError(t *testing.T) {
 			t.Errorf("ScanPrefix against %s: got %v, want %v", tc.store, err, tc.want)
 		}
 		sh := shard.New(shard.Config{ID: 0, NumGatekeepers: 1}, fabric.Endpoint(transport.ShardAddr(0)),
-			oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
-		if n, err := sh.Recover(cl); !errors.Is(err, tc.want) {
+			cl, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+		if n, err := sh.Recover(); !errors.Is(err, tc.want) {
 			t.Errorf("Recover against %s: recovered %d vertices with error %v, want %v", tc.store, n, err, tc.want)
 		}
 		cl.Close()
@@ -171,7 +171,7 @@ func TestTCPDeployment(t *testing.T) {
 	for i, sn := range shardNodes {
 		orc := NewOracleClient(sn.Endpoint(transport.Addr(fmt.Sprintf("shorc/%d", i))), "oracle", 5*time.Second)
 		sh := shard.New(shard.Config{ID: i, NumGatekeepers: 1},
-			sn.Endpoint(transport.ShardAddr(i)), orc, reg, dir)
+			sn.Endpoint(transport.ShardAddr(i)), nil, orc, reg, dir)
 		sh.Start()
 		t.Cleanup(sh.Stop)
 	}

@@ -21,7 +21,7 @@ func newBareShard(t *testing.T, gks, workers int) *Shard {
 	t.Helper()
 	f := transport.NewFabric()
 	s := New(Config{ID: 0, NumGatekeepers: gks, Workers: workers},
-		f.Endpoint(transport.ShardAddr(0)), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+		f.Endpoint(transport.ShardAddr(0)), nil, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
 	return s
 }
 
@@ -200,7 +200,7 @@ func TestShardParallelApplyMatchesSerial(t *testing.T) {
 	run := func(workers int) Stats {
 		f := transport.NewFabric()
 		sh := New(Config{ID: 0, NumGatekeepers: 1, Workers: workers},
-			f.Endpoint(transport.ShardAddr(0)), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+			f.Endpoint(transport.ShardAddr(0)), nil, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
 		sh.Start()
 		defer sh.Stop()
 		drv := f.Endpoint(transport.GatekeeperAddr(0))

@@ -195,7 +195,7 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 			return
 		}
 		vv, ok := view.Vertex(hop.Vertex)
-		if !ok && s.pager != nil && !s.g.Has(hop.Vertex) {
+		if !ok && s.paging && !s.g.Has(hop.Vertex) {
 			// Demand paging, fault half (§6.1): the vertex may have
 			// been evicted; reload its committed record.
 			if s.pageIn(hop.Vertex) {

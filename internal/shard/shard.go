@@ -28,6 +28,12 @@
 // the visibility of any version concurrent with it by the write-before-read
 // preference (§4.1). Hops cascade locally and forward to peer shards;
 // progress deltas flow to the coordinating gatekeeper.
+//
+// A shard holds one backing-store handle, given to New, and reads through
+// it on three occasions: Recover at boot (§4.3), the same Recover at every
+// epoch barrier — the sweep for write-sets a gatekeeper committed and was
+// killed before forwarding, run in embedded and TCP deployments alike —
+// and demand paging (§6.1), which Config.MaxVertices turns on.
 package shard
 
 import (
@@ -60,12 +66,13 @@ type Config struct {
 	// HeartbeatPeriod, when positive, sends liveness beats to the
 	// cluster manager (§4.3).
 	HeartbeatPeriod time.Duration
-	// MaxVertices, with a Pager, caps resident vertex histories: once the
-	// GC watermark advances, cold vertices (all writes below the
-	// watermark) are paged out, and node programs page missing vertices
-	// back in from the backing store on demand (§6.1: "we implement
-	// demand paging in Weaver to read vertices and edges from HyperDex
-	// Warp in to the memory of Weaver shards"). 0 = unlimited.
+	// MaxVertices, when positive, turns demand paging on and caps resident
+	// vertex histories: once the GC watermark advances, cold vertices (all
+	// writes below the watermark) are paged out, and transactions and node
+	// programs page missing vertices back in from the backing store on
+	// demand (§6.1: "we implement demand paging in Weaver to read vertices
+	// and edges from HyperDex Warp in to the memory of Weaver shards").
+	// 0 = unlimited, no paging.
 	MaxVertices int
 	// Workers sets the apply worker-pool size for conflict-aware parallel
 	// transaction execution (batch.go). 0 or 1 applies serially on the
@@ -78,12 +85,6 @@ type Config struct {
 	// Obs is the metrics/tracing registry. Nil disables observability
 	// (every handle no-ops).
 	Obs *obs.Registry
-}
-
-// Pager reads vertex records for demand paging; satisfied by
-// kvstore.Backing.
-type Pager interface {
-	GetVersioned(key string) (value []byte, version uint64, ok bool)
 }
 
 // Stats counts shard activity.
@@ -131,6 +132,14 @@ type Shard struct {
 	dir partition.Directory
 	m   obsMetrics
 
+	// kv is the shard's one backing-store handle: boot recovery, the epoch
+	// barrier's committed-but-unforwarded sweep, and demand paging all read
+	// through it. Nil only in unit tests that exercise none of the three.
+	kv kvstore.Backing
+	// paging is Config.MaxVertices > 0, fixed at New: the apply and read
+	// hot paths branch on it, never on the handle.
+	paging bool
+
 	reseq      []*transport.Resequencer[queued]
 	queues     [][]queued
 	frontier   []core.Timestamp
@@ -153,15 +162,11 @@ type Shard struct {
 	// after the barrier — is dropped instead of poisoning the reset
 	// resequencers.
 	epoch uint64
-	// recoverSrc, when set (SetRecoverSource), lets the epoch barrier
-	// re-scan the backing store for committed writes whose forwarding
-	// gatekeeper died before delivering them.
-	recoverSrc kvstore.Backing
-	pager      Pager
-	pool       *workerPool
-	heat       *heatMap
-	pagedIn    atomic.Uint64
-	pagedOut   atomic.Uint64
+
+	pool     *workerPool
+	heat     *heatMap
+	pagedIn  atomic.Uint64
+	pagedOut atomic.Uint64
 
 	hopSeq atomic.Uint64
 
@@ -196,11 +201,15 @@ const (
 	maxCascade = 1 << 22
 )
 
-// New wires a shard server. Call Start to launch its event loop.
-func New(cfg Config, ep transport.Endpoint, orc oracle.Client, reg *nodeprog.Registry, dir partition.Directory) *Shard {
+// New wires a shard server to its endpoint, backing store, oracle, program
+// registry and directory. Call Recover (or InstallRecovered) to load its
+// partition, then Start to launch its event loop.
+func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Client, reg *nodeprog.Registry, dir partition.Directory) *Shard {
 	s := &Shard{
 		cfg:        cfg,
 		ep:         ep,
+		kv:         kv,
+		paging:     cfg.MaxVertices > 0,
 		g:          graph.NewStore(),
 		idx:        index.New(cfg.Indexes),
 		orc:        orc,
@@ -264,10 +273,6 @@ func (s *Shard) Stats() Stats {
 	}
 }
 
-// SetPager enables demand paging from the backing store (call before
-// Start).
-func (s *Shard) SetPager(p Pager) { s.pager = p }
-
 // Recover pulls from the backing store every record homed here whose last
 // committed write the in-memory graph does not already cover, and installs
 // them through InstallRecovered. At boot (§4.3: before Start, behind the
@@ -275,9 +280,9 @@ func (s *Shard) SetPager(p Pager) { s.pager = p }
 // whole partition; at a later epoch barrier it is exactly the write-sets a
 // gatekeeper committed and was killed before forwarding. A store that
 // cannot be read is an error: "no answer" never passes for "no records".
-func (s *Shard) Recover(kv kvstore.Backing) (int, error) {
+func (s *Shard) Recover() (int, error) {
 	var recs []*graph.VertexRecord
-	err := kv.ScanPrefix(graph.VertexKeyPrefix, func(_ string, data []byte) {
+	err := s.kv.ScanPrefix(graph.VertexKeyPrefix, func(_ string, data []byte) {
 		rec, err := graph.DecodeRecord(data)
 		if err != nil || rec.Shard != s.cfg.ID {
 			return
@@ -347,16 +352,6 @@ func (s *Shard) raiseRecoveryHorizon(recs []*graph.VertexRecord) {
 	}
 	s.gcWM = horizon
 }
-
-// SetRecoverSource hands the shard a backing-store handle for epoch-time
-// re-recovery (call before Start). With it set, every epoch barrier runs
-// Recover again on the event loop, pulling in records homed here whose
-// last committed write is missing from the in-memory graph — the fate of
-// a write-set whose owning gatekeeper was killed between backing-store
-// commit and forward. Without a source the shard trusts the forward path
-// alone (the in-process cluster, where a crashed gatekeeper's restart
-// factory re-runs recovery explicitly).
-func (s *Shard) SetRecoverSource(kv kvstore.Backing) { s.recoverSrc = kv }
 
 // Install loads bulk-ingested vertex records into the in-memory graph,
 // skipping records homed on other shards, and returns the count installed.
@@ -433,11 +428,12 @@ func (s *Shard) enterEpoch(epoch uint64) {
 		s.reseq[gk].Reset()
 	}
 	s.drainAllQueued()
-	// Over TCP a killed gatekeeper may have committed write-sets to the
-	// backing store without forwarding them anywhere; pull them in now,
-	// while the cluster is quiesced behind the barrier.
-	if s.recoverSrc != nil {
-		if _, err := s.Recover(s.recoverSrc); err != nil {
+	// A killed gatekeeper may have committed write-sets to the backing
+	// store without forwarding them anywhere; pull them in now, while the
+	// cluster is quiesced behind the barrier. (With demand paging this also
+	// reloads paged-out vertices; they page out again at the next GC round.)
+	if s.kv != nil {
+		if _, err := s.Recover(); err != nil {
 			s.recoverErrors.Add(1)
 			fmt.Fprintf(os.Stderr, "weaver shard %d: entering epoch %d without the committed-but-unforwarded sweep: %v\n", s.cfg.ID, epoch, err)
 		}
@@ -728,7 +724,7 @@ func (s *Shard) apply(q queued) {
 // are skipped to avoid double application.
 func (s *Shard) applyOps(q queued) {
 	s.heat.addOps(q.ops)
-	if s.pager == nil {
+	if !s.paging {
 		// Hot path: the whole transaction under one store-lock
 		// acquisition, counters batched per transaction.
 		n := s.g.ApplyTx(q.ops, q.ts, func(op graph.Op, err error) {
@@ -784,7 +780,7 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 // in-memory graph (§6.1). Returns false when the record is absent, deleted,
 // or homed elsewhere.
 func (s *Shard) pageIn(v graph.VertexID) bool {
-	data, _, found := s.pager.GetVersioned(graph.VertexKey(v))
+	data, _, found := s.kv.GetVersioned(graph.VertexKey(v))
 	if !found {
 		return false
 	}
@@ -866,7 +862,7 @@ func (s *Shard) maybeGC() {
 	// paged-out vertices without faulting them in, so the index must keep
 	// its (GC-bounded) posting chains resident — Config.MaxVertices caps
 	// graph version history only.
-	if s.cfg.MaxVertices > 0 && s.pager != nil {
+	if s.paging {
 		if over := s.g.NumVertices() - s.cfg.MaxVertices; over > 0 {
 			evicted := s.g.EvictBefore(s.gcWM, over)
 			s.pagedOut.Add(uint64(len(evicted)))

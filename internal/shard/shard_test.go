@@ -31,7 +31,7 @@ func newRig(t *testing.T, gks int) *rig {
 	f := transport.NewFabric()
 	orc := oracle.NewService()
 	sh := New(Config{ID: 0, NumGatekeepers: gks},
-		f.Endpoint(transport.ShardAddr(0)), orc, nodeprog.NewRegistry(), partition.NewHash(1))
+		f.Endpoint(transport.ShardAddr(0)), nil, orc, nodeprog.NewRegistry(), partition.NewHash(1))
 	sh.Start()
 	t.Cleanup(sh.Stop)
 	return &rig{
@@ -134,7 +134,7 @@ func TestShardWaitsForOtherGatekeepers(t *testing.T) {
 	f := transport.NewFabric()
 	orc := oracle.NewService()
 	sh := New(Config{ID: 0, NumGatekeepers: 2},
-		f.Endpoint(transport.ShardAddr(0)), orc, nodeprog.NewRegistry(), partition.NewHash(1))
+		f.Endpoint(transport.ShardAddr(0)), nil, orc, nodeprog.NewRegistry(), partition.NewHash(1))
 	sh.Start()
 	t.Cleanup(sh.Stop)
 
@@ -254,7 +254,7 @@ func TestShardEnterEpochResetsStreams(t *testing.T) {
 func TestShardEnterEpochExecutesStalledQueue(t *testing.T) {
 	f := transport.NewFabric()
 	sh := New(Config{ID: 0, NumGatekeepers: 2},
-		f.Endpoint(transport.ShardAddr(0)), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+		f.Endpoint(transport.ShardAddr(0)), nil, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
 	sh.Start()
 	t.Cleanup(sh.Stop)
 	gk0 := f.Endpoint(transport.GatekeeperAddr(0))
@@ -288,7 +288,7 @@ func TestShardEnterEpochExecutesStalledQueue(t *testing.T) {
 func TestInstallRecoveredAppliesUnforwardedTombstone(t *testing.T) {
 	f := transport.NewFabric()
 	sh := New(Config{ID: 0, NumGatekeepers: 1, Indexes: []index.Spec{{Key: "k"}}},
-		f.Endpoint(transport.ShardAddr(0)), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+		f.Endpoint(transport.ShardAddr(0)), nil, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
 	drv := f.Endpoint(transport.GatekeeperAddr(0))
 	clock := core.NewVectorClock(0, 1, 0)
 	created, below, deleted := clock.Tick(), clock.Tick(), clock.Tick()

@@ -1,13 +1,14 @@
 // Package transport provides the message fabric connecting Weaver servers:
 // gatekeepers, shard servers, the timeline oracle, and the cluster manager.
 //
-// The primary implementation is an in-process Fabric with one unbounded
-// mailbox per address. Every Send encodes its payload as one wire frame
-// (frame.go) and delivers the decoded deep copy, so an embedded cluster
-// pays the codec and gets the copy semantics of a TCP deployment; latency
-// and reordering can be injected on top (the transport tests' seams). A
-// TCP fabric with identical semantics lives in tcp.go for multi-process
-// deployments.
+// Two endpoint providers with identical semantics carry the servers that
+// internal/deploy constructs. The in-process Fabric (weaver.Open) has one
+// unbounded mailbox per address: every Send encodes its payload as one wire
+// frame (frame.go) and delivers the decoded deep copy, so an embedded
+// cluster pays the codec and gets the copy semantics of a TCP deployment;
+// latency and reordering can be injected on top (the transport tests'
+// seams). The TCPNode in tcp.go (cmd/weaverd) moves the same frames
+// between processes.
 //
 // Delivery guarantees are deliberately weak — at-most-once, unordered when
 // reordering is enabled — because Weaver's protocol supplies its own FIFO

@@ -91,10 +91,6 @@ type rebalState struct {
 	done  chan struct{}
 }
 
-// migrateDrainTimeout bounds how long a migration batch waits for in-flight
-// applies and node programs to finish behind the pause.
-const migrateDrainTimeout = 30 * time.Second
-
 // rebalanceTopK caps how many hot vertices one background rebalance cycle
 // considers; rebalanceDecay is the geometric heat decay applied per cycle.
 const (
@@ -106,9 +102,7 @@ const (
 // the signal the background rebalancer acts on. k <= 0 returns every
 // tracked vertex.
 func (c *Cluster) Heat(k int) []VertexHeat {
-	c.serversMu.RLock()
-	shards := append([]*shard.Shard(nil), c.shards...)
-	c.serversMu.RUnlock()
+	_, shards := c.servers()
 	var all []VertexHeat
 	for _, sh := range shards {
 		all = append(all, sh.HeatTopK(k)...)
@@ -201,48 +195,21 @@ func (c *Cluster) MigrateBatch(moves []Move) (int, error) {
 		return 0, nil
 	}
 
-	// Hold the reconfiguration lock for the whole batch: an epoch
-	// recovery that replaced a server between our snapshot below and the
-	// in-memory install would leave the batch mutating a dead instance
-	// while readers route to its replacement. Manager.Recover takes the
-	// same lock (Config.ReconfigLock), so the two stay serialized and
-	// the snapshot cannot go stale mid-batch.
-	c.reconfigMu.Lock()
-	defer c.reconfigMu.Unlock()
-
-	c.serversMu.RLock()
-	gks := append([]*gatekeeper.Gatekeeper(nil), c.gks...)
-	shards := append([]*shard.Shard(nil), c.shards...)
-	c.serversMu.RUnlock()
-
-	if h := c.testHookMigrateSnapshotted; h != nil {
-		h()
-	}
-
-	// One pause for the whole batch — the point of this API.
+	// One fence for the whole batch — the point of this API. Behind it no
+	// write-set is queued for a vertex about to be evicted, no program is
+	// mid-traversal, and no epoch recovery can swap a shard (Cluster.fenced).
+	moved := 0
 	pauseStart := time.Now()
-	for _, gk := range gks {
-		gk.Pause()
-	}
-	defer func() {
-		for _, gk := range gks {
-			gk.Resume()
-		}
-		c.recordPause(time.Since(pauseStart))
-	}()
-	// Drain: evicting a source copy while a forwarded write-set for it is
-	// still queued (or a node program is mid-traversal) would lose the
-	// write or strand the read. After the quiesce, every committed effect
-	// is in the graphs and no reader is in flight.
-	for _, gk := range gks {
-		if err := gk.Quiesce(migrateDrainTimeout); err != nil {
-			return 0, fmt.Errorf("weaver: migrate quiesce: %w", err)
-		}
-	}
-	if err := drainPrograms(gks, migrateDrainTimeout); err != nil {
-		return 0, fmt.Errorf("weaver: migrate: %w", err)
-	}
+	err := c.fenced(func(gks []*gatekeeper.Gatekeeper, shards []*shard.Shard) (err error) {
+		moved, err = c.rehome(mapped, moves, gks, shards)
+		return err
+	})
+	c.recordPause(time.Since(pauseStart))
+	return moved, err
+}
 
+// rehome is MigrateBatch behind its fence (steps 2 and 3).
+func (c *Cluster) rehome(mapped *partition.Mapped, moves []Move, gks []*gatekeeper.Gatekeeper, shards []*shard.Shard) (int, error) {
 	// Re-home every record in one backing-store transaction. Nothing is
 	// installed into any in-memory graph until this commits: a failed
 	// commit must not leave a phantom copy on a target shard.
@@ -495,9 +462,7 @@ func (c *Cluster) planMoves(vertices []VertexID, slack float64, fullScan bool) (
 	vertices = uniq
 	adj, live, scanErr := c.adjacencyFor(set, fullScan)
 
-	c.serversMu.RLock()
-	shards := append([]*shard.Shard(nil), c.shards...)
-	c.serversMu.RUnlock()
+	_, shards := c.servers()
 	loads := make([]int, c.cfg.Shards)
 	for i, sh := range shards {
 		loads[i] = sh.Graph().NumVertices()
@@ -569,9 +534,7 @@ func (c *Cluster) RebalanceOnce() (int, error) {
 	}
 	hot := c.Heat(rebalanceTopK)
 	defer func() {
-		c.serversMu.RLock()
-		shards := append([]*shard.Shard(nil), c.shards...)
-		c.serversMu.RUnlock()
+		_, shards := c.servers()
 		for _, sh := range shards {
 			sh.DecayHeat(rebalanceDecay)
 		}

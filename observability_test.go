@@ -137,8 +137,10 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 			t.Errorf("counter %s is zero after a framed workload", ctr)
 		}
 	}
-	if _, ok := snap.Gauges["weaver_gk_apply_lag"]; !ok {
-		t.Error("gauge weaver_gk_apply_lag not registered")
+	for _, g := range []string{"weaver_gk_apply_lag", "weaver_oracle_events", "weaver_oracle_gc_collected"} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Errorf("gauge %s not registered", g)
+		}
 	}
 }
 

@@ -122,12 +122,14 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"weaver/internal/cluster"
 	"weaver/internal/core"
+	"weaver/internal/deploy"
 	"weaver/internal/gatekeeper"
 	"weaver/internal/graph"
 	"weaver/internal/index"
@@ -172,7 +174,9 @@ var ErrNoIndex = gatekeeper.ErrNoIndex
 // snapshot. See Client.Lookup and the package documentation.
 type IndexSpec = index.Spec
 
-// Config describes an in-process Weaver cluster.
+// Config describes an in-process Weaver cluster. Its server settings
+// convert to a deploy.Spec (Config.spec), from which Open builds every role
+// through the same constructors cmd/weaverd builds one role with.
 type Config struct {
 	// Gatekeepers is the number of timestamping servers (≥1).
 	Gatekeepers int
@@ -280,6 +284,25 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// spec extracts the settings the server constructors consume.
+func (c Config) spec() deploy.Spec {
+	return deploy.Spec{
+		Gatekeepers:      c.Gatekeepers,
+		Shards:           c.Shards,
+		AnnouncePeriod:   c.AnnouncePeriod,
+		NopPeriod:        c.NopPeriod,
+		GCPeriod:         c.GCPeriod,
+		HistoryRetention: c.HistoryRetention,
+		HeartbeatTimeout: c.HeartbeatTimeout,
+		ProgTimeout:      c.ProgTimeout,
+		MaxShardVertices: c.MaxShardVertices,
+		ShardWorkers:     c.ShardWorkers,
+		Indexes:          c.Indexes,
+		WALPath:          c.WALPath,
+		OracleReplicas:   c.OracleReplicas,
+	}
+}
+
 // Cluster is a fully assembled in-process Weaver deployment. Its servers
 // talk only through the fabric, which frames every message and delivers a
 // decoded copy: a multi-process deployment's semantics minus the sockets.
@@ -309,15 +332,16 @@ type Cluster struct {
 	closed     atomic.Bool
 
 	// reconfigMu serializes epoch reconfigurations (Manager.Recover)
-	// against vertex-migration batches. Without it a recovery can replace
-	// c.shards[i] between a batch's server snapshot and its in-memory
-	// install, so the batch evicts from and installs into a dead shard
-	// instance while readers route to the fresh one — an acknowledged
-	// write a reader can no longer see.
+	// against the stop-the-world fence of bulk loads and migration batches
+	// (Cluster.fenced). Without it a recovery can replace c.shards[i]
+	// between a fence's server snapshot and its in-memory install, so the
+	// operation evicts from and installs into a dead shard instance while
+	// readers route to the fresh one — an acknowledged write a reader can
+	// no longer see.
 	reconfigMu sync.Mutex
 
-	// testHookMigrateSnapshotted, when non-nil, runs after MigrateBatch
-	// has taken the reconfig lock and snapshotted the live servers —
+	// testHookMigrateSnapshotted, when non-nil, runs inside every fence
+	// once it holds the reconfig lock over a verified server snapshot —
 	// exactly the window a concurrent recovery used to corrupt.
 	testHookMigrateSnapshotted func()
 
@@ -334,24 +358,11 @@ func Open(cfg Config) (*Cluster, error) {
 	c.clientTxDur = c.obs.LatencyHistogram("weaver_client_tx_seconds")
 	c.clientTxRetries = c.obs.Counter("weaver_client_tx_retries_total")
 	c.fabric = transport.NewFabric().WithWireMetrics(transport.NewWireMetrics(c.obs))
-	if cfg.WALPath != "" {
-		durable, err := kvstore.NewDurable(cfg.WALPath)
-		if err != nil {
-			return nil, fmt.Errorf("weaver: open backing store: %w", err)
-		}
-		durable.InstrumentWAL(
-			c.obs.LatencyHistogram("weaver_wal_fsync_seconds"),
-			c.obs.SizeHistogram("weaver_wal_group_commit_txns"),
-		)
-		c.kv = kvstore.AsBacking(durable)
-	} else {
-		c.kv = kvstore.AsBacking(kvstore.New())
+	st, orc, err := c.cfg.spec().NewStore(c.obs)
+	if err != nil {
+		return nil, fmt.Errorf("weaver: open backing store: %w", err)
 	}
-	if cfg.OracleReplicas > 1 {
-		c.orc = oracle.NewReplicated(cfg.OracleReplicas)
-	} else {
-		c.orc = oracle.NewService()
-	}
+	c.kv, c.orc = kvstore.AsBacking(st), orc
 	c.reg = nodeprog.NewRegistry()
 	c.dir = cfg.Directory
 	if c.dir == nil {
@@ -431,33 +442,15 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	// Commit→apply lag, summed across gatekeepers, read at scrape time.
 	c.obs.GaugeFunc("weaver_gk_apply_lag", func() int64 {
-		c.serversMu.RLock()
-		defer c.serversMu.RUnlock()
+		gks, _ := c.servers()
 		var lag int64
-		for _, gk := range c.gks {
+		for _, gk := range gks {
 			lag += gk.ApplyLag()
 		}
 		return lag
 	})
 	if cfg.HeartbeatTimeout > 0 {
-		c.mgr = cluster.New(cluster.Config{
-			HeartbeatTimeout: cfg.HeartbeatTimeout,
-			StartEpoch:       c.baseEpoch,
-			ReconfigLock:     &c.reconfigMu,
-		}, c.fabric.Endpoint(cluster.Addr))
-		for i := range c.shards {
-			c.mgr.Register(transport.ShardAddr(i), false, func(epoch uint64) {
-				if err := c.restartShard(i, epoch); err != nil {
-					// Still silent: the detector recovers it again.
-					log.Printf("weaver: restart shard %d at epoch %d: %v", i, epoch, err)
-				}
-			})
-		}
-		for i := range c.gks {
-			c.mgr.Register(transport.GatekeeperAddr(i), true, func(epoch uint64) {
-				c.restartGatekeeper(i, epoch)
-			})
-		}
+		c.mgr = c.cfg.spec().NewManager(0, c.baseEpoch, c.fabric.Endpoint(cluster.Addr), nil, &c.reconfigMu, c.restart)
 		c.mgr.Start()
 	}
 	if cfg.RebalanceInterval > 0 {
@@ -468,68 +461,37 @@ func Open(cfg Config) (*Cluster, error) {
 
 // newShard constructs (without starting) the shard server at index i.
 func (c *Cluster) newShard(i int, epoch uint64) *shard.Shard {
-	ep := c.fabric.Endpoint(transport.ShardAddr(i))
-	sh := shard.New(shard.Config{
-		ID:              i,
-		NumGatekeepers:  c.cfg.Gatekeepers,
-		Epoch:           epoch,
-		HeartbeatPeriod: cluster.BeatPeriod(c.cfg.HeartbeatTimeout),
-		MaxVertices:     c.cfg.MaxShardVertices,
-		Workers:         c.cfg.ShardWorkers,
-		Indexes:         c.cfg.Indexes,
-		Obs:             c.obs,
-	}, ep, c.orc, c.reg, c.dir)
-	if c.cfg.MaxShardVertices > 0 {
-		sh.SetPager(c.kv)
-	}
-	return sh
+	return c.cfg.spec().NewShard(i, epoch, c.fabric.Endpoint(transport.ShardAddr(i)), c.kv, c.orc, c.reg, c.dir, c.obs)
 }
 
 // newGatekeeper constructs (without starting) the gatekeeper at index i.
 func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
-	ep := c.fabric.Endpoint(transport.GatekeeperAddr(i))
-	indexed := make([]string, 0, len(c.cfg.Indexes))
-	for _, sp := range c.cfg.Indexes {
-		indexed = append(indexed, sp.Key)
-	}
-	return gatekeeper.New(gatekeeper.Config{
-		ID:               i,
-		NumGatekeepers:   c.cfg.Gatekeepers,
-		NumShards:        c.cfg.Shards,
-		Epoch:            epoch,
-		AnnouncePeriod:   c.cfg.AnnouncePeriod,
-		NopPeriod:        c.cfg.NopPeriod,
-		GCPeriod:         c.cfg.GCPeriod,
-		HistoryRetention: c.cfg.HistoryRetention,
-		ProgTimeout:      c.cfg.ProgTimeout,
-		HeartbeatPeriod:  cluster.BeatPeriod(c.cfg.HeartbeatTimeout),
-		IndexedKeys:      indexed,
-		Obs:              c.obs,
-	}, ep, c.kv, c.orc, c.dir)
+	return c.cfg.spec().NewGatekeeper(i, epoch, c.fabric.Endpoint(transport.GatekeeperAddr(i)), c.kv, c.orc, c.dir, c.obs)
 }
 
-// restartShard replaces a dead shard: a fresh instance recovers its
-// partition from the backing store (§4.3) and rejoins on the same address.
-// A store that cannot be read leaves the dead instance in place.
-func (c *Cluster) restartShard(i int, epoch uint64) error {
+// restart is the manager's rebirth callback, run inside the epoch barrier
+// under reconfigMu. A dead gatekeeper restarts its clock at zero in the new
+// epoch, keeping all new timestamps after all old ones; a dead shard's
+// fresh instance recovers its partition from the backing store and rejoins
+// on the same address (§4.3). A store that cannot be read leaves the dead
+// shard in place: still silent, the detector recovers it again.
+func (c *Cluster) restart(isGK bool, i int, epoch uint64) {
+	if isGK {
+		gk := c.newGatekeeper(i, epoch)
+		gk.Start()
+		c.serversMu.Lock()
+		c.gks[i] = gk
+		c.serversMu.Unlock()
+		return
+	}
 	sh := c.newShard(i, epoch)
-	if _, err := sh.Recover(c.kv); err != nil {
-		return err
+	if _, err := sh.Recover(); err != nil {
+		log.Printf("weaver: restart shard %d at epoch %d: %v", i, epoch, err)
+		return
 	}
 	sh.Start()
 	c.serversMu.Lock()
 	c.shards[i] = sh
-	c.serversMu.Unlock()
-	return nil
-}
-
-// restartGatekeeper replaces a dead gatekeeper: its clock restarts at zero
-// in the new epoch, keeping all new timestamps after all old ones (§4.3).
-func (c *Cluster) restartGatekeeper(i int, epoch uint64) {
-	gk := c.newGatekeeper(i, epoch)
-	gk.Start()
-	c.serversMu.Lock()
-	c.gks[i] = gk
 	c.serversMu.Unlock()
 }
 
@@ -602,20 +564,89 @@ func (c *Cluster) OracleReplicasLive() int {
 // is the apply fence for code that inspects shard state directly (tests,
 // benchmarks, Graph()-level checks) or wants to measure apply throughput.
 func (c *Cluster) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	c.serversMu.RLock()
-	gks := append([]*gatekeeper.Gatekeeper(nil), c.gks...)
-	c.serversMu.RUnlock()
+	gks, _ := c.servers()
+	return quiesce(gks, time.Now().Add(timeout))
+}
+
+// quiesce waits until every write-set gks forwarded has been applied. A
+// deadline already past still passes a gatekeeper with nothing outstanding.
+func quiesce(gks []*gatekeeper.Gatekeeper, deadline time.Time) error {
 	for _, gk := range gks {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			remain = time.Nanosecond
-		}
-		if err := gk.Quiesce(remain); err != nil {
+		if err := gk.Quiesce(time.Until(deadline)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pauseIntake pauses every gatekeeper — no new transactions or node
+// programs — and returns the paused instances with the call that resumes
+// them. Checkpoint needs only this; fenced builds on it.
+func (c *Cluster) pauseIntake() ([]*gatekeeper.Gatekeeper, func()) {
+	gks, _ := c.servers()
+	for _, gk := range gks {
+		gk.Pause()
+	}
+	return gks, func() {
+		for _, gk := range gks {
+			gk.Resume()
+		}
+	}
+}
+
+// fenced is the one stop-the-world fence (bulk loads, migration batches):
+// body runs with every gatekeeper paused, every forwarded write-set applied
+// and every node program finished, under the reconfiguration lock, on the
+// server instances live at that moment — an epoch recovery can never swap a
+// shard out from under body's in-memory installs.
+//
+// The drain runs WITHOUT the lock: an apply forwarded to a crashed shard is
+// written off only by the recovery's new epoch, so a drain holding the lock
+// would wait out its own timeout. A recovery that slips in may replace a
+// gatekeeper, leaving the pause on a dead instance; the fence starts over.
+func (c *Cluster) fenced(body func(gks []*gatekeeper.Gatekeeper, shards []*shard.Shard) error) error {
+	for {
+		gks, resume := c.pauseIntake()
+		err := drain(gks)
+		c.reconfigMu.Lock()
+		live, shards := c.servers()
+		current := slices.Equal(gks, live)
+		if current && err == nil {
+			if h := c.testHookMigrateSnapshotted; h != nil {
+				h()
+			}
+			err = body(gks, shards)
+		}
+		c.reconfigMu.Unlock()
+		resume()
+		if current {
+			return err
+		}
+	}
+}
+
+// drain waits, for at most 30 s, until everything the paused gatekeepers
+// forwarded has been applied and the reads they coordinate have finished,
+// so a fence never changes the graph under a queued write-set or a running
+// traversal.
+func drain(gks []*gatekeeper.Gatekeeper) error {
+	deadline := time.Now().Add(30 * time.Second)
+	if err := quiesce(gks, deadline); err != nil {
+		return fmt.Errorf("weaver: fence: %w", err)
+	}
+	for {
+		busy := 0
+		for _, gk := range gks {
+			busy += gk.OutstandingPrograms()
+		}
+		if busy == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("weaver: fence: %d node programs still running", busy)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
 }
 
 // Epoch returns the cluster's current epoch.
@@ -642,10 +673,7 @@ func (c *Cluster) Close() error {
 		if c.mgr != nil {
 			c.mgr.Stop()
 		}
-		c.serversMu.RLock()
-		gks := append([]*gatekeeper.Gatekeeper(nil), c.gks...)
-		shards := append([]*shard.Shard(nil), c.shards...)
-		c.serversMu.RUnlock()
+		gks, shards := c.servers()
 		for _, gk := range gks {
 			gk.Stop()
 		}
@@ -680,8 +708,14 @@ func (c *Cluster) ClientAt(gk int) (*Client, error) {
 	return &Client{c: c, idx: gk}, nil
 }
 
-// gkAt returns the current gatekeeper instance at index i (instances are
-// replaced across failover).
+// servers snapshots the live server instances, which failover replaces.
+func (c *Cluster) servers() ([]*gatekeeper.Gatekeeper, []*shard.Shard) {
+	c.serversMu.RLock()
+	defer c.serversMu.RUnlock()
+	return slices.Clone(c.gks), slices.Clone(c.shards)
+}
+
+// gkAt returns the current gatekeeper instance at index i.
 func (c *Cluster) gkAt(i int) *gatekeeper.Gatekeeper {
 	c.serversMu.RLock()
 	defer c.serversMu.RUnlock()
@@ -707,12 +741,11 @@ type Stats struct {
 // Stats returns a snapshot of all counters.
 func (c *Cluster) Stats() Stats {
 	st := Stats{Oracle: c.orc.Stats(), Store: c.kv.Stats(), Rebalance: c.rebalanceStats()}
-	c.serversMu.RLock()
-	defer c.serversMu.RUnlock()
-	for _, gk := range c.gks {
+	gks, shards := c.servers()
+	for _, gk := range gks {
 		st.Gatekeepers = append(st.Gatekeepers, gk.Stats())
 	}
-	for _, sh := range c.shards {
+	for _, sh := range shards {
 		st.Shards = append(st.Shards, sh.Stats())
 	}
 	return st
