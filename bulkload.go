@@ -121,10 +121,6 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 	if c.closed.Load() {
 		return stats, errors.New("weaver: cluster closed")
 	}
-	bulk, ok := c.kv.(kvstore.BulkWriter)
-	if !ok {
-		return stats, errors.New("weaver: backing store does not support bulk ingest")
-	}
 
 	// Vertex universe in first-appearance order, with undirected
 	// adjacency for the streaming partitioner.
@@ -281,7 +277,7 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 			close(results)
 		}()
 		for kvs := range results {
-			bulk.BulkPut(kvs)
+			c.store.BulkPut(kvs)
 			stats.Segments++
 			for _, kv := range kvs {
 				stats.SegmentBytes += int64(len(kv.Key) + len(kv.Value))
@@ -343,13 +339,11 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 		// Durable cluster: one checkpoint makes the whole ingest crash-safe
 		// (BulkPut deliberately skipped the per-record WAL path).
 		if c.cfg.WALPath != "" {
-			if ck, ok := c.kv.(kvstore.Checkpointer); ok {
-				st, err := ck.Checkpoint()
-				if err != nil {
-					return fmt.Errorf("weaver: bulk load checkpoint: %w", err)
-				}
-				stats.Checkpoint = &st
+			st, err := c.store.Checkpoint()
+			if err != nil {
+				return fmt.Errorf("weaver: bulk load checkpoint: %w", err)
 			}
+			stats.Checkpoint = &st
 		}
 		return nil
 	})
@@ -367,13 +361,9 @@ func (c *Cluster) Checkpoint() (kvstore.CheckpointStats, error) {
 	if c.closed.Load() {
 		return kvstore.CheckpointStats{}, errors.New("weaver: cluster closed")
 	}
-	ck, ok := c.kv.(kvstore.Checkpointer)
-	if !ok {
-		return kvstore.CheckpointStats{}, errors.New("weaver: backing store does not support checkpointing")
-	}
 	_, resume := c.pauseIntake()
 	defer resume()
-	return ck.Checkpoint()
+	return c.store.Checkpoint()
 }
 
 // RecoveryStats reports how the durable backing store rebuilt its state
@@ -381,9 +371,5 @@ func (c *Cluster) Checkpoint() (kvstore.CheckpointStats, error) {
 // many WAL records it replayed on top. ok is false when the backing store
 // is not durable.
 func (c *Cluster) RecoveryStats() (st kvstore.RecoveryStats, ok bool) {
-	r, ok := c.kv.(kvstore.Recoverer)
-	if !ok {
-		return kvstore.RecoveryStats{}, false
-	}
-	return r.Recovery(), ok
+	return c.store.Recovery(), c.cfg.WALPath != ""
 }

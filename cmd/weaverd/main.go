@@ -103,7 +103,6 @@ func main() {
 	flag.DurationVar(&p.spec.HistoryRetention, "retention", 0, "keep superseded versions readable this long before -gc may collect them")
 	flag.StringVar(&p.spec.WALPath, "wal", "", "WAL path for a durable store (role=store)")
 	flag.IntVar(&p.spec.OracleReplicas, "oracle-replicas", 1, "chain replication factor for the oracle (role=store)")
-	flag.IntVar(&p.spec.ShardWorkers, "workers", 0, "apply worker-pool size for conflict-aware parallel execution (role=shard; 0 or 1 = serial)")
 	flag.Func("index", "comma-separated vertex property keys to index (give the SAME list to every shard and gatekeeper; role=demo also smokes a Lookup)", func(v string) error {
 		for _, k := range splitList(v) {
 			p.spec.Indexes = append(p.spec.Indexes, index.Spec{Key: k})
@@ -222,7 +221,7 @@ func (p *process) runShard() {
 		log.Fatalf("shard %d: the store at %s never answered the boot scan: %v", p.id, p.topo.store, err)
 	}
 	sh.Start()
-	log.Printf("shard %d ready (%d vertices recovered, %d apply workers, epoch %d)", p.id, n, max(p.spec.ShardWorkers, 1), epoch)
+	log.Printf("shard %d ready (%d vertices recovered, epoch %d)", p.id, n, epoch)
 	p.serve(sh.Stop)
 }
 

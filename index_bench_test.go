@@ -29,10 +29,9 @@ func BenchmarkIndexLookup(b *testing.B) {
 		nVals = 1000 // ~100 matches per value
 	)
 	c, err := weaver.Open(weaver.Config{
-		Gatekeepers:  2,
-		Shards:       4,
-		ShardWorkers: 2,
-		Indexes:      []weaver.IndexSpec{{Key: "city"}},
+		Gatekeepers: 2,
+		Shards:      4,
+		Indexes:     []weaver.IndexSpec{{Key: "city"}},
 	})
 	if err != nil {
 		b.Fatal(err)

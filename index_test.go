@@ -30,13 +30,12 @@ import (
 // the apply path (a load livelock, not a logic failure).
 func indexConfig(shards int) weaver.Config {
 	return weaver.Config{
-		Gatekeepers:  2,
-		Shards:       shards,
-		GCPeriod:     3 * time.Millisecond,
-		ProgTimeout:  30 * time.Second,
-		Directory:    weaver.NewMappedDirectory(shards),
-		ShardWorkers: 2,
-		Indexes:      []weaver.IndexSpec{{Key: "city"}},
+		Gatekeepers: 2,
+		Shards:      shards,
+		GCPeriod:    3 * time.Millisecond,
+		ProgTimeout: 30 * time.Second,
+		Directory:   weaver.NewMappedDirectory(shards),
+		Indexes:     []weaver.IndexSpec{{Key: "city"}},
 	}
 }
 

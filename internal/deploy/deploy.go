@@ -36,7 +36,6 @@ type Spec struct {
 	ProgTimeout      time.Duration
 
 	MaxShardVertices int
-	ShardWorkers     int
 	Indexes          []index.Spec
 
 	WALPath        string
@@ -82,7 +81,6 @@ func (s Spec) NewShard(i int, epoch uint64, ep transport.Endpoint, kv kvstore.Ba
 		Epoch:           epoch,
 		HeartbeatPeriod: cluster.BeatPeriod(s.HeartbeatTimeout),
 		MaxVertices:     s.MaxShardVertices,
-		Workers:         s.ShardWorkers,
 		Indexes:         s.Indexes,
 		Obs:             o,
 	}, ep, kv, orc, reg, dir)

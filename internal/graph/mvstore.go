@@ -64,15 +64,12 @@ func (c *chain) latest() *Vertex {
 // every object is versioned, readers never block on logical conflicts —
 // the lock only protects physical map/slice structure.
 //
-// Locking discipline for parallel apply: operations that may insert a new
-// chain into the map (create_vertex, Load) take the write lock; every
-// other Apply mutates exactly one existing chain and takes only the read
-// lock. That makes concurrent Apply calls safe if and only if their vertex
-// footprints are disjoint (see Footprint) — the shard's conflict-aware
-// batch selection guarantees this, and its batch barrier guarantees
-// node-program View reads never overlap an in-flight batch. Callers
-// outside the shard event loop must not read chains (View, Vertex) while
-// a concurrent Apply is possible.
+// Chains have a single writer: the shard event loop applies transactions
+// and runs node-program reads between them. Operations that change the map
+// (create_vertex, Load, Detach/Attach, GC) take the write lock; every other
+// Apply mutates one existing chain under the read lock. Other goroutines
+// touch only the map, under the lock (NumVertices for Stats), or run behind
+// a fence with applies quiesced (Install, Detach/Attach).
 type Store struct {
 	mu       sync.RWMutex
 	vertices map[VertexID]*chain
@@ -94,10 +91,6 @@ func (s *Store) NumVertices() int {
 // timestamp ts. Operations arrive pre-validated by the gatekeeper against
 // the backing store (§4.2), so failures here indicate an ordering bug; they
 // are returned for the shard to surface loudly.
-// Concurrent Apply calls are permitted only for operations with disjoint
-// vertex footprints: create_vertex takes the exclusive lock (it may insert
-// into the vertex map), all other kinds mutate a single existing chain
-// under the shared lock.
 func (s *Store) Apply(op Op, ts core.Timestamp) error {
 	if op.Kind == OpCreateVertex {
 		s.mu.Lock()
@@ -111,10 +104,9 @@ func (s *Store) Apply(op Op, ts core.Timestamp) error {
 
 // ApplyTx applies one whole transaction under a single lock acquisition —
 // the shard apply hot path. The exclusive lock is taken only when the
-// transaction may insert into the vertex map (create_vertex); otherwise
-// concurrent ApplyTx calls with disjoint footprints run fully in parallel
-// under the shared lock. Failed operations are reported through onErr;
-// the return value counts successful applies.
+// transaction may insert into the vertex map (create_vertex). Failed
+// operations are reported through onErr; the return value counts
+// successful applies.
 func (s *Store) ApplyTx(ops []Op, ts core.Timestamp, onErr func(Op, error)) int {
 	exclusive := false
 	for i := range ops {
@@ -144,7 +136,7 @@ func (s *Store) ApplyTx(ops []Op, ts core.Timestamp, onErr func(Op, error)) int 
 }
 
 // applyLocked executes one operation; the caller holds mu (exclusively for
-// create_vertex, shared otherwise — see Store's locking discipline).
+// create_vertex, shared otherwise).
 func (s *Store) applyLocked(op Op, ts core.Timestamp) error {
 	if ch := s.vertices[op.Vertex]; ch != nil && !ch.loadedAt.Zero() {
 		if cmp := ts.Compare(ch.loadedAt); cmp == core.Before || cmp == core.Equal {

@@ -34,12 +34,10 @@
 // store at the same timestamp.
 //
 // Maintenance rides the shard apply path: ApplyTx consumes the same
-// operation stream the graph store applies, under the same
-// footprint-conflict contract — operations on the same vertex arrive in
-// refined timestamp order (conflicting transactions are never batched
-// together), while operations on disjoint vertices may arrive
-// concurrently from the apply worker pool; brief per-key mutexes make the
-// shared structures safe, and disjoint-vertex updates commute.
+// operation stream the graph store applies, from the same single writer
+// (the shard event loop), in refined timestamp order. The per-key mutexes
+// guard the shared structures against readers on other goroutines (Stats,
+// fence-time Detach/Attach).
 //
 // The index mirrors the graph store's record-install semantics: vertices
 // installed wholesale from backing-store records (recovery, bulk ingest,
@@ -162,10 +160,8 @@ func (ix *Index) Keys() []string {
 }
 
 // ApplyTx feeds one applied transaction's operations into the index,
-// stamped with the transaction timestamp. Safe for concurrent use with
-// other ApplyTx calls whose vertex footprints are disjoint (the shard's
-// conflict-aware batching guarantees same-vertex operations arrive in
-// refined timestamp order).
+// stamped with the transaction timestamp. The shard event loop is the only
+// caller and delivers transactions in refined timestamp order.
 func (ix *Index) ApplyTx(ops []graph.Op, ts core.Timestamp) {
 	if ix == nil {
 		return

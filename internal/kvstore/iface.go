@@ -32,32 +32,7 @@ type Txn interface {
 	Abort()
 }
 
-// Checkpointer is the optional Backing extension for snapshot-based
-// checkpointing (implemented by *Store; not by remote clients, where the
-// store's own process checkpoints).
-type Checkpointer interface {
-	// Checkpoint snapshots the store and truncates the WAL.
-	Checkpoint() (CheckpointStats, error)
-}
-
-// BulkWriter is the optional Backing extension for bulk ingest: direct
-// installs that bypass OCC and per-record logging (Cluster.BulkLoad).
-type BulkWriter interface {
-	// BulkPut installs the pairs, overwriting existing keys.
-	BulkPut(kvs []KV)
-}
-
-// Recoverer is the optional Backing extension reporting how the store was
-// rebuilt at open (snapshot restored + WAL tail replayed).
-type Recoverer interface {
-	// Recovery reports the open-time recovery work.
-	Recovery() RecoveryStats
-}
-
-var _ Backing = (*storeBacking)(nil)
-var _ Checkpointer = (*storeBacking)(nil)
-var _ BulkWriter = (*storeBacking)(nil)
-var _ Recoverer = (*storeBacking)(nil)
+var _ Backing = storeBacking{}
 
 // storeBacking adapts *Store to Backing (Begin returns the concrete *Tx).
 type storeBacking struct{ *Store }

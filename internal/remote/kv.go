@@ -14,56 +14,19 @@ import (
 // KVServer exposes a kvstore over the fabric. One instance serves every
 // gatekeeper and recovering shard in the deployment.
 type KVServer struct {
-	ep    transport.Endpoint
+	*server[wire.KVReq, wire.KVResp]
 	store *kvstore.Store
 
 	mu     sync.Mutex
 	nextTx uint64
 	txs    map[uint64]*kvstore.Tx
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // NewKVServer wraps store behind the endpoint.
 func NewKVServer(ep transport.Endpoint, store *kvstore.Store) *KVServer {
-	return &KVServer{
-		ep:    ep,
-		store: store,
-		txs:   make(map[uint64]*kvstore.Tx),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-}
-
-// Start launches the serve loop.
-func (s *KVServer) Start() { go s.run() }
-
-// Stop terminates the serve loop.
-func (s *KVServer) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-func (s *KVServer) run() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.ep.Recv():
-			for {
-				msg, ok := s.ep.Next()
-				if !ok {
-					break
-				}
-				if req, ok := msg.Payload.(wire.KVReq); ok {
-					s.ep.Send(msg.From, s.handle(req))
-				}
-			}
-		}
-	}
+	s := &KVServer{store: store, txs: make(map[uint64]*kvstore.Tx)}
+	s.server = newServer(ep, s.handle)
+	return s
 }
 
 func (s *KVServer) tx(id uint64) (*kvstore.Tx, error) {

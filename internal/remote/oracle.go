@@ -14,59 +14,15 @@ import (
 
 // OracleServer exposes a timeline oracle over the fabric.
 type OracleServer struct {
-	ep  transport.Endpoint
+	*server[wire.OracleReq, wire.OracleResp]
 	orc oracle.Client
-
-	stop     chan struct{}
-	stopOnce func()
-	done     chan struct{}
 }
 
 // NewOracleServer wraps orc (direct or chain-replicated) behind ep.
 func NewOracleServer(ep transport.Endpoint, orc oracle.Client) *OracleServer {
-	stop := make(chan struct{})
-	var once bool
-	return &OracleServer{
-		ep:   ep,
-		orc:  orc,
-		stop: stop,
-		stopOnce: func() {
-			if !once {
-				once = true
-				close(stop)
-			}
-		},
-		done: make(chan struct{}),
-	}
-}
-
-// Start launches the serve loop.
-func (s *OracleServer) Start() { go s.run() }
-
-// Stop terminates it.
-func (s *OracleServer) Stop() {
-	s.stopOnce()
-	<-s.done
-}
-
-func (s *OracleServer) run() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.ep.Recv():
-			for {
-				msg, ok := s.ep.Next()
-				if !ok {
-					break
-				}
-				if req, ok := msg.Payload.(wire.OracleReq); ok {
-					s.ep.Send(msg.From, s.handle(req))
-				}
-			}
-		}
-	}
+	s := &OracleServer{orc: orc}
+	s.server = newServer(ep, s.handle)
+	return s
 }
 
 func (s *OracleServer) handle(req wire.OracleReq) wire.OracleResp {

@@ -14,59 +14,15 @@ import (
 // manager replicas can vote on epoch log entries across processes. Each
 // weaverd manager process runs one (cmd/weaverd -role manager).
 type AcceptorServer struct {
-	ep  transport.Endpoint
+	*server[wire.PaxosReq, wire.PaxosResp]
 	acc *paxos.Acceptor
-
-	stop     chan struct{}
-	stopOnce func()
-	done     chan struct{}
 }
 
 // NewAcceptorServer wraps acc behind ep.
 func NewAcceptorServer(ep transport.Endpoint, acc *paxos.Acceptor) *AcceptorServer {
-	stop := make(chan struct{})
-	var once bool
-	return &AcceptorServer{
-		ep:   ep,
-		acc:  acc,
-		stop: stop,
-		stopOnce: func() {
-			if !once {
-				once = true
-				close(stop)
-			}
-		},
-		done: make(chan struct{}),
-	}
-}
-
-// Start launches the serve loop.
-func (s *AcceptorServer) Start() { go s.run() }
-
-// Stop terminates it.
-func (s *AcceptorServer) Stop() {
-	s.stopOnce()
-	<-s.done
-}
-
-func (s *AcceptorServer) run() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.ep.Recv():
-			for {
-				msg, ok := s.ep.Next()
-				if !ok {
-					break
-				}
-				if req, ok := msg.Payload.(wire.PaxosReq); ok {
-					s.ep.Send(msg.From, s.handle(req))
-				}
-			}
-		}
-	}
+	s := &AcceptorServer{acc: acc}
+	s.server = newServer(ep, s.handle)
+	return s
 }
 
 func (s *AcceptorServer) handle(req wire.PaxosReq) wire.PaxosResp {

@@ -77,6 +77,47 @@ func (c *caller) recvLoop() {
 	}
 }
 
+// server is the serve loop every fabric server runs: answer each Req that
+// arrives on ep with handle's reply, until Stop.
+type server[Req, Resp any] struct {
+	ep     transport.Endpoint
+	handle func(Req) Resp
+
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
+}
+
+func newServer[Req, Resp any](ep transport.Endpoint, handle func(Req) Resp) *server[Req, Resp] {
+	return &server[Req, Resp]{ep: ep, handle: handle, stop: make(chan struct{}), done: make(chan struct{})}
+}
+
+// Start launches the serve loop.
+func (s *server[Req, Resp]) Start() { go s.run() }
+
+// Stop terminates the serve loop; safe to call more than once, from any
+// goroutine.
+func (s *server[Req, Resp]) Stop() {
+	s.stopOnce.Do(func() { close(s.stop) })
+	<-s.done
+}
+
+func (s *server[Req, Resp]) run() {
+	defer close(s.done)
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-s.ep.Recv():
+			for msg, ok := s.ep.Next(); ok; msg, ok = s.ep.Next() {
+				if req, ok := msg.Payload.(Req); ok {
+					s.ep.Send(msg.From, s.handle(req))
+				}
+			}
+		}
+	}
+}
+
 // responseID extracts the correlation ID from a response payload.
 func responseID(payload any) (uint64, any) {
 	switch r := payload.(type) {

@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"weaver/internal/nodeprog"
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
+	"weaver/internal/paxos"
 	"weaver/internal/shard"
 	"weaver/internal/transport"
 )
@@ -218,5 +220,40 @@ func TestTCPDeployment(t *testing.T) {
 	// Semantic validation still enforced through the remote store.
 	if _, err := gk.CommitTx(nil, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "a"}}); !errors.Is(err, gatekeeper.ErrInvalid) {
 		t.Fatalf("duplicate create over TCP: %v", err)
+	}
+}
+
+// TestServerStopTwiceConcurrently: a shutdown signal racing a deferred stop
+// calls Stop from two goroutines at once; every server must close its stop
+// channel exactly once and both calls must return. Run with -race.
+func TestServerStopTwiceConcurrently(t *testing.T) {
+	type server interface {
+		Start()
+		Stop()
+	}
+	for name, mk := range map[string]func(transport.Endpoint) server{
+		"kv":       func(ep transport.Endpoint) server { return NewKVServer(ep, kvstore.New()) },
+		"oracle":   func(ep transport.Endpoint) server { return NewOracleServer(ep, oracle.NewService()) },
+		"acceptor": func(ep transport.Endpoint) server { return NewAcceptorServer(ep, paxos.NewAcceptor()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fabric := transport.NewFabric()
+			for i := 0; i < 20; i++ {
+				srv := mk(fabric.Endpoint(transport.Addr(fmt.Sprintf("%s/%d", name, i))))
+				srv.Start()
+				gate := make(chan struct{})
+				var wg sync.WaitGroup
+				for j := 0; j < 2; j++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-gate
+						srv.Stop()
+					}()
+				}
+				close(gate)
+				wg.Wait()
+			}
+		})
 	}
 }

@@ -43,8 +43,8 @@ type VertexHeat struct {
 }
 
 // heatMap is the shard-local score table. It has its own lock (not the
-// event loop's state): writes come from the apply worker pool, visits from
-// the event loop, and reads from the cluster's rebalancer goroutine.
+// event loop's state): writes and visits come from the event loop, reads
+// from the cluster's rebalancer goroutine.
 // Callers batch additions (addMany) so the hot paths pay one acquisition
 // per transaction or program batch, not one per operation.
 type heatMap struct {

@@ -11,7 +11,6 @@ type obsMetrics struct {
 	tracer    *obs.Tracer
 	queueWait *obs.Histogram // weaver_shard_queue_wait_seconds
 	applyDur  *obs.Histogram // weaver_shard_apply_seconds
-	batchTx   *obs.Histogram // weaver_shard_batch_txns (per-batch size)
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
@@ -19,6 +18,5 @@ func newObsMetrics(r *obs.Registry) obsMetrics {
 		tracer:    r.Tracer(),
 		queueWait: r.LatencyHistogram("weaver_shard_queue_wait_seconds"),
 		applyDur:  r.LatencyHistogram("weaver_shard_apply_seconds"),
-		batchTx:   r.SizeHistogram("weaver_shard_batch_txns"),
 	}
 }

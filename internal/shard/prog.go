@@ -18,7 +18,7 @@ import (
 // shard has applied everything at or before its read timestamp (§4.1), is
 // refused with a typed error if that timestamp is behind the GC watermark
 // (§4.5), and otherwise evaluates under the visibility predicate built from
-// it. Reads run on the event loop between apply batches, so they never
+// it. Reads run on the event loop between transactions, so they never
 // observe a half-applied transaction.
 
 // pendingRead is one read waiting at the gate; exactly one of hops and
@@ -198,7 +198,7 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		if !ok && s.paging && !s.g.Has(hop.Vertex) {
 			// Demand paging, fault half (§6.1): the vertex may have
 			// been evicted; reload its committed record.
-			if s.pageIn(hop.Vertex) {
+			if s.pageIn(hop.Vertex) != nil {
 				vv, _ = view.Vertex(hop.Vertex)
 			}
 		}

@@ -11,15 +11,9 @@
 // other queue's head orders after it (consulting the timeline oracle for
 // concurrent pairs — decisions are cached, §4.2) or is empty with a
 // frontier already past it. NOPs never enqueue; they only advance the
-// frontier (§4.2).
-//
-// Execution is conflict-aware parallel (see batch.go): after the earliest
-// executable head is found, further executable heads with disjoint vertex
-// footprints join the same batch and apply concurrently on a worker pool
-// (Config.Workers); conflicting transactions land in separate batches and
-// therefore still apply in timestamp order. Each applied transaction is
-// acknowledged to its gatekeeper with a TxApplied message, enabling
-// cluster-wide apply fences (gatekeeper Quiesce).
+// frontier (§4.2). Each applied transaction is acknowledged to its
+// gatekeeper with a TxApplied message, enabling cluster-wide apply fences
+// (gatekeeper Quiesce).
 //
 // Reads — node-program hops and index lookups alike (§4.1, prog.go) — wait
 // until every frontier and every queued transaction is strictly after the
@@ -74,10 +68,6 @@ type Config struct {
 	// and edges from HyperDex Warp in to the memory of Weaver shards").
 	// 0 = unlimited, no paging.
 	MaxVertices int
-	// Workers sets the apply worker-pool size for conflict-aware parallel
-	// transaction execution (batch.go). 0 or 1 applies serially on the
-	// event loop, exactly as the original single-goroutine design.
-	Workers int
 	// Indexes declares the secondary property indexes this shard
 	// maintains over its partition (internal/index); must be identical
 	// across all shards of a cluster. Empty = no indexes.
@@ -92,8 +82,7 @@ type Stats struct {
 	TxExecuted     uint64
 	OpsApplied     uint64
 	ApplyErrors    uint64
-	ApplyBatches   uint64 // conflict-free batches executed (parallel or inline)
-	MaxBatchTx     uint64 // largest batch selected so far
+	ApplyBatches   uint64 // == TxExecuted: the event loop applies one transaction at a time
 	OrderFallbacks uint64 // barrier drains of conflicting txs without proven order (oracle down)
 	NopsSeen       uint64
 	ProgVisits     uint64
@@ -163,7 +152,6 @@ type Shard struct {
 	// resequencers.
 	epoch uint64
 
-	pool     *workerPool
 	heat     *heatMap
 	pagedIn  atomic.Uint64
 	pagedOut atomic.Uint64
@@ -177,8 +165,6 @@ type Shard struct {
 	txExecuted     atomic.Uint64
 	opsApplied     atomic.Uint64
 	applyErrors    atomic.Uint64
-	applyBatches   atomic.Uint64
-	maxBatchTx     atomic.Uint64
 	orderFallbacks atomic.Uint64
 	nopsSeen       atomic.Uint64
 	progVisits     atomic.Uint64
@@ -191,15 +177,9 @@ type Shard struct {
 	indexLookups   atomic.Uint64
 }
 
-const (
-	// maxBatch caps how many mutually non-conflicting transactions one
-	// parallel apply batch may contain, bounding the latency of the batch
-	// barrier.
-	maxBatch = 256
-	// maxCascade bounds one batch's local visit cascade (safety valve
-	// against non-terminating programs).
-	maxCascade = 1 << 22
-)
+// maxCascade bounds one batch's local visit cascade (safety valve against
+// non-terminating programs).
+const maxCascade = 1 << 22
 
 // New wires a shard server to its endpoint, backing store, oracle, program
 // registry and directory. Call Recover (or InstallRecovered) to load its
@@ -254,8 +234,7 @@ func (s *Shard) Stats() Stats {
 		TxExecuted:     s.txExecuted.Load(),
 		OpsApplied:     s.opsApplied.Load(),
 		ApplyErrors:    s.applyErrors.Load(),
-		ApplyBatches:   s.applyBatches.Load(),
-		MaxBatchTx:     s.maxBatchTx.Load(),
+		ApplyBatches:   s.txExecuted.Load(),
 		OrderFallbacks: s.orderFallbacks.Load(),
 		NopsSeen:       s.nopsSeen.Load(),
 		ProgVisits:     s.progVisits.Load(),
@@ -385,12 +364,8 @@ func (s *Shard) indexRecords(recs []*graph.VertexRecord) {
 	}
 }
 
-// Start launches the event loop, the apply worker pool (Config.Workers),
-// and the heartbeat ticker, if configured.
+// Start launches the event loop and the heartbeat ticker, if configured.
 func (s *Shard) Start() {
-	if s.cfg.Workers > 1 {
-		s.pool = newWorkerPool(s, s.cfg.Workers)
-	}
 	go s.run()
 	if s.cfg.HeartbeatPeriod > 0 {
 		go func() {
@@ -467,14 +442,14 @@ func (s *Shard) drainAllQueued() {
 			// order() answers Concurrent only when the oracle is
 			// unreachable; the barrier must still terminate (the whole
 			// cluster is blocked on it), so we fall back to keeping the
-			// current candidate — safe for disjoint footprints (the
-			// transactions commute) and surfaced loudly for conflicting
-			// ones, where arbitrary order could misorder versions.
+			// current candidate — safe when the two write-sets share no
+			// vertex (they commute) and surfaced loudly when they do,
+			// where arbitrary order could misorder versions.
 			switch s.order(s.queues[gk][0].ts, s.queues[best][0].ts) {
 			case core.Before:
 				best = gk
 			case core.Concurrent:
-				if graph.FootprintOf(s.queues[gk][0].ops).OverlapsOps(s.queues[best][0].ops) {
+				if sharesVertex(s.queues[gk][0].ops, s.queues[best][0].ops) {
 					s.orderFallbacks.Add(1)
 					if !warned {
 						warned = true
@@ -492,19 +467,28 @@ func (s *Shard) drainAllQueued() {
 		h := s.queues[best][0]
 		s.queues[best] = s.queues[best][1:]
 		s.apply(h)
-		acks.add([]queued{h})
+		acks.add(h.ts)
 	}
 }
 
-// Stop terminates the event loop and the worker pool.
+// sharesVertex reports whether two write-sets mutate a common vertex (every
+// operation, edge operations included, mutates exactly op.Vertex's chain).
+func sharesVertex(a, b []graph.Op) bool {
+	for i := range a {
+		for j := range b {
+			if a[i].Vertex == b[j].Vertex {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Stop terminates the event loop; idempotent (failure injection, then
+// Close).
 func (s *Shard) Stop() {
 	s.stopOnce()
 	<-s.done
-	// The event loop has exited, so no batch is in flight and nothing can
-	// submit more work.
-	if s.pool != nil {
-		s.pool.stop()
-	}
 }
 
 func (s *Shard) run() {
@@ -623,25 +607,33 @@ func (s *Shard) ingest(ts core.Timestamp, seq uint64, ops []graph.Op, at time.Ti
 	}
 }
 
-// pump drains all executable work: conflict-free batches of transactions
-// (timestamp order across conflicting pairs, parallel within a batch —
-// see batch.go), then any reads that have become ready.
+// pump drains all executable work: transactions one at a time, always the
+// earliest executable head (§4.1–4.2), then any reads that have become
+// ready.
 func (s *Shard) pump() {
-	limit := 1
-	if s.pool != nil {
-		limit = maxBatch
-	}
 	var acks ackSet
 	for {
-		batch := s.selectBatch(limit)
-		if len(batch) == 0 {
+		h, ok := s.nextExecutable()
+		if !ok {
 			break
 		}
-		s.applyBatch(batch)
-		acks.add(batch)
+		s.apply(h)
+		acks.add(h.ts)
 	}
 	acks.flush(s)
 	s.runReadyReads()
+}
+
+// nextExecutable pops the executable queue head, if any. At most one head
+// is executable at a time: it orders before every other head.
+func (s *Shard) nextExecutable() (queued, bool) {
+	for gk, q := range s.queues {
+		if len(q) > 0 && s.executable(q[0].ts, gk) {
+			s.queues[gk] = q[1:]
+			return q[0], true
+		}
+	}
+	return queued{}, false
 }
 
 // executable reports whether the transaction at ts (head of queue hgk) is
@@ -693,8 +685,7 @@ func (s *Shard) order(a, b core.Timestamp) core.Order {
 }
 
 // apply executes one transaction with its queue-wait/apply instrumentation
-// around applyOps. It runs on the event loop or a pool worker; trace
-// methods are safe from either. The shard's trace token (registered by the
+// around applyOps. The shard's trace token (registered by the
 // gatekeeper's Expect before the forward was sent) is released here — the
 // last release across all involved shards completes the trace.
 func (s *Shard) apply(q queued) {
@@ -714,59 +705,61 @@ func (s *Shard) apply(q queued) {
 }
 
 // applyOps executes one transaction's operations against the multi-version
-// graph. Operations were validated at the backing store (§4.2); a failure
-// here is an ordering bug and is surfaced loudly.
-//
-// With demand paging, an operation may target an evicted vertex: the
-// backing-store record — which already includes this transaction's effects,
-// stamped with its timestamp (commits reach the store before shards) — is
-// paged back in, and the transaction's remaining operations on that vertex
-// are skipped to avoid double application.
+// graph and the secondary indexes, which consume the same delta stream.
+// Operations were validated at the backing store (§4.2); a failure here is
+// an ordering bug and is surfaced loudly.
 func (s *Shard) applyOps(q queued) {
 	s.heat.addOps(q.ops)
-	if !s.paging {
-		// Hot path: the whole transaction under one store-lock
-		// acquisition, counters batched per transaction.
-		n := s.g.ApplyTx(q.ops, q.ts, func(op graph.Op, err error) {
-			s.reportApplyErr(op, q.ts, err)
-		})
-		// The secondary indexes consume the same delta stream under the
-		// same footprint contract: same-vertex operations arrive in
-		// timestamp order, disjoint-vertex ones may arrive concurrently
-		// from the worker pool (the index commutes them).
-		s.idx.ApplyTx(q.ops, q.ts)
-		s.opsApplied.Add(uint64(n))
-		s.txExecuted.Add(1)
-		return
+	ops := q.ops
+	if s.paging {
+		ops = s.faultIn(ops)
 	}
-	var paged map[graph.VertexID]bool
-	for _, op := range q.ops {
-		if paged[op.Vertex] {
-			s.opsApplied.Add(1)
+	// The whole transaction under one store-lock acquisition, counters
+	// batched per transaction.
+	n := s.g.ApplyTx(ops, q.ts, func(op graph.Op, err error) {
+		s.reportApplyErr(op, q.ts, err)
+	})
+	s.idx.ApplyTx(ops, q.ts)
+	s.opsApplied.Add(uint64(n + len(q.ops) - len(ops)))
+	s.txExecuted.Add(1)
+}
+
+// faultIn is the apply half of demand paging (§6.1): it pages in every
+// vertex ops touch that is not resident — unless the transaction itself
+// creates it first — and returns the operations left to apply. Commits
+// reach the store before shards, so a record fetched here already covers
+// this transaction: its operations on that vertex are dropped, counted as
+// applied. The drop is by vertex, not by timestamp — a later commit may
+// have restamped the record with a LastTS that only the oracle orders
+// after this transaction. A tombstone loads nothing but still closes the
+// vertex in the index, whose postings stay resident.
+func (s *Shard) faultIn(ops []graph.Op) []graph.Op {
+	covered := make(map[graph.VertexID]bool, len(ops)) // vertex → record fetched just now
+	fetched := false
+	for _, op := range ops {
+		if _, seen := covered[op.Vertex]; seen {
 			continue
 		}
+		var rec *graph.VertexRecord
 		if op.Kind != graph.OpCreateVertex && !s.g.Has(op.Vertex) {
-			if s.pageIn(op.Vertex) {
-				// The paged-in record already includes this
-				// transaction's effects; InsertRecord inside pageIn
-				// reconciled the index to it, and the index's own
-				// record watermark suppresses the skipped operations.
-				if paged == nil {
-					paged = make(map[graph.VertexID]bool)
-				}
-				paged[op.Vertex] = true
-				s.opsApplied.Add(1)
-				continue
-			}
+			rec = s.pageIn(op.Vertex)
 		}
-		if err := s.g.Apply(op, q.ts); err != nil {
-			s.reportApplyErr(op, q.ts, err)
-		} else {
-			s.opsApplied.Add(1)
+		if rec != nil && rec.Deleted {
+			s.idx.Apply(graph.Op{Kind: graph.OpDeleteVertex, Vertex: op.Vertex}, rec.LastTS)
 		}
-		s.idx.Apply(op, q.ts)
+		covered[op.Vertex] = rec != nil
+		fetched = fetched || rec != nil
 	}
-	s.txExecuted.Add(1)
+	if !fetched {
+		return ops
+	}
+	keep := make([]graph.Op, 0, len(ops))
+	for _, op := range ops {
+		if !covered[op.Vertex] {
+			keep = append(keep, op)
+		}
+	}
+	return keep
 }
 
 // reportApplyErr counts and surfaces an apply failure (an ordering bug —
@@ -776,22 +769,24 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 	fmt.Fprintf(os.Stderr, "weaver shard %d: apply %v at %v: %v\n", s.cfg.ID, op.Kind, ts, err)
 }
 
-// pageIn faults one vertex record from the backing store into the
-// in-memory graph (§6.1). Returns false when the record is absent, deleted,
-// or homed elsewhere.
-func (s *Shard) pageIn(v graph.VertexID) bool {
+// pageIn fetches one vertex record from the backing store and, unless it is
+// a tombstone, faults it into the in-memory graph and the index (§6.1).
+// Returns nil when the record is absent or homed elsewhere.
+func (s *Shard) pageIn(v graph.VertexID) *graph.VertexRecord {
 	data, _, found := s.kv.GetVersioned(graph.VertexKey(v))
 	if !found {
-		return false
+		return nil
 	}
 	rec, err := graph.DecodeRecord(data)
-	if err != nil || rec.Deleted || rec.Shard != s.cfg.ID {
-		return false
+	if err != nil || rec.Shard != s.cfg.ID {
+		return nil
 	}
-	s.g.Load(rec)
-	s.idx.InsertRecord(rec)
-	s.pagedIn.Add(1)
-	return true
+	if !rec.Deleted {
+		s.g.Load(rec)
+		s.idx.InsertRecord(rec)
+		s.pagedIn.Add(1)
+	}
+	return rec
 }
 
 // maybeGC prunes graph versions once a watermark report from every

@@ -115,7 +115,6 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 		"weaver_client_tx_seconds",
 		"weaver_shard_queue_wait_seconds",
 		"weaver_shard_apply_seconds",
-		"weaver_shard_batch_txns",
 		"weaver_wal_fsync_seconds",
 		"weaver_wal_group_commit_txns",
 	} {

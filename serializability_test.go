@@ -1,10 +1,7 @@
 // Strict-serializability stress suite: N concurrent clients run randomized
 // read-modify-write transactions against a multi-gatekeeper, multi-shard
 // cluster, and a checker validates the committed history against a
-// sequential model. It runs with the shard apply path both serial and
-// parallel (conflict-aware batches on a worker pool), since the parallel
-// path is exactly where an ordering bug would corrupt the multi-version
-// graph.
+// sequential model.
 //
 // Workload model: M register vertices each hold an integer property "n".
 // Every transaction reads one or two registers (recording the OCC read
@@ -44,17 +41,6 @@ type stressTx struct {
 	begin time.Time
 	end   time.Time
 	reads map[weaver.VertexID]int // value observed per incremented register
-}
-
-func runSerializabilityStress(t *testing.T, shardWorkers int) {
-	t.Helper()
-	runStressAndVerify(t, weaver.Config{
-		Gatekeepers:    3,
-		Shards:         3,
-		AnnouncePeriod: 200 * time.Microsecond,
-		NopPeriod:      100 * time.Microsecond,
-		ShardWorkers:   shardWorkers,
-	}, nil)
 }
 
 // chaosFn runs alongside the stress workload (background repartitioning,
@@ -307,27 +293,15 @@ func runStressAndVerify(t *testing.T, cfg weaver.Config, chaos chaosFn) {
 			t.Fatalf("register %q: backing store holds n=%q, want %q", reg(i), rec.Props["n"], want)
 		}
 	}
-
-	// The parallel path must actually have batched something when enabled.
-	if cfg.ShardWorkers > 1 {
-		var maxBatch uint64
-		for _, st := range c.Stats().Shards {
-			if st.MaxBatchTx > maxBatch {
-				maxBatch = st.MaxBatchTx
-			}
-		}
-		if maxBatch < 2 {
-			t.Logf("note: no multi-transaction batch formed (max=%d); workload may be too conflict-heavy", maxBatch)
-		}
-	}
 }
 
-func TestStrictSerializabilitySerialApply(t *testing.T) {
-	runSerializabilityStress(t, 0)
-}
-
-func TestStrictSerializabilityParallelApply(t *testing.T) {
-	runSerializabilityStress(t, 8)
+func TestStrictSerializability(t *testing.T) {
+	runStressAndVerify(t, weaver.Config{
+		Gatekeepers:    3,
+		Shards:         3,
+		AnnouncePeriod: 200 * time.Microsecond,
+		NopPeriod:      100 * time.Microsecond,
+	}, nil)
 }
 
 // TestStrictSerializabilityUnderMigration runs the full stress workload
@@ -342,7 +316,6 @@ func TestStrictSerializabilityUnderMigration(t *testing.T) {
 		Shards:         3,
 		AnnouncePeriod: 200 * time.Microsecond,
 		NopPeriod:      100 * time.Microsecond,
-		ShardWorkers:   4,
 		Directory:      weaver.NewMappedDirectory(3),
 	}
 	shards := cfg.Shards
@@ -416,11 +389,10 @@ func TestStrictSerializabilityUnderMigration(t *testing.T) {
 	})
 }
 
-// TestParallelShardStopIdempotent guards the worker-pool lifecycle:
-// CrashShard (failure injection) followed by Close stops the same shard
-// twice, which must not double-close the pool's job channel.
-func TestParallelShardStopIdempotent(t *testing.T) {
-	c, err := weaver.Open(weaver.Config{Gatekeepers: 1, Shards: 2, ShardWorkers: 4})
+// TestShardStopIdempotent: CrashShard (failure injection) followed by Close
+// stops the same shard twice, which must not double-close its stop channel.
+func TestShardStopIdempotent(t *testing.T) {
+	c, err := weaver.Open(weaver.Config{Gatekeepers: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

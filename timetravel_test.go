@@ -227,7 +227,6 @@ func TestTimeTravelUnderConcurrentWritesMigrationAndGC(t *testing.T) {
 		AnnouncePeriod: 200 * time.Microsecond,
 		NopPeriod:      100 * time.Microsecond,
 		GCPeriod:       2 * time.Millisecond,
-		ShardWorkers:   4,
 		ProgTimeout:    10 * time.Second,
 		Directory:      weaver.NewMappedDirectory(3),
 	}

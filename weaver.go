@@ -25,21 +25,16 @@
 //     involved shards over per-shard FIFO channels; uninvolved shards
 //     receive a NOP advancing their frontier.
 //  3. Apply (shard): each shard's event loop executes forwarded
-//     transactions against its in-memory multi-version graph. Ordering is
-//     enforced only between conflicting transactions: the loop selects the
-//     earliest executable queue head, then keeps draining further
-//     executable transactions with disjoint vertex footprints into one
-//     batch, applied concurrently on a per-shard worker pool
-//     (Config.ShardWorkers). Conflicting transactions always land in
-//     separate batches and therefore apply in timestamp order. Shards
+//     transactions against its in-memory multi-version graph, one at a
+//     time, always the earliest executable head across its per-gatekeeper
+//     queues (§4.1–4.2); throughput scales by adding shards. Shards
 //     acknowledge each applied transaction to its gatekeeper; Quiesce
 //     blocks until every forwarded write-set has been acknowledged — an
 //     apply fence for benchmarks and tests that read shard state.
 //
 // Node programs wait until the shard has executed everything at or before
-// their timestamp, then read the multi-version graph at that timestamp;
-// parallel apply preserves this because programs only run at batch
-// boundaries.
+// their timestamp, then read the multi-version graph at that timestamp, on
+// the same event loop, between transactions.
 //
 // # Durability, checkpoints, and bulk ingest
 //
@@ -94,10 +89,9 @@
 // value range) as a strictly serializable snapshot read — and, through
 // Client.At, as of any retained past timestamp. RunProgramWhere starts a
 // node program from an index selector at one consistent snapshot. Index
-// maintenance rides the transaction apply path under the same
-// footprint-conflict contract; GC trims postings at the watermark that
-// trims graph history, migration moves them with the version chains, and
-// bulk ingest and recovery rebuild them from records. Postings stay
+// maintenance rides the transaction apply path; GC trims postings at the
+// watermark that trims graph history, migration moves them with the version
+// chains, and bulk ingest and recovery rebuild them from records. Postings stay
 // resident when demand paging evicts a cold vertex's graph history —
 // lookups answer for paged-out vertices without faulting them in, so
 // Config.MaxShardVertices bounds graph memory only.
@@ -227,12 +221,6 @@ type Config struct {
 	// once the GC watermark passes them and faulting them back in from
 	// the backing store on access. Requires GCPeriod. 0 = unlimited.
 	MaxShardVertices int
-	// ShardWorkers is each shard's apply worker-pool size for
-	// conflict-aware parallel transaction execution: mutually
-	// non-conflicting transactions (disjoint vertex footprints) apply
-	// concurrently, conflicting ones keep their timestamp order. 0 or 1
-	// applies serially on the shard event loop (the paper's design).
-	ShardWorkers int
 	// RebalanceInterval, when positive, runs the background heat-driven
 	// rebalancer (§4.6): every interval the hottest vertices across all
 	// shards are re-placed with the LDG streaming partitioner against
@@ -296,7 +284,6 @@ func (c Config) spec() deploy.Spec {
 		HeartbeatTimeout: c.HeartbeatTimeout,
 		ProgTimeout:      c.ProgTimeout,
 		MaxShardVertices: c.MaxShardVertices,
-		ShardWorkers:     c.ShardWorkers,
 		Indexes:          c.Indexes,
 		WALPath:          c.WALPath,
 		OracleReplicas:   c.OracleReplicas,
@@ -309,7 +296,8 @@ func (c Config) spec() deploy.Spec {
 type Cluster struct {
 	cfg       Config
 	fabric    *transport.Fabric
-	kv        kvstore.Backing
+	store     *kvstore.Store  // the embedded backing store
+	kv        kvstore.Backing // store, as the handle servers are built with
 	orc       oracle.Client
 	reg       *nodeprog.Registry
 	dir       partition.Directory
@@ -362,7 +350,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("weaver: open backing store: %w", err)
 	}
-	c.kv, c.orc = kvstore.AsBacking(st), orc
+	c.store, c.kv, c.orc = st, kvstore.AsBacking(st), orc
 	c.reg = nodeprog.NewRegistry()
 	c.dir = cfg.Directory
 	if c.dir == nil {
