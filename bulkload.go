@@ -179,7 +179,11 @@ func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLo
 		// drained, no concurrent transaction can slip a vertex in between the
 		// check and the install.
 		for _, v := range order {
-			if _, _, exists := c.kv.GetVersioned(graph.VertexKey(v)); exists {
+			_, _, exists, err := c.kv.GetVersioned(graph.VertexKey(v))
+			if err != nil {
+				return fmt.Errorf("weaver: bulk load: %w", err)
+			}
+			if exists {
 				return fmt.Errorf("%w: bulk load target vertex %q already exists", ErrInvalid, v)
 			}
 		}

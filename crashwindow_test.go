@@ -37,7 +37,7 @@ func TestMigrateBatchSerializesWithRecovery(t *testing.T) {
 	dst := (src + 1) % 2
 
 	recoverDone := make(chan error, 1)
-	c.testHookMigrateSnapshotted = func() {
+	c.testHookFenced = func() {
 		// The racy window: the batch holds its server snapshot. Kill the
 		// target shard and ask for recovery; it must NOT complete while
 		// the batch is in flight.
@@ -53,7 +53,7 @@ func TestMigrateBatchSerializesWithRecovery(t *testing.T) {
 	if _, err := c.MigrateBatch([]Move{{Vertex: "mover", Target: dst}}); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	c.testHookMigrateSnapshotted = nil
+	c.testHookFenced = nil
 
 	// The deferred recovery now runs; the reborn target shard reloads the
 	// batch's committed re-homing from the backing store.
@@ -97,7 +97,7 @@ func TestBulkLoadSerializesWithRecovery(t *testing.T) {
 
 	recoverDone := make(chan error, 1)
 	fenced := false
-	c.testHookMigrateSnapshotted = func() {
+	c.testHookFenced = func() {
 		// The racy window: the load holds its server snapshot. Kill a
 		// shard it is about to install into and ask for recovery; it must
 		// NOT complete while the load is in flight.
@@ -114,7 +114,7 @@ func TestBulkLoadSerializesWithRecovery(t *testing.T) {
 	if _, err := c.BulkLoad(load, nil); err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
-	c.testHookMigrateSnapshotted = nil
+	c.testHookFenced = nil
 	if !fenced {
 		t.Fatal("the bulk load never entered the shared stop-the-world fence")
 	}

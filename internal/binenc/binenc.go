@@ -1,10 +1,9 @@
 // Package binenc holds the length-prefixed binary encoding primitives
 // behind every codec in the tree: wire frames (internal/wire), vertex
-// records (internal/graph), index posting bundles (internal/index), WAL
-// records (internal/kvstore), the snapshot manifest (internal/snapshot),
-// oracle state transfer (internal/oracle) and the epoch log
-// (internal/cluster). It is the program's one encoding; only node-program
-// params/results (internal/nodeprog) still use gob.
+// records (internal/graph), WAL records (internal/kvstore), the snapshot
+// manifest (internal/snapshot), oracle state transfer (internal/oracle)
+// and the epoch log (internal/cluster). It is the program's one encoding;
+// only node-program params/results (internal/nodeprog) still use gob.
 //
 // Decoding is defensive — codecs face fuzzed and (in a distributed
 // deployment) network-supplied bytes: the Decoder's first framing error

@@ -120,6 +120,31 @@ func TestWriterInValidateLoadWindowConflicts(t *testing.T) {
 	}
 }
 
+// failReadBacking is a store whose point reads fail, as a remote store's do
+// when it times out.
+type failReadBacking struct{ kvstore.Backing }
+
+var errStoreDown = errors.New("store did not answer")
+
+func (failReadBacking) GetVersioned(string) ([]byte, uint64, bool, error) {
+	return nil, 0, false, errStoreDown
+}
+
+// A failed store read is never "absent": ReadVertex returns the error
+// instead of "no such vertex", and the planner's marker probe keeps the
+// shard instead of pruning one that may hold matches.
+func TestFailedStoreReadIsNeverAbsent(t *testing.T) {
+	f := transport.NewFabric()
+	gk := New(Config{ID: 0, NumGatekeepers: 1, NumShards: 1}, f.Endpoint(transport.GatekeeperAddr(0)),
+		failReadBacking{kvstore.AsBacking(kvstore.New())}, oracle.NewService(), partition.NewHash(1))
+	if rec, _, ok, err := gk.ReadVertex("v"); !errors.Is(err, errStoreDown) || ok || rec != nil {
+		t.Fatalf("ReadVertex over a failing store: rec=%+v ok=%v err=%v, want %v", rec, ok, err, errStoreDown)
+	}
+	if !gk.HasValue("city", "ithaca", 0) {
+		t.Fatal("HasValue pruned a shard on a failed marker read")
+	}
+}
+
 func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
 	r := newRig(t, 2, 1)
 	// Seed a vertex whose LastTS is a *concurrent* gk1 timestamp.

@@ -20,7 +20,8 @@ var markerValue = []byte{1}
 // markers are monotone (never deleted), so a cached positive can never go
 // stale. Negatives are NEVER cached: the whole point of reading the
 // catalog per query is catching a marker a concurrent committer published
-// a microsecond ago.
+// a microsecond ago. A catalog read that fails answers true: an extra
+// shard visit is never wrong, a pruned one drops results.
 func (g *Gatekeeper) HasValue(key, value string, shard int) bool {
 	mk := plan.MarkerKey(key, value, shard)
 	g.markerMu.RLock()
@@ -29,8 +30,8 @@ func (g *Gatekeeper) HasValue(key, value string, shard int) bool {
 	if have {
 		return true
 	}
-	if _, _, found := g.kv.GetVersioned(mk); !found {
-		return false
+	if _, _, found, err := g.kv.GetVersioned(mk); err != nil || !found {
+		return err != nil // a failed read is not cached either
 	}
 	g.markerMu.Lock()
 	g.markerHave[mk] = struct{}{}

@@ -23,11 +23,12 @@ const TempEdgePrefix = "~"
 // ReadVertex fetches the current committed record of a vertex from the
 // backing store, with the version to carry in a ReadCheck at commit.
 // Missing or deleted vertices return ok=false; the version is meaningful
-// either way and must still be validated at commit.
+// either way and must still be validated at commit. A store that does not
+// answer is an error, never a missing vertex.
 func (g *Gatekeeper) ReadVertex(v graph.VertexID) (rec *graph.VertexRecord, version uint64, ok bool, err error) {
-	data, version, found := g.kv.GetVersioned(graph.VertexKey(v))
-	if !found {
-		return nil, version, false, nil
+	data, version, found, err := g.kv.GetVersioned(graph.VertexKey(v))
+	if err != nil || !found {
+		return nil, version, false, err
 	}
 	rec, err = graph.DecodeRecord(data)
 	if err != nil {

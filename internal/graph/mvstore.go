@@ -374,22 +374,6 @@ func (s *Store) EvictBefore(watermark core.Timestamp, limit int) []VertexID {
 	return out
 }
 
-// Remove drops the entire resident version history of one vertex — the
-// source-shard half of vertex migration (§4.6). Like recovery and demand
-// paging, migration truncates history to the last committed record: the
-// backing store holds that record (now homed elsewhere), so dropping the
-// local chain leaves nothing unreachable to future readers, whose hops
-// route to the new home. Callers must guarantee no conflicting transaction
-// is applying and no node program is reading (gatekeepers paused, applies
-// quiesced, programs drained). Reports whether the vertex was resident.
-func (s *Store) Remove(v VertexID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.vertices[v]
-	delete(s.vertices, v)
-	return ok
-}
-
 // History is an opaque handle to one vertex's full resident version chain,
 // produced by Detach and consumed by Attach. It lets vertex migration move
 // the complete multi-version history between shard stores — so historical
@@ -400,16 +384,13 @@ type History struct {
 	ch *chain
 }
 
-// ID returns the vertex the history belongs to.
-func (h History) ID() VertexID { return h.id }
-
 // Detach removes the vertex's entire resident version chain from the store
 // and returns it for installation elsewhere (Attach). Ownership transfers
-// with the handle: nothing is copied, so the caller must guarantee — as
-// with Remove — that no transaction is applying and no node program is
-// reading on either store (migration runs behind the gatekeeper pause with
-// applies quiesced and programs drained). Returns ok=false if the vertex
-// has no resident versions (e.g. paged out).
+// with the handle: nothing is copied, so the caller must guarantee that no
+// transaction is applying and no node program is reading on either store
+// (migration runs behind the gatekeeper pause with applies quiesced and
+// programs drained). Returns ok=false if the vertex has no resident
+// versions (e.g. paged out).
 func (s *Store) Detach(v VertexID) (History, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -45,8 +45,8 @@
 // timestamp, and operations at or below that timestamp are skipped — the
 // record already includes them (see graph.Store.Load). GC trims postings
 // with the same watermark that trims graph history, and Detach/Attach
-// move a vertex's full posting history between shards alongside its
-// version chain during migration.
+// hand a vertex's full posting history, in memory, to the shard its
+// version chain migrates to.
 package index
 
 import (
@@ -616,28 +616,24 @@ func chainHasValue(ch []Posting, val string) bool {
 	return false
 }
 
-// Postings is a detached bundle of index history for a set of vertices,
-// produced by Detach and consumed by Attach (vertex migration, §4.6).
-// Keys maps property key → vertex → version chain; Lives carries the
-// vertices' incarnation lifetimes, Loaded their record-install
-// watermarks.
+// Postings is the detached index history of a set of vertices, produced
+// by Detach and consumed by Attach (vertex migration, §4.6); it moves
+// between shards in memory, never encoded. Keys maps property key →
+// vertex → version chain; Lives carries the vertices' incarnation
+// lifetimes, Loaded their record-install watermarks.
 type Postings struct {
 	Keys   map[string]map[graph.VertexID][]Posting
 	Lives  map[graph.VertexID][]Lifetime
 	Loaded map[graph.VertexID]core.Timestamp
 }
 
-// Empty reports whether the bundle carries nothing.
-func (p Postings) Empty() bool {
-	return len(p.Keys) == 0 && len(p.Lives) == 0 && len(p.Loaded) == 0
-}
-
 // Detach removes and returns the full index history (live and superseded
-// postings, incarnation lifetimes) of the given vertices, so migration
-// can move it alongside the graph version chains — historical lookups of
-// a migrated vertex keep answering at its new home. Callers must hold the
-// migration fence (gatekeepers paused, applies quiesced, read queries
-// drained) on both shards.
+// postings, incarnation lifetimes, record-install watermarks) of the given
+// vertices, so migration can hand it to the target shard alongside the
+// graph version chains (shard.Shard.Detach) — historical lookups of a
+// migrated vertex keep answering at its new home. Ownership transfers with
+// the value. Callers must hold the migration fence (gatekeepers paused,
+// applies quiesced, read queries drained) on both shards.
 func (ix *Index) Detach(ids []graph.VertexID) Postings {
 	if ix == nil || len(ids) == 0 {
 		return Postings{}

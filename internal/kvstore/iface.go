@@ -6,7 +6,8 @@ package kvstore
 // deployment, where HyperDex Warp is its own cluster (§3.2).
 type Backing interface {
 	// GetVersioned returns the current value and monotonic version of key.
-	GetVersioned(key string) (value []byte, version uint64, ok bool)
+	// A store that does not answer is an error, never "absent".
+	GetVersioned(key string) (value []byte, version uint64, ok bool, err error)
 	// Begin opens an optimistic multi-key transaction.
 	Begin() Txn
 	// ScanPrefix streams all live keys with the prefix (recovery, §4.3);
@@ -39,6 +40,12 @@ type storeBacking struct{ *Store }
 
 // Begin implements Backing.
 func (b storeBacking) Begin() Txn { return b.Store.Begin() }
+
+// GetVersioned implements Backing; an in-memory read cannot fail.
+func (b storeBacking) GetVersioned(key string) ([]byte, uint64, bool, error) {
+	v, ver, ok := b.Store.GetVersioned(key)
+	return v, ver, ok, nil
+}
 
 // AsBacking wraps the store in the Backing interface.
 func AsBacking(s *Store) Backing { return storeBacking{s} }

@@ -157,13 +157,17 @@ func (k *KVClient) call(req wire.KVReq) (wire.KVResp, error) {
 	return resp, nil
 }
 
-// GetVersioned implements kvstore.Backing.
-func (k *KVClient) GetVersioned(key string) ([]byte, uint64, bool) {
+// GetVersioned implements kvstore.Backing. A read the server never
+// answered is an error, never "absent".
+func (k *KVClient) GetVersioned(key string) ([]byte, uint64, bool, error) {
 	resp, err := k.call(wire.KVReq{Op: wire.KVGet, Key: key})
-	if err != nil {
-		return nil, 0, false
+	if err == nil {
+		err = respErr(resp.Err)
 	}
-	return resp.Value, resp.Version, resp.OK
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("remote: get %q: %w", key, err)
+	}
+	return resp.Value, resp.Version, resp.OK, nil
 }
 
 // ScanPrefix implements kvstore.Backing. A scan the server never answered

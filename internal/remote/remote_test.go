@@ -39,9 +39,9 @@ func TestKVRemoteRoundTrip(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	v, ver, ok := cl.GetVersioned("a")
-	if !ok || string(v) != "1" || ver == 0 {
-		t.Fatalf("get after commit: %q %d %v", v, ver, ok)
+	v, ver, ok, err := cl.GetVersioned("a")
+	if err != nil || !ok || string(v) != "1" || ver == 0 {
+		t.Fatalf("get after commit: %q %d %v %v", v, ver, ok, err)
 	}
 
 	// Conflicts map across the wire.
@@ -93,6 +93,19 @@ func TestScanWithoutStoreIsAnError(t *testing.T) {
 			t.Errorf("Recover against %s: recovered %d vertices with error %v, want %v", tc.store, n, err, tc.want)
 		}
 		cl.Close()
+	}
+}
+
+// A point read nobody answered is an error, never "absent": a gatekeeper
+// must not report a vertex missing, nor a planner prune a shard, because the
+// store timed out.
+func TestGetVersionedWithoutStoreIsAnError(t *testing.T) {
+	fabric := transport.NewFabric()
+	fabric.Endpoint("kv/silent") // a mailbox nobody serves
+	cl := NewKVClient(fabric.Endpoint("kvc/0"), "kv/silent", 20*time.Millisecond)
+	defer cl.Close()
+	if v, _, ok, err := cl.GetVersioned(graph.VertexKey("a")); !errors.Is(err, ErrTimeout) || ok || v != nil {
+		t.Fatalf("GetVersioned against a silent store: value=%q ok=%v err=%v, want ErrTimeout", v, ok, err)
 	}
 }
 

@@ -163,8 +163,3 @@ func (s *Shard) HeatTopK(k int) []VertexHeat {
 func (s *Shard) DecayHeat(factor float64) {
 	s.heat.decay(factor)
 }
-
-// ForgetHeat drops one vertex's heat (after it migrates away).
-func (s *Shard) ForgetHeat(v graph.VertexID) {
-	s.heat.forget(v)
-}

@@ -132,33 +132,3 @@ func foldBounds(ws []wire.Where) []keyInterval {
 	}
 	return keys
 }
-
-// DetachIndex removes and returns the encoded posting history of the
-// given vertices — the index half of vertex migration, the counterpart of
-// graph.Store.Detach. The bundle crosses the shard boundary in the wire
-// codec (index.EncodePostings) so the in-process cluster exercises the
-// same bytes a distributed deployment would ship. Returns nil when the
-// shard has no indexes or the vertices carry no postings. Callers must
-// hold the migration fence (gatekeepers paused, applies quiesced, read
-// queries drained) on both shards.
-func (s *Shard) DetachIndex(ids []graph.VertexID) []byte {
-	p := s.idx.Detach(ids)
-	if p.Empty() {
-		return nil
-	}
-	return index.EncodePostings(p)
-}
-
-// AttachIndex installs a posting bundle produced by another shard's
-// DetachIndex. The same fence contract as DetachIndex applies.
-func (s *Shard) AttachIndex(data []byte) error {
-	if len(data) == 0 || s.idx == nil {
-		return nil
-	}
-	p, err := index.DecodePostings(data)
-	if err != nil {
-		return fmt.Errorf("shard %d: attach index postings: %w", s.cfg.ID, err)
-	}
-	s.idx.Attach(p)
-	return nil
-}

@@ -338,9 +338,8 @@ func (s *Shard) raiseRecoveryHorizon(recs []*graph.VertexRecord) {
 // the caller must guarantee no conflicting transaction is applying —
 // gatekeepers paused and applies quiesced — because records land
 // visible wholesale at their stamped timestamp. Only for records that
-// carry their whole history (bulk ingest stamps new vertices; the
-// migration fallback re-homes what the source just handed over); records
-// read back from the store go through InstallRecovered.
+// carry their whole history, which bulk ingest's freshly stamped vertices
+// do; records read back from the store go through InstallRecovered.
 func (s *Shard) Install(recs []*graph.VertexRecord) int {
 	mine := recs[:0:0]
 	for _, rec := range recs {
@@ -354,7 +353,7 @@ func (s *Shard) Install(recs []*graph.VertexRecord) int {
 }
 
 // indexRecords rebuilds secondary-index state from installed records —
-// the index half of recovery, bulk ingest, and migration fallback.
+// the index half of recovery and bulk ingest.
 func (s *Shard) indexRecords(recs []*graph.VertexRecord) {
 	if s.idx == nil {
 		return
@@ -362,6 +361,42 @@ func (s *Shard) indexRecords(recs []*graph.VertexRecord) {
 	for _, rec := range recs {
 		s.idx.InsertRecord(rec)
 	}
+}
+
+// Moved is the shard state of vertices in transit between shards (vertex
+// migration, §4.6), handed from the source's Detach to the target's Attach
+// in memory: the resident version chains and the full posting history.
+type Moved struct {
+	chains []graph.History
+	// Postings is the moved index history, superseded values included.
+	Postings index.Postings
+}
+
+// Detach removes the given vertices from this shard: each resident version
+// chain, the full posting history (incarnation lifetimes and record-install
+// watermarks included) and the heat, whose activity belongs to the new home
+// from here on. A vertex with no resident chain was paged out (§6.1): only
+// its postings move, as they are never evicted, and the target faults it in
+// from its re-homed record on first access. Callers hold the stop-the-world
+// fence: gatekeepers paused, applies and reads drained on both shards.
+func (s *Shard) Detach(ids []graph.VertexID) Moved {
+	m := Moved{Postings: s.idx.Detach(ids)}
+	for _, v := range ids {
+		if h, ok := s.g.Detach(v); ok {
+			m.chains = append(m.chains, h)
+		}
+		s.heat.forget(v)
+	}
+	return m
+}
+
+// Attach installs vertices another shard's Detach removed, under the same
+// fence.
+func (s *Shard) Attach(m Moved) {
+	for _, h := range m.chains {
+		s.g.Attach(h)
+	}
+	s.idx.Attach(m.Postings)
 }
 
 // Start launches the event loop and the heartbeat ticker, if configured.
@@ -771,10 +806,10 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 
 // pageIn fetches one vertex record from the backing store and, unless it is
 // a tombstone, faults it into the in-memory graph and the index (§6.1).
-// Returns nil when the record is absent or homed elsewhere.
+// Returns nil when the record is absent, unreadable or homed elsewhere.
 func (s *Shard) pageIn(v graph.VertexID) *graph.VertexRecord {
-	data, _, found := s.kv.GetVersioned(graph.VertexKey(v))
-	if !found {
+	data, _, found, err := s.kv.GetVersioned(graph.VertexKey(v))
+	if err != nil || !found {
 		return nil
 	}
 	rec, err := graph.DecodeRecord(data)

@@ -10,34 +10,35 @@ package weaver
 //   - MigrateBatch moves any number of vertices under ONE gatekeeper
 //     pause/resume cycle: commits stop, in-flight applies and node programs
 //     drain, every record is re-homed in a single backing-store
-//     transaction, the target shards install the records, the source
-//     shards evict their copies, the directory is repointed, and traffic
-//     resumes. N moves cost one stop-the-world window, not N.
+//     transaction, each source shard hands its movers to their target in
+//     memory (shard.Shard.Detach/Attach), the directory is repointed, and
+//     traffic resumes. N moves cost one stop-the-world window, not N.
 //   - A background rebalancer (Config.RebalanceInterval) periodically feeds
 //     the hottest vertices plus their live adjacency through the LDG
 //     streaming partitioner and issues one MigrateBatch for the placements
-//     that should change. RebalanceStats (in Cluster.Stats) reports moves,
-//     batch sizes, and a pause-time histogram.
+//     that should change. RebalanceStats (in Cluster.Stats) reports moves
+//     and batch sizes; weaver_migrate_pause_seconds (Cluster.Metrics) is
+//     the pause-time histogram.
 //
 // Unlike shard recovery, migration does NOT truncate a vertex's in-memory
-// version history: the full resident chain is detached from the source
-// store and attached at the target (graph.History), so historical reads —
-// node programs pinned at a past timestamp — keep answering correctly for
-// migrated vertices. Only when the source has no resident chain (the
-// vertex was paged out) does the target fall back to installing the last
-// committed record, visible wholesale at its last-update timestamp.
+// version history: the full resident chain and posting history move to
+// the target, so historical reads — node programs and lookups pinned at a
+// past timestamp — keep answering correctly for migrated vertices. A
+// paged-out vertex has no resident chain; the target faults it in from
+// its re-homed record on first access, like any other paged-out vertex.
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"weaver/internal/gatekeeper"
 	"weaver/internal/graph"
-	"weaver/internal/index"
 	"weaver/internal/partition"
 	"weaver/internal/plan"
 	"weaver/internal/shard"
@@ -64,23 +65,13 @@ type RebalanceStats struct {
 	// LastBatchSize is the number of vertices the most recent non-empty
 	// batch moved.
 	LastBatchSize int
-	// PauseTotal and PauseMax aggregate the stop-the-world windows
-	// migration batches have cost the cluster.
-	PauseTotal time.Duration
-	PauseMax   time.Duration
-	// PauseHist is a histogram of per-batch pause durations with upper
-	// bounds 100µs, 1ms, 10ms, 100ms, 1s; the last bucket counts pauses
-	// above 1s.
-	PauseHist [6]uint64
+	// PauseMax is the longest stop-the-world window a migration batch has
+	// cost the cluster; the weaver_migrate_pause_seconds histogram
+	// (Cluster.Metrics) holds every one.
+	PauseMax time.Duration
 	// LastError is the most recent background-rebalance failure, or ""
 	// while the rebalancer is healthy.
 	LastError string
-}
-
-// pauseBucketBounds are the PauseHist upper bounds (last bucket unbounded).
-var pauseBucketBounds = [5]time.Duration{
-	100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond,
-	100 * time.Millisecond, time.Second,
 }
 
 // rebalState is the Cluster's migration bookkeeping.
@@ -92,10 +83,13 @@ type rebalState struct {
 }
 
 // rebalanceTopK caps how many hot vertices one background rebalance cycle
-// considers; rebalanceDecay is the geometric heat decay applied per cycle.
+// considers; rebalanceDecay is the geometric heat decay applied per cycle;
+// rebalanceSlack is the LDG capacity slack of that cycle (each shard may
+// hold 10% above the balanced share).
 const (
 	rebalanceTopK  = 1024
 	rebalanceDecay = 0.5
+	rebalanceSlack = 0.1
 )
 
 // Heat returns the k hottest vertices across all shards, hottest first —
@@ -140,7 +134,10 @@ func (c *Cluster) Migrate(v VertexID, target int) error {
 	}
 	// Advisory pre-check so single-vertex callers get the old, precise
 	// error semantics; the batch re-validates behind the fence.
-	data, _, found := c.kv.GetVersioned(graph.VertexKey(v))
+	data, _, found, err := c.kv.GetVersioned(graph.VertexKey(v))
+	if err != nil {
+		return fmt.Errorf("weaver: migrate %q: %w", v, err)
+	}
 	if !found {
 		return fmt.Errorf("weaver: migrate %q: no such vertex", v)
 	}
@@ -166,9 +163,9 @@ func (c *Cluster) Migrate(v VertexID, target int) error {
 //  2. behind the fence, every move's current record is read and re-homed
 //     in ONE backing-store transaction — if that commit fails, nothing has
 //     been installed anywhere and the batch aborts cleanly;
-//  3. only after the commit succeeds do the target shards install the
-//     records into their in-memory graphs, the source shards evict their
-//     now-stale copies, and the directory repoints;
+//  3. only after the commit succeeds does each source shard detach its
+//     movers' version chains and posting histories and hand them to the
+//     target shards in memory, and the directory repoints;
 //  4. gatekeepers resume.
 //
 // Moves whose vertex is missing, deleted, or already home on its target are
@@ -212,13 +209,11 @@ func (c *Cluster) MigrateBatch(moves []Move) (int, error) {
 func (c *Cluster) rehome(mapped *partition.Mapped, moves []Move, gks []*gatekeeper.Gatekeeper, shards []*shard.Shard) (int, error) {
 	// Re-home every record in one backing-store transaction. Nothing is
 	// installed into any in-memory graph until this commits: a failed
-	// commit must not leave a phantom copy on a target shard.
-	type staged struct {
-		rec    *graph.VertexRecord
-		source int
-	}
-	var stage []staged
-	skipped := 0
+	// commit must not leave a phantom copy on a target shard. Movers are
+	// grouped per (source, target) lane: one Detach/Attach serves each.
+	type lane struct{ src, dst int }
+	byLane := make(map[lane][]graph.VertexID)
+	moved, skipped := 0, 0
 	tx := c.kv.Begin()
 	defer tx.Abort()
 	for _, m := range moves {
@@ -238,14 +233,15 @@ func (c *Cluster) rehome(mapped *partition.Mapped, moves []Move, gks []*gatekeep
 			skipped++
 			continue
 		}
-		source := rec.Shard
+		ln := lane{rec.Shard, m.Target}
 		rec.Shard = m.Target
 		if err := tx.Put(graph.VertexKey(m.Vertex), graph.EncodeRecord(rec)); err != nil {
 			return 0, fmt.Errorf("weaver: migrate %q: %w", m.Vertex, err)
 		}
-		stage = append(stage, staged{rec: rec, source: source})
+		byLane[ln] = append(byLane[ln], m.Vertex)
+		moved++
 	}
-	if len(stage) == 0 {
+	if moved == 0 {
 		c.addSkipped(skipped)
 		return 0, nil
 	}
@@ -253,97 +249,42 @@ func (c *Cluster) rehome(mapped *partition.Mapped, moves []Move, gks []*gatekeep
 		return 0, fmt.Errorf("weaver: migrate batch commit: %w", err)
 	}
 
-	// Commit succeeded: move each vertex's full multi-version history from
-	// source to target (so historical reads keep working at the new home),
-	// evict source heat, repoint the directory. Gatekeepers are paused and
-	// applies drained, so nothing reads or writes these vertices here.
-	// Vertices with no resident chain (paged out) fall back to a record
-	// install, exactly as recovery would load them.
-	perTarget := make(map[int][]*graph.VertexRecord)
-	// Index postings move with the version chains, batched per
-	// (source, target) pair: one detach scan serves every vertex moving
-	// between that pair, and the bundle crosses in its wire codec. The
-	// detach runs BEFORE the record installs below, so the fallback
-	// install (paged-out vertices) reconciles the target index from the
-	// record instead of duplicating postings.
-	type lane struct{ src, dst int }
-	byLane := make(map[lane][]graph.VertexID)
-	for _, st := range stage {
-		if hist, resident := shards[st.source].Graph().Detach(st.rec.ID); resident {
-			shards[st.rec.Shard].Graph().Attach(hist)
-		} else {
-			perTarget[st.rec.Shard] = append(perTarget[st.rec.Shard], st.rec)
-		}
-		byLane[lane{st.source, st.rec.Shard}] = append(byLane[lane{st.source, st.rec.Shard}], st.rec.ID)
-		shards[st.source].ForgetHeat(st.rec.ID)
-		mapped.Assign(st.rec.ID, st.rec.Shard)
-	}
-	var idxErrs []error
+	// Commit succeeded: each source shard hands its movers — version
+	// chains, full posting histories — to their target in memory, and the
+	// directory repoints. Gatekeepers are paused and applies drained, so
+	// nothing reads or writes these vertices here. Every posting value
+	// landing on a target enters the marker catalog — historical versions
+	// included, so pinned-snapshot lookups plan toward the vertex's new
+	// home. Source markers stay: they are monotone, and a stale marker only
+	// costs an empty visit.
 	markers := make(map[string]struct{})
 	for ln, ids := range byLane {
-		data := shards[ln.src].DetachIndex(ids)
-		if len(data) == 0 {
-			continue
-		}
-		// Every posting value landing on the destination enters the marker
-		// catalog — including historical versions, so pinned-snapshot
-		// lookups plan toward the vertex's new home. Source markers stay:
-		// they are monotone, and a stale marker only costs an empty visit.
-		if p, err := index.DecodePostings(data); err == nil {
-			for key, byVertex := range p.Keys {
-				for _, chain := range byVertex {
-					for _, post := range chain {
-						markers[plan.MarkerKey(key, post.Value, ln.dst)] = struct{}{}
-					}
+		mv := shards[ln.src].Detach(ids)
+		for key, byVertex := range mv.Postings.Keys {
+			for _, chain := range byVertex {
+				for _, post := range chain {
+					markers[plan.MarkerKey(key, post.Value, ln.dst)] = struct{}{}
 				}
 			}
 		}
-		if err := shards[ln.dst].AttachIndex(data); err != nil {
-			idxErrs = append(idxErrs, err)
+		shards[ln.dst].Attach(mv)
+		for _, v := range ids {
+			mapped.Assign(v, ln.dst)
 		}
 	}
-	for target, recs := range perTarget {
-		// Paged-out vertices install from their last committed record; its
-		// current properties are what the target index reconciles in.
-		for _, rec := range recs {
-			for _, spec := range c.cfg.Indexes {
-				if v, ok := rec.Props[spec.Key]; ok {
-					markers[plan.MarkerKey(spec.Key, v, target)] = struct{}{}
-				}
-			}
-		}
-		shards[target].Install(recs)
+	c.recordMoves(moved, skipped)
+	if err := gks[0].PublishMarkers(slices.Collect(maps.Keys(markers))); err != nil {
+		return moved, fmt.Errorf("weaver: migrate markers: %w", err)
 	}
-	if len(markers) > 0 {
-		keys := make([]string, 0, len(markers))
-		for k := range markers {
-			keys = append(keys, k)
-		}
-		if err := gks[0].PublishMarkers(keys); err != nil {
-			idxErrs = append(idxErrs, fmt.Errorf("weaver: migrate markers: %w", err))
-		}
-	}
-	c.recordMoves(len(stage), skipped)
-	return len(stage), errors.Join(idxErrs...)
+	return moved, nil
 }
 
-// recordPause folds one stop-the-world window into the stats histogram.
+// recordPause records one stop-the-world window.
 func (c *Cluster) recordPause(d time.Duration) {
+	c.migratePause.Dur(d)
 	c.rebal.mu.Lock()
 	defer c.rebal.mu.Unlock()
-	st := &c.rebal.stats
-	st.PauseTotal += d
-	if d > st.PauseMax {
-		st.PauseMax = d
-	}
-	b := len(pauseBucketBounds)
-	for i, bound := range pauseBucketBounds {
-		if d <= bound {
-			b = i
-			break
-		}
-	}
-	st.PauseHist[b]++
+	c.rebal.stats.PauseMax = max(c.rebal.stats.PauseMax, d)
 }
 
 func (c *Cluster) recordMoves(moved, skipped int) {
@@ -423,7 +364,11 @@ func (c *Cluster) adjacencyFor(set map[VertexID]struct{}, fullScan bool) (adj ma
 		}
 	} else {
 		for v := range set {
-			data, _, found := c.kv.GetVersioned(graph.VertexKey(v))
+			data, _, found, gerr := c.kv.GetVersioned(graph.VertexKey(v))
+			if gerr != nil {
+				errs = append(errs, fmt.Errorf("weaver: rebalance: read %q: %w", graph.VertexKey(v), gerr))
+				continue
+			}
 			if !found {
 				continue
 			}
@@ -546,7 +491,7 @@ func (c *Cluster) RebalanceOnce() (int, error) {
 	for i, h := range hot {
 		vertices[i] = h.Vertex
 	}
-	moves, adj, planErr := c.planMoves(vertices, c.rebalanceSlack(), false)
+	moves, adj, planErr := c.planMoves(vertices, rebalanceSlack, false)
 	if len(moves) == 0 {
 		return 0, planErr
 	}
@@ -570,14 +515,6 @@ func (c *Cluster) RebalanceOnce() (int, error) {
 	}
 	moved, err := c.MigrateBatch(moves)
 	return moved, errors.Join(planErr, err)
-}
-
-// rebalanceSlack returns the configured LDG slack factor (default 0.1).
-func (c *Cluster) rebalanceSlack() float64 {
-	if c.cfg.RebalanceSlack > 0 {
-		return c.cfg.RebalanceSlack
-	}
-	return 0.1
 }
 
 // startRebalancer launches the background loop (Config.RebalanceInterval).

@@ -8,6 +8,8 @@ package weaver
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"weaver/internal/graph"
 	"weaver/internal/kvstore"
 	"weaver/internal/partition"
+	"weaver/internal/workload"
 )
 
 // Migration must evict the source shard's in-memory copy: before this fix
@@ -171,12 +174,8 @@ func TestMigrateBatchSinglePause(t *testing.T) {
 	if st.MovesTotal != n || st.LastBatchSize != n || st.Batches != 1 {
 		t.Fatalf("rebalance stats: %+v", st)
 	}
-	var hist uint64
-	for _, b := range st.PauseHist {
-		hist += b
-	}
-	if hist != 1 || st.PauseTotal <= 0 {
-		t.Fatalf("pause histogram not recorded: %+v", st)
+	if h := c.Metrics().Histograms["weaver_migrate_pause_seconds"]; h.Count != 1 || h.Sum == 0 || st.PauseMax <= 0 {
+		t.Fatalf("pause not recorded: histogram %+v, stats %+v", h, st)
 	}
 
 	// Duplicate vertices in one batch are rejected up front.
@@ -313,7 +312,6 @@ func TestHeatTracking(t *testing.T) {
 func TestBackgroundRebalancerReducesEdgeCut(t *testing.T) {
 	cfg := mappedConfig(1, 2)
 	cfg.RebalanceInterval = 3 * time.Millisecond
-	cfg.RebalanceSlack = 1.0
 	mapped := cfg.Directory.(*partition.Mapped)
 
 	// Two 8-cliques, members deliberately alternated across the shards —
@@ -392,6 +390,148 @@ func TestBackgroundRebalancerReducesEdgeCut(t *testing.T) {
 		if err != nil || len(ids) != k {
 			t.Fatalf("clique traversal from %s after rebalance: %d vertices (%v), err=%v", root, len(ids), ids, err)
 		}
+	}
+}
+
+// A vertex paged out of its home shard (demand paging, §6.1) migrates with
+// no resident version chain: its record's home and its index postings move,
+// and the target faults it in on first access. Fresh reads and lookups find
+// it at the new home, a read at a snapshot pinned before the move answers
+// with the pre-move value or fails typed, and later writes apply cleanly.
+func TestMigratePagedOutVertex(t *testing.T) {
+	r := rand.New(rand.NewSource(workload.TestSeed(t)))
+	cfg := mappedConfig(2, 2)
+	cfg.GCPeriod = 2 * time.Millisecond
+	cfg.MaxShardVertices = 4
+	cfg.Indexes = []IndexSpec{{Key: "city"}}
+	c := openTest(t, cfg)
+	cl := c.Client()
+
+	const n = 40
+	cities := []string{"ithaca", "nyc", "sf"}
+	pv := func(i int) VertexID { return VertexID(fmt.Sprintf("pv%d", i)) }
+	city := make(map[VertexID]string, n)
+	for i := 0; i < n; i++ {
+		city[pv(i)] = cities[r.Intn(len(cities))]
+	}
+	// Every vertex passes through a first city, so the postings that move
+	// carry superseded history as well as the live value.
+	for _, final := range []bool{false, true} {
+		if _, err := cl.RunTx(func(tx *Tx) error {
+			for i := 0; i < n; i++ {
+				if !final {
+					tx.CreateVertex(pv(i))
+					tx.SetProperty(pv(i), "city", "tmp")
+				} else {
+					tx.SetProperty(pv(i), "city", city[pv(i)])
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withCity := func(val string) []VertexID {
+		var ids []VertexID
+		for v, cv := range city {
+			if cv == val {
+				ids = append(ids, v)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+
+	// Wait until some vertex is paged out of its home while the other shard
+	// has paged out vertices of its own (so reads fault in there too).
+	var v VertexID
+	var home int
+	deadline := time.Now().Add(10 * time.Second)
+	for v == "" {
+		for _, i := range r.Perm(n) {
+			h := c.Directory().Lookup(pv(i))
+			if !c.shardAt(h).Graph().Has(pv(i)) && c.Stats().Shards[1-h].PagedOut > 0 {
+				v, home = pv(i), h
+				break
+			}
+		}
+		if v == "" && time.Now().After(deadline) {
+			t.Fatalf("no vertex was ever paged out: %+v", c.Stats().Shards)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	target := 1 - home
+	snap, err := c.SnapshotTS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+
+	if moved, err := c.MigrateBatch([]Move{{Vertex: v, Target: target}}); err != nil || moved != 1 {
+		t.Fatalf("MigrateBatch(%s → %d): moved=%d err=%v", v, target, moved, err)
+	}
+	if got := c.Directory().Lookup(v); got != target {
+		t.Fatalf("%s routes to %d, want %d", v, got, target)
+	}
+	// Lookups first: they answer from the postings without faulting the
+	// vertex in, so they see what the move handed the target's index.
+	ids, _, err := cl.Lookup("city", city[v])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Sort(ids); !slices.Equal(ids, withCity(city[v])) {
+		t.Fatalf("Lookup(city=%s) after the move: got %v want %v", city[v], ids, withCity(city[v]))
+	}
+	// The pinned snapshot: the pre-move value or the typed refusal.
+	at := cl.At(snap.TS())
+	if ids, err := at.Lookup("city", city[v]); err != nil && !errors.Is(err, ErrStaleSnapshot) {
+		t.Fatalf("pinned lookup failed with %v, want ErrStaleSnapshot", err)
+	} else if err == nil {
+		if slices.Sort(ids); !slices.Equal(ids, withCity(city[v])) {
+			t.Fatalf("pinned Lookup(city=%s): got %v want %v", city[v], ids, withCity(city[v]))
+		}
+	}
+	if d, ok, err := cl.GetNode(v); err != nil || !ok || d.Props["city"] != city[v] {
+		t.Fatalf("fresh read of %s after the move: %+v ok=%v err=%v", v, d, ok, err)
+	}
+	switch d, ok, err := at.GetNode(v); {
+	case err != nil:
+		if !errors.Is(err, ErrStaleSnapshot) {
+			t.Fatalf("pinned read of %s failed with %v, want ErrStaleSnapshot", v, err)
+		}
+	case !ok:
+		t.Fatalf("pinned read lost %s (wrong data): it existed at the snapshot", v)
+	case d.Props["city"] != city[v]:
+		t.Fatalf("pinned read of %s returned city=%q, want %q", v, d.Props["city"], city[v])
+	}
+
+	// A write after the move applies at the new home without apply errors.
+	if _, err := cl.RunTx(func(tx *Tx) error {
+		tx.SetProperty(v, "city", "moved")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	city[v] = "moved"
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if d, ok, err := cl.GetNode(pv(i)); err != nil || !ok || d.Props["city"] != city[pv(i)] {
+			t.Fatalf("read of %s: %+v ok=%v err=%v, want city=%q", pv(i), d, ok, err, city[pv(i)])
+		}
+	}
+	if ids, _, err := cl.Lookup("city", "moved"); err != nil || !slices.Equal(ids, []VertexID{v}) {
+		t.Fatalf("Lookup(city=moved): %v err=%v, want [%s]", ids, err, v)
+	}
+	st := c.Stats().Shards
+	for i, s := range st {
+		if s.ApplyErrors != 0 {
+			t.Fatalf("shard %d: %d apply errors", i, s.ApplyErrors)
+		}
+	}
+	if st[target].PagedIn == 0 {
+		t.Fatalf("target shard %d never paged a vertex in: %+v", target, st[target])
 	}
 }
 

@@ -63,9 +63,9 @@
 // Shards track per-vertex heat (writes, node-program visits, cross-shard
 // hops, decayed over time; Cluster.Heat). Cluster.MigrateBatch re-homes any
 // number of vertices under one gatekeeper pause — commit the re-homed
-// records in one backing-store transaction, move each vertex's full
-// version history to the target, evict the source copies, repoint the
-// directory — and a background rebalancer (Config.RebalanceInterval)
+// records in one backing-store transaction, hand each vertex's full
+// version and posting history from source to target in memory, repoint
+// the directory — and a background rebalancer (Config.RebalanceInterval)
 // feeds hot vertices through the LDG streaming partitioner to keep
 // placement tracking the workload (§4.6).
 //
@@ -227,12 +227,9 @@ type Config struct {
 	// their live adjacency and migrated in one batched pause
 	// (Cluster.MigrateBatch). Requires Config.Directory to be assignable
 	// (see NewMappedDirectory); Open fails otherwise. Zero disables the
-	// loop — Cluster.RebalanceOnce still runs a cycle on demand.
+	// loop — Cluster.RebalanceOnce still runs a cycle on demand. A cycle
+	// lets each shard hold 10% above the balanced share.
 	RebalanceInterval time.Duration
-	// RebalanceSlack is the LDG capacity slack factor for rebalancing
-	// (e.g. 0.1 lets each shard hold 10% above the balanced share).
-	// 0 = 0.1.
-	RebalanceSlack float64
 	// TraceSample samples one in N committed transactions for
 	// end-to-end span tracing (gatekeeper queue → timestamp mint →
 	// oracle refinement → wire transfer → shard apply). 0 = 64;
@@ -309,6 +306,7 @@ type Cluster struct {
 	// are disabled).
 	clientTxDur     *obs.Histogram
 	clientTxRetries *obs.Counter
+	migratePause    *obs.Histogram
 
 	serversMu sync.RWMutex
 	gks       []*gatekeeper.Gatekeeper
@@ -328,10 +326,10 @@ type Cluster struct {
 	// no longer see.
 	reconfigMu sync.Mutex
 
-	// testHookMigrateSnapshotted, when non-nil, runs inside every fence
-	// once it holds the reconfig lock over a verified server snapshot —
-	// exactly the window a concurrent recovery used to corrupt.
-	testHookMigrateSnapshotted func()
+	// testHookFenced, when non-nil, runs inside every fence once it holds
+	// the reconfig lock over a verified server snapshot — exactly the
+	// window a concurrent recovery used to corrupt.
+	testHookFenced func()
 
 	rebal rebalState
 }
@@ -345,6 +343,7 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, obs: obs.New(obs.Config{TraceSample: cfg.TraceSample})}
 	c.clientTxDur = c.obs.LatencyHistogram("weaver_client_tx_seconds")
 	c.clientTxRetries = c.obs.Counter("weaver_client_tx_retries_total")
+	c.migratePause = c.obs.LatencyHistogram("weaver_migrate_pause_seconds")
 	c.fabric = transport.NewFabric().WithWireMetrics(transport.NewWireMetrics(c.obs))
 	st, orc, err := c.cfg.spec().NewStore(c.obs)
 	if err != nil {
@@ -367,7 +366,12 @@ func Open(cfg Config) (*Cluster, error) {
 		// Epoch continuity across restarts (§4.3): every timestamp of
 		// the reopened cluster must order after every pre-restart one,
 		// so resume one epoch above the last persisted.
-		if raw, _, ok := c.kv.GetVersioned(epochKey); ok && len(raw) == 8 {
+		raw, _, ok, err := c.kv.GetVersioned(epochKey)
+		if err != nil {
+			c.kv.Close()
+			return nil, fmt.Errorf("weaver: read epoch: %w", err)
+		}
+		if ok && len(raw) == 8 {
 			for i := 0; i < 8; i++ {
 				c.baseEpoch = c.baseEpoch<<8 | uint64(raw[i])
 			}
@@ -600,7 +604,7 @@ func (c *Cluster) fenced(body func(gks []*gatekeeper.Gatekeeper, shards []*shard
 		live, shards := c.servers()
 		current := slices.Equal(gks, live)
 		if current && err == nil {
-			if h := c.testHookMigrateSnapshotted; h != nil {
+			if h := c.testHookFenced; h != nil {
 				h()
 			}
 			err = body(gks, shards)
