@@ -50,6 +50,9 @@ type chain struct {
 	// (recovery §4.3, demand paging §6.1). Writes at or below it are
 	// already reflected in the snapshot and must not re-apply.
 	loadedAt core.Timestamp
+	// paged marks a demand-paging install (LoadPaged): the record may be
+	// newer than a reader of this chain (View.Truncated).
+	paged bool
 }
 
 func (c *chain) latest() *Vertex {
@@ -73,11 +76,38 @@ func (c *chain) latest() *Vertex {
 type Store struct {
 	mu       sync.RWMutex
 	vertices map[VertexID]*chain
+	// keys, when non-nil, makes the store a projection (NewProjection).
+	keys map[string]bool
 }
 
 // NewStore returns an empty multi-version graph store.
 func NewStore() *Store {
 	return &Store{vertices: make(map[VertexID]*chain)}
+}
+
+// NewProjection returns a store that keeps only vertex incarnations and the
+// versions of the given vertex property keys: edge operations, other
+// properties and record edges are dropped on the way in. Visibility, record
+// installs, GC and Detach/Attach are the full store's. The secondary index
+// (internal/index) keeps its history in one.
+func NewProjection(keys []string) *Store {
+	s := NewStore()
+	s.keys = make(map[string]bool, len(keys))
+	for _, k := range keys {
+		s.keys[k] = true
+	}
+	return s
+}
+
+// projects reports whether a projection keeps op.
+func (s *Store) projects(op Op) bool {
+	switch op.Kind {
+	case OpCreateVertex, OpDeleteVertex:
+		return true
+	case OpSetVertexProp, OpDelVertexProp:
+		return s.keys[op.Key]
+	}
+	return false
 }
 
 // NumVertices returns the number of vertex IDs with at least one version.
@@ -138,6 +168,9 @@ func (s *Store) ApplyTx(ops []Op, ts core.Timestamp, onErr func(Op, error)) int 
 // applyLocked executes one operation; the caller holds mu (exclusively for
 // create_vertex, shared otherwise).
 func (s *Store) applyLocked(op Op, ts core.Timestamp) error {
+	if s.keys != nil && !s.projects(op) {
+		return nil
+	}
 	if ch := s.vertices[op.Vertex]; ch != nil && !ch.loadedAt.Zero() {
 		if cmp := ts.Compare(ch.loadedAt); cmp == core.Before || cmp == core.Equal {
 			// The chain was loaded from a record that already includes
@@ -156,7 +189,11 @@ func (s *Store) applyLocked(op Op, ts core.Timestamp) error {
 		if v := ch.latest(); v != nil && v.Deleted.Zero() {
 			return fmt.Errorf("graph: create_vertex %q: already exists", op.Vertex)
 		}
-		ch.incarnations = append(ch.incarnations, &Vertex{ID: op.Vertex, Created: ts, Out: make(map[EdgeID]*Edge)})
+		v := &Vertex{ID: op.Vertex, Created: ts}
+		if s.keys == nil {
+			v.Out = make(map[EdgeID]*Edge)
+		}
+		ch.incarnations = append(ch.incarnations, v)
 	case OpDeleteVertex:
 		v := s.live(op.Vertex)
 		if v == nil {
@@ -283,25 +320,42 @@ func (s *Store) LoadAll(recs []*VertexRecord) {
 	}
 }
 
-func (s *Store) loadLocked(rec *VertexRecord) {
-	v := &Vertex{ID: rec.ID, Created: rec.LastTS, Out: make(map[EdgeID]*Edge, len(rec.Edges))}
+// LoadPaged is Load for demand paging (§6.1): the record is the store's
+// latest, possibly newer than a reader of the chain, which remembers that
+// its history starts there (View.Truncated).
+func (s *Store) LoadPaged(rec *VertexRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.loadLocked(rec).paged = true
+}
+
+func (s *Store) loadLocked(rec *VertexRecord) *chain {
+	v := &Vertex{ID: rec.ID, Created: rec.LastTS}
 	for k, val := range rec.Props {
-		v.Props = append(v.Props, Property{Key: k, Value: val, Created: rec.LastTS})
-	}
-	// One slab for the record's edges: bulk ingest and recovery install
-	// millions of edges, and per-edge allocations are the hot spot.
-	slab := make([]Edge, len(rec.Edges))
-	i := 0
-	for eid, er := range rec.Edges {
-		e := &slab[i]
-		i++
-		e.ID, e.From, e.To, e.Created = eid, rec.ID, er.To, rec.LastTS
-		for k, val := range er.Props {
-			e.Props = append(e.Props, Property{Key: k, Value: val, Created: rec.LastTS})
+		if s.keys == nil || s.keys[k] {
+			v.Props = append(v.Props, Property{Key: k, Value: val, Created: rec.LastTS})
 		}
-		v.Out[eid] = e
 	}
-	s.vertices[rec.ID] = &chain{incarnations: []*Vertex{v}, loadedAt: rec.LastTS}
+	if s.keys == nil {
+		// One slab for the record's edges: bulk ingest and recovery
+		// install millions of edges, and per-edge allocations are the hot
+		// spot.
+		v.Out = make(map[EdgeID]*Edge, len(rec.Edges))
+		slab := make([]Edge, len(rec.Edges))
+		i := 0
+		for eid, er := range rec.Edges {
+			e := &slab[i]
+			i++
+			e.ID, e.From, e.To, e.Created = eid, rec.ID, er.To, rec.LastTS
+			for k, val := range er.Props {
+				e.Props = append(e.Props, Property{Key: k, Value: val, Created: rec.LastTS})
+			}
+			v.Out[eid] = e
+		}
+	}
+	ch := &chain{incarnations: []*Vertex{v}, loadedAt: rec.LastTS}
+	s.vertices[rec.ID] = ch
+	return ch
 }
 
 // maxTS returns the latest write timestamp anywhere in the chain.
@@ -422,6 +476,21 @@ func (s *Store) Has(id VertexID) bool {
 	return ok
 }
 
+// Versions calls fn with every resident vertex property version of id —
+// every incarnation, superseded versions included — under the read lock;
+// fn must not call back into the store.
+func (s *Store) Versions(id VertexID, fn func(*Property)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if ch := s.vertices[id]; ch != nil {
+		for _, v := range ch.incarnations {
+			for i := range v.Props {
+				fn(&v.Props[i])
+			}
+		}
+	}
+}
+
 // CollectBefore garbage-collects versions that ended strictly before the
 // watermark (§4.5): property and edge versions whose Deleted precedes it,
 // and vertex incarnations deleted before it. "Before" is the pointwise
@@ -433,6 +502,13 @@ func (s *Store) Has(id VertexID) bool {
 // committed transaction's (owner, counter). Returns the number of objects
 // removed.
 func (s *Store) CollectBefore(watermark core.Timestamp) int {
+	return s.CollectBeforeFunc(watermark, func(VertexID, *Property) {})
+}
+
+// CollectBeforeFunc is CollectBefore, also handing dropped every vertex
+// property version it removes, those of removed incarnations included.
+// dropped runs under the write lock and must not call back into the store.
+func (s *Store) CollectBeforeFunc(watermark core.Timestamp, dropped func(VertexID, *Property)) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
@@ -441,16 +517,19 @@ func (s *Store) CollectBefore(watermark core.Timestamp) int {
 		for _, v := range ch.incarnations {
 			if !v.Deleted.Zero() && v.Deleted.PointwiseLT(watermark) {
 				removed += 1 + len(v.Out)
+				for i := range v.Props {
+					dropped(vid, &v.Props[i])
+				}
 				continue
 			}
-			v.Props, removed = gcProps(v.Props, watermark, removed)
+			v.Props, removed = gcProps(v.Props, watermark, removed, vid, dropped)
 			for eid, e := range v.Out {
 				if !e.Deleted.Zero() && e.Deleted.PointwiseLT(watermark) {
 					delete(v.Out, eid)
 					removed++
 					continue
 				}
-				e.Props, removed = gcProps(e.Props, watermark, removed)
+				e.Props, removed = gcProps(e.Props, watermark, removed, vid, func(VertexID, *Property) {})
 			}
 			kept = append(kept, v)
 		}
@@ -462,14 +541,20 @@ func (s *Store) CollectBefore(watermark core.Timestamp) int {
 	return removed
 }
 
-func gcProps(props []Property, wm core.Timestamp, removed int) ([]Property, int) {
-	out := props[:0]
-	for _, p := range props {
-		if !p.Deleted.Zero() && p.Deleted.PointwiseLT(wm) {
+// gcProps removes the versions that ended before wm, handing each to
+// dropped.
+func gcProps(props []Property, wm core.Timestamp, removed int, vid VertexID, dropped func(VertexID, *Property)) ([]Property, int) {
+	n := 0
+	for i := range props {
+		if p := &props[i]; !p.Deleted.Zero() && p.Deleted.PointwiseLT(wm) {
 			removed++
+			dropped(vid, p)
 			continue
 		}
-		out = append(out, p)
+		if n != i {
+			props[n] = props[i]
+		}
+		n++
 	}
-	return out, removed
+	return props[:n], removed
 }

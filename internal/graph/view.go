@@ -1,5 +1,7 @@
 package graph
 
+import "weaver/internal/core"
+
 // View is a consistent read-only snapshot of the multi-version graph, as
 // seen by a reader whose visibility is decided by a Before predicate
 // (§4.1: node programs read exactly the versions whose write timestamps
@@ -48,7 +50,7 @@ func (w *View) visibleIncarnation(id VertexID) *Vertex {
 	}
 	for i := len(ch.incarnations) - 1; i >= 0; i-- {
 		v := ch.incarnations[i]
-		if w.vertexAlive(v) {
+		if w.alive(v.Created, v.Deleted) {
 			return v
 		}
 	}
@@ -62,33 +64,49 @@ func (w *View) Exists(id VertexID) bool {
 	return w.visibleIncarnation(id) != nil
 }
 
-func (w *View) vertexAlive(v *Vertex) bool {
-	if !w.before(v.Created) {
-		return false
-	}
-	return v.Deleted.Zero() || !w.before(v.Deleted)
+// alive is the one visibility rule every version follows — incarnation,
+// edge or property: written before the view and not ended before it.
+func (w *View) alive(created, deleted core.Timestamp) bool {
+	return w.before(created) && (deleted.Zero() || !w.before(deleted))
 }
 
-func (w *View) edgeAlive(e *Edge) bool {
-	if !w.before(e.Created) {
-		return false
-	}
-	return e.Deleted.Zero() || !w.before(e.Deleted)
-}
-
+// visibleProps materializes a version list: every visible version, the last
+// one per key winning.
 func (w *View) visibleProps(props []Property) map[string]string {
 	m := make(map[string]string)
 	for i := range props {
-		p := &props[i]
-		if !w.before(p.Created) {
-			continue
+		if p := &props[i]; w.alive(p.Created, p.Deleted) {
+			m[p.Key] = p.Value
 		}
-		if !p.Deleted.Zero() && w.before(p.Deleted) {
-			continue
-		}
-		m[p.Key] = p.Value
 	}
 	return m
+}
+
+// Prop returns the visible value of id's property key: the one-key form of
+// Vertex's props walk, so the last visible version wins.
+func (w *View) Prop(id VertexID, key string) (string, bool) {
+	w.s.mu.RLock()
+	defer w.s.mu.RUnlock()
+	v := w.visibleIncarnation(id)
+	if v == nil {
+		return "", false
+	}
+	for i := len(v.Props) - 1; i >= 0; i-- {
+		if p := &v.Props[i]; p.Key == key && w.alive(p.Created, p.Deleted) {
+			return p.Value, true
+		}
+	}
+	return "", false
+}
+
+// Truncated reports whether id's resident history starts at a demand-paging
+// install (Store.LoadPaged) this view cannot see: what id held at the view's
+// timestamp was never loaded.
+func (w *View) Truncated(id VertexID) bool {
+	w.s.mu.RLock()
+	defer w.s.mu.RUnlock()
+	ch := w.s.vertices[id]
+	return ch != nil && ch.paged && !w.before(ch.loadedAt)
 }
 
 // Vertex materializes the visible state of id: its live properties and live
@@ -103,7 +121,7 @@ func (w *View) Vertex(id VertexID) (*VertexView, bool) {
 	}
 	vv := &VertexView{ID: id, Props: w.visibleProps(v.Props)}
 	for _, e := range v.Out {
-		if !w.edgeAlive(e) {
+		if !w.alive(e.Created, e.Deleted) {
 			continue
 		}
 		vv.Edges = append(vv.Edges, EdgeView{ID: e.ID, To: e.To, Props: w.visibleProps(e.Props)})
@@ -122,7 +140,7 @@ func (w *View) CountEdges(id VertexID) (int, bool) {
 	}
 	n := 0
 	for _, e := range v.Out {
-		if w.edgeAlive(e) {
+		if w.alive(e.Created, e.Deleted) {
 			n++
 		}
 	}

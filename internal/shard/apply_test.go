@@ -239,3 +239,45 @@ func TestPagedApplyMatchesResidentApply(t *testing.T) {
 		}
 	}
 }
+
+// A vertex demand paging installs carries the backing store's latest
+// record, which may include a write W newer than a reader minted before it
+// — whether W was never forwarded (the read faults the vertex in) or was
+// forwarded and applied (its own fault-in reloaded the vertex). The vertex
+// existed at the reader's timestamp, so the read must be refused with the
+// typed stale-snapshot code, never answered "no such vertex".
+func TestPagedInRecordNewerThanReaderIsRefused(t *testing.T) {
+	for _, forwarded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("forwarded=%v", forwarded), func(t *testing.T) {
+			r := newStoreRig(t, Config{NumGatekeepers: 1, MaxVertices: 1}, kvstore.New())
+			var ops []graph.Op
+			var recs []*graph.VertexRecord
+			for i := 0; i < 6; i++ {
+				v := graph.VertexID(fmt.Sprintf("v%d", i))
+				ops = append(ops, graph.Op{Kind: graph.OpCreateVertex, Vertex: v},
+					graph.Op{Kind: graph.OpSetVertexProp, Vertex: v, Key: "k", Value: "old"})
+				rec := graph.NewVertexRecord(v, 0)
+				rec.Props["k"] = "old"
+				recs = append(recs, rec)
+			}
+			r.commit(true, ops, recs...)
+			// A later write elsewhere, then a GC round at it: the six are
+			// cold and over the cap.
+			last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
+			r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+			r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+			r.waitStats(func(s Stats) bool { return s.PagedOut == 6 })
+
+			reader := r.clock.Tick()
+			recs[0].Props["k"] = "new"
+			r.commit(forwarded, []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v0", Key: "k", Value: "new"}}, recs[0])
+			if forwarded {
+				r.waitStats(func(s Stats) bool { return s.TxExecuted == 3 })
+			}
+			r.sendNop()
+			if d := r.getNode(reader, "v0"); d.ErrCode != wire.ErrCodeStaleSnapshot {
+				t.Fatalf("read below the paged-in record answered instead of refused: %+v", d)
+			}
+		})
+	}
+}

@@ -170,14 +170,14 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		s.heat.addMany(credits)
 		credits = nil
 	}
-	fail := func(err error) {
+	fail := func(code int, err error) {
 		flushHeat()
-		s.ep.Send(b.Coordinator, wire.ProgDelta{QID: b.QID, Err: err.Error()})
+		s.ep.Send(b.Coordinator, wire.ProgDelta{QID: b.QID, ErrCode: code, Err: err.Error()})
 		delete(s.progState, b.QID)
 	}
 	for len(work) > 0 {
 		if visits >= maxCascade {
-			fail(fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.QID, maxCascade))
+			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.QID, maxCascade))
 			return
 		}
 		hop := work[len(work)-1]
@@ -191,15 +191,22 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 
 		p, found := s.reg.Get(hop.Program)
 		if !found {
-			fail(fmt.Errorf("shard %d: unknown node program %q", s.cfg.ID, hop.Program))
+			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: unknown node program %q", s.cfg.ID, hop.Program))
 			return
 		}
 		vv, ok := view.Vertex(hop.Vertex)
-		if !ok && s.paging && !s.g.Has(hop.Vertex) {
+		if !ok && s.paging {
 			// Demand paging, fault half (§6.1): the vertex may have
-			// been evicted; reload its committed record.
-			if s.pageIn(hop.Vertex) != nil {
-				vv, _ = view.Vertex(hop.Vertex)
+			// been evicted; reload its committed record. That record
+			// may be newer than this read, and then the vertex's state
+			// at the read timestamp is not resident: refuse, typed.
+			if !s.g.Has(hop.Vertex) && s.pageIn(hop.Vertex) != nil {
+				vv, ok = view.Vertex(hop.Vertex)
+			}
+			if !ok && view.Truncated(hop.Vertex) {
+				fail(wire.ErrCodeStaleSnapshot, fmt.Errorf("shard %d: read timestamp %v below the paged-in record of %q",
+					s.cfg.ID, b.ReadTS, hop.Vertex))
+				return
 			}
 		}
 		ctx := &nodeprog.Context{
@@ -212,7 +219,7 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		}
 		res, err := p.Visit(ctx)
 		if err != nil {
-			fail(fmt.Errorf("shard %d: program %q at %q: %v", s.cfg.ID, hop.Program, hop.Vertex, err))
+			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: program %q at %q: %v", s.cfg.ID, hop.Program, hop.Vertex, err))
 			return
 		}
 		if res.State != nil {

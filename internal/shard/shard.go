@@ -27,7 +27,9 @@
 // it on three occasions: Recover at boot (§4.3), the same Recover at every
 // epoch barrier — the sweep for write-sets a gatekeeper committed and was
 // killed before forwarding, run in embedded and TCP deployments alike —
-// and demand paging (§6.1), which Config.MaxVertices turns on.
+// and demand paging (§6.1), which Config.MaxVertices turns on. Paging
+// evicts graph history only, never the index's; a read below a paged-in
+// record's stamp is refused as stale, never answered "absent".
 package shard
 
 import (
@@ -96,7 +98,7 @@ type Stats struct {
 	PagedIn        uint64
 	PagedOut       uint64
 	IndexLookups   uint64 // secondary-index queries answered by this shard
-	IndexPostings  uint64 // resident index postings (live + superseded)
+	IndexPostings  uint64 // index (value, vertex) candidate entries
 }
 
 type queued struct {
@@ -253,8 +255,9 @@ func (s *Shard) Stats() Stats {
 }
 
 // Recover pulls from the backing store every record homed here whose last
-// committed write the in-memory graph does not already cover, and installs
-// them through InstallRecovered. At boot (§4.3: before Start, behind the
+// committed write the in-memory graph does not already cover (order(): the
+// oracle decides vclock-concurrent stamps, §4.2), and installs them through
+// InstallRecovered. At boot (§4.3: before Start, behind the
 // cluster manager's epoch barrier) the graph is empty, so that is the
 // whole partition; at a later epoch barrier it is exactly the write-sets a
 // gatekeeper committed and was killed before forwarding. A store that
@@ -266,7 +269,7 @@ func (s *Shard) Recover() (int, error) {
 		if err != nil || rec.Shard != s.cfg.ID {
 			return
 		}
-		if last := s.g.LastWrite(rec.ID); !last.Zero() && rec.LastTS.Compare(last) != core.After {
+		if last := s.g.LastWrite(rec.ID); !last.Zero() && s.order(rec.LastTS, last) != core.After {
 			return
 		}
 		recs = append(recs, rec)
@@ -281,10 +284,11 @@ func (s *Shard) Recover() (int, error) {
 // enter the graph: recs are this shard's records, tombstones included,
 // already selected by the caller (Recover's scan, or weaver.Open's single
 // scan bucketed per shard). Live records are loaded and indexed; a
-// tombstone newer than everything the graph holds for its vertex is a
+// tombstone ordered after everything the graph holds for its vertex is a
 // committed delete that was never forwarded, applied at its own stamp the
-// way the forward would have been. A stored record carries only the
-// vertex's latest state, so the recovery horizon is raised over all of
+// way the forward would have been — to the index too, which still holds a
+// vertex demand paging evicted from the graph. A stored record carries only
+// the vertex's latest state, so the recovery horizon is raised over all of
 // them — a deleted vertex existed below its tombstone's stamp — and every
 // caller gets the "refused, never truncated" guarantee for reads at older
 // timestamps. Returns the number of live records installed.
@@ -295,14 +299,17 @@ func (s *Shard) InstallRecovered(recs []*graph.VertexRecord) int {
 			live = append(live, rec)
 			continue
 		}
-		if last := s.g.LastWrite(rec.ID); !last.Zero() && rec.LastTS.Compare(last) == core.After {
-			op := graph.Op{Kind: graph.OpDeleteVertex, Vertex: rec.ID}
+		op := graph.Op{Kind: graph.OpDeleteVertex, Vertex: rec.ID}
+		if last := s.g.LastWrite(rec.ID); !last.Zero() {
+			if s.order(rec.LastTS, last) != core.After {
+				continue
+			}
 			if err := s.g.Apply(op, rec.LastTS); err != nil {
 				s.reportApplyErr(op, rec.LastTS, err)
 				continue
 			}
-			s.idx.Apply(op, rec.LastTS)
 		}
+		s.idx.Apply(op, rec.LastTS)
 	}
 	s.g.LoadAll(live)
 	s.indexRecords(live)
@@ -365,20 +372,20 @@ func (s *Shard) indexRecords(recs []*graph.VertexRecord) {
 
 // Moved is the shard state of vertices in transit between shards (vertex
 // migration, §4.6), handed from the source's Detach to the target's Attach
-// in memory: the resident version chains and the full posting history.
+// in memory: the resident version chains and the index state.
 type Moved struct {
 	chains []graph.History
-	// Postings is the moved index history, superseded values included.
+	// Postings is the moved index state, superseded values included.
 	Postings index.Postings
 }
 
 // Detach removes the given vertices from this shard: each resident version
-// chain, the full posting history (incarnation lifetimes and record-install
-// watermarks included) and the heat, whose activity belongs to the new home
-// from here on. A vertex with no resident chain was paged out (§6.1): only
-// its postings move, as they are never evicted, and the target faults it in
-// from its re-homed record on first access. Callers hold the stop-the-world
-// fence: gatekeepers paused, applies and reads drained on both shards.
+// chain, the index state and the heat, whose activity belongs to the new
+// home from here on. A vertex with no resident chain was paged out (§6.1):
+// only its index state moves, as the index is never paged out, and the
+// target faults it in from its re-homed record on first access. Callers
+// hold the stop-the-world fence: gatekeepers paused, applies and reads
+// drained on both shards.
 func (s *Shard) Detach(ids []graph.VertexID) Moved {
 	m := Moved{Postings: s.idx.Detach(ids)}
 	for _, v := range ids {
@@ -754,7 +761,8 @@ func (s *Shard) applyOps(q queued) {
 	n := s.g.ApplyTx(ops, q.ts, func(op graph.Op, err error) {
 		s.reportApplyErr(op, q.ts, err)
 	})
-	s.idx.ApplyTx(ops, q.ts)
+	// The index is never paged out: it applies the whole transaction.
+	s.idx.ApplyTx(q.ops, q.ts)
 	s.opsApplied.Add(uint64(n + len(q.ops) - len(ops)))
 	s.txExecuted.Add(1)
 }
@@ -766,8 +774,7 @@ func (s *Shard) applyOps(q queued) {
 // this transaction: its operations on that vertex are dropped, counted as
 // applied. The drop is by vertex, not by timestamp — a later commit may
 // have restamped the record with a LastTS that only the oracle orders
-// after this transaction. A tombstone loads nothing but still closes the
-// vertex in the index, whose postings stay resident.
+// after this transaction. A tombstone loads nothing.
 func (s *Shard) faultIn(ops []graph.Op) []graph.Op {
 	covered := make(map[graph.VertexID]bool, len(ops)) // vertex → record fetched just now
 	fetched := false
@@ -778,9 +785,6 @@ func (s *Shard) faultIn(ops []graph.Op) []graph.Op {
 		var rec *graph.VertexRecord
 		if op.Kind != graph.OpCreateVertex && !s.g.Has(op.Vertex) {
 			rec = s.pageIn(op.Vertex)
-		}
-		if rec != nil && rec.Deleted {
-			s.idx.Apply(graph.Op{Kind: graph.OpDeleteVertex, Vertex: op.Vertex}, rec.LastTS)
 		}
 		covered[op.Vertex] = rec != nil
 		fetched = fetched || rec != nil
@@ -805,8 +809,9 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 }
 
 // pageIn fetches one vertex record from the backing store and, unless it is
-// a tombstone, faults it into the in-memory graph and the index (§6.1).
-// Returns nil when the record is absent, unreadable or homed elsewhere.
+// a tombstone, faults it into the in-memory graph (§6.1) — marked, as the
+// record may be newer than a reader (graph.View.Truncated). Returns nil when
+// the record is absent, unreadable or homed elsewhere.
 func (s *Shard) pageIn(v graph.VertexID) *graph.VertexRecord {
 	data, _, found, err := s.kv.GetVersioned(graph.VertexKey(v))
 	if err != nil || !found {
@@ -817,8 +822,7 @@ func (s *Shard) pageIn(v graph.VertexID) *graph.VertexRecord {
 		return nil
 	}
 	if !rec.Deleted {
-		s.g.Load(rec)
-		s.idx.InsertRecord(rec)
+		s.g.LoadPaged(rec)
 		s.pagedIn.Add(1)
 	}
 	return rec
@@ -866,10 +870,10 @@ func (s *Shard) maybeGC() {
 	}
 	if advanced {
 		n := s.g.CollectBefore(s.gcWM)
-		// Postings prune at the SAME ratcheted watermark as graph
-		// versions: the staleness gate that protects graph reads
-		// protects index lookups identically, so a lookup that passes
-		// it always finds its postings.
+		// The index prunes at the SAME ratcheted watermark as the graph:
+		// the staleness gate that protects graph reads protects index
+		// lookups identically, so a lookup that passes it always finds
+		// its versions.
 		n += s.idx.CollectBefore(s.gcWM)
 		s.gcCollected.Add(uint64(n))
 	}
@@ -888,10 +892,10 @@ func (s *Shard) maybeGC() {
 	//
 	// Demand paging, eviction half (§6.1): shed cold vertices above the
 	// memory cap; they page back in from the backing store on access.
-	// Index postings are deliberately NOT evicted: lookups answer for
-	// paged-out vertices without faulting them in, so the index must keep
-	// its (GC-bounded) posting chains resident — Config.MaxVertices caps
-	// graph version history only.
+	// The index is deliberately NOT evicted: lookups answer for paged-out
+	// vertices without faulting them in, so the index keeps its
+	// (GC-bounded) history resident — Config.MaxVertices caps graph
+	// version history only.
 	if s.paging {
 		if over := s.g.NumVertices() - s.cfg.MaxVertices; over > 0 {
 			evicted := s.g.EvictBefore(s.gcWM, over)

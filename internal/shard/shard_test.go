@@ -2,12 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"weaver/internal/core"
 	"weaver/internal/graph"
 	"weaver/internal/index"
+	"weaver/internal/kvstore"
 	"weaver/internal/nodeprog"
 	"weaver/internal/oracle"
 	"weaver/internal/partition"
@@ -20,28 +22,91 @@ import (
 type rig struct {
 	t     *testing.T
 	sh    *Shard
+	f     *transport.Fabric
 	drv   transport.Endpoint
 	orc   oracle.Client
+	store *kvstore.Store // nil: no backing store
 	clock *core.VectorClock
 	seq   *transport.Sequencer
 }
 
 func newRig(t *testing.T, gks int) *rig {
+	return newStoreRig(t, Config{NumGatekeepers: gks}, nil)
+}
+
+// newStoreRig is newRig for cfg (shard 0) over store, which may be nil.
+func newStoreRig(t *testing.T, cfg Config, store *kvstore.Store) *rig {
 	t.Helper()
 	f := transport.NewFabric()
 	orc := oracle.NewService()
-	sh := New(Config{ID: 0, NumGatekeepers: gks},
-		f.Endpoint(transport.ShardAddr(0)), nil, orc, nodeprog.NewRegistry(), partition.NewHash(1))
+	var kv kvstore.Backing
+	if store != nil {
+		kv = kvstore.AsBacking(store)
+	}
+	sh := New(cfg, f.Endpoint(transport.ShardAddr(0)), kv, orc, nodeprog.NewRegistry(), partition.NewHash(1))
 	sh.Start()
 	t.Cleanup(sh.Stop)
 	return &rig{
 		t:     t,
 		sh:    sh,
+		f:     f,
 		drv:   f.Endpoint(transport.GatekeeperAddr(0)),
 		orc:   orc,
-		clock: core.NewVectorClock(0, gks, 0),
+		store: store,
+		clock: core.NewVectorClock(0, cfg.NumGatekeepers, 0),
 		seq:   transport.NewSequencer(),
 	}
+}
+
+// commit is a gatekeeper 0 commit at a fresh tick: recs, stamped with it,
+// reach the backing store, and then ops are forwarded unless forward is
+// false (the gatekeeper died in between).
+func (r *rig) commit(forward bool, ops []graph.Op, recs ...*graph.VertexRecord) core.Timestamp {
+	ts := r.clock.Tick()
+	var puts []kvstore.KV
+	for _, rec := range recs {
+		rec.LastTS = ts
+		puts = append(puts, kvstore.KV{Key: graph.VertexKey(rec.ID), Value: graph.EncodeRecord(rec)})
+	}
+	r.store.BulkPut(puts)
+	if forward {
+		r.drv.Send(transport.ShardAddr(0), wire.TxForward{TS: ts, Seq: r.seq.Next(transport.ShardAddr(0)), Ops: ops})
+	}
+	return ts
+}
+
+// read sends one read to the shard and returns its reply (a
+// wire.ProgDelta or wire.IndexResult with the read's QID). The caller
+// arranges for the frontiers to pass the read timestamp.
+func (r *rig) read(msg any, qid core.ID) any {
+	r.t.Helper()
+	r.drv.Send(transport.ShardAddr(0), msg)
+	deadline := time.After(5 * time.Second)
+	for {
+		for m, ok := r.drv.Next(); ok; m, ok = r.drv.Next() {
+			switch d := m.Payload.(type) {
+			case wire.ProgDelta:
+				if d.QID == qid {
+					return d
+				}
+			case wire.IndexResult:
+				if d.QID == qid {
+					return d
+				}
+			}
+		}
+		select {
+		case <-r.drv.Recv():
+		case <-deadline:
+			r.t.Fatalf("read %v unanswered; stats %+v", qid, r.sh.Stats())
+		}
+	}
+}
+
+// getNode runs get_node on v at readTS (see read).
+func (r *rig) getNode(readTS core.Timestamp, v graph.VertexID) wire.ProgDelta {
+	return r.read(wire.ProgHops{QID: readTS.ID(), TS: readTS, ReadTS: readTS, Coordinator: r.drv.Addr(),
+		Hops: []wire.Hop{{ID: 1, Vertex: v, Program: "get_node"}}}, readTS.ID()).(wire.ProgDelta)
 }
 
 func (r *rig) sendTx(ops ...graph.Op) core.Timestamp {
@@ -339,6 +404,99 @@ func TestInstallRecoveredAppliesUnforwardedTombstone(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A commit whose stamp is vclock-concurrent with the resident last write of
+// its vertex — ordered after it by the timeline oracle at commit time (§4.2)
+// — and never forwarded reaches the shard only through the epoch barrier's
+// sweep. The sweep must decide by that order, not by the vector clocks
+// alone: a set replaces the old value and a delete removes the vertex.
+func TestBarrierSweepsConcurrentUnforwardedCommit(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delete=%v", del), func(t *testing.T) {
+			r := newStoreRig(t, Config{NumGatekeepers: 2}, kvstore.New())
+			gk1 := r.f.Endpoint(transport.GatekeeperAddr(1))
+			c1 := core.NewVectorClock(1, 2, 0)
+			tb := c1.Tick() // minted before gk1 hears of ta: concurrent with it
+			rec := graph.NewVertexRecord("v", 0)
+			rec.Props["k"] = "a"
+			ta := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"},
+				{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "a"}}, rec)
+			c1.Observe(ta)
+			gk1.Send(transport.ShardAddr(0), wire.Nop{TS: c1.Tick(), Seq: 1})
+			r.waitStats(func(s Stats) bool { return s.TxExecuted == 1 })
+
+			// tb commits after ta, so the oracle orders the pair; its
+			// gatekeeper dies before forwarding it.
+			if err := r.orc.AssignOrder(oracle.EventOf(ta), oracle.EventOf(tb)); err != nil {
+				t.Fatal(err)
+			}
+			if del {
+				rec.Deleted, rec.Props = true, map[string]string{}
+			} else {
+				rec.Props["k"] = "b"
+			}
+			rec.LastTS = tb
+			r.store.BulkPut([]kvstore.KV{{Key: graph.VertexKey("v"), Value: graph.EncodeRecord(rec)}})
+
+			enterEpoch(t, r.drv, 1)
+			r.clock.AdvanceEpoch(1)
+			r.seq.Reset()
+			c1.AdvanceEpoch(1)
+			reader := r.clock.Tick()
+			r.sendNop()
+			c1.Observe(reader)
+			gk1.Send(transport.ShardAddr(0), wire.Nop{TS: c1.Tick(), Seq: 1})
+			d := r.getNode(reader, "v")
+			if del {
+				if d.Err != "" || len(d.Results) != 0 {
+					t.Fatalf("the unforwarded delete was dropped: %d results, err %q", len(d.Results), d.Err)
+				}
+				return
+			}
+			var nd nodeprog.NodeData
+			if d.Err != "" || len(d.Results) != 1 || nodeprog.Decode(d.Results[0], &nd) != nil || nd.Props["k"] != "b" {
+				t.Fatalf("the unforwarded set was dropped: %d results, err %q, props %v", len(d.Results), d.Err, nd.Props)
+			}
+		})
+	}
+}
+
+// A delete committed and never forwarded, of a vertex demand paging evicted
+// from the graph, reaches the shard only as a tombstone at the epoch
+// barrier's sweep. The index still holds the vertex — it is never paged out
+// — so the tombstone must reach it too, or lookups keep returning a vertex
+// the graph no longer has.
+func TestBarrierTombstoneOfPagedOutVertexLeavesIndex(t *testing.T) {
+	r := newStoreRig(t, Config{NumGatekeepers: 1, MaxVertices: 1, Indexes: []index.Spec{{Key: "city"}}}, kvstore.New())
+	var ops []graph.Op
+	var recs []*graph.VertexRecord
+	for _, v := range []graph.VertexID{"gone", "kept"} {
+		ops = append(ops, graph.Op{Kind: graph.OpCreateVertex, Vertex: v},
+			graph.Op{Kind: graph.OpSetVertexProp, Vertex: v, Key: "city", Value: "ithaca"})
+		rec := graph.NewVertexRecord(v, 0)
+		rec.Props["city"] = "ithaca"
+		recs = append(recs, rec)
+	}
+	r.commit(true, ops, recs...)
+	// A later write elsewhere, then a GC round at it: both are cold and over
+	// the cap.
+	last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+	r.waitStats(func(s Stats) bool { return s.PagedOut == 2 })
+
+	recs[0].Deleted, recs[0].Props = true, map[string]string{}
+	r.commit(false, nil, recs[0])
+	enterEpoch(t, r.drv, 1)
+	r.clock.AdvanceEpoch(1)
+	r.seq.Reset()
+	ts := r.clock.Tick()
+	r.sendNop()
+	res := r.read(wire.IndexLookup{QID: ts.ID(), ReadTS: ts, Wheres: wire.Eq("city", "ithaca"), Reply: r.drv.Addr()}, ts.ID()).(wire.IndexResult)
+	if res.Err != "" || !slices.Equal(res.Vertices, []graph.VertexID{"kept"}) {
+		t.Fatalf("lookup after the barrier = %+v, want [kept]", res)
 	}
 }
 

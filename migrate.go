@@ -250,21 +250,19 @@ func (c *Cluster) rehome(mapped *partition.Mapped, moves []Move, gks []*gatekeep
 	}
 
 	// Commit succeeded: each source shard hands its movers — version
-	// chains, full posting histories — to their target in memory, and the
-	// directory repoints. Gatekeepers are paused and applies drained, so
-	// nothing reads or writes these vertices here. Every posting value
-	// landing on a target enters the marker catalog — historical versions
-	// included, so pinned-snapshot lookups plan toward the vertex's new
-	// home. Source markers stay: they are monotone, and a stale marker only
-	// costs an empty visit.
+	// chains, index state — to their target in memory, and the directory
+	// repoints. Gatekeepers are paused and applies drained, so nothing
+	// reads or writes these vertices here. Every indexed value landing on a
+	// target enters the marker catalog — historical values included, so
+	// pinned-snapshot lookups plan toward the vertex's new home. Source
+	// markers stay: they are monotone, and a stale marker only costs an
+	// empty visit.
 	markers := make(map[string]struct{})
 	for ln, ids := range byLane {
 		mv := shards[ln.src].Detach(ids)
-		for key, byVertex := range mv.Postings.Keys {
-			for _, chain := range byVertex {
-				for _, post := range chain {
-					markers[plan.MarkerKey(key, post.Value, ln.dst)] = struct{}{}
-				}
+		for key, byValue := range mv.Postings.Values {
+			for val := range byValue {
+				markers[plan.MarkerKey(key, val, ln.dst)] = struct{}{}
 			}
 		}
 		shards[ln.dst].Attach(mv)

@@ -83,18 +83,18 @@
 // # Secondary indexes
 //
 // Config.Indexes declares property keys each shard indexes with a
-// multiversion inverted index (internal/index): postings carry
-// create/delete timestamps exactly like graph versions, so
+// multiversion inverted index (internal/index): value → candidate vertices
+// over a projection of the shard's multi-version graph (each vertex's
+// incarnations and indexed-property versions), so
 // Client.Lookup/LookupRange answer "all vertices where key=value" (or a
-// value range) as a strictly serializable snapshot read — and, through
-// Client.At, as of any retained past timestamp. RunProgramWhere starts a
-// node program from an index selector at one consistent snapshot. Index
-// maintenance rides the transaction apply path; GC trims postings at the
-// watermark that trims graph history, migration moves them with the version
-// chains, and bulk ingest and recovery rebuild them from records. Postings stay
-// resident when demand paging evicts a cold vertex's graph history —
-// lookups answer for paged-out vertices without faulting them in, so
-// Config.MaxShardVertices bounds graph memory only.
+// value range) by the graph's own visibility rule, as a strictly
+// serializable snapshot read — and, through Client.At, as of any retained
+// past timestamp. RunProgramWhere starts a node program from an index
+// selector at one consistent snapshot. The projection is fed the same
+// transactions and records as the graph, garbage-collected at the same
+// watermark and migrated with the version chains. Demand paging never
+// evicts it — lookups answer for paged-out vertices without faulting them
+// in, so Config.MaxShardVertices bounds graph memory only.
 //
 // Quick start:
 //
@@ -219,7 +219,11 @@ type Config struct {
 	// MaxShardVertices enables demand paging (§6.1): each shard keeps at
 	// most this many resident vertex histories, paging cold vertices out
 	// once the GC watermark passes them and faulting them back in from
-	// the backing store on access. Requires GCPeriod. 0 = unlimited.
+	// the backing store on access. A faulted-in vertex holds only its
+	// latest record, so a read below that record's stamp — one racing a
+	// write to a paged-out vertex — fails with ErrStaleSnapshot; retry it
+	// at a fresh timestamp. Secondary indexes are not paged: the cap
+	// bounds graph history only. Requires GCPeriod. 0 = unlimited.
 	MaxShardVertices int
 	// RebalanceInterval, when positive, runs the background heat-driven
 	// rebalancer (§4.6): every interval the hottest vertices across all
@@ -244,8 +248,10 @@ type Config struct {
 	// snapshot (strictly serializable — never a phantom from a
 	// concurrent writer) or, via Client.At, at any retained past
 	// timestamp; RunProgramWhere starts node programs from an index
-	// selector. Index postings are garbage-collected, migrated, paged,
-	// bulk-loaded and recovered alongside the graph versions they mirror.
+	// selector. An index keeps its history as a projection of the graph
+	// (vertex incarnations and the indexed properties' versions),
+	// garbage-collected, migrated, bulk-loaded and recovered alongside
+	// the graph; demand paging never evicts it.
 	Indexes []IndexSpec
 }
 
