@@ -20,11 +20,11 @@ var ErrProgTimeout = errors.New("gatekeeper: node program timed out")
 var ErrProgFailed = errors.New("gatekeeper: node program failed")
 
 // ErrStaleSnapshot is returned by historical queries whose read timestamp
-// has fallen behind the cluster GC watermark: the versions the query would
-// need may already be collected, so shards refuse to answer rather than
-// return wrong data (§4.5). Reads inside Config.HistoryRetention, and
-// reads at pinned snapshots (PinSnapshot), never hit this.
-var ErrStaleSnapshot = errors.New("gatekeeper: snapshot timestamp behind GC watermark")
+// is older than the history a shard holds: behind the cluster GC watermark
+// (§4.5; pins and Config.HistoryRetention hold it back), or below a record
+// the shard read back from the backing store (restart, demand paging).
+// Shards refuse to answer rather than return wrong data.
+var ErrStaleSnapshot = errors.New("gatekeeper: snapshot timestamp too old")
 
 // The read path. A read is what to evaluate — a node program (this file) or
 // a predicate conjunction (lookup.go) — plus the timestamp to evaluate it

@@ -46,13 +46,14 @@ type Vertex struct {
 type chain struct {
 	incarnations []*Vertex
 	// loadedAt, when non-zero, records that this chain was installed
-	// from a backing-store record snapshotted at that timestamp
-	// (recovery §4.3, demand paging §6.1). Writes at or below it are
-	// already reflected in the snapshot and must not re-apply.
+	// from a record stamped at that timestamp (Install). Writes at or below
+	// it are already reflected in the record and must not re-apply.
 	loadedAt core.Timestamp
-	// paged marks a demand-paging install (LoadPaged): the record may be
-	// newer than a reader of this chain (View.Truncated).
-	paged bool
+	// marked says the record was read back from the backing store
+	// (recovery §4.3, demand paging §6.1): it holds only the vertex's latest
+	// state, so this chain's history starts at loadedAt, and a reader below
+	// it is refused rather than told the vertex is absent (View.Truncated).
+	marked bool
 }
 
 func (c *chain) latest() *Vertex {
@@ -69,7 +70,7 @@ func (c *chain) latest() *Vertex {
 //
 // Chains have a single writer: the shard event loop applies transactions
 // and runs node-program reads between them. Operations that change the map
-// (create_vertex, Load, Detach/Attach, GC) take the write lock; every other
+// (create_vertex, Install, Detach/Attach, GC) take the write lock; every other
 // Apply mutates one existing chain under the read lock. Other goroutines
 // touch only the map, under the lock (NumVertices for Stats), or run behind
 // a fence with applies quiesced (Install, Detach/Attach).
@@ -78,6 +79,9 @@ type Store struct {
 	vertices map[VertexID]*chain
 	// keys, when non-nil, makes the store a projection (NewProjection).
 	keys map[string]bool
+	// horizon is the pointwise max of every mark installed or attached
+	// here (Horizon).
+	horizon core.Timestamp
 }
 
 // NewStore returns an empty multi-version graph store.
@@ -121,15 +125,9 @@ func (s *Store) NumVertices() int {
 // timestamp ts. Operations arrive pre-validated by the gatekeeper against
 // the backing store (§4.2), so failures here indicate an ordering bug; they
 // are returned for the shard to surface loudly.
-func (s *Store) Apply(op Op, ts core.Timestamp) error {
-	if op.Kind == OpCreateVertex {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	} else {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
-	return s.applyLocked(op, ts)
+func (s *Store) Apply(op Op, ts core.Timestamp) (err error) {
+	s.ApplyTx([]Op{op}, ts, func(_ Op, e error) { err = e })
+	return err
 }
 
 // ApplyTx applies one whole transaction under a single lock acquisition —
@@ -299,38 +297,57 @@ func delProp(props []Property, key string, ts core.Timestamp) []Property {
 	return props
 }
 
-// Load installs a vertex recovered from the backing store (§4.3). The whole
-// record becomes visible at its last-update timestamp — older version
-// history is not reconstructed, which is safe because any operation that
-// could have observed it is re-executed with a fresh (later) timestamp
-// after recovery.
-func (s *Store) Load(rec *VertexRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loadLocked(rec)
-}
+// Load installs one record unmarked (Install).
+func (s *Store) Load(rec *VertexRecord) { s.Install([]*VertexRecord{rec}, false) }
 
-// LoadAll installs a batch of records under one lock acquisition — the
-// shard-side half of bulk ingest (snapshot segments) and recovery.
-func (s *Store) LoadAll(recs []*VertexRecord) {
+// LoadAll installs a batch of records unmarked (Install).
+func (s *Store) LoadAll(recs []*VertexRecord) { s.Install(recs, false) }
+
+// Install is the one way a record becomes a version chain, a batch under one
+// lock acquisition: each record replaces its vertex's chain with one whose
+// history starts at the record's stamp, a tombstone's with no visible
+// incarnation. marked says the record was read back from the backing store
+// (recovery §4.3, demand paging §6.1): a reader below the stamp is then
+// refused (View.Truncated, Horizon), not told — as after bulk ingest, whose
+// fresh vertices really did not exist before — that there is no vertex.
+func (s *Store) Install(recs []*VertexRecord, marked bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rec := range recs {
-		s.loadLocked(rec)
+		s.vertices[rec.ID] = s.chainOf(rec, marked)
+		if marked {
+			s.horizon = core.PointwiseMax(s.horizon, rec.LastTS)
+		}
 	}
 }
 
-// LoadPaged is Load for demand paging (§6.1): the record is the store's
-// latest, possibly newer than a reader of the chain, which remembers that
-// its history starts there (View.Truncated).
-func (s *Store) LoadPaged(rec *VertexRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loadLocked(rec).paged = true
+// Horizon returns the pointwise max of every mark installed or attached
+// here: the refusal bound for a reader that enumerates vertices, and so
+// cannot ask View.Truncated of those it does not find (an index lookup).
+func (s *Store) Horizon() core.Timestamp {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.horizon
 }
 
-func (s *Store) loadLocked(rec *VertexRecord) *chain {
+// Mark returns the stamp of id's marked install, if its chain has one.
+func (s *Store) Mark(id VertexID) (core.Timestamp, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if ch := s.vertices[id]; ch != nil && ch.marked {
+		return ch.loadedAt, true
+	}
+	return core.Timestamp{}, false
+}
+
+// chainOf builds the chain Install puts in place for rec.
+func (s *Store) chainOf(rec *VertexRecord, marked bool) *chain {
 	v := &Vertex{ID: rec.ID, Created: rec.LastTS}
+	ch := &chain{incarnations: []*Vertex{v}, loadedAt: rec.LastTS, marked: marked}
+	if rec.Deleted {
+		v.Deleted = rec.LastTS
+		return ch
+	}
 	for k, val := range rec.Props {
 		if s.keys == nil || s.keys[k] {
 			v.Props = append(v.Props, Property{Key: k, Value: val, Created: rec.LastTS})
@@ -353,8 +370,6 @@ func (s *Store) loadLocked(rec *VertexRecord) *chain {
 			v.Out[eid] = e
 		}
 	}
-	ch := &chain{incarnations: []*Vertex{v}, loadedAt: rec.LastTS}
-	s.vertices[rec.ID] = ch
 	return ch
 }
 
@@ -457,8 +472,8 @@ func (s *Store) Detach(v VertexID) (History, bool) {
 }
 
 // Attach installs a version chain detached from another store, replacing
-// any resident versions of the vertex. The same quiescence contract as
-// Detach applies.
+// any resident versions of the vertex; a marked chain brings its mark to
+// Horizon. The same quiescence contract as Detach applies.
 func (s *Store) Attach(h History) {
 	if h.ch == nil {
 		return
@@ -466,6 +481,9 @@ func (s *Store) Attach(h History) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.vertices[h.id] = h.ch
+	if h.ch.marked {
+		s.horizon = core.PointwiseMax(s.horizon, h.ch.loadedAt)
+	}
 }
 
 // Has reports whether any version of the vertex is resident.

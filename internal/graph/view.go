@@ -99,14 +99,16 @@ func (w *View) Prop(id VertexID, key string) (string, bool) {
 	return "", false
 }
 
-// Truncated reports whether id's resident history starts at a demand-paging
-// install (Store.LoadPaged) this view cannot see: what id held at the view's
-// timestamp was never loaded.
-func (w *View) Truncated(id VertexID) bool {
+// Truncated reports whether id's resident history starts at a marked
+// install (Store.Install) this view cannot see — what id held at the view's
+// timestamp was never loaded — and that install's stamp.
+func (w *View) Truncated(id VertexID) (core.Timestamp, bool) {
 	w.s.mu.RLock()
 	defer w.s.mu.RUnlock()
-	ch := w.s.vertices[id]
-	return ch != nil && ch.paged && !w.before(ch.loadedAt)
+	if ch := w.s.vertices[id]; ch != nil && ch.marked && !w.before(ch.loadedAt) {
+		return ch.loadedAt, true
+	}
+	return core.Timestamp{}, false
 }
 
 // Vertex materializes the visible state of id: its live properties and live

@@ -12,7 +12,9 @@
 // props walk), so it equals a brute-force scan of the versioned store at T
 // by construction. A vertex is a candidate for exactly the values its
 // resident versions hold: entries come as versions are written or installed
-// and go as versions are collected, replaced by a record or moved away.
+// and go as versions are collected, replaced by a record or moved away. A
+// record read back from the store holds only a vertex's latest state, so
+// shards refuse lookups below the projection's install horizon (Horizon).
 // One mutex guards the candidate maps against readers on other goroutines
 // (Stats, fence-time Detach/Attach).
 package index
@@ -83,7 +85,7 @@ func (ix *Index) HasKey(key string) bool {
 // ApplyTx feeds one applied transaction's operations into the index,
 // stamped with the transaction timestamp. The shard event loop is the only
 // caller and delivers transactions in refined timestamp order. Operations
-// the projection rejects or already holds (see graph.Store.Load) change
+// the projection rejects or already holds (see graph.Store.Install) change
 // nothing.
 func (ix *Index) ApplyTx(ops []graph.Op, ts core.Timestamp) {
 	if ix == nil {
@@ -104,23 +106,37 @@ func (ix *Index) Apply(op graph.Op, ts core.Timestamp) {
 	ix.ApplyTx([]graph.Op{op}, ts)
 }
 
-// InsertRecord installs a vertex record wholesale — recovery, bulk ingest,
-// the epoch barrier's sweep — exactly as graph.Store.Load installs it in
-// the shard's graph: the record replaces the vertex's indexed history and
-// becomes visible at its last-update timestamp.
+// InsertRecord installs one record unmarked (Install).
 func (ix *Index) InsertRecord(rec *graph.VertexRecord) {
-	if ix == nil || rec == nil || rec.Deleted {
+	ix.Install([]*graph.VertexRecord{rec}, false)
+}
+
+// Install installs vertex records wholesale — recovery, the epoch barrier's
+// sweep, bulk ingest — exactly as graph.Store.Install installs them in the
+// shard's graph: each replaces its vertex's indexed history.
+func (ix *Index) Install(recs []*graph.VertexRecord, marked bool) {
+	if ix == nil {
 		return
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.forgetLocked(rec.ID, nil)
-	ix.proj.Load(rec)
-	for key, kx := range ix.keys {
-		if val, ok := rec.Props[key]; ok {
-			kx.addLocked(val, rec.ID)
-		}
+	for _, rec := range recs {
+		ix.forgetLocked(rec.ID, nil)
 	}
+	ix.proj.Install(recs, marked)
+	for _, rec := range recs {
+		ix.proj.Versions(rec.ID, func(p *graph.Property) { ix.keys[p.Key].addLocked(p.Value, rec.ID) })
+	}
+}
+
+// Horizon is the install horizon lookups are refused below: the
+// projection's graph.Store.Horizon, raised by marked installs and attached
+// marked histories.
+func (ix *Index) Horizon() core.Timestamp {
+	if ix == nil {
+		return core.Timestamp{}
+	}
+	return ix.proj.Horizon()
 }
 
 // holds reports whether some resident version of v holds key=value.
@@ -316,9 +332,11 @@ func (ix *Index) Detach(ids []graph.VertexID) Postings {
 }
 
 // Attach installs index state detached from another shard, replacing any
-// local history of the moved vertices. Keys the receiving index is not
-// configured with are dropped (index specs are cluster-wide, so this only
-// happens on misconfiguration). The same fence contract as Detach applies.
+// local history of the moved vertices; a marked history brings its stamp to
+// the install horizon, which so moves with the vertex. Keys the receiving
+// index is not configured with are dropped (index specs are cluster-wide,
+// so this only happens on misconfiguration). The same fence contract as
+// Detach applies.
 func (ix *Index) Attach(p Postings) {
 	if ix == nil {
 		return

@@ -281,3 +281,98 @@ func TestPagedInRecordNewerThanReaderIsRefused(t *testing.T) {
 		})
 	}
 }
+
+// A paged-out vertex deleted after a reader was minted pages back in as a
+// tombstone — whether the delete was forwarded (its own fault-in reloads
+// the vertex) or not (the read faults it in). The vertex existed at the
+// reader's timestamp, so the read must be refused, never answered "no such
+// vertex".
+func TestPagedOutVertexDeletedAfterReaderIsRefused(t *testing.T) {
+	for _, forwarded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("forwarded=%v", forwarded), func(t *testing.T) {
+			r := newStoreRig(t, Config{NumGatekeepers: 1, MaxVertices: 1}, kvstore.New())
+			rec := graph.NewVertexRecord("v0", 0)
+			r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v0"}}, rec)
+			// A later write elsewhere, then a GC round at it: v0 is cold and
+			// over the cap.
+			last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
+			r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+			r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+			r.waitStats(func(s Stats) bool { return s.PagedOut == 1 })
+
+			reader := r.clock.Tick()
+			rec.Deleted, rec.Props = true, map[string]string{}
+			r.commit(forwarded, []graph.Op{{Kind: graph.OpDeleteVertex, Vertex: "v0"}}, rec)
+			r.sendNop()
+			if d := r.getNode(reader, "v0"); d.ErrCode != wire.ErrCodeStaleSnapshot {
+				t.Fatalf("read below the paged-in tombstone answered instead of refused: %+v", d)
+			}
+			if st := r.sh.Stats(); st.ApplyErrors != 0 {
+				t.Fatalf("apply errors: %+v", st)
+			}
+		})
+	}
+}
+
+// A paged-in record covers every write the oracle orders at or before its
+// stamp, not only the faulting transaction's. Gatekeeper 0 commits t1 (k=a)
+// then t3 (k=c) on a paged-out vertex; gatekeeper 1's tb (k=b) is
+// vclock-concurrent with both, ordered after both and committed last, so
+// tb's record is the store's when t1 faults the vertex in. t3 must not
+// re-apply over it.
+func TestPagedInRecordCoversConcurrentLaterCommit(t *testing.T) {
+	r := newStoreRig(t, Config{NumGatekeepers: 2, MaxVertices: 1}, kvstore.New())
+	gk1 := r.f.Endpoint(transport.GatekeeperAddr(1))
+	c1, seq1 := core.NewVectorClock(1, 2, 0), transport.NewSequencer()
+	gk1Send := func(ops []graph.Op, ts core.Timestamp) {
+		if ops == nil {
+			gk1.Send(transport.ShardAddr(0), wire.Nop{TS: ts, Seq: seq1.Next(transport.ShardAddr(0))})
+		} else {
+			gk1.Send(transport.ShardAddr(0), wire.TxForward{TS: ts, Seq: seq1.Next(transport.ShardAddr(0)), Ops: ops})
+		}
+	}
+	rec := graph.NewVertexRecord("v", 0)
+	r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "v"}}, rec)
+	// A later write elsewhere, then a GC round at it: v is cold and over
+	// the cap.
+	last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
+	c1.Observe(last)
+	gk1Send(nil, c1.Tick())
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+	gk1.Send(transport.ShardAddr(0), wire.GCReport{GK: 1, TS: last})
+	r.waitStats(func(s Stats) bool { return s.PagedOut == 1 })
+
+	tb := c1.Tick() // concurrent with t1 and t3
+	set := func(val string) []graph.Op {
+		rec.Props["k"] = val
+		return []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: val}}
+	}
+	t1 := r.commit(true, set("a"), rec)
+	t3 := r.commit(true, set("c"), rec)
+	for _, ts := range []core.Timestamp{t1, t3} {
+		if err := r.orc.AssignOrder(oracle.EventOf(ts), oracle.EventOf(tb)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := set("b")
+	rec.LastTS = tb
+	r.store.BulkPut([]kvstore.KV{{Key: graph.VertexKey("v"), Value: graph.EncodeRecord(rec)}})
+	gk1Send(ops, tb)
+	r.clock.Observe(tb)
+	r.sendNop()
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 5 })
+
+	reader := r.clock.Tick()
+	r.sendNop()
+	c1.Observe(r.clock.Peek())
+	gk1Send(nil, c1.Tick())
+	d := r.getNode(reader, "v")
+	var nd nodeprog.NodeData
+	if d.Err != "" || len(d.Results) != 1 || nodeprog.Decode(d.Results[0], &nd) != nil || nd.Props["k"] != "b" {
+		t.Fatalf("get_node(v) = %d results, err %q, props %v; want k=b", len(d.Results), d.Err, nd.Props)
+	}
+	if st := r.sh.Stats(); st.ApplyErrors != 0 {
+		t.Fatalf("apply errors: %+v", st)
+	}
+}

@@ -15,10 +15,15 @@ import (
 // file is what a READY lookup evaluates.
 
 // answerLookup replies to a ready lookup: the refusal stale (non-empty when
-// its read timestamp is behind the GC watermark), or its evaluation.
+// its read timestamp is behind the GC watermark), a refusal below the
+// index's install horizon, or its evaluation.
 func (s *Shard) answerLookup(m *wire.IndexLookup, stale string) {
 	s.indexLookups.Add(1)
 	res := wire.IndexResult{QID: m.QID, Shard: s.cfg.ID, Trace: m.Trace}
+	if h := s.idx.Horizon(); stale == "" && !h.Zero() && !h.PointwiseLE(m.ReadTS) {
+		s.m.staleInstall.Inc()
+		stale = fmt.Sprintf("shard %d: lookup timestamp %v below install horizon %v", s.cfg.ID, m.ReadTS, h)
+	}
 	if stale != "" {
 		res.ErrCode, res.Err = wire.ErrCodeStaleSnapshot, stale
 	} else if ids, matched, scanned, indexed := s.evalWheres(m.Wheres, m.Limit, s.visible(m.ReadTS)); indexed {

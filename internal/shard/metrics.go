@@ -11,12 +11,20 @@ type obsMetrics struct {
 	tracer    *obs.Tracer
 	queueWait *obs.Histogram // weaver_shard_queue_wait_seconds
 	applyDur  *obs.Histogram // weaver_shard_apply_seconds
+	// Stale-snapshot refusals by cause: GC, or a record read back from the
+	// store (a vertex's mark, the index's install horizon).
+	staleGC       *obs.Counter // weaver_shard_stale_reads_gc_total
+	staleInstall  *obs.Counter // weaver_shard_stale_reads_install_total
+	recoverErrors *obs.Counter // weaver_shard_recover_errors_total (Stats.RecoverErrors)
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
 	return obsMetrics{
-		tracer:    r.Tracer(),
-		queueWait: r.LatencyHistogram("weaver_shard_queue_wait_seconds"),
-		applyDur:  r.LatencyHistogram("weaver_shard_apply_seconds"),
+		tracer:        r.Tracer(),
+		queueWait:     r.LatencyHistogram("weaver_shard_queue_wait_seconds"),
+		applyDur:      r.LatencyHistogram("weaver_shard_apply_seconds"),
+		staleGC:       r.Counter("weaver_shard_stale_reads_gc_total"),
+		staleInstall:  r.Counter("weaver_shard_stale_reads_install_total"),
+		recoverErrors: r.Counter("weaver_shard_recover_errors_total"),
 	}
 }

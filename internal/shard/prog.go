@@ -18,8 +18,10 @@ import (
 // shard has applied everything at or before its read timestamp (§4.1), is
 // refused with a typed error if that timestamp is behind the GC watermark
 // (§4.5), and otherwise evaluates under the visibility predicate built from
-// it. Reads run on the event loop between transactions, so they never
-// observe a half-applied transaction.
+// it — refused after all where it misses a vertex whose record, read back
+// from the store, is newer than the read (graph.View.Truncated; a lookup:
+// the index's install horizon). Reads run on the event loop between
+// transactions, so they never observe a half-applied transaction.
 
 // pendingRead is one read waiting at the gate; exactly one of hops and
 // lookup is set.
@@ -52,6 +54,7 @@ func (s *Shard) runReadyReads() {
 		// read that passes sees strictly pre-collection state.
 		var stale string
 		if s.snapshotStale(r.readTS) {
+			s.m.staleGC.Inc()
 			stale = fmt.Sprintf("shard %d: read timestamp %v behind GC watermark %v",
 				s.cfg.ID, r.readTS, s.gcWM)
 		}
@@ -195,17 +198,19 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 			return
 		}
 		vv, ok := view.Vertex(hop.Vertex)
-		if !ok && s.paging {
+		if !ok {
 			// Demand paging, fault half (§6.1): the vertex may have
-			// been evicted; reload its committed record. That record
-			// may be newer than this read, and then the vertex's state
-			// at the read timestamp is not resident: refuse, typed.
-			if !s.g.Has(hop.Vertex) && s.pageIn(hop.Vertex) != nil {
+			// been evicted; reload its committed record.
+			if s.paging && !s.g.Has(hop.Vertex) && s.pageIn(hop.Vertex) {
 				vv, ok = view.Vertex(hop.Vertex)
 			}
-			if !ok && view.Truncated(hop.Vertex) {
-				fail(wire.ErrCodeStaleSnapshot, fmt.Errorf("shard %d: read timestamp %v below the paged-in record of %q",
-					s.cfg.ID, b.ReadTS, hop.Vertex))
+			// A record read back from the store — paged in or recovered —
+			// may be newer than this read, and then the vertex's state at
+			// the read timestamp was never loaded: refuse, typed.
+			if mark, cut := view.Truncated(hop.Vertex); !ok && cut {
+				s.m.staleInstall.Inc()
+				fail(wire.ErrCodeStaleSnapshot, fmt.Errorf("shard %d: read timestamp %v below the install stamp %v of %q",
+					s.cfg.ID, b.ReadTS, mark, hop.Vertex))
 				return
 			}
 		}

@@ -27,14 +27,17 @@
 // it on three occasions: Recover at boot (§4.3), the same Recover at every
 // epoch barrier — the sweep for write-sets a gatekeeper committed and was
 // killed before forwarding, run in embedded and TCP deployments alike —
-// and demand paging (§6.1), which Config.MaxVertices turns on. Paging
-// evicts graph history only, never the index's; a read below a paged-in
-// record's stamp is refused as stale, never answered "absent".
+// and demand paging (§6.1), which Config.MaxVertices turns on. Every record
+// read back replaces its vertex's chain with one marked at the record's
+// stamp (graph.Store.Install), tombstones too. A read below a vertex's mark
+// is refused as stale, never answered "absent" (graph.View.Truncated); a
+// lookup, below the index's install horizon. Paging never touches the index.
 package shard
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -142,11 +145,9 @@ type Shard struct {
 	gcReports  map[int]core.Timestamp
 	// gcWM is the watermark of the most recent version collection: every
 	// version whose lifetime ended strictly before it is gone. Historical
-	// reads are answered only at or above it (§4.5). Crash recovery also
-	// raises it to the recovery horizon — wholesale-reloaded records are
-	// faithful only from their last-update stamps onward, so older reads
-	// must fail typed rather than see truncated history. Event-loop owned
-	// (Recover and re-recovery run pre-Start or on the loop).
+	// reads are answered only at or above it (§4.5). Only maybeGC writes it
+	// (event-loop owned); what a reloaded record truncated is refused by the
+	// record's own mark instead.
 	gcWM core.Timestamp
 	// epoch is the shard's current epoch (event-loop owned): stale-epoch
 	// stream traffic — a crashed gatekeeper's last NOPs straggling in
@@ -280,94 +281,38 @@ func (s *Shard) Recover() (int, error) {
 	return s.InstallRecovered(recs), nil
 }
 
-// InstallRecovered is the one way records pulled from the backing store
-// enter the graph: recs are this shard's records, tombstones included,
-// already selected by the caller (Recover's scan, or weaver.Open's single
-// scan bucketed per shard). Live records are loaded and indexed; a
-// tombstone ordered after everything the graph holds for its vertex is a
-// committed delete that was never forwarded, applied at its own stamp the
-// way the forward would have been — to the index too, which still holds a
-// vertex demand paging evicted from the graph. A stored record carries only
-// the vertex's latest state, so the recovery horizon is raised over all of
-// them — a deleted vertex existed below its tombstone's stamp — and every
-// caller gets the "refused, never truncated" guarantee for reads at older
-// timestamps. Returns the number of live records installed.
+// InstallRecovered installs records read back from the backing store —
+// Recover's scan, or weaver.Open's single scan bucketed per shard —
+// tombstones included, marked: a stored record holds only the vertex's
+// latest state, so reads below it are refused, never answered from
+// truncated history. Returns the number of live records installed.
 func (s *Shard) InstallRecovered(recs []*graph.VertexRecord) int {
-	live := recs[:0:0]
-	for _, rec := range recs {
-		if !rec.Deleted {
-			live = append(live, rec)
-			continue
-		}
-		op := graph.Op{Kind: graph.OpDeleteVertex, Vertex: rec.ID}
-		if last := s.g.LastWrite(rec.ID); !last.Zero() {
-			if s.order(rec.LastTS, last) != core.After {
-				continue
-			}
-			if err := s.g.Apply(op, rec.LastTS); err != nil {
-				s.reportApplyErr(op, rec.LastTS, err)
-				continue
-			}
-		}
-		s.idx.Apply(op, rec.LastTS)
-	}
-	s.g.LoadAll(live)
-	s.indexRecords(live)
-	s.raiseRecoveryHorizon(recs)
-	return len(live)
+	return s.install(recs, true)
 }
 
-// raiseRecoveryHorizon lifts the GC watermark to cover the reloaded
-// records: each becomes visible wholesale at its last-update stamp, so a
-// historical read below that stamp would silently see truncated history —
-// missing versions, missing vertices. Raising gcWM makes such reads fail
-// with the typed stale-snapshot error instead (runReadyReads gates on
-// it). Reads in later epochs are unaffected: the horizon's old epoch is
-// pointwise-below every new-epoch timestamp.
-func (s *Shard) raiseRecoveryHorizon(recs []*graph.VertexRecord) {
-	if len(recs) == 0 {
-		return
-	}
-	horizon := s.gcWM
-	for _, rec := range recs {
-		if horizon.Zero() {
-			horizon = rec.LastTS
-			continue
-		}
-		horizon = core.PointwiseMax(horizon, rec.LastTS)
-	}
-	s.gcWM = horizon
-}
-
-// Install loads bulk-ingested vertex records into the in-memory graph,
-// skipping records homed on other shards, and returns the count installed.
-// It is the shard-side consumer of snapshot segments (Cluster.BulkLoad):
-// the caller must guarantee no conflicting transaction is applying —
-// gatekeepers paused and applies quiesced — because records land
-// visible wholesale at their stamped timestamp. Only for records that
-// carry their whole history, which bulk ingest's freshly stamped vertices
-// do; records read back from the store go through InstallRecovered.
+// Install installs bulk-ingested records (Cluster.BulkLoad's segments)
+// unmarked: their fresh vertices did not exist before their stamp. The
+// caller must guarantee no conflicting transaction is applying —
+// gatekeepers paused and applies quiesced.
 func (s *Shard) Install(recs []*graph.VertexRecord) int {
-	mine := recs[:0:0]
-	for _, rec := range recs {
-		if rec.Shard == s.cfg.ID && !rec.Deleted {
-			mine = append(mine, rec)
-		}
-	}
-	s.g.LoadAll(mine)
-	s.indexRecords(mine)
-	return len(mine)
+	return s.install(recs, false)
 }
 
-// indexRecords rebuilds secondary-index state from installed records —
-// the index half of recovery and bulk ingest.
-func (s *Shard) indexRecords(recs []*graph.VertexRecord) {
-	if s.idx == nil {
-		return
-	}
+// install is the one install loop: each record homed here replaces its
+// vertex's chain in the graph and the index (graph.Store.Install).
+func (s *Shard) install(recs []*graph.VertexRecord, marked bool) int {
+	mine, live := recs[:0:0], 0
 	for _, rec := range recs {
-		s.idx.InsertRecord(rec)
+		if rec.Shard == s.cfg.ID {
+			mine = append(mine, rec)
+			if !rec.Deleted {
+				live++
+			}
+		}
 	}
+	s.g.Install(mine, marked)
+	s.idx.Install(mine, marked)
+	return live
 }
 
 // Moved is the shard state of vertices in transit between shards (vertex
@@ -452,6 +397,7 @@ func (s *Shard) enterEpoch(epoch uint64) {
 	if s.kv != nil {
 		if _, err := s.Recover(); err != nil {
 			s.recoverErrors.Add(1)
+			s.m.recoverErrors.Inc()
 			fmt.Fprintf(os.Stderr, "weaver shard %d: entering epoch %d without the committed-but-unforwarded sweep: %v\n", s.cfg.ID, epoch, err)
 		}
 	}
@@ -754,7 +700,7 @@ func (s *Shard) applyOps(q queued) {
 	s.heat.addOps(q.ops)
 	ops := q.ops
 	if s.paging {
-		ops = s.faultIn(ops)
+		ops = s.faultIn(q)
 	}
 	// The whole transaction under one store-lock acquisition, counters
 	// batched per transaction.
@@ -768,37 +714,31 @@ func (s *Shard) applyOps(q queued) {
 }
 
 // faultIn is the apply half of demand paging (§6.1): it pages in every
-// vertex ops touch that is not resident — unless the transaction itself
-// creates it first — and returns the operations left to apply. Commits
-// reach the store before shards, so a record fetched here already covers
-// this transaction: its operations on that vertex are dropped, counted as
-// applied. The drop is by vertex, not by timestamp — a later commit may
-// have restamped the record with a LastTS that only the oracle orders
-// after this transaction. A tombstone loads nothing.
-func (s *Shard) faultIn(ops []graph.Op) []graph.Op {
-	covered := make(map[graph.VertexID]bool, len(ops)) // vertex → record fetched just now
-	fetched := false
-	for _, op := range ops {
-		if _, seen := covered[op.Vertex]; seen {
-			continue
+// vertex q touches that is not resident — unless q itself creates it first
+// — and returns the operations left to apply. Commits reach the store
+// before shards, so a record read back holds every write ordered at or
+// before its stamp: an operation on a marked chain, from q or any later
+// transaction, is dropped (counted as applied) unless q orders after the
+// mark. The order is Shard.order's, as a later commit may restamp the
+// record with a LastTS only the oracle orders after q.
+func (s *Shard) faultIn(q queued) []graph.Op {
+	for i, op := range q.ops {
+		if op.Kind != graph.OpCreateVertex && !s.g.Has(op.Vertex) && !creates(q.ops[:i], op.Vertex) {
+			s.pageIn(op.Vertex)
 		}
-		var rec *graph.VertexRecord
-		if op.Kind != graph.OpCreateVertex && !s.g.Has(op.Vertex) {
-			rec = s.pageIn(op.Vertex)
-		}
-		covered[op.Vertex] = rec != nil
-		fetched = fetched || rec != nil
 	}
-	if !fetched {
-		return ops
-	}
-	keep := make([]graph.Op, 0, len(ops))
-	for _, op := range ops {
-		if !covered[op.Vertex] {
+	keep := q.ops[:0:0]
+	for _, op := range q.ops {
+		if mark, ok := s.g.Mark(op.Vertex); !ok || s.order(q.ts, mark) == core.After {
 			keep = append(keep, op)
 		}
 	}
 	return keep
+}
+
+// creates reports whether ops create v.
+func creates(ops []graph.Op, v graph.VertexID) bool {
+	return slices.ContainsFunc(ops, func(op graph.Op) bool { return op.Kind == graph.OpCreateVertex && op.Vertex == v })
 }
 
 // reportApplyErr counts and surfaces an apply failure (an ordering bug —
@@ -808,24 +748,23 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 	fmt.Fprintf(os.Stderr, "weaver shard %d: apply %v at %v: %v\n", s.cfg.ID, op.Kind, ts, err)
 }
 
-// pageIn fetches one vertex record from the backing store and, unless it is
-// a tombstone, faults it into the in-memory graph (§6.1) — marked, as the
-// record may be newer than a reader (graph.View.Truncated). Returns nil when
-// the record is absent, unreadable or homed elsewhere.
-func (s *Shard) pageIn(v graph.VertexID) *graph.VertexRecord {
+// pageIn faults one vertex record from the backing store into the
+// in-memory graph (§6.1) through the marked install, a tombstone too: the
+// record may be newer than a reader (graph.View.Truncated). The index is
+// never paged. Reports false when the record is absent, unreadable or homed
+// elsewhere.
+func (s *Shard) pageIn(v graph.VertexID) bool {
 	data, _, found, err := s.kv.GetVersioned(graph.VertexKey(v))
 	if err != nil || !found {
-		return nil
+		return false
 	}
 	rec, err := graph.DecodeRecord(data)
 	if err != nil || rec.Shard != s.cfg.ID {
-		return nil
+		return false
 	}
-	if !rec.Deleted {
-		s.g.LoadPaged(rec)
-		s.pagedIn.Add(1)
-	}
-	return rec
+	s.g.Install([]*graph.VertexRecord{rec}, true)
+	s.pagedIn.Add(1)
+	return true
 }
 
 // maybeGC prunes graph versions once a watermark report from every

@@ -500,6 +500,69 @@ func TestBarrierTombstoneOfPagedOutVertexLeavesIndex(t *testing.T) {
 	}
 }
 
+// An epoch barrier that sweeps in an unforwarded write to B refuses reads
+// of B below the record it installed and nothing else: pinned reads of an
+// untouched A still answer. Only lookups, which cannot tell which vertices
+// a record truncated, are refused below the install horizon.
+func TestBarrierSweepRefusesOnlyWhatItInstalled(t *testing.T) {
+	r := newStoreRig(t, Config{NumGatekeepers: 1, Indexes: []index.Spec{{Key: "k"}}}, kvstore.New())
+	a, b := graph.NewVertexRecord("A", 0), graph.NewVertexRecord("B", 0)
+	a.Props["k"], b.Props["k"] = "a0", "b0"
+	r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "A"}, {Kind: graph.OpSetVertexProp, Vertex: "A", Key: "k", Value: "a0"},
+		{Kind: graph.OpCreateVertex, Vertex: "B"}, {Kind: graph.OpSetVertexProp, Vertex: "B", Key: "k", Value: "b0"}}, a, b)
+	p0 := r.clock.Tick()
+	b.Props["k"] = "b1"
+	r.commit(false, nil, b)
+	p1 := r.clock.Tick()
+	b.Deleted, b.Props = true, map[string]string{}
+	r.commit(false, nil, b)
+	r.sendNop()
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 1 })
+
+	enterEpoch(t, r.drv, 1)
+	r.clock.AdvanceEpoch(1)
+	r.seq.Reset()
+	fresh := r.clock.Tick()
+	r.sendNop()
+	for _, p := range []core.Timestamp{p0, p1} {
+		var nd nodeprog.NodeData
+		if d := r.getNode(p, "A"); d.Err != "" || len(d.Results) != 1 || nodeprog.Decode(d.Results[0], &nd) != nil || nd.Props["k"] != "a0" {
+			t.Fatalf("get_node(A) at %v = %d results, err %q, props %v; want k=a0", p, len(d.Results), d.Err, nd.Props)
+		}
+		if d := r.getNode(p, "B"); d.ErrCode != wire.ErrCodeStaleSnapshot {
+			t.Fatalf("get_node(B) at %v below its swept record answered instead of refused: %+v", p, d)
+		}
+	}
+	if d := r.getNode(fresh, "B"); d.Err != "" || len(d.Results) != 0 {
+		t.Fatalf("fresh get_node(B) after its swept delete = %+v, want not found", d)
+	}
+	res := r.read(wire.IndexLookup{QID: p0.ID(), ReadTS: p0, Wheres: wire.Eq("k", "a0"), Reply: r.drv.Addr()}, p0.ID()).(wire.IndexResult)
+	if res.ErrCode != wire.ErrCodeStaleSnapshot {
+		t.Fatalf("lookup below the install horizon answered instead of refused: %+v", res)
+	}
+}
+
+// A recovered vertex's mark and the index's install horizon move with the
+// vertex: after a migration, the target refuses reads below the record the
+// source recovered.
+func TestRecoveredHorizonMovesWithVertex(t *testing.T) {
+	indexes := []index.Spec{{Key: "k"}}
+	src := New(Config{NumGatekeepers: 1, Indexes: indexes}, transport.NewFabric().Endpoint(transport.ShardAddr(0)),
+		nil, oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+	r := newStoreRig(t, Config{NumGatekeepers: 1, Indexes: indexes}, nil)
+	pinned, stamp := r.clock.Tick(), r.clock.Tick()
+	src.InstallRecovered([]*graph.VertexRecord{{ID: "v", Props: map[string]string{"k": "x"}, LastTS: stamp}})
+	r.sh.Attach(src.Detach([]graph.VertexID{"v"}))
+	r.sendNop()
+	if d := r.getNode(pinned, "v"); d.ErrCode != wire.ErrCodeStaleSnapshot {
+		t.Fatalf("get_node below the moved record answered instead of refused: %+v", d)
+	}
+	res := r.read(wire.IndexLookup{QID: stamp.ID(), ReadTS: pinned, Wheres: wire.Eq("k", "x"), Reply: r.drv.Addr()}, stamp.ID()).(wire.IndexResult)
+	if res.ErrCode != wire.ErrCodeStaleSnapshot {
+		t.Fatalf("lookup below the moved record answered instead of refused: %+v", res)
+	}
+}
+
 // The heat table must stay bounded even when no rebalancer ever decays it:
 // churn over many distinct vertices hard-caps at heatMaxEntries.
 func TestHeatMapBounded(t *testing.T) {

@@ -111,7 +111,9 @@ const (
 	// behind the shard's GC watermark: the versions it would need may
 	// already be collected, so the shard refuses to answer rather than
 	// return wrong data (§4.5). Pin the snapshot or widen
-	// HistoryRetention to keep reads this old alive.
+	// HistoryRetention to keep reads this old alive. The same code refuses
+	// a read below a record the shard read back from the backing store
+	// (recovery, demand paging), which holds only the latest state.
 	ErrCodeStaleSnapshot = 1
 	// ErrCodeNoIndex means the lookup named a property key no secondary
 	// index is configured for (weaver.Config.Indexes).

@@ -136,6 +136,16 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 			t.Errorf("counter %s is zero after a framed workload", ctr)
 		}
 	}
+	// Refusals and failed sweeps: registered, zero on a healthy run.
+	for _, ctr := range []string{
+		"weaver_shard_stale_reads_gc_total",
+		"weaver_shard_stale_reads_install_total",
+		"weaver_shard_recover_errors_total",
+	} {
+		if _, ok := snap.Counters[ctr]; !ok {
+			t.Errorf("counter %s not registered", ctr)
+		}
+	}
 	for _, g := range []string{"weaver_gk_apply_lag", "weaver_oracle_events", "weaver_oracle_gc_collected"} {
 		if _, ok := snap.Gauges[g]; !ok {
 			t.Errorf("gauge %s not registered", g)

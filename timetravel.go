@@ -30,11 +30,11 @@ import (
 	"weaver/internal/wire"
 )
 
-// ErrStaleSnapshot is returned by historical reads whose timestamp has
-// fallen behind the GC watermark: the versions the query would need may
-// already be collected, so shards refuse to answer rather than return
-// wrong data. Reads within Config.HistoryRetention and reads at pinned
-// snapshots (Cluster.SnapshotTS) never hit this. Match with errors.Is.
+// ErrStaleSnapshot is returned by historical reads whose timestamp is
+// older than the history a shard holds: behind the GC watermark (pins and
+// Config.HistoryRetention hold it back), or below a vertex record a shard
+// read back from the backing store after a restart or demand paging.
+// Shards refuse rather than return wrong data. Match with errors.Is.
 var ErrStaleSnapshot = gatekeeper.ErrStaleSnapshot
 
 // Snapshot is a pinned point-in-time handle over the graph: a refinable

@@ -219,11 +219,12 @@ type Config struct {
 	// MaxShardVertices enables demand paging (§6.1): each shard keeps at
 	// most this many resident vertex histories, paging cold vertices out
 	// once the GC watermark passes them and faulting them back in from
-	// the backing store on access. A faulted-in vertex holds only its
-	// latest record, so a read below that record's stamp — one racing a
-	// write to a paged-out vertex — fails with ErrStaleSnapshot; retry it
-	// at a fresh timestamp. Secondary indexes are not paged: the cap
-	// bounds graph history only. Requires GCPeriod. 0 = unlimited.
+	// the backing store on access, installed like a recovered record. A
+	// faulted-in vertex holds only its latest record, so a read below that
+	// record's stamp — one racing a write or delete of a paged-out vertex
+	// — fails with ErrStaleSnapshot; retry it at a fresh timestamp.
+	// Secondary indexes are not paged: the cap bounds graph history only.
+	// Requires GCPeriod. 0 = unlimited.
 	MaxShardVertices int
 	// RebalanceInterval, when positive, runs the background heat-driven
 	// rebalancer (§4.6): every interval the hottest vertices across all
@@ -400,7 +401,8 @@ func Open(cfg Config) (*Cluster, error) {
 	// agree with where each vertex recovers), and buckets records per
 	// shard for Shard.InstallRecovered — instead of every shard re-scanning
 	// and re-decoding the full keyspace for its own partition. Tombstones
-	// are bucketed too: they load nothing but raise the recovery horizon.
+	// are bucketed too: a deleted vertex existed below its tombstone's
+	// stamp, so reads there must be refused, not answered "absent".
 	var perShard [][]*graph.VertexRecord
 	if cfg.WALPath != "" {
 		perShard = make([][]*graph.VertexRecord, cfg.Shards)
