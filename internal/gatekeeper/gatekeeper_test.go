@@ -152,7 +152,13 @@ func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
 	otherTS := other.Tick()
 	rec := graph.NewVertexRecord("v", 0)
 	rec.LastTS = otherTS
-	r.kv.Put(graph.VertexKey("v"), graph.EncodeRecord(rec))
+	seed := r.kv.Begin()
+	if err := seed.Put(graph.VertexKey("v"), graph.EncodeRecord(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
 	res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}})
 	if err != nil {

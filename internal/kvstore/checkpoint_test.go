@@ -23,7 +23,7 @@ func reopen(t *testing.T, path string) *Store {
 
 func wantKV(t *testing.T, s *Store, key, want string) {
 	t.Helper()
-	v, ok := s.Get(key)
+	v, ok := get(s, key)
 	if !ok || string(v) != want {
 		t.Fatalf("get %q = %q (ok=%v), want %q", key, v, ok, want)
 	}
@@ -36,9 +36,9 @@ func TestCheckpointBoundedReplay(t *testing.T) {
 	s := reopen(t, path)
 	const before, after = 40, 7
 	for i := 0; i < before; i++ {
-		s.Put(fmt.Sprintf("pre/%d", i), []byte("x"))
+		put(s, fmt.Sprintf("pre/%d", i), []byte("x"))
 	}
-	s.Delete("pre/0") // a tombstone must survive the checkpoint too
+	del(s, "pre/0") // a tombstone must survive the checkpoint too
 
 	st, err := s.Checkpoint()
 	if err != nil {
@@ -48,7 +48,7 @@ func TestCheckpointBoundedReplay(t *testing.T) {
 		t.Fatalf("checkpoint stats %+v", st)
 	}
 	for i := 0; i < after; i++ {
-		s.Put(fmt.Sprintf("post/%d", i), []byte("y"))
+		put(s, fmt.Sprintf("post/%d", i), []byte("y"))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCheckpointBoundedReplay(t *testing.T) {
 	for i := 0; i < after; i++ {
 		wantKV(t, s2, fmt.Sprintf("post/%d", i), "y")
 	}
-	if _, ok := s2.Get("pre/0"); ok {
+	if _, ok := get(s2, "pre/0"); ok {
 		t.Fatal("tombstoned key resurrected by checkpoint restore")
 	}
 
@@ -87,11 +87,11 @@ func TestCheckpointBoundedReplay(t *testing.T) {
 func TestTornSnapshotFallsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.wal")
 	s := reopen(t, path)
-	s.Put("a", []byte("1"))
+	put(s, "a", []byte("1"))
 	if _, err := s.Checkpoint(); err != nil { // snapshot 1; WAL era 1
 		t.Fatal(err)
 	}
-	s.Put("b", []byte("2")) // lives only in WAL era 1
+	put(s, "b", []byte("2")) // lives only in WAL era 1
 	s.Close()
 
 	// Fabricate the debris of a checkpoint that crashed partway: snapshot
@@ -124,7 +124,7 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 func TestTornManifestFallsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.wal")
 	s := reopen(t, path)
-	s.Put("k", []byte("v"))
+	put(s, "k", []byte("v"))
 	s.Close()
 
 	// Garbage manifest for a phantom snapshot 5.
@@ -149,8 +149,8 @@ func TestTornManifestFallsBack(t *testing.T) {
 func TestCrashAfterManifestBeforeNewWAL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.wal")
 	s := reopen(t, path)
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2"))
+	put(s, "a", []byte("1"))
+	put(s, "b", []byte("2"))
 	s.Close()
 
 	// Write snapshot 1 out-of-band (as Checkpoint would) but "crash"
@@ -247,7 +247,7 @@ func TestBulkPutDurableViaCheckpoint(t *testing.T) {
 		t.Fatalf("recovery %+v", rec)
 	}
 	for i := range kvs {
-		v, ok := s2.Get(kvs[i].Key)
+		v, ok := get(s2, kvs[i].Key)
 		if !ok || len(v) != 1 || v[0] != byte(i) {
 			t.Fatalf("bulk key %d = %v (ok=%v)", i, v, ok)
 		}
@@ -258,7 +258,7 @@ func TestBulkPutDurableViaCheckpoint(t *testing.T) {
 // per-key versions monotonic for OCC validation.
 func TestBulkPutOverwriteBumpsVersion(t *testing.T) {
 	s := New()
-	s.Put("k", []byte("old"))
+	put(s, "k", []byte("old"))
 	_, v1, _ := s.GetVersioned("k")
 	s.BulkPut([]KV{{Key: "k", Value: []byte("new")}})
 	val, v2, ok := s.GetVersioned("k")
@@ -282,7 +282,7 @@ func TestCheckpointNotDurable(t *testing.T) {
 func TestTornWALTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.wal")
 	s := reopen(t, path)
-	s.Put("a", []byte("1"))
+	put(s, "a", []byte("1"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestTornWALTailTruncated(t *testing.T) {
 	if rec := s2.Recovery(); rec.TailRecords != 1 {
 		t.Fatalf("recovery %+v: want the 1 intact record", rec)
 	}
-	s2.Put("b", []byte("2")) // must land after the truncated prefix
+	put(s2, "b", []byte("2")) // must land after the truncated prefix
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -366,19 +366,6 @@ func (s *Store) bucketIdx(key string) int {
 
 func (s *Store) bucketOf(key string) *bucket { return &s.buckets[s.bucketIdx(key)] }
 
-// Get returns the current value of key outside any transaction.
-func (s *Store) Get(key string) ([]byte, bool) {
-	s.gets.Add(1)
-	b := s.bucketOf(key)
-	b.mu.RLock()
-	e, ok := b.items[key]
-	b.mu.RUnlock()
-	if !ok || e.dead {
-		return nil, false
-	}
-	return e.value, true
-}
-
 // GetVersioned returns the current value of key and its version. Versions
 // increase monotonically per key (including through deletions); callers use
 // them for optimistic validation across separate transactions, e.g. Weaver
@@ -394,47 +381,6 @@ func (s *Store) GetVersioned(key string) (value []byte, version uint64, ok bool)
 		return nil, e.version, false
 	}
 	return e.value, e.version, true
-}
-
-// Put sets key to value as a single-key transaction. On a durable store
-// the write is logged and fsynced BEFORE it becomes visible; a logging
-// failure leaves memory untouched and is returned.
-func (s *Store) Put(key string, value []byte) error {
-	s.commitMu.RLock()
-	defer s.commitMu.RUnlock()
-	b := s.bucketOf(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if s.wal != nil {
-		if err := s.wal.Append(Record{Writes: map[string][]byte{key: value}}); err != nil {
-			s.aborts.Add(1)
-			return err
-		}
-	}
-	e := b.items[key]
-	b.items[key] = entry{value: value, version: e.version + 1}
-	s.commits.Add(1)
-	return nil
-}
-
-// Delete removes key as a single-key transaction, leaving a tombstone.
-// Logged-before-applied like Put.
-func (s *Store) Delete(key string) error {
-	s.commitMu.RLock()
-	defer s.commitMu.RUnlock()
-	b := s.bucketOf(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if s.wal != nil {
-		if err := s.wal.Append(Record{Deletes: []string{key}}); err != nil {
-			s.aborts.Add(1)
-			return err
-		}
-	}
-	e := b.items[key]
-	b.items[key] = entry{version: e.version + 1, dead: true}
-	s.commits.Add(1)
-	return nil
 }
 
 // applyUnsynchronized applies writes and deletes bypassing concurrency

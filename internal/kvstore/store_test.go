@@ -9,17 +9,43 @@ import (
 	"testing"
 )
 
+// put and del commit a one-key transaction; get reads the current value.
+func put(s *Store, key string, value []byte) error {
+	tx := s.Begin()
+	if err := tx.Put(key, value); err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
+func del(s *Store, key string) error {
+	tx := s.Begin()
+	if err := tx.Delete(key); err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
+func get(s *Store, key string) ([]byte, bool) {
+	v, _, ok := s.GetVersioned(key)
+	return v, ok
+}
+
 func TestBasicPutGetDelete(t *testing.T) {
 	s := New()
-	if _, ok := s.Get("a"); ok {
+	if _, ok := get(s, "a"); ok {
 		t.Fatal("empty store must miss")
 	}
-	s.Put("a", []byte("1"))
-	if v, ok := s.Get("a"); !ok || string(v) != "1" {
+	if err := put(s, "a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := get(s, "a"); !ok || string(v) != "1" {
 		t.Fatalf("got %q %v", v, ok)
 	}
-	s.Delete("a")
-	if _, ok := s.Get("a"); ok {
+	if err := del(s, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := get(s, "a"); ok {
 		t.Fatal("deleted key must miss")
 	}
 	if st := s.Stats(); st.Keys != 0 {
@@ -46,7 +72,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("k"); ok {
+	if _, ok := get(s, "k"); ok {
 		t.Fatal("commit of delete must leave key absent")
 	}
 }
@@ -59,8 +85,8 @@ func TestTxAtomicMultiKey(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	x, okx := s.Get("x")
-	y, oky := s.Get("y")
+	x, okx := get(s, "x")
+	y, oky := get(s, "y")
 	if !okx || !oky || string(x) != "1" || string(y) != "2" {
 		t.Fatal("multi-key commit not atomic/visible")
 	}
@@ -68,7 +94,7 @@ func TestTxAtomicMultiKey(t *testing.T) {
 
 func TestTxConflictOnReadSet(t *testing.T) {
 	s := New()
-	s.Put("k", []byte("old"))
+	put(s, "k", []byte("old"))
 	t1 := s.Begin()
 	if _, _, err := t1.Get("k"); err != nil {
 		t.Fatal(err)
@@ -83,7 +109,7 @@ func TestTxConflictOnReadSet(t *testing.T) {
 	if err := t1.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("expected ErrConflict, got %v", err)
 	}
-	if _, ok := s.Get("other"); ok {
+	if _, ok := get(s, "other"); ok {
 		t.Fatal("aborted tx must not apply writes")
 	}
 }
@@ -107,13 +133,13 @@ func TestTxConflictOnAbsentRead(t *testing.T) {
 
 func TestDeleteRecreateABA(t *testing.T) {
 	s := New()
-	s.Put("k", []byte("A"))
+	put(s, "k", []byte("A"))
 	t1 := s.Begin()
 	if v, _, _ := t1.Get("k"); string(v) != "A" {
 		t.Fatal("setup")
 	}
-	s.Delete("k")
-	s.Put("k", []byte("B"))
+	del(s, "k")
+	put(s, "k", []byte("B"))
 	t1.Put("out", []byte("derived-from-A"))
 	if err := t1.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("delete+recreate must invalidate stale readers, got %v", err)
@@ -148,10 +174,10 @@ func TestTxDoneErrors(t *testing.T) {
 
 func TestScanPrefix(t *testing.T) {
 	s := New()
-	s.Put("vertex/1", []byte("a"))
-	s.Put("vertex/2", []byte("b"))
-	s.Put("edge/1", []byte("c"))
-	s.Delete("vertex/2")
+	put(s, "vertex/1", []byte("a"))
+	put(s, "vertex/2", []byte("b"))
+	put(s, "edge/1", []byte("c"))
+	del(s, "vertex/2")
 	got := map[string]string{}
 	s.ScanPrefix("vertex/", func(k string, v []byte) { got[k] = string(v) })
 	if len(got) != 1 || got["vertex/1"] != "a" {
@@ -166,7 +192,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	const accounts = 10
 	const initial = 100
 	for i := 0; i < accounts; i++ {
-		s.Put(fmt.Sprintf("acct/%d", i), []byte{initial})
+		put(s, fmt.Sprintf("acct/%d", i), []byte{initial})
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -196,7 +222,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for i := 0; i < accounts; i++ {
-		v, ok := s.Get(fmt.Sprintf("acct/%d", i))
+		v, ok := get(s, fmt.Sprintf("acct/%d", i))
 		if !ok {
 			t.Fatalf("account %d vanished", i)
 		}
@@ -213,7 +239,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 // updates are impossible under OCC).
 func TestQuickNoLostUpdates(t *testing.T) {
 	s := New()
-	s.Put("ctr", []byte{0, 0})
+	put(s, "ctr", []byte{0, 0})
 	var committed int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -236,7 +262,7 @@ func TestQuickNoLostUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v, _ := s.Get("ctr")
+	v, _ := get(s, "ctr")
 	n := int64(uint16(v[0])<<8 | uint16(v[1]))
 	if n != committed {
 		t.Fatalf("counter %d != committed increments %d", n, committed)
@@ -250,14 +276,14 @@ func TestWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("a", []byte("1"))
+	put(s, "a", []byte("1"))
 	tx := s.Begin()
 	tx.Put("b", []byte("2"))
 	tx.Put("c", []byte("3"))
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	s.Delete("a")
+	del(s, "a")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +293,11 @@ func TestWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Get("a"); ok {
+	if _, ok := get(s2, "a"); ok {
 		t.Fatal("deleted key resurrected after replay")
 	}
 	for k, want := range map[string]string{"b": "2", "c": "3"} {
-		if v, ok := s2.Get(k); !ok || string(v) != want {
+		if v, ok := get(s2, k); !ok || string(v) != want {
 			t.Fatalf("recovered %s = %q (%v), want %q", k, v, ok, want)
 		}
 	}
@@ -291,8 +317,8 @@ func TestWALEmptyReplay(t *testing.T) {
 
 func TestStatsCounts(t *testing.T) {
 	s := New()
-	s.Put("a", []byte("1"))
-	s.Get("a")
+	put(s, "a", []byte("1"))
+	get(s, "a")
 	tx := s.Begin()
 	tx.Get("a")
 	tx.Put("a", []byte("2"))
@@ -309,9 +335,9 @@ func TestStatsCounts(t *testing.T) {
 // created keys — while an unchanged key re-reads freely.
 func TestTxReadsAreRepeatable(t *testing.T) {
 	s := New()
-	s.Put("changed", []byte("1"))
-	s.Put("deleted", []byte("1"))
-	s.Put("stable", []byte("1"))
+	put(s, "changed", []byte("1"))
+	put(s, "deleted", []byte("1"))
+	put(s, "stable", []byte("1"))
 
 	tx := s.Begin()
 	defer tx.Abort()
@@ -320,9 +346,9 @@ func TestTxReadsAreRepeatable(t *testing.T) {
 			t.Fatalf("first read of %q: %v", k, err)
 		}
 	}
-	s.Put("changed", []byte("2"))
-	s.Delete("deleted")
-	s.Put("created", []byte("1"))
+	put(s, "changed", []byte("2"))
+	del(s, "deleted")
+	put(s, "created", []byte("1"))
 
 	for _, k := range []string{"changed", "deleted", "created"} {
 		if _, _, err := tx.Get(k); !errors.Is(err, ErrConflict) {

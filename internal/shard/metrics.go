@@ -16,6 +16,7 @@ type obsMetrics struct {
 	staleGC       *obs.Counter // weaver_shard_stale_reads_gc_total
 	staleInstall  *obs.Counter // weaver_shard_stale_reads_install_total
 	recoverErrors *obs.Counter // weaver_shard_recover_errors_total (Stats.RecoverErrors)
+	readRefines   *obs.Counter // weaver_shard_read_refines_total: concurrent writes shown to a read
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
@@ -26,5 +27,6 @@ func newObsMetrics(r *obs.Registry) obsMetrics {
 		staleGC:       r.Counter("weaver_shard_stale_reads_gc_total"),
 		staleInstall:  r.Counter("weaver_shard_stale_reads_install_total"),
 		recoverErrors: r.Counter("weaver_shard_recover_errors_total"),
+		readRefines:   r.Counter("weaver_shard_read_refines_total"),
 	}
 }

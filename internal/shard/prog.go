@@ -136,7 +136,7 @@ func (s *Shard) visible(progTS core.Timestamp) graph.Before {
 		case core.After, core.Equal:
 			return false
 		}
-		s.readRefines.Add(1)
+		s.m.readRefines.Inc()
 		return true
 	}
 }

