@@ -69,7 +69,7 @@ func main() {
 		{"fig12", func() (fmt.Stringer, error) { return experiments.Fig12(o, *maxGK) }},
 		{"fig13", func() (fmt.Stringer, error) { return experiments.Fig13(o, *maxShard) }},
 		{"fig14", func() (fmt.Stringer, error) {
-			return experiments.Fig14(o, []time.Duration{
+			return experiments.Fig14(o, 0.5, []time.Duration{ // write-heavy: stresses ordering
 				10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond,
 				10 * time.Millisecond, 100 * time.Millisecond, time.Second,
 			})

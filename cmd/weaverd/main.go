@@ -79,6 +79,8 @@ type process struct {
 	metrics     *obs.Registry
 	metricsSrv  *http.Server
 	stopTimeout time.Duration
+	// kvEP and orcEP are the store role's server mailboxes (runStore).
+	kvEP, orcEP transport.Endpoint
 }
 
 func main() {
@@ -123,6 +125,14 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	defer p.node.Close()
+	if *role == "store" {
+		// The node accepts connections already, and it drops a frame for
+		// an address nobody has registered: a shard's boot scan sent while
+		// NewStore replays the WAL would wait out its whole timeout.
+		// Registered now, the mailboxes hold such requests until the
+		// servers start.
+		p.kvEP, p.orcEP = p.node.Endpoint("kv"), p.node.Endpoint("oracle")
+	}
 	p.node.Instrument(transport.NewWireMetrics(p.metrics))
 	p.topo.route(p.node)
 	log.Printf("weaverd role=%s id=%d listening on %s", *role, p.id, p.node.ListenAddr())
@@ -199,9 +209,9 @@ func (p *process) runStore() {
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
-	kvSrv := remote.NewKVServer(p.node.Endpoint("kv"), st)
+	kvSrv := remote.NewKVServer(p.kvEP, st)
 	kvSrv.Start()
-	orcSrv := remote.NewOracleServer(p.node.Endpoint("oracle"), orc)
+	orcSrv := remote.NewOracleServer(p.orcEP, orc)
 	orcSrv.Start()
 	log.Printf("store ready (wal=%q oracle-replicas=%d)", p.spec.WALPath, p.spec.OracleReplicas)
 	p.serve(func() {

@@ -16,6 +16,7 @@ import (
 
 	"weaver/internal/gatekeeper"
 	"weaver/internal/graph"
+	"weaver/internal/kvstore"
 	"weaver/internal/partition"
 	"weaver/internal/remote"
 	"weaver/internal/transport"
@@ -299,4 +300,59 @@ func TestGCFlagCollects(t *testing.T) {
 				gc, events, committed, servers[2].logs.String())
 		}
 	}
+}
+
+// TestShardBootsAgainstReplayingStore starts a shard the moment the store
+// process accepts connections, while the store is still replaying a WAL of
+// 150k keys. The shard's boot scan reaches the store node before its kv
+// server runs; the store's mailboxes, registered before the replay, hold
+// it, and the shard is ready soon after the store. Registered after the
+// replay instead, the node dropped the scan and the shard waited out the
+// client's 10 s timeout.
+func TestShardBootsAgainstReplayingStore(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "weaver.wal")
+	st, err := kvstore.NewDurable(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 15; b++ {
+		tx := st.Begin()
+		for i := 0; i < 10000; i++ {
+			if err := tx.Put(fmt.Sprintf("pad/%d/%d", b, i), make([]byte, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	storeAddr, shardAddr, gkAddr := freePort(t), freePort(t), freePort(t)
+	topo := []string{"-store", storeAddr, "-gatekeepers", "1", "-shards", "1",
+		"-shard-addrs", shardAddr, "-gk-addrs", gkAddr}
+	start := func(args ...string) *proc {
+		p := &proc{name: args[1], args: append(args, topo...), logs: &syncBuf{}}
+		p.start(t)
+		t.Cleanup(func() {
+			p.cmd.Process.Kill()
+			p.cmd.Wait()
+		})
+		return p
+	}
+	store := start("-role", "store", "-listen", storeAddr, "-wal", wal)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c, err := net.Dial("tcp", storeAddr); err == nil {
+			c.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("store never listened; logs:\n%s", store.logs.String())
+		}
+	}
+	shard := start("-role", "shard", "-id", "0", "-listen", shardAddr)
+	shard.waitLog(t, "ready", 5*time.Second)
+	store.waitLog(t, "ready", time.Second)
 }

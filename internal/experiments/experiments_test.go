@@ -111,21 +111,38 @@ func TestFig13Shape(t *testing.T) {
 	_ = res.String()
 }
 
+// The τ trade-off of §6.5: announces per op fall as τ grows, oracle
+// traffic per op rises. On a write-only mix the oracle is the only way
+// concurrent writes get ordered past τ, so the rise is the paper's
+// (~2.5×). On the 50 % read mix a read also carries its clock to every
+// gatekeeper whose NOP it waits for (wire.NopRequest), which orders writes
+// proactively at any τ, so the rise is smaller there (~1.3×). Both runs
+// measure a 1 s window: at 120 ms, scheduling noise alone inverts the two
+// estimates in some runs of either mix.
 func TestFig14Shape(t *testing.T) {
-	res, err := Fig14(tiny(), []time.Duration{100 * time.Microsecond, 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name         string
+		readFraction float64
+	}{{"write_only", 0}, {"half_reads", 0.5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tiny()
+			o.Duration = time.Second
+			res, err := Fig14(o, tc.readFraction, []time.Duration{100 * time.Microsecond, 50 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 2 {
+				t.Fatalf("rows = %d", len(res.Rows))
+			}
+			small, large := res.Rows[0], res.Rows[1]
+			// Frequent announces at small τ; more oracle traffic at large τ.
+			if small.AnnouncesPerOp <= large.AnnouncesPerOp {
+				t.Fatalf("announce overhead must fall as τ grows: %+v", res.Rows)
+			}
+			if small.OraclePerOp > large.OraclePerOp {
+				t.Fatalf("oracle traffic must rise as τ grows: small=%.4f large=%.4f", small.OraclePerOp, large.OraclePerOp)
+			}
+			_ = res.String()
+		})
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	small, large := res.Rows[0], res.Rows[1]
-	// Frequent announces at small τ; more oracle traffic at large τ.
-	if small.AnnouncesPerOp <= large.AnnouncesPerOp {
-		t.Fatalf("announce overhead must fall as τ grows: %+v", res.Rows)
-	}
-	if small.OraclePerOp > large.OraclePerOp {
-		t.Fatalf("oracle traffic must rise as τ grows: small=%.4f large=%.4f", small.OraclePerOp, large.OraclePerOp)
-	}
-	_ = res.String()
 }

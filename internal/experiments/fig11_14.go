@@ -232,10 +232,11 @@ func (r Fig14Result) String() string {
 	return "Fig 14: coordination overhead vs announce period τ\n" + t.String()
 }
 
-// Fig14 runs a fixed mixed workload (concurrent writers on overlapping
-// vertices plus node-program readers from different gatekeepers) at each τ
-// and counts both coordination channels, normalized per operation.
-func Fig14(o Options, taus []time.Duration) (Fig14Result, error) {
+// Fig14 runs a fixed workload (concurrent writers on overlapping vertices
+// plus, in readFraction of the operations, node-program readers from
+// different gatekeepers) at each τ and counts both coordination channels,
+// normalized per operation.
+func Fig14(o Options, readFraction float64, taus []time.Duration) (Fig14Result, error) {
 	g := workload.Social(o.SocialV/2+2, o.SocialM, o.Seed)
 	var res Fig14Result
 	for _, tau := range taus {
@@ -250,7 +251,7 @@ func Fig14(o Options, taus []time.Duration) (Fig14Result, error) {
 			return res, err
 		}
 		before := c.Stats()
-		mix := workload.ReadMix(0.5) // write-heavy: stresses ordering
+		mix := workload.ReadMix(readFraction)
 		clients := make([]*weaver.Client, o.Clients)
 		rngs := make([]*rand.Rand, o.Clients)
 		for i := range clients {

@@ -12,8 +12,10 @@
 //     timestamp check of §4.2, registering refined orders with the oracle
 //     for concurrent pairs);
 //   - forwards committed write-sets to the involved shards over FIFO
-//     (sequence-numbered) channels, and emits periodic NOPs so every shard
-//     queue stays non-empty (§4.2);
+//     (sequence-numbered) channels, and advances its stream at a shard with
+//     NOPs (§4.2): one at once to a shard that asks for it because a read
+//     is parked there (wire.NopRequest), and one to every shard each
+//     NopPeriod as the idle fallback;
 //   - coordinates reads — node programs and index lookups, each at a fresh
 //     or a caller-chosen historical timestamp (prog.go, lookup.go): tracks
 //     outstanding hops and scatter rounds, gathers results, and triggers
@@ -69,7 +71,9 @@ type Config struct {
 	Epoch uint64
 	// AnnouncePeriod is τ, the vector clock exchange period (§3.3).
 	AnnouncePeriod time.Duration
-	// NopPeriod bounds node-program delay under light load (§4.2).
+	// NopPeriod is the idle fallback of the NOP stream (§4.2): a read
+	// waits for NOPs its shard asks for (wire.NopRequest), and this period
+	// bounds the wait only when such a request is lost.
 	NopPeriod time.Duration
 	// GCPeriod is how often GC watermarks are broadcast; 0 disables GC
 	// (retain full multi-version history, §4.5).
@@ -179,9 +183,11 @@ type Gatekeeper struct {
 	clock *core.VectorClock
 	seq   *transport.Sequencer
 	// awaiting holds the shards that have not yet answered this
-	// gatekeeper's hello; sendNops holds the NOP stream back until it is
-	// empty.
+	// gatekeeper's hello; sendNops holds the NOP stream to a shard back
+	// until it has.
 	awaiting map[transport.Addr]struct{}
+	// shards lists every shard address: the periodic NOP's fan-out.
+	shards []transport.Addr
 	// reads holds every read in flight — node programs and index-lookup
 	// rounds — keyed by the read's own fresh timestamp (prog.go).
 	reads       map[core.ID]*pendingRead
@@ -252,6 +258,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 	}
 	for s := 0; s < cfg.NumShards; s++ {
 		g.awaiting[transport.ShardAddr(s)] = struct{}{}
+		g.shards = append(g.shards, transport.ShardAddr(s))
 	}
 	g.planner = plan.New(cfg.NumShards, g)
 	return g
@@ -264,7 +271,7 @@ func (g *Gatekeeper) Start() {
 	g.wg.Add(1)
 	go g.tickerLoop(g.cfg.AnnouncePeriod, g.announce)
 	g.wg.Add(1)
-	go g.tickerLoop(g.cfg.NopPeriod, g.sendNops)
+	go g.tickerLoop(g.cfg.NopPeriod, func() { g.sendNops(g.shards) })
 	if g.cfg.GCPeriod > 0 {
 		g.wg.Add(1)
 		go g.tickerLoop(g.cfg.GCPeriod, g.sendGCReport)
@@ -539,6 +546,15 @@ func (g *Gatekeeper) handle(msg transport.Message) {
 		g.mu.Lock()
 		delete(g.awaiting, m.From)
 		g.mu.Unlock()
+	case wire.NopRequest:
+		// A shard parked a read behind this gatekeeper's stream: learn the
+		// read's clock and answer with one NOP past it now. A shard that
+		// asks is serving, so it needs no hello.
+		g.mu.Lock()
+		g.clock.Observe(m.TS)
+		delete(g.awaiting, m.From)
+		g.mu.Unlock()
+		g.sendNops([]transport.Addr{m.From})
 	case wire.GCReport:
 		// Gatekeeper 0 aggregates watermarks and prunes the oracle's
 		// event dependency graph (§4.5).
@@ -623,9 +639,12 @@ func (g *Gatekeeper) announce() {
 	}
 }
 
-// sendNops stamps one NOP and forwards it to every shard (§4.2), keeping
-// every per-gatekeeper shard queue non-empty so node programs and queued
-// transactions make progress. Deliberately NOT gated on the pause lock:
+// sendNops stamps one NOP and forwards it to each of the shards to (§4.2),
+// advancing this gatekeeper's stream there so node programs and queued
+// transactions make progress: every shard on each NopPeriod tick, the idle
+// fallback, and the one shard that asked on a wire.NopRequest — its clock
+// observed first, so the NOP is vclock-after the read it waits for.
+// Deliberately NOT gated on the pause lock:
 // MigrateBatch and bulk loads Quiesce the apply pipeline WHILE holding
 // Pause, and shards need every gatekeeper's frontier to keep advancing
 // to drain their queues — gating NOPs on pause deadlocks that fence.
@@ -633,20 +652,23 @@ func (g *Gatekeeper) announce() {
 // number landing after the shard reset its resequencer) is handled at
 // the shard: ingest drops any item whose epoch is behind the shard's.
 //
-// The stream does not start until every shard has answered a hello: a NOP
-// sent to a shard that is not serving yet (processes of one deployment
-// start in any order — its endpoint may not exist, or its boot-time epoch
-// query may be reading the mailbox) is lost, and its sequence number with
-// it — a permanent gap the shard's resequencer waits behind forever. Until
-// then each tick greets the silent shards with a heartbeat, which carries
-// no sequence number and which a serving shard echoes (handle).
-func (g *Gatekeeper) sendNops() {
+// The stream does not start until every shard in to has answered a hello:
+// a NOP sent to a shard that is not serving yet (processes of one
+// deployment start in any order — its endpoint may not exist, or its
+// boot-time epoch query may be reading the mailbox) is lost, and its
+// sequence number with it — a permanent gap the shard's resequencer waits
+// behind forever. Until then each tick greets the silent shards with a
+// heartbeat, which carries no sequence number and which a serving shard
+// echoes (handle).
+func (g *Gatekeeper) sendNops(to []transport.Addr) {
 	g.mu.Lock()
-	if len(g.awaiting) > 0 {
-		silent := make([]transport.Addr, 0, len(g.awaiting))
-		for a := range g.awaiting {
+	var silent []transport.Addr
+	for _, a := range to {
+		if _, ok := g.awaiting[a]; ok {
 			silent = append(silent, a)
 		}
+	}
+	if len(silent) > 0 {
 		g.mu.Unlock()
 		for _, a := range silent {
 			g.ep.Send(a, wire.Heartbeat{From: g.ep.Addr()})
@@ -654,18 +676,13 @@ func (g *Gatekeeper) sendNops() {
 		return
 	}
 	ts := g.clock.Tick()
-	sends := make([]struct {
-		addr transport.Addr
-		seq  uint64
-	}, g.cfg.NumShards)
-	for s := 0; s < g.cfg.NumShards; s++ {
-		addr := transport.ShardAddr(s)
-		sends[s].addr = addr
-		sends[s].seq = g.seq.Next(addr)
+	seqs := make([]uint64, len(to))
+	for i, a := range to {
+		seqs[i] = g.seq.Next(a)
 	}
 	g.mu.Unlock()
-	for _, snd := range sends {
-		if g.ep.Send(snd.addr, wire.Nop{TS: ts, Seq: snd.seq}) == nil {
+	for i, a := range to {
+		if g.ep.Send(a, wire.Nop{TS: ts, Seq: seqs[i]}) == nil {
 			g.nops.Add(1)
 		}
 	}

@@ -511,11 +511,11 @@ func TestNopStreamWaitsForShard(t *testing.T) {
 	gk.Start()
 	t.Cleanup(gk.Stop)
 	for i := 0; i < 10; i++ {
-		gk.sendNops()
+		gk.sendNops(gk.shards)
 	}
 	shardEp := f.Endpoint(transport.ShardAddr(0))
 	for i := 0; i < 10; i++ {
-		gk.sendNops()
+		gk.sendNops(gk.shards)
 		for {
 			if _, ok := shardEp.Next(); !ok { // the boot-time reader discards
 				break
@@ -536,5 +536,80 @@ func TestNopStreamWaitsForShard(t *testing.T) {
 	res, _, err := gk.RunProgram(core.Timestamp{}, "get_node", nil, []graph.VertexID{"v"})
 	if err != nil || len(res) != 1 {
 		t.Fatalf("node program after late shard start: %d results, %v", len(res), err)
+	}
+}
+
+// A NopRequest is answered at once with one NOP, to the asking shard only:
+// vclock-after the requested timestamp, the next number of that shard's
+// stream, sent while a fence holds Pause too; and the asker, serving, no
+// longer waits for a hello.
+func TestNopRequestAnsweredWithOneNop(t *testing.T) {
+	f := transport.NewFabric()
+	shards := []transport.Endpoint{f.Endpoint(transport.ShardAddr(0)), f.Endpoint(transport.ShardAddr(1))}
+	gk := New(Config{ID: 0, NumGatekeepers: 2, NumShards: 2}, f.Endpoint(transport.GatekeeperAddr(0)),
+		kvstore.AsBacking(kvstore.New()), oracle.NewService(), partition.NewHash(2))
+	nops := func(ep transport.Endpoint) []wire.Nop {
+		var out []wire.Nop
+		for m, ok := ep.Next(); ok; m, ok = ep.Next() {
+			if n, ok := m.Payload.(wire.Nop); ok {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	// ask delivers one request from shard 1 (the handler runs synchronously:
+	// a request that blocked would fail the test, not hang it) and returns
+	// the NOPs each shard received.
+	ask := func(ts core.Timestamp) (toAsker, toOther []wire.Nop) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			gk.handle(transport.Message{From: shards[1].Addr(), Payload: wire.NopRequest{TS: ts, From: shards[1].Addr()}})
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("NopRequest handling blocked")
+		}
+		return nops(shards[1]), nops(shards[0])
+	}
+	check := func(when string, got []wire.Nop, past core.Timestamp, seq uint64) {
+		t.Helper()
+		if len(got) != 1 || got[0].Seq != seq || got[0].TS.Compare(past) != core.After {
+			t.Fatalf("%s: got %+v, want one NOP with Seq %d after %v", when, got, seq, past)
+		}
+	}
+
+	peer := core.Timestamp{Owner: 1, Clock: []uint64{0, 50}} // gk1's read: unseen here
+	toAsker, toOther := ask(peer)
+	check("first request", toAsker, peer, 1)
+	if len(toOther) != 0 {
+		t.Fatalf("shard 0 did not ask but got %+v", toOther)
+	}
+	if _, waiting := gk.awaiting[shards[1].Addr()]; waiting {
+		t.Fatal("the asking shard still awaits a hello")
+	}
+	if _, waiting := gk.awaiting[shards[0].Addr()]; !waiting {
+		t.Fatal("shard 0 left awaiting without answering")
+	}
+
+	// The periodic tick shares the stream: once shard 0 answers its hello,
+	// it takes Seq 2 at shard 1, and the next answer Seq 3.
+	gk.handle(transport.Message{Payload: wire.Heartbeat{From: shards[0].Addr()}})
+	gk.sendNops(gk.shards)
+	check("periodic tick", nops(shards[1]), peer, 2)
+	nops(shards[0])
+
+	gk.Pause()
+	defer gk.Resume()
+	later := core.Timestamp{Owner: 1, Clock: []uint64{0, 90}}
+	toAsker, toOther = ask(later)
+	check("request under Pause", toAsker, later, 3)
+	if len(toOther) != 0 {
+		t.Fatalf("shard 0 did not ask but got %+v", toOther)
+	}
+	if n := gk.Stats().Nops; n != 4 {
+		t.Fatalf("Stats.Nops = %d, want 4 (two answers, one two-shard tick)", n)
 	}
 }

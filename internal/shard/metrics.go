@@ -17,6 +17,7 @@ type obsMetrics struct {
 	staleInstall  *obs.Counter // weaver_shard_stale_reads_install_total
 	recoverErrors *obs.Counter // weaver_shard_recover_errors_total (Stats.RecoverErrors)
 	readRefines   *obs.Counter // weaver_shard_read_refines_total: concurrent writes shown to a read
+	nopRequests   *obs.Counter // weaver_shard_nop_requests_total: NopRequests sent for parked reads
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
@@ -28,5 +29,6 @@ func newObsMetrics(r *obs.Registry) obsMetrics {
 		staleInstall:  r.Counter("weaver_shard_stale_reads_install_total"),
 		recoverErrors: r.Counter("weaver_shard_recover_errors_total"),
 		readRefines:   r.Counter("weaver_shard_read_refines_total"),
+		nopRequests:   r.Counter("weaver_shard_nop_requests_total"),
 	}
 }

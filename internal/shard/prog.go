@@ -45,6 +45,7 @@ func (s *Shard) runReadyReads() {
 			}
 		}
 		if !s.progReady(r.readTS) {
+			s.solicit(r.readTS)
 			remaining = append(remaining, r)
 			continue
 		}
@@ -109,6 +110,32 @@ func (s *Shard) progReady(ts core.Timestamp) bool {
 		}
 	}
 	return true
+}
+
+// solicit asks every gatekeeper that holds a read at ts back for one NOP
+// past it (wire.NopRequest), so the read waits for a round trip rather than
+// for the next periodic NOP and announce. The target is the pointwise
+// maximum of ts and every queue head not vclock-after it: the read waits
+// for those heads to apply, and each head waits on the other frontiers. A
+// gatekeeper whose frontier is already past the target is not asked, nor
+// one whose outstanding request covers it — at most one request per
+// gatekeeper is in flight for any one target. A lost request costs only
+// the wait the periodic NOPs bound.
+func (s *Shard) solicit(ts core.Timestamp) {
+	target := ts
+	for gk := range s.queues {
+		if q := s.queues[gk]; len(q) > 0 && ts.Compare(q[0].ts) != core.Before {
+			target = core.PointwiseMax(target, q[0].ts)
+		}
+	}
+	for gk := range s.queues {
+		if target.PointwiseLT(s.frontier[gk]) || target.PointwiseLE(s.asked[gk]) {
+			continue
+		}
+		s.asked[gk] = core.PointwiseMax(s.asked[gk], target)
+		s.m.nopRequests.Inc()
+		s.ep.Send(transport.GatekeeperAddr(gk), wire.NopRequest{TS: target, From: s.ep.Addr()})
+	}
 }
 
 // visible builds the snapshot predicate for a node program at ts: a version

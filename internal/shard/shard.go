@@ -20,7 +20,10 @@
 // read timestamp, i.e. until all preceding and concurrent transactions have
 // executed, then read the multi-version graph at that timestamp, resolving
 // the visibility of any version concurrent with it by the write-before-read
-// preference (§4.1). Hops cascade locally and forward to peer shards;
+// preference (§4.1). A read that has to wait asks each gatekeeper whose
+// stream holds it back for one NOP past it (wire.NopRequest), so the wait
+// is a round trip; the gatekeepers' periodic NOPs bound it only when a
+// request is lost. Hops cascade locally and forward to peer shards;
 // progress deltas flow to the coordinating gatekeeper.
 //
 // A shard holds one backing-store handle, given to New, and reads through
@@ -142,12 +145,23 @@ type Shard struct {
 	finishedQ  []core.ID // FIFO for bounding the finished set
 	orderCache map[[2]core.ID]core.Order
 	gcReports  map[int]core.Timestamp
+	// asked is, per gatekeeper, the target of the NopRequests outstanding
+	// there (zero: none): a NOP vclock-after it is on its way (solicit,
+	// prog.go). Cleared when the stream passes it and at every epoch
+	// barrier.
+	asked []core.Timestamp
 	// gcWM is the watermark of the most recent version collection: every
 	// version whose lifetime ended strictly before it is gone. Historical
 	// reads are answered only at or above it (§4.5). Only maybeGC writes it
 	// (event-loop owned); what a reloaded record truncated is refused by the
 	// record's own mark instead.
 	gcWM core.Timestamp
+	// sweepOwed marks a transaction applied since the last version sweep
+	// with a stamp strictly below gcWM: gatekeepers report their clocks,
+	// which run ahead of this shard's applies, so such a write can end
+	// versions the watermark already covers, and the next report round
+	// sweeps even if the watermark holds still (maybeGC).
+	sweepOwed bool
 	// epoch is the shard's current epoch (event-loop owned): stale-epoch
 	// stream traffic — a crashed gatekeeper's last NOPs straggling in
 	// after the barrier — is dropped instead of poisoning the reset
@@ -200,6 +214,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		reseq:      make([]*transport.Resequencer[queued], cfg.NumGatekeepers),
 		queues:     make([][]queued, cfg.NumGatekeepers),
 		frontier:   make([]core.Timestamp, cfg.NumGatekeepers),
+		asked:      make([]core.Timestamp, cfg.NumGatekeepers),
 		progState:  make(map[core.ID]map[graph.VertexID][]byte),
 		finished:   make(map[core.ID]struct{}),
 		orderCache: make(map[[2]core.ID]core.Order),
@@ -386,6 +401,7 @@ func (s *Shard) enterEpoch(epoch uint64) {
 		}
 		s.reseq[gk].Reset()
 	}
+	clear(s.asked) // a request to the old epoch is answered in it, or never
 	s.drainAllQueued()
 	// A killed gatekeeper may have committed write-sets to the backing
 	// store without forwarding them anywhere; pull them in now, while the
@@ -590,6 +606,9 @@ func (s *Shard) ingest(ts core.Timestamp, seq uint64, ops []graph.Op, at time.Ti
 			s.queues[gk] = append(s.queues[gk], item)
 		}
 	}
+	if a := s.asked[gk]; !a.Zero() && a.PointwiseLT(s.frontier[gk]) {
+		s.asked[gk] = core.Timestamp{}
+	}
 }
 
 // pump drains all executable work: transactions one at a time, always the
@@ -706,6 +725,7 @@ func (s *Shard) applyOps(q queued) {
 	})
 	// The index is never paged out: it applies the whole transaction.
 	s.idx.ApplyTx(q.ops, q.ts)
+	s.sweepOwed = s.sweepOwed || q.ts.PointwiseLT(s.gcWM)
 	s.opsApplied.Add(uint64(n + len(q.ops) - len(ops)))
 	s.txExecuted.Add(1)
 }
@@ -804,7 +824,8 @@ func (s *Shard) maybeGC() {
 		s.gcWM = wm
 		advanced = true
 	}
-	if advanced {
+	if advanced || s.sweepOwed {
+		s.sweepOwed = false
 		n := s.g.CollectBefore(s.gcWM)
 		// The index prunes at the SAME ratcheted watermark as the graph:
 		// the staleness gate that protects graph reads protects index
@@ -817,14 +838,13 @@ func (s *Shard) maybeGC() {
 	// retention window is holding it — the version sweeps above are
 	// skipped: nothing can have become collectable since the last pass (a
 	// version is collectable only if its lifetime ended below the
-	// watermark, and versions only ever die at fresh timestamps ABOVE a
-	// frozen watermark). Without the skip, every report round under a
-	// held pin rescans the ever-growing version history and the event
-	// loop starves the apply path. Eviction and the cache bound below
-	// still run every round: a vertex whose writes all predate the frozen
-	// watermark can still become evictable (the cap may only now be
-	// exceeded, or an earlier pass hit its limit), and the cache check is
-	// O(1).
+	// watermark, and a transaction that ends one there sets sweepOwed).
+	// Without the skip, every report round under a held pin rescans the
+	// ever-growing version history and the event loop starves the apply
+	// path. Eviction and the cache bound below still run every round: a
+	// vertex whose writes all predate the frozen watermark can still become
+	// evictable (the cap may only now be exceeded, or an earlier pass hit
+	// its limit), and the cache check is O(1).
 	//
 	// Demand paging, eviction half (§6.1): shed cold vertices above the
 	// memory cap; they page back in from the backing store on access.

@@ -297,6 +297,29 @@ func TestShardGCCollectsOldVersions(t *testing.T) {
 	}
 }
 
+// Gatekeepers report watermarks from their clocks, which run ahead of what
+// a shard has applied. A report past a write the shard has not applied yet
+// must not let that write end a version below the watermark: with the
+// report held there (a pinned snapshot), the version would never be
+// collected, since sweeps run only when the watermark moves.
+func TestShardGCCollectsWriteAppliedAfterReport(t *testing.T) {
+	r := newRig(t, 1)
+	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"},
+		graph.Op{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"})
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 1 })
+	write := r.clock.Tick() // committed, not yet forwarded
+	held := r.clock.Tick()
+	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: held})
+	r.drv.Send(transport.ShardAddr(0), wire.TxForward{TS: write, Seq: r.seq.Next(transport.ShardAddr(0)),
+		Ops: []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "2"}}})
+	r.sendNop()
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: held})
+	if st := r.waitStats(func(s Stats) bool { return s.GCCollected >= 1 }); st.GCCollected != 1 {
+		t.Fatalf("collected %d, want 1", st.GCCollected)
+	}
+}
+
 func TestShardEnterEpochResetsStreams(t *testing.T) {
 	r := newRig(t, 1)
 	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "a"})
@@ -573,4 +596,92 @@ func TestHeatMapBounded(t *testing.T) {
 	if n := len(h.topK(0, 0)); n > heatMaxEntries {
 		t.Fatalf("heat table grew to %d entries (cap %d)", n, heatMaxEntries)
 	}
+}
+
+// nopRequests collects the NopRequests that reach ep: at least min of them
+// (waiting up to 5 s), then whatever else arrives within 30 ms.
+func nopRequests(ep transport.Endpoint, min int) []wire.NopRequest {
+	var out []wire.NopRequest
+	timeout := time.After(5 * time.Second)
+	var settle <-chan time.Time
+	for {
+		for m, ok := ep.Next(); ok; m, ok = ep.Next() {
+			if req, ok := m.Payload.(wire.NopRequest); ok {
+				out = append(out, req)
+			}
+		}
+		if settle == nil && len(out) >= min {
+			settle = time.After(30 * time.Millisecond)
+		}
+		select {
+		case <-ep.Recv():
+		case <-settle:
+			return out
+		case <-timeout:
+			return out
+		}
+	}
+}
+
+// A read parked behind silent streams asks each gatekeeper holding it back
+// for one NOP past it and past the queue head it waits on; a read the
+// outstanding request already covers asks nobody, however often the event
+// loop runs; the epoch barrier forgets what was asked.
+func TestParkedReadSolicitsOneNopPerBlockingGatekeeper(t *testing.T) {
+	r := newRig(t, 2)
+	gk1 := r.f.Endpoint(transport.GatekeeperAddr(1))
+	mgr := r.f.Endpoint("mgr")
+	c1 := core.NewVectorClock(1, 2, 0)
+	nudge := func() { // events that run the event loop and change nothing
+		for i := 0; i < 3; i++ {
+			mgr.Send(transport.ShardAddr(0), wire.Heartbeat{From: mgr.Addr()})
+		}
+	}
+	exactlyOne := func(when string, floor ...core.Timestamp) {
+		t.Helper()
+		for gk, ep := range []transport.Endpoint{r.drv, gk1} {
+			reqs := nopRequests(ep, 1)
+			if len(reqs) != 1 {
+				t.Fatalf("%s: gatekeeper %d got %d NopRequests, want 1: %+v", when, gk, len(reqs), reqs)
+			}
+			if reqs[0].From != transport.ShardAddr(0) {
+				t.Fatalf("%s: request from %q", when, reqs[0].From)
+			}
+			for _, f := range floor {
+				if !f.PointwiseLE(reqs[0].TS) {
+					t.Fatalf("%s: request %v to gatekeeper %d is not past %v", when, reqs[0].TS, gk, f)
+				}
+			}
+		}
+	}
+	hops := func(qid uint64, readTS core.Timestamp) wire.ProgHops {
+		return wire.ProgHops{QID: core.ID{Counter: qid}, TS: readTS, ReadTS: readTS, Coordinator: r.drv.Addr(),
+			Hops: []wire.Hop{{ID: 1, Vertex: "v", Program: "get_node"}}}
+	}
+
+	head := r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"}) // blocked: gk1 is silent
+	read := c1.Tick()                                                   // concurrent with head
+	r.drv.Send(transport.ShardAddr(0), hops(1, read))
+	nudge()
+	exactlyOne("parked read", read, head)
+
+	r.drv.Send(transport.ShardAddr(0), hops(2, read)) // covered by the outstanding requests
+	nudge()
+	for gk, ep := range []transport.Endpoint{r.drv, gk1} {
+		if reqs := nopRequests(ep, 0); len(reqs) != 0 {
+			t.Fatalf("covered read: gatekeeper %d got %+v", gk, reqs)
+		}
+	}
+
+	enterEpoch(t, mgr, 1) // applies head; both reads stay parked and ask again
+	nudge()
+	exactlyOne("after the epoch barrier", read)
+
+	// The answers: one NOP from each gatekeeper in the new epoch.
+	r.clock.AdvanceEpoch(1)
+	r.seq.Reset()
+	c1.AdvanceEpoch(1)
+	r.sendNop()
+	gk1.Send(transport.ShardAddr(0), wire.Nop{TS: c1.Tick(), Seq: 1})
+	r.waitStats(func(s Stats) bool { return s.ProgBatches == 2 })
 }

@@ -50,6 +50,7 @@ const (
 	tagPaxosResp
 	tagIndexLookup
 	tagIndexResult
+	tagNopRequest
 )
 
 // frameCodec implements transport.FrameCodec over the message set above.
@@ -71,6 +72,10 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = append(buf, tagNop)
 		buf = binenc.AppendTS(buf, m.TS)
 		buf = binenc.AppendUvarint(buf, m.Seq)
+	case NopRequest:
+		buf = append(buf, tagNopRequest)
+		buf = binenc.AppendTS(buf, m.TS)
+		buf = binenc.AppendStr(buf, string(m.From))
 	case TxApplied:
 		buf = append(buf, tagTxApplied)
 		buf = binenc.AppendTS(buf, m.TS)
@@ -229,6 +234,8 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		v = m
 	case tagNop:
 		v = Nop{TS: d.TS(), Seq: d.Uvarint()}
+	case tagNopRequest:
+		v = NopRequest{TS: d.TS(), From: transport.Addr(d.Str())}
 	case tagTxApplied:
 		v = TxApplied{TS: d.TS(), Shard: int(d.Varint()), Count: int(d.Varint())}
 	case tagAnnounce:

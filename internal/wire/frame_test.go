@@ -36,6 +36,8 @@ func sampleMessages() []any {
 		TxForward{TS: ts(2, 1, 7, 9), Seq: 43, Trace: 0xdeadbeef,
 			Ops: []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "user/9"}}},
 		Nop{TS: ts(3, 2, 1, 2, 3), Seq: 9000},
+		NopRequest{TS: ts(2, 1, 4, 7), From: "shard/3"},
+		NopRequest{},
 		TxApplied{TS: ts(1, 1, 4, 4), Shard: 3, Count: 17},
 		TxApplied{TS: ts(1, 0, 1), Shard: 0, Count: -1},
 		Announce{TS: ts(5, 2, 9, 9, 9)},
@@ -289,8 +291,8 @@ func TestRetiredTagsAreCorrupt(t *testing.T) {
 			t.Fatalf("retired tag %d: got %v, want ErrFrameCorrupt", tag, err)
 		}
 	}
-	if tagIndexLookup != 25 || tagIndexResult != 26 {
-		t.Fatalf("index tags = %d, %d; want the appended 25, 26", tagIndexLookup, tagIndexResult)
+	if tagIndexLookup != 25 || tagIndexResult != 26 || tagNopRequest != 27 {
+		t.Fatalf("index, NOP-request tags = %d, %d, %d; want the appended 25, 26, 27", tagIndexLookup, tagIndexResult, tagNopRequest)
 	}
 }
 

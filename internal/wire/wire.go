@@ -31,11 +31,22 @@ type TxForward struct {
 	Trace uint64
 }
 
-// Nop is a no-op transaction keeping the per-gatekeeper queue at every
-// shard non-empty so node programs make progress under light load (§4.2).
+// Nop is a no-op transaction that advances a gatekeeper's stream at a shard
+// without writing anything, so node programs waiting on that stream make
+// progress (§4.2). A gatekeeper sends one to the shard that asked for it
+// (NopRequest) and, as the idle fallback, one to every shard each NopPeriod.
 type Nop struct {
 	TS  core.Timestamp
 	Seq uint64
+}
+
+// NopRequest is a shard asking a gatekeeper for one Nop vclock-after TS: a
+// read is parked at the shard until that gatekeeper's stream passes TS.
+// The gatekeeper observes TS into its clock, ticks, and answers From with a
+// sequenced Nop at once, instead of on its next NopPeriod tick.
+type NopRequest struct {
+	TS   core.Timestamp
+	From transport.Addr
 }
 
 // TxApplied acknowledges that the shard finished applying forwarded

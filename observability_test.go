@@ -136,13 +136,15 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 			t.Errorf("counter %s is zero after a framed workload", ctr)
 		}
 	}
-	// Refusals and failed sweeps (zero on a healthy run) and concurrent
-	// pairs shown to a read (zero when no write races a read): registered.
+	// Refusals and failed sweeps (zero on a healthy run), concurrent pairs
+	// shown to a read (zero when no write races a read) and NOPs asked for
+	// parked reads (zero without reads): registered.
 	for _, ctr := range []string{
 		"weaver_shard_stale_reads_gc_total",
 		"weaver_shard_stale_reads_install_total",
 		"weaver_shard_recover_errors_total",
 		"weaver_shard_read_refines_total",
+		"weaver_shard_nop_requests_total",
 	} {
 		if _, ok := snap.Counters[ctr]; !ok {
 			t.Errorf("counter %s not registered", ctr)

@@ -21,6 +21,13 @@ import (
 // CURRENT data to a caller who asked for the past.
 var errZeroReadTS = errors.New("weaver: historical read at zero timestamp")
 
+// errUnissuedReadTS rejects historical reads at a timestamp ahead of every
+// gatekeeper's clock: one from another cluster, or made up. The shard that
+// parks a read hands its timestamp to the gatekeepers it waits on
+// (wire.NopRequest), and they would order later commits by its inflated
+// components instead of real time.
+var errUnissuedReadTS = errors.New("weaver: historical read at a timestamp this cluster has not issued")
+
 // reader runs reads through cl's gatekeeper at ts.
 type reader struct {
 	cl *Client
@@ -35,8 +42,13 @@ func (cl *Client) fresh() reader { return reader{cl: cl} }
 
 // readTS is the timestamp handed to the gatekeeper.
 func (rd reader) readTS() (Timestamp, error) {
-	if rd.fixed && rd.ts.Zero() {
+	switch {
+	case !rd.fixed:
+		return rd.ts, nil
+	case rd.ts.Zero():
 		return rd.ts, errZeroReadTS
+	case !rd.ts.PointwiseLE(rd.cl.c.issued()):
+		return rd.ts, errUnissuedReadTS
 	}
 	return rd.ts, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"weaver/internal/nodeprog"
 )
@@ -103,5 +104,114 @@ func TestZeroTimestampReadClientFailsEveryRead(t *testing.T) {
 	}
 	if st := c.Stats().Gatekeepers[0]; st.ProgsStarted+st.LookupsStarted != 0 {
 		t.Errorf("a zero-timestamp read reached the gatekeeper: %+v", st)
+	}
+}
+
+// TestUnissuedTimestampReadClientFailsEveryRead: a historical read at a
+// timestamp ahead of the gatekeepers' clocks — the other gatekeeper's
+// component inflated, or a later epoch — is refused before it reaches a
+// gatekeeper, so its components never enter a gatekeeper's clock and the
+// owner's later commits keep their real-time order. A timestamp the
+// cluster did issue still reads.
+func TestUnissuedTimestampReadClientFailsEveryRead(t *testing.T) {
+	cfg := testConfig(2, 1)
+	cfg.Indexes = []IndexSpec{{Key: "city"}, {Key: "age"}}
+	c := openTest(t, cfg)
+	cl, err := c.ClientAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunTx(func(tx *Tx) error { tx.CreateVertex("p0"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	snap := cl.Snapshot()
+	inflated := snap
+	inflated.Clock = append([]uint64(nil), snap.Clock...)
+	inflated.Clock[1] += 1 << 20
+	later := snap
+	later.Epoch++
+	peer := c.gkAt(1).Now()
+	for _, ts := range []Timestamp{inflated, later} {
+		r := cl.At(ts)
+		for _, rc := range readCases {
+			if _, err := rc.at(r); !errors.Is(err, errUnissuedReadTS) {
+				t.Errorf("%s at %v: err = %v, want errUnissuedReadTS", rc.name, ts, err)
+			}
+		}
+	}
+	if st := c.Stats().Gatekeepers[0]; st.ProgsStarted+st.LookupsStarted != 0 {
+		t.Errorf("a read at an unissued timestamp reached the gatekeeper: %+v", st)
+	}
+	if now := c.gkAt(0).Now(); now.Clock[1] > peer.Clock[1] {
+		t.Errorf("gatekeeper 0 saw gatekeeper 1 at %d, past its clock %d", now.Clock[1], peer.Clock[1])
+	}
+	if _, ok, err := cl.At(snap).GetNode("p0"); err != nil || !ok {
+		t.Errorf("read at an issued timestamp: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestReadsDoNotWaitForTimers: a read's ordering wait is a round trip, not
+// a timer. With the periodic announces and NOPs an hour apart, the only way
+// a shard's frontiers can pass a read is that the shard asks the
+// gatekeepers holding the read back for a NOP past it. Every read kind —
+// fresh point read, index lookup, historical point read — through each
+// gatekeeper must answer correctly well inside ProgTimeout.
+func TestReadsDoNotWaitForTimers(t *testing.T) {
+	c := openTest(t, Config{
+		Gatekeepers: 2, Shards: 2,
+		AnnouncePeriod: time.Hour, NopPeriod: time.Hour,
+		ProgTimeout: 3 * time.Second,
+		Indexes:     []IndexSpec{{Key: "city"}},
+	})
+	within := func(what string, read func() error) {
+		t.Helper()
+		start := time.Now()
+		if err := read(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s took %v: the read waited for a timer", what, d)
+		}
+	}
+	for gk := 0; gk < 2; gk++ {
+		cl, err := c.ClientAt(gk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, city := VertexID(fmt.Sprintf("v%d", gk)), fmt.Sprintf("city%d", gk)
+		if _, err := cl.RunTx(func(tx *Tx) error {
+			tx.CreateVertex(v)
+			tx.SetProperty(v, "city", city)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// A second commit whose stamp is the historical read's: the vertex
+		// and its city are visible there whatever that commit's own writes.
+		info, err := cl.RunTx(func(tx *Tx) error {
+			tx.SetProperty(v, "seen", "1")
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		getNode := func(get func(VertexID) (*nodeprog.NodeData, bool, error)) func() error {
+			return func() error {
+				d, ok, err := get(v)
+				if err == nil && (!ok || d.Props["city"] != city) {
+					err = fmt.Errorf("got %+v, %v; want %s with city %s", d, ok, v, city)
+				}
+				return err
+			}
+		}
+		within(fmt.Sprintf("gk%d GetNode", gk), getNode(cl.GetNode))
+		within(fmt.Sprintf("gk%d Lookup", gk), func() error {
+			ids, _, err := cl.Lookup("city", city)
+			if err == nil && (len(ids) != 1 || ids[0] != v) {
+				err = fmt.Errorf("got %v, want [%s]", ids, v)
+			}
+			return err
+		})
+		within(fmt.Sprintf("gk%d At(commit).GetNode", gk), getNode(cl.At(info.TS).GetNode))
 	}
 }

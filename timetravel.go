@@ -25,6 +25,7 @@ import (
 	"errors"
 	"sync"
 
+	"weaver/internal/core"
 	"weaver/internal/gatekeeper"
 	"weaver/internal/nodeprog"
 	"weaver/internal/wire"
@@ -82,6 +83,16 @@ func (c *Cluster) SnapshotTS() (*Snapshot, error) {
 	return &Snapshot{c: c, gk: gk, ts: ts}, nil
 }
 
+// issued is the pointwise maximum of every gatekeeper's clock: every
+// timestamp the cluster has issued is pointwise at or below it.
+func (c *Cluster) issued() Timestamp {
+	now := make([]Timestamp, c.cfg.Gatekeepers)
+	for i := range now {
+		now[i] = c.gkAt(i).Now()
+	}
+	return core.PointwiseMax(now...)
+}
+
 // TS returns the pinned timestamp, usable with Client.At.
 func (s *Snapshot) TS() Timestamp { return s.ts }
 
@@ -108,7 +119,8 @@ type ReadClient struct {
 // a commit's CommitInfo.TS, Client.Snapshot, or a pinned
 // Cluster.SnapshotTS. Queries fail with ErrStaleSnapshot once ts falls
 // behind the GC watermark (impossible while pinned, guaranteed not to
-// happen within Config.HistoryRetention of minting).
+// happen within Config.HistoryRetention of minting), and at once when ts is
+// ahead of every gatekeeper's clock, so not issued by this cluster.
 func (cl *Client) At(ts Timestamp) *ReadClient {
 	return &ReadClient{rd: reader{cl: cl, ts: ts, fixed: true}}
 }

@@ -181,8 +181,11 @@ type Config struct {
 	// pairs proactively; larger τ shifts work to the timeline oracle
 	// (§6.5, Fig 14).
 	AnnouncePeriod time.Duration
-	// NopPeriod is how often gatekeepers send NOPs to shards, bounding
-	// node-program delay (§4.2). Default 500µs.
+	// NopPeriod is how often gatekeepers send NOPs to every shard, the
+	// idle fallback of the stream (§4.2). A read does not wait for it: the
+	// shard that parks a read asks the gatekeepers holding it back for one
+	// NOP past it, and this period bounds the wait only when such a request
+	// is lost. Default 500µs.
 	NopPeriod time.Duration
 	// GCPeriod is the version garbage-collection cadence (§4.5). Default:
 	// disabled — the full multi-version history is kept, so historical
