@@ -1,9 +1,9 @@
 // Package binenc holds the length-prefixed binary encoding primitives
 // behind every codec in the tree: wire frames (internal/wire), vertex
 // records (internal/graph), WAL records (internal/kvstore), the snapshot
-// manifest (internal/snapshot), oracle state transfer (internal/oracle)
-// and the epoch log (internal/cluster). It is the program's one encoding;
-// only node-program params/results (internal/nodeprog) still use gob.
+// manifest (internal/snapshot), oracle state transfer (internal/oracle),
+// the epoch log (internal/cluster) and node-program params, state and
+// results (internal/nodeprog). It is the program's one encoding.
 //
 // Decoding is defensive — codecs face fuzzed and (in a distributed
 // deployment) network-supplied bytes: the Decoder's first framing error
@@ -82,6 +82,16 @@ func AppendStrMap(buf []byte, m map[string]string) []byte {
 	for k, v := range m {
 		buf = AppendStr(buf, k)
 		buf = AppendStr(buf, v)
+	}
+	return buf
+}
+
+// AppendStrs appends a count prefix and each string of a list of strings
+// (or string-kinded IDs and addresses).
+func AppendStrs[T ~string](buf []byte, vs []T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vs)))
+	for _, v := range vs {
+		buf = AppendStr(buf, string(v))
 	}
 	return buf
 }
@@ -241,4 +251,17 @@ func (d *Decoder) StrMap() map[string]string {
 		m[k] = d.Str()
 	}
 	return m
+}
+
+// Strs reads a list written by AppendStrs; empty lists decode as nil.
+func Strs[T ~string](d *Decoder) []T {
+	n := d.Count(1)
+	if n == 0 || d.Err != nil {
+		return nil
+	}
+	vs := make([]T, 0, n)
+	for i := uint64(0); i < n && d.Err == nil; i++ {
+		vs = append(vs, T(d.Str()))
+	}
+	return vs
 }

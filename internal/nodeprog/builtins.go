@@ -85,9 +85,9 @@ type TraverseParams struct {
 	Depth     int
 }
 
-// visitedMark is the single-byte prog_state of traversal programs: gob
-// would cost ~10µs per visit on the hottest path in the system, so the
-// visited bit is stored raw.
+// visitedMark is the single-byte prog_state of traversal programs. The
+// visited bit is stored raw: the hottest path in the system needs no
+// codec to set or test it.
 var visitedMark = []byte{1}
 
 func isVisited(state []byte) bool { return len(state) == 1 && state[0] == 1 }

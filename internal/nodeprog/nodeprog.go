@@ -11,11 +11,15 @@
 // until concurrent transactions execute and resolves version visibility
 // through the timeline oracle. Per-query state is garbage collected when
 // the query terminates on all servers (§4.5).
+//
+// Params, State and Return are opaque bytes to the runtime. The built-in
+// programs fill them with Encode and read them with Decode, which know
+// only this package's payload types and a few primitives (codec.go). An
+// application that registers its own programs (weaver.Cluster.Registry)
+// encodes its payloads itself, in any format, and passes the bytes.
 package nodeprog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -120,18 +124,4 @@ func (r *Registry) Get(name string) (Program, bool) {
 	defer r.mu.RUnlock()
 	p, ok := r.progs[name]
 	return p, ok
-}
-
-// Encode gob-encodes a value for use as Params, State, or Return payloads.
-func Encode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("nodeprog: encode: %v", err))
-	}
-	return buf.Bytes()
-}
-
-// Decode gob-decodes a payload produced by Encode.
-func Decode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

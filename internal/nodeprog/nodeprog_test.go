@@ -30,17 +30,6 @@ func TestRegistryBuiltinsAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := TraverseParams{PropKey: "k", PropValue: "v", MaxDepth: 3, Depth: 1}
-	var out TraverseParams
-	if err := Decode(Encode(in), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
-	}
-}
-
 func TestGetNodeVisit(t *testing.T) {
 	ctx := &Context{VertexID: "v", Vertex: view("v", map[string]string{"name": "x"}, edge("a", nil), edge("b", nil))}
 	res, err := GetNode{}.Visit(ctx)

@@ -119,7 +119,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = append(buf, tagIndexResult)
 		buf = binenc.AppendID(buf, m.QID)
 		buf = binenc.AppendVarint(buf, int64(m.Shard))
-		buf = appendStrs(buf, m.Vertices)
+		buf = binenc.AppendStrs(buf, m.Vertices)
 		buf = binenc.AppendStr(buf, m.Err)
 		buf = binenc.AppendVarint(buf, int64(m.ErrCode))
 		buf = binenc.AppendUvarint(buf, uint64(m.Matched))
@@ -150,7 +150,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = binenc.AppendBool(buf, m.OK)
 		buf = binenc.AppendUvarint(buf, m.TxID)
 		buf = binenc.AppendStr(buf, m.Err)
-		buf = appendStrs(buf, m.Keys)
+		buf = binenc.AppendStrs(buf, m.Keys)
 		buf = binenc.AppendUvarint(buf, uint64(len(m.Vals)))
 		for _, v := range m.Vals {
 			buf = binenc.AppendBytes(buf, v)
@@ -191,7 +191,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = append(buf, tagEpochInfo)
 		buf = binenc.AppendUvarint(buf, m.ID)
 		buf = binenc.AppendUvarint(buf, m.Epoch)
-		buf = appendStrs(buf, m.Failed)
+		buf = binenc.AppendStrs(buf, m.Failed)
 	case PaxosReq:
 		buf = append(buf, tagPaxosReq)
 		buf = binenc.AppendUvarint(buf, m.ID)
@@ -268,7 +268,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		}
 	case tagIndexResult:
 		v = IndexResult{
-			QID: d.ID(), Shard: int(d.Varint()), Vertices: decodeStrs[graph.VertexID](d),
+			QID: d.ID(), Shard: int(d.Varint()), Vertices: binenc.Strs[graph.VertexID](d),
 			Err: d.Str(), ErrCode: int(d.Varint()),
 			Matched: int(d.Uvarint()), Scanned: int(d.Uvarint()), Trace: d.Uvarint(),
 		}
@@ -285,7 +285,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		m := KVResp{
 			ID: d.Uvarint(), Value: d.Bytes(), Version: d.Uvarint(),
 			OK: d.Bool(), TxID: d.Uvarint(), Err: d.Str(),
-			Keys: decodeStrs[string](d),
+			Keys: binenc.Strs[string](d),
 		}
 		if n := d.Count(1); n > 0 && d.Err == nil {
 			m.Vals = make([][]byte, 0, n)
@@ -314,7 +314,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 	case tagEpochQuery:
 		v = EpochQuery{ID: d.Uvarint(), From: transport.Addr(d.Str()), Boot: d.Bool()}
 	case tagEpochInfo:
-		v = EpochInfo{ID: d.Uvarint(), Epoch: d.Uvarint(), Failed: decodeStrs[transport.Addr](d)}
+		v = EpochInfo{ID: d.Uvarint(), Epoch: d.Uvarint(), Failed: binenc.Strs[transport.Addr](d)}
 	case tagPaxosReq:
 		v = PaxosReq{
 			ID: d.Uvarint(), Op: PaxosOp(d.Byte()), Slot: d.Uvarint(),
@@ -450,28 +450,6 @@ func decodeHops(d *binenc.Decoder) []Hop {
 		})
 	}
 	return hops
-}
-
-// appendStrs encodes a count-prefixed list of strings (or string-kinded
-// IDs and addresses).
-func appendStrs[T ~string](buf []byte, vs []T) []byte {
-	buf = binenc.AppendUvarint(buf, uint64(len(vs)))
-	for _, v := range vs {
-		buf = binenc.AppendStr(buf, string(v))
-	}
-	return buf
-}
-
-func decodeStrs[T ~string](d *binenc.Decoder) []T {
-	n := d.Count(1)
-	if n == 0 || d.Err != nil {
-		return nil
-	}
-	vs := make([]T, 0, n)
-	for i := uint64(0); i < n && d.Err == nil; i++ {
-		vs = append(vs, T(d.Str()))
-	}
-	return vs
 }
 
 func appendU64s(buf []byte, vs []uint64) []byte {

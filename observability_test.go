@@ -3,6 +3,8 @@ package weaver
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +15,8 @@ import (
 // TestTraceSpansCoverPipeline is the observability acceptance test: a
 // committed transaction produces one trace whose spans
 // cover every pipeline stage — gatekeeper queue, oracle refinement, wire
-// transfer, shard apply — and the disjoint stage durations sum to no
-// more than the end-to-end latency measured around the commit.
+// transfer, shard apply — and the time those stages cover is no more
+// than the end-to-end latency measured around the commit.
 func TestTraceSpansCoverPipeline(t *testing.T) {
 	cfg := testConfig(2, 2)
 	cfg.TraceSample = 1
@@ -67,21 +69,34 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 		}
 		t.Fatalf("no trace carries all of %v", required)
 	}
-	// The required stages are disjoint in time, so their durations must
-	// sum within the measured end-to-end latency (commit + apply fence).
-	var sum time.Duration
+	// The time the required stages cover must fit within the measured
+	// end-to-end latency (commit + apply fence). Stages of different
+	// shards overlap (both shards' wire transfers run at once), so what
+	// is bounded is the union of the stages' [Offset, Offset+Dur)
+	// intervals, not the sum of their durations.
+	var stages []obs.Span
 	for _, sp := range full.Spans {
-		for _, name := range required {
-			if sp.Name == name {
-				sum += sp.Dur
-			}
+		if slices.Contains(required, sp.Name) {
+			stages = append(stages, sp)
 		}
 	}
-	if sum > e2e {
-		t.Fatalf("stage durations sum to %v, more than measured e2e %v\nspans: %+v", sum, e2e, full.Spans)
+	sort.Slice(stages, func(i, j int) bool { return stages[i].Offset < stages[j].Offset })
+	var covered, end time.Duration
+	for i, sp := range stages {
+		lo, hi := sp.Offset, sp.Offset+sp.Dur
+		if i > 0 && lo < end {
+			lo = end
+		}
+		if hi > lo {
+			covered += hi - lo
+			end = hi
+		}
 	}
-	if sum == 0 {
-		t.Fatal("stage durations sum to zero — spans not timed")
+	if covered > e2e {
+		t.Fatalf("stages cover %v, more than measured e2e %v\nspans: %+v", covered, e2e, full.Spans)
+	}
+	if covered == 0 {
+		t.Fatal("stages cover no time — spans not timed")
 	}
 }
 
