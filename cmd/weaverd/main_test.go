@@ -43,17 +43,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// handedOut holds every address freePort returned in this process: the
+// kernel may hand a released ephemeral port out again, and two children
+// told the same address fail with "address already in use".
+var handedOut = struct {
+	sync.Mutex
+	addrs map[string]bool
+}{addrs: map[string]bool{}}
+
 // freePort reserves an ephemeral port and releases it for the child
-// process to bind.
+// process to bind, never the same one twice.
 func freePort(t *testing.T) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	handedOut.Lock()
+	defer handedOut.Unlock()
+	for {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := l.Addr().String()
+		l.Close()
+		if !handedOut.addrs[addr] {
+			handedOut.addrs[addr] = true
+			return addr
+		}
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
 }
 
 // startStore launches a weaverd store role with a metrics endpoint and

@@ -60,7 +60,7 @@ func (g *Gatekeeper) writeIndexMarkers(ops []graph.Op) error {
 		if _, idx := g.indexed[op.Key]; !idx {
 			continue
 		}
-		mk := plan.MarkerKey(op.Key, op.Value, g.lookupShard(op.Vertex))
+		mk := plan.MarkerKey(op.Key, op.Value, g.dir.Lookup(op.Vertex))
 		g.markerMu.RLock()
 		_, have := g.markerHave[mk]
 		g.markerMu.RUnlock()

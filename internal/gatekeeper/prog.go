@@ -3,6 +3,8 @@ package gatekeeper
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"weaver/internal/core"
@@ -170,9 +172,9 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 	defer g.m.tracer.Done(tr)
 	defer tr.SpanSince("prog_run", time.Now())
 
-	// The initial hops are built before the read registers: resolving home
-	// shards touches the backing store, and placement cannot change under
-	// the pause read lock.
+	// Home shards come from the directory, the one placement rule shards
+	// route onward hops by too; placement cannot change under the pause
+	// read lock admit took.
 	p := &pendingRead{
 		kind:    progRead,
 		pending: make(map[uint64]struct{}, len(start)),
@@ -182,7 +184,7 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 	byShard := make(map[int][]wire.Hop)
 	for _, v := range start {
 		id := g.hopSeq.Add(1) | coordinatorHopBit
-		s := g.lookupShard(v)
+		s := g.dir.Lookup(v)
 		p.pending[id] = struct{}{}
 		p.shards[s] = struct{}{}
 		byShard[s] = append(byShard[s], wire.Hop{ID: id, Vertex: v, Program: prog, Params: params, Origin: -1})
@@ -234,15 +236,6 @@ func (g *Gatekeeper) RunProgramWhere(readTS core.Timestamp, key, value, prog str
 		return nil, ts, err
 	}
 	return g.RunProgram(ts, prog, params, start)
-}
-
-// lookupShard resolves a vertex's home shard, preferring the authoritative
-// backing-store record over the static directory.
-func (g *Gatekeeper) lookupShard(v graph.VertexID) int {
-	if rec, _, ok, _ := g.ReadVertex(v); ok {
-		return rec.Shard
-	}
-	return g.dir.Lookup(v)
 }
 
 // handleProgDelta folds one shard progress report into the coordinator
@@ -304,9 +297,10 @@ func replyErr(code int, msg string) error {
 
 // shardIndex parses a shard address back to its index.
 func shardIndex(a transport.Addr) (int, bool) {
-	var i int
-	if n, err := fmt.Sscanf(string(a), "shard/%d", &i); err == nil && n == 1 {
-		return i, true
+	rest, ok := strings.CutPrefix(string(a), "shard/")
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	i, err := strconv.Atoi(rest)
+	return i, err == nil
 }

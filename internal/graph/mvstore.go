@@ -74,6 +74,12 @@ func (c *chain) latest() *Vertex {
 // Apply mutates one existing chain under the read lock. Other goroutines
 // touch only the map, under the lock (NumVertices for Stats), or run behind
 // a fence with applies quiesced (Install, Detach/Attach).
+//
+// The retire list is written by that one writer too: every place that ends
+// a version appends an entry, an apply under the read lock included. That
+// is sound only because a store has one writer, the shard event loop: GC
+// takes the write lock and Retired runs on the writer's goroutine. A second
+// goroutine applying would race here.
 type Store struct {
 	mu       sync.RWMutex
 	vertices map[VertexID]*chain
@@ -82,6 +88,25 @@ type Store struct {
 	// horizon is the pointwise max of every mark installed or attached
 	// here (Horizon).
 	horizon core.Timestamp
+	// retired lists, in the order versions ended, the vertex whose chain
+	// holds each ended version and its end stamp: the only chains GC visits
+	// (CollectBeforeFunc). An entry whose chain was since detached, evicted
+	// or replaced is stale; sweeping that vertex's chain, if any, is safe.
+	retired []retirement
+	// swept counts the chains GC has visited (Swept).
+	swept uint64
+}
+
+// retirement is one retire-list entry: vid's chain holds a version that
+// ended at end.
+type retirement struct {
+	vid VertexID
+	end core.Timestamp
+}
+
+// retire appends an entry for a version of vid that ended at end.
+func (s *Store) retire(vid VertexID, end core.Timestamp) {
+	s.retired = append(s.retired, retirement{vid, end})
 }
 
 // NewStore returns an empty multi-version graph store.
@@ -203,6 +228,7 @@ func (s *Store) applyLocked(op Op, ts core.Timestamp) error {
 				e.Deleted = ts
 			}
 		}
+		s.retire(op.Vertex, ts)
 	case OpCreateEdge:
 		v := s.live(op.Vertex)
 		if v == nil {
@@ -222,30 +248,33 @@ func (s *Store) applyLocked(op Op, ts core.Timestamp) error {
 			return fmt.Errorf("graph: delete_edge %q: not live", op.Edge)
 		}
 		e.Deleted = ts
+		s.retire(op.Vertex, ts)
 	case OpSetVertexProp:
 		v := s.live(op.Vertex)
 		if v == nil {
 			return fmt.Errorf("graph: set_prop on %q: vertex not live", op.Vertex)
 		}
-		v.Props = setProp(v.Props, op.Key, op.Value, ts)
+		s.endProp(op.Vertex, v.Props, op.Key, ts)
+		v.Props = append(v.Props, Property{Key: op.Key, Value: op.Value, Created: ts})
 	case OpDelVertexProp:
 		v := s.live(op.Vertex)
 		if v == nil {
 			return fmt.Errorf("graph: del_prop on %q: vertex not live", op.Vertex)
 		}
-		v.Props = delProp(v.Props, op.Key, ts)
+		s.endProp(op.Vertex, v.Props, op.Key, ts)
 	case OpSetEdgeProp:
 		e, err := s.liveEdge(op.Vertex, op.Edge)
 		if err != nil {
 			return err
 		}
-		e.Props = setProp(e.Props, op.Key, op.Value, ts)
+		s.endProp(op.Vertex, e.Props, op.Key, ts)
+		e.Props = append(e.Props, Property{Key: op.Key, Value: op.Value, Created: ts})
 	case OpDelEdgeProp:
 		e, err := s.liveEdge(op.Vertex, op.Edge)
 		if err != nil {
 			return err
 		}
-		e.Props = delProp(e.Props, op.Key, ts)
+		s.endProp(op.Vertex, e.Props, op.Key, ts)
 	default:
 		return fmt.Errorf("graph: unknown op kind %v", op.Kind)
 	}
@@ -277,24 +306,15 @@ func (s *Store) liveEdge(vid VertexID, eid EdgeID) (*Edge, error) {
 	return e, nil
 }
 
-// setProp supersedes the live version of key (if any) at ts and appends the
-// new version.
-func setProp(props []Property, key, value string, ts core.Timestamp) []Property {
+// endProp ends the live version of key in props, one of vid's chain, at ts
+// and retires it. A set then appends the new version.
+func (s *Store) endProp(vid VertexID, props []Property, key string, ts core.Timestamp) {
 	for i := range props {
 		if props[i].Key == key && props[i].Deleted.Zero() {
 			props[i].Deleted = ts
+			s.retire(vid, ts)
 		}
 	}
-	return append(props, Property{Key: key, Value: value, Created: ts})
-}
-
-func delProp(props []Property, key string, ts core.Timestamp) []Property {
-	for i := range props {
-		if props[i].Key == key && props[i].Deleted.Zero() {
-			props[i].Deleted = ts
-		}
-	}
-	return props
 }
 
 // Load installs one record unmarked (Install).
@@ -315,6 +335,9 @@ func (s *Store) Install(recs []*VertexRecord, marked bool) {
 	defer s.mu.Unlock()
 	for _, rec := range recs {
 		s.vertices[rec.ID] = s.chainOf(rec, marked)
+		if rec.Deleted {
+			s.retire(rec.ID, rec.LastTS)
+		}
 		if marked {
 			s.horizon = core.PointwiseMax(s.horizon, rec.LastTS)
 		}
@@ -373,6 +396,23 @@ func (s *Store) chainOf(rec *VertexRecord, marked bool) *chain {
 	return ch
 }
 
+// lifetimes calls fn with the lifetime of every version in the chain:
+// incarnations, their properties, their edges and the edges' properties.
+func (c *chain) lifetimes(fn func(created, deleted core.Timestamp)) {
+	for _, v := range c.incarnations {
+		fn(v.Created, v.Deleted)
+		for i := range v.Props {
+			fn(v.Props[i].Created, v.Props[i].Deleted)
+		}
+		for _, e := range v.Out {
+			fn(e.Created, e.Deleted)
+			for i := range e.Props {
+				fn(e.Props[i].Created, e.Props[i].Deleted)
+			}
+		}
+	}
+}
+
 // maxTS returns the latest write timestamp anywhere in the chain.
 func (c *chain) maxTS() core.Timestamp {
 	var max core.Timestamp
@@ -384,22 +424,10 @@ func (c *chain) maxTS() core.Timestamp {
 			max = t
 		}
 	}
-	for _, v := range c.incarnations {
-		upd(v.Created)
-		upd(v.Deleted)
-		for i := range v.Props {
-			upd(v.Props[i].Created)
-			upd(v.Props[i].Deleted)
-		}
-		for _, e := range v.Out {
-			upd(e.Created)
-			upd(e.Deleted)
-			for i := range e.Props {
-				upd(e.Props[i].Created)
-				upd(e.Props[i].Deleted)
-			}
-		}
-	}
+	c.lifetimes(func(created, deleted core.Timestamp) {
+		upd(created)
+		upd(deleted)
+	})
 	return max
 }
 
@@ -473,7 +501,8 @@ func (s *Store) Detach(v VertexID) (History, bool) {
 
 // Attach installs a version chain detached from another store, replacing
 // any resident versions of the vertex; a marked chain brings its mark to
-// Horizon. The same quiescence contract as Detach applies.
+// Horizon, and each distinct end stamp among its ended versions to the
+// retire list. The same quiescence contract as Detach applies.
 func (s *Store) Attach(h History) {
 	if h.ch == nil {
 		return
@@ -481,6 +510,13 @@ func (s *Store) Attach(h History) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.vertices[h.id] = h.ch
+	var last core.Timestamp // skips runs of one stamp (a vertex delete's edges)
+	h.ch.lifetimes(func(_, deleted core.Timestamp) {
+		if !deleted.Zero() && !(deleted.PointwiseLE(last) && last.PointwiseLE(deleted)) {
+			s.retire(h.id, deleted)
+			last = deleted
+		}
+	})
 	if h.ch.marked {
 		s.horizon = core.PointwiseMax(s.horizon, h.ch.loadedAt)
 	}
@@ -519,6 +555,11 @@ func (s *Store) Versions(id VertexID, fn func(*Property)) {
 // snapshot freezes a gatekeeper's report at a vector that collides with a
 // committed transaction's (owner, counter). Returns the number of objects
 // removed.
+//
+// A pass visits only what died: it walks the retire list, sweeps the chain
+// of each entry that ended below the watermark (each chain once) and keeps
+// every other entry, in order. Its cost is the pending retirements plus the
+// chains swept, not the store's size.
 func (s *Store) CollectBefore(watermark core.Timestamp) int {
 	return s.CollectBeforeFunc(watermark, func(VertexID, *Property) {})
 }
@@ -530,33 +571,73 @@ func (s *Store) CollectBeforeFunc(watermark core.Timestamp, dropped func(VertexI
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	for vid, ch := range s.vertices {
-		kept := ch.incarnations[:0]
-		for _, v := range ch.incarnations {
-			if !v.Deleted.Zero() && v.Deleted.PointwiseLT(watermark) {
-				removed += 1 + len(v.Out)
-				for i := range v.Props {
-					dropped(vid, &v.Props[i])
-				}
-				continue
-			}
-			v.Props, removed = gcProps(v.Props, watermark, removed, vid, dropped)
-			for eid, e := range v.Out {
-				if !e.Deleted.Zero() && e.Deleted.PointwiseLT(watermark) {
-					delete(v.Out, eid)
-					removed++
-					continue
-				}
-				e.Props, removed = gcProps(e.Props, watermark, removed, vid, func(VertexID, *Property) {})
-			}
-			kept = append(kept, v)
+	var swept map[VertexID]bool
+	pending := s.retired[:0]
+	for _, r := range s.retired {
+		if !r.end.PointwiseLT(watermark) {
+			pending = append(pending, r)
+			continue
 		}
-		ch.incarnations = kept
-		if len(ch.incarnations) == 0 {
-			delete(s.vertices, vid)
+		if swept[r.vid] {
+			continue
+		}
+		if swept == nil {
+			swept = make(map[VertexID]bool)
+		}
+		swept[r.vid] = true
+		if ch := s.vertices[r.vid]; ch != nil {
+			removed = s.sweep(r.vid, ch, watermark, removed, dropped)
+			s.swept++
 		}
 	}
+	clear(s.retired[len(pending):])
+	s.retired = pending
 	return removed
+}
+
+// sweep removes the versions of vid's chain that ended before wm, and the
+// chain itself once no incarnation is left.
+func (s *Store) sweep(vid VertexID, ch *chain, wm core.Timestamp, removed int, dropped func(VertexID, *Property)) int {
+	kept := ch.incarnations[:0]
+	for _, v := range ch.incarnations {
+		if !v.Deleted.Zero() && v.Deleted.PointwiseLT(wm) {
+			removed += 1 + len(v.Out)
+			for i := range v.Props {
+				dropped(vid, &v.Props[i])
+			}
+			continue
+		}
+		v.Props, removed = gcProps(v.Props, wm, removed, vid, dropped)
+		for eid, e := range v.Out {
+			if !e.Deleted.Zero() && e.Deleted.PointwiseLT(wm) {
+				delete(v.Out, eid)
+				removed++
+				continue
+			}
+			e.Props, removed = gcProps(e.Props, wm, removed, vid, func(VertexID, *Property) {})
+		}
+		kept = append(kept, v)
+	}
+	ch.incarnations = kept
+	if len(ch.incarnations) == 0 {
+		delete(s.vertices, vid)
+	}
+	return removed
+}
+
+// Retired returns the number of retire-list entries still pending. Call it
+// from the writer's goroutine: applies append under the read lock.
+func (s *Store) Retired() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.retired)
+}
+
+// Swept returns the number of chains GC has visited in this store.
+func (s *Store) Swept() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.swept
 }
 
 // gcProps removes the versions that ended before wm, handing each to

@@ -267,8 +267,8 @@ func (ix *Index) VisibleValue(key string, v graph.VertexID, before graph.Before)
 }
 
 // CollectBefore garbage-collects the indexed history below the watermark —
-// the projection's graph.Store.CollectBefore, the same sweep and the same
-// pointwise test that prune the shard's graph (§4.5) — and drops the
+// the projection's graph.Store.CollectBefore, the same retire-list pass and
+// the same pointwise test that prune the shard's graph (§4.5) — and drops the
 // candidate entries no retained version still holds. Shards call it with
 // the watermark that prunes graph history, so a read that passes the
 // staleness gate always finds its versions. Returns the number of versions
@@ -293,6 +293,15 @@ func (ix *Index) CollectBefore(wm core.Timestamp) int {
 		}
 	}
 	return removed
+}
+
+// Retired returns the projection's pending retirements
+// (graph.Store.Retired), to be called from the shard's event loop.
+func (ix *Index) Retired() int {
+	if ix == nil {
+		return 0
+	}
+	return ix.proj.Retired()
 }
 
 // Postings is the index state of vertices in transit between shards

@@ -18,6 +18,10 @@ type obsMetrics struct {
 	recoverErrors *obs.Counter // weaver_shard_recover_errors_total (Stats.RecoverErrors)
 	readRefines   *obs.Counter // weaver_shard_read_refines_total: concurrent writes shown to a read
 	nopRequests   *obs.Counter // weaver_shard_nop_requests_total: NopRequests sent for parked reads
+	// Version GC on the event loop (maybeGC): each collection pass, and the
+	// retire-list entries (graph plus index) the last pass left pending.
+	gcSweep   *obs.Histogram // weaver_shard_gc_sweep_seconds
+	gcRetired *obs.Gauge     // weaver_shard_gc_retired
 }
 
 func newObsMetrics(r *obs.Registry) obsMetrics {
@@ -30,5 +34,7 @@ func newObsMetrics(r *obs.Registry) obsMetrics {
 		recoverErrors: r.Counter("weaver_shard_recover_errors_total"),
 		readRefines:   r.Counter("weaver_shard_read_refines_total"),
 		nopRequests:   r.Counter("weaver_shard_nop_requests_total"),
+		gcSweep:       r.LatencyHistogram("weaver_shard_gc_sweep_seconds"),
+		gcRetired:     r.Gauge("weaver_shard_gc_retired"),
 	}
 }

@@ -35,6 +35,14 @@
 // stamp (graph.Store.Install), tombstones too. A read below a vertex's mark
 // is refused as stale, never answered "absent" (graph.View.Truncated); a
 // lookup, below the index's install horizon. Paging never touches the index.
+//
+// Version GC (§4.5) runs on the event loop once every gatekeeper has
+// reported (maybeGC): the reports' pointwise min, ratcheted, is the
+// watermark reads are checked against, and every round collects below it
+// in the graph and the index alike. A collection walks each store's retire
+// list — one entry per ended version, appended where it ended — and sweeps
+// only the chains those entries name, so a round costs what died since the
+// last one, not the shard's size.
 package shard
 
 import (
@@ -150,18 +158,17 @@ type Shard struct {
 	// prog.go). Cleared when the stream passes it and at every epoch
 	// barrier.
 	asked []core.Timestamp
-	// gcWM is the watermark of the most recent version collection: every
-	// version whose lifetime ended strictly before it is gone. Historical
-	// reads are answered only at or above it (§4.5). Only maybeGC writes it
-	// (event-loop owned); what a reloaded record truncated is refused by the
-	// record's own mark instead.
+	// gcWM is the watermark every version collection runs at: each report
+	// round collects every version whose lifetime ended strictly before it.
+	// Historical reads are answered only at or above it (§4.5). Only maybeGC
+	// writes it (event-loop owned); what a reloaded record truncated is
+	// refused by the record's own mark instead. Gatekeepers report their
+	// clocks, which run ahead of this shard's applies, so a write applied
+	// later can end a version below it; the next round collects that too.
 	gcWM core.Timestamp
-	// sweepOwed marks a transaction applied since the last version sweep
-	// with a stamp strictly below gcWM: gatekeepers report their clocks,
-	// which run ahead of this shard's applies, so such a write can end
-	// versions the watermark already covers, and the next report round
-	// sweeps even if the watermark holds still (maybeGC).
-	sweepOwed bool
+	// retired is the pending retirements (graph plus index) this shard
+	// last added to the weaver_shard_gc_retired gauge, which shards share.
+	retired int64
 	// epoch is the shard's current epoch (event-loop owned): stale-epoch
 	// stream traffic — a crashed gatekeeper's last NOPs straggling in
 	// after the barrier — is dropped instead of poisoning the reset
@@ -494,6 +501,8 @@ func (s *Shard) Stop() {
 
 func (s *Shard) run() {
 	defer close(s.done)
+	// A stopped shard's pending retirements leave the gauge shards share.
+	defer func() { s.m.gcRetired.Add(-s.retired) }()
 	for {
 		select {
 		case <-s.stop:
@@ -725,7 +734,6 @@ func (s *Shard) applyOps(q queued) {
 	})
 	// The index is never paged out: it applies the whole transaction.
 	s.idx.ApplyTx(q.ops, q.ts)
-	s.sweepOwed = s.sweepOwed || q.ts.PointwiseLT(s.gcWM)
 	s.opsApplied.Add(uint64(n + len(q.ops) - len(ops)))
 	s.txExecuted.Add(1)
 }
@@ -784,8 +792,9 @@ func (s *Shard) pageIn(v graph.VertexID) bool {
 	return true
 }
 
-// maybeGC prunes graph versions once a watermark report from every
-// gatekeeper is in (§4.5).
+// maybeGC prunes graph and index versions once a watermark report from
+// every gatekeeper is in (§4.5): every such round, at the ratcheted gcWM,
+// through the stores' retire lists.
 func (s *Shard) maybeGC() {
 	if len(s.gcReports) < s.cfg.NumGatekeepers {
 		return
@@ -819,33 +828,23 @@ func (s *Shard) maybeGC() {
 	// is a synthetic vector whose owner identity can collide with a real
 	// timestamp's, making happens-before Compare report a strict pointwise
 	// advance as Equal/Concurrent and freeze the ratchet.)
-	advanced := false
 	if s.gcWM.Zero() || s.gcWM.PointwiseLT(wm) {
 		s.gcWM = wm
-		advanced = true
 	}
-	if advanced || s.sweepOwed {
-		s.sweepOwed = false
-		n := s.g.CollectBefore(s.gcWM)
-		// The index prunes at the SAME ratcheted watermark as the graph:
-		// the staleness gate that protects graph reads protects index
-		// lookups identically, so a lookup that passes it always finds
-		// its versions.
-		n += s.idx.CollectBefore(s.gcWM)
-		s.gcCollected.Add(uint64(n))
-	}
-	// When the watermark did NOT advance — a pinned snapshot or the
-	// retention window is holding it — the version sweeps above are
-	// skipped: nothing can have become collectable since the last pass (a
-	// version is collectable only if its lifetime ended below the
-	// watermark, and a transaction that ends one there sets sweepOwed).
-	// Without the skip, every report round under a held pin rescans the
-	// ever-growing version history and the event loop starves the apply
-	// path. Eviction and the cache bound below still run every round: a
-	// vertex whose writes all predate the frozen watermark can still become
-	// evictable (the cap may only now be exceeded, or an earlier pass hit
-	// its limit), and the cache check is O(1).
-	//
+	// Every round collects, whether or not the watermark moved: a pass
+	// visits the pending retire-list entries and the chains of those below
+	// the watermark, never the whole store.
+	t0 := time.Now()
+	n := s.g.CollectBefore(s.gcWM)
+	// The index prunes at the SAME ratcheted watermark as the graph: the
+	// staleness gate that protects graph reads protects index lookups
+	// identically, so a lookup that passes it always finds its versions.
+	n += s.idx.CollectBefore(s.gcWM)
+	s.m.gcSweep.Since(t0)
+	s.gcCollected.Add(uint64(n))
+	retired := int64(s.g.Retired() + s.idx.Retired())
+	s.m.gcRetired.Add(retired - s.retired)
+	s.retired = retired
 	// Demand paging, eviction half (§6.1): shed cold vertices above the
 	// memory cap; they page back in from the backing store on access.
 	// The index is deliberately NOT evicted: lookups answer for paged-out

@@ -165,7 +165,12 @@ func TestMetricsSnapshotPopulated(t *testing.T) {
 			t.Errorf("counter %s not registered", ctr)
 		}
 	}
-	for _, g := range []string{"weaver_gk_apply_lag", "weaver_oracle_events", "weaver_oracle_gc_collected"} {
+	// Version GC is off in this configuration: its pass histogram is
+	// registered, without observations.
+	if _, ok := snap.Histograms["weaver_shard_gc_sweep_seconds"]; !ok {
+		t.Error("histogram weaver_shard_gc_sweep_seconds not registered")
+	}
+	for _, g := range []string{"weaver_gk_apply_lag", "weaver_oracle_events", "weaver_oracle_gc_collected", "weaver_shard_gc_retired"} {
 		if _, ok := snap.Gauges[g]; !ok {
 			t.Errorf("gauge %s not registered", g)
 		}
