@@ -162,6 +162,23 @@ func (d *Decoder) Str() string {
 	return s
 }
 
+// RawStr reads a length-prefixed string as the bytes it occupies in Buf,
+// without copying: the result aliases the buffer, so the caller must copy
+// what it keeps.
+func (d *Decoder) RawStr() []byte {
+	n := d.Uvarint()
+	if d.Err != nil {
+		return nil
+	}
+	if uint64(len(d.Buf)) < n {
+		d.Err = ErrTruncated
+		return nil
+	}
+	b := d.Buf[:n:n]
+	d.Buf = d.Buf[n:]
+	return b
+}
+
 // Bytes reads a length-prefixed byte slice written by AppendBytes. The
 // returned slice is a copy (decoders read from reused buffers); empty
 // slices decode as nil.

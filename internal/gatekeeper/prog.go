@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"weaver/internal/core"
@@ -56,9 +57,9 @@ type pendingRead struct {
 
 	// progRead: termination detection and gather.
 	pending map[uint64]struct{} // spawned hops not yet consumed
-	early   map[uint64]struct{} // consumptions seen before their spawn
+	early   map[uint64]struct{} // consumptions seen before their spawn; nil until one is
 	results [][]byte
-	shards  map[int]struct{} // shards that received work (for ProgFinish)
+	shards  []int // distinct shards that received work (for ProgFinish)
 
 	// lookupRead: the round's shard set and gather.
 	remaining map[int]struct{} // shards that have not answered yet
@@ -116,22 +117,45 @@ func (g *Gatekeeper) finish(p *pendingRead, err error) {
 	p.err = err
 	g.mu.Unlock()
 	g.readsFinished[p.kind].Add(1)
-	for s := range p.shards { // stable: p is no longer reachable for deltas
+	for _, s := range p.shards { // stable: p is no longer reachable for deltas
 		g.ep.Send(transport.ShardAddr(s), wire.ProgFinish{QID: qid})
 	}
 	close(p.done)
 }
 
+// addShard records that shard s received work for p, once.
+func (p *pendingRead) addShard(s int) int {
+	for i, have := range p.shards {
+		if have == s {
+			return i
+		}
+	}
+	p.shards = append(p.shards, s)
+	return len(p.shards) - 1
+}
+
+// awaitTimers recycles await's timeout timers. A stopped timer is safe to
+// Reset, and since go1.23 a Stop leaves no stale tick behind in its channel.
+var awaitTimers sync.Pool
+
 // await blocks until p finishes, failing it on ProgTimeout or Stop, and
 // returns its error.
 func (g *Gatekeeper) await(p *pendingRead) error {
+	t, _ := awaitTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(g.cfg.ProgTimeout)
+	} else {
+		t.Reset(g.cfg.ProgTimeout)
+	}
 	select {
 	case <-p.done:
-	case <-time.After(g.cfg.ProgTimeout):
+	case <-t.C:
 		g.finish(p, ErrProgTimeout)
 	case <-g.stop:
 		g.finish(p, ErrStopped)
 	}
+	t.Stop()
+	awaitTimers.Put(t)
 	<-p.done
 	return p.err
 }
@@ -175,20 +199,20 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 	// Home shards come from the directory, the one placement rule shards
 	// route onward hops by too; placement cannot change under the pause
 	// read lock admit took.
-	p := &pendingRead{
-		kind:    progRead,
-		pending: make(map[uint64]struct{}, len(start)),
-		early:   make(map[uint64]struct{}),
-		shards:  make(map[int]struct{}),
-	}
-	byShard := make(map[int][]wire.Hop)
+	p := &pendingRead{kind: progRead, pending: make(map[uint64]struct{}, len(start))}
+	byShard := make([][]wire.Hop, 0, 1) // start hops bound for p.shards[i]
 	for _, v := range start {
 		id := g.hopSeq.Add(1) | coordinatorHopBit
-		s := g.dir.Lookup(v)
 		p.pending[id] = struct{}{}
-		p.shards[s] = struct{}{}
-		byShard[s] = append(byShard[s], wire.Hop{ID: id, Vertex: v, Program: prog, Params: params, Origin: -1})
+		i := p.addShard(g.dir.Lookup(v))
+		if i == len(byShard) {
+			byShard = append(byShard, nil)
+		}
+		byShard[i] = append(byShard[i], wire.Hop{ID: id, Vertex: v, Program: prog, Params: params, Origin: -1})
 	}
+	// Deltas append to p.shards once p is registered; this copy of the
+	// header sees only the start shards, which nothing rewrites.
+	startShards := p.shards
 	g.register(p)
 	if readTS.Zero() {
 		readTS = p.ts
@@ -196,7 +220,8 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 	if len(start) == 0 {
 		g.finish(p, nil) // nothing to visit
 	}
-	for s, hops := range byShard {
+	for i, hops := range byShard {
+		s := startShards[i]
 		g.m.hopFanout.Observe(uint64(len(hops)))
 		err := g.ep.Send(transport.ShardAddr(s), wire.ProgHops{
 			QID:         p.ts.ID(),
@@ -250,7 +275,7 @@ func (g *Gatekeeper) handleProgDelta(m wire.ProgDelta, from transport.Addr) {
 		return // late delta for a finished/timed-out query
 	}
 	if s, found := shardIndex(from); found {
-		p.shards[s] = struct{}{}
+		p.addShard(s)
 	}
 	if m.Err != "" || m.ErrCode != wire.ErrCodeNone {
 		g.mu.Unlock()
@@ -272,6 +297,9 @@ func (g *Gatekeeper) handleProgDelta(m wire.ProgDelta, from transport.Addr) {
 		if _, ok := p.pending[id]; ok {
 			delete(p.pending, id)
 			continue
+		}
+		if p.early == nil {
+			p.early = make(map[uint64]struct{})
 		}
 		p.early[id] = struct{}{}
 	}

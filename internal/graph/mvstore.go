@@ -445,13 +445,31 @@ func (s *Store) LastWrite(id VertexID) core.Timestamp {
 	return ch.maxTS()
 }
 
+// writtenBefore reports whether the chain holds a write and every write in
+// it — each non-zero stamp in its lifetimes — is strictly pointwise below
+// wm (the test CollectBefore uses). One write concurrent with wm keeps it.
+func (c *chain) writtenBefore(wm core.Timestamp) bool {
+	some, all := false, true
+	c.lifetimes(func(created, deleted core.Timestamp) {
+		for _, t := range [2]core.Timestamp{created, deleted} {
+			if !t.Zero() {
+				some = true
+				all = all && t.PointwiseLT(wm)
+			}
+		}
+	})
+	return some && all
+}
+
 // EvictBefore drops up to limit whole vertex histories whose every write
 // happened strictly before the watermark — the paging-out half of demand
 // paging (§6.1). Such vertices are safe to drop: the backing store holds
 // their latest committed state, and every active or future reader's
 // timestamp is at or past the watermark, so paging the record back in at
 // its last-update timestamp reproduces exactly what those readers may see.
-// Returns the evicted vertex IDs.
+// "Every write" is every stamp in the chain, not one maximum: two stores
+// holding the same history evict the same vertices. Returns the evicted
+// vertex IDs.
 func (s *Store) EvictBefore(watermark core.Timestamp, limit int) []VertexID {
 	if limit <= 0 {
 		return nil
@@ -463,7 +481,7 @@ func (s *Store) EvictBefore(watermark core.Timestamp, limit int) []VertexID {
 		if len(out) >= limit {
 			break
 		}
-		if mt := ch.maxTS(); !mt.Zero() && mt.Compare(watermark) == core.Before {
+		if ch.writtenBefore(watermark) {
 			delete(s.vertices, vid)
 			out = append(out, vid)
 		}

@@ -174,3 +174,60 @@ func TestCollectBeforeVisitsOnlyRetiredChains(t *testing.T) {
 		t.Fatalf("%d retirements still pending, want 0", got)
 	}
 }
+
+// TestEvictBeforeDeterministic builds pairs of stores from the same random
+// ops — vertices with several out-edges and properties, stamped by two
+// gatekeepers that are often concurrent — and evicts both stores of a pair
+// at one watermark. They must evict the same vertices, and no evicted
+// vertex may hold a write that is not strictly below the watermark (one
+// concurrent with it included).
+func TestEvictBeforeDeterministic(t *testing.T) {
+	seed := workload.TestSeed(t)
+	for round := int64(0); round < 20; round++ {
+		rng := rand.New(rand.NewSource(seed + round))
+		clk := &twoGKClock{rng: rng, gk: [2][]uint64{make([]uint64, 2), make([]uint64, 2)}}
+		const n = 12
+		vertex := func() graph.VertexID { return graph.VertexID(fmt.Sprintf("v%d", rng.Intn(n))) }
+		var ops []graph.Op
+		for v := 0; v < n; v++ {
+			ops = append(ops, graph.Op{Kind: graph.OpCreateVertex, Vertex: graph.VertexID(fmt.Sprintf("v%d", v))})
+		}
+		for step := 0; step < 10*n; step++ {
+			if rng.Intn(4) == 0 {
+				ops = append(ops, graph.Op{Kind: graph.OpSetVertexProp, Vertex: vertex(), Key: "k", Value: fmt.Sprint(step)})
+				continue
+			}
+			ops = append(ops, graph.Op{Kind: graph.OpCreateEdge, Vertex: vertex(),
+				Edge: graph.EdgeID(fmt.Sprintf("e%d", step)), To: vertex()})
+		}
+		stamps := make([]core.Timestamp, len(ops))
+		for i := range stamps {
+			stamps[i] = clk.tick()
+		}
+		for try := 0; try < 5; try++ {
+			wm := clk.watermark()
+			var evicted [2][]graph.VertexID
+			for i := range evicted {
+				s := graph.NewStore()
+				for j, op := range ops {
+					if err := s.Apply(op, stamps[j]); err != nil {
+						t.Fatalf("round %d: %v: %v", round, op, err)
+					}
+				}
+				evicted[i] = s.EvictBefore(wm, 1<<30)
+				slices.Sort(evicted[i])
+			}
+			if !slices.Equal(evicted[0], evicted[1]) {
+				t.Fatalf("round %d at %v: identical stores evicted %v and %v", round, wm, evicted[0], evicted[1])
+			}
+			for _, v := range evicted[0] {
+				for j, op := range ops {
+					if op.Vertex == v && !stamps[j].PointwiseLT(wm) {
+						t.Fatalf("round %d: evicted %s, which holds a write at %v not below the watermark %v (concurrent: %v)",
+							round, v, stamps[j], wm, !stamps[j].PointwiseLE(wm) && !wm.PointwiseLE(stamps[j]))
+					}
+				}
+			}
+		}
+	}
+}

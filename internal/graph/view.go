@@ -16,14 +16,18 @@ func (s *Store) At(before Before) *View {
 	return &View{s: s, before: before}
 }
 
-// VertexView is a materialized, immutable snapshot of one vertex.
+// VertexView is a materialized snapshot of one vertex. It is read-only:
+// Props is nil when no property is visible, and a reader (a node program
+// registered through weaver.Cluster.Registry included) must not write to
+// it or to its Edges.
 type VertexView struct {
 	ID    VertexID
 	Props map[string]string
 	Edges []EdgeView
 }
 
-// EdgeView is a materialized snapshot of one live out-edge.
+// EdgeView is a materialized snapshot of one live out-edge, read-only like
+// VertexView; Props is nil when the edge has no visible property.
 type EdgeView struct {
 	ID    EdgeID
 	To    VertexID
@@ -71,11 +75,14 @@ func (w *View) alive(created, deleted core.Timestamp) bool {
 }
 
 // visibleProps materializes a version list: every visible version, the last
-// one per key winning.
+// one per key winning; nil when none is visible.
 func (w *View) visibleProps(props []Property) map[string]string {
-	m := make(map[string]string)
+	var m map[string]string
 	for i := range props {
 		if p := &props[i]; w.alive(p.Created, p.Deleted) {
+			if m == nil {
+				m = make(map[string]string)
+			}
 			m[p.Key] = p.Value
 		}
 	}
@@ -122,6 +129,9 @@ func (w *View) Vertex(id VertexID) (*VertexView, bool) {
 		return nil, false
 	}
 	vv := &VertexView{ID: id, Props: w.visibleProps(v.Props)}
+	if len(v.Out) > 0 {
+		vv.Edges = make([]EdgeView, 0, len(v.Out))
+	}
 	for _, e := range v.Out {
 		if !w.alive(e.Created, e.Deleted) {
 			continue

@@ -50,7 +50,10 @@ type Context struct {
 	// vertex is not visible at TS (deleted, or never existed). Programs
 	// must tolerate nil: graphs change between a hop's creation and its
 	// execution only through *later* transactions, but a hop may name a
-	// vertex that was already dead at TS.
+	// vertex that was already dead at TS. The view is read-only: its
+	// Props (and each edge's) is nil when nothing is visible, and a
+	// program — a custom one registered through weaver.Cluster.Registry
+	// too — must not write to it.
 	Vertex *graph.VertexView
 	// State is this vertex's prog_state from a previous visit of the
 	// same query, nil on first visit.

@@ -168,37 +168,43 @@ func (s *Shard) visible(progTS core.Timestamp) graph.Before {
 	}
 }
 
+// maxReusedCredits bounds the heat-credit map a shard keeps between
+// batches: one grown past it by a large traversal is replaced, not cleared.
+const maxReusedCredits = 1024
+
 // runBatch executes a batch of hops and their local cascade, forwards
 // remote hops, and reports the delta to the coordinator.
 func (s *Shard) runBatch(b *wire.ProgHops) {
 	s.progBatches.Add(1)
 	view := s.g.At(s.visible(b.ReadTS))
 
+	// Made on first use: only a program that stores state needs states,
+	// and only a hop that leaves the shard needs remote.
 	states := s.progState[b.QID]
-	if states == nil {
-		states = make(map[graph.VertexID][]byte)
-		s.progState[b.QID] = states
-	}
+	var remote map[int][]wire.Hop
 
-	work := append([]wire.Hop(nil), b.Hops...)
 	consumed := make([]uint64, 0, len(b.Hops))
 	for _, h := range b.Hops {
 		consumed = append(consumed, h.ID)
 	}
+	work := b.Hops // the batch is this shard's own decoded copy
 	var results [][]byte
-	remote := make(map[int][]wire.Hop)
 	visits := 0
 	// Heat attribution (§4.6): every visit warms its vertex; a visit whose
 	// hop arrived from another shard warms it more (that hop is the
 	// cross-partition traffic repartitioning wants to eliminate). Credits
-	// accumulate locally and flush in one lock acquisition per batch —
+	// accumulate in s.credits and flush in one lock acquisition per batch —
 	// BEFORE the batch's delta leaves the shard, so a migration that
 	// drains programs and then evicts a vertex's heat cannot be overtaken
 	// by a late flush resurrecting the entry on the source shard.
-	credits := make(map[graph.VertexID]float64)
+	credits := s.credits
 	flushHeat := func() {
 		s.heat.addMany(credits)
-		credits = nil
+		if len(credits) > maxReusedCredits {
+			s.credits = make(map[graph.VertexID]float64) // clear costs the map's capacity
+		} else {
+			clear(credits)
+		}
 	}
 	fail := func(code int, err error) {
 		flushHeat()
@@ -255,6 +261,10 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 			return
 		}
 		if res.State != nil {
+			if states == nil {
+				states = make(map[graph.VertexID][]byte)
+				s.progState[b.QID] = states
+			}
 			states[hop.Vertex] = res.State
 		}
 		if res.Return != nil {
@@ -270,6 +280,9 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 				// high bits) for the coordinator's spawn/consume
 				// matching.
 				id := s.hopSeq.Add(1) | uint64(s.cfg.ID+1)<<48
+				if remote == nil {
+					remote = make(map[int][]wire.Hop)
+				}
 				remote[tgt] = append(remote[tgt], wire.Hop{ID: id, Vertex: nh.Vertex, Program: nextProg, Params: nh.Params, Origin: s.cfg.ID})
 			} else {
 				// Local cascade: executed in this batch, no ID needed.

@@ -149,6 +149,7 @@ type Shard struct {
 	frontier   []core.Timestamp
 	reads      []pendingRead // FIFO of reads waiting at the gate (prog.go)
 	progState  map[core.ID]map[graph.VertexID][]byte
+	credits    map[graph.VertexID]float64 // runBatch's heat credits, empty between batches
 	finished   map[core.ID]struct{}
 	finishedQ  []core.ID // FIFO for bounding the finished set
 	orderCache map[[2]core.ID]core.Order
@@ -223,6 +224,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		frontier:   make([]core.Timestamp, cfg.NumGatekeepers),
 		asked:      make([]core.Timestamp, cfg.NumGatekeepers),
 		progState:  make(map[core.ID]map[graph.VertexID][]byte),
+		credits:    make(map[graph.VertexID]float64),
 		finished:   make(map[core.ID]struct{}),
 		orderCache: make(map[[2]core.ID]core.Order),
 		gcReports:  make(map[int]core.Timestamp),

@@ -144,8 +144,8 @@ func DecodeFrame(data []byte) (from, to Addr, payload any, err error) {
 		return "", "", nil, fmt.Errorf("%w: crc mismatch", ErrFrameCorrupt)
 	}
 	d := binenc.Decoder{Buf: body}
-	from = Addr(d.Str())
-	to = Addr(d.Str())
+	from = DecodeAddr(&d)
+	to = DecodeAddr(&d)
 	if d.Err != nil {
 		return "", "", nil, fmt.Errorf("%w: envelope header: %v", ErrFrameCorrupt, d.Err)
 	}

@@ -20,9 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
+	"weaver/internal/binenc"
 	"weaver/internal/obs"
 )
 
@@ -51,11 +53,61 @@ func NewWireMetrics(r *obs.Registry) WireMetrics {
 // Addr identifies a server mailbox, e.g. "gk/0", "shard/2", "client/7".
 type Addr string
 
+// knownServers is how many gatekeeper and shard indexes have a precomputed
+// address; a larger index builds its address per call.
+const knownServers = 256
+
+var (
+	gkAddrs, shardAddrs [knownServers]Addr
+	// knownAddrs holds every precomputed address — gk/i and shard/i for
+	// i < knownServers, and the fixed role names of the cluster manager
+	// (cluster.Addr), the backing store and the oracle. It is built once
+	// at init and only read afterwards: decoded input never adds to it.
+	knownAddrs = map[string]Addr{"climgr": "climgr", "kv": "kv", "oracle": "oracle"}
+)
+
+func init() {
+	for i := range knownServers {
+		gkAddrs[i] = Addr("gk/" + strconv.Itoa(i))
+		shardAddrs[i] = Addr("shard/" + strconv.Itoa(i))
+		knownAddrs[string(gkAddrs[i])] = gkAddrs[i]
+		knownAddrs[string(shardAddrs[i])] = shardAddrs[i]
+	}
+}
+
 // GatekeeperAddr returns the canonical address of gatekeeper i.
-func GatekeeperAddr(i int) Addr { return Addr(fmt.Sprintf("gk/%d", i)) }
+func GatekeeperAddr(i int) Addr {
+	if i >= 0 && i < knownServers {
+		return gkAddrs[i]
+	}
+	return Addr("gk/" + strconv.Itoa(i))
+}
 
 // ShardAddr returns the canonical address of shard i.
-func ShardAddr(i int) Addr { return Addr(fmt.Sprintf("shard/%d", i)) }
+func ShardAddr(i int) Addr {
+	if i >= 0 && i < knownServers {
+		return shardAddrs[i]
+	}
+	return Addr("shard/" + strconv.Itoa(i))
+}
+
+// InternAddr returns the address spelled by b: the shared precomputed value
+// for a known address, allocating nothing, and an exact copy otherwise (b
+// may alias a reused read buffer). The known set is fixed at init — a peer
+// sending ever new addresses cannot grow it — so its size is bounded by
+// 2×knownServers plus the three role names.
+func InternAddr(b []byte) Addr {
+	if a, ok := knownAddrs[string(b)]; ok {
+		return a
+	}
+	return Addr(b)
+}
+
+// DecodeAddr reads an address written with binenc.AppendStr, interned
+// (InternAddr).
+func DecodeAddr(d *binenc.Decoder) Addr {
+	return InternAddr(d.RawStr())
+}
 
 // Message is one delivered payload with its origin.
 type Message struct {
@@ -87,9 +139,14 @@ type Endpoint interface {
 }
 
 // mailbox is an unbounded FIFO with a level-triggered readiness channel.
+// queue[head:] is pending. The array is reused: it is reset when the
+// mailbox drains and compacted once the consumed prefix is at least half of
+// it, so a backlog that never empties keeps an array under four times its
+// largest length.
 type mailbox struct {
 	mu     sync.Mutex
 	queue  []Message
+	head   int
 	ready  chan struct{}
 	closed bool
 }
@@ -116,12 +173,21 @@ func (m *mailbox) push(msg Message) bool {
 func (m *mailbox) pop() (Message, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.queue) == 0 {
+	if m.head == len(m.queue) {
 		return Message{}, false
 	}
-	msg := m.queue[0]
-	m.queue = m.queue[1:]
-	if len(m.queue) > 0 {
+	msg := m.queue[m.head]
+	m.queue[m.head] = Message{} // the array outlives the message
+	m.head++
+	switch {
+	case m.head == len(m.queue):
+		m.queue, m.head = m.queue[:0], 0
+	case m.head >= cap(m.queue)/2:
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
+	if m.head < len(m.queue) {
 		select {
 		case m.ready <- struct{}{}:
 		default:
@@ -133,7 +199,7 @@ func (m *mailbox) pop() (Message, bool) {
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
-	m.queue = nil
+	m.queue, m.head = nil, 0
 	m.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -183,5 +184,11 @@ func TestSequencerPerDestination(t *testing.T) {
 func TestGatekeeperShardAddrs(t *testing.T) {
 	if GatekeeperAddr(3) != "gk/3" || ShardAddr(0) != "shard/0" {
 		t.Fatal("address format changed")
+	}
+	// Past the precomputed table the same addresses are built per call.
+	for _, i := range []int{knownServers - 1, knownServers, 1000} {
+		if GatekeeperAddr(i) != Addr(fmt.Sprintf("gk/%d", i)) || ShardAddr(i) != Addr(fmt.Sprintf("shard/%d", i)) {
+			t.Fatalf("address %d: %q, %q", i, GatekeeperAddr(i), ShardAddr(i))
+		}
 	}
 }

@@ -29,6 +29,11 @@ const (
 	// cannot be zero; the bounds have ~2x headroom over measured values.
 	maxDecodeTxAllocs  = 32 // TxForward, 4-op transaction
 	maxDecodeHopAllocs = 24 // ProgHops, 2-hop batch
+
+	// The envelope between known addresses (gk/i, shard/i, the role
+	// names) decodes to the shared precomputed addresses: a frame costs
+	// exactly what its payload does.
+	maxEnvelopeDecodeAllocs = 0
 )
 
 func gateTxForward() TxForward {
@@ -104,4 +109,33 @@ func TestAllocGateDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAllocGateFrameDecode: decoding a whole frame between known addresses
+// allocates no more than decoding its payload alone — and a payload address
+// that is known (ProgHops.Coordinator) costs nothing either.
+func TestAllocGateFrameDecode(t *testing.T) {
+	var c frameCodec
+	for _, payload := range []any{gateProgHops(), gateTxForward(), ProgFinish{QID: ts(1, 0, 5, 3).ID()}} {
+		frame, err := transport.AppendFrame(nil, "gk/0", "shard/1", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tagged, _ := c.Append(nil, payload)
+		bare := testing.AllocsPerRun(200, func() { _, _ = c.Decode(tagged) })
+		whole := testing.AllocsPerRun(200, func() { _, _, _, _ = transport.DecodeFrame(frame[4:]) })
+		if whole-bare > maxEnvelopeDecodeAllocs {
+			t.Errorf("frame decode %T: %.1f allocs, payload alone %.1f: the envelope allocates (gate %d)",
+				payload, whole, bare, maxEnvelopeDecodeAllocs)
+		}
+	}
+	known, unknown := gateProgHops(), gateProgHops()
+	unknown.Coordinator = "client/9"
+	kb, _ := c.Append(nil, known)
+	ub, _ := c.Append(nil, unknown)
+	k := testing.AllocsPerRun(200, func() { _, _ = c.Decode(kb) })
+	u := testing.AllocsPerRun(200, func() { _, _ = c.Decode(ub) })
+	if u-k != 1 {
+		t.Errorf("ProgHops decode: %.1f allocs with a known coordinator, %.1f with an unknown one: want exactly one fewer", k, u)
+	}
 }

@@ -235,7 +235,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 	case tagNop:
 		v = Nop{TS: d.TS(), Seq: d.Uvarint()}
 	case tagNopRequest:
-		v = NopRequest{TS: d.TS(), From: transport.Addr(d.Str())}
+		v = NopRequest{TS: d.TS(), From: transport.DecodeAddr(d)}
 	case tagTxApplied:
 		v = TxApplied{TS: d.TS(), Shard: int(d.Varint()), Count: int(d.Varint())}
 	case tagAnnounce:
@@ -243,7 +243,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 	case tagProgHops:
 		m := ProgHops{
 			QID: d.ID(), TS: d.TS(), ReadTS: d.TS(),
-			Coordinator: transport.Addr(d.Str()), Hops: decodeHops(d),
+			Coordinator: transport.DecodeAddr(d), Hops: decodeHops(d),
 		}
 		m.Trace = decodeTrace(d)
 		v = m
@@ -264,7 +264,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 	case tagIndexLookup:
 		v = IndexLookup{
 			QID: d.ID(), ReadTS: d.TS(), Wheres: decodeWheres(d), Limit: int(d.Uvarint()),
-			Reply: transport.Addr(d.Str()), Trace: d.Uvarint(),
+			Reply: transport.DecodeAddr(d), Trace: d.Uvarint(),
 		}
 	case tagIndexResult:
 		v = IndexResult{
@@ -306,13 +306,13 @@ func (frameCodec) Decode(data []byte) (any, error) {
 			Stats: oracle.DecodeStats(d),
 		}
 	case tagHeartbeat:
-		v = Heartbeat{From: transport.Addr(d.Str())}
+		v = Heartbeat{From: transport.DecodeAddr(d)}
 	case tagEpochChange:
-		v = EpochChange{Epoch: d.Uvarint(), Phase: d.Byte(), From: transport.Addr(d.Str())}
+		v = EpochChange{Epoch: d.Uvarint(), Phase: d.Byte(), From: transport.DecodeAddr(d)}
 	case tagEpochAck:
-		v = EpochAck{Epoch: d.Uvarint(), From: transport.Addr(d.Str()), Phase: d.Byte()}
+		v = EpochAck{Epoch: d.Uvarint(), From: transport.DecodeAddr(d), Phase: d.Byte()}
 	case tagEpochQuery:
-		v = EpochQuery{ID: d.Uvarint(), From: transport.Addr(d.Str()), Boot: d.Bool()}
+		v = EpochQuery{ID: d.Uvarint(), From: transport.DecodeAddr(d), Boot: d.Bool()}
 	case tagEpochInfo:
 		v = EpochInfo{ID: d.Uvarint(), Epoch: d.Uvarint(), Failed: binenc.Strs[transport.Addr](d)}
 	case tagPaxosReq:
