@@ -17,12 +17,13 @@ import (
 // the measured value, so any new per-read allocation fails the test and
 // raising one is an explicit edit here. Before the view, registration,
 // timer, runBatch, mailbox and address cuts the same reads cost 102
-// (GetNode), 110 (GetEdges) and 96 (CountEdges). The race detector
-// allocates on its own, hence the build tag.
+// (GetNode), 110 (GetEdges) and 96 (CountEdges); before the shard reused
+// one view and one Context for its visits, 53, 62 and 49. The race
+// detector allocates on its own, hence the build tag.
 const (
-	getNodeAllocBudget    = 53
-	getEdgesAllocBudget   = 62
-	countEdgesAllocBudget = 49
+	getNodeAllocBudget    = 48
+	getEdgesAllocBudget   = 57
+	countEdgesAllocBudget = 44
 )
 
 func TestPointReadAllocBudget(t *testing.T) {
@@ -91,5 +92,71 @@ func TestPointReadAllocBudget(t *testing.T) {
 		if got > r.budget {
 			t.Errorf("%s: %.2f allocs per read, budget %.0f — the point-read path allocates more", r.name, got, r.budget)
 		}
+	}
+}
+
+// Allocation budget of a depth-3 traversal, measured like the point reads,
+// over a tree: every vertex is reachable by exactly one path, so the visit
+// set, the hop batches and the deltas are the same on every run, where a
+// graph with cycles returns a schedule-dependent ball. The tree has fanout
+// 8, the benchmark graph's out-degree, and height 4, split across both
+// shards by hash; the traversal visits its top 585 vertices, each with 8
+// out-edges. Before visits reused one view and one Context, built-ins sized
+// their hops and a delta's results decoded into one copy, the same
+// traversal cost 4,989 allocations.
+const traverseAllocBudget = 2434
+
+func TestTraverseAllocBudget(t *testing.T) {
+	c := openTest(t, Config{
+		Gatekeepers: 2, Shards: 2,
+		AnnouncePeriod: time.Hour, NopPeriod: time.Hour,
+		ProgTimeout: 10 * time.Second,
+	})
+	cl := c.Client()
+	const fanout, height, depth = 8, 4, 3
+	want := 0
+	if _, err := cl.RunTx(func(tx *Tx) error {
+		tx.CreateVertex("t")
+		level := []VertexID{"t"}
+		for d := 0; d < height; d++ {
+			if d <= depth {
+				want += len(level)
+			}
+			var next []VertexID
+			for _, v := range level {
+				for i := 0; i < fanout; i++ {
+					to := VertexID(fmt.Sprintf("%s%d", v, i))
+					tx.CreateVertex(to)
+					tx.CreateEdge(v, to)
+					next = append(next, to)
+				}
+			}
+			level = next
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	traverse := func() {
+		got, _, e := cl.Traverse("t", "", "", depth)
+		if e == nil && len(got) != want {
+			e = fmt.Errorf("visited %d vertices, want %d", len(got), want)
+		}
+		if e != nil && err == nil {
+			err = e
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 50 && err == nil; i++ {
+		traverse()
+	}
+	got := testing.AllocsPerRun(200, traverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("traverse: %.2f allocs per traversal of %d vertices (budget %d)", got, want, traverseAllocBudget)
+	if got > traverseAllocBudget {
+		t.Errorf("traverse: %.2f allocs per traversal, budget %d — the hop path allocates more", got, traverseAllocBudget)
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"weaver/internal/core"
@@ -413,36 +414,35 @@ func (c *chain) lifetimes(fn func(created, deleted core.Timestamp)) {
 	}
 }
 
-// maxTS returns the latest write timestamp anywhere in the chain.
-func (c *chain) maxTS() core.Timestamp {
-	var max core.Timestamp
-	upd := func(t core.Timestamp) {
-		if t.Zero() {
-			return
-		}
-		if max.Zero() || max.Compare(t) == core.Before {
-			max = t
-		}
-	}
-	c.lifetimes(func(created, deleted core.Timestamp) {
-		upd(created)
-		upd(deleted)
-	})
-	return max
-}
-
-// LastWrite returns the latest write timestamp recorded anywhere in id's
-// version history, or the zero timestamp when the vertex is not resident.
-// Shard re-recovery compares it against the backing store's last-update
-// stamp to find committed writes the crashed gatekeeper never forwarded.
-func (s *Store) LastWrite(id VertexID) core.Timestamp {
+// LatestWrites returns the maximal write stamps of id's resident history:
+// every non-zero stamp in its lifetimes that no other is vclock-after, equal
+// stamps once. Two concurrent last writes are both returned, whichever
+// order the chain holds them in; nil when the vertex is not resident. Shard
+// re-recovery compares the backing store's last-update stamp against them
+// to find committed writes the crashed gatekeeper never forwarded.
+func (s *Store) LatestWrites(id VertexID) []core.Timestamp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ch := s.vertices[id]
 	if ch == nil {
-		return core.Timestamp{}
+		return nil
 	}
-	return ch.maxTS()
+	var tops []core.Timestamp
+	add := func(t core.Timestamp) {
+		if t.Zero() || slices.ContainsFunc(tops, func(m core.Timestamp) bool {
+			o := t.Compare(m)
+			return o == core.Before || o == core.Equal
+		}) {
+			return
+		}
+		tops = slices.DeleteFunc(tops, func(m core.Timestamp) bool { return m.Compare(t) == core.Before })
+		tops = append(tops, t)
+	}
+	ch.lifetimes(func(created, deleted core.Timestamp) {
+		add(created)
+		add(deleted)
+	})
+	return tops
 }
 
 // writtenBefore reports whether the chain holds a write and every write in

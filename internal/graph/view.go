@@ -24,6 +24,9 @@ type VertexView struct {
 	ID    VertexID
 	Props map[string]string
 	Edges []EdgeView
+	// spare is the props map of an earlier fill (VertexInto), kept while
+	// Props is nil so the next visible props reuse it.
+	spare map[string]string
 }
 
 // EdgeView is a materialized snapshot of one live out-edge, read-only like
@@ -74,14 +77,19 @@ func (w *View) alive(created, deleted core.Timestamp) bool {
 	return w.before(created) && (deleted.Zero() || !w.before(deleted))
 }
 
-// visibleProps materializes a version list: every visible version, the last
-// one per key winning; nil when none is visible.
-func (w *View) visibleProps(props []Property) map[string]string {
+// visibleProps materializes a version list into reuse (cleared; made when
+// nil): every visible version, the last one per key winning; nil when none
+// is visible.
+func (w *View) visibleProps(props []Property, reuse map[string]string) map[string]string {
 	var m map[string]string
 	for i := range props {
 		if p := &props[i]; w.alive(p.Created, p.Deleted) {
 			if m == nil {
-				m = make(map[string]string)
+				if m = reuse; m == nil {
+					m = make(map[string]string)
+				} else {
+					clear(m)
+				}
 			}
 			m[p.Key] = p.Value
 		}
@@ -122,23 +130,42 @@ func (w *View) Truncated(id VertexID) (core.Timestamp, bool) {
 // out-edges with their properties. Returns ok=false if the vertex is not
 // visible in this view.
 func (w *View) Vertex(id VertexID) (*VertexView, bool) {
+	vv := new(VertexView)
+	if !w.VertexInto(id, vv) {
+		return nil, false
+	}
+	return vv, true
+}
+
+// VertexInto is Vertex into a caller-owned view: it reuses the Edges array
+// and the props map of vv's previous fills, so a reader that visits many
+// vertices allocates only for a vertex larger than any before it (and for
+// edge properties). Everything an earlier fill returned is overwritten;
+// when id is not visible it returns false and vv's contents are undefined.
+func (w *View) VertexInto(id VertexID, vv *VertexView) bool {
 	w.s.mu.RLock()
 	defer w.s.mu.RUnlock()
 	v := w.visibleIncarnation(id)
 	if v == nil {
-		return nil, false
+		return false
 	}
-	vv := &VertexView{ID: id, Props: w.visibleProps(v.Props)}
-	if len(v.Out) > 0 {
-		vv.Edges = make([]EdgeView, 0, len(v.Out))
+	if vv.Props != nil {
+		vv.spare = vv.Props
+	}
+	vv.ID = id
+	vv.Props = w.visibleProps(v.Props, vv.spare)
+	edges := vv.Edges[:0]
+	if cap(edges) < len(v.Out) {
+		edges = make([]EdgeView, 0, len(v.Out))
 	}
 	for _, e := range v.Out {
 		if !w.alive(e.Created, e.Deleted) {
 			continue
 		}
-		vv.Edges = append(vv.Edges, EdgeView{ID: e.ID, To: e.To, Props: w.visibleProps(e.Props)})
+		edges = append(edges, EdgeView{ID: e.ID, To: e.To, Props: w.visibleProps(e.Props, nil)})
 	}
-	return vv, true
+	vv.Edges = edges
+	return true
 }
 
 // CountEdges returns the number of live out-edges of id without

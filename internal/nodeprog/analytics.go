@@ -56,6 +56,7 @@ func (LabelPropagation) Visit(ctx *Context) (Result, error) {
 		State:  Encode(lpState{Label: p.Label}),
 		Return: Encode(LPResult{Vertex: ctx.VertexID, Label: p.Label}),
 	}
+	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
 	for _, e := range ctx.Vertex.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: ctx.Params})
 	}
@@ -85,6 +86,7 @@ func (ConnectedComponent) Visit(ctx *Context) (Result, error) {
 		State:  visitedMark,
 		Return: Encode(ctx.VertexID),
 	}
+	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
 	for _, e := range ctx.Vertex.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: ctx.Params})
 	}

@@ -118,6 +118,7 @@ func (Traverse) Visit(ctx *Context) (Result, error) {
 	next := p
 	next.Depth++
 	np := Encode(next)
+	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
 	for _, e := range ctx.Vertex.Edges {
 		if p.PropKey != "" && !e.HasProp(p.PropKey, p.PropValue) {
 			continue
@@ -155,6 +156,7 @@ func (Reachability) Visit(ctx *Context) (Result, error) {
 		res.Return = Encode(true)
 		return res, nil // no need to scatter past the target
 	}
+	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
 	for _, e := range ctx.Vertex.Edges {
 		if p.PropKey != "" && !e.HasProp(p.PropKey, p.PropValue) {
 			continue
@@ -215,6 +217,7 @@ func (ShortestPath) Visit(ctx *Context) (Result, error) {
 		return res, nil
 	}
 	np := Encode(SPParams{Target: p.Target, Dist: p.Dist + 1})
+	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
 	for _, e := range ctx.Vertex.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: np})
 	}
@@ -262,6 +265,7 @@ func (ClusteringCenter) Visit(ctx *Context) (Result, error) {
 		return res, nil
 	}
 	p := Encode(CCParams{Center: ctx.VertexID, Neighbors: nbrs})
+	res.Hops = make([]Hop, 0, len(nbrs))
 	for _, n := range nbrs {
 		res.Hops = append(res.Hops, Hop{Vertex: n, Params: p, Program: "clustering_neighbor"})
 	}
@@ -321,7 +325,7 @@ func (BlockRender) Visit(ctx *Context) (Result, error) {
 	}
 	if len(ctx.Params) == 0 {
 		// Phase 0: the block vertex. Scatter to the block's txs.
-		var res Result
+		res := Result{Hops: make([]Hop, 0, len(ctx.Vertex.Edges))}
 		mark := Encode(true)
 		for _, e := range ctx.Vertex.Edges {
 			if e.HasProp("kind", "tx") {

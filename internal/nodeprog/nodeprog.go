@@ -17,6 +17,12 @@
 // only this package's payload types and a few primitives (codec.go). An
 // application that registers its own programs (weaver.Cluster.Registry)
 // encodes its payloads itself, in any format, and passes the bytes.
+//
+// A visit allocates only what it sends: the shard hands every visit of a
+// batch the same Context and refills the same vertex view, so a Context
+// and its Vertex are valid only until Visit returns. A program keeps
+// neither; what it returns or stores from the view it encodes (or copies)
+// first, as the built-ins do.
 package nodeprog
 
 import (
@@ -38,7 +44,11 @@ type Hop struct {
 	Program string
 }
 
-// Context is the read view a program receives at one vertex visit.
+// Context is the read view a program receives at one vertex visit. It is
+// the shard's, reused for the next visit: the Context and its Vertex (the
+// view, its Props maps and its Edges array) are valid only until Visit
+// returns, so a Result never points into them. State and Params are
+// read-only bytes that outlive the visit; a program may pass Params on.
 type Context struct {
 	// Query identifies the running query (the program's timestamp ID).
 	Query core.ID
@@ -53,7 +63,8 @@ type Context struct {
 	// vertex that was already dead at TS. The view is read-only: its
 	// Props (and each edge's) is nil when nothing is visible, and a
 	// program — a custom one registered through weaver.Cluster.Registry
-	// too — must not write to it.
+	// too — must not write to it, nor keep or return it (its maps and
+	// Edges array are refilled for the next visit).
 	Vertex *graph.VertexView
 	// State is this vertex's prog_state from a previous visit of the
 	// same query, nil on first visit.

@@ -188,6 +188,8 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		consumed = append(consumed, h.ID)
 	}
 	work := b.Hops // the batch is this shard's own decoded copy
+	s.visit = nodeprog.Context{Query: b.QID, TS: b.ReadTS}
+	ctx := &s.visit
 	var results [][]byte
 	visits := 0
 	// Heat attribution (§4.6): every visit warms its vertex; a visit whose
@@ -230,12 +232,12 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: unknown node program %q", s.cfg.ID, hop.Program))
 			return
 		}
-		vv, ok := view.Vertex(hop.Vertex)
+		ok := view.VertexInto(hop.Vertex, &s.vertex)
 		if !ok {
 			// Demand paging, fault half (§6.1): the vertex may have
 			// been evicted; reload its committed record.
 			if s.paging && !s.g.Has(hop.Vertex) && s.pageIn(hop.Vertex) {
-				vv, ok = view.Vertex(hop.Vertex)
+				ok = view.VertexInto(hop.Vertex, &s.vertex)
 			}
 			// A record read back from the store — paged in or recovered —
 			// may be newer than this read, and then the vertex's state at
@@ -247,14 +249,11 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 				return
 			}
 		}
-		ctx := &nodeprog.Context{
-			Query:    b.QID,
-			TS:       b.ReadTS,
-			VertexID: hop.Vertex,
-			Vertex:   vv,
-			State:    states[hop.Vertex],
-			Params:   hop.Params,
+		ctx.VertexID, ctx.Vertex = hop.Vertex, nil
+		if ok {
+			ctx.Vertex = &s.vertex
 		}
+		ctx.State, ctx.Params = states[hop.Vertex], hop.Params
 		res, err := p.Visit(ctx)
 		if err != nil {
 			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: program %q at %q: %v", s.cfg.ID, hop.Program, hop.Vertex, err))

@@ -175,6 +175,11 @@ type Shard struct {
 	// after the barrier — is dropped instead of poisoning the reset
 	// resequencers.
 	epoch uint64
+	// visit and vertex are runBatch's one Context and one vertex view,
+	// refilled for every visit: a program keeps neither past Visit
+	// (nodeprog.Context), so a hop allocates only what it sends.
+	visit  nodeprog.Context
+	vertex graph.VertexView
 
 	heat     *heatMap
 	pagedIn  atomic.Uint64
@@ -291,7 +296,11 @@ func (s *Shard) Recover() (int, error) {
 		if err != nil || rec.Shard != s.cfg.ID {
 			return
 		}
-		if last := s.g.LastWrite(rec.ID); !last.Zero() && s.order(rec.LastTS, last) != core.After {
+		// Re-install only a record after every resident last write: with
+		// two concurrent ones, after both.
+		if slices.ContainsFunc(s.g.LatestWrites(rec.ID), func(last core.Timestamp) bool {
+			return s.order(rec.LastTS, last) != core.After
+		}) {
 			return
 		}
 		recs = append(recs, rec)

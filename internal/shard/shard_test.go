@@ -263,6 +263,43 @@ func TestShardRunsProgramAfterReadiness(t *testing.T) {
 	}
 }
 
+// One batch visits a vertex with a property and eight out-edges, then one
+// with neither, then one that does not exist, through the shard's one
+// reused view and Context: the second visit's get_node and get_edges
+// results carry nothing of the first, and the third returns nothing.
+func TestBatchVisitCarriesNothingFromThePrevious(t *testing.T) {
+	r := newRig(t, 1)
+	ops := []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "big"}, {Kind: graph.OpCreateVertex, Vertex: "bare"},
+		{Kind: graph.OpSetVertexProp, Vertex: "big", Key: "city", Value: "ithaca"}}
+	for i := 0; i < 8; i++ {
+		ops = append(ops, graph.Op{Kind: graph.OpCreateEdge, Vertex: "big",
+			Edge: graph.EdgeID(fmt.Sprintf("e%d", i)), To: graph.VertexID(fmt.Sprintf("u%d", i))})
+	}
+	r.sendTx(ops...)
+	reads := []core.Timestamp{r.clock.Tick(), r.clock.Tick()}
+	r.sendNop()
+	for i, prog := range []string{"get_node", "get_edges"} {
+		ts := reads[i]
+		// A batch runs its hops from the last: big, bare, then absent.
+		d := r.read(wire.ProgHops{QID: ts.ID(), TS: ts, ReadTS: ts, Coordinator: r.drv.Addr(),
+			Hops: []wire.Hop{{ID: 1, Vertex: "absent", Program: prog}, {ID: 2, Vertex: "bare", Program: prog},
+				{ID: 3, Vertex: "big", Program: prog}}}, ts.ID()).(wire.ProgDelta)
+		if d.Err != "" || len(d.Results) != 2 {
+			t.Fatalf("%s: %d results, err %q", prog, len(d.Results), d.Err)
+		}
+		var big, bare nodeprog.NodeData
+		if nodeprog.Decode(d.Results[0], &big) != nil || nodeprog.Decode(d.Results[1], &bare) != nil || big.ID != "big" || bare.ID != "bare" {
+			t.Fatalf("%s: results %+v then %+v, want big then bare", prog, big, bare)
+		}
+		if big.NumEdges != 8 || (prog == "get_node") != (big.Props["city"] == "ithaca") || (prog == "get_edges") != (len(big.EdgesTo) == 8) {
+			t.Fatalf("%s(big) = %+v", prog, big)
+		}
+		if bare.NumEdges != 0 || len(bare.Props) != 0 || len(bare.EdgesTo) != 0 {
+			t.Fatalf("%s(bare) after big = %+v, want nothing", prog, bare)
+		}
+	}
+}
+
 func TestShardDropsHopsForFinishedQueries(t *testing.T) {
 	r := newRig(t, 1)
 	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"})
@@ -483,6 +520,57 @@ func TestBarrierSweepsConcurrentUnforwardedCommit(t *testing.T) {
 				t.Fatalf("the unforwarded set was dropped: %d results, err %q, props %v", len(d.Results), d.Err, nd.Props)
 			}
 		})
+	}
+}
+
+// Recover's decision for a resident vertex whose last writes are concurrent
+// — one edge from each gatekeeper — must not depend on the order the
+// vertex's edge map yields them. The stored record is stamped with one of
+// them, ta, and the oracle already orders tb before ta: the record holds
+// nothing the graph lacks, so it is never re-installed (which would mark
+// the chain and refuse every read below ta), in either insertion order and
+// on every round.
+func TestRecoverDecisionIgnoresEdgeMapOrder(t *testing.T) {
+	type write struct {
+		edge graph.EdgeID
+		to   graph.VertexID
+		ts   core.Timestamp
+	}
+	for round := 0; round < 100; round++ {
+		for _, aFirst := range []bool{true, false} {
+			store, orc := kvstore.New(), oracle.NewService()
+			sh := New(Config{NumGatekeepers: 2}, transport.NewFabric().Endpoint(transport.ShardAddr(0)),
+				kvstore.AsBacking(store), orc, nodeprog.NewRegistry(), partition.NewHash(1))
+			c0, c1 := core.NewVectorClock(0, 2, 0), core.NewVectorClock(1, 2, 0)
+			created := c0.Tick()
+			c1.Observe(created)
+			ta, tb := c0.Tick(), c1.Tick()
+			if ta.Compare(tb) != core.Concurrent {
+				t.Fatalf("stamps %v and %v are not concurrent", ta, tb)
+			}
+			if err := orc.AssignOrder(oracle.EventOf(tb), oracle.EventOf(ta)); err != nil {
+				t.Fatal(err)
+			}
+			writes := []write{{"ea", "a", ta}, {"eb", "b", tb}}
+			if !aFirst {
+				writes[0], writes[1] = writes[1], writes[0]
+			}
+			if err := sh.g.Apply(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"}, created); err != nil {
+				t.Fatal(err)
+			}
+			rec := graph.NewVertexRecord("v", 0)
+			for _, w := range writes {
+				if err := sh.g.Apply(graph.Op{Kind: graph.OpCreateEdge, Vertex: "v", Edge: w.edge, To: w.to}, w.ts); err != nil {
+					t.Fatal(err)
+				}
+				rec.Edges[w.edge] = graph.EdgeRecord{To: w.to}
+			}
+			rec.LastTS = ta
+			store.BulkPut([]kvstore.KV{{Key: graph.VertexKey("v"), Value: graph.EncodeRecord(rec)}})
+			if n, err := sh.Recover(); err != nil || n != 0 {
+				t.Fatalf("round %d, ta first=%v: Recover re-installed %d records (err %v); the record at ta is not after tb", round, aFirst, n, err)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
 	"weaver/internal/graph"
@@ -137,5 +138,43 @@ func TestAllocGateFrameDecode(t *testing.T) {
 	u := testing.AllocsPerRun(200, func() { _, _ = c.Decode(ub) })
 	if u-k != 1 {
 		t.Errorf("ProgHops decode: %.1f allocs with a known coordinator, %.1f with an unknown one: want exactly one fewer", k, u)
+	}
+}
+
+// TestAllocGateDeltaResults: a ProgDelta's results decode into one copy, so
+// a traversal's delta with 64 results costs what one with a single result
+// does. Each result is its own capacity-capped slice of that copy (an
+// append to one never reaches the next) and an empty result is nil.
+func TestAllocGateDeltaResults(t *testing.T) {
+	var c frameCodec
+	delta := func(n int) ProgDelta {
+		d := ProgDelta{QID: ts(1, 0, 5, 3).ID(), ConsumedIDs: []uint64{1}}
+		for i := 0; i < n; i++ {
+			d.Results = append(d.Results, []byte(fmt.Sprintf("user/%d", i)))
+		}
+		return d
+	}
+	one, _ := c.Append(nil, delta(1))
+	many, _ := c.Append(nil, delta(64))
+	a := testing.AllocsPerRun(200, func() { _, _ = c.Decode(one) })
+	b := testing.AllocsPerRun(200, func() { _, _ = c.Decode(many) })
+	if a != b {
+		t.Errorf("ProgDelta decode: %.1f allocs with 1 result, %.1f with 64: results should decode into one copy", a, b)
+	}
+
+	mixed := ProgDelta{Results: [][]byte{[]byte("ab"), {}, []byte("cd"), nil, []byte("ef")}}
+	buf, _ := c.Append(nil, mixed)
+	v, err := c.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(ProgDelta).Results
+	if len(got) != 5 || got[1] != nil || got[3] != nil {
+		t.Fatalf("decoded results %q: want 5, empty ones nil", got)
+	}
+	got[0][1] = 'X'
+	got[0] = append(got[0], "YY"...)
+	if string(got[0]) != "aXYY" || string(got[2]) != "cd" || string(got[4]) != "ef" {
+		t.Fatalf("mutating one decoded result reached its neighbours: %q", got)
 	}
 }

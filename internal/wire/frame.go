@@ -249,12 +249,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		v = m
 	case tagProgDelta:
 		m := ProgDelta{QID: d.ID(), ConsumedIDs: decodeU64s(d), SpawnedIDs: decodeU64s(d)}
-		if n := d.Count(1); n > 0 && d.Err == nil {
-			m.Results = make([][]byte, 0, n)
-			for i := uint64(0); i < n && d.Err == nil; i++ {
-				m.Results = append(m.Results, d.Bytes())
-			}
-		}
+		m.Results = decodeResults(d)
 		m.Err = d.Str()
 		m.ErrCode = int(d.Varint())
 		m.Trace = decodeTrace(d)
@@ -458,6 +453,32 @@ func appendU64s(buf []byte, vs []uint64) []byte {
 		buf = binenc.AppendUvarint(buf, v)
 	}
 	return buf
+}
+
+// decodeResults reads ProgDelta.Results into one copy of their bytes, each
+// result a capacity-capped subslice of it, so appending to one never
+// overwrites the next. An empty result decodes as nil, as Decoder.Bytes.
+func decodeResults(d *binenc.Decoder) [][]byte {
+	n := d.Count(1)
+	if n == 0 || d.Err != nil {
+		return nil
+	}
+	second, size := *d, 0
+	for i := uint64(0); i < n && d.Err == nil; i++ {
+		size += len(d.RawStr())
+	}
+	if d.Err != nil {
+		return nil
+	}
+	buf, rs := make([]byte, 0, size), make([][]byte, n)
+	for i := range rs {
+		if r := second.RawStr(); len(r) > 0 {
+			off := len(buf)
+			buf = append(buf, r...)
+			rs[i] = buf[off:len(buf):len(buf)]
+		}
+	}
+	return rs
 }
 
 func decodeU64s(d *binenc.Decoder) []uint64 {

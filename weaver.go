@@ -689,7 +689,10 @@ func (c *Cluster) Close() error {
 }
 
 // Registry exposes the node-program registry so applications can register
-// custom programs (do this before running them).
+// custom programs (do this before running them). A program's Context and
+// the vertex view in it are the shard's, reused for its next visit: they
+// are read-only and valid only until Visit returns, so a program copies
+// (or encodes) whatever it keeps or returns.
 func (c *Cluster) Registry() *nodeprog.Registry { return c.reg }
 
 // Directory exposes the vertex placement directory.
