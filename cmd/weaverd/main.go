@@ -23,8 +23,11 @@
 // The settings flags bind into the deploy.Spec weaver.Config converts to,
 // and each role is built by the internal/deploy constructors weaver.Open
 // uses — here on a TCP node with remote store clients. -gc and -retention
-// are Config.GCPeriod and Config.HistoryRetention: without -gc nothing is
-// ever collected and the oracle's DAG is never pruned. MaxShardVertices
+// are Config.GCPeriod and Config.HistoryRetention. Gatekeeper 0 runs the GC
+// rounds and applies -retention, but every gatekeeper needs -gc: a round
+// waits for a report from each, so without it on any one nothing is ever
+// collected and the oracle's DAG is never pruned (gatekeeper 0's
+// weaver_gc_watermark_age_seconds only grows). MaxShardVertices
 // and ProgTimeout have no flag: they are embedded-only.
 //
 // Fault-tolerant deployments add `-manager-addrs` (3 entries; index 0
@@ -101,8 +104,8 @@ func main() {
 	flag.DurationVar(&p.spec.HeartbeatTimeout, "heartbeat", 0, "failure-detection heartbeat timeout (0 = no failure detection); members beat at a quarter of it")
 	flag.DurationVar(&p.spec.AnnouncePeriod, "tau", time.Millisecond, "vector clock announce period τ")
 	flag.DurationVar(&p.spec.NopPeriod, "nop", 500*time.Microsecond, "NOP period")
-	flag.DurationVar(&p.spec.GCPeriod, "gc", 0, "version and oracle garbage-collection period (0 = keep everything forever; give the SAME value to every gatekeeper)")
-	flag.DurationVar(&p.spec.HistoryRetention, "retention", 0, "keep superseded versions readable this long before -gc may collect them")
+	flag.DurationVar(&p.spec.GCPeriod, "gc", 0, "GC report period; gatekeeper 0 runs a version and oracle GC round once every gatekeeper has reported, so give it to EVERY gatekeeper (0 = keep everything forever)")
+	flag.DurationVar(&p.spec.HistoryRetention, "retention", 0, "keep superseded versions readable this long before -gc may collect them (applied by gatekeeper 0)")
 	flag.StringVar(&p.spec.WALPath, "wal", "", "WAL path for a durable store (role=store)")
 	flag.IntVar(&p.spec.OracleReplicas, "oracle-replicas", 1, "chain replication factor for the oracle (role=store)")
 	flag.Func("index", "comma-separated vertex property keys to index (give the SAME list to every shard and gatekeeper; role=demo also smokes a Lookup)", func(v string) error {

@@ -25,6 +25,8 @@ package gatekeeper
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,18 +77,16 @@ type Config struct {
 	// waits for NOPs its shard asks for (wire.NopRequest), and this period
 	// bounds the wait only when such a request is lost.
 	NopPeriod time.Duration
-	// GCPeriod is how often GC watermarks are broadcast; 0 disables GC
+	// GCPeriod is how often this gatekeeper reports to gatekeeper 0, whose
+	// GC round waits for every gatekeeper; 0 here disables GC cluster-wide
 	// (retain full multi-version history, §4.5).
 	GCPeriod time.Duration
-	// HistoryRetention, when positive, lags this gatekeeper's GC
-	// watermark reports by the given wall-clock window: a version stays
-	// collectable only once it has been superseded for at least this
-	// long. Because every gatekeeper lags its own report and shards prune
-	// at the pointwise minimum over all reports, any timestamp minted by
-	// any gatekeeper within the window is guaranteed at-or-after the
-	// cluster watermark — historical reads inside the window always pass
-	// the shards' staleness check. Zero reports the live clock (no
-	// retention beyond in-flight operations and pinned snapshots).
+	// HistoryRetention, when positive, lags gatekeeper 0's cluster
+	// watermark by this wall-clock window (retainLocked): any timestamp
+	// minted by any gatekeeper within the window is at or after the
+	// watermark, so historical reads inside it always pass the shards'
+	// staleness check. Zero: no retention beyond in-flight operations and
+	// pinned snapshots.
 	HistoryRetention time.Duration
 	// ProgTimeout bounds node-program completion waits. 0 = 30s.
 	ProgTimeout time.Duration
@@ -151,7 +151,7 @@ type pinnedSnapshot struct {
 	refs int
 }
 
-// retainSample is one (wall time, clock) observation in the retention log.
+// retainSample is one (wall time, folded watermark) entry in the retention log.
 type retainSample struct {
 	at time.Time
 	ts core.Timestamp
@@ -190,16 +190,21 @@ type Gatekeeper struct {
 	shards []transport.Addr
 	// reads holds every read in flight — node programs and index-lookup
 	// rounds — keyed by the read's own fresh timestamp (prog.go).
-	reads       map[core.ID]*pendingRead
-	gcSeen      map[int]core.Timestamp
-	gcShardSeen map[int]core.Timestamp
+	reads map[core.ID]*pendingRead
 	// pins holds snapshot timestamps (refcounted by identity) that GC
 	// reports must not advance past: a pinned snapshot keeps every
 	// version it can see alive cluster-wide (§4.5).
 	pins map[core.ID]*pinnedSnapshot
-	// retain is the sample log implementing HistoryRetention: (wall time,
-	// clock) pairs appended on each GC tick, reported once old enough.
-	retain []retainSample
+	// Gatekeeper 0's GC round (foldGCReportLocked): this round's reports,
+	// the ratcheted watermark last sent and when it advanced (Unix ns), the
+	// HistoryRetention log, the latest round's oracle watermark and the
+	// shards' answers since the last oracle prune.
+	gcSeen     map[int]wire.GCReport
+	gcWM       core.Timestamp
+	retain     []retainSample
+	gcOracle   core.Timestamp
+	gcBounds   map[int]core.Timestamp
+	gcAdvanced atomic.Int64
 
 	// pause gates operation intake: the epoch barrier (§4.3), bulk loads,
 	// migration batches and checkpoints write-lock it.
@@ -249,6 +254,8 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		awaiting:   make(map[transport.Addr]struct{}, cfg.NumShards),
 		reads:      make(map[core.ID]*pendingRead),
 		pins:       make(map[core.ID]*pinnedSnapshot),
+		gcSeen:     make(map[int]wire.GCReport, cfg.NumGatekeepers),
+		gcBounds:   make(map[int]core.Timestamp, cfg.NumShards),
 		indexed:    make(map[string]struct{}, len(cfg.IndexedKeys)),
 		markerHave: make(map[string]struct{}),
 		stop:       make(chan struct{}),
@@ -261,6 +268,12 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		g.shards = append(g.shards, transport.ShardAddr(s))
 	}
 	g.planner = plan.New(cfg.NumShards, g)
+	if cfg.ID == 0 { // a stalled GC round shows as an age that only grows
+		g.gcAdvanced.Store(time.Now().UnixNano())
+		cfg.Obs.GaugeFunc("weaver_gc_watermark_age_seconds", func() int64 {
+			return int64(time.Since(time.Unix(0, g.gcAdvanced.Load())) / time.Second)
+		})
+	}
 	return g
 }
 
@@ -423,10 +436,11 @@ func (g *Gatekeeper) Snapshot() core.Timestamp {
 }
 
 // PinSnapshot mints a snapshot timestamp (see Snapshot) and pins it: GC
-// watermark reports from this gatekeeper will not advance past it, so the
-// versions visible at the pin stay readable cluster-wide — shards prune at
-// the pointwise minimum over all gatekeepers' reports, and this
-// gatekeeper's report is in that minimum — until Unpin releases it.
+// reports from this gatekeeper will not advance past it, so the versions
+// visible at the pin stay readable cluster-wide — the cluster watermark
+// shards collect at is the pointwise minimum over all gatekeepers'
+// reports, and this gatekeeper's report is in that minimum — until Unpin
+// releases it.
 func (g *Gatekeeper) PinSnapshot() core.Timestamp { return g.pinRead(core.Timestamp{}) }
 
 // pinLocked takes one reference on ts. Pins are refcounted by timestamp
@@ -556,9 +570,9 @@ func (g *Gatekeeper) handle(msg transport.Message) {
 		g.mu.Unlock()
 		g.sendNops([]transport.Addr{m.From})
 	case wire.GCReport:
-		// Gatekeeper 0 aggregates watermarks and prunes the oracle's
-		// event dependency graph (§4.5).
-		g.handleGCReport(m)
+		// Sent only to gatekeeper 0, which runs the GC rounds (§4.5).
+		g.mu.Lock()
+		g.foldGCReportLocked(m)
 	case wire.ShardGCReport:
 		g.handleShardGCReport(m)
 	case wire.EpochChange:
@@ -688,133 +702,102 @@ func (g *Gatekeeper) sendNops(to []transport.Addr) {
 	}
 }
 
+// sendGCReport is the GC tick (§4.5): this gatekeeper's clock held below
+// its in-flight reads (OracleTS) and further below its pins (TS), sent to
+// gatekeeper 0, which folds its own report without a send.
 func (g *Gatekeeper) sendGCReport() {
 	g.mu.Lock()
-	cur := g.clock.Peek()
-	// The oracle watermark lags only in-flight operations: pins and the
-	// retention window protect graph VERSIONS, not the dependency DAG —
-	// reads resolve visibility without the oracle, so the DAG only needs
-	// orders between transactions still working through the system. This
-	// keeps the oracle small (and its queries fast) under long-lived
-	// snapshots.
-	wmOracle := cur
+	rep := wire.GCReport{GK: g.cfg.ID, OracleTS: g.clock.Peek()}
 	for _, p := range g.reads {
-		wmOracle = core.PointwiseMin(wmOracle, p.ts)
+		rep.OracleTS = core.PointwiseMin(rep.OracleTS, p.ts)
 	}
-	wm := cur
-	if g.cfg.HistoryRetention > 0 {
-		// Report the clock as it stood HistoryRetention ago, so versions
-		// stay readable for the whole window. The sample log is appended
-		// once per GC tick and trimmed to the newest old-enough entry,
-		// bounding it to ~retention/GCPeriod samples.
-		now := time.Now()
-		g.retain = append(g.retain, retainSample{at: now, ts: wm})
-		aged := -1
-		for i := range g.retain {
-			if now.Sub(g.retain[i].at) < g.cfg.HistoryRetention {
-				break
-			}
-			aged = i
-		}
-		if aged < 0 {
-			// Nothing old enough yet: hold every version (a zero
-			// watermark collects nothing).
-			g.retain = trimRetain(g.retain)
-			g.mu.Unlock()
-			g.broadcastGCReport(core.Timestamp{}, wmOracle)
-			return
-		}
-		wm = g.retain[aged].ts
-		g.retain = g.retain[aged:]
-	}
-	// The version watermark holds below every read in flight too; wmOracle
-	// is already the minimum over them (and over the live clock, which the
-	// retained sample never exceeds).
-	wm = core.PointwiseMin(wm, wmOracle)
+	rep.TS = rep.OracleTS
 	for _, p := range g.pins {
-		wm = core.PointwiseMin(wm, p.ts)
+		rep.TS = core.PointwiseMin(rep.TS, p.ts)
+	}
+	if g.cfg.ID == 0 {
+		g.foldGCReportLocked(rep)
+		return
 	}
 	g.mu.Unlock()
-	g.broadcastGCReport(wm, wmOracle)
-}
-
-// trimRetain bounds the sample log while no sample is old enough to
-// report, guarding against a retention window much longer than the test or
-// process lifetime: keep the oldest sample (the future report) and the
-// most recent tail.
-func trimRetain(log []retainSample) []retainSample {
-	const maxSamples = 1 << 12
-	if len(log) <= maxSamples {
-		return log
-	}
-	head := log[0]
-	tail := log[len(log)-maxSamples/2:]
-	out := make([]retainSample, 0, 1+len(tail))
-	out = append(out, head)
-	return append(out, tail...)
-}
-
-func (g *Gatekeeper) broadcastGCReport(wm, wmOracle core.Timestamp) {
-	rep := wire.GCReport{GK: g.cfg.ID, TS: wm, OracleTS: wmOracle}
-	for s := 0; s < g.cfg.NumShards; s++ {
-		g.ep.Send(transport.ShardAddr(s), rep)
-	}
-	// Gatekeeper 0 aggregates for the oracle.
 	g.ep.Send(transport.GatekeeperAddr(0), rep)
 }
 
-// handleGCReport aggregates per-gatekeeper ORACLE watermarks at gatekeeper
-// 0; version watermarks (m.TS) are consumed by the shards, not here.
-func (g *Gatekeeper) handleGCReport(m wire.GCReport) {
-	if g.cfg.ID != 0 {
-		return
-	}
-	g.mu.Lock()
-	if g.gcSeen == nil {
-		g.gcSeen = make(map[int]core.Timestamp)
-	}
-	g.gcSeen[m.GK] = m.OracleTS
-	g.maybeOracleGCLocked()
-}
-
-// handleShardGCReport folds one shard's apply-progress bound (see
-// wire.ShardGCReport) into the oracle watermark at gatekeeper 0.
-func (g *Gatekeeper) handleShardGCReport(m wire.ShardGCReport) {
-	if g.cfg.ID != 0 {
-		return
-	}
-	g.mu.Lock()
-	if g.gcShardSeen == nil {
-		g.gcShardSeen = make(map[int]core.Timestamp)
-	}
-	g.gcShardSeen[m.Shard] = m.TS
-	g.maybeOracleGCLocked()
-}
-
-// maybeOracleGCLocked prunes the timeline oracle's event dependency graph
-// once a report from every gatekeeper AND every shard is in (§4.5): the
-// combined pointwise minimum is below every in-flight program and every
-// committed-but-unapplied transaction, so no order the shards may still
-// ask about is forgotten. Called with g.mu held; unlocks it.
-func (g *Gatekeeper) maybeOracleGCLocked() {
-	if len(g.gcSeen) < g.cfg.NumGatekeepers || len(g.gcShardSeen) < g.cfg.NumShards {
+// foldGCReportLocked is gatekeeper 0's GC round, the one place the cluster
+// watermark is computed. Once every gatekeeper has reported since the last
+// round, the pointwise minimum of their TS, lagged by HistoryRetention and
+// ratcheted, goes to every shard; the minimum of their OracleTS waits for
+// the shards' answers (handleShardGCReport). Called with g.mu held;
+// unlocks it.
+func (g *Gatekeeper) foldGCReportLocked(rep wire.GCReport) {
+	g.gcSeen[rep.GK] = rep
+	if len(g.gcSeen) < g.cfg.NumGatekeepers {
 		g.mu.Unlock()
 		return
 	}
-	all := make([]core.Timestamp, 0, len(g.gcSeen)+len(g.gcShardSeen))
-	zero := false
-	for _, ts := range g.gcSeen {
-		all = append(all, ts)
+	var ts, orc []core.Timestamp
+	for _, r := range g.gcSeen {
+		ts, orc = append(ts, r.TS), append(orc, r.OracleTS)
 	}
-	for _, ts := range g.gcShardSeen {
-		zero = zero || ts.Zero()
-		all = append(all, ts)
+	clear(g.gcSeen)
+	g.gcOracle = core.PointwiseMin(orc...)
+	now := time.Now()
+	wm := g.retainLocked(now, core.PointwiseMin(ts...))
+	// Ratcheted pointwise, like the shards' staleness check: a lower round
+	// (a read or pin below the last) never loosens it, and happens-before
+	// Compare may call a strict advance of a folded minimum Concurrent.
+	if !wm.Zero() && (g.gcWM.Zero() || g.gcWM.PointwiseLT(wm)) {
+		g.gcWM = wm
+		g.gcAdvanced.Store(now.UnixNano())
 	}
-	g.gcSeen = make(map[int]core.Timestamp)
-	g.gcShardSeen = make(map[int]core.Timestamp)
+	msg := wire.GCWatermark{TS: g.gcWM}
 	g.mu.Unlock()
-	if zero {
-		return // some shard has no established frontier yet: hold everything
+	for _, s := range g.shards {
+		g.ep.Send(s, msg)
 	}
-	g.orc.GC(core.PointwiseMin(all...))
+}
+
+// retainLocked lags a folded watermark by HistoryRetention, so versions stay
+// readable for the whole window: a timestamp minted inside it is pointwise
+// at or above every round folded before the window began. It returns the
+// newest logged round at least that old, held below wm (a read or pin
+// younger than it), or zero while none is. The log keeps at most one
+// round per 1/1024 of the window.
+func (g *Gatekeeper) retainLocked(now time.Time, wm core.Timestamp) core.Timestamp {
+	ret := g.cfg.HistoryRetention
+	if ret <= 0 {
+		return wm
+	}
+	if n := len(g.retain); n == 0 || now.Sub(g.retain[n-1].at) >= ret/1024 {
+		g.retain = append(g.retain, retainSample{at: now, ts: wm})
+	}
+	aged := 0
+	for aged < len(g.retain) && now.Sub(g.retain[aged].at) >= ret {
+		aged++
+	}
+	if aged == 0 {
+		return core.Timestamp{}
+	}
+	g.retain = g.retain[aged-1:]
+	return core.PointwiseMin(g.retain[0].ts, wm)
+}
+
+// handleShardGCReport folds one shard's answer (wire.ShardGCReport) at
+// gatekeeper 0. Once every shard has answered since the last prune, the
+// oracle is pruned below the latest round's OracleTS and every answer —
+// below every in-flight read and every committed-but-unapplied
+// transaction (§4.5) — unless an answer is zero.
+func (g *Gatekeeper) handleShardGCReport(m wire.ShardGCReport) {
+	g.mu.Lock()
+	g.gcBounds[m.Shard] = m.TS
+	if len(g.gcBounds) < g.cfg.NumShards {
+		g.mu.Unlock()
+		return
+	}
+	all := append(slices.Collect(maps.Values(g.gcBounds)), g.gcOracle)
+	clear(g.gcBounds)
+	g.mu.Unlock()
+	if !slices.ContainsFunc(all, core.Timestamp.Zero) {
+		g.orc.GC(core.PointwiseMin(all...))
+	}
 }

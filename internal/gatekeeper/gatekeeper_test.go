@@ -228,7 +228,7 @@ func TestGCAggregationTriggersOracleGC(t *testing.T) {
 	f := transport.NewFabric()
 	kv := kvstore.New()
 	orc := oracle.NewService()
-	f.Endpoint(transport.ShardAddr(0))
+	shard0 := f.Endpoint(transport.ShardAddr(0))
 	gk := New(Config{
 		ID: 0, NumGatekeepers: 2, NumShards: 1,
 		GCPeriod: time.Millisecond,
@@ -242,17 +242,22 @@ func TestGCAggregationTriggersOracleGC(t *testing.T) {
 	b := oracle.EventOf(core.Timestamp{Epoch: 0, Owner: 1, Clock: []uint64{0, 1}})
 	orc.QueryOrder(a, b, core.Before)
 
-	// Simulate gk1 (announce + GC report) and shard 0 (apply-progress
-	// report — oracle GC also waits for every shard, so that orders of
-	// committed-but-unapplied transactions are never forgotten). gk0's
-	// own report comes from its GC loop.
+	// Simulate gk1 (announce + GC report) and shard 0, which answers each
+	// cluster watermark with its apply-progress bound: oracle GC also waits
+	// for every shard, so that orders of committed-but-unapplied
+	// transactions are never forgotten. gk0's own report comes from its GC
+	// loop.
 	ep1 := f.Endpoint(transport.GatekeeperAddr(1))
 	future := core.Timestamp{Epoch: 0, Owner: 1, Clock: []uint64{100, 100}}
 	deadline := time.Now().Add(5 * time.Second)
 	for orc.Stats().Events > 0 {
 		ep1.Send(transport.GatekeeperAddr(0), wire.Announce{TS: future})
-		ep1.Send(transport.GatekeeperAddr(0), wire.GCReport{GK: 1, TS: future})
-		ep1.Send(transport.GatekeeperAddr(0), wire.ShardGCReport{Shard: 0, TS: future})
+		ep1.Send(transport.GatekeeperAddr(0), wire.GCReport{GK: 1, TS: future, OracleTS: future})
+		for m, ok := shard0.Next(); ok; m, ok = shard0.Next() {
+			if _, ok := m.Payload.(wire.GCWatermark); ok {
+				shard0.Send(transport.GatekeeperAddr(0), wire.ShardGCReport{Shard: 0, TS: future})
+			}
+		}
 		if time.Now().After(deadline) {
 			t.Fatalf("oracle never GCed: %+v", orc.Stats())
 		}

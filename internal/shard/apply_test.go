@@ -184,7 +184,7 @@ func pagedApplyRun(t *testing.T, seed int64, maxVertices int) (*Shard, Stats, []
 				}
 				time.Sleep(50 * time.Microsecond)
 			}
-			drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: ts})
+			drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: ts})
 		}
 	}
 	sh.Stop()
@@ -265,7 +265,7 @@ func TestPagedInRecordNewerThanReaderIsRefused(t *testing.T) {
 			// cold and over the cap.
 			last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
 			r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
-			r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+			r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: last})
 			r.waitStats(func(s Stats) bool { return s.PagedOut == 6 })
 
 			reader := r.clock.Tick()
@@ -297,7 +297,7 @@ func TestPagedOutVertexDeletedAfterReaderIsRefused(t *testing.T) {
 			// over the cap.
 			last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
 			r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
-			r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+			r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: last})
 			r.waitStats(func(s Stats) bool { return s.PagedOut == 1 })
 
 			reader := r.clock.Tick()
@@ -339,8 +339,7 @@ func TestPagedInRecordCoversConcurrentLaterCommit(t *testing.T) {
 	c1.Observe(last)
 	gk1Send(nil, c1.Tick())
 	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
-	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
-	gk1.Send(transport.ShardAddr(0), wire.GCReport{GK: 1, TS: last})
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: last})
 	r.waitStats(func(s Stats) bool { return s.PagedOut == 1 })
 
 	tb := c1.Tick() // concurrent with t1 and t3

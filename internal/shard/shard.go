@@ -36,8 +36,8 @@
 // is refused as stale, never answered "absent" (graph.View.Truncated); a
 // lookup, below the index's install horizon. Paging never touches the index.
 //
-// Version GC (§4.5) runs on the event loop once every gatekeeper has
-// reported (maybeGC): the reports' pointwise min, ratcheted, is the
+// Version GC (§4.5) runs on the event loop at the cluster watermark
+// gatekeeper 0 sends once per GC round (maybeGC): ratcheted, it is the
 // watermark reads are checked against, and every round collects below it
 // in the graph and the index alike. A collection walks each store's retire
 // list — one entry per ended version, appended where it ended — and sweeps
@@ -153,19 +153,19 @@ type Shard struct {
 	finished   map[core.ID]struct{}
 	finishedQ  []core.ID // FIFO for bounding the finished set
 	orderCache map[[2]core.ID]core.Order
-	gcReports  map[int]core.Timestamp
 	// asked is, per gatekeeper, the target of the NopRequests outstanding
 	// there (zero: none): a NOP vclock-after it is on its way (solicit,
 	// prog.go). Cleared when the stream passes it and at every epoch
 	// barrier.
 	asked []core.Timestamp
-	// gcWM is the watermark every version collection runs at: each report
+	// gcWM is the watermark every version collection runs at: each GC
 	// round collects every version whose lifetime ended strictly before it.
 	// Historical reads are answered only at or above it (§4.5). Only maybeGC
 	// writes it (event-loop owned); what a reloaded record truncated is
-	// refused by the record's own mark instead. Gatekeepers report their
-	// clocks, which run ahead of this shard's applies, so a write applied
-	// later can end a version below it; the next round collects that too.
+	// refused by the record's own mark instead. The watermark folds
+	// gatekeeper clocks, which run ahead of this shard's applies, so a
+	// write applied later can end a version below it; the next round
+	// collects that too.
 	gcWM core.Timestamp
 	// retired is the pending retirements (graph plus index) this shard
 	// last added to the weaver_shard_gc_retired gauge, which shards share.
@@ -232,7 +232,6 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		credits:    make(map[graph.VertexID]float64),
 		finished:   make(map[core.ID]struct{}),
 		orderCache: make(map[[2]core.ID]core.Order),
-		gcReports:  make(map[int]core.Timestamp),
 		heat:       newHeatMap(),
 		epoch:      cfg.Epoch,
 	}
@@ -562,9 +561,11 @@ func (s *Shard) handle(msg transport.Message) {
 		// A gatekeeper's hello: it holds its NOP stream back until this
 		// shard, now serving, answers.
 		s.ep.Send(m.From, wire.Heartbeat{From: s.ep.Addr()})
-	case wire.GCReport:
-		s.gcReports[m.GK] = m.TS
-		s.maybeGC()
+	case wire.GCWatermark:
+		// Gatekeeper 0's GC round: answer with the apply-progress bound the
+		// oracle's prune waits for (wire.ShardGCReport), then collect.
+		s.ep.Send(transport.GatekeeperAddr(0), wire.ShardGCReport{Shard: s.cfg.ID, TS: s.appliedBound()})
+		s.maybeGC(m.TS)
 	case wire.EpochChange:
 		// The manager's barrier (§4.3). Shards have no issuance to pause,
 		// so that phase is only acked.
@@ -803,42 +804,16 @@ func (s *Shard) pageIn(v graph.VertexID) bool {
 	return true
 }
 
-// maybeGC prunes graph and index versions once a watermark report from
-// every gatekeeper is in (§4.5): every such round, at the ratcheted gcWM,
-// through the stores' retire lists.
-func (s *Shard) maybeGC() {
-	if len(s.gcReports) < s.cfg.NumGatekeepers {
+// maybeGC collects graph and index versions at gatekeeper 0's cluster
+// watermark (wire.GCWatermark, §4.5), through the stores' retire lists.
+// gcWM never moves back — a restarted gatekeeper 0 folds from scratch — and
+// a zero watermark (HistoryRetention not yet aged) collects nothing.
+// Collection runs at gcWM, the value the staleness gate checks: at a
+// fresher one, a read could pass the gate and miss collected versions.
+func (s *Shard) maybeGC(wm core.Timestamp) {
+	if wm.Zero() {
 		return
 	}
-	// One full round of gatekeeper reports is also the shard's cue to
-	// report its apply progress for the ORACLE watermark: the dependency
-	// DAG must not forget orders of transactions still queued here (see
-	// wire.ShardGCReport).
-	s.ep.Send(transport.GatekeeperAddr(0), wire.ShardGCReport{Shard: s.cfg.ID, TS: s.appliedBound()})
-	all := make([]core.Timestamp, 0, len(s.gcReports))
-	zero := false
-	for _, ts := range s.gcReports {
-		zero = zero || ts.Zero()
-		all = append(all, ts)
-	}
-	s.gcReports = make(map[int]core.Timestamp)
-	if zero {
-		// A zero report means that gatekeeper is holding everything
-		// (HistoryRetention window not yet aged): collect nothing and
-		// leave the watermark where it was.
-		return
-	}
-	wm := core.PointwiseMin(all...)
-	// The watermark only ratchets forward: per-gatekeeper reports are
-	// monotone, but the staleness gate must never loosen even if a
-	// combination of reports momentarily computes lower. Collection uses
-	// the SAME ratcheted value as the gate — collecting at a fresher wm
-	// than the gate checks would let a read pass the gate and then miss
-	// just-collected versions (wrong data instead of ErrStaleSnapshot).
-	// (Pointwise, like the collection test itself: the combined watermark
-	// is a synthetic vector whose owner identity can collide with a real
-	// timestamp's, making happens-before Compare report a strict pointwise
-	// advance as Equal/Concurrent and freeze the ratchet.)
 	if s.gcWM.Zero() || s.gcWM.PointwiseLT(wm) {
 		s.gcWM = wm
 	}
@@ -868,11 +843,14 @@ func (s *Shard) maybeGC() {
 			s.pagedOut.Add(uint64(len(evicted)))
 		}
 	}
-	// The ordering cache only grows; decisions about collected events can
-	// never be asked again (every future reader or writer is vclock-after
-	// them), so bounding it by occasional wholesale reset is safe — a
-	// dropped entry is re-fetched from the oracle, whose answers are
-	// irreversible.
+	// The ordering cache only grows, so it is dropped wholesale past a
+	// bound. A dropped order is asked of the oracle again, and the oracle
+	// gives the same answer only while it still holds both events: events
+	// at or above its prune value, which every transaction still queued
+	// here is (this shard's ShardGCReport holds the prune below them). So
+	// the reset is safe for the queue-head orders apply decides. A pair
+	// the oracle has pruned — a record stamp that Recover or faultIn
+	// compares — is decided afresh, possibly the other way.
 	if len(s.orderCache) > 1<<20 {
 		s.orderCache = make(map[[2]core.ID]core.Order)
 	}

@@ -327,18 +327,18 @@ func TestShardGCCollectsOldVersions(t *testing.T) {
 	r.sendTx(graph.Op{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "2"})
 	r.waitStats(func(s Stats) bool { return s.TxExecuted >= 3 })
 	// Report a watermark past everything: the superseded "1" version goes.
-	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: r.clock.Tick()})
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: r.clock.Tick()})
 	st := r.waitStats(func(s Stats) bool { return s.GCCollected >= 1 })
 	if st.GCCollected != 1 {
 		t.Fatalf("collected %d, want 1", st.GCCollected)
 	}
 }
 
-// Gatekeepers report watermarks from their clocks, which run ahead of what
-// a shard has applied. A report past a write the shard has not applied yet
-// must not let that write end a version below the watermark: with the
-// report held there (a pinned snapshot), the version would never be
-// collected, since sweeps run only when the watermark moves.
+// The cluster watermark folds gatekeeper clocks, which run ahead of what a
+// shard has applied. A watermark past a write the shard has not applied yet
+// must not let that write end a version below it: with the watermark held
+// there (a pinned snapshot), the version would never be collected, since
+// sweeps run only when the watermark moves.
 func TestShardGCCollectsWriteAppliedAfterReport(t *testing.T) {
 	r := newRig(t, 1)
 	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"},
@@ -346,14 +346,66 @@ func TestShardGCCollectsWriteAppliedAfterReport(t *testing.T) {
 	r.waitStats(func(s Stats) bool { return s.TxExecuted == 1 })
 	write := r.clock.Tick() // committed, not yet forwarded
 	held := r.clock.Tick()
-	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: held})
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: held})
 	r.drv.Send(transport.ShardAddr(0), wire.TxForward{TS: write, Seq: r.seq.Next(transport.ShardAddr(0)),
 		Ops: []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "2"}}})
 	r.sendNop()
 	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
-	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: held})
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: held})
 	if st := r.waitStats(func(s Stats) bool { return s.GCCollected >= 1 }); st.GCCollected != 1 {
 		t.Fatalf("collected %d, want 1", st.GCCollected)
+	}
+}
+
+// gcRound sends gatekeeper 0's cluster watermark wm and returns the shard's
+// answer.
+func (r *rig) gcRound(wm core.Timestamp) wire.ShardGCReport {
+	r.t.Helper()
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: wm})
+	deadline := time.After(5 * time.Second)
+	for {
+		for m, ok := r.drv.Next(); ok; m, ok = r.drv.Next() {
+			if a, ok := m.Payload.(wire.ShardGCReport); ok {
+				return a
+			}
+		}
+		select {
+		case <-r.drv.Recv():
+		case <-deadline:
+			r.t.Fatalf("watermark %v unanswered; stats %+v", wm, r.sh.Stats())
+		}
+	}
+}
+
+// A shard collects at gatekeeper 0's watermark and never moves it back: a
+// lower watermark after a higher one (a restarted gatekeeper 0 folds from
+// scratch) leaves a read between the two refused. Every watermark message,
+// zero included, is answered with the shard's applied bound.
+func TestShardGCWatermarkNeverMovesBack(t *testing.T) {
+	r := newRig(t, 1)
+	if a := r.gcRound(core.Timestamp{}); a.Shard != 0 || !a.TS.Zero() {
+		t.Fatalf("answer before any stream = %+v, want shard 0 with a zero bound", a)
+	}
+	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "v"},
+		graph.Op{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"})
+	low := r.clock.Tick()
+	r.sendTx(graph.Op{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "2"})
+	high := r.clock.Tick()
+	nop := r.sendNop()
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+	for _, wm := range []core.Timestamp{{}, high, low, {}} {
+		if a := r.gcRound(wm); a.Shard != 0 || !a.TS.Equals(nop) {
+			t.Fatalf("answer to watermark %v = %+v, want the applied bound %v", wm, a, nop)
+		}
+	}
+	if st := r.sh.Stats(); st.GCCollected != 1 {
+		t.Fatalf("collected %d, want the one version ended below high", st.GCCollected)
+	}
+	if d := r.getNode(low, "v"); d.ErrCode != wire.ErrCodeStaleSnapshot {
+		t.Fatalf("read at %v after a lower watermark answered instead of refused: %+v", low, d)
+	}
+	if d := r.getNode(high, "v"); d.Err != "" {
+		t.Fatalf("read at the watermark refused: %+v", d)
 	}
 }
 
@@ -595,7 +647,7 @@ func TestBarrierTombstoneOfPagedOutVertexLeavesIndex(t *testing.T) {
 	// the cap.
 	last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
 	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
-	r.drv.Send(transport.ShardAddr(0), wire.GCReport{GK: 0, TS: last})
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: last})
 	r.waitStats(func(s Stats) bool { return s.PagedOut == 2 })
 
 	recs[0].Deleted, recs[0].Props = true, map[string]string{}

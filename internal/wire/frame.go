@@ -51,6 +51,7 @@ const (
 	tagIndexLookup
 	tagIndexResult
 	tagNopRequest
+	tagGCWatermark
 )
 
 // frameCodec implements transport.FrameCodec over the message set above.
@@ -130,6 +131,9 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = binenc.AppendVarint(buf, int64(m.GK))
 		buf = binenc.AppendTS(buf, m.TS)
 		buf = binenc.AppendTS(buf, m.OracleTS)
+	case GCWatermark:
+		buf = append(buf, tagGCWatermark)
+		buf = binenc.AppendTS(buf, m.TS)
 	case ShardGCReport:
 		buf = append(buf, tagShardGCReport)
 		buf = binenc.AppendVarint(buf, int64(m.Shard))
@@ -269,6 +273,8 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		}
 	case tagGCReport:
 		v = GCReport{GK: int(d.Varint()), TS: d.TS(), OracleTS: d.TS()}
+	case tagGCWatermark:
+		v = GCWatermark{TS: d.TS()}
 	case tagShardGCReport:
 		v = ShardGCReport{Shard: int(d.Varint()), TS: d.TS()}
 	case tagKVReq:

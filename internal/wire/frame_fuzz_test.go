@@ -32,6 +32,13 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{tagTxForward})
+	// The GC round's messages: empty bodies and a clock width past the end.
+	for _, tag := range []byte{tagGCReport, tagShardGCReport, tagGCWatermark} {
+		f.Add([]byte{tag})
+	}
+	f.Add([]byte{tagGCReport, 0, 0, 0, 0x7F})
+	f.Add([]byte{tagShardGCReport, 0, 0, 0, 0x7F})
+	f.Add([]byte{tagGCWatermark, 0, 0, 0x7F})
 	for tag := tagEpochChange; tag <= tagIndexResult; tag++ {
 		f.Add([]byte{tag})                                // empty body
 		f.Add([]byte{tag, 1, 0xFF, 0xFF, 0xFF, 0xFF, 10}) // oversized count / length

@@ -73,7 +73,8 @@ func sampleMessages() []any {
 		IndexResult{QID: qid, Shard: 3, Vertices: []graph.VertexID{"v1"}, Matched: 9, Scanned: 41, Trace: 8},
 		IndexResult{QID: qid, Shard: 5, Matched: 2, Scanned: 2},
 		GCReport{GK: 2, TS: ts(1, 2, 8, 8, 8), OracleTS: ts(1, 2, 9, 9, 9)},
-		GCReport{GK: 0},
+		GCWatermark{TS: ts(1, 1, 7, 8)},
+		GCWatermark{},
 		ShardGCReport{Shard: 4, TS: ts(2, 0, 1, 1)},
 		KVReq{ID: 77, Op: KVTxPut, TxID: 5, Key: "k", Value: []byte("v")},
 		KVReq{ID: 78, Op: KVScan, Prefix: "vertex/"},

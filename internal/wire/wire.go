@@ -241,30 +241,45 @@ type ProgFinish struct {
 	QID core.ID
 }
 
-// GCReport broadcasts a gatekeeper's garbage-collection watermarks (§4.5).
-// TS is the VERSION watermark: a timestamp known to happen-before every
-// operation still in progress at that gatekeeper, held back further by
-// pinned snapshots and the HistoryRetention window; shards collect reports
-// from all gatekeepers and prune graph versions older than the pointwise
-// minimum. A zero TS means "collect nothing" (retention window not aged).
-// OracleTS is the ORACLE watermark — clock and in-flight operations only,
-// NOT held by pins or retention: the dependency DAG must stay small under
-// long-lived snapshots, and it safely can, because reads resolve
-// visibility without the oracle (see shard visibility) — only
-// transaction-transaction orders live in the DAG, and those are queried
-// only while the transactions are in flight.
+// GCReport is one gatekeeper's garbage-collection input (§4.5), sent to
+// gatekeeper 0 once per GC tick; gatekeeper 0 folds its own without a
+// send. OracleTS is the gatekeeper's clock held below every read it has
+// in flight; TS is that value held further below its pinned snapshots.
+// Neither is ever zero. Gatekeeper 0 folds one report from every
+// gatekeeper into the cluster watermark (GCWatermark) from TS, and into
+// the oracle's prune value from OracleTS.
+//
+// The oracle prunes below OracleTS, not TS: pins and the HistoryRetention
+// window hold graph versions only. Holding the oracle there too lets its
+// dependency DAG grow through every pin, and DAG.reachable scans every
+// edged event on each step of a search; on the social_mixed benchmark
+// (2 cores, 8 alternating pairs) that cost 30 % of main_p95_ms and 16 %
+// of ops_per_s. That cost is the reason, not read safety: a read that
+// refines through the oracle (shard.visible does not yet) needs the orders
+// below a pin, so that waits for a DAG search that stays local to the
+// concurrency window.
 type GCReport struct {
 	GK       int
 	TS       core.Timestamp
 	OracleTS core.Timestamp
 }
 
-// ShardGCReport is the shard half of the oracle GC handshake: TS is a
-// timestamp pointwise at-or-below every transaction this shard has
-// received or will receive but not yet applied (per-gatekeeper queue heads
-// and frontiers, combined by pointwise minimum). Gatekeeper 0 folds these
-// into the oracle watermark, so the dependency DAG never forgets the order
-// of a transaction that some shard still has to execute — a
+// GCWatermark is gatekeeper 0's cluster watermark, sent to every shard once
+// per GC round: the pointwise minimum of one round of GCReport.TS, lagged
+// by HistoryRetention and never moved back. A shard collects every version
+// that ended before TS and answers with a ShardGCReport. A zero TS (no
+// folded report is HistoryRetention old yet) collects nothing and is still
+// answered.
+type GCWatermark struct {
+	TS core.Timestamp
+}
+
+// ShardGCReport is a shard's answer to a GCWatermark: TS is a timestamp
+// pointwise at-or-below every transaction this shard has received or will
+// receive but not yet applied (per-gatekeeper queue heads and frontiers,
+// combined by pointwise minimum). Gatekeeper 0 folds these into the oracle
+// watermark, so the dependency DAG never forgets the order of a
+// transaction that some shard still has to execute — a
 // committed-but-unapplied transaction is an ongoing operation in the §4.5
 // sense, and pruning its ordering state would let shards disagree about
 // queue-head order and wedge the apply pipeline. Zero TS means "hold

@@ -236,3 +236,56 @@ func TestStatsConcurrentReaders(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestGCWatermarkAgeGauge: gatekeeper 0's weaver_gc_watermark_age_seconds
+// is the time since the cluster GC watermark last advanced. It stays
+// small while GC rounds run, grows while a pinned snapshot holds the
+// watermark, and falls back once the pin is released.
+func TestGCWatermarkAgeGauge(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.GCPeriod = 2 * time.Millisecond
+	c := openTest(t, cfg)
+	cl := c.Client()
+	age := func() int64 {
+		v, ok := c.Metrics().Gauges["weaver_gc_watermark_age_seconds"]
+		if !ok {
+			t.Fatal("gauge weaver_gc_watermark_age_seconds not registered")
+		}
+		return v
+	}
+	commit := func(i int) {
+		if _, err := cl.RunTx(func(tx *Tx) error {
+			tx.CreateVertex(VertexID(fmt.Sprintf("v%d", i)))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each phase runs past the gauge's one-second resolution.
+	i := 0
+	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); i++ {
+		commit(i)
+		if a := age(); a > 1 {
+			t.Fatalf("watermark age %d s while GC runs", a)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	snap, err := c.SnapshotTS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); age() < 2; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("watermark age %d s after 10 s behind a pin", age())
+		}
+		commit(i)
+		time.Sleep(5 * time.Millisecond)
+	}
+	snap.Close()
+	for deadline := time.Now().Add(5 * time.Second); age() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("watermark age %d s 5 s after the pin was released", age())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
