@@ -103,8 +103,9 @@ func TestPointReadAllocBudget(t *testing.T) {
 // shards by hash; the traversal visits its top 585 vertices, each with 8
 // out-edges. Before visits reused one view and one Context, built-ins sized
 // their hops and a delta's results decoded into one copy, the same
-// traversal cost 4,989 allocations.
-const traverseAllocBudget = 2434
+// traversal cost 4,989 allocations; before a batch's hops decoded a
+// repeated program name and params value once, 2,434.
+const traverseAllocBudget = 1872
 
 func TestTraverseAllocBudget(t *testing.T) {
 	c := openTest(t, Config{

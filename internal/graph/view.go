@@ -13,7 +13,14 @@ type View struct {
 
 // At returns a snapshot view using the given visibility predicate.
 func (s *Store) At(before Before) *View {
-	return &View{s: s, before: before}
+	w := s.ViewAt(before)
+	return &w
+}
+
+// ViewAt is At by value, for a reader that keeps one View and re-points it
+// for every read instead of allocating one.
+func (s *Store) ViewAt(before Before) View {
+	return View{s: s, before: before}
 }
 
 // VertexView is a materialized snapshot of one vertex. It is read-only:
@@ -24,7 +31,7 @@ type VertexView struct {
 	ID    VertexID
 	Props map[string]string
 	Edges []EdgeView
-	// spare is the props map of an earlier fill (VertexInto), kept while
+	// spare is the props map of an earlier fill (Fill), kept while
 	// Props is nil so the next visible props reuse it.
 	spare map[string]string
 }
@@ -48,8 +55,18 @@ func (e EdgeView) HasProp(key, want string) bool {
 	return want == "" || v == want
 }
 
-// visibleIncarnation returns the incarnation of id alive in this view, or
-// nil. Incarnation lifetimes are disjoint, so at most one matches.
+// Incarnation returns the incarnation of id alive in this view, or nil:
+// the one map probe a reader needs to know whether id exists, with no
+// property or edge read. Fill materializes it on demand; it is the store's
+// own, so a reader must not write to it. Incarnation lifetimes are
+// disjoint, so at most one matches.
+func (w *View) Incarnation(id VertexID) *Vertex {
+	w.s.mu.RLock()
+	defer w.s.mu.RUnlock()
+	return w.visibleIncarnation(id)
+}
+
+// visibleIncarnation is Incarnation under a lock the caller holds.
 func (w *View) visibleIncarnation(id VertexID) *Vertex {
 	ch := w.s.vertices[id]
 	if ch == nil {
@@ -66,9 +83,7 @@ func (w *View) visibleIncarnation(id VertexID) *Vertex {
 
 // Exists reports whether the vertex is visible in this view.
 func (w *View) Exists(id VertexID) bool {
-	w.s.mu.RLock()
-	defer w.s.mu.RUnlock()
-	return w.visibleIncarnation(id) != nil
+	return w.Incarnation(id) != nil
 }
 
 // alive is the one visibility rule every version follows — incarnation,
@@ -137,11 +152,9 @@ func (w *View) Vertex(id VertexID) (*VertexView, bool) {
 	return vv, true
 }
 
-// VertexInto is Vertex into a caller-owned view: it reuses the Edges array
-// and the props map of vv's previous fills, so a reader that visits many
-// vertices allocates only for a vertex larger than any before it (and for
-// edge properties). Everything an earlier fill returned is overwritten;
-// when id is not visible it returns false and vv's contents are undefined.
+// VertexInto is Vertex into a caller-owned view: Incarnation, then Fill,
+// both under one read lock. When id is not visible it returns false and
+// vv's contents are undefined.
 func (w *View) VertexInto(id VertexID, vv *VertexView) bool {
 	w.s.mu.RLock()
 	defer w.s.mu.RUnlock()
@@ -149,10 +162,26 @@ func (w *View) VertexInto(id VertexID, vv *VertexView) bool {
 	if v == nil {
 		return false
 	}
+	w.Fill(v, vv)
+	return true
+}
+
+// Fill materializes v — an incarnation this view's Incarnation returned —
+// into a caller-owned view: its properties and live out-edges with their
+// properties, as this view sees them. It reuses the Edges array and the
+// props map of vv's previous fills, so a reader that visits many vertices
+// allocates only for a vertex larger than any before it (and for edge
+// properties); everything an earlier fill returned is overwritten.
+//
+// Fill reads only v's own versions, and takes no lock: the map probe that
+// found v did. Call it where the store's single writer (Store) cannot run
+// at the same time — on that writer's goroutine, as the shard's visits
+// do — or through VertexInto.
+func (w *View) Fill(v *Vertex, vv *VertexView) {
 	if vv.Props != nil {
 		vv.spare = vv.Props
 	}
-	vv.ID = id
+	vv.ID = v.ID
 	vv.Props = w.visibleProps(v.Props, vv.spare)
 	edges := vv.Edges[:0]
 	if cap(edges) < len(v.Out) {
@@ -165,7 +194,6 @@ func (w *View) VertexInto(id VertexID, vv *VertexView) bool {
 		edges = append(edges, EdgeView{ID: e.ID, To: e.To, Props: w.visibleProps(e.Props, nil)})
 	}
 	vv.Edges = edges
-	return true
 }
 
 // CountEdges returns the number of live out-edges of id without

@@ -36,7 +36,7 @@ func (LabelPropagation) Name() string { return "label_propagation" }
 
 // Visit implements Program.
 func (LabelPropagation) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	if !ctx.Exists() {
 		return Result{}, nil
 	}
 	var p LPParams
@@ -56,8 +56,9 @@ func (LabelPropagation) Visit(ctx *Context) (Result, error) {
 		State:  Encode(lpState{Label: p.Label}),
 		Return: Encode(LPResult{Vertex: ctx.VertexID, Label: p.Label}),
 	}
-	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	vv := ctx.View()
+	res.Hops = make([]Hop, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: ctx.Params})
 	}
 	return res, nil
@@ -79,15 +80,16 @@ func (ConnectedComponent) Name() string { return "connected_component" }
 
 // Visit implements Program.
 func (ConnectedComponent) Visit(ctx *Context) (Result, error) {
-	if isVisited(ctx.State) || ctx.Vertex == nil {
+	if isVisited(ctx.State) || !ctx.Exists() {
 		return Result{}, nil
 	}
 	res := Result{
 		State:  visitedMark,
 		Return: Encode(ctx.VertexID),
 	}
-	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	vv := ctx.View()
+	res.Hops = make([]Hop, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: ctx.Params})
 	}
 	return res, nil
@@ -108,8 +110,9 @@ func (DegreeSample) Name() string { return "degree_sample" }
 
 // Visit implements Program.
 func (DegreeSample) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
-	return Result{Return: Encode(DegreeResult{Vertex: ctx.VertexID, Degree: len(ctx.Vertex.Edges)})}, nil
+	return Result{Return: Encode(DegreeResult{Vertex: ctx.VertexID, Degree: len(vv.Edges)})}, nil
 }

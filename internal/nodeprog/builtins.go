@@ -32,13 +32,14 @@ func (GetNode) Name() string { return "get_node" }
 
 // Visit implements Program.
 func (GetNode) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
 	return Result{Return: Encode(NodeData{
 		ID:       ctx.VertexID,
-		Props:    ctx.Vertex.Props,
-		NumEdges: len(ctx.Vertex.Edges),
+		Props:    vv.Props,
+		NumEdges: len(vv.Edges),
 	})}, nil
 }
 
@@ -50,11 +51,12 @@ func (GetEdges) Name() string { return "get_edges" }
 
 // Visit implements Program.
 func (GetEdges) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
-	out := make([]graph.VertexID, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	out := make([]graph.VertexID, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		out = append(out, e.To)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -69,10 +71,11 @@ func (CountEdges) Name() string { return "count_edges" }
 
 // Visit implements Program.
 func (CountEdges) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
-	return Result{Return: Encode(len(ctx.Vertex.Edges))}, nil
+	return Result{Return: Encode(len(vv.Edges))}, nil
 }
 
 // TraverseParams configures the BFS traversal of Fig 3: follow only edges
@@ -101,7 +104,7 @@ func (Traverse) Name() string { return "traverse" }
 
 // Visit implements Program.
 func (Traverse) Visit(ctx *Context) (Result, error) {
-	if isVisited(ctx.State) || ctx.Vertex == nil {
+	if isVisited(ctx.State) || !ctx.Exists() {
 		return Result{}, nil
 	}
 	var p TraverseParams
@@ -115,11 +118,12 @@ func (Traverse) Visit(ctx *Context) (Result, error) {
 	if p.MaxDepth > 0 && p.Depth >= p.MaxDepth {
 		return res, nil
 	}
+	vv := ctx.View()
 	next := p
 	next.Depth++
 	np := Encode(next)
-	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	res.Hops = make([]Hop, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		if p.PropKey != "" && !e.HasProp(p.PropKey, p.PropValue) {
 			continue
 		}
@@ -144,7 +148,7 @@ func (Reachability) Name() string { return "reachability" }
 
 // Visit implements Program.
 func (Reachability) Visit(ctx *Context) (Result, error) {
-	if isVisited(ctx.State) || ctx.Vertex == nil {
+	if isVisited(ctx.State) || !ctx.Exists() {
 		return Result{}, nil
 	}
 	var p ReachParams
@@ -156,8 +160,9 @@ func (Reachability) Visit(ctx *Context) (Result, error) {
 		res.Return = Encode(true)
 		return res, nil // no need to scatter past the target
 	}
-	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	vv := ctx.View()
+	res.Hops = make([]Hop, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		if p.PropKey != "" && !e.HasProp(p.PropKey, p.PropValue) {
 			continue
 		}
@@ -195,7 +200,7 @@ func (ShortestPath) Name() string { return "shortest_path" }
 
 // Visit implements Program.
 func (ShortestPath) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	if !ctx.Exists() {
 		return Result{}, nil
 	}
 	var p SPParams
@@ -216,9 +221,10 @@ func (ShortestPath) Visit(ctx *Context) (Result, error) {
 		res.Return = Encode(SPResult{Dist: p.Dist})
 		return res, nil
 	}
+	vv := ctx.View()
 	np := Encode(SPParams{Target: p.Target, Dist: p.Dist + 1})
-	res.Hops = make([]Hop, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	res.Hops = make([]Hop, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: np})
 	}
 	return res, nil
@@ -252,11 +258,12 @@ func (ClusteringCenter) Name() string { return "clustering_coefficient" }
 
 // Visit implements Program.
 func (ClusteringCenter) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
-	nbrs := make([]graph.VertexID, 0, len(ctx.Vertex.Edges))
-	for _, e := range ctx.Vertex.Edges {
+	nbrs := make([]graph.VertexID, 0, len(vv.Edges))
+	for _, e := range vv.Edges {
 		nbrs = append(nbrs, e.To)
 	}
 	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
@@ -281,7 +288,8 @@ func (ClusteringNeighbor) Name() string { return "clustering_neighbor" }
 
 // Visit implements Program.
 func (ClusteringNeighbor) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
 	var p CCParams
@@ -293,7 +301,7 @@ func (ClusteringNeighbor) Visit(ctx *Context) (Result, error) {
 		in[n] = true
 	}
 	links := 0
-	for _, e := range ctx.Vertex.Edges {
+	for _, e := range vv.Edges {
 		if in[e.To] {
 			links++
 		}
@@ -320,14 +328,15 @@ func (BlockRender) Name() string { return "block_render" }
 
 // Visit implements Program.
 func (BlockRender) Visit(ctx *Context) (Result, error) {
-	if ctx.Vertex == nil {
+	vv := ctx.View()
+	if vv == nil {
 		return Result{}, nil
 	}
 	if len(ctx.Params) == 0 {
 		// Phase 0: the block vertex. Scatter to the block's txs.
-		res := Result{Hops: make([]Hop, 0, len(ctx.Vertex.Edges))}
+		res := Result{Hops: make([]Hop, 0, len(vv.Edges))}
 		mark := Encode(true)
-		for _, e := range ctx.Vertex.Edges {
+		for _, e := range vv.Edges {
 			if e.HasProp("kind", "tx") {
 				res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: mark})
 			}
@@ -336,7 +345,7 @@ func (BlockRender) Visit(ctx *Context) (Result, error) {
 	}
 	// Phase 1: a transaction vertex. Return its inputs and outputs.
 	d := BlockTxData{Tx: ctx.VertexID}
-	for _, e := range ctx.Vertex.Edges {
+	for _, e := range vv.Edges {
 		switch {
 		case e.HasProp("kind", "in"):
 			d.Inputs = append(d.Inputs, e.To)

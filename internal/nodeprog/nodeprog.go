@@ -18,11 +18,18 @@
 // application that registers its own programs (weaver.Cluster.Registry)
 // encodes its payloads itself, in any format, and passes the bytes.
 //
+// A program reads its vertex through the Context: Exists says whether the
+// vertex is visible at the program's timestamp, and View materializes it —
+// properties and live out-edges — on its first call. The shard resolves
+// only existence before a visit, so a visit that never calls View (a
+// revisit, a leaf at the depth limit, an absent vertex) costs one map probe
+// and no edge scan; the built-ins test their state and depth first.
+//
 // A visit allocates only what it sends: the shard hands every visit of a
-// batch the same Context and refills the same vertex view, so a Context
-// and its Vertex are valid only until Visit returns. A program keeps
-// neither; what it returns or stores from the view it encodes (or copies)
-// first, as the built-ins do.
+// batch the same Context and fills the same vertex view, so a Context and
+// its view are valid only until Visit returns. A program keeps neither;
+// what it returns or stores from the view it encodes (or copies) first, as
+// the built-ins do.
 package nodeprog
 
 import (
@@ -44,9 +51,9 @@ type Hop struct {
 	Program string
 }
 
-// Context is the read view a program receives at one vertex visit. It is
-// the shard's, reused for the next visit: the Context and its Vertex (the
-// view, its Props maps and its Edges array) are valid only until Visit
+// Context is what a program receives at one vertex visit. It is the
+// shard's, reused for the next visit: the Context and the view View
+// returns (its Props maps and its Edges array) are valid only until Visit
 // returns, so a Result never points into them. State and Params are
 // read-only bytes that outlive the visit; a program may pass Params on.
 type Context struct {
@@ -56,21 +63,53 @@ type Context struct {
 	TS core.Timestamp
 	// VertexID is the vertex being visited.
 	VertexID graph.VertexID
-	// Vertex is the materialized snapshot of the vertex, or nil if the
-	// vertex is not visible at TS (deleted, or never existed). Programs
-	// must tolerate nil: graphs change between a hop's creation and its
-	// execution only through *later* transactions, but a hop may name a
-	// vertex that was already dead at TS. The view is read-only: its
-	// Props (and each edge's) is nil when nothing is visible, and a
-	// program — a custom one registered through weaver.Cluster.Registry
-	// too — must not write to it, nor keep or return it (its maps and
-	// Edges array are refilled for the next visit).
+	// Vertex is View's memo: nil until View fills it. Programs read
+	// through Exists and View, not this field; only a Context built by
+	// hand, with no source (Source), presets it to the vertex's view, or
+	// leaves it nil for an absent vertex.
 	Vertex *graph.VertexView
 	// State is this vertex's prog_state from a previous visit of the
 	// same query, nil on first visit.
 	State []byte
 	// Params carries the prog_params from the previous hop.
 	Params []byte
+
+	// view, inc and into are the source (Source): the incarnation of
+	// VertexID visible at TS, nil when none, and where View fills it.
+	view *graph.View
+	inc  *graph.Vertex
+	into *graph.VertexView
+}
+
+// Source points the Context at the vertex a visit reads: inc is the
+// incarnation of VertexID that view sees (view.Incarnation; nil when the
+// vertex is not visible), and View fills it into into on demand. The shard
+// calls it once per visit, with Vertex reset to nil.
+func (c *Context) Source(view *graph.View, inc *graph.Vertex, into *graph.VertexView) {
+	c.view, c.inc, c.into = view, inc, into
+}
+
+// Exists reports whether the visited vertex is visible at TS. Programs
+// must tolerate an absent one: graphs change between a hop's creation and
+// its execution only through *later* transactions, but a hop may name a
+// vertex that was already dead at TS (deleted, or never existed).
+func (c *Context) Exists() bool {
+	return c.inc != nil || c.Vertex != nil
+}
+
+// View returns the visited vertex's snapshot at TS — its live properties
+// and live out-edges with theirs — or nil if it does not exist. The first
+// call fills it; later calls in the same visit return the same view. It is
+// read-only: its Props (and each edge's) is nil when nothing is visible,
+// and a program — a custom one registered through weaver.Cluster.Registry
+// too — must not write to it, nor keep or return it (its maps and Edges
+// array are refilled for the next visit).
+func (c *Context) View() *graph.VertexView {
+	if c.Vertex == nil && c.inc != nil {
+		c.view.Fill(c.inc, c.into)
+		c.Vertex = c.into
+	}
+	return c.Vertex
 }
 
 // Result is the outcome of one visit.

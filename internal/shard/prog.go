@@ -176,7 +176,8 @@ const maxReusedCredits = 1024
 // remote hops, and reports the delta to the coordinator.
 func (s *Shard) runBatch(b *wire.ProgHops) {
 	s.progBatches.Add(1)
-	view := s.g.At(s.visible(b.ReadTS))
+	s.view = s.g.ViewAt(s.visible(b.ReadTS))
+	view := &s.view
 
 	// Made on first use: only a program that stores state needs states,
 	// and only a hop that leaves the shard needs remote.
@@ -232,17 +233,19 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: unknown node program %q", s.cfg.ID, hop.Program))
 			return
 		}
-		ok := view.VertexInto(hop.Vertex, &s.vertex)
-		if !ok {
+		// Only existence is resolved here: the program fills the view
+		// if it reads it (nodeprog.Context.View).
+		inc := view.Incarnation(hop.Vertex)
+		if inc == nil {
 			// Demand paging, fault half (§6.1): the vertex may have
 			// been evicted; reload its committed record.
 			if s.paging && !s.g.Has(hop.Vertex) && s.pageIn(hop.Vertex) {
-				ok = view.VertexInto(hop.Vertex, &s.vertex)
+				inc = view.Incarnation(hop.Vertex)
 			}
 			// A record read back from the store — paged in or recovered —
 			// may be newer than this read, and then the vertex's state at
 			// the read timestamp was never loaded: refuse, typed.
-			if mark, cut := view.Truncated(hop.Vertex); !ok && cut {
+			if mark, cut := view.Truncated(hop.Vertex); inc == nil && cut {
 				s.m.staleInstall.Inc()
 				fail(wire.ErrCodeStaleSnapshot, fmt.Errorf("shard %d: read timestamp %v below the install stamp %v of %q",
 					s.cfg.ID, b.ReadTS, mark, hop.Vertex))
@@ -250,9 +253,7 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 			}
 		}
 		ctx.VertexID, ctx.Vertex = hop.Vertex, nil
-		if ok {
-			ctx.Vertex = &s.vertex
-		}
+		ctx.Source(view, inc, &s.vertex)
 		ctx.State, ctx.Params = states[hop.Vertex], hop.Params
 		res, err := p.Visit(ctx)
 		if err != nil {

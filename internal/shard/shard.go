@@ -175,9 +175,11 @@ type Shard struct {
 	// after the barrier — is dropped instead of poisoning the reset
 	// resequencers.
 	epoch uint64
-	// visit and vertex are runBatch's one Context and one vertex view,
-	// refilled for every visit: a program keeps neither past Visit
-	// (nodeprog.Context), so a hop allocates only what it sends.
+	// view, visit and vertex are runBatch's one snapshot view (re-pointed
+	// per batch), one Context and one vertex view (filled when a visit
+	// asks, nodeprog.Context.View): a program keeps none of them past
+	// Visit, so a hop allocates only what it sends.
+	view   graph.View
 	visit  nodeprog.Context
 	vertex graph.VertexView
 

@@ -266,7 +266,11 @@ func TestShardRunsProgramAfterReadiness(t *testing.T) {
 // One batch visits a vertex with a property and eight out-edges, then one
 // with neither, then one that does not exist, through the shard's one
 // reused view and Context: the second visit's get_node and get_edges
-// results carry nothing of the first, and the third returns nothing.
+// results carry nothing of the first, and the third returns nothing. A
+// traverse batch then mixes visits that fill the view with visits that
+// only ask whether their vertex exists: a visit that reads no view, after
+// one that did, and a visit at an absent vertex see their own vertex, not
+// the previous visit's.
 func TestBatchVisitCarriesNothingFromThePrevious(t *testing.T) {
 	r := newRig(t, 1)
 	ops := []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "big"}, {Kind: graph.OpCreateVertex, Vertex: "bare"},
@@ -276,7 +280,7 @@ func TestBatchVisitCarriesNothingFromThePrevious(t *testing.T) {
 			Edge: graph.EdgeID(fmt.Sprintf("e%d", i)), To: graph.VertexID(fmt.Sprintf("u%d", i))})
 	}
 	r.sendTx(ops...)
-	reads := []core.Timestamp{r.clock.Tick(), r.clock.Tick()}
+	reads := []core.Timestamp{r.clock.Tick(), r.clock.Tick(), r.clock.Tick()}
 	r.sendNop()
 	for i, prog := range []string{"get_node", "get_edges"} {
 		ts := reads[i]
@@ -297,6 +301,28 @@ func TestBatchVisitCarriesNothingFromThePrevious(t *testing.T) {
 		if bare.NumEdges != 0 || len(bare.Props) != 0 || len(bare.EdgesTo) != 0 {
 			t.Fatalf("%s(bare) after big = %+v, want nothing", prog, bare)
 		}
+	}
+
+	// From the last hop: big expands (fills its view) and cascades to its
+	// eight absent targets at the depth limit (no view read); then bare at
+	// the depth limit (exists, no view read); then absent. Only big and
+	// bare exist.
+	ts := reads[2]
+	leaf := nodeprog.Encode(nodeprog.TraverseParams{MaxDepth: 1, Depth: 1})
+	d := r.read(wire.ProgHops{QID: ts.ID(), TS: ts, ReadTS: ts, Coordinator: r.drv.Addr(),
+		Hops: []wire.Hop{{ID: 1, Vertex: "absent", Program: "traverse", Params: leaf},
+			{ID: 2, Vertex: "bare", Program: "traverse", Params: leaf},
+			{ID: 3, Vertex: "big", Program: "traverse", Params: nodeprog.Encode(nodeprog.TraverseParams{MaxDepth: 1})}}}, ts.ID()).(wire.ProgDelta)
+	var got []graph.VertexID
+	for _, res := range d.Results {
+		var v graph.VertexID
+		if err := nodeprog.Decode(res, &v); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	if d.Err != "" || !slices.Equal(got, []graph.VertexID{"big", "bare"}) {
+		t.Fatalf("traverse visited %v (err %q), want [big bare]: a visit saw the previous visit's vertex", got, d.Err)
 	}
 }
 

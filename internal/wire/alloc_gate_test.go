@@ -178,3 +178,45 @@ func TestAllocGateDeltaResults(t *testing.T) {
 		t.Fatalf("mutating one decoded result reached its neighbours: %q", got)
 	}
 }
+
+// TestAllocGateHopRepeats: the hops of one batch share one program name and,
+// when one visit scattered them, one params value; each decodes once, so a
+// 64-hop batch costs what a 1-hop batch does plus one vertex string per
+// extra hop. Equal values share one copy and wire bytes are unchanged.
+func TestAllocGateHopRepeats(t *testing.T) {
+	var c frameCodec
+	batch := func(n int) ProgHops {
+		m := ProgHops{QID: ts(1, 0, 5, 3).ID(), TS: ts(1, 0, 5, 3), ReadTS: ts(1, 0, 2, 1), Coordinator: "gk/0"}
+		for i := 0; i < n; i++ {
+			m.Hops = append(m.Hops, Hop{ID: uint64(i + 1), Vertex: graph.VertexID(fmt.Sprintf("user/%d", i)),
+				Program: "traverse", Params: []byte("depth=2"), Origin: 1})
+		}
+		return m
+	}
+	one, _ := c.Append(nil, batch(1))
+	many, _ := c.Append(nil, batch(64))
+	a := testing.AllocsPerRun(200, func() { _, _ = c.Decode(one) })
+	b := testing.AllocsPerRun(200, func() { _, _ = c.Decode(many) })
+	if b > a+63 {
+		t.Errorf("ProgHops decode: %.1f allocs with 1 hop, %.1f with 64 sharing one program and params: want at most %.0f",
+			a, b, a+63)
+	}
+
+	mixed := []Hop{{ID: 1, Vertex: "a", Program: "p", Params: []byte("x")}, {ID: 2, Vertex: "b", Program: "p", Params: []byte("x")},
+		{ID: 3, Vertex: "c", Program: "q"}, {ID: 4, Vertex: "d", Program: "q", Params: []byte("y")}, {ID: 5, Vertex: "e", Program: "p"}}
+	buf, _ := c.Append(nil, ProgHops{Hops: mixed})
+	v, err := c.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(ProgHops).Hops
+	if fmt.Sprint(got) != fmt.Sprint(mixed) {
+		t.Fatalf("decoded hops %v, want %v", got, mixed)
+	}
+	if got[2].Params != nil || got[4].Params != nil {
+		t.Fatalf("empty params decoded as %q and %q, want nil", got[2].Params, got[4].Params)
+	}
+	if again, _ := c.Append(nil, v); string(again) != string(buf) {
+		t.Fatal("re-encoding the decoded hops changed the wire bytes")
+	}
+}

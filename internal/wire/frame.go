@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 
 	"weaver/internal/binenc"
@@ -435,20 +436,34 @@ func appendHops(buf []byte, hops []Hop) []byte {
 	return buf
 }
 
+// decodeHops reads a batch of hops. A hop whose program name or params
+// equal the previous hop's shares that hop's copy — the hops of one batch
+// run one program, and every hop one visit scatters carries one params
+// value — so a batch costs one vertex string per hop and little else.
+// Params are read-only (nodeprog.Context), so sharing them is safe.
 func decodeHops(d *binenc.Decoder) []Hop {
 	n := d.Count(5) // ≥5 bytes per hop: id + three prefixes + origin
 	if n == 0 || d.Err != nil {
 		return nil
 	}
 	hops := make([]Hop, 0, n)
+	var prev Hop
 	for i := uint64(0); i < n && d.Err == nil; i++ {
-		hops = append(hops, Hop{
-			ID:      d.Uvarint(),
-			Vertex:  graph.VertexID(d.Str()),
-			Program: d.Str(),
-			Params:  d.Bytes(),
-			Origin:  int(d.Varint()),
-		})
+		h := Hop{ID: d.Uvarint(), Vertex: graph.VertexID(d.Str())}
+		if raw := d.RawStr(); string(raw) == prev.Program {
+			h.Program = prev.Program
+		} else {
+			h.Program = string(raw)
+		}
+		if raw := d.RawStr(); bytes.Equal(raw, prev.Params) {
+			h.Params = prev.Params
+		} else if len(raw) > 0 {
+			h.Params = make([]byte, len(raw))
+			copy(h.Params, raw)
+		}
+		h.Origin = int(d.Varint())
+		hops = append(hops, h)
+		prev = h
 	}
 	return hops
 }
