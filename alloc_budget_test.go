@@ -4,6 +4,7 @@ package weaver
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -18,12 +19,13 @@ import (
 // raising one is an explicit edit here. Before the view, registration,
 // timer, runBatch, mailbox and address cuts the same reads cost 102
 // (GetNode), 110 (GetEdges) and 96 (CountEdges); before the shard reused
-// one view and one Context for its visits, 53, 62 and 49. The race
-// detector allocates on its own, hence the build tag.
+// one view and one Context for its visits, 53, 62 and 49; before a batch
+// reused the shard's buffers, 48, 57 and 44. The race detector allocates
+// on its own, hence the build tag.
 const (
-	getNodeAllocBudget    = 48
-	getEdgesAllocBudget   = 57
-	countEdgesAllocBudget = 44
+	getNodeAllocBudget    = 46
+	getEdgesAllocBudget   = 55
+	countEdgesAllocBudget = 42
 )
 
 func TestPointReadAllocBudget(t *testing.T) {
@@ -104,8 +106,18 @@ func TestPointReadAllocBudget(t *testing.T) {
 // out-edges. Before visits reused one view and one Context, built-ins sized
 // their hops and a delta's results decoded into one copy, the same
 // traversal cost 4,989 allocations; before a batch's hops decoded a
-// repeated program name and params value once, 2,434.
-const traverseAllocBudget = 1872
+// repeated program name and params value once, 2,434; before a batch
+// reused the shard's buffers and a query's states map came from a free
+// list, 1,872.
+//
+// Bytes are budgeted beside the count, because bytes are what schedule
+// collections. They vary by a few dozen between runs (map growth, pooled
+// buffers), so that budget is the measured ~115,350 plus about 2 %; it
+// was 343,410 before the shard's buffers were reused.
+const (
+	traverseAllocBudget = 1675
+	traverseBytesBudget = 118_000
+)
 
 func TestTraverseAllocBudget(t *testing.T) {
 	c := openTest(t, Config{
@@ -153,11 +165,24 @@ func TestTraverseAllocBudget(t *testing.T) {
 		traverse()
 	}
 	got := testing.AllocsPerRun(200, traverse)
+	// Bytes, not counts, are what schedule collections: the heap's growth
+	// since the last cycle triggers the next one.
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		traverse()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("traverse: %.2f allocs per traversal of %d vertices (budget %d)", got, want, traverseAllocBudget)
+	t.Logf("traverse: %.2f allocs and %d bytes per traversal of %d vertices (budgets %d, %d)", got, bytes, want, traverseAllocBudget, traverseBytesBudget)
 	if got > traverseAllocBudget {
 		t.Errorf("traverse: %.2f allocs per traversal, budget %d — the hop path allocates more", got, traverseAllocBudget)
+	}
+	if bytes > traverseBytesBudget {
+		t.Errorf("traverse: %d bytes allocated per traversal, budget %d — the hop path allocates more", bytes, traverseBytesBudget)
 	}
 }

@@ -68,7 +68,8 @@ type LookupOptions struct {
 //  4. re-check the marker catalog and follow up on any shard whose marker
 //     appeared while the round was in flight (same read timestamp — the
 //     pin guarantees it is still answerable), until no new shard matches;
-//  5. merge: sort, deduplicate, truncate to the limit.
+//  5. merge: the shards' sorted replies into one sorted run, deduplicated
+//     and truncated to the limit.
 //
 // Deduplication is load-bearing beyond the multi-round case: during a
 // vertex migration fence a posting can transiently exist on two shards, so
@@ -176,11 +177,7 @@ func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.
 	}
 
 	tMerge := time.Now()
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	verts = dedupVertices(verts)
-	if opts.Limit > 0 && len(verts) > opts.Limit {
-		verts = verts[:opts.Limit]
-	}
+	verts = mergeRuns(verts, contacts, opts.Limit)
 
 	g.m.planContacted.Add(uint64(len(contacted)))
 	g.m.planPruned.Add(uint64(g.cfg.NumShards - len(contacted)))
@@ -260,15 +257,49 @@ func (g *Gatekeeper) allIndexed(ws []wire.Where) bool {
 	return true
 }
 
-// dedupVertices collapses adjacent duplicates in a sorted slice, in place.
-func dedupVertices(vs []graph.VertexID) []graph.VertexID {
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
+// mergeBufs recycles mergeRuns' scratch. The merged run is copied back
+// over the replies, so nothing pooled reaches the caller.
+var mergeBufs = sync.Pool{New: func() any { return new([]graph.VertexID) }}
+
+// mergeRuns merges the shard replies verts holds — one sorted run per
+// reply, contacts[i].Rows long, in the order the replies were appended —
+// into one ascending run without duplicates, cut at limit vertices when
+// limit is positive, and returns it in verts' own array. Runs are few (one
+// per contacted shard and round), so each step scans their heads.
+func mergeRuns(verts []graph.VertexID, contacts []plan.ShardContact, limit int) []graph.VertexID {
+	runs := make([][]graph.VertexID, 0, len(contacts))
+	rest := verts
+	for _, c := range contacts {
+		runs = append(runs, rest[:c.Rows])
+		rest = rest[c.Rows:]
+	}
+	n := len(verts)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	bp := mergeBufs.Get().(*[]graph.VertexID)
+	out := (*bp)[:0]
+	for len(out) < n {
+		lo := -1
+		for i, r := range runs {
+			if len(r) > 0 && (lo < 0 || r[0] < runs[lo][0]) {
+				lo = i
+			}
+		}
+		if lo < 0 {
+			break
+		}
+		// Two replies may hold the same vertex (see Lookup).
+		if v := runs[lo][0]; len(out) == 0 || v != out[len(out)-1] {
 			out = append(out, v)
 		}
+		runs[lo] = runs[lo][1:]
 	}
-	return out
+	verts = verts[:copy(verts, out)]
+	clear(out)
+	*bp = out[:0]
+	mergeBufs.Put(bp)
+	return verts
 }
 
 // handleIndexResult folds one shard's reply into the pending lookup round.

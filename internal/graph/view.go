@@ -31,9 +31,11 @@ type VertexView struct {
 	ID    VertexID
 	Props map[string]string
 	Edges []EdgeView
-	// spare is the props map of an earlier fill (Fill), kept while
-	// Props is nil so the next visible props reuse it.
-	spare map[string]string
+	// spare and spareEdges are the props map and the Edges array of an
+	// earlier fill (Fill), kept while Props or Edges is nil so the next
+	// visible props or edges reuse them.
+	spare      map[string]string
+	spareEdges []EdgeView
 }
 
 // EdgeView is a materialized snapshot of one live out-edge, read-only like
@@ -171,7 +173,8 @@ func (w *View) VertexInto(id VertexID, vv *VertexView) bool {
 // properties, as this view sees them. It reuses the Edges array and the
 // props map of vv's previous fills, so a reader that visits many vertices
 // allocates only for a vertex larger than any before it (and for edge
-// properties); everything an earlier fill returned is overwritten.
+// properties); everything an earlier fill returned is overwritten. Like
+// Props, Edges is nil when no edge is visible, whatever vv held before.
 //
 // Fill reads only v's own versions, and takes no lock: the map probe that
 // found v did. Call it where the store's single writer (Store) cannot run
@@ -183,7 +186,10 @@ func (w *View) Fill(v *Vertex, vv *VertexView) {
 	}
 	vv.ID = v.ID
 	vv.Props = w.visibleProps(v.Props, vv.spare)
-	edges := vv.Edges[:0]
+	if vv.Edges != nil {
+		vv.spareEdges = vv.Edges
+	}
+	edges := vv.spareEdges[:0]
 	if cap(edges) < len(v.Out) {
 		edges = make([]EdgeView, 0, len(v.Out))
 	}
@@ -193,7 +199,10 @@ func (w *View) Fill(v *Vertex, vv *VertexView) {
 		}
 		edges = append(edges, EdgeView{ID: e.ID, To: e.To, Props: w.visibleProps(e.Props, nil)})
 	}
-	vv.Edges = edges
+	vv.Edges = nil
+	if len(edges) > 0 {
+		vv.Edges = edges
+	}
 }
 
 // CountEdges returns the number of live out-edges of id without

@@ -15,7 +15,7 @@ import (
 
 // sameView reports how got, a reused view, differs from want, a fresh
 // View.Vertex: "" when they hold the same vertex. Edge order follows the
-// edge map, so edges compare as sets; a nil Props must stay nil.
+// edge map, so edges compare as sets; a nil Props or Edges must stay nil.
 func sameView(got, want *graph.VertexView) string {
 	if got.ID != want.ID {
 		return fmt.Sprintf("ID %q, want %q", got.ID, want.ID)
@@ -34,6 +34,9 @@ func sameView(got, want *graph.VertexView) string {
 		}
 		slices.Sort(out)
 		return strings.Join(out, "; ")
+	}
+	if (got.Edges == nil) != (want.Edges == nil) {
+		return fmt.Sprintf("edges nil=%v, want nil=%v", got.Edges == nil, want.Edges == nil)
 	}
 	if g, w := edges(got), edges(want); g != w {
 		return fmt.Sprintf("edges [%s], want [%s]", g, w)
@@ -116,8 +119,51 @@ func TestVertexIntoAfterLargerVertex(t *testing.T) {
 			t.Fatalf("%s: %s", id, diff)
 		}
 	}
-	if vv.Props != nil || len(vv.Edges) != 0 {
-		t.Fatalf("bare after big: props %v, %d edges", vv.Props, len(vv.Edges))
+	if vv.Props != nil || vv.Edges != nil {
+		t.Fatalf("bare after big: props %v, edges %v", vv.Props, vv.Edges)
+	}
+}
+
+// A vertex whose out-edges are all dead fills a nil Edges, fresh or after a
+// larger vertex, so views compare with reflect.DeepEqual; the larger
+// vertex's array is kept and its next fill is whole again.
+func TestFillDeadEdgesOnlyIsNil(t *testing.T) {
+	s := graph.NewStore()
+	stamp := func(n uint64) core.Timestamp { return core.Timestamp{Clock: []uint64{n}} }
+	ops := []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "big"}, {Kind: graph.OpCreateVertex, Vertex: "dead"}}
+	for i := 0; i < 8; i++ {
+		ops = append(ops, graph.Op{Kind: graph.OpCreateEdge, Vertex: "big", Edge: graph.EdgeID(fmt.Sprintf("b%d", i)), To: "dead"})
+	}
+	for i := 0; i < 3; i++ {
+		ops = append(ops, graph.Op{Kind: graph.OpCreateEdge, Vertex: "dead", Edge: graph.EdgeID(fmt.Sprintf("d%d", i)), To: "big"})
+	}
+	if n := s.ApplyTx(ops, stamp(1), func(op graph.Op, err error) { t.Fatalf("%v: %v", op, err) }); n != len(ops) {
+		t.Fatalf("applied %d of %d ops", n, len(ops))
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Apply(graph.Op{Kind: graph.OpDeleteEdge, Vertex: "dead", Edge: graph.EdgeID(fmt.Sprintf("d%d", i))}, stamp(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := s.At(func(w core.Timestamp) bool { return w.Compare(stamp(3)) == core.Before })
+	if fresh, ok := view.Vertex("dead"); !ok || fresh.Edges != nil {
+		t.Fatalf("fresh fill of a vertex with only dead edges: ok=%v edges %#v", ok, fresh)
+	}
+	var vv graph.VertexView
+	for _, id := range []graph.VertexID{"big", "dead", "big"} {
+		if !view.VertexInto(id, &vv) {
+			t.Fatalf("%s not visible", id)
+		}
+		want := 8
+		if id == "dead" {
+			want = 0
+			if vv.Edges != nil {
+				t.Fatalf("dead after big: edges %#v, want nil", vv.Edges)
+			}
+		}
+		if len(vv.Edges) != want {
+			t.Fatalf("%s: %d edges, want %d", id, len(vv.Edges), want)
+		}
 	}
 }
 

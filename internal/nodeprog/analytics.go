@@ -57,7 +57,7 @@ func (LabelPropagation) Visit(ctx *Context) (Result, error) {
 		Return: Encode(LPResult{Vertex: ctx.VertexID, Label: p.Label}),
 	}
 	vv := ctx.View()
-	res.Hops = make([]Hop, 0, len(vv.Edges))
+	res.Hops = ctx.HopBuffer(len(vv.Edges))
 	for _, e := range vv.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: ctx.Params})
 	}
@@ -88,7 +88,7 @@ func (ConnectedComponent) Visit(ctx *Context) (Result, error) {
 		Return: Encode(ctx.VertexID),
 	}
 	vv := ctx.View()
-	res.Hops = make([]Hop, 0, len(vv.Edges))
+	res.Hops = ctx.HopBuffer(len(vv.Edges))
 	for _, e := range vv.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: ctx.Params})
 	}

@@ -122,7 +122,7 @@ func (Traverse) Visit(ctx *Context) (Result, error) {
 	next := p
 	next.Depth++
 	np := Encode(next)
-	res.Hops = make([]Hop, 0, len(vv.Edges))
+	res.Hops = ctx.HopBuffer(len(vv.Edges))
 	for _, e := range vv.Edges {
 		if p.PropKey != "" && !e.HasProp(p.PropKey, p.PropValue) {
 			continue
@@ -161,7 +161,7 @@ func (Reachability) Visit(ctx *Context) (Result, error) {
 		return res, nil // no need to scatter past the target
 	}
 	vv := ctx.View()
-	res.Hops = make([]Hop, 0, len(vv.Edges))
+	res.Hops = ctx.HopBuffer(len(vv.Edges))
 	for _, e := range vv.Edges {
 		if p.PropKey != "" && !e.HasProp(p.PropKey, p.PropValue) {
 			continue
@@ -223,7 +223,7 @@ func (ShortestPath) Visit(ctx *Context) (Result, error) {
 	}
 	vv := ctx.View()
 	np := Encode(SPParams{Target: p.Target, Dist: p.Dist + 1})
-	res.Hops = make([]Hop, 0, len(vv.Edges))
+	res.Hops = ctx.HopBuffer(len(vv.Edges))
 	for _, e := range vv.Edges {
 		res.Hops = append(res.Hops, Hop{Vertex: e.To, Params: np})
 	}
@@ -272,7 +272,7 @@ func (ClusteringCenter) Visit(ctx *Context) (Result, error) {
 		return res, nil
 	}
 	p := Encode(CCParams{Center: ctx.VertexID, Neighbors: nbrs})
-	res.Hops = make([]Hop, 0, len(nbrs))
+	res.Hops = ctx.HopBuffer(len(nbrs))
 	for _, n := range nbrs {
 		res.Hops = append(res.Hops, Hop{Vertex: n, Params: p, Program: "clustering_neighbor"})
 	}
@@ -334,7 +334,7 @@ func (BlockRender) Visit(ctx *Context) (Result, error) {
 	}
 	if len(ctx.Params) == 0 {
 		// Phase 0: the block vertex. Scatter to the block's txs.
-		res := Result{Hops: make([]Hop, 0, len(vv.Edges))}
+		res := Result{Hops: ctx.HopBuffer(len(vv.Edges))}
 		mark := Encode(true)
 		for _, e := range vv.Edges {
 			if e.HasProp("kind", "tx") {

@@ -118,8 +118,8 @@ func sameResult(a, b Result) string {
 }
 
 // Every built-in returns the same result from a lazy Context (existence
-// resolved, view filled on demand into one reused view, as the shard runs
-// visits) as from an eager one (the view materialized up front), over
+// resolved, view filled on demand into one reused view, hops built in one
+// reused hop buffer, as the shard runs visits) as from an eager one (the view materialized up front), over
 // random histories — vertex and edge properties, edges and vertices
 // deleted, vertices re-created — read at random points, with random
 // params and prog_state.
@@ -192,7 +192,10 @@ func TestLazyVisitMatchesEager(t *testing.T) {
 				return [][]byte{nil, Encode(true)}[rng.Intn(2)], nil
 			},
 		}
-		var into graph.VertexView // reused across visits, as the shard's
+		// The view and the lazy Context, with its hop buffer, are reused
+		// across visits, as the shard's are.
+		var into graph.VertexView
+		var lazy Context
 		for visit := 0; visit < 300; visit++ {
 			p := builtins()[rng.Intn(len(builtins()))]
 			input, ok := inputs[p.Name()]
@@ -206,10 +209,11 @@ func TestLazyVisitMatchesEager(t *testing.T) {
 			if vv, ok := view.Vertex(id); ok {
 				eager.Vertex = vv
 			}
-			lazy := lazyCtx(view, id, &into)
+			lazy.VertexID, lazy.Vertex = id, nil
+			lazy.Source(view, view.Incarnation(id), &into)
 			lazy.State, lazy.Params = state, params
 			want, werr := p.Visit(eager)
-			got, gerr := p.Visit(lazy)
+			got, gerr := p.Visit(&lazy)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				t.Fatalf("round %d visit %d: %s at %s@%d: lazy err %v, eager err %v", round, visit, p.Name(), id, at, gerr, werr)
 			}

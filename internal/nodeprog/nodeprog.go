@@ -29,7 +29,10 @@
 // batch the same Context and fills the same vertex view, so a Context and
 // its view are valid only until Visit returns. A program keeps neither;
 // what it returns or stores from the view it encodes (or copies) first, as
-// the built-ins do.
+// the built-ins do. The same goes for hops: a program that scatters builds
+// Result.Hops in the Context's reusable buffer (HopBuffer), and the shard
+// consumes them before the next Visit, so a visit's hops cost no
+// allocation once the buffer has grown to the largest fan-out.
 package nodeprog
 
 import (
@@ -54,7 +57,8 @@ type Hop struct {
 // Context is what a program receives at one vertex visit. It is the
 // shard's, reused for the next visit: the Context and the view View
 // returns (its Props maps and its Edges array) are valid only until Visit
-// returns, so a Result never points into them. State and Params are
+// returns, so a Result never points into them — except Result.Hops, which
+// may be the Context's hop buffer (HopBuffer). State and Params are
 // read-only bytes that outlive the visit; a program may pass Params on.
 type Context struct {
 	// Query identifies the running query (the program's timestamp ID).
@@ -79,6 +83,20 @@ type Context struct {
 	view *graph.View
 	inc  *graph.Vertex
 	into *graph.VertexView
+	// hops is the array HopBuffer hands out, kept across visits.
+	hops []Hop
+}
+
+// HopBuffer returns the Context's hop buffer, empty, with room for n hops.
+// A program appends its next visits to it and returns them as Result.Hops;
+// the runtime consumes them before the next Visit on this Context, which
+// hands the same array out again. The buffer grows to the largest n asked
+// for, so a visit's hops allocate nothing in steady state.
+func (c *Context) HopBuffer(n int) []Hop {
+	if cap(c.hops) < n {
+		c.hops = make([]Hop, 0, n)
+	}
+	return c.hops[:0]
 }
 
 // Source points the Context at the vertex a visit reads: inc is the
@@ -120,7 +138,10 @@ type Result struct {
 	// Return, when non-nil, appends a value to the query's result set
 	// delivered to the client (the gather phase at the coordinator).
 	Return []byte
-	// Hops are the next visits to schedule.
+	// Hops are the next visits to schedule. They may alias the Context's
+	// hop buffer (HopBuffer): the runtime consumes them before the next
+	// Visit on that Context, and a caller that keeps a Result past it
+	// copies Hops first.
 	Hops []Hop
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"weaver/internal/core"
 	"weaver/internal/graph"
-	"weaver/internal/nodeprog"
 	"weaver/internal/transport"
 	"weaver/internal/wire"
 )
@@ -66,7 +65,7 @@ func (s *Shard) runReadyReads() {
 			s.ep.Send(r.hops.Coordinator, wire.ProgDelta{
 				QID: r.hops.QID, ErrCode: wire.ErrCodeStaleSnapshot, Err: stale,
 			})
-			delete(s.progState, r.hops.QID)
+			s.endQuery(r.hops.QID)
 		default:
 			s.runBatch(r.hops)
 		}
@@ -168,30 +167,101 @@ func (s *Shard) visible(progTS core.Timestamp) graph.Before {
 	}
 }
 
-// maxReusedCredits bounds the heat-credit map a shard keeps between
-// batches: one grown past it by a large traversal is replaced, not cleared.
-const maxReusedCredits = 1024
+// maxReused bounds what a shard keeps between batches and queries: the
+// heat-credit map, a query's states map and each batch buffer (hopScratch)
+// grown past it by one large traversal is dropped, not cleared, so one
+// outlier does not pin its memory; maxFreeStates bounds the free list of
+// states maps.
+const (
+	maxReused     = 1024
+	maxFreeStates = 64
+)
+
+// hopScratch is runBatch's scratch, reused by every batch: the local work
+// stack, the consumed hop IDs and results the batch's delta reports, the
+// IDs of the remote hops it spawned and, per target shard, the remote hops
+// themselves. Send keeps no payload memory (transport.Endpoint), so each
+// buffer is free again once its message is sent; reset empties them all
+// when the batch ends.
+type hopScratch struct {
+	work     []wire.Hop
+	consumed []uint64
+	results  [][]byte
+	spawned  []uint64
+	remote   [][]wire.Hop // indexed by target shard
+}
+
+func (sc *hopScratch) reset() {
+	sc.work = recycle(sc.work)
+	sc.consumed = recycle(sc.consumed)
+	sc.results = recycle(sc.results)
+	sc.spawned = recycle(sc.spawned)
+	for i := range sc.remote {
+		sc.remote[i] = recycle(sc.remote[i])
+	}
+}
+
+// recycle empties a scratch buffer for the next batch: the elements are
+// zeroed so the array keeps nothing alive, and an array grown past
+// maxReused is dropped.
+func recycle[T any](buf []T) []T {
+	if cap(buf) > maxReused {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
+}
+
+// takeStates returns an empty states map for a query that stores its
+// first prog_state here: an ended query's (endQuery) when one is free.
+func (s *Shard) takeStates() map[graph.VertexID][]byte {
+	n := len(s.freeStates)
+	if n == 0 {
+		return make(map[graph.VertexID][]byte)
+	}
+	states := s.freeStates[n-1]
+	s.freeStates[n-1] = nil
+	s.freeStates = s.freeStates[:n-1]
+	return states
+}
+
+// endQuery drops a query's program state (§4.5) — on ProgFinish, a stale
+// refusal or a failed batch — and keeps its map, cleared, for the next
+// query (takeStates), unless it grew past maxReused or the free list is
+// full.
+func (s *Shard) endQuery(q core.ID) {
+	states, ok := s.progState[q]
+	if !ok {
+		return
+	}
+	delete(s.progState, q)
+	if len(states) <= maxReused && len(s.freeStates) < maxFreeStates {
+		clear(states)
+		s.freeStates = append(s.freeStates, states)
+	}
+}
 
 // runBatch executes a batch of hops and their local cascade, forwards
-// remote hops, and reports the delta to the coordinator.
+// remote hops, and reports the delta to the coordinator. It allocates per
+// query, not per hop: its buffers are the shard's (hopScratch), a query's
+// states map comes from the free list, and a visit's hops are built in the
+// Context's hop buffer (nodeprog.Context.HopBuffer).
 func (s *Shard) runBatch(b *wire.ProgHops) {
 	s.progBatches.Add(1)
 	s.view = s.g.ViewAt(s.visible(b.ReadTS))
 	view := &s.view
+	sc := &s.batch
+	defer sc.reset()
 
-	// Made on first use: only a program that stores state needs states,
-	// and only a hop that leaves the shard needs remote.
+	// Made on first use: only a program that stores state needs states.
 	states := s.progState[b.QID]
-	var remote map[int][]wire.Hop
 
-	consumed := make([]uint64, 0, len(b.Hops))
 	for _, h := range b.Hops {
-		consumed = append(consumed, h.ID)
+		sc.consumed = append(sc.consumed, h.ID)
 	}
-	work := b.Hops // the batch is this shard's own decoded copy
-	s.visit = nodeprog.Context{Query: b.QID, TS: b.ReadTS}
-	ctx := &s.visit
-	var results [][]byte
+	sc.work = append(sc.work, b.Hops...)
+	ctx := &s.visit // keeps its hop buffer; every other field is set per visit
+	ctx.Query, ctx.TS = b.QID, b.ReadTS
 	visits := 0
 	// Heat attribution (§4.6): every visit warms its vertex; a visit whose
 	// hop arrived from another shard warms it more (that hop is the
@@ -203,7 +273,7 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 	credits := s.credits
 	flushHeat := func() {
 		s.heat.addMany(credits)
-		if len(credits) > maxReusedCredits {
+		if len(credits) > maxReused {
 			s.credits = make(map[graph.VertexID]float64) // clear costs the map's capacity
 		} else {
 			clear(credits)
@@ -212,15 +282,17 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 	fail := func(code int, err error) {
 		flushHeat()
 		s.ep.Send(b.Coordinator, wire.ProgDelta{QID: b.QID, ErrCode: code, Err: err.Error()})
-		delete(s.progState, b.QID)
+		s.endQuery(b.QID)
 	}
-	for len(work) > 0 {
+	for len(sc.work) > 0 {
 		if visits >= maxCascade {
 			fail(wire.ErrCodeNone, fmt.Errorf("shard %d: node program %v exceeded cascade limit %d", s.cfg.ID, b.QID, maxCascade))
 			return
 		}
-		hop := work[len(work)-1]
-		work = work[:len(work)-1]
+		top := len(sc.work) - 1
+		hop := sc.work[top]
+		sc.work[top] = wire.Hop{} // the array outlives the hop
+		sc.work = sc.work[:top]
 		visits++
 		s.progVisits.Add(1)
 		credits[hop.Vertex] += heatVisit
@@ -262,13 +334,13 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		}
 		if res.State != nil {
 			if states == nil {
-				states = make(map[graph.VertexID][]byte)
+				states = s.takeStates()
 				s.progState[b.QID] = states
 			}
 			states[hop.Vertex] = res.State
 		}
 		if res.Return != nil {
-			results = append(results, res.Return)
+			sc.results = append(sc.results, res.Return)
 		}
 		for _, nh := range res.Hops {
 			nextProg := nh.Program
@@ -280,22 +352,24 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 				// high bits) for the coordinator's spawn/consume
 				// matching.
 				id := s.hopSeq.Add(1) | uint64(s.cfg.ID+1)<<48
-				if remote == nil {
-					remote = make(map[int][]wire.Hop)
+				for len(sc.remote) <= tgt {
+					sc.remote = append(sc.remote, nil)
 				}
-				remote[tgt] = append(remote[tgt], wire.Hop{ID: id, Vertex: nh.Vertex, Program: nextProg, Params: nh.Params, Origin: s.cfg.ID})
+				sc.remote[tgt] = append(sc.remote[tgt], wire.Hop{ID: id, Vertex: nh.Vertex, Program: nextProg, Params: nh.Params, Origin: s.cfg.ID})
 			} else {
 				// Local cascade: executed in this batch, no ID needed.
-				work = append(work, wire.Hop{Vertex: nh.Vertex, Program: nextProg, Params: nh.Params, Origin: s.cfg.ID})
+				sc.work = append(sc.work, wire.Hop{Vertex: nh.Vertex, Program: nextProg, Params: nh.Params, Origin: s.cfg.ID})
 			}
 		}
 	}
 
 	flushHeat()
-	var spawnedIDs []uint64
-	for tgt, hops := range remote {
+	for tgt, hops := range sc.remote {
+		if len(hops) == 0 {
+			continue
+		}
 		for _, h := range hops {
-			spawnedIDs = append(spawnedIDs, h.ID)
+			sc.spawned = append(sc.spawned, h.ID)
 		}
 		s.ep.Send(transport.ShardAddr(tgt), wire.ProgHops{
 			QID:         b.QID,
@@ -308,9 +382,9 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 	}
 	if err := s.ep.Send(b.Coordinator, wire.ProgDelta{
 		QID:         b.QID,
-		ConsumedIDs: consumed,
-		SpawnedIDs:  spawnedIDs,
-		Results:     results,
+		ConsumedIDs: sc.consumed,
+		SpawnedIDs:  sc.spawned,
+		Results:     sc.results,
 		Trace:       b.Trace,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "weaver shard %d: delta to %s: %v\n", s.cfg.ID, b.Coordinator, err)

@@ -149,7 +149,8 @@ type Shard struct {
 	frontier   []core.Timestamp
 	reads      []pendingRead // FIFO of reads waiting at the gate (prog.go)
 	progState  map[core.ID]map[graph.VertexID][]byte
-	credits    map[graph.VertexID]float64 // runBatch's heat credits, empty between batches
+	freeStates []map[graph.VertexID][]byte // ended queries' states maps, empty (endQuery)
+	credits    map[graph.VertexID]float64  // runBatch's heat credits, empty between batches
 	finished   map[core.ID]struct{}
 	finishedQ  []core.ID // FIFO for bounding the finished set
 	orderCache map[[2]core.ID]core.Order
@@ -182,6 +183,9 @@ type Shard struct {
 	view   graph.View
 	visit  nodeprog.Context
 	vertex graph.VertexView
+	// batch is runBatch's reusable buffers: a batch allocates only what
+	// its programs return and its hops carry.
+	batch hopScratch
 
 	heat     *heatMap
 	pagedIn  atomic.Uint64
@@ -545,7 +549,7 @@ func (s *Shard) handle(msg transport.Message) {
 	case wire.ProgHops:
 		s.reads = append(s.reads, pendingRead{readTS: m.ReadTS, hops: &m})
 	case wire.ProgFinish:
-		delete(s.progState, m.QID)
+		s.endQuery(m.QID)
 		if _, seen := s.finished[m.QID]; !seen {
 			s.finished[m.QID] = struct{}{}
 			s.finishedQ = append(s.finishedQ, m.QID)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -323,6 +324,55 @@ func TestBatchVisitCarriesNothingFromThePrevious(t *testing.T) {
 	}
 	if d.Err != "" || !slices.Equal(got, []graph.VertexID{"big", "bare"}) {
 		t.Fatalf("traverse visited %v (err %q), want [big bare]: a visit saw the previous visit's vertex", got, d.Err)
+	}
+}
+
+// A finished query's states map goes to the free list and the next query
+// that stores state takes it: that query must start from an empty map.
+// Both traverse the same three vertices, so a map carrying the first
+// query's visited marks would make the second return nothing.
+func TestRecycledStateMapCarriesNothing(t *testing.T) {
+	r := newRig(t, 1)
+	r.sendTx(graph.Op{Kind: graph.OpCreateVertex, Vertex: "a"}, graph.Op{Kind: graph.OpCreateVertex, Vertex: "b"},
+		graph.Op{Kind: graph.OpCreateVertex, Vertex: "c"},
+		graph.Op{Kind: graph.OpCreateEdge, Vertex: "a", Edge: "ab", To: "b"},
+		graph.Op{Kind: graph.OpCreateEdge, Vertex: "a", Edge: "ac", To: "c"})
+	reads := []core.Timestamp{r.clock.Tick(), r.clock.Tick()}
+	r.sendNop()
+	traverse := func(ts core.Timestamp) []graph.VertexID {
+		t.Helper()
+		d := r.read(wire.ProgHops{QID: ts.ID(), TS: ts, ReadTS: ts, Coordinator: r.drv.Addr(),
+			Hops: []wire.Hop{{ID: 1, Vertex: "a", Program: "traverse", Params: nodeprog.Encode(nodeprog.TraverseParams{MaxDepth: 1})}}},
+			ts.ID()).(wire.ProgDelta)
+		if d.Err != "" {
+			t.Fatal(d.Err)
+		}
+		var got []graph.VertexID
+		for _, res := range d.Results {
+			var v graph.VertexID
+			if err := nodeprog.Decode(res, &v); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, v)
+		}
+		slices.Sort(got)
+		return got
+	}
+	// The shard's event loop wrote progState before it sent the delta and
+	// writes it next after the ProgFinish below, so reading it in between
+	// is ordered by the mailboxes.
+	mapID := func(ts core.Timestamp) uintptr { return reflect.ValueOf(r.sh.progState[ts.ID()]).Pointer() }
+	want := []graph.VertexID{"a", "b", "c"}
+	if got := traverse(reads[0]); !slices.Equal(got, want) {
+		t.Fatalf("first query visited %v, want %v", got, want)
+	}
+	first := mapID(reads[0])
+	r.drv.Send(transport.ShardAddr(0), wire.ProgFinish{QID: reads[0].ID()})
+	if got := traverse(reads[1]); !slices.Equal(got, want) {
+		t.Fatalf("second query visited %v, want %v: its recycled states map kept the first query's marks", got, want)
+	}
+	if second := mapID(reads[1]); first == 0 || second != first {
+		t.Fatalf("second query's states map %#x is not the first's %#x: nothing was recycled", second, first)
 	}
 }
 

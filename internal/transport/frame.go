@@ -153,6 +153,29 @@ func DecodeFrame(data []byte) (from, to Addr, payload any, err error) {
 	return from, to, payload, err
 }
 
+// frameCopy encodes payload as the complete frame from → to (addresses,
+// tag, CRC) into a pooled buffer, counts it in m, and returns the decoded
+// copy: the delivery of a Send whose receiver is in this process. The
+// receiver never shares memory with the sender, exactly as over TCP.
+func frameCopy(from, to Addr, payload any, m WireMetrics) (any, error) {
+	bp := getFrameBuf()
+	buf, err := AppendFrame(*bp, from, to, payload)
+	if err != nil {
+		putFrameBuf(bp)
+		return nil, err
+	}
+	m.Frames.Add(1)
+	m.EncodedBytes.Add(uint64(len(buf)))
+	_, _, decoded, err := DecodeFrame(buf[4:])
+	*bp = buf
+	putFrameBuf(bp)
+	if err != nil {
+		return nil, err
+	}
+	m.DecodedBytes.Add(uint64(len(buf)))
+	return decoded, nil
+}
+
 // frameReader reads frames off a byte stream, reusing one buffer across
 // frames (strings and byte slices are copied out during decoding, so the
 // buffer is free to be overwritten by the next frame).

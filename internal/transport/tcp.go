@@ -11,8 +11,11 @@ import (
 // any number of local endpoints and routing remote sends over persistent
 // TCP connections carrying binary wire frames (frame.go): length-prefixed,
 // CRC-32C-checked, payloads encoded by the registered FrameCodec
-// (internal/wire's, one hand-rolled codec per message). Sending a type the
-// codec does not own fails that Send and leaves the connection intact.
+// (internal/wire's, one hand-rolled codec per message). A send between two
+// endpoints of the same node is framed and decoded too (frameCopy, as on
+// the in-process Fabric), so no delivery shares memory with its sender.
+// Sending a type the codec does not own fails that Send and leaves the
+// connection intact.
 //
 // Routing is static: a table from logical address prefix to "host:port".
 // Routes resolve most-specific first: an exact address match, then the
@@ -308,12 +311,18 @@ func (e *tcpEndpoint) Close() {
 }
 
 func (e *tcpEndpoint) Send(to Addr, payload any) error {
-	// Local fast path.
+	// Same-node delivery takes the in-process Fabric's path: framed and
+	// decoded, so the receiver gets its own copy, as from a remote host.
 	e.n.mu.Lock()
 	box := e.n.local[to]
+	metrics := e.n.metrics
 	e.n.mu.Unlock()
 	if box != nil {
-		if !box.push(Message{From: e.addr, Payload: payload}) {
+		decoded, err := frameCopy(e.addr, to, payload, metrics)
+		if err != nil {
+			return err
+		}
+		if !box.push(Message{From: e.addr, Payload: decoded}) {
 			return fmt.Errorf("%w: %s", ErrClosed, to)
 		}
 		return nil

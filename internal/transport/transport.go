@@ -8,7 +8,9 @@
 // cluster pays the codec and gets the copy semantics of a TCP deployment;
 // latency and reordering can be injected on top (the transport tests'
 // seams). The TCPNode in tcp.go (cmd/weaverd) moves the same frames
-// between processes.
+// between processes, and frames a send between two of its own endpoints
+// the same way. So Send never keeps payload memory, whichever provider
+// carries it: a sender may reuse its buffers as soon as Send returns.
 //
 // Delivery guarantees are deliberately weak — at-most-once, unordered when
 // reordering is enabled — because Weaver's protocol supplies its own FIFO
@@ -128,6 +130,8 @@ type Endpoint interface {
 	// Send frames payload and delivers the decoded copy to the mailbox at
 	// to. It never blocks on the receiver (mailboxes are unbounded); a
 	// payload type the registered FrameCodec does not own is an error.
+	// Send keeps no payload memory: once it returns, the caller may
+	// overwrite or reuse every slice and map the payload reaches.
 	Send(to Addr, payload any) error
 	// Recv returns a channel signalling message availability; drain with
 	// Next.
@@ -309,24 +313,10 @@ func (e *endpoint) Send(to Addr, payload any) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknown, to)
 	}
-	// Encode the complete frame (addresses, tag, CRC) into a pooled buffer
-	// and deliver the decoded copy: the receiver never shares memory with
-	// the sender, exactly as over TCP.
-	bp := getFrameBuf()
-	buf, err := AppendFrame(*bp, e.addr, to, payload)
-	if err != nil {
-		putFrameBuf(bp)
-		return err
-	}
-	metrics.Frames.Add(1)
-	metrics.EncodedBytes.Add(uint64(len(buf)))
-	_, _, decoded, err := DecodeFrame(buf[4:])
-	*bp = buf
-	putFrameBuf(bp)
+	decoded, err := frameCopy(e.addr, to, payload, metrics)
 	if err != nil {
 		return err
 	}
-	metrics.DecodedBytes.Add(uint64(len(buf)))
 	msg := Message{From: e.addr, Payload: decoded}
 	if delayFn != nil {
 		if d := delayFn(); d > 0 {
