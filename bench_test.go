@@ -1,6 +1,5 @@
 // Micro-benchmarks of the core operations, for measuring while you work.
-// The numbers a PR is judged on are rows of `go run ./benchmark`; the
-// paper's figures (§6) are printed by cmd/weaver-bench.
+// The numbers a PR is judged on are rows of `go run ./benchmark`.
 package weaver_test
 
 import (
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"weaver"
-	"weaver/internal/experiments"
 	"weaver/internal/workload"
 )
 
@@ -109,24 +107,20 @@ func BenchmarkTraverseChain(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoad compares the ways of populating a durable cluster
-// with a ~100k-edge social graph, all fully applied on the shards (not
-// just committed) and all crash-safe when done:
+// BenchmarkBulkLoad compares the two ways of populating a durable cluster
+// with a ~100k-edge social graph, both fully applied on the shards (not
+// just committed) and both crash-safe when done:
 //
 //   - tx: the transactional load path at natural application granularity
 //     (one RunTx per vertex and its out-edges, as every app in examples/
 //     writes) — every commit write-ahead-logged and fsynced;
-//   - tx-chunked: the hand-tuned 2000-edge mega-batch loader the repo
-//     used before the snapshot subsystem, amortizing commit machinery and
-//     fsyncs ~2000-fold;
 //   - bulk: Cluster.BulkLoad — LDG placement, parallel segment builders,
 //     direct install, one checkpoint for durability instead of a WAL
 //     record per commit (§6's evaluation runs on graphs bulk-loaded this
 //     way, up to 1.47B edges).
 //
 // The edges/s metric is the headline: bulk ingest lands well over 5x the
-// transactional load path (and still well clear of the hand-tuned batch
-// loader, with a recovery story the WAL-replay path cannot offer).
+// transactional load path.
 func BenchmarkBulkLoad(b *testing.B) {
 	g := workload.Social(12500, 8, 1) // ≈100k edges
 	edges := make([]weaver.BulkEdge, len(g.Edges))
@@ -170,21 +164,19 @@ func BenchmarkBulkLoad(b *testing.B) {
 		b.ReportMetric(float64(len(g.Edges))*float64(b.N)/loading.Seconds(), "edges/s")
 	}
 
-	// tx is the transactional load path at natural application granularity
-	// (one transaction per vertex and its out-edges); tx-chunked is the
-	// hand-tuned 2000-edge mega-batch loader the repo used before bulk
-	// ingest; bulk is the snapshot subsystem.
 	b.Run("tx", func(b *testing.B) {
 		run(b, func(c *weaver.Cluster) {
-			if err := experiments.LoadSocialWeaverEntity(c, g); err != nil {
-				b.Fatal(err)
-			}
-		})
-	})
-	b.Run("tx-chunked", func(b *testing.B) {
-		run(b, func(c *weaver.Cluster) {
-			if err := experiments.LoadSocialWeaverTx(c, g); err != nil {
-				b.Fatal(err)
+			cl := c.Client()
+			for _, v := range g.Vertices {
+				if _, err := cl.RunTx(func(tx *weaver.Tx) error {
+					tx.CreateVertex(v)
+					for _, to := range g.Out[v] {
+						tx.CreateEdge(v, to)
+					}
+					return nil
+				}); err != nil {
+					b.Fatalf("load %s: %v", v, err)
+				}
 			}
 		})
 	})

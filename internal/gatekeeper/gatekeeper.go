@@ -118,8 +118,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts gatekeeper activity; Announces and Nops feed the Fig 14
-// coordination-overhead experiment.
+// Stats counts gatekeeper activity. Announces per operation is the
+// ledger's gatekeeper.announces_per_op row, the proactive half of §6.5's
+// trade-off.
 type Stats struct {
 	TxCommitted     uint64
 	TxConflicts     uint64

@@ -145,11 +145,12 @@ func TestFailedStoreReadIsNeverAbsent(t *testing.T) {
 	}
 }
 
-func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
-	r := newRig(t, 2, 1)
-	// Seed a vertex whose LastTS is a *concurrent* gk1 timestamp.
-	other := core.NewVectorClock(1, 2, 0)
-	otherTS := other.Tick()
+// seedGK1Update stores vertex v with a last update stamped by gk1, which
+// gk0 has not seen: concurrent with every timestamp gk0 mints until gk1's
+// clock reaches it.
+func seedGK1Update(t *testing.T, r *rig) core.Timestamp {
+	t.Helper()
+	otherTS := core.NewVectorClock(1, 2, 0).Tick()
 	rec := graph.NewVertexRecord("v", 0)
 	rec.LastTS = otherTS
 	seed := r.kv.Begin()
@@ -159,6 +160,12 @@ func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
 	if err := seed.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	return otherTS
+}
+
+func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
+	r := newRig(t, 2, 1)
+	otherTS := seedGK1Update(t, r)
 
 	res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}})
 	if err != nil {
@@ -171,6 +178,37 @@ func TestCommitRegistersConcurrentOrderWithOracle(t *testing.T) {
 	}
 	if r.gk.Stats().OracleAssigns != 1 {
 		t.Fatalf("stats: %+v", r.gk.Stats())
+	}
+}
+
+// The proactive half of §6.5's trade-off: once gk1's announce has reached
+// gk0, the same concurrent last update is vector-clock ordered before gk0's
+// next timestamp, and the commit needs no oracle assign at all.
+func TestAnnouncedUpdateCommitsWithoutOracle(t *testing.T) {
+	r := newRig(t, 2, 1)
+	otherTS := seedGK1Update(t, r)
+
+	gk1 := r.f.Endpoint(transport.GatekeeperAddr(1))
+	if err := gk1.Send(transport.GatekeeperAddr(0), wire.Announce{TS: otherTS}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !otherTS.PointwiseLE(r.gk.Now()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("announce %v never observed; clock %v", otherTS, r.gk.Now())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	res, err := r.gk.CommitTx(nil, []graph.Op{{Kind: graph.OpSetVertexProp, Vertex: "v", Key: "k", Value: "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.gk.Stats().OracleAssigns; n != 0 {
+		t.Fatalf("announced update still cost %d oracle assigns", n)
+	}
+	if !otherTS.Before(res.TS) {
+		t.Fatalf("commit %v not vector-clock after announced %v", res.TS, otherTS)
 	}
 }
 

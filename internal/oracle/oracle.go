@@ -41,8 +41,8 @@ func EventOf(ts core.Timestamp) Event { return Event{ID: ts.ID(), TS: ts} }
 // contradict an already-established order.
 var ErrCycle = errors.New("oracle: order assignment would create a cycle")
 
-// Stats counts oracle activity, used by the Fig 14 coordination-overhead
-// experiment and by tests.
+// Stats counts oracle activity. Queries plus Assigns per operation is the
+// ledger's oracle.msgs_per_op row, the reactive half of §6.5's trade-off.
 type Stats struct {
 	Queries      uint64 // QueryOrder calls
 	Assigns      uint64 // AssignOrder calls

@@ -1,5 +1,5 @@
-// Package workload generates the synthetic datasets and operation mixes
-// used by the evaluation (§6), substituting for the paper's proprietary or
+// Package workload generates the synthetic datasets used by the tests,
+// the ledger and the examples, substituting for the paper's proprietary or
 // oversized inputs while preserving the properties each experiment
 // exercises:
 //
@@ -12,7 +12,6 @@
 //   - Random: a uniform random digraph standing in for the Twitter
 //     snapshots (§6.3-6.4, Figs 11-13 — traversal fan-out at reduced
 //     scale).
-//   - TAOMix: Facebook's TAO operation distribution (Table 1).
 //
 // All generators are seeded and deterministic.
 package workload
@@ -111,93 +110,4 @@ func Random(n, e int, seed int64) *Graph {
 		g.addEdge(from, to)
 	}
 	return g
-}
-
-// OpKind is one TAO operation (Table 1).
-type OpKind int
-
-// The TAO operations of Table 1.
-const (
-	OpGetEdges OpKind = iota
-	OpCountEdges
-	OpGetNode
-	OpCreateEdge
-	OpDeleteEdge
-)
-
-// String names the operation as in Table 1.
-func (k OpKind) String() string {
-	switch k {
-	case OpGetEdges:
-		return "get_edges"
-	case OpCountEdges:
-		return "count_edges"
-	case OpGetNode:
-		return "get_node"
-	case OpCreateEdge:
-		return "create_edge"
-	case OpDeleteEdge:
-		return "delete_edge"
-	default:
-		return fmt.Sprintf("OpKind(%d)", int(k))
-	}
-}
-
-// Mix is an operation distribution: cumulative weights over OpKinds.
-type Mix struct {
-	kinds []OpKind
-	cum   []float64
-}
-
-// NewMix builds a distribution from op→probability pairs (must sum to ~1).
-func NewMix(weights map[OpKind]float64) Mix {
-	var m Mix
-	total := 0.0
-	for _, k := range []OpKind{OpGetEdges, OpCountEdges, OpGetNode, OpCreateEdge, OpDeleteEdge} {
-		w, ok := weights[k]
-		if !ok || w <= 0 {
-			continue
-		}
-		total += w
-		m.kinds = append(m.kinds, k)
-		m.cum = append(m.cum, total)
-	}
-	return m
-}
-
-// Sample draws one operation.
-func (m Mix) Sample(r *rand.Rand) OpKind {
-	x := r.Float64() * m.cum[len(m.cum)-1]
-	for i, c := range m.cum {
-		if x <= c {
-			return m.kinds[i]
-		}
-	}
-	return m.kinds[len(m.kinds)-1]
-}
-
-// TAOMix is the Facebook TAO workload of Table 1: 99.8% reads (get_edges
-// 59.4%, count_edges 11.7%, get_node 28.9% of the read share) and 0.2%
-// writes (create_edge 80%, delete_edge 20% of the write share).
-func TAOMix() Mix {
-	return NewMix(map[OpKind]float64{
-		OpGetEdges:   0.998 * 0.594,
-		OpCountEdges: 0.998 * 0.117,
-		OpGetNode:    0.998 * 0.289,
-		OpCreateEdge: 0.002 * 0.80,
-		OpDeleteEdge: 0.002 * 0.20,
-	})
-}
-
-// ReadMix is a workload with the given read fraction, using TAO's internal
-// read and write proportions (used for the 75%-read benchmark of Fig 9b).
-func ReadMix(readFraction float64) Mix {
-	w := 1 - readFraction
-	return NewMix(map[OpKind]float64{
-		OpGetEdges:   readFraction * 0.594,
-		OpCountEdges: readFraction * 0.117,
-		OpGetNode:    readFraction * 0.289,
-		OpCreateEdge: w * 0.80,
-		OpDeleteEdge: w * 0.20,
-	})
 }

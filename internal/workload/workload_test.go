@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestSocialGraphShape(t *testing.T) {
 	g := Social(1000, 5, 42)
@@ -61,52 +58,6 @@ func TestRandomGraph(t *testing.T) {
 	for _, e := range g.Edges {
 		if e.From == e.To {
 			t.Fatal("self loop")
-		}
-	}
-}
-
-func TestTAOMixDistribution(t *testing.T) {
-	m := TAOMix()
-	r := rand.New(rand.NewSource(3))
-	counts := map[OpKind]int{}
-	const n = 200000
-	for i := 0; i < n; i++ {
-		counts[m.Sample(r)]++
-	}
-	reads := counts[OpGetEdges] + counts[OpCountEdges] + counts[OpGetNode]
-	writes := counts[OpCreateEdge] + counts[OpDeleteEdge]
-	readFrac := float64(reads) / float64(n)
-	if readFrac < 0.995 || readFrac > 0.9999 {
-		t.Fatalf("read fraction = %.4f, want ≈0.998", readFrac)
-	}
-	if writes == 0 {
-		t.Fatal("writes never sampled")
-	}
-	// get_edges should dominate reads (59.4% of total).
-	if f := float64(counts[OpGetEdges]) / float64(n); f < 0.55 || f > 0.65 {
-		t.Fatalf("get_edges fraction = %.3f, want ≈0.594", f)
-	}
-}
-
-func TestReadMix75(t *testing.T) {
-	m := ReadMix(0.75)
-	r := rand.New(rand.NewSource(4))
-	reads, n := 0, 100000
-	for i := 0; i < n; i++ {
-		switch m.Sample(r) {
-		case OpGetEdges, OpCountEdges, OpGetNode:
-			reads++
-		}
-	}
-	if f := float64(reads) / float64(n); f < 0.73 || f > 0.77 {
-		t.Fatalf("read fraction = %.3f, want ≈0.75", f)
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	for _, k := range []OpKind{OpGetEdges, OpCountEdges, OpGetNode, OpCreateEdge, OpDeleteEdge} {
-		if k.String() == "" {
-			t.Fatal("empty op name")
 		}
 	}
 }

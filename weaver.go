@@ -179,7 +179,8 @@ type Config struct {
 	// AnnouncePeriod is τ, the vector-clock exchange period between
 	// gatekeepers (§3.3). Default 1ms. Smaller τ orders more transaction
 	// pairs proactively; larger τ shifts work to the timeline oracle
-	// (§6.5, Fig 14).
+	// (§6.5). The ledger measures both sides at the default τ
+	// (gatekeeper.announces_per_op, oracle.msgs_per_op).
 	AnnouncePeriod time.Duration
 	// NopPeriod is how often gatekeepers send NOPs to every shard, the
 	// idle fallback of the stream (§4.2). A read does not wait for it: the
@@ -757,8 +758,8 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// TotalAnnounces sums gatekeeper announce messages (Fig 14's proactive
-// coordination metric).
+// TotalAnnounces sums gatekeeper announce messages, the proactive
+// coordination cost of §6.5.
 func (s Stats) TotalAnnounces() uint64 {
 	var n uint64
 	for _, g := range s.Gatekeepers {
@@ -767,8 +768,8 @@ func (s Stats) TotalAnnounces() uint64 {
 	return n
 }
 
-// TotalOracleMessages sums timeline-oracle requests (Fig 14's reactive
-// coordination metric).
+// TotalOracleMessages sums timeline-oracle requests, the reactive
+// coordination cost of §6.5.
 func (s Stats) TotalOracleMessages() uint64 {
 	return s.Oracle.Queries + s.Oracle.Assigns
 }

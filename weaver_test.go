@@ -3,11 +3,13 @@ package weaver
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"weaver/internal/nodeprog"
+	"weaver/internal/workload"
 )
 
 // testConfig returns a small fast cluster configuration for tests.
@@ -134,6 +136,54 @@ func TestTraversalMultiShard(t *testing.T) {
 	if err != nil || !found || dist != 10 {
 		t.Fatalf("shortest path = %d,%v,%v want 10", dist, found, err)
 	}
+}
+
+// Reachability and shortest paths on a bulk-loaded random digraph split
+// over three shards (§6.3's query) must equal a plain BFS over the
+// generator's adjacency, for seeded (s, t) pairs.
+func TestReachabilityMatchesReferenceBFS(t *testing.T) {
+	seed := workload.TestSeed(t)
+	g := workload.Random(300, 900, seed)
+	edges := make([]BulkEdge, len(g.Edges))
+	for i, e := range g.Edges {
+		edges[i] = BulkEdge{From: e.From, To: e.To}
+	}
+	c := openTest(t, mappedConfig(2, 3))
+	if _, err := c.BulkLoad(g.Vertices, edges); err != nil {
+		t.Fatal(err)
+	}
+	cl := c.Client()
+
+	bfs := func(s VertexID) map[VertexID]int {
+		dist := map[VertexID]int{s: 0}
+		for q := []VertexID{s}; len(q) > 0; q = q[1:] {
+			for _, to := range g.Out[q[0]] {
+				if _, seen := dist[to]; !seen {
+					dist[to] = dist[q[0]] + 1
+					q = append(q, to)
+				}
+			}
+		}
+		return dist
+	}
+	r := rand.New(rand.NewSource(seed + 1)) // seed itself would replay the generator's edges
+	reached := 0
+	for i := 0; i < 50; i++ {
+		s, tgt := g.Vertices[r.Intn(len(g.Vertices))], g.Vertices[r.Intn(len(g.Vertices))]
+		want, wantOK := bfs(s)[tgt]
+		if wantOK {
+			reached++
+		}
+		ok, err := cl.Reachable(s, tgt)
+		if err != nil || ok != wantOK {
+			t.Fatalf("Reachable(%s, %s) = %v, %v; reference BFS says %v", s, tgt, ok, err, wantOK)
+		}
+		dist, found, err := cl.ShortestPath(s, tgt)
+		if err != nil || found != wantOK || dist != want {
+			t.Fatalf("ShortestPath(%s, %s) = %d, %v, %v; reference BFS says %d, %v", s, tgt, dist, found, err, want, wantOK)
+		}
+	}
+	t.Logf("%d of 50 pairs reachable", reached)
 }
 
 func TestTraverseWithEdgeProperty(t *testing.T) {
