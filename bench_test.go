@@ -188,43 +188,3 @@ func BenchmarkBulkLoad(b *testing.B) {
 		})
 	})
 }
-
-// BenchmarkAblationOracleReplication compares the direct timeline oracle
-// against the chain-replicated deployment (§3.4): the cost of fault
-// tolerance on the reactive ordering path.
-func BenchmarkAblationOracleReplication(b *testing.B) {
-	for _, cfg := range []struct {
-		name     string
-		replicas int
-	}{{"direct", 0}, {"chain3", 3}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			c, err := weaver.Open(weaver.Config{
-				Gatekeepers:    2,
-				Shards:         2,
-				AnnouncePeriod: 500 * time.Microsecond,
-				NopPeriod:      250 * time.Microsecond,
-				OracleReplicas: cfg.replicas,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			cl := c.Client()
-			if _, err := cl.RunTx(func(tx *weaver.Tx) error {
-				tx.CreateVertex("hot")
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cl.RunTx(func(tx *weaver.Tx) error {
-					tx.SetProperty("hot", "n", fmt.Sprintf("%d", i))
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

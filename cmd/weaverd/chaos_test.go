@@ -1,9 +1,9 @@
 package main
 
 // Multi-process kill/restart chaos harness (§4.3): a full TCP deployment
-// — durable store with a 3-replica oracle chain, 3 manager replicas, 2
-// shards, 2 gatekeepers, 1 standby — takes SIGKILLs mid-workload and
-// must lose no acknowledged write:
+// — a durable store that also serves the one timeline oracle, 3 manager
+// replicas, 2 shards, 2 gatekeepers, 1 standby — takes SIGKILLs
+// mid-workload and must lose no acknowledged write:
 //
 //	cycle 1: SIGKILL shard 1      → epoch barrier, restart, rejoin barrier
 //	cycle 2: SIGKILL gatekeeper 1 → standby takes over its identity
@@ -148,7 +148,7 @@ func TestChaosKillRestartZeroAckedWriteLoss(t *testing.T) {
 
 	// Boot order: store and acceptor replicas first, the lead manager
 	// last among the control plane so members exist before detection.
-	store := mk("store", "-role", "store", "-listen", storeAddr, "-wal", wal, "-oracle-replicas", "3")
+	store := mk("store", "-role", "store", "-listen", storeAddr, "-wal", wal)
 	store.waitLog(t, "store ready", 10*time.Second)
 	mgr1 := mk("manager1", "-role", "manager", "-id", "1", "-listen", mgrAddrList[1])
 	mgr2 := mk("manager2", "-role", "manager", "-id", "2", "-listen", mgrAddrList[2])

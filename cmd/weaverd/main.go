@@ -107,7 +107,6 @@ func main() {
 	flag.DurationVar(&p.spec.GCPeriod, "gc", 0, "GC report period; gatekeeper 0 runs a version and oracle GC round once every gatekeeper has reported, so give it to EVERY gatekeeper (0 = keep everything forever)")
 	flag.DurationVar(&p.spec.HistoryRetention, "retention", 0, "keep superseded versions readable this long before -gc may collect them (applied by gatekeeper 0)")
 	flag.StringVar(&p.spec.WALPath, "wal", "", "WAL path for a durable store (role=store)")
-	flag.IntVar(&p.spec.OracleReplicas, "oracle-replicas", 1, "chain replication factor for the oracle (role=store)")
 	flag.Func("index", "comma-separated vertex property keys to index (give the SAME list to every shard and gatekeeper; role=demo also smokes a Lookup)", func(v string) error {
 		for _, k := range splitList(v) {
 			p.spec.Indexes = append(p.spec.Indexes, index.Spec{Key: k})
@@ -216,7 +215,7 @@ func (p *process) runStore() {
 	kvSrv.Start()
 	orcSrv := remote.NewOracleServer(p.orcEP, orc)
 	orcSrv.Start()
-	log.Printf("store ready (wal=%q oracle-replicas=%d)", p.spec.WALPath, p.spec.OracleReplicas)
+	log.Printf("store ready (wal=%q)", p.spec.WALPath)
 	p.serve(func() {
 		orcSrv.Stop()
 		kvSrv.Stop()

@@ -263,53 +263,3 @@ func TestHistoricalReadAcrossDurableReopenNeverWrongData(t *testing.T) {
 		t.Fatalf("fresh read of the deleted vertex after reopen: ok=%v err=%v", ok, rerr)
 	}
 }
-
-// The chain-replicated oracle keeps ordering through replica failure and
-// rejoin, and a healed replica serves decisions made while it was down.
-func TestOracleReplicaFailHealUnderWrites(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.OracleReplicas = 3
-	c := openTest(t, cfg)
-	cl := c.Client()
-
-	write := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			id := VertexID(fmt.Sprintf("o%d", i))
-			if _, err := cl.RunTx(func(tx *Tx) error {
-				tx.CreateVertex(id)
-				tx.SetProperty(id, "n", fmt.Sprintf("%d", i))
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	write(0, 10)
-
-	if err := c.FailOracleReplica(2); err != nil {
-		t.Fatal(err)
-	}
-	if live := c.OracleReplicasLive(); live != 2 {
-		t.Fatalf("live replicas = %d, want 2", live)
-	}
-	// Ordering decisions keep flowing on the shortened chain.
-	write(10, 20)
-
-	if err := c.HealOracleReplica(2); err != nil {
-		t.Fatalf("heal: %v", err)
-	}
-	if live := c.OracleReplicasLive(); live != 3 {
-		t.Fatalf("live replicas after heal = %d, want 3", live)
-	}
-	write(20, 30)
-	if err := c.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		id := VertexID(fmt.Sprintf("o%d", i))
-		d, ok, err := cl.GetNode(id)
-		if err != nil || !ok || d.Props["n"] != fmt.Sprintf("%d", i) {
-			t.Fatalf("vertex %s after oracle churn: %+v ok=%v err=%v", id, d, ok, err)
-		}
-	}
-}

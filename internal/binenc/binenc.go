@@ -1,9 +1,9 @@
 // Package binenc holds the length-prefixed binary encoding primitives
 // behind every codec in the tree: wire frames (internal/wire), vertex
 // records (internal/graph), WAL records (internal/kvstore), the snapshot
-// manifest (internal/snapshot), oracle state transfer (internal/oracle),
-// the epoch log (internal/cluster) and node-program params, state and
-// results (internal/nodeprog). It is the program's one encoding.
+// manifest (internal/snapshot), the epoch log (internal/cluster) and
+// node-program params, state and results (internal/nodeprog). It is the
+// program's one encoding.
 //
 // Decoding is defensive — codecs face fuzzed and (in a distributed
 // deployment) network-supplied bytes: the Decoder's first framing error

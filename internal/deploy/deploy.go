@@ -38,14 +38,13 @@ type Spec struct {
 	MaxShardVertices int
 	Indexes          []index.Spec
 
-	WALPath        string
-	OracleReplicas int
+	WALPath string
 }
 
 // NewStore opens the backing store (durable under WALPath) and the
-// timeline oracle (chain-replicated under OracleReplicas), and registers
-// their instruments in o.
-func (s Spec) NewStore(o *obs.Registry) (*kvstore.Store, oracle.Client, error) {
+// deployment's one timeline oracle, and registers their instruments in o.
+// The oracle's DAG lives in memory only: it is not logged to the WAL.
+func (s Spec) NewStore(o *obs.Registry) (*kvstore.Store, *oracle.Service, error) {
 	var st *kvstore.Store
 	if s.WALPath != "" {
 		var err error
@@ -59,12 +58,7 @@ func (s Spec) NewStore(o *obs.Registry) (*kvstore.Store, oracle.Client, error) {
 	} else {
 		st = kvstore.New()
 	}
-	var orc oracle.Client
-	if s.OracleReplicas > 1 {
-		orc = oracle.NewReplicated(s.OracleReplicas)
-	} else {
-		orc = oracle.NewService()
-	}
+	orc := oracle.NewService()
 	// Read at scrape time. A deployment whose gatekeepers run no GC loop
 	// shows here as events growing without bound.
 	o.GaugeFunc("weaver_oracle_events", func() int64 { return int64(orc.Stats().Events) })

@@ -248,17 +248,19 @@ func TestTimestampsMonotonicPerGatekeeper(t *testing.T) {
 
 func TestAnnounceAndNopLoopsRun(t *testing.T) {
 	r := newRig(t, 2, 2)
-	// Second gatekeeper mailbox so announces are deliverable.
+	// An announce counts only once delivered, so gatekeeper 1 needs a mailbox.
 	r.f.Endpoint(transport.GatekeeperAddr(1))
-	time.Sleep(5 * time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
 	st := r.gk.Stats()
-	if st.Nops == 0 {
-		t.Fatal("nop loop idle")
+	for (st.Announces == 0 || st.Nops == 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = r.gk.Stats()
 	}
-	// Announces require the peer endpoint registered after start; allow
-	// either but the loop must be ticking.
-	if st.Announces == 0 && st.Nops == 0 {
-		t.Fatal("announce loop idle")
+	if st.Nops == 0 {
+		t.Error("nop loop idle")
+	}
+	if st.Announces == 0 {
+		t.Error("announce loop idle")
 	}
 }
 

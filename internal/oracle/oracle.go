@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"weaver/internal/binenc"
 	"weaver/internal/core"
 )
 
@@ -55,6 +56,29 @@ type Stats struct {
 	CycleRefused uint64 // AssignOrder calls refused with ErrCycle
 }
 
+// Append appends the counters in declaration order.
+func (s Stats) Append(buf []byte) []byte {
+	for _, v := range [...]uint64{
+		s.Queries, s.Assigns, s.Established, s.CacheHits, s.VClockHits,
+		s.Transitive, s.Events, s.GCCollected, s.CycleRefused,
+	} {
+		buf = binenc.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// DecodeStats reads counters written by Stats.Append.
+func DecodeStats(d *binenc.Decoder) Stats {
+	var s Stats
+	for _, p := range [...]*uint64{
+		&s.Queries, &s.Assigns, &s.Established, &s.CacheHits, &s.VClockHits,
+		&s.Transitive, &s.Events, &s.GCCollected, &s.CycleRefused,
+	} {
+		*p = d.Uvarint()
+	}
+	return s
+}
+
 type node struct {
 	ts  core.Timestamp
 	out map[core.ID]struct{}
@@ -62,8 +86,8 @@ type node struct {
 }
 
 // DAG is the oracle's event dependency graph. It is a pure state machine
-// with no internal locking: Service wraps it for direct concurrent use and
-// chainrep replicates it for fault tolerance. All methods are deterministic.
+// with no internal locking: Service wraps it for concurrent use. All
+// methods are deterministic.
 type DAG struct {
 	nodes map[core.ID]*node
 	// edged indexes the nodes with at least one explicit out-edge. The

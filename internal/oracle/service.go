@@ -7,8 +7,9 @@ import (
 )
 
 // Client is the oracle interface Weaver servers (gatekeepers, shards) use.
-// Implementations: *Service (direct, single state machine behind a mutex)
-// and the chain-replicated deployment in internal/chainrep.
+// Implementations: *Service, the one oracle of a deployment (a state
+// machine behind a mutex), and internal/remote's OracleClient, which
+// reaches a Service in another process.
 type Client interface {
 	// QueryOrder returns the order of a relative to b, establishing
 	// prefer (Before = a first, After = b first) if none exists.
@@ -24,8 +25,9 @@ type Client interface {
 	Stats() Stats
 }
 
-// Service is a mutex-guarded timeline oracle, the direct (non-replicated)
-// deployment used by in-process clusters and tests.
+// Service is a mutex-guarded timeline oracle. Every deployment runs one:
+// an in-process cluster calls it directly, and a weaverd store process
+// serves it through internal/remote's OracleServer.
 type Service struct {
 	mu  sync.Mutex
 	dag *DAG

@@ -15,11 +15,11 @@ import (
 // OracleServer exposes a timeline oracle over the fabric.
 type OracleServer struct {
 	*server[wire.OracleReq, wire.OracleResp]
-	orc oracle.Client
+	orc *oracle.Service
 }
 
-// NewOracleServer wraps orc (direct or chain-replicated) behind ep.
-func NewOracleServer(ep transport.Endpoint, orc oracle.Client) *OracleServer {
+// NewOracleServer wraps the deployment's one oracle behind ep.
+func NewOracleServer(ep transport.Endpoint, orc *oracle.Service) *OracleServer {
 	s := &OracleServer{orc: orc}
 	s.server = newServer(ep, s.handle)
 	return s

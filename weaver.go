@@ -217,9 +217,6 @@ type Config struct {
 	// much silence, behind the same EpochChange/EpochAck barrier a weaverd
 	// deployment runs. Zero disables fault tolerance machinery.
 	HeartbeatTimeout time.Duration
-	// OracleReplicas chain-replicates the timeline oracle across this
-	// many replicas (§3.4); 0 or 1 runs it unreplicated.
-	OracleReplicas int
 	// MaxShardVertices enables demand paging (§6.1): each shard keeps at
 	// most this many resident vertex histories, paging cold vertices out
 	// once the GC watermark passes them and faulting them back in from
@@ -294,7 +291,6 @@ func (c Config) spec() deploy.Spec {
 		MaxShardVertices: c.MaxShardVertices,
 		Indexes:          c.Indexes,
 		WALPath:          c.WALPath,
-		OracleReplicas:   c.OracleReplicas,
 	}
 }
 
@@ -526,41 +522,6 @@ var (
 	ShardAddr      = transport.ShardAddr
 	GatekeeperAddr = transport.GatekeeperAddr
 )
-
-// errOracleNotReplicated gates the oracle fault-injection surface.
-var errOracleNotReplicated = errors.New("weaver: timeline oracle is not replicated (set Config.OracleReplicas > 1)")
-
-// FailOracleReplica kills one replica of the chain-replicated timeline
-// oracle (failure injection). The chain relinks around it: ordering
-// queries and assignments keep working as long as one replica is live.
-func (c *Cluster) FailOracleReplica(i int) error {
-	rep, ok := c.orc.(*oracle.Replicated)
-	if !ok {
-		return errOracleNotReplicated
-	}
-	rep.FailReplica(i)
-	return nil
-}
-
-// HealOracleReplica rejoins a previously failed oracle replica at the
-// tail of the chain, transferring the live tail's full DAG state to it
-// (§4.3) — decisions made while it was down are preserved byte-for-byte.
-func (c *Cluster) HealOracleReplica(i int) error {
-	rep, ok := c.orc.(*oracle.Replicated)
-	if !ok {
-		return errOracleNotReplicated
-	}
-	return rep.HealReplica(i)
-}
-
-// OracleReplicasLive reports how many oracle chain replicas are serving.
-// Returns 1 for an unreplicated oracle.
-func (c *Cluster) OracleReplicasLive() int {
-	if rep, ok := c.orc.(*oracle.Replicated); ok {
-		return rep.LiveReplicas()
-	}
-	return 1
-}
 
 // Quiesce blocks until every transaction committed so far has been applied
 // by every involved shard's in-memory graph, or the timeout expires. Commit
