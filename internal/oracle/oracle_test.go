@@ -311,30 +311,51 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// The Client surface of the one oracle a deployment runs. Refused cycles,
-// transitivity and the counters are held at the DAG level above and across
-// the wire in internal/remote; what only this test checks is that a
-// consistent assignment of an established order is accepted and that GC
-// through Client empties the DAG.
-func TestServiceThroughClient(t *testing.T) {
+// The Client surface of the one oracle a deployment runs agrees with the
+// DAG it wraps: refused cycles, Ordered reads and a consistent assignment of
+// an order QueryOrder established.
+func TestReplicatedOracleMatchesDirect(t *testing.T) {
 	var c Client = NewService()
 	a, b := evc(0, 1), evc(1, 1)
-	if o, err := c.QueryOrder(a, b, core.Before); err != nil || o != core.Before {
+	o, err := c.QueryOrder(a, b, core.Before)
+	if err != nil || o != core.Before {
 		t.Fatalf("QueryOrder: %v %v", o, err)
 	}
-	if err := c.AssignOrder(a, b); err != nil {
-		t.Fatalf("assigning the established order: %v", err)
+	if o, err := c.Ordered(a, b); err != nil || o != core.Before {
+		t.Fatalf("Ordered: %v %v", o, err)
 	}
 	if err := c.AssignOrder(b, a); !errors.Is(err, ErrCycle) {
 		t.Fatalf("contradicting assignment: %v, want ErrCycle", err)
 	}
-	if st := c.Stats(); st.Events != 2 || st.Queries != 1 || st.Assigns != 2 {
-		t.Fatalf("stats before GC: %+v", st)
+	if err := c.AssignOrder(a, b); err != nil {
+		t.Fatalf("assigning the established order: %v", err)
+	}
+	if st := c.Stats(); st.Events != 2 || st.Queries != 2 || st.Assigns != 2 || st.CycleRefused != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// Decisions made through Client stay put as later decisions build on them,
+// and GC through Client empties the DAG.
+func TestReplicatedOracleSurvivesReplicaFailure(t *testing.T) {
+	var c Client = NewService()
+	a, b, d := evc(0, 1), evc(1, 1), evc(2, 1)
+	if _, err := c.QueryOrder(a, b, core.Before); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := c.Ordered(a, b); err != nil || o != core.Before {
+		t.Fatalf("decision lost: %v %v", o, err)
+	}
+	if _, err := c.QueryOrder(b, d, core.Before); err != nil {
+		t.Fatal(err)
+	}
+	if o, _ := c.Ordered(a, d); o != core.Before {
+		t.Fatalf("transitivity broken: %v", o)
 	}
 	if err := c.GC(core.Timestamp{Epoch: 1, Clock: []uint64{1, 1, 1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Events != 0 || st.GCCollected != 2 {
+	if st := c.Stats(); st.Events != 0 || st.GCCollected != 3 {
 		t.Fatalf("GC through Client left %+v", st)
 	}
 }
