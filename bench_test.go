@@ -114,7 +114,7 @@ func BenchmarkTraverseChain(b *testing.B) {
 //   - tx: the transactional load path at natural application granularity
 //     (one RunTx per vertex and its out-edges, as every app in examples/
 //     writes) — every commit write-ahead-logged and fsynced;
-//   - bulk: Cluster.BulkLoad — LDG placement, parallel segment builders,
+//   - bulk: Cluster.BulkLoadGraph — LDG placement, parallel segment builders,
 //     direct install, one checkpoint for durability instead of a WAL
 //     record per commit (§6's evaluation runs on graphs bulk-loaded this
 //     way, up to 1.47B edges).
@@ -126,6 +126,10 @@ func BenchmarkBulkLoad(b *testing.B) {
 	edges := make([]weaver.BulkEdge, len(g.Edges))
 	for i, e := range g.Edges {
 		edges[i] = weaver.BulkEdge{From: e.From, To: e.To}
+	}
+	verts := make([]weaver.BulkVertex, len(g.Vertices))
+	for i, v := range g.Vertices {
+		verts[i] = weaver.BulkVertex{ID: v}
 	}
 	open := func(b *testing.B) *weaver.Cluster {
 		b.Helper()
@@ -182,7 +186,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	})
 	b.Run("bulk", func(b *testing.B) {
 		run(b, func(c *weaver.Cluster) {
-			if _, err := c.BulkLoad(g.Vertices, edges); err != nil {
+			if _, err := c.BulkLoadGraph(verts, edges); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -2,7 +2,7 @@ package weaver
 
 // Bulk ingest and checkpointing.
 //
-// BulkLoad populates an (empty region of an) online cluster at
+// BulkLoadGraph populates an (empty region of an) online cluster at
 // sequential-write speed, bypassing the per-transaction commit path
 // entirely: vertices stream through the LDG streaming partitioner for
 // locality-aware placement (§4.6), per-shard segment builders encode
@@ -36,10 +36,10 @@ import (
 
 // NewMappedDirectory returns an assignable vertex-placement directory over
 // n shards, falling back to hash partitioning for unassigned vertices. Set
-// it as Config.Directory to let BulkLoad place vertices with the LDG
-// streaming partitioner (and RebalanceLDG migrate them); internal/partition
-// is not importable from outside the module, so this is the public way to
-// opt in.
+// it as Config.Directory to let BulkLoadGraph place vertices with the LDG
+// streaming partitioner (and MigrateBatch and RebalanceOnce migrate them);
+// internal/partition is not importable from outside the module, so this is
+// the public way to opt in.
 func NewMappedDirectory(n int) partition.Directory {
 	return partition.NewMapped(partition.NewHash(n))
 }
@@ -58,7 +58,7 @@ type BulkVertex struct {
 	Props map[string]string
 }
 
-// BulkLoadStats reports one BulkLoad call.
+// BulkLoadStats reports one BulkLoadGraph call.
 type BulkLoadStats struct {
 	// Vertices and Edges are the installed counts (vertices referenced
 	// only by edges are created implicitly and included).
@@ -85,12 +85,16 @@ type BulkLoadStats struct {
 	Elapsed time.Duration
 }
 
-// BulkLoad installs a graph wholesale, bypassing the transactional commit
-// path — the fast way to populate a cluster (the paper's evaluation runs
-// on bulk-loaded graphs of up to 1.47B edges, §6).
+// BulkLoadGraph installs a graph wholesale, bypassing the transactional
+// commit path — the fast way to populate a cluster (the paper's evaluation
+// runs on bulk-loaded graphs of up to 1.47B edges, §6).
 //
 // Vertices appearing only in edges are created implicitly; explicit
-// vertices may be passed for isolated ones. Every loaded vertex must be
+// vertices (nil is fine) may be passed for isolated ones and to carry
+// initial properties: records are built with the properties, so the
+// per-shard secondary indexes are populated from the same segments that
+// install the graph — no per-property transactions needed to make a
+// bulk-loaded graph queryable through Lookup. Every loaded vertex must be
 // new: loading over an existing vertex is an error (ErrInvalid).
 //
 // The load is stamped with one fresh timestamp: gatekeepers are paused,
@@ -102,19 +106,6 @@ type BulkLoadStats struct {
 // On a durable cluster (Config.WALPath) the load finishes with an
 // automatic Checkpoint, making the ingest crash-safe without logging the
 // records through the WAL one by one.
-func (c *Cluster) BulkLoad(vertices []VertexID, edges []BulkEdge) (BulkLoadStats, error) {
-	vs := make([]BulkVertex, len(vertices))
-	for i, v := range vertices {
-		vs[i] = BulkVertex{ID: v}
-	}
-	return c.BulkLoadGraph(vs, edges)
-}
-
-// BulkLoadGraph is BulkLoad for vertices that carry initial properties
-// (BulkVertex): records are built with the properties, so the per-shard
-// secondary indexes are populated from the same segments that install the
-// graph — no per-property transactions needed to make a bulk-loaded graph
-// queryable through Lookup.
 func (c *Cluster) BulkLoadGraph(vertices []BulkVertex, edges []BulkEdge) (BulkLoadStats, error) {
 	start := time.Now()
 	stats := BulkLoadStats{PerShard: make([]int, c.cfg.Shards)}

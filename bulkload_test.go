@@ -20,7 +20,16 @@ import (
 	"weaver/internal/workload"
 )
 
-// bulkTestGraph generates a small social graph and its BulkLoad form.
+// bulkVertices is the BulkLoadGraph form of vertices without properties.
+func bulkVertices(ids []VertexID) []BulkVertex {
+	vs := make([]BulkVertex, len(ids))
+	for i, id := range ids {
+		vs[i] = BulkVertex{ID: id}
+	}
+	return vs
+}
+
+// bulkTestGraph generates a small social graph and its BulkLoadGraph form.
 func bulkTestGraph(n, m int) (*workload.Graph, []VertexID, []BulkEdge) {
 	g := workload.Social(n, m, 7)
 	edges := make([]BulkEdge, len(g.Edges))
@@ -31,7 +40,7 @@ func bulkTestGraph(n, m int) (*workload.Graph, []VertexID, []BulkEdge) {
 }
 
 // mappedConfig is testConfig plus an assignable directory, engaging LDG
-// placement in BulkLoad.
+// placement in BulkLoadGraph.
 func mappedConfig(gks, shards int) Config {
 	cfg := testConfig(gks, shards)
 	cfg.Directory = NewMappedDirectory(shards)
@@ -42,7 +51,7 @@ func TestBulkLoadServesReadsAndWrites(t *testing.T) {
 	c := openTest(t, mappedConfig(2, 3))
 	g, verts, edges := bulkTestGraph(400, 4)
 
-	st, err := c.BulkLoad(verts, edges)
+	st, err := c.BulkLoadGraph(bulkVertices(verts), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +130,16 @@ func TestBulkLoadRejectsExistingVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, verts, edges := bulkTestGraph(50, 3)
-	if _, err := c.BulkLoad(verts, edges); !errors.Is(err, ErrInvalid) {
+	if _, err := c.BulkLoadGraph(bulkVertices(verts), edges); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("bulk load over existing vertex: %v, want ErrInvalid", err)
 	}
 }
 
 func TestBulkLoadImplicitVerticesAndHashFallback(t *testing.T) {
-	// No Mapped directory: BulkLoad must fall back to hash placement, and
-	// vertices named only in edges must be created.
+	// No Mapped directory: BulkLoadGraph must fall back to hash placement,
+	// and vertices named only in edges must be created.
 	c := openTest(t, testConfig(1, 2))
-	st, err := c.BulkLoad(nil, []BulkEdge{{"a", "b"}, {"b", "c"}, {"c", "a"}})
+	st, err := c.BulkLoadGraph(nil, []BulkEdge{{"a", "b"}, {"b", "c"}, {"c", "a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func TestBulkLoadDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, verts, edges := bulkTestGraph(200, 4)
-	st, err := c.BulkLoad(verts, edges)
+	st, err := c.BulkLoadGraph(bulkVertices(verts), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +414,7 @@ func TestRecoverNowRacingBulkLoadCompletes(t *testing.T) {
 
 	loaded := make(chan error, 1)
 	go func() {
-		_, err := c.BulkLoad(load, nil)
+		_, err := c.BulkLoadGraph(bulkVertices(load), nil)
 		loaded <- err
 	}()
 	// Wait for the load's fence to be up on every gatekeeper.

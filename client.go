@@ -124,14 +124,6 @@ func (cl *Client) Lookup(key, value string) ([]VertexID, Timestamp, error) {
 	return cl.LookupWhere(0, wire.Eq(key, value)...)
 }
 
-// LookupRange is Lookup over the value interval [lo, hi] (lexicographic,
-// inclusive), served by the index's sorted value layer. An empty lo means
-// "from the smallest value"; an empty hi means "to the largest". Results
-// are sorted by vertex ID.
-func (cl *Client) LookupRange(key, lo, hi string) ([]VertexID, Timestamp, error) {
-	return cl.LookupWhere(0, wire.Between(key, lo, hi)...)
-}
-
 // RunProgramWhere launches a registered node program starting at every
 // vertex whose indexed property key equals value — "begin at all vertices
 // with kind=block" without a hand-carried ID list. The index lookup and

@@ -1,5 +1,5 @@
 // Command weaver-load bulk-ingests an edge list into a Weaver cluster
-// through the snapshot subsystem (Cluster.BulkLoad): LDG streaming
+// through the snapshot subsystem (Cluster.BulkLoadGraph): LDG streaming
 // placement, parallel per-shard segment builders, direct install into the
 // backing store and shard graphs — no per-transaction commits. With -wal
 // the load finishes with a checkpoint, so reopening the store recovers
@@ -67,7 +67,7 @@ func main() {
 	}
 	defer c.Close()
 
-	st, err := c.BulkLoad(verts, edges)
+	st, err := c.BulkLoadGraph(verts, edges)
 	if err != nil {
 		log.Fatalf("weaver-load: bulk load: %v", err)
 	}
@@ -94,7 +94,7 @@ func main() {
 		// traversal from the first edge's source.
 		start := weaver.VertexID("")
 		if len(verts) > 0 {
-			start = verts[0]
+			start = verts[0].ID
 		} else if len(edges) > 0 {
 			start = edges[0].From
 		}
@@ -108,7 +108,7 @@ func main() {
 }
 
 // inputGraph resolves the load input from flags.
-func inputGraph(edgesPath, synthetic string, v, m int, seed int64) ([]weaver.VertexID, []weaver.BulkEdge, error) {
+func inputGraph(edgesPath, synthetic string, v, m int, seed int64) ([]weaver.BulkVertex, []weaver.BulkEdge, error) {
 	switch {
 	case edgesPath != "" && synthetic != "":
 		return nil, nil, fmt.Errorf("set only one of -edges and -synthetic")
@@ -128,14 +128,18 @@ func inputGraph(edgesPath, synthetic string, v, m int, seed int64) ([]weaver.Ver
 		for i, e := range g.Edges {
 			edges[i] = weaver.BulkEdge{From: e.From, To: e.To}
 		}
-		return g.Vertices, edges, nil
+		verts := make([]weaver.BulkVertex, len(g.Vertices))
+		for i, id := range g.Vertices {
+			verts[i] = weaver.BulkVertex{ID: id}
+		}
+		return verts, edges, nil
 	default:
 		return nil, nil, nil
 	}
 }
 
 // readEdgeList parses a whitespace-separated edge list.
-func readEdgeList(path string) ([]weaver.VertexID, []weaver.BulkEdge, error) {
+func readEdgeList(path string) ([]weaver.BulkVertex, []weaver.BulkEdge, error) {
 	var r *os.File
 	if path == "-" {
 		r = os.Stdin

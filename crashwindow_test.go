@@ -74,8 +74,8 @@ func TestMigrateBatchSerializesWithRecovery(t *testing.T) {
 	}
 }
 
-// A recovery racing an in-flight BulkLoad used to corrupt the load the same
-// way: the load snapshotted c.shards before pausing and never took the
+// A recovery racing an in-flight BulkLoadGraph used to corrupt the load the
+// same way: the load snapshotted c.shards before pausing and never took the
 // reconfiguration lock, so the recovery of a shard it loads INTO could swap
 // the instance between that snapshot and the install. The records landed in
 // the dead instance's graph — and, the reborn shard having scanned the store
@@ -111,7 +111,7 @@ func TestBulkLoadSerializesWithRecovery(t *testing.T) {
 			// Blocked on the reconfig lock, as it must be.
 		}
 	}
-	if _, err := c.BulkLoad(load, nil); err != nil {
+	if _, err := c.BulkLoadGraph(bulkVertices(load), nil); err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
 	c.testHookFenced = nil

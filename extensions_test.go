@@ -3,9 +3,11 @@ package weaver
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"weaver/internal/kvstore"
 	"weaver/internal/partition"
 )
 
@@ -69,7 +71,7 @@ func TestMigrateVertex(t *testing.T) {
 	src := c.Directory().Lookup("mover")
 	dst := (src + 1) % 3
 
-	if err := c.Migrate("mover", dst); err != nil {
+	if _, err := c.MigrateBatch([]Move{{"mover", dst}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Directory().Lookup("mover"); got != dst {
@@ -96,59 +98,19 @@ func TestMigrateVertex(t *testing.T) {
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("post-migration traverse: %v %v", ids, err)
 	}
-	// Migrating to the same shard is a no-op; bad inputs error.
-	if err := c.Migrate("mover", dst); err != nil {
-		t.Fatal(err)
+	// Migrating to the same shard is a no-op; a bad shard errors.
+	if moved, err := c.MigrateBatch([]Move{{"mover", dst}}); err != nil || moved != 0 {
+		t.Fatalf("same-shard migration: moved=%d err=%v", moved, err)
 	}
-	if err := c.Migrate("ghost", 0); err == nil {
-		t.Fatal("migrating a missing vertex must fail")
-	}
-	if err := c.Migrate("mover", 99); err == nil {
+	if _, err := c.MigrateBatch([]Move{{"mover", 99}}); err == nil {
 		t.Fatal("bad shard must fail")
 	}
 }
 
 func TestMigrateRequiresMappedDirectory(t *testing.T) {
 	c := openTest(t, testConfig(1, 2))
-	if err := c.Migrate("x", 0); err == nil {
+	if _, err := c.MigrateBatch([]Move{{"x", 0}}); err == nil {
 		t.Fatal("hash directory must refuse migration")
-	}
-}
-
-func TestRebalanceLDGMovesClusteredVertices(t *testing.T) {
-	cfg := testConfig(1, 2)
-	cfg.Directory = partition.NewMapped(partition.NewHash(2))
-	c := openTest(t, cfg)
-	cl := c.Client()
-	// A tight 8-clique: LDG should colocate it.
-	var ids []VertexID
-	if _, err := cl.RunTx(func(tx *Tx) error {
-		for i := 0; i < 8; i++ {
-			v := VertexID(fmt.Sprintf("cl%d", i))
-			ids = append(ids, v)
-			tx.CreateVertex(v)
-		}
-		for i := 0; i < 8; i++ {
-			for j := 1; j <= 2; j++ {
-				tx.CreateEdge(ids[i], ids[(i+j)%8])
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RebalanceLDG(ids, 2.0); err != nil {
-		t.Fatal(err)
-	}
-	// All clique members now share a shard, and reads still work.
-	home := c.Directory().Lookup(ids[0])
-	for _, v := range ids {
-		if c.Directory().Lookup(v) != home {
-			t.Fatalf("clique split across shards after rebalance")
-		}
-		if _, ok, err := cl.GetNode(v); err != nil || !ok {
-			t.Fatalf("post-rebalance read of %s: ok=%v err=%v", v, ok, err)
-		}
 	}
 }
 
@@ -311,5 +273,40 @@ func TestDemandPaging(t *testing.T) {
 	d, _, _ := cl.GetNode("pg0")
 	if d.Props["n"] != "updated" {
 		t.Fatalf("post-paging write invisible: %+v", d)
+	}
+}
+
+// A stored epoch that is not 8 bytes cannot be read, so the cluster cannot
+// resume above it: Open must fail rather than restart at epoch 1, where new
+// timestamps could order before pre-restart ones.
+func TestOpenRejectsMalformedEpoch(t *testing.T) {
+	cfg := testConfig(1, 2)
+	cfg.WALPath = filepath.Join(t.TempDir(), "weaver.wal")
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := kvstore.NewDurable(cfg.WALPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := st.Begin()
+	if err := tx.Put(epochKey, []byte{0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(cfg); err == nil {
+		c.Close()
+		t.Fatal("Open accepted a 3-byte stored epoch")
+	} else if !strings.Contains(err.Error(), "epoch") {
+		t.Fatalf("Open error does not name the epoch: %v", err)
 	}
 }

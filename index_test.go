@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"weaver"
+	"weaver/internal/gatekeeper"
 	"weaver/internal/nodeprog"
 )
 
@@ -92,12 +93,14 @@ func TestIndexLookupEndToEnd(t *testing.T) {
 
 	// Range over the whole alphabet returns everything; a tight range
 	// only its band.
-	all, _, err := cl.LookupRange("city", "", "")
+	all, _, err := cl.LookupWhere(0, weaver.Where{Key: "city", Op: weaver.OpGe, Value: ""})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameIDSet(t, "range all", all, append(append([]weaver.VertexID{}, ithaca...), nyc...))
-	band, _, err := cl.LookupRange("city", "i", "j")
+	band, _, err := cl.LookupWhere(0,
+		weaver.Where{Key: "city", Op: weaver.OpGe, Value: "i"},
+		weaver.Where{Key: "city", Op: weaver.OpLe, Value: "j"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +152,25 @@ func TestIndexLookupEndToEnd(t *testing.T) {
 	}
 	if lookups == 0 {
 		t.Fatal("shards report zero index lookups")
+	}
+}
+
+// A lookup with no predicate is the caller's mistake, not a failed
+// program: every lookup entry point refuses it with ErrInvalid.
+func TestEmptyConjunctionIsInvalid(t *testing.T) {
+	c, err := weaver.Open(indexConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl := c.Client()
+	_, _, freshErr := cl.LookupWhere(0)
+	_, pinnedErr := cl.At(cl.Snapshot()).LookupWhere(0)
+	_, _, explainErr := cl.ExplainWhere(0)
+	for name, err := range map[string]error{"LookupWhere": freshErr, "ReadClient.LookupWhere": pinnedErr, "ExplainWhere": explainErr} {
+		if !errors.Is(err, weaver.ErrInvalid) || errors.Is(err, gatekeeper.ErrProgFailed) {
+			t.Errorf("%s with no predicate: err = %v, want ErrInvalid and not ErrProgFailed", name, err)
+		}
 	}
 }
 
@@ -246,7 +268,9 @@ func TestIndexHistoricalLookupAcrossMigrationAndGC(t *testing.T) {
 	if ids, err := rc.Lookup("city", "b"); err != nil || len(ids) != 0 {
 		t.Fatalf("pinned lookup b: ids=%v err=%v, want empty", ids, err)
 	}
-	oldRange, err := rc.LookupRange("city", "a", "z")
+	oldRange, err := rc.LookupWhere(0,
+		weaver.Where{Key: "city", Op: weaver.OpGe, Value: "a"},
+		weaver.Where{Key: "city", Op: weaver.OpLe, Value: "z"})
 	if err != nil {
 		t.Fatal(err)
 	}

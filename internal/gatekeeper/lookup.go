@@ -20,9 +20,9 @@ var ErrNoIndex = errors.New("gatekeeper: no secondary index on property key")
 
 // LookupOptions parameterizes one index query.
 type LookupOptions struct {
-	// Wheres is the predicate conjunction (wire.Eq and wire.Between build
-	// the equality and inclusive-range forms); every predicate key must be
-	// indexed. It is pushed down to the shards on the wire.
+	// Wheres is the predicate conjunction (wire.Eq builds the equality
+	// form); every predicate key must be indexed. It is pushed down to the
+	// shards on the wire.
 	Wheres []wire.Where
 	// Limit caps the result at the first Limit matches by ascending
 	// vertex ID (0 = unlimited); pushed down with Wheres so shards
@@ -76,7 +76,7 @@ type LookupOptions struct {
 // two shards of ONE round may both report the same vertex.
 func (g *Gatekeeper) Lookup(readTS core.Timestamp, opts LookupOptions) ([]graph.VertexID, core.Timestamp, error) {
 	if len(opts.Wheres) == 0 {
-		return nil, readTS, fmt.Errorf("%w: empty predicate conjunction", ErrProgFailed)
+		return nil, readTS, fmt.Errorf("%w: empty predicate conjunction", ErrInvalid)
 	}
 	tL := time.Now()
 

@@ -321,10 +321,10 @@ type KV struct {
 
 // BulkPut installs entries directly, bypassing optimistic concurrency
 // control and the per-record WAL path — the backing-store half of bulk
-// ingest (weaver.Cluster.BulkLoad). Existing keys are overwritten with a
-// version bump. The records are NOT logged: on a durable store the caller
-// must follow up with Checkpoint to make them crash-safe (Cluster.BulkLoad
-// does).
+// ingest (weaver.Cluster.BulkLoadGraph). Existing keys are overwritten
+// with a version bump. The records are NOT logged: on a durable store the
+// caller must follow up with Checkpoint to make them crash-safe
+// (Cluster.BulkLoadGraph does).
 func (s *Store) BulkPut(kvs []KV) {
 	s.commitMu.RLock()
 	defer s.commitMu.RUnlock()

@@ -79,7 +79,7 @@ func TestBuildBroadcastsWithoutEquality(t *testing.T) {
 	p := New(3, m)
 
 	for _, q := range []Query{
-		{Wheres: wire.Between("kind", "a", "b")},
+		{Wheres: []wire.Where{{Key: "kind", Op: wire.OpGe, Value: "a"}, {Key: "kind", Op: wire.OpLe, Value: "b"}}},
 		{Wheres: []wire.Where{{Key: "kind", Op: wire.OpGe, Value: "a"}}},
 	} {
 		pl := p.Build(q)

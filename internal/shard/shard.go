@@ -325,10 +325,10 @@ func (s *Shard) InstallRecovered(recs []*graph.VertexRecord) int {
 	return s.install(recs, true)
 }
 
-// Install installs bulk-ingested records (Cluster.BulkLoad's segments)
-// unmarked: their fresh vertices did not exist before their stamp. The
-// caller must guarantee no conflicting transaction is applying —
-// gatekeepers paused and applies quiesced.
+// Install installs bulk-ingested records (Cluster.BulkLoadGraph's
+// segments) unmarked: their fresh vertices did not exist before their
+// stamp. The caller must guarantee no conflicting transaction is applying
+// — gatekeepers paused and applies quiesced.
 func (s *Shard) Install(recs []*graph.VertexRecord) int {
 	return s.install(recs, false)
 }

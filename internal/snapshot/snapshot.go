@@ -7,8 +7,8 @@
 //     segments, atomically publishes a manifest, and truncates the
 //     write-ahead log. Reopening the store loads snapshot + WAL tail
 //     instead of replaying the full history.
-//   - Bulk ingest: weaver.Cluster.BulkLoad builds per-shard segments of
-//     encoded vertex records on a worker pool and installs them directly
+//   - Bulk ingest: weaver.Cluster.BulkLoadGraph builds per-shard segments
+//     of encoded vertex records on a worker pool and installs them directly
 //     into the backing store and the shards' in-memory graphs, bypassing
 //     the per-transaction commit path.
 //

@@ -59,8 +59,8 @@ func sampleMessages() []any {
 		ProgDelta{QID: qid, ConsumedIDs: []uint64{4}, Trace: 1 << 63},
 		ProgFinish{QID: qid},
 		IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Wheres: Eq("city", "ithaca"), Reply: "gk/2"},
-		IndexLookup{QID: qid, Wheres: Between("age", "10", "42"), Reply: "gk/0"},
-		IndexLookup{QID: qid, Wheres: Between("age", "", ""), Reply: "gk/2", Trace: 99},
+		IndexLookup{QID: qid, Wheres: []Where{{Key: "age", Op: OpGe, Value: "10"}, {Key: "age", Op: OpLe, Value: "42"}}, Reply: "gk/0"},
+		IndexLookup{QID: qid, Wheres: []Where{{Key: "age", Op: OpGe}}, Reply: "gk/2", Trace: 99},
 		IndexLookup{QID: qid, ReadTS: ts(1, 1, 3, 3), Reply: "gk/2", Wheres: []Where{
 			{Key: "city", Op: OpEq, Value: "ithaca"},
 			{Key: "age", Op: OpGe, Value: "21"},

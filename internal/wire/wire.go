@@ -159,24 +159,6 @@ func Eq(key, value string) []Where {
 	return []Where{{Key: key, Op: OpEq, Value: value}}
 }
 
-// Between is the conjunction of an inclusive range lookup over [lo, hi]:
-// an empty side is unbounded and contributes no predicate, and with both
-// sides empty the single predicate key >= "" selects every vertex carrying
-// the key.
-func Between(key, lo, hi string) []Where {
-	var ws []Where
-	if lo != "" {
-		ws = append(ws, Where{Key: key, Op: OpGe, Value: lo})
-	}
-	if hi != "" {
-		ws = append(ws, Where{Key: key, Op: OpLe, Value: hi})
-	}
-	if ws == nil {
-		ws = []Where{{Key: key, Op: OpGe}}
-	}
-	return ws
-}
-
 // IndexLookup asks one shard to evaluate a secondary-index query at a
 // snapshot: the scatter half of a cluster-wide index lookup. The
 // coordinating gatekeeper fans the same message out to the planned shard

@@ -118,43 +118,6 @@ func sortHeat(hs []VertexHeat) {
 	})
 }
 
-// Migrate moves a single vertex's home to the target shard — the §4.6
-// dynamic placement primitive. The cluster must be opened with a
-// *partition.Mapped directory (Config.Directory), as hash placement has no
-// table to update. Migrating a vertex to its current home is a no-op;
-// migrating a missing or deleted vertex is an error. For more than one
-// vertex, use MigrateBatch: it amortizes the gatekeeper pause over the
-// whole batch.
-func (c *Cluster) Migrate(v VertexID, target int) error {
-	if _, ok := c.dir.(*partition.Mapped); !ok {
-		return errors.New("weaver: migration requires Config.Directory to be a *partition.Mapped")
-	}
-	if target < 0 || target >= c.cfg.Shards {
-		return fmt.Errorf("weaver: no such shard %d", target)
-	}
-	// Advisory pre-check so single-vertex callers get the old, precise
-	// error semantics; the batch re-validates behind the fence.
-	data, _, found, err := c.kv.GetVersioned(graph.VertexKey(v))
-	if err != nil {
-		return fmt.Errorf("weaver: migrate %q: %w", v, err)
-	}
-	if !found {
-		return fmt.Errorf("weaver: migrate %q: no such vertex", v)
-	}
-	rec, err := graph.DecodeRecord(data)
-	if err != nil {
-		return fmt.Errorf("weaver: migrate %q: %w", v, err)
-	}
-	if rec.Deleted {
-		return fmt.Errorf("weaver: migrate %q: vertex deleted", v)
-	}
-	if rec.Shard == target {
-		return nil
-	}
-	_, err = c.MigrateBatch([]Move{{Vertex: v, Target: target}})
-	return err
-}
-
 // MigrateBatch re-homes a batch of vertices under a single gatekeeper
 // pause/resume cycle (§4.6, §4.3 epoch-barrier style):
 //
@@ -316,67 +279,40 @@ func (c *Cluster) rebalanceStats() RebalanceStats {
 // failures are accumulated and returned (never silently dropped); live
 // reports which set members currently exist undeleted.
 //
-// fullScan selects the fetch strategy. A full keyspace scan sees every
-// in-edge — including ones owned by vertices outside the set — at
-// O(total graph) decode cost; RebalanceLDG uses it, since an operator
-// re-placing an explicit vertex list wants complete information. The
-// targeted fetch decodes only the set's own records, at O(set) cost: the
-// periodic heat-driven cycle uses it, where the price of a full decode of
-// the whole store every interval would dwarf the traffic being optimized —
-// and loses little, because an in-edge that carries traffic makes its
-// owner hot, pulling that owner (and so the edge) into the set.
-func (c *Cluster) adjacencyFor(set map[VertexID]struct{}, fullScan bool) (adj map[VertexID][]VertexID, live map[VertexID]bool, err error) {
+// Only the set's own records are decoded, at O(set) cost: a decode of the
+// whole store every rebalance interval would dwarf the traffic being
+// optimized. An in-edge owned by a vertex outside the set is therefore not
+// seen, which loses little, because an in-edge that carries traffic makes
+// its owner hot, pulling that owner (and so the edge) into the set.
+func (c *Cluster) adjacencyFor(set map[VertexID]struct{}) (adj map[VertexID][]VertexID, live map[VertexID]bool, err error) {
 	adj = make(map[VertexID][]VertexID, len(set))
 	live = make(map[VertexID]bool, len(set))
 	var errs []error
-	ingest := func(rec *graph.VertexRecord) {
-		_, from := set[rec.ID]
-		if from {
-			live[rec.ID] = true
-		}
-		for _, e := range rec.Edges {
-			if e.To == rec.ID {
-				continue
-			}
-			if from {
-				adj[rec.ID] = append(adj[rec.ID], e.To)
-			}
-			if _, to := set[e.To]; to {
-				adj[e.To] = append(adj[e.To], rec.ID)
-			}
-		}
-	}
-	if fullScan {
-		err := c.kv.ScanPrefix(graph.VertexKeyPrefix, func(key string, data []byte) {
-			rec, derr := graph.DecodeRecord(data)
-			if derr != nil {
-				errs = append(errs, fmt.Errorf("weaver: rebalance: decode %q: %w", key, derr))
-				return
-			}
-			if !rec.Deleted {
-				ingest(rec)
-			}
-		})
+	for v := range set {
+		data, _, found, err := c.kv.GetVersioned(graph.VertexKey(v))
 		if err != nil {
-			errs = append(errs, fmt.Errorf("weaver: rebalance: %w", err))
+			errs = append(errs, fmt.Errorf("weaver: rebalance: read %q: %w", graph.VertexKey(v), err))
+			continue
 		}
-	} else {
-		for v := range set {
-			data, _, found, gerr := c.kv.GetVersioned(graph.VertexKey(v))
-			if gerr != nil {
-				errs = append(errs, fmt.Errorf("weaver: rebalance: read %q: %w", graph.VertexKey(v), gerr))
+		if !found {
+			continue
+		}
+		rec, err := graph.DecodeRecord(data)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("weaver: rebalance: decode %q: %w", graph.VertexKey(v), err))
+			continue
+		}
+		if rec.Deleted {
+			continue
+		}
+		live[v] = true
+		for _, e := range rec.Edges {
+			if e.To == v {
 				continue
 			}
-			if !found {
-				continue
-			}
-			rec, derr := graph.DecodeRecord(data)
-			if derr != nil {
-				errs = append(errs, fmt.Errorf("weaver: rebalance: decode %q: %w", graph.VertexKey(v), derr))
-				continue
-			}
-			if !rec.Deleted {
-				ingest(rec)
+			adj[v] = append(adj[v], e.To)
+			if _, to := set[e.To]; to {
+				adj[e.To] = append(adj[e.To], v)
 			}
 		}
 	}
@@ -384,12 +320,12 @@ func (c *Cluster) adjacencyFor(set map[VertexID]struct{}, fullScan bool) (adj ma
 }
 
 // planMoves runs the LDG streaming partitioner over the given vertices
-// (hottest/first-listed get first pick) against their full live adjacency
-// and returns the placements that should change, plus the adjacency it
+// (hottest/first-listed get first pick) against their live adjacency and
+// returns the placements that should change, plus the adjacency it
 // planned over. Current shard loads seed the capacity penalty, and the
 // current homes of out-of-set neighbors seed the score, so vertices are
 // pulled toward where their neighbors actually live today.
-func (c *Cluster) planMoves(vertices []VertexID, slack float64, fullScan bool) ([]Move, map[VertexID][]VertexID, error) {
+func (c *Cluster) planMoves(vertices []VertexID) ([]Move, map[VertexID][]VertexID, error) {
 	// Dedupe, keeping first-occurrence (hottest-first) order: callers may
 	// legitimately repeat a vertex — Cluster.Heat can report one from two
 	// shards around a migration — and MigrateBatch rejects duplicate moves.
@@ -403,14 +339,14 @@ func (c *Cluster) planMoves(vertices []VertexID, slack float64, fullScan bool) (
 		uniq = append(uniq, v)
 	}
 	vertices = uniq
-	adj, live, scanErr := c.adjacencyFor(set, fullScan)
+	adj, live, scanErr := c.adjacencyFor(set)
 
 	_, shards := c.servers()
 	loads := make([]int, c.cfg.Shards)
 	for i, sh := range shards {
 		loads[i] = sh.Graph().NumVertices()
 	}
-	ldg := partition.NewLDGRebalance(loads, len(vertices), slack)
+	ldg := partition.NewLDGRebalance(loads, len(vertices), rebalanceSlack)
 	for _, nbrs := range adj {
 		for _, nb := range nbrs {
 			if _, moving := set[nb]; !moving {
@@ -448,24 +384,6 @@ func placementCut(adj map[VertexID][]VertexID, lookup func(VertexID) int) int {
 	return cut
 }
 
-// RebalanceLDG recomputes placement for the given vertices with the LDG
-// streaming partitioner (§4.6) over their full live adjacency — both edge
-// directions, including in-edges from vertices outside the set — and
-// migrates every vertex whose assignment changes, in one batch (one
-// gatekeeper pause). Record read errors are accumulated and returned
-// alongside the number migrated; vertices that do not exist are skipped.
-func (c *Cluster) RebalanceLDG(vertices []VertexID, slack float64) (int, error) {
-	if _, ok := c.dir.(*partition.Mapped); !ok {
-		return 0, errors.New("weaver: rebalancing requires Config.Directory to be a *partition.Mapped")
-	}
-	moves, _, planErr := c.planMoves(vertices, slack, true)
-	if len(moves) == 0 {
-		return 0, planErr
-	}
-	moved, err := c.MigrateBatch(moves)
-	return moved, errors.Join(planErr, err)
-}
-
 // RebalanceOnce runs one heat-driven rebalance cycle — what the background
 // rebalancer does every Config.RebalanceInterval: sample the hottest
 // vertices across all shards, re-place them with LDG against their live
@@ -489,7 +407,7 @@ func (c *Cluster) RebalanceOnce() (int, error) {
 	for i, h := range hot {
 		vertices[i] = h.Vertex
 	}
-	moves, adj, planErr := c.planMoves(vertices, rebalanceSlack, false)
+	moves, adj, planErr := c.planMoves(vertices)
 	if len(moves) == 0 {
 		return 0, planErr
 	}

@@ -2,8 +2,8 @@ package weaver
 
 // Tests for online heat-driven repartitioning (§4.6): the batched
 // migration protocol, its correctness fixes (source eviction, failed-commit
-// atomicity, full-adjacency rebalancing with surfaced errors), heat
-// tracking, and the background rebalancer.
+// atomicity, rebalancing with surfaced errors), heat tracking, and the
+// background rebalancer.
 
 import (
 	"errors"
@@ -42,7 +42,7 @@ func TestMigrateEvictsSourceCopy(t *testing.T) {
 		t.Fatal("setup: source shard does not hold the vertex")
 	}
 
-	if err := c.Migrate("mover", dst); err != nil {
+	if _, err := c.MigrateBatch([]Move{{"mover", dst}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.shardAt(src).Graph().Has("mover") {
@@ -94,7 +94,7 @@ func TestMigrateFailedCommitLeavesNoPhantom(t *testing.T) {
 
 	realKV := c.kv
 	c.kv = failCommitBacking{realKV}
-	err := c.Migrate("p", dst)
+	_, err := c.MigrateBatch([]Move{{"p", dst}})
 	c.kv = realKV
 	if err == nil {
 		t.Fatal("migration with failing commit must error")
@@ -115,7 +115,7 @@ func TestMigrateFailedCommitLeavesNoPhantom(t *testing.T) {
 		t.Fatalf("read after failed migration: %+v ok=%v err=%v", d, ok, rerr)
 	}
 	// And a real migration still succeeds afterwards.
-	if err := c.Migrate("p", dst); err != nil {
+	if _, err := c.MigrateBatch([]Move{{"p", dst}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Directory().Lookup("p"); got != dst {
@@ -189,44 +189,82 @@ func TestMigrateBatchSinglePause(t *testing.T) {
 	}
 }
 
-// RebalanceLDG must see BOTH edge directions: a vertex whose only
-// connectivity is in-edges from vertices outside the rebalanced set must
-// still be pulled toward those neighbors. Before this fix adjacency was
-// built from the scanned set's out-edges only, so "hub" looked isolated
-// and stayed put.
-func TestRebalanceLDGUsesInEdges(t *testing.T) {
-	cfg := mappedConfig(1, 2)
-	mapped := cfg.Directory.(*partition.Mapped)
-	// Pin placement before creation: fans on shard 1, hub on shard 0.
-	mapped.Assign("hub", 0)
-	fans := []VertexID{"fan0", "fan1", "fan2", "fan3"}
-	for _, f := range fans {
-		mapped.Assign(f, 1)
-	}
-	c := openTest(t, cfg)
+// A batch drops, and counts in RebalanceStats.Skipped, every move whose
+// vertex is missing, deleted or already home on its target, and moves the
+// rest.
+func TestMigrateBatchCountsSkippedMoves(t *testing.T) {
+	c := openTest(t, mappedConfig(1, 2))
 	cl := c.Client()
 	if _, err := cl.RunTx(func(tx *Tx) error {
-		tx.CreateVertex("hub")
-		for _, f := range fans {
-			tx.CreateVertex(f)
-			tx.CreateEdge(f, "hub") // in-edges only; hub has no out-edges
+		for _, v := range []VertexID{"gone", "home", "mover"} {
+			tx.CreateVertex(v)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cl.RunTx(func(tx *Tx) error {
+		tx.DeleteVertex("gone")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	other := func(v VertexID) int { return 1 - c.Directory().Lookup(v) }
+	before := c.Stats().Rebalance.Skipped
+	moved, err := c.MigrateBatch([]Move{
+		{"ghost", 0},
+		{"gone", other("gone")},
+		{"home", c.Directory().Lookup("home")},
+		{"mover", other("mover")},
+	})
+	if err != nil || moved != 1 {
+		t.Fatalf("MigrateBatch: moved=%d err=%v, want 1 move", moved, err)
+	}
+	if got := c.Stats().Rebalance.Skipped - before; got != 3 {
+		t.Fatalf("Skipped grew by %d, want 3", got)
+	}
+}
 
-	// Duplicate input vertices must plan one move, not a rejected batch:
-	// Cluster.Heat can report a vertex from two shards around a migration.
-	moved, err := c.RebalanceLDG([]VertexID{"hub", "hub"}, 1.0)
+// Planning takes each vertex once: Cluster.Heat can report a vertex from
+// two shards around a migration, and MigrateBatch rejects a batch that
+// names a vertex twice.
+func TestRebalancePlansEachVertexOnce(t *testing.T) {
+	cfg := mappedConfig(1, 2)
+	mapped := cfg.Directory.(*partition.Mapped)
+	// Pin placement before creation: hub and ballast on shard 0, fans on
+	// shard 1. The ballast keeps shard 1 below LDG's capacity.
+	mapped.Assign("hub", 0)
+	fans := []VertexID{"fan0", "fan1", "fan2", "fan3"}
+	ballast := []VertexID{"ballast0", "ballast1", "ballast2", "ballast3"}
+	for i := range fans {
+		mapped.Assign(fans[i], 1)
+		mapped.Assign(ballast[i], 0)
+	}
+	c := openTest(t, cfg)
+	cl := c.Client()
+	if _, err := cl.RunTx(func(tx *Tx) error {
+		tx.CreateVertex("hub")
+		for i := range fans {
+			tx.CreateVertex(fans[i])
+			tx.CreateVertex(ballast[i])
+			tx.CreateEdge("hub", fans[i])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	moves, _, err := c.planMoves([]VertexID{"hub", "hub"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved != 1 {
-		t.Fatalf("moved %d, want 1 (in-edges invisible to the partitioner)", moved)
+	if want := []Move{{"hub", 1}}; !slices.Equal(moves, want) {
+		t.Fatalf("planned %v, want %v", moves, want)
 	}
-	if got := c.Directory().Lookup("hub"); got != 1 {
-		t.Fatalf("hub routes to %d, want 1 (with its fans)", got)
+	if moved, err := c.MigrateBatch(moves); err != nil || moved != 1 {
+		t.Fatalf("MigrateBatch(%v): moved=%d err=%v", moves, moved, err)
 	}
 }
 
@@ -236,13 +274,19 @@ func TestRebalanceLDGUsesInEdges(t *testing.T) {
 func TestRebalanceLDGSurfacesReadErrors(t *testing.T) {
 	c := openTest(t, mappedConfig(1, 2))
 	cl := c.Client()
+	// Both vertices are written, so both are hot and RebalanceOnce reads
+	// their records.
 	if _, err := cl.RunTx(func(tx *Tx) error {
 		tx.CreateVertex("good")
+		tx.CreateVertex("corrupt")
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Plant a corrupt record in the vertex keyspace.
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt one record in the backing store.
 	tx := c.kv.Begin()
 	if err := tx.Put(graph.VertexKey("corrupt"), []byte{0x01, 0x02, 0x03}); err != nil {
 		t.Fatal(err)
@@ -251,7 +295,7 @@ func TestRebalanceLDGSurfacesReadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err := c.RebalanceLDG([]VertexID{"good", "corrupt"}, 0.5)
+	_, err := c.RebalanceOnce()
 	if err == nil {
 		t.Fatal("rebalance over a corrupt record must return an error")
 	}

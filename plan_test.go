@@ -51,12 +51,12 @@ func TestExplainReportsPruning(t *testing.T) {
 
 	// Selective value on two vertices: at most two owning shards, so at
 	// least two of four are pruned.
-	ids, ex, err := cl.Explain("city", "rare")
+	ids, ex, err := cl.ExplainWhere(0, weaver.Where{Key: "city", Op: weaver.OpEq, Value: "rare"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []weaver.VertexID{evid(5), evid(12)}; !reflect.DeepEqual(ids, want) {
-		t.Fatalf("Explain result %v, want %v", ids, want)
+		t.Fatalf("ExplainWhere result %v, want %v", ids, want)
 	}
 	if ex.Broadcast {
 		t.Fatalf("selective equality broadcast: %+v", ex)
@@ -76,7 +76,7 @@ func TestExplainReportsPruning(t *testing.T) {
 
 	// A value the catalog has never seen plans zero shards — provably
 	// empty without contacting anyone.
-	ids, ex, err = cl.Explain("city", "absent")
+	ids, ex, err = cl.ExplainWhere(0, weaver.Where{Key: "city", Op: weaver.OpEq, Value: "absent"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestExplainReportsPruning(t *testing.T) {
 		t.Fatalf("inequality-only explain: %+v", ex)
 	}
 
-	_, ex, err = cl.Explain("city", "common")
+	_, ex, err = cl.ExplainWhere(0, weaver.Where{Key: "city", Op: weaver.OpEq, Value: "common"})
 	if err != nil {
 		t.Fatal(err)
 	}

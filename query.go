@@ -1,10 +1,10 @@
 package weaver
 
-// Index query API (internal/plan). Every index query — Lookup,
-// LookupRange, LookupWhere — is one predicate conjunction executed as an
-// explicit plan: the gatekeeper consults its marker catalog to pick the
-// minimal shard set, pushes the conjunction and limit down to the shards,
-// scatters concurrently, and merges. Explain and ExplainWhere expose the
+// Index query API (internal/plan). Every index query — Lookup, and
+// LookupWhere for ranges and conjunctions — is one predicate conjunction
+// executed as an explicit plan: the gatekeeper consults its marker catalog
+// to pick the minimal shard set, pushes the conjunction and limit down to
+// the shards, scatters concurrently, and merges. ExplainWhere exposes the
 // plan a query ran with, plus its measured reality.
 
 import (
@@ -30,7 +30,7 @@ const (
 
 // Explanation reports how a query was planned and what actually happened:
 // the chosen shard set, what was pruned, actual row counts, and per-stage
-// timings. Produced by Client.Explain and Client.ExplainWhere.
+// timings. Produced by Client.ExplainWhere.
 type Explanation = plan.Explanation
 
 // LookupWhere returns the vertices satisfying every predicate in wheres
@@ -41,29 +41,17 @@ type Explanation = plan.Explanation
 // conjunction is evaluated shard-side (predicate and limit pushdown);
 // with at least one equality predicate the planner contacts only the
 // shards whose marker catalog admits a match, not the full cluster.
+// A range is two predicates, {key, OpGe, lo} and {key, OpLe, hi}; the
+// single predicate {key, OpGe, ""} selects every vertex carrying key.
 // Fails with ErrNoIndex when any predicate key is not indexed.
 func (cl *Client) LookupWhere(limit int, wheres ...Where) ([]VertexID, Timestamp, error) {
 	return cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
 }
 
-// BroadcastWhere is LookupWhere with shard pruning bypassed: every shard
-// is contacted regardless of the marker catalog. Planned execution is
-// result-identical to this by construction — tests use it as the
-// planner-equivalence oracle and benchmarks as the latency baseline.
-func (cl *Client) BroadcastWhere(limit int, wheres ...Where) ([]VertexID, Timestamp, error) {
-	return cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, ForceBroadcast: true})
-}
-
-// Explain runs Lookup(key, value) and reports the plan it executed:
-// which shards were contacted, which were pruned, actual rows, and
-// per-stage timings. The query really runs — actual numbers are measured,
-// not simulated.
-func (cl *Client) Explain(key, value string) ([]VertexID, Explanation, error) {
-	return cl.ExplainWhere(0, wire.Eq(key, value)...)
-}
-
-// ExplainWhere is Explain for a predicate conjunction with an optional
-// limit — the diagnostic twin of LookupWhere.
+// ExplainWhere runs LookupWhere(limit, wheres...) and reports the plan it
+// executed: which shards were contacted, which were pruned, actual rows,
+// and per-stage timings. The query really runs — actual numbers are
+// measured, not simulated.
 func (cl *Client) ExplainWhere(limit int, wheres ...Where) ([]VertexID, Explanation, error) {
 	var ex Explanation
 	ids, _, err := cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, Explain: &ex})
@@ -74,12 +62,5 @@ func (cl *Client) ExplainWhere(limit int, wheres ...Where) ([]VertexID, Explanat
 // fixed timestamp.
 func (r *ReadClient) LookupWhere(limit int, wheres ...Where) ([]VertexID, error) {
 	ids, _, err := r.rd.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit})
-	return ids, err
-}
-
-// BroadcastWhere is Client.BroadcastWhere — the pruning-bypassed oracle —
-// at the fixed timestamp.
-func (r *ReadClient) BroadcastWhere(limit int, wheres ...Where) ([]VertexID, error) {
-	ids, _, err := r.rd.lookup(gatekeeper.LookupOptions{Wheres: wheres, Limit: limit, ForceBroadcast: true})
 	return ids, err
 }

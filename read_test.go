@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"weaver/internal/gatekeeper"
 	"weaver/internal/nodeprog"
+	"weaver/internal/wire"
 )
 
 // readCases is every read the client offers, once through Client (a fresh
@@ -35,9 +37,13 @@ var readCases = []probe{
 	{"Lookup",
 		func(cl *Client) (any, Timestamp, error) { return cl.Lookup("city", "c0") },
 		func(r *ReadClient) (any, error) { return r.Lookup("city", "c0") }},
-	{"LookupRange",
-		func(cl *Client) (any, Timestamp, error) { return cl.LookupRange("age", "20", "60") },
-		func(r *ReadClient) (any, error) { return r.LookupRange("age", "20", "60") }},
+	{"LookupWhere range",
+		func(cl *Client) (any, Timestamp, error) {
+			return cl.LookupWhere(0, Where{Key: "age", Op: OpGe, Value: "20"}, Where{Key: "age", Op: OpLe, Value: "60"})
+		},
+		func(r *ReadClient) (any, error) {
+			return r.LookupWhere(0, Where{Key: "age", Op: OpGe, Value: "20"}, Where{Key: "age", Op: OpLe, Value: "60"})
+		}},
 	{"LookupWhere",
 		func(cl *Client) (any, Timestamp, error) {
 			return cl.LookupWhere(5, Where{Key: "city", Op: OpEq, Value: "c1"}, Where{Key: "age", Op: OpGt, Value: "30"})
@@ -45,12 +51,13 @@ var readCases = []probe{
 		func(r *ReadClient) (any, error) {
 			return r.LookupWhere(5, Where{Key: "city", Op: OpEq, Value: "c1"}, Where{Key: "age", Op: OpGt, Value: "30"})
 		}},
-	{"BroadcastWhere",
+	{"forced broadcast",
 		func(cl *Client) (any, Timestamp, error) {
-			return cl.BroadcastWhere(0, Where{Key: "city", Op: OpEq, Value: "c2"})
+			return cl.fresh().lookup(gatekeeper.LookupOptions{Wheres: wire.Eq("city", "c2"), ForceBroadcast: true})
 		},
 		func(r *ReadClient) (any, error) {
-			return r.BroadcastWhere(0, Where{Key: "city", Op: OpEq, Value: "c2"})
+			ids, _, err := r.rd.lookup(gatekeeper.LookupOptions{Wheres: wire.Eq("city", "c2"), ForceBroadcast: true})
+			return ids, err
 		}},
 	{"RunProgramWhere",
 		func(cl *Client) (any, Timestamp, error) { return cl.RunProgramWhere("get_node", nil, "city", "c0") },

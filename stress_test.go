@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"weaver/internal/gatekeeper"
 	"weaver/internal/workload"
 )
 
@@ -541,8 +542,8 @@ func conjunction(s *stress, r *rand.Rand, _ int) probe {
 // lookup is a planned LookupWhere. Its oracle at a timestamp is a
 // brute-force GetNode scan of the universe filtered by the test's own
 // reading of the predicates: the planned result and the forced broadcast
-// must equal it (truncated to limit), and so must LookupRange for an
-// inclusive pair and Lookup for a single equality. Equality with the
+// must equal it (truncated to limit), and so must the unlimited lookup of
+// an inclusive range pair and Lookup for a single equality. Equality with the
 // duplicate-free scan also rules out an ID reported twice.
 func (s *stress) lookup(limit int, ws ...Where) probe {
 	sorted := func(ids []VertexID) []VertexID { return slices.Sorted(slices.Values(ids)) }
@@ -575,12 +576,12 @@ func (s *stress) lookup(limit int, ws ...Where) probe {
 			}
 			ids, err := rc.LookupWhere(limit, ws...)
 			if err = check("planned", want, ids, err); err == nil {
-				ids, err = rc.BroadcastWhere(limit, ws...)
+				ids, _, err = rc.rd.lookup(gatekeeper.LookupOptions{Wheres: ws, Limit: limit, ForceBroadcast: true})
 				err = check("broadcast", want, ids, err)
 			}
 			if err == nil && len(ws) == 2 && ws[0].Key == ws[1].Key && ws[0].Op == OpGe && ws[1].Op == OpLe {
-				ids, err = rc.LookupRange(ws[0].Key, ws[0].Value, ws[1].Value)
-				err = check("LookupRange", scan, ids, err)
+				ids, err = rc.LookupWhere(0, ws...)
+				err = check("range", scan, ids, err)
 			}
 			if err == nil && len(ws) == 1 && ws[0].Op == OpEq && limit == 0 {
 				ids, err = rc.Lookup(ws[0].Key, ws[0].Value)

@@ -165,12 +165,6 @@ func (r *ReadClient) Lookup(key, value string) ([]VertexID, error) {
 	return r.LookupWhere(0, wire.Eq(key, value)...)
 }
 
-// LookupRange is Lookup over the value interval [lo, hi] (lexicographic,
-// inclusive; empty lo/hi = unbounded) as of the fixed timestamp.
-func (r *ReadClient) LookupRange(key, lo, hi string) ([]VertexID, error) {
-	return r.LookupWhere(0, wire.Between(key, lo, hi)...)
-}
-
 // RunProgramWhere launches a node program starting at every vertex whose
 // indexed property key equaled value as of the fixed timestamp; the lookup
 // and the program read the same snapshot.

@@ -47,14 +47,14 @@
 // snapshot fails validation and recovery falls back to the previous
 // snapshot plus its complete log.
 //
-// Cluster.BulkLoad populates a cluster wholesale, bypassing the
+// Cluster.BulkLoadGraph populates a cluster wholesale, bypassing the
 // per-transaction commit path: the edge list streams through the LDG
 // partitioner for locality-aware placement (when Config.Directory is a
 // *partition.Mapped), per-shard segment builders encode vertex records on
 // a GOMAXPROCS-sized worker pool, and the segments install directly into
 // the backing store and the shard graphs. One fresh timestamp stamps the
 // whole load and every gatekeeper clock observes it, so all later
-// transactions order after the load. On a durable cluster BulkLoad ends
+// transactions order after the load. On a durable cluster the load ends
 // with an automatic Checkpoint — crash-safe ingest without a WAL record
 // per commit.
 //
@@ -86,7 +86,7 @@
 // multiversion inverted index (internal/index): value → candidate vertices
 // over a projection of the shard's multi-version graph (each vertex's
 // incarnations and indexed-property versions), so
-// Client.Lookup/LookupRange answer "all vertices where key=value" (or a
+// Client.Lookup/LookupWhere answer "all vertices where key=value" (or a
 // value range) by the graph's own visibility rule, as a strictly
 // serializable snapshot read — and, through Client.At, as of any retained
 // past timestamp. RunProgramWhere starts a node program from an index
@@ -113,6 +113,7 @@
 package weaver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -154,10 +155,11 @@ type (
 var ErrConflict = gatekeeper.ErrConflict
 
 // ErrInvalid wraps semantic transaction errors (creating an existing
-// vertex, deleting a missing edge, …). Retrying will not help.
+// vertex, deleting a missing edge, …) and invalid queries (an index lookup
+// with no predicate). Retrying will not help.
 var ErrInvalid = gatekeeper.ErrInvalid
 
-// ErrNoIndex is returned by Lookup/LookupRange/RunProgramWhere when the
+// ErrNoIndex is returned by Lookup/LookupWhere/RunProgramWhere when the
 // named property key has no secondary index (Config.Indexes). Match with
 // errors.Is.
 var ErrNoIndex = gatekeeper.ErrNoIndex
@@ -245,7 +247,7 @@ type Config struct {
 	// Indexes declares secondary property indexes: for each listed
 	// vertex-property key, every shard maintains a multiversion inverted
 	// index over its partition, kept exactly in step with the graph by
-	// the transaction apply path. Client.Lookup/LookupRange answer
+	// the transaction apply path. Client.Lookup/LookupWhere answer
 	// equality and ordered range queries over these keys at a fresh
 	// snapshot (strictly serializable — never a phantom from a
 	// concurrent writer) or, via Client.At, at any retained past
@@ -378,25 +380,27 @@ func Open(cfg Config) (*Cluster, error) {
 			c.kv.Close()
 			return nil, fmt.Errorf("weaver: read epoch: %w", err)
 		}
-		if ok && len(raw) == 8 {
-			for i := 0; i < 8; i++ {
-				c.baseEpoch = c.baseEpoch<<8 | uint64(raw[i])
+		if ok {
+			if len(raw) != 8 {
+				c.kv.Close()
+				return nil, fmt.Errorf("weaver: read epoch: stored value is %d bytes, want 8", len(raw))
 			}
+			c.baseEpoch = binary.BigEndian.Uint64(raw)
 		}
 		c.baseEpoch++
-		buf := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(c.baseEpoch >> (56 - 8*i))
-		}
 		tx := c.kv.Begin()
-		tx.Put(epochKey, buf)
-		if err := tx.Commit(); err != nil {
+		err = tx.Put(epochKey, binary.BigEndian.AppendUint64(nil, c.baseEpoch))
+		if err == nil {
+			err = tx.Commit()
+		}
+		if err != nil {
+			c.kv.Close()
 			return nil, fmt.Errorf("weaver: persist epoch: %w", err)
 		}
 	}
 	// Durable reopen: one scan over the vertex keyspace decodes every
-	// record once, rebuilds locality-aware placements (BulkLoad's LDG
-	// assignments, RebalanceLDG moves — the backing store doubles as the
+	// record once, rebuilds locality-aware placements (BulkLoadGraph's LDG
+	// assignments, MigrateBatch moves — the backing store doubles as the
 	// authoritative vertex→shard directory, §3.2, and hop routing must
 	// agree with where each vertex recovers), and buckets records per
 	// shard for Shard.InstallRecovered — instead of every shard re-scanning

@@ -149,7 +149,7 @@ func TestReachabilityMatchesReferenceBFS(t *testing.T) {
 		edges[i] = BulkEdge{From: e.From, To: e.To}
 	}
 	c := openTest(t, mappedConfig(2, 3))
-	if _, err := c.BulkLoad(g.Vertices, edges); err != nil {
+	if _, err := c.BulkLoadGraph(bulkVertices(g.Vertices), edges); err != nil {
 		t.Fatal(err)
 	}
 	cl := c.Client()
