@@ -106,7 +106,9 @@ func recordToData(rec *graph.VertexRecord) *VertexData {
 // RunProgram launches a registered node program at the start vertices and
 // returns the raw values its visits returned (§2.3) and the fresh snapshot
 // timestamp it read at (At runs it at a past one, §4.5). Decode them with
-// nodeprog.Decode or use the typed convenience wrappers below.
+// nodeprog.Decode or use the typed convenience wrappers below. get_node
+// with several start vertices is the batched degree read: one query, one
+// nodeprog.NodeData per existing vertex, its NumEdges the out-degree.
 func (cl *Client) RunProgram(name string, params []byte, start ...VertexID) ([][]byte, Timestamp, error) {
 	return cl.fresh().run(name, params, start...)
 }
@@ -170,7 +172,9 @@ func (cl *Client) CountEdges(id VertexID) (int, error) {
 
 // Traverse runs the Fig 3 BFS: from start, following only edges carrying
 // propKey[=propValue] (empty key = all edges), to maxDepth (0 = unbounded).
-// Returns the visited vertex IDs and the snapshot timestamp.
+// Returns the visited vertex IDs, each once, and the snapshot timestamp.
+// Unbounded and unfiltered, Traverse(start, "", "", 0) returns the set of
+// vertices reachable from start (start included), cycles and all.
 func (cl *Client) Traverse(start VertexID, propKey, propValue string, maxDepth int) ([]VertexID, Timestamp, error) {
 	return cl.fresh().traverse(start, propKey, propValue, maxDepth)
 }
@@ -232,57 +236,6 @@ func (cl *Client) ClusteringCoefficient(v VertexID) (float64, error) {
 		return 0, nil
 	}
 	return float64(links) / float64(degree*(degree-1)), nil
-}
-
-// ConnectedComponent returns every vertex reachable from start (§6.3's
-// connected-components workload, as a node program).
-func (cl *Client) ConnectedComponent(start VertexID) ([]VertexID, error) {
-	params := nodeprog.Encode(nodeprog.ComponentParams{Root: start})
-	res, _, err := cl.RunProgram("connected_component", params, start)
-	if err != nil {
-		return nil, err
-	}
-	return decodeVertexList(res)
-}
-
-// PropagateLabel floods a label from start along out-edges (§6.3's label
-// propagation workload) and returns the vertices that adopted it.
-func (cl *Client) PropagateLabel(start VertexID, label string) ([]VertexID, error) {
-	params := nodeprog.Encode(nodeprog.LPParams{Label: label})
-	res, _, err := cl.RunProgram("label_propagation", params, start)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[VertexID]bool)
-	var out []VertexID
-	for _, r := range res {
-		var lr nodeprog.LPResult
-		if err := nodeprog.Decode(r, &lr); err != nil {
-			return nil, err
-		}
-		if !seen[lr.Vertex] {
-			seen[lr.Vertex] = true
-			out = append(out, lr.Vertex)
-		}
-	}
-	return out, nil
-}
-
-// DegreeSample returns the out-degree of each given vertex in one query.
-func (cl *Client) DegreeSample(vertices ...VertexID) (map[VertexID]int, error) {
-	res, _, err := cl.RunProgram("degree_sample", nil, vertices...)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[VertexID]int, len(res))
-	for _, r := range res {
-		var d nodeprog.DegreeResult
-		if err := nodeprog.Decode(r, &d); err != nil {
-			return nil, err
-		}
-		out[d.Vertex] = d.Degree
-	}
-	return out, nil
 }
 
 // CommitInfo reports a committed transaction.

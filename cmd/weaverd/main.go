@@ -230,7 +230,7 @@ func (p *process) runShard() {
 	sh := p.spec.NewShard(p.id, epoch, ep, kv, orc, nodeprog.NewRegistry(), partition.NewHash(p.spec.Shards), p.metrics)
 	n, err := recoverAtBoot(sh)
 	if err != nil {
-		log.Fatalf("shard %d: the store at %s never answered the boot scan: %v", p.id, p.topo.store, err)
+		log.Fatalf("shard %d: boot scan of the store at %s failed: %v", p.id, p.topo.store, err)
 	}
 	sh.Start()
 	log.Printf("shard %d ready (%d vertices recovered, epoch %d)", p.id, n, epoch)
@@ -348,10 +348,12 @@ func (p *process) runStandby() {
 // recoverAtBoot loads the shard's partition from the store, retrying while
 // the store does not answer: processes of one deployment start in any
 // order, and a shard must never serve an empty partition because it came
-// up first. Gives up once the store has stayed silent for the whole window.
+// up first. Gives up once the store has stayed silent for the whole window,
+// and at once on a record that does not decode: a retry reads the same bytes.
 func recoverAtBoot(sh *shard.Shard) (n int, err error) {
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(500 * time.Millisecond) {
-		if n, err = sh.Recover(); err == nil || time.Now().After(deadline) {
+		n, err = sh.Recover()
+		if err == nil || errors.Is(err, graph.ErrNotRecord) || time.Now().After(deadline) {
 			return n, err
 		}
 		log.Printf("boot scan failed, retrying: %v", err)

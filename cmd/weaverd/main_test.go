@@ -371,3 +371,57 @@ func TestShardBootsAgainstReplayingStore(t *testing.T) {
 	shard.waitLog(t, "ready", 5*time.Second)
 	store.waitLog(t, "ready", time.Second)
 }
+
+// TestShardBootFailsOnUndecodableRecord: a vertex record in the store that
+// does not decode fails the shard's boot scan at once, naming its key. A
+// retry would read the same bytes, and booting without the record would
+// serve its vertex as absent.
+func TestShardBootFailsOnUndecodableRecord(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "weaver.wal")
+	st, err := kvstore.NewDurable(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := st.Begin()
+	for key, val := range map[string][]byte{
+		graph.VertexKey("good"): graph.EncodeRecord(graph.NewVertexRecord("good", 0)),
+		graph.VertexKey("bad"):  {0, 0, 1},
+	} {
+		if err := tx.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	storeAddr, shardAddr, gkAddr := freePort(t), freePort(t), freePort(t)
+	topo := []string{"-store", storeAddr, "-gatekeepers", "1", "-shards", "1",
+		"-shard-addrs", shardAddr, "-gk-addrs", gkAddr}
+	store := &proc{name: "store", args: append([]string{"-role", "store", "-listen", storeAddr, "-wal", wal}, topo...), logs: &syncBuf{}}
+	store.start(t)
+	t.Cleanup(func() {
+		store.cmd.Process.Kill()
+		store.cmd.Wait()
+	})
+	shard := &proc{name: "shard", args: append([]string{"-role", "shard", "-id", "0", "-listen", shardAddr}, topo...), logs: &syncBuf{}}
+	shard.start(t)
+	exited := make(chan error, 1)
+	go func() { exited <- shard.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err == nil {
+			t.Fatalf("shard exited cleanly; logs:\n%s", shard.logs.String())
+		}
+	case <-time.After(15 * time.Second):
+		shard.cmd.Process.Kill()
+		<-exited
+		t.Fatalf("shard still running after 15 s; logs:\n%s", shard.logs.String())
+	}
+	if logs := shard.logs.String(); !strings.Contains(logs, `"v/bad"`) || strings.Contains(logs, "ready") {
+		t.Fatalf("shard boot did not fail naming the record; logs:\n%s", logs)
+	}
+}

@@ -3,11 +3,15 @@ package weaver
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"weaver/internal/graph"
 	"weaver/internal/kvstore"
+	"weaver/internal/nodeprog"
 	"weaver/internal/partition"
 )
 
@@ -26,11 +30,13 @@ func TestConnectedComponentAndLabelPropagation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	comp, err := cl.ConnectedComponent("a0")
+	// A reachable set is an unbounded, unfiltered traversal.
+	comp, _, err := cl.Traverse("a0", "", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp) != 3 {
+	slices.Sort(comp)
+	if !slices.Equal(comp, []VertexID{"a0", "a1", "a2"}) {
 		t.Fatalf("component of a0 = %v", comp)
 	}
 	for _, v := range comp {
@@ -38,16 +44,26 @@ func TestConnectedComponentAndLabelPropagation(t *testing.T) {
 			t.Fatalf("component leaked across graphs: %v", comp)
 		}
 	}
-	adopted, err := cl.PropagateLabel("b0", "community-9")
+	reach, _, err := cl.Traverse("b0", "", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(adopted) != 2 {
-		t.Fatalf("label adopted by %v", adopted)
+	slices.Sort(reach)
+	if !slices.Equal(reach, []VertexID{"b0", "b1"}) {
+		t.Fatalf("set of b0 = %v, want [b0 b1]", reach)
 	}
-	degs, err := cl.DegreeSample("a0", "a1", "a2", "b0")
+	// A batch of degrees is get_node from several start vertices.
+	res, _, err := cl.RunProgram("get_node", nil, "a0", "a1", "a2", "b0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	degs := make(map[VertexID]int, len(res))
+	for _, r := range res {
+		var d nodeprog.NodeData
+		if err := nodeprog.Decode(r, &d); err != nil {
+			t.Fatal(err)
+		}
+		degs[d.ID] = d.NumEdges
 	}
 	if degs["a0"] != 1 || degs["a2"] != 0 || degs["b0"] != 1 {
 		t.Fatalf("degrees %v", degs)
@@ -289,12 +305,51 @@ func TestOpenRejectsMalformedEpoch(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := reopenAfterRewrite(t, cfg, epochKey, []byte{0, 0, 1}); err == nil {
+		t.Fatal("Open accepted a 3-byte stored epoch")
+	} else if !strings.Contains(err.Error(), "epoch") {
+		t.Fatalf("Open error does not name the epoch: %v", err)
+	}
+}
+
+// A vertex record that does not decode fails a durable reopen, naming its
+// key: opening without it would serve the vertex as absent.
+func TestOpenRejectsUndecodableRecord(t *testing.T) {
+	cfg := testConfig(1, 2)
+	cfg.WALPath = filepath.Join(t.TempDir(), "weaver.wal")
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Client().RunTx(func(tx *Tx) error {
+		tx.CreateVertex("good")
+		tx.CreateVertex("bad")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := graph.VertexKey("bad")
+	if err := reopenAfterRewrite(t, cfg, bad, []byte{0, 0, 1}); err == nil {
+		t.Fatal("Open accepted a 3-byte vertex record")
+	} else if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+		t.Fatalf("Open error does not name the record's key: %v", err)
+	}
+}
+
+// reopenAfterRewrite overwrites key with val in the store of the closed
+// durable cluster cfg describes, then reopens the cluster and returns
+// Open's error (closing the cluster if it opened).
+func reopenAfterRewrite(t *testing.T, cfg Config, key string, val []byte) error {
+	t.Helper()
 	st, err := kvstore.NewDurable(cfg.WALPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx := st.Begin()
-	if err := tx.Put(epochKey, []byte{0, 0, 1}); err != nil {
+	if err := tx.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -303,10 +358,9 @@ func TestOpenRejectsMalformedEpoch(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := Open(cfg); err == nil {
+	c, err := Open(cfg)
+	if err == nil {
 		c.Close()
-		t.Fatal("Open accepted a 3-byte stored epoch")
-	} else if !strings.Contains(err.Error(), "epoch") {
-		t.Fatalf("Open error does not name the epoch: %v", err)
 	}
+	return err
 }

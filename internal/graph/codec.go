@@ -13,8 +13,8 @@ import (
 // record a transaction touches — so the codec is hot. Records use a
 // hand-rolled length-prefixed binary format behind a magic and a version
 // byte; the shared primitives (and their defensive decoding guards) live
-// in internal/binenc. It is the only record format: a blob without the
-// magic is ErrNotRecord.
+// in internal/binenc. It is the only record format: a blob that does not
+// decode as one is ErrNotRecord.
 
 const (
 	recMagic   = 0xD7
@@ -28,8 +28,8 @@ const VertexKeyPrefix = "v/"
 // VertexKey is the backing-store key of v's record.
 func VertexKey(v VertexID) string { return VertexKeyPrefix + string(v) }
 
-// ErrNotRecord reports a blob that does not start with the vertex-record
-// magic: not something EncodeRecord wrote.
+// ErrNotRecord reports a blob that is not a record this build reads: every
+// DecodeRecord failure (magic, codec version or body) wraps it.
 var ErrNotRecord = errors.New("graph: not a vertex record")
 
 // EncodeRecord serializes a vertex record for the backing store.
@@ -58,7 +58,7 @@ func DecodeRecord(data []byte) (*VertexRecord, error) {
 		return nil, ErrNotRecord
 	}
 	if data[1] != recVersion {
-		return nil, fmt.Errorf("graph: record codec version %d unsupported", data[1])
+		return nil, fmt.Errorf("%w: codec version %d unsupported", ErrNotRecord, data[1])
 	}
 	d := binenc.Decoder{Buf: data[2:]}
 	rec := &VertexRecord{}
@@ -80,7 +80,7 @@ func DecodeRecord(data []byte) (*VertexRecord, error) {
 		}
 	}
 	if d.Err != nil {
-		return nil, fmt.Errorf("graph: decode record: %w", d.Err)
+		return nil, fmt.Errorf("%w: %w", ErrNotRecord, d.Err)
 	}
 	return rec, nil
 }

@@ -11,7 +11,6 @@ func builtins() []Program {
 		GetNode{}, GetEdges{}, CountEdges{}, Traverse{},
 		Reachability{}, ShortestPath{}, ClusteringCenter{},
 		ClusteringNeighbor{}, BlockRender{},
-		LabelPropagation{}, ConnectedComponent{}, DegreeSample{},
 	}
 }
 

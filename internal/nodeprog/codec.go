@@ -13,8 +13,9 @@ import (
 // byte followed by the type's fields in internal/binenc encoding, so a
 // program hop costs a few appends and a bounded decode. Payloads live only
 // as long as their query (params on the wire, prog_state in shard memory)
-// and are never persisted; tags may still only be appended, so that the
-// processes of one cluster agree on them.
+// and are never persisted, and one cluster runs one build, so no tag
+// outlives its build. Tags are appended, never renumbered, which keeps each
+// type's bytes across builds; the last tags may be dropped with their types.
 const (
 	tagVertexID byte = iota + 1
 	tagInt
@@ -28,11 +29,6 @@ const (
 	tagCCParams
 	tagCCResult
 	tagBlockTxData
-	tagLPParams
-	tagLPState
-	tagLPResult
-	tagComponentParams
-	tagDegreeResult
 	numTags = iota // append new tags above this line
 )
 
@@ -46,9 +42,8 @@ const maxPooledBuf = 64 << 10
 
 // Encode encodes a payload for use as Params, State or Return. v must be
 // one of this package's payload types (TraverseParams, NodeData,
-// ReachParams, SPParams, SPResult, CCParams, CCResult, BlockTxData,
-// LPParams, LPResult, ComponentParams, DegreeResult and the programs'
-// private state) or a graph.VertexID, int or bool. Encode panics on any
+// ReachParams, SPParams, SPResult, CCParams, CCResult, BlockTxData and
+// the programs' private state) or a graph.VertexID, int or bool. Encode panics on any
 // other type: a program's payload types are fixed when it is written.
 func Encode(v any) []byte {
 	bp := encodeBufs.Get().(*[]byte)
@@ -78,16 +73,6 @@ func Encode(v any) []byte {
 		b = v.append(append(b, tagCCResult))
 	case BlockTxData:
 		b = v.append(append(b, tagBlockTxData))
-	case LPParams:
-		b = binenc.AppendStr(append(b, tagLPParams), v.Label)
-	case lpState:
-		b = binenc.AppendStr(append(b, tagLPState), v.Label)
-	case LPResult:
-		b = v.append(append(b, tagLPResult))
-	case ComponentParams:
-		b = binenc.AppendStr(append(b, tagComponentParams), string(v.Root))
-	case DegreeResult:
-		b = v.append(append(b, tagDegreeResult))
 	default:
 		encodeBufs.Put(bp)
 		panic("nodeprog: encode: no codec for " + typeName(v))
@@ -160,26 +145,6 @@ func Decode(data []byte, v any) error {
 		}
 	case *BlockTxData:
 		if is(tagBlockTxData) {
-			v.decode(&d)
-		}
-	case *LPParams:
-		if is(tagLPParams) {
-			v.Label = d.Str()
-		}
-	case *lpState:
-		if is(tagLPState) {
-			v.Label = d.Str()
-		}
-	case *LPResult:
-		if is(tagLPResult) {
-			v.decode(&d)
-		}
-	case *ComponentParams:
-		if is(tagComponentParams) {
-			v.Root = graph.VertexID(d.Str())
-		}
-	case *DegreeResult:
-		if is(tagDegreeResult) {
 			v.decode(&d)
 		}
 	default:
@@ -272,18 +237,4 @@ func (t BlockTxData) append(b []byte) []byte {
 func (t *BlockTxData) decode(d *binenc.Decoder) {
 	t.Tx = graph.VertexID(d.Str())
 	t.Inputs, t.Outputs = binenc.Strs[graph.VertexID](d), binenc.Strs[graph.VertexID](d)
-}
-
-func (r LPResult) append(b []byte) []byte {
-	return binenc.AppendStr(binenc.AppendStr(b, string(r.Vertex)), r.Label)
-}
-
-func (r *LPResult) decode(d *binenc.Decoder) { r.Vertex, r.Label = graph.VertexID(d.Str()), d.Str() }
-
-func (r DegreeResult) append(b []byte) []byte {
-	return appendInt(binenc.AppendStr(b, string(r.Vertex)), r.Degree)
-}
-
-func (r *DegreeResult) decode(d *binenc.Decoder) {
-	r.Vertex, r.Degree = graph.VertexID(d.Str()), int(d.Varint())
 }

@@ -45,16 +45,6 @@ func codecSamples() []codecSample {
 		{in: CCResult{Links: -1}},
 		{in: BlockTxData{Tx: "tx/1", Inputs: ids[:1], Outputs: ids}},
 		{in: BlockTxData{Tx: "tx/2", Inputs: []graph.VertexID{}}, want: BlockTxData{Tx: "tx/2"}},
-		{in: LPParams{Label: "ラベル"}},
-		{in: LPParams{}},
-		{in: lpState{Label: "l"}},
-		{in: lpState{}},
-		{in: LPResult{Vertex: "v", Label: "l"}},
-		{in: LPResult{}},
-		{in: ComponentParams{Root: "root/☃"}},
-		{in: ComponentParams{}},
-		{in: DegreeResult{Vertex: "v", Degree: 1 << 20}},
-		{in: DegreeResult{Degree: -1}},
 	}
 }
 

@@ -152,7 +152,6 @@ func TestLazyVisitMatchesEager(t *testing.T) {
 			"get_node":               func() ([]byte, []byte) { return nil, nil },
 			"get_edges":              func() ([]byte, []byte) { return nil, nil },
 			"count_edges":            func() ([]byte, []byte) { return nil, nil },
-			"degree_sample":          func() ([]byte, []byte) { return nil, nil },
 			"clustering_coefficient": func() ([]byte, []byte) { return nil, nil },
 			"traverse": func() ([]byte, []byte) {
 				p := TraverseParams{MaxDepth: rng.Intn(3), Depth: rng.Intn(3)}
@@ -168,22 +167,12 @@ func TestLazyVisitMatchesEager(t *testing.T) {
 				}
 				return Encode(p), [][]byte{nil, visitedMark}[rng.Intn(2)]
 			},
-			"connected_component": func() ([]byte, []byte) {
-				return Encode(ComponentParams{Root: vertex()}), [][]byte{nil, visitedMark}[rng.Intn(2)]
-			},
 			"shortest_path": func() ([]byte, []byte) {
 				var st []byte
 				if rng.Intn(2) == 0 {
 					st = Encode(spState{Dist: rng.Intn(4), Set: true})
 				}
 				return Encode(SPParams{Target: vertex(), Dist: rng.Intn(4)}), st
-			},
-			"label_propagation": func() ([]byte, []byte) {
-				var st []byte
-				if rng.Intn(2) == 0 {
-					st = Encode(lpState{Label: values[rng.Intn(len(values))]})
-				}
-				return Encode(LPParams{Label: values[rng.Intn(len(values))]}), st
 			},
 			"clustering_neighbor": func() ([]byte, []byte) {
 				return Encode(CCParams{Center: vertex(), Neighbors: ids()}), nil

@@ -164,8 +164,8 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry pre-loaded with the built-in programs
-// (get_node, get_edges, count_edges, traverse, reachability,
-// shortest_path, clustering_coefficient, block_render).
+// (get_node, get_edges, count_edges, traverse, reachability, shortest_path,
+// clustering_coefficient, clustering_neighbor, block_render).
 func NewRegistry() *Registry {
 	r := &Registry{progs: make(map[string]Program)}
 	for _, p := range builtins() {

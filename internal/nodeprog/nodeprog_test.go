@@ -16,10 +16,21 @@ func edge(to graph.VertexID, props map[string]string) graph.EdgeView {
 
 func TestRegistryBuiltinsAndDuplicates(t *testing.T) {
 	r := NewRegistry()
-	for _, name := range []string{"get_node", "get_edges", "count_edges", "traverse",
-		"reachability", "shortest_path", "clustering_coefficient", "clustering_neighbor", "block_render"} {
+	want := []string{"get_node", "get_edges", "count_edges", "traverse",
+		"reachability", "shortest_path", "clustering_coefficient", "clustering_neighbor", "block_render"}
+	for _, name := range want {
 		if _, ok := r.Get(name); !ok {
 			t.Errorf("builtin %q missing", name)
+		}
+	}
+	if len(r.progs) != len(want) {
+		t.Errorf("registry holds %d programs, want exactly the %d built-ins", len(r.progs), len(want))
+	}
+	// Reachable sets are traverse's and batched degrees are get_node's: no
+	// second program of either shape.
+	for _, name := range []string{"label_propagation", "connected_component", "degree_sample"} {
+		if _, ok := r.Get(name); ok {
+			t.Errorf("deleted program %q is registered", name)
 		}
 	}
 	if _, ok := r.Get("nope"); ok {

@@ -46,6 +46,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -104,7 +105,7 @@ type Stats struct {
 	ProgVisits     uint64
 	ProgBatches    uint64
 	OrderQueries   uint64 // oracle consultations for head ordering
-	RecoverErrors  uint64 // epoch-barrier re-recoveries that could not read the backing store
+	RecoverErrors  uint64 // epoch-barrier re-recoveries that could not read the backing store or a record in it
 	CacheHits      uint64 // ordering answers served from the local cache
 	GCCollected    uint64
 	VersionsLive   uint64
@@ -294,11 +295,18 @@ func (s *Shard) Stats() Stats {
 // whole partition; at a later epoch barrier it is exactly the write-sets a
 // gatekeeper committed and was killed before forwarding. A store that
 // cannot be read is an error: "no answer" never passes for "no records".
+// So is a record that does not decode: the rest are installed, and the
+// error names each such key, so no vertex is served as absent for it.
 func (s *Shard) Recover() (int, error) {
 	var recs []*graph.VertexRecord
-	err := s.kv.ScanPrefix(graph.VertexKeyPrefix, func(_ string, data []byte) {
+	var bad []error
+	err := s.kv.ScanPrefix(graph.VertexKeyPrefix, func(key string, data []byte) {
 		rec, err := graph.DecodeRecord(data)
-		if err != nil || rec.Shard != s.cfg.ID {
+		if err != nil {
+			bad = append(bad, fmt.Errorf("record %q: %w", key, err))
+			return
+		}
+		if rec.Shard != s.cfg.ID {
 			return
 		}
 		// Re-install only a record after every resident last write: with
@@ -313,7 +321,11 @@ func (s *Shard) Recover() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("shard %d: recover: %w", s.cfg.ID, err)
 	}
-	return s.InstallRecovered(recs), nil
+	n := s.InstallRecovered(recs)
+	if err = errors.Join(bad...); err != nil {
+		err = fmt.Errorf("shard %d: recover: %w", s.cfg.ID, err)
+	}
+	return n, err
 }
 
 // InstallRecovered installs records read back from the backing store —
@@ -434,7 +446,7 @@ func (s *Shard) enterEpoch(epoch uint64) {
 		if _, err := s.Recover(); err != nil {
 			s.recoverErrors.Add(1)
 			s.m.recoverErrors.Inc()
-			fmt.Fprintf(os.Stderr, "weaver shard %d: entering epoch %d without the committed-but-unforwarded sweep: %v\n", s.cfg.ID, epoch, err)
+			fmt.Fprintf(os.Stderr, "weaver shard %d: entering epoch %d with an incomplete committed-but-unforwarded sweep: %v\n", s.cfg.ID, epoch, err)
 		}
 	}
 	s.epoch = epoch

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -699,6 +702,40 @@ func TestRecoverDecisionIgnoresEdgeMapOrder(t *testing.T) {
 				t.Fatalf("round %d, ta first=%v: Recover re-installed %d records (err %v); the record at ta is not after tb", round, aFirst, n, err)
 			}
 		}
+	}
+}
+
+// A record that does not decode could be homed on any shard, so Recover
+// never passes it by as absent: it installs every record that decodes and
+// returns an error naming the key of each that did not, and the epoch
+// barrier's sweep counts that error in RecoverErrors, as it counts an
+// unreadable store.
+func TestRecoverReportsUndecodableRecord(t *testing.T) {
+	store := kvstore.New()
+	clock := core.NewVectorClock(0, 1, 0)
+	var puts []kvstore.KV
+	for _, v := range []graph.VertexID{"a", "b"} {
+		rec := graph.NewVertexRecord(v, 0)
+		rec.LastTS = clock.Tick()
+		puts = append(puts, kvstore.KV{Key: graph.VertexKey(v), Value: graph.EncodeRecord(rec)})
+	}
+	bad := graph.VertexKey("bad")
+	store.BulkPut(append(puts, kvstore.KV{Key: bad, Value: []byte{0, 0, 1}}))
+
+	sh := New(Config{NumGatekeepers: 1}, transport.NewFabric().Endpoint(transport.ShardAddr(0)),
+		kvstore.AsBacking(store), oracle.NewService(), nodeprog.NewRegistry(), partition.NewHash(1))
+	n, err := sh.Recover()
+	if !errors.Is(err, graph.ErrNotRecord) || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+		t.Fatalf("Recover over an undecodable record: err %v, want one naming %q", err, bad)
+	}
+	if n != 2 || sh.g.NumVertices() != 2 {
+		t.Fatalf("Recover installed %d records (%d vertices resident), want the 2 that decode", n, sh.g.NumVertices())
+	}
+
+	r := newStoreRig(t, Config{NumGatekeepers: 1}, store)
+	enterEpoch(t, r.drv, 1)
+	if st := r.sh.Stats(); st.RecoverErrors != 1 {
+		t.Fatalf("the barrier sweep over an undecodable record counted %d RecoverErrors, want 1", st.RecoverErrors)
 	}
 }
 

@@ -120,19 +120,11 @@ func (rd reader) traverse(start VertexID, propKey, propValue string, maxDepth in
 	if err != nil {
 		return nil, ts, err
 	}
-	out, err := decodeVertexList(res)
-	return out, ts, err
-}
-
-// decodeVertexList decodes per-visit VertexID results.
-func decodeVertexList(res [][]byte) ([]VertexID, error) {
-	out := make([]VertexID, 0, len(res))
-	for _, r := range res {
-		var v VertexID
-		if err := nodeprog.Decode(r, &v); err != nil {
-			return nil, err
+	out := make([]VertexID, len(res))
+	for i, r := range res {
+		if err := nodeprog.Decode(r, &out[i]); err != nil {
+			return nil, ts, err
 		}
-		out = append(out, v)
 	}
-	return out, nil
+	return out, ts, nil
 }

@@ -406,14 +406,17 @@ func Open(cfg Config) (*Cluster, error) {
 	// shard for Shard.InstallRecovered — instead of every shard re-scanning
 	// and re-decoding the full keyspace for its own partition. Tombstones
 	// are bucketed too: a deleted vertex existed below its tombstone's
-	// stamp, so reads there must be refused, not answered "absent".
+	// stamp, so reads there must be refused, not answered "absent"; and a
+	// record that does not decode fails Open.
 	var perShard [][]*graph.VertexRecord
 	if cfg.WALPath != "" {
 		perShard = make([][]*graph.VertexRecord, cfg.Shards)
 		md, _ := c.dir.(*partition.Mapped)
-		err := c.kv.ScanPrefix(graph.VertexKeyPrefix, func(_ string, data []byte) {
+		var bad []error
+		err := c.kv.ScanPrefix(graph.VertexKeyPrefix, func(key string, data []byte) {
 			rec, err := graph.DecodeRecord(data)
 			if err != nil {
+				bad = append(bad, fmt.Errorf("record %q: %w", key, err))
 				return
 			}
 			if md != nil && !rec.Deleted {
@@ -423,6 +426,9 @@ func Open(cfg Config) (*Cluster, error) {
 				perShard[rec.Shard] = append(perShard[rec.Shard], rec)
 			}
 		})
+		if err == nil {
+			err = errors.Join(bad...)
+		}
 		if err != nil {
 			c.kv.Close()
 			return nil, fmt.Errorf("weaver: recover shards: %w", err)
@@ -477,7 +483,7 @@ func (c *Cluster) newGatekeeper(i int, epoch uint64) *gatekeeper.Gatekeeper {
 // under reconfigMu. A dead gatekeeper restarts its clock at zero in the new
 // epoch, keeping all new timestamps after all old ones; a dead shard's
 // fresh instance recovers its partition from the backing store and rejoins
-// on the same address (§4.3). A store that cannot be read leaves the dead
+// on the same address (§4.3). A failed Shard.Recover leaves the dead
 // shard in place: still silent, the detector recovers it again.
 func (c *Cluster) restart(isGK bool, i int, epoch uint64) {
 	if isGK {

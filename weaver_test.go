@@ -170,9 +170,25 @@ func TestReachabilityMatchesReferenceBFS(t *testing.T) {
 	reached := 0
 	for i := 0; i < 50; i++ {
 		s, tgt := g.Vertices[r.Intn(len(g.Vertices))], g.Vertices[r.Intn(len(g.Vertices))]
-		want, wantOK := bfs(s)[tgt]
+		ref := bfs(s)
+		want, wantOK := ref[tgt]
 		if wantOK {
 			reached++
+		}
+		// The unbounded, unfiltered traversal is the reachable set.
+		set, _, err := cl.Traverse(s, "", "", 0)
+		if err != nil {
+			t.Fatalf("Traverse(%s): %v", s, err)
+		}
+		seen := make(map[VertexID]bool, len(set))
+		for _, v := range set {
+			if _, ok := ref[v]; !ok || seen[v] {
+				t.Fatalf("Traverse(%s) returned %s: unreachable or repeated (%d returned, reference BFS reaches %d)", s, v, len(set), len(ref))
+			}
+			seen[v] = true
+		}
+		if len(seen) != len(ref) {
+			t.Fatalf("Traverse(%s) returned %d vertices; reference BFS reaches %d", s, len(seen), len(ref))
 		}
 		ok, err := cl.Reachable(s, tgt)
 		if err != nil || ok != wantOK {
