@@ -20,12 +20,14 @@ import (
 // timer, runBatch, mailbox and address cuts the same reads cost 102
 // (GetNode), 110 (GetEdges) and 96 (CountEdges); before the shard reused
 // one view and one Context for its visits, 53, 62 and 49; before a batch
-// reused the shard's buffers, 48, 57 and 44. The race detector allocates
-// on its own, hence the build tag.
+// reused the shard's buffers, 48, 57 and 44; before the coordinator asked
+// for a fresh read's NOPs as it minted the read (no shard-side NopRequest
+// to receive and answer), 46, 55 and 42. The race detector allocates on
+// its own, hence the build tag.
 const (
-	getNodeAllocBudget    = 46
-	getEdgesAllocBudget   = 55
-	countEdgesAllocBudget = 42
+	getNodeAllocBudget    = 42
+	getEdgesAllocBudget   = 51
+	countEdgesAllocBudget = 38
 )
 
 func TestPointReadAllocBudget(t *testing.T) {
@@ -108,14 +110,15 @@ func TestPointReadAllocBudget(t *testing.T) {
 // traversal cost 4,989 allocations; before a batch's hops decoded a
 // repeated program name and params value once, 2,434; before a batch
 // reused the shard's buffers and a query's states map came from a free
-// list, 1,872.
+// list, 1,872; before the coordinator asked for the start shard's NOPs as
+// it minted the traversal, 1,675.
 //
 // Bytes are budgeted beside the count, because bytes are what schedule
 // collections. They vary by a few dozen between runs (map growth, pooled
 // buffers), so that budget is the measured ~115,350 plus about 2 %; it
 // was 343,410 before the shard's buffers were reused.
 const (
-	traverseAllocBudget = 1675
+	traverseAllocBudget = 1671
 	traverseBytesBudget = 118_000
 )
 

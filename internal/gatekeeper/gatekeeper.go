@@ -13,8 +13,10 @@
 //     for concurrent pairs);
 //   - forwards committed write-sets to the involved shards over FIFO
 //     (sequence-numbered) channels, and advances its stream at a shard with
-//     NOPs (§4.2): one at once to a shard that asks for it because a read
-//     is parked there (wire.NopRequest), and one to every shard each
+//     NOPs (§4.2): for a fresh read it mints, one to each start shard with
+//     the read, and a request (wire.NopRequest) to every other gatekeeper
+//     for one past the read to those shards; one at once to a shard that
+//     asks because a read is parked there; and one to every shard each
 //     NopPeriod as the idle fallback;
 //   - coordinates reads — node programs and index lookups, each at a fresh
 //     or a caller-chosen historical timestamp (prog.go, lookup.go): tracks
@@ -185,8 +187,9 @@ type Gatekeeper struct {
 	seq   *transport.Sequencer
 	// awaiting holds the shards that have not yet answered this
 	// gatekeeper's hello; sendNops holds the NOP stream to a shard back
-	// until it has.
-	awaiting map[transport.Addr]struct{}
+	// until it has. True: sendNops held a NOP back from it, sent when its
+	// answer arrives.
+	awaiting map[transport.Addr]bool
 	// shards lists every shard address: the periodic NOP's fan-out.
 	shards []transport.Addr
 	// reads holds every read in flight — node programs and index-lookup
@@ -252,7 +255,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		m:          newObsMetrics(cfg.Obs),
 		clock:      core.NewVectorClock(cfg.ID, cfg.NumGatekeepers, cfg.Epoch),
 		seq:        transport.NewSequencer(),
-		awaiting:   make(map[transport.Addr]struct{}, cfg.NumShards),
+		awaiting:   make(map[transport.Addr]bool, cfg.NumShards),
 		reads:      make(map[core.ID]*pendingRead),
 		pins:       make(map[core.ID]*pinnedSnapshot),
 		gcSeen:     make(map[int]wire.GCReport, cfg.NumGatekeepers),
@@ -265,7 +268,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		g.indexed[k] = struct{}{}
 	}
 	for s := 0; s < cfg.NumShards; s++ {
-		g.awaiting[transport.ShardAddr(s)] = struct{}{}
+		g.awaiting[transport.ShardAddr(s)] = false
 		g.shards = append(g.shards, transport.ShardAddr(s))
 	}
 	g.planner = plan.New(cfg.NumShards, g)
@@ -557,17 +560,26 @@ func (g *Gatekeeper) handle(msg transport.Message) {
 	case wire.IndexResult:
 		g.handleIndexResult(m)
 	case wire.Heartbeat:
-		// A shard's answer to sendNops' hello.
+		// A shard's answer to sendNops' hello: its stream starts, with the
+		// NOP held back from it if there was one.
 		g.mu.Lock()
+		owed := g.awaiting[m.From]
 		delete(g.awaiting, m.From)
 		g.mu.Unlock()
+		if owed {
+			g.sendNops([]transport.Addr{m.From})
+		}
 	case wire.NopRequest:
-		// A shard parked a read behind this gatekeeper's stream: learn the
-		// read's clock and answer with one NOP past it now. A shard that
-		// asks is serving, so it needs no hello.
+		// A read waits at shard m.From behind this gatekeeper's stream:
+		// learn the read's clock and send that shard one NOP past it now.
+		// The request comes from the shard that parked the read or, for a
+		// fresh read, from the gatekeeper that minted it; only the shard's
+		// own request shows that it is serving and needs no hello.
 		g.mu.Lock()
 		g.clock.Observe(m.TS)
-		delete(g.awaiting, m.From)
+		if msg.From == m.From {
+			delete(g.awaiting, m.From)
+		}
 		g.mu.Unlock()
 		g.sendNops([]transport.Addr{m.From})
 	case wire.GCReport:
@@ -657,8 +669,9 @@ func (g *Gatekeeper) announce() {
 // sendNops stamps one NOP and forwards it to each of the shards to (§4.2),
 // advancing this gatekeeper's stream there so node programs and queued
 // transactions make progress: every shard on each NopPeriod tick, the idle
-// fallback, and the one shard that asked on a wire.NopRequest — its clock
-// observed first, so the NOP is vclock-after the read it waits for.
+// fallback; a fresh read's start shards when RunProgram mints it; and the
+// one shard a wire.NopRequest names — its clock observed first, so the NOP
+// is vclock-after the read it waits for.
 // Deliberately NOT gated on the pause lock:
 // MigrateBatch and bulk loads Quiesce the apply pipeline WHILE holding
 // Pause, and shards need every gatekeeper's frontier to keep advancing
@@ -667,37 +680,34 @@ func (g *Gatekeeper) announce() {
 // number landing after the shard reset its resequencer) is handled at
 // the shard: ingest drops any item whose epoch is behind the shard's.
 //
-// The stream does not start until every shard in to has answered a hello:
-// a NOP sent to a shard that is not serving yet (processes of one
-// deployment start in any order — its endpoint may not exist, or its
-// boot-time epoch query may be reading the mailbox) is lost, and its
-// sequence number with it — a permanent gap the shard's resequencer waits
-// behind forever. Until then each tick greets the silent shards with a
-// heartbeat, which carries no sequence number and which a serving shard
-// echoes (handle).
+// A shard's stream does not start until it has answered a hello: a NOP
+// sent to a shard that is not serving yet (processes of one deployment
+// start in any order — its endpoint may not exist, or its boot-time epoch
+// query may be reading the mailbox) is lost, and its sequence number with
+// it — a permanent gap the shard's resequencer waits behind forever. Until
+// then each NOP for it is held back and the shard is greeted with a
+// heartbeat instead, which carries no sequence number and which a serving
+// shard echoes; the echo brings the held-back NOP (handle), as a read
+// waiting for it may ask nobody else.
 func (g *Gatekeeper) sendNops(to []transport.Addr) {
 	g.mu.Lock()
-	var silent []transport.Addr
-	for _, a := range to {
-		if _, ok := g.awaiting[a]; ok {
-			silent = append(silent, a)
-		}
-	}
-	if len(silent) > 0 {
-		g.mu.Unlock()
-		for _, a := range silent {
-			g.ep.Send(a, wire.Heartbeat{From: g.ep.Addr()})
-		}
-		return
-	}
-	ts := g.clock.Tick()
-	seqs := make([]uint64, len(to))
+	var ts core.Timestamp
+	seqs := make([]uint64, len(to)) // 0: held back, greet instead
 	for i, a := range to {
+		if _, silent := g.awaiting[a]; silent {
+			g.awaiting[a] = true
+			continue
+		}
+		if ts.Zero() {
+			ts = g.clock.Tick()
+		}
 		seqs[i] = g.seq.Next(a)
 	}
 	g.mu.Unlock()
 	for i, a := range to {
-		if g.ep.Send(a, wire.Nop{TS: ts, Seq: seqs[i]}) == nil {
+		if seqs[i] == 0 {
+			g.ep.Send(a, wire.Heartbeat{From: g.ep.Addr()})
+		} else if g.ep.Send(a, wire.Nop{TS: ts, Seq: seqs[i]}) == nil {
 			g.nops.Add(1)
 		}
 	}

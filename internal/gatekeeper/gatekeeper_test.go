@@ -658,3 +658,46 @@ func TestNopRequestAnsweredWithOneNop(t *testing.T) {
 		t.Fatalf("Stats.Nops = %d, want 4 (two answers, one two-shard tick)", n)
 	}
 }
+
+// A NopRequest relayed by the gatekeeper that minted a fresh read names a
+// shard that may not be serving yet: the shard is greeted, gets no NOP and
+// still awaits its hello. Its answer brings the NOP held back, exactly one,
+// vclock-after the relayed read.
+func TestRelayedNopRequestWaitsForTheHello(t *testing.T) {
+	f := transport.NewFabric()
+	sh := f.Endpoint(transport.ShardAddr(0))
+	gk := New(Config{ID: 0, NumGatekeepers: 2, NumShards: 1}, f.Endpoint(transport.GatekeeperAddr(0)),
+		kvstore.AsBacking(kvstore.New()), oracle.NewService(), partition.NewHash(1))
+	received := func() (hellos int, nops []wire.Nop) {
+		for m, ok := sh.Next(); ok; m, ok = sh.Next() {
+			switch p := m.Payload.(type) {
+			case wire.Heartbeat:
+				hellos++
+			case wire.Nop:
+				nops = append(nops, p)
+			}
+		}
+		return hellos, nops
+	}
+
+	read := core.Timestamp{Owner: 1, Clock: []uint64{0, 50}} // minted by gk1: unseen here
+	gk.handle(transport.Message{From: transport.GatekeeperAddr(1), Payload: wire.NopRequest{TS: read, From: sh.Addr()}})
+	if hellos, nops := received(); hellos != 1 || len(nops) != 0 {
+		t.Fatalf("relayed request: shard got %d hellos and NOPs %+v, want one hello and no NOP", hellos, nops)
+	}
+	if _, waiting := gk.awaiting[sh.Addr()]; !waiting {
+		t.Fatal("a relayed request cleared the shard's hello")
+	}
+
+	gk.handle(transport.Message{From: sh.Addr(), Payload: wire.Heartbeat{From: sh.Addr()}})
+	_, nops := received()
+	if len(nops) != 1 || nops[0].Seq != 1 || nops[0].TS.Compare(read) != core.After {
+		t.Fatalf("hello answered: shard got NOPs %+v, want one with Seq 1 after %v", nops, read)
+	}
+	if _, waiting := gk.awaiting[sh.Addr()]; waiting {
+		t.Fatal("the answering shard still awaits a hello")
+	}
+	if n := gk.Stats().Nops; n != 1 {
+		t.Fatalf("Stats.Nops = %d, want 1", n)
+	}
+}

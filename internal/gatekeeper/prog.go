@@ -182,7 +182,8 @@ func (g *Gatekeeper) pinRead(readTS core.Timestamp) core.Timestamp {
 // The program reads the graph snapshot at readTS (§4.1), which must have
 // been obtained from this cluster (a previous commit's timestamp, Snapshot,
 // PinSnapshot); a ZERO readTS reads at a fresh timestamp minted here — the
-// strictly serializable current read. Returns an error wrapping
+// strictly serializable current read, whose NOPs the start shards wait for
+// are asked for as it starts (solicitNops). Returns an error wrapping
 // ErrStaleSnapshot when readTS is behind the GC watermark.
 func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byte, start []graph.VertexID) ([][]byte, core.Timestamp, error) {
 	if err := g.admit(); err != nil {
@@ -214,8 +215,10 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 	// header sees only the start shards, which nothing rewrites.
 	startShards := p.shards
 	g.register(p)
-	if readTS.Zero() {
+	fresh := readTS.Zero()
+	if fresh {
 		readTS = p.ts
+		g.solicitNops(p.ts, startShards)
 	}
 	if len(start) == 0 {
 		g.finish(p, nil) // nothing to visit
@@ -227,6 +230,7 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 			QID:         p.ts.ID(),
 			TS:          p.ts,
 			ReadTS:      readTS,
+			Solicited:   fresh,
 			Coordinator: g.ep.Addr(),
 			Hops:        hops,
 			Trace:       tr.ID(),
@@ -242,6 +246,26 @@ func (g *Gatekeeper) RunProgram(readTS core.Timestamp, prog string, params []byt
 		return nil, readTS, err
 	}
 	return p.results, readTS, nil
+}
+
+// solicitNops asks for the NOPs a fresh read at ts waits for at its start
+// shards when the read is minted, not when the shards park it: every other
+// gatekeeper gets a wire.NopRequest on each start shard's behalf, and this
+// gatekeeper sends its own NOP past ts. The NOPs then travel alongside the
+// read (ProgHops.Solicited), and a point read costs three fabric hops
+// where park-and-ask costs four. A request that is lost costs the wait the
+// periodic NOPs bound.
+func (g *Gatekeeper) solicitNops(ts core.Timestamp, shards []int) {
+	to := make([]transport.Addr, len(shards))
+	for i, s := range shards {
+		to[i] = transport.ShardAddr(s)
+		for gk := 0; gk < g.cfg.NumGatekeepers; gk++ {
+			if gk != g.cfg.ID {
+				g.ep.Send(transport.GatekeeperAddr(gk), wire.NopRequest{TS: ts, From: to[i]})
+			}
+		}
+	}
+	g.sendNops(to)
 }
 
 // RunProgramWhere launches a node program whose start set is an index

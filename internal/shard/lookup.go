@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"weaver/internal/graph"
 	"weaver/internal/index"
@@ -88,7 +88,7 @@ func (s *Shard) evalWheres(ws []wire.Where, limit int, before graph.Before) (ids
 	for _, r := range ranges {
 		verify(r.key, r.iv.Contains)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	matched = len(ids)
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]

@@ -118,8 +118,10 @@ func (s *Shard) progReady(ts core.Timestamp) bool {
 // for those heads to apply, and each head waits on the other frontiers. A
 // gatekeeper whose frontier is already past the target is not asked, nor
 // one whose outstanding request covers it — at most one request per
-// gatekeeper is in flight for any one target. A lost request costs only
-// the wait the periodic NOPs bound.
+// gatekeeper is in flight for any one target. A fresh read's start batch
+// comes with its requests made (covered), so it asks only when a queue
+// head pushes the target past its timestamp. A lost request costs only the
+// wait the periodic NOPs bound.
 func (s *Shard) solicit(ts core.Timestamp) {
 	target := ts
 	for gk := range s.queues {
@@ -134,6 +136,22 @@ func (s *Shard) solicit(ts core.Timestamp) {
 		s.asked[gk] = core.PointwiseMax(s.asked[gk], target)
 		s.m.nopRequests.Inc()
 		s.ep.Send(transport.GatekeeperAddr(gk), wire.NopRequest{TS: target, From: s.ep.Addr()})
+	}
+}
+
+// covered records the requests a fresh read's coordinator made when it
+// minted the read at ts (wire.ProgHops.Solicited): every gatekeeper whose
+// stream here is not already past ts has a NOP past it on its way.
+func (s *Shard) covered(ts core.Timestamp) {
+	for gk, a := range s.asked {
+		switch {
+		case ts.PointwiseLT(s.frontier[gk]) || ts.PointwiseLE(a):
+			// Passed already, or an outstanding request covers ts.
+		case a.PointwiseLE(ts):
+			s.asked[gk] = ts // no merge to allocate: the common case
+		default:
+			s.asked[gk] = core.PointwiseMax(a, ts)
+		}
 	}
 }
 
@@ -311,8 +329,15 @@ func (s *Shard) runBatch(b *wire.ProgHops) {
 		if inc == nil {
 			// Demand paging, fault half (§6.1): the vertex may have
 			// been evicted; reload its committed record.
-			if s.paging && !s.g.Has(hop.Vertex) && s.pageIn(hop.Vertex) {
-				inc = view.Incarnation(hop.Vertex)
+			if s.paging && !s.g.Has(hop.Vertex) {
+				paged, err := s.pageIn(hop.Vertex)
+				if err != nil {
+					fail(wire.ErrCodeNone, fmt.Errorf("shard %d: page in %q: %w", s.cfg.ID, hop.Vertex, err))
+					return
+				}
+				if paged {
+					inc = view.Incarnation(hop.Vertex)
+				}
 			}
 			// A record read back from the store — paged in or recovered —
 			// may be newer than this read, and then the vertex's state at

@@ -22,9 +22,11 @@
 // the visibility of any version concurrent with it by the write-before-read
 // preference (§4.1). A read that has to wait asks each gatekeeper whose
 // stream holds it back for one NOP past it (wire.NopRequest), so the wait
-// is a round trip; the gatekeepers' periodic NOPs bound it only when a
-// request is lost. Hops cascade locally and forward to peer shards;
-// progress deltas flow to the coordinating gatekeeper.
+// is a round trip — unless the coordinator of a fresh read asked already
+// when it minted it (wire.ProgHops.Solicited); the gatekeepers' periodic
+// NOPs bound the wait only when a request is lost. Hops cascade locally
+// and forward to peer shards; progress deltas flow to the coordinating
+// gatekeeper.
 //
 // A shard holds one backing-store handle, given to New, and reads through
 // it on three occasions: Recover at boot (§4.3), the same Recover at every
@@ -156,9 +158,9 @@ type Shard struct {
 	finishedQ  []core.ID // FIFO for bounding the finished set
 	orderCache map[[2]core.ID]core.Order
 	// asked is, per gatekeeper, the target of the NopRequests outstanding
-	// there (zero: none): a NOP vclock-after it is on its way (solicit,
-	// prog.go). Cleared when the stream passes it and at every epoch
-	// barrier.
+	// there (zero: none): a NOP vclock-after it is on its way (solicit and
+	// covered, prog.go). Cleared when the stream passes it and at every
+	// epoch barrier.
 	asked []core.Timestamp
 	// gcWM is the watermark every version collection runs at: each GC
 	// round collects every version whose lifetime ended strictly before it.
@@ -559,6 +561,9 @@ func (s *Shard) handle(msg transport.Message) {
 		s.nopsSeen.Add(1)
 		s.ingest(m.TS, m.Seq, nil, time.Time{}, 0)
 	case wire.ProgHops:
+		if m.Solicited {
+			s.covered(m.ReadTS)
+		}
 		s.reads = append(s.reads, pendingRead{readTS: m.ReadTS, hops: &m})
 	case wire.ProgFinish:
 		s.endQuery(m.QID)
@@ -779,7 +784,11 @@ func (s *Shard) applyOps(q queued) {
 func (s *Shard) faultIn(q queued) []graph.Op {
 	for i, op := range q.ops {
 		if op.Kind != graph.OpCreateVertex && !s.g.Has(op.Vertex) && !creates(q.ops[:i], op.Vertex) {
-			s.pageIn(op.Vertex)
+			// A record that cannot be read stays out: the operations on it
+			// then fail to apply and are counted as apply errors.
+			if _, err := s.pageIn(op.Vertex); err != nil {
+				fmt.Fprintf(os.Stderr, "weaver shard %d: apply at %v: page in: %v\n", s.cfg.ID, q.ts, err)
+			}
 		}
 	}
 	keep := q.ops[:0:0]
@@ -806,20 +815,29 @@ func (s *Shard) reportApplyErr(op graph.Op, ts core.Timestamp, err error) {
 // pageIn faults one vertex record from the backing store into the
 // in-memory graph (§6.1) through the marked install, a tombstone too: the
 // record may be newer than a reader (graph.View.Truncated). The index is
-// never paged. Reports false when the record is absent, unreadable or homed
-// elsewhere.
-func (s *Shard) pageIn(v graph.VertexID) bool {
-	data, _, found, err := s.kv.GetVersioned(graph.VertexKey(v))
-	if err != nil || !found {
-		return false
+// never paged. Reports false when the record is absent or homed elsewhere,
+// and an error naming the key when the store does not answer or the record
+// does not decode (wrapping graph.ErrNotRecord): a vertex it cannot read
+// is not one it knows to be absent.
+func (s *Shard) pageIn(v graph.VertexID) (bool, error) {
+	key := graph.VertexKey(v)
+	data, _, found, err := s.kv.GetVersioned(key)
+	if err != nil {
+		return false, fmt.Errorf("record %q: %w", key, err)
+	}
+	if !found {
+		return false, nil
 	}
 	rec, err := graph.DecodeRecord(data)
-	if err != nil || rec.Shard != s.cfg.ID {
-		return false
+	if err != nil {
+		return false, fmt.Errorf("record %q: %w", key, err)
+	}
+	if rec.Shard != s.cfg.ID {
+		return false, nil
 	}
 	s.g.Install([]*graph.VertexRecord{rec}, true)
 	s.pagedIn.Add(1)
-	return true
+	return true, nil
 }
 
 // maybeGC collects graph and index versions at gatekeeper 0's cluster

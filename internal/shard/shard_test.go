@@ -739,6 +739,36 @@ func TestRecoverReportsUndecodableRecord(t *testing.T) {
 	}
 }
 
+// A read that faults in a paged-out vertex whose record does not decode
+// fails with an error naming the key, never answers "no such vertex"; a
+// vertex whose record decodes still pages in and answers.
+func TestPageInReportsUndecodableRecord(t *testing.T) {
+	r := newStoreRig(t, Config{NumGatekeepers: 1, MaxVertices: 1}, kvstore.New())
+	var ops []graph.Op
+	var recs []*graph.VertexRecord
+	for _, v := range []graph.VertexID{"v0", "v1"} {
+		ops = append(ops, graph.Op{Kind: graph.OpCreateVertex, Vertex: v})
+		recs = append(recs, graph.NewVertexRecord(v, 0))
+	}
+	r.commit(true, ops, recs...)
+	last := r.commit(true, []graph.Op{{Kind: graph.OpCreateVertex, Vertex: "hot"}}, graph.NewVertexRecord("hot", 0))
+	r.waitStats(func(s Stats) bool { return s.TxExecuted == 2 })
+	r.drv.Send(transport.ShardAddr(0), wire.GCWatermark{TS: last})
+	r.waitStats(func(s Stats) bool { return s.PagedOut == 2 })
+
+	bad := graph.VertexKey("v0")
+	r.store.BulkPut([]kvstore.KV{{Key: bad, Value: []byte{0, 0, 1}}})
+	ts := r.clock.Tick()
+	r.sendNop()
+	d := r.getNode(ts, "v0")
+	if d.Err == "" || !strings.Contains(d.Err, strconv.Quote(bad)) || !strings.Contains(d.Err, graph.ErrNotRecord.Error()) {
+		t.Fatalf("get_node over an undecodable record: %+v, want an error naming %q", d, bad)
+	}
+	if d := r.getNode(ts, "v1"); d.Err != "" || len(d.Results) != 1 {
+		t.Fatalf("get_node v1 after paging in: %+v, want its one result", d)
+	}
+}
+
 // A delete committed and never forwarded, of a vertex demand paging evicted
 // from the graph, reaches the shard only as a tombstone at the epoch
 // barrier's sweep. The index still holds the vertex — it is never paged out

@@ -91,6 +91,7 @@ func (frameCodec) Append(buf []byte, payload any) ([]byte, bool) {
 		buf = binenc.AppendID(buf, m.QID)
 		buf = binenc.AppendTS(buf, m.TS)
 		buf = binenc.AppendTS(buf, m.ReadTS)
+		buf = binenc.AppendBool(buf, m.Solicited)
 		buf = binenc.AppendStr(buf, string(m.Coordinator))
 		buf = appendHops(buf, m.Hops)
 		buf = appendTrace(buf, m.Trace)
@@ -247,7 +248,7 @@ func (frameCodec) Decode(data []byte) (any, error) {
 		v = Announce{TS: d.TS()}
 	case tagProgHops:
 		m := ProgHops{
-			QID: d.ID(), TS: d.TS(), ReadTS: d.TS(),
+			QID: d.ID(), TS: d.TS(), ReadTS: d.TS(), Solicited: d.Bool(),
 			Coordinator: transport.DecodeAddr(d), Hops: decodeHops(d),
 		}
 		m.Trace = decodeTrace(d)

@@ -104,8 +104,8 @@ func randomMessage(r *rand.Rand) any {
 			hops[i] = Hop{ID: r.Uint64(), Vertex: graph.VertexID(rs(10)), Program: rs(8),
 				Params: []byte(rs(16)), Origin: r.Intn(5) - 1}
 		}
-		return ProgHops{QID: rts().ID(), TS: rts(), ReadTS: rts(), Coordinator: "gk/0",
-			Hops: hops, Trace: rtrace()}
+		return ProgHops{QID: rts().ID(), TS: rts(), ReadTS: rts(), Solicited: r.Intn(2) == 0,
+			Coordinator: "gk/0", Hops: hops, Trace: rtrace()}
 	case 2:
 		return ProgDelta{QID: rts().ID(), ConsumedIDs: []uint64{r.Uint64()},
 			SpawnedIDs: []uint64{r.Uint64(), r.Uint64()}, Results: [][]byte{[]byte(rs(30))},

@@ -53,6 +53,8 @@ func sampleMessages() []any {
 		ProgHops{QID: qid, TS: ts(1, 0, 5, 3), Coordinator: "gk/1",
 			Hops: []Hop{{ID: 7, Vertex: "v", Program: "p", Origin: 0}}},
 		ProgHops{QID: qid, TS: ts(1, 0, 5, 3), Coordinator: "gk/1", Trace: 1},
+		ProgHops{QID: qid, TS: ts(1, 1, 5, 6), ReadTS: ts(1, 1, 5, 6), Solicited: true, Coordinator: "gk/1",
+			Hops: []Hop{{ID: 1<<63 | 4, Vertex: "v", Program: "get_node", Origin: -1}}},
 		ProgDelta{QID: qid, ConsumedIDs: []uint64{1, 2, 3}, SpawnedIDs: []uint64{9},
 			Results: [][]byte{[]byte("r1"), nil, []byte("r3")}, Err: "boom", ErrCode: ErrCodeStaleSnapshot},
 		ProgDelta{QID: qid},

@@ -40,9 +40,11 @@ type Nop struct {
 	Seq uint64
 }
 
-// NopRequest is a shard asking a gatekeeper for one Nop vclock-after TS: a
-// read is parked at the shard until that gatekeeper's stream passes TS.
-// The gatekeeper observes TS into its clock, ticks, and answers From with a
+// NopRequest asks a gatekeeper for one Nop vclock-after TS on shard From's
+// stream: a read waits at that shard until the stream passes TS. The
+// shard sends it for a read it parked; a fresh read's coordinator sends it
+// on the start shards' behalf when it mints the read (ProgHops.Solicited).
+// The gatekeeper observes TS into its clock, ticks, and sends From a
 // sequenced Nop at once, instead of on its next NopPeriod tick.
 type NopRequest struct {
 	TS   core.Timestamp
@@ -81,10 +83,15 @@ type Announce struct {
 // Shards delay the batch until they have applied everything at or before
 // ReadTS, build the snapshot visibility predicate from it, and reject it
 // with ErrCodeStaleSnapshot when it has fallen behind the GC watermark.
+//
+// Solicited marks a fresh read's start batch: its coordinator asked every
+// gatekeeper for a Nop past ReadTS when it minted the read, so the shard
+// does not ask them again. Shards never set it on the hops they forward.
 type ProgHops struct {
 	QID         core.ID
 	TS          core.Timestamp
 	ReadTS      core.Timestamp
+	Solicited   bool
 	Coordinator transport.Addr
 	Hops        []Hop
 	// Trace is the obs trace ID (0 = untraced); append-only trailing

@@ -228,3 +228,85 @@ func TestReadsDoNotWaitForTimers(t *testing.T) {
 		within(fmt.Sprintf("gk%d At(commit).GetNode", gk), getNode(cl.At(info.TS).GetNode))
 	}
 }
+
+// TestFreshReadsAskForNoNops: the gatekeeper that mints a fresh read asks
+// for the NOPs its start shards wait for as it sends the read, so with the
+// periodic announces and NOPs an hour apart, fresh point reads through
+// either gatekeeper leave the shards asking for none. Reads the coordinator
+// does not ask for — a historical read, a traversal's hops forwarded
+// between shards — still park and ask, and answer well inside ProgTimeout.
+func TestFreshReadsAskForNoNops(t *testing.T) {
+	c := openTest(t, Config{
+		Gatekeepers: 2, Shards: 2,
+		AnnouncePeriod: time.Hour, NopPeriod: time.Hour,
+		ProgTimeout: 3 * time.Second,
+	})
+	within := func(what string, read func() error) {
+		t.Helper()
+		start := time.Now()
+		if err := read(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s took %v: the read waited for a timer", what, d)
+		}
+	}
+	// A binary tree of height 3, written through gatekeeper 0.
+	tree := []VertexID{"r"}
+	for i := 0; len(tree) < 15; i++ {
+		tree = append(tree, tree[i]+"0", tree[i]+"1")
+	}
+	onShard := map[int]bool{}
+	for _, v := range tree {
+		onShard[c.Directory().Lookup(v)] = true
+	}
+	if len(onShard) != 2 {
+		t.Fatalf("the tree lies on shards %v, want both", onShard)
+	}
+	cl0, _ := c.ClientAt(0)
+	if _, err := cl0.RunTx(func(tx *Tx) error {
+		tx.CreateVertex(tree[0])
+		for i, v := range tree[1:] {
+			tx.CreateVertex(v)
+			tx.CreateEdge(tree[i/2], v)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap := cl0.Snapshot()
+	requests := func() uint64 { return c.Metrics().Counters["weaver_shard_nop_requests_total"] }
+	for gk := 0; gk < 2; gk++ {
+		cl, _ := c.ClientAt(gk)
+		for i := 0; i < 200; i++ {
+			v := tree[i%len(tree)]
+			within(fmt.Sprintf("gk%d GetNode(%s)", gk, v), func() error {
+				if _, ok, err := cl.GetNode(v); err != nil || !ok {
+					return fmt.Errorf("ok=%v err=%v", ok, err)
+				}
+				return nil
+			})
+		}
+	}
+	if n := requests(); n != 0 {
+		t.Fatalf("fresh point reads left weaver_shard_nop_requests_total at %d, want 0", n)
+	}
+
+	within("pinned GetNode", func() error {
+		if _, ok, err := cl0.At(snap).GetNode("r"); err != nil || !ok {
+			return fmt.Errorf("ok=%v err=%v", ok, err)
+		}
+		return nil
+	})
+	cl1, _ := c.ClientAt(1)
+	within("depth-3 Traverse", func() error {
+		got, _, err := cl1.Traverse("r", "", "", 3)
+		if err == nil && len(got) != len(tree) {
+			err = fmt.Errorf("visited %d vertices, want %d", len(got), len(tree))
+		}
+		return err
+	})
+	if requests() == 0 { // the counter is live: hops forwarded to the other shard asked
+		t.Fatal("a traversal across both shards asked for no NOP")
+	}
+}
