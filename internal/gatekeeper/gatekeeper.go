@@ -182,9 +182,12 @@ type Gatekeeper struct {
 	markerMu   sync.RWMutex
 	markerHave map[string]struct{}
 
-	mu    sync.Mutex
-	clock *core.VectorClock
-	seq   *transport.Sequencer
+	mu sync.Mutex
+	// changed wakes waitFor: broadcast, mu held, wherever a waited-on count
+	// falls (applies, reads, an epoch change) and on Stop.
+	changed sync.Cond
+	clock   *core.VectorClock
+	seq     *transport.Sequencer
 	// awaiting holds the shards that have not yet answered this
 	// gatekeeper's hello; sendNops holds the NOP stream to a shard back
 	// until it has. True: sendNops held a NOP back from it, sent when its
@@ -264,6 +267,7 @@ func New(cfg Config, ep transport.Endpoint, kv kvstore.Backing, orc oracle.Clien
 		markerHave: make(map[string]struct{}),
 		stop:       make(chan struct{}),
 	}
+	g.changed.L = &g.mu
 	for _, k := range cfg.IndexedKeys {
 		g.indexed[k] = struct{}{}
 	}
@@ -320,6 +324,9 @@ func (g *Gatekeeper) Resume() { g.pause.Unlock() }
 // Stop terminates the background loops and fails outstanding reads.
 func (g *Gatekeeper) Stop() {
 	g.stopOnce.Do(func() { close(g.stop) })
+	// Wake waitFor before Wait: a fence waiting there may hold the pause
+	// lock that takeBarrierPause, which Wait waits for, is blocked on.
+	g.wake()
 	g.wg.Wait()
 	g.mu.Lock()
 	for _, p := range g.reads {
@@ -372,44 +379,68 @@ func (g *Gatekeeper) ApplyLag() int64 { return max(g.applyPending.Load(), 0) }
 // makes a transaction durable and strictly ordered, Quiesce additionally
 // guarantees the in-memory graphs have caught up — useful for
 // benchmarking the shard apply path and for tests that inspect shard
-// state directly. Acks are counted, not sequenced, so out-of-order
-// completion inside a parallel apply batch needs no special handling.
+// state directly.
 func (g *Gatekeeper) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	// Deliberate poll (the fence is a test/bench tool, not a hot path),
-	// with backoff so a long drain does not spin: 50µs keeps short fences
-	// snappy, the 1ms cap bounds wakeups during big backlogs.
-	wait := 50 * time.Microsecond
-	for {
-		if g.applyPending.Load() <= 0 {
-			return nil
-		}
+	return g.fence(time.Now().Add(timeout), false)
+}
+
+// Drain is Quiesce until deadline that also waits for every read this
+// gatekeeper coordinates to finish. Bulk ingest and migration batches drain
+// before mutating shard state wholesale: a lookup mid-scatter must not
+// observe a vertex's postings detached from its source shard but not yet
+// attached at its target. A deadline already past still passes a
+// gatekeeper with nothing outstanding.
+func (g *Gatekeeper) Drain(deadline time.Time) error { return g.fence(deadline, true) }
+
+// fence waits for every forwarded write-set to be applied and, with reads,
+// every registered read to finish, and names what is left at the deadline.
+func (g *Gatekeeper) fence(deadline time.Time, reads bool) error {
+	var applies int64
+	var running int
+	err := g.waitFor(func() bool {
+		applies, running = g.applyPending.Load(), len(g.reads)
+		return applies <= 0 && (!reads || running == 0)
+	}, deadline)
+	switch {
+	case err != errDeadline:
+		return err
+	case applies > 0:
+		return fmt.Errorf("gatekeeper %d: quiesce timeout: %d applies outstanding", g.cfg.ID, applies)
+	}
+	return fmt.Errorf("%d node programs still running", running)
+}
+
+var errDeadline = errors.New("gatekeeper: wait deadline passed")
+
+// waitFor blocks until done, run with g.mu held, reports true — checked
+// at once and on each broadcast of changed — or else until the deadline
+// (errDeadline) or Stop (ErrStopped).
+func (g *Gatekeeper) waitFor(done func() bool, deadline time.Time) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var timer *time.Timer
+	for !done() {
 		select {
 		case <-g.stop:
 			return ErrStopped
 		default:
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("gatekeeper %d: quiesce timeout: %d applies outstanding",
-				g.cfg.ID, g.applyPending.Load())
+		if !time.Now().Before(deadline) {
+			return errDeadline
 		}
-		time.Sleep(wait)
-		if wait < time.Millisecond {
-			wait *= 2
+		if timer == nil {
+			timer = time.AfterFunc(time.Until(deadline), g.wake)
+			defer timer.Stop()
 		}
+		g.changed.Wait()
 	}
+	return nil
 }
 
-// OutstandingPrograms returns the number of read queries — node programs
-// and index lookups — issued through this gatekeeper that have not yet
-// completed. Bulk ingest and migration batches drain them before mutating
-// shard state wholesale: a lookup mid-scatter must not observe a vertex's
-// postings detached from its source shard but not yet attached at its
-// target.
-func (g *Gatekeeper) OutstandingPrograms() int {
+func (g *Gatekeeper) wake() {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.reads)
+	g.changed.Broadcast()
+	g.mu.Unlock()
 }
 
 // ObserveTimestamp merges ts into this gatekeeper's vector clock, exactly
@@ -488,6 +519,7 @@ func (g *Gatekeeper) AdvanceEpoch(epoch uint64) {
 	g.clock.AdvanceEpoch(epoch)
 	g.seq.Reset()
 	g.applyPending.Store(0)
+	g.changed.Broadcast()
 }
 
 func (g *Gatekeeper) tickerLoop(period time.Duration, fn func()) {
@@ -541,18 +573,12 @@ func (g *Gatekeeper) handle(msg transport.Message) {
 		// not consume a current-epoch pending. The epoch check and the
 		// decrement stay under one mu hold so an epoch bump cannot slip
 		// between them; the zero clamp is a last resort against double
-		// acks.
+		// acks, and needs no CAS: every decrement holds mu, and a forward
+		// racing this one only raises the count.
 		g.mu.Lock()
-		if m.TS.Epoch == g.clock.Peek().Epoch {
-			for {
-				cur := g.applyPending.Load()
-				if cur <= 0 {
-					break
-				}
-				if g.applyPending.CompareAndSwap(cur, cur-min(cur, n)) {
-					break
-				}
-			}
+		if cur := g.applyPending.Load(); cur > 0 && m.TS.Epoch == g.clock.Peek().Epoch {
+			g.applyPending.Add(-min(cur, n))
+			g.changed.Broadcast()
 		}
 		g.mu.Unlock()
 	case wire.ProgDelta:

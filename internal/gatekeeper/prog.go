@@ -34,7 +34,7 @@ var ErrStaleSnapshot = errors.New("gatekeeper: snapshot timestamp too old")
 // at, zero meaning "mint a fresh one": a current read and a historical
 // query (§4.5) are the same call. Every read in flight is one pendingRead in
 // Gatekeeper.reads — register, finish (exactly once), await — and while
-// there it counts toward OutstandingPrograms and holds the GC watermark.
+// there it holds a fence's Drain and the GC watermark.
 
 // readKind says which payload a pendingRead carries.
 type readKind int
@@ -115,6 +115,7 @@ func (g *Gatekeeper) finish(p *pendingRead, err error) {
 	}
 	delete(g.reads, qid)
 	p.err = err
+	g.changed.Broadcast()
 	g.mu.Unlock()
 	g.readsFinished[p.kind].Add(1)
 	for _, s := range p.shards { // stable: p is no longer reachable for deltas

@@ -149,29 +149,15 @@ const applyLagTimeout = 2 * time.Second
 const maxApplyLag = 256
 
 // waitApplyLag blocks while more than maxApplyLag forwarded write-sets
-// await shard application. Applies proceed independently of commits, so
-// waiting here cannot deadlock; NOPs and announces keep flowing from
-// their own loops.
+// await shard application, for at most applyLagTimeout. Applies proceed
+// independently of commits, so waiting here cannot deadlock; NOPs and
+// announces keep flowing from their own loops.
 func (g *Gatekeeper) waitApplyLag() {
 	if g.applyPending.Load() <= maxApplyLag {
 		return
 	}
-	deadline := time.Now().Add(applyLagTimeout)
-	wait := 50 * time.Microsecond
-	for g.applyPending.Load() > maxApplyLag {
-		select {
-		case <-g.stop:
-			return
-		default:
-		}
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(wait)
-		if wait < time.Millisecond {
-			wait *= 2
-		}
-	}
+	// A timeout lets the commit proceed; Stop fails it at admit.
+	_ = g.waitFor(func() bool { return g.applyPending.Load() <= maxApplyLag }, time.Now().Add(applyLagTimeout))
 }
 
 // reservation is one atomically claimed slot in every per-shard FIFO
@@ -219,8 +205,11 @@ func (g *Gatekeeper) forward(rsv reservation, shardOps map[int][]graph.Op, tr *o
 		addr := transport.ShardAddr(s)
 		if ops := shardOps[s]; len(ops) > 0 {
 			if g.ep.Send(addr, wire.TxForward{TS: rsv.ts, Seq: rsv.seqs[s], Ops: ops, Trace: trace}) != nil {
+				g.mu.Lock()
 				g.applyPending.Add(-1) // undelivered: no ack will come
-				g.m.tracer.Done(tr)    // and no trace completion either
+				g.changed.Broadcast()
+				g.mu.Unlock()
+				g.m.tracer.Done(tr) // and no trace completion either
 			}
 		} else {
 			g.ep.Send(addr, wire.Nop{TS: rsv.ts, Seq: rsv.seqs[s]})

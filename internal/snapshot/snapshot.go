@@ -1,16 +1,12 @@
 // Package snapshot implements Weaver's segmented, checksummed on-disk
 // snapshot format — the durable image of the transactional backing store
-// (§3.2, §4.3) shared by two subsystems:
-//
-//   - Checkpointing: kvstore.Store.Checkpoint freezes commits, streams
-//     every live entry (including tombstones and versions) into numbered
-//     segments, atomically publishes a manifest, and truncates the
-//     write-ahead log. Reopening the store loads snapshot + WAL tail
-//     instead of replaying the full history.
-//   - Bulk ingest: weaver.Cluster.BulkLoadGraph builds per-shard segments
-//     of encoded vertex records on a worker pool and installs them directly
-//     into the backing store and the shards' in-memory graphs, bypassing
-//     the per-transaction commit path.
+// (§3.2, §4.3). kvstore.Store.Checkpoint is its one writer: it freezes
+// commits, streams every live entry (including tombstones and versions)
+// into numbered segments, atomically publishes a manifest, and truncates
+// the write-ahead log. Reopening the store loads snapshot + WAL tail
+// instead of replaying the full history. Bulk ingest
+// (weaver.Cluster.BulkLoadGraph) writes no snapshot: it batches records
+// DefaultSegmentEntries at a time straight into the store (BulkPut).
 //
 // # On-disk layout
 //

@@ -540,12 +540,7 @@ var (
 // benchmarks, Graph()-level checks) or wants to measure apply throughput.
 func (c *Cluster) Quiesce(timeout time.Duration) error {
 	gks, _ := c.servers()
-	return quiesce(gks, time.Now().Add(timeout))
-}
-
-// quiesce waits until every write-set gks forwarded has been applied. A
-// deadline already past still passes a gatekeeper with nothing outstanding.
-func quiesce(gks []*gatekeeper.Gatekeeper, deadline time.Time) error {
+	deadline := time.Now().Add(timeout)
 	for _, gk := range gks {
 		if err := gk.Quiesce(time.Until(deadline)); err != nil {
 			return err
@@ -603,25 +598,16 @@ func (c *Cluster) fenced(body func(gks []*gatekeeper.Gatekeeper, shards []*shard
 // drain waits, for at most 30 s, until everything the paused gatekeepers
 // forwarded has been applied and the reads they coordinate have finished,
 // so a fence never changes the graph under a queued write-set or a running
-// traversal.
+// traversal. With intake paused neither count can rise, so waiting on each
+// gatekeeper in turn waits for all of them at once.
 func drain(gks []*gatekeeper.Gatekeeper) error {
 	deadline := time.Now().Add(30 * time.Second)
-	if err := quiesce(gks, deadline); err != nil {
-		return fmt.Errorf("weaver: fence: %w", err)
+	for _, gk := range gks {
+		if err := gk.Drain(deadline); err != nil {
+			return fmt.Errorf("weaver: fence: %w", err)
+		}
 	}
-	for {
-		busy := 0
-		for _, gk := range gks {
-			busy += gk.OutstandingPrograms()
-		}
-		if busy == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("weaver: fence: %d node programs still running", busy)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	return nil
 }
 
 // Epoch returns the cluster's current epoch.
